@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .core import (
     BipartitionLayout,
@@ -26,8 +24,6 @@ from .core import (
     Hamiltonian,
     RandomSource,
     UnitaryOperator,
-    _entropy_of_matrix,
-    _partial_trace_matrix,
     basis_ket,
     evolve,
     fidelity_and_bures,
@@ -177,7 +173,10 @@ def classical_correlated_demo() -> EntropyBalanceReport:
 
 @dataclass(frozen=True)
 class UnitarySearchConfig:
-    """Knobs for the derivative-free search over generator coefficients."""
+    """Knobs for the search: ``restarts`` counts the spectral-assignment
+    answer plus ``restarts - 1`` descent probes, ``max_iterations`` bounds the
+    steps of each probe, and a probe stops once a step lowers the entropy sum
+    by less than ``convergence_tolerance``."""
 
     max_iterations: int = 300
     convergence_tolerance: float = 1e-12
@@ -194,53 +193,46 @@ class UnitarySearchConfig:
 
 
 @dataclass(frozen=True)
+class DescentProbe:
+    """One kicked steepest descent on U(d).
+
+    ``sums`` holds dS_S + dS_R at the kicked start and after every accepted
+    step; ``converged`` is False when the step budget ran out first.
+    """
+
+    unitary: np.ndarray
+    sums: tuple[float, ...]
+    converged: bool
+
+
+@dataclass(frozen=True)
 class UnitarySearchResult:
     unitary: UnitaryOperator
     achieved_sum: float
     report: EntropyBalanceReport
     best_restart: int
-    parameter_count: int
+    probes: tuple[DescentProbe, ...]
 
     @property
     def improved(self) -> bool:
         return self.achieved_sum < 0.0
 
+    @property
+    def probes_run(self) -> int:
+        return len(self.probes)
 
-def hermitian_generator_basis(dim: int) -> np.ndarray:
-    """Generalized Gell-Mann matrices plus I/sqrt(dim): dim^2 Hermitian
-    matrices orthonormal under tr(A B).  They span the full unitary algebra,
-    so exp(-i sum_k theta_k G_k) reaches every unitary up to global phase."""
-    mats = [np.eye(dim, dtype=complex) / np.sqrt(dim)]
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            sym = np.zeros((dim, dim), dtype=complex)
-            sym[j, k] = sym[k, j] = 1.0 / np.sqrt(2.0)
-            mats.append(sym)
-            anti = np.zeros((dim, dim), dtype=complex)
-            anti[j, k] = -1j / np.sqrt(2.0)
-            anti[k, j] = 1j / np.sqrt(2.0)
-            mats.append(anti)
-    for l in range(1, dim):
-        diag = np.zeros((dim, dim), dtype=complex)
-        diag[np.arange(l), np.arange(l)] = 1.0
-        diag[l, l] = -float(l)
-        mats.append(diag / np.sqrt(l * (l + 1)))
-    return np.stack(mats)
+    @property
+    def probes_converged(self) -> int:
+        return sum(probe.converged for probe in self.probes)
 
 
-def unitary_from_angles(theta: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """exp(-i sum_k theta_k G_k) via Hermitian eigendecomposition."""
-    a = np.tensordot(theta, basis, axes=1)
-    lam, v = np.linalg.eigh(a)
-    return (v * np.exp(-1j * lam)) @ v.conj().T
-
-
-def angles_from_unitary(u: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Coefficients theta with exp(-i sum theta_k G_k) = u (principal branch)."""
-    t, q = scipy.linalg.schur(u, output="complex")
-    a = (q * -np.angle(np.diag(t))) @ q.conj().T
-    a = 0.5 * (a + a.conj().T)
-    return np.real(np.tensordot(basis, a, axes=([1, 2], [1, 0])))
+# Frobenius norm of the random generator that kicks a probe off the answer
+PROBE_KICK = 0.1
+# Armijo sufficient-decrease fraction and the step halvings tried per iteration
+ARMIJO_FRACTION = 0.5
+ARMIJO_HALVINGS = 60
+# marginal eigenvalues are clamped here before the log in the gradient
+LOG_FLOOR = 1e-300
 
 
 def _assignment_cells(dim_s: int, dim_r: int) -> list[tuple[int, ...]]:
@@ -256,7 +248,7 @@ def _assignment_cells(dim_s: int, dim_r: int) -> list[tuple[int, ...]]:
 def spectral_assignment_unitary(rho_joint: DensityOperator, layout: BipartitionLayout) -> np.ndarray:
     """Rotate the eigenbasis of the state onto computational basis cells,
     choosing the placement whose diagonal final state has the smallest sum of
-    marginal entropies.  Used as the deterministic restart of the search."""
+    marginal entropies.  This is the answer of the search."""
     lam, v = np.linalg.eigh(rho_joint.matrix)
     order = np.argsort(lam)[::-1]
     lam = np.clip(lam[order], 0.0, None)
@@ -279,68 +271,114 @@ def spectral_assignment_unitary(rho_joint: DensityOperator, layout: BipartitionL
     return u
 
 
+def _marginals(final: np.ndarray, dim_s: int, dim_r: int) -> tuple[np.ndarray, np.ndarray]:
+    t = final.reshape(dim_s, dim_r, dim_s, dim_r)
+    return np.trace(t, axis1=1, axis2=3), np.trace(t, axis1=0, axis2=2)
+
+
+def _local_entropy(final: np.ndarray, dim_s: int, dim_r: int) -> float:
+    """S(rho_S) + S(rho_R) of a joint matrix, with 0 ln 0 := 0."""
+    total = 0.0
+    for marginal in _marginals(final, dim_s, dim_r):
+        p = np.linalg.eigvalsh(marginal)
+        p = p[p > 0.0]
+        total -= float(p @ np.log(p))
+    return total
+
+
+def _log_marginal_sum(final: np.ndarray, dim_s: int, dim_r: int) -> np.ndarray:
+    """ln rho_S (x) I + I (x) ln rho_R, marginal eigenvalues clamped at LOG_FLOOR."""
+    log_s, log_r = (
+        (v * np.log(np.clip(lam, LOG_FLOOR, None))) @ v.conj().T
+        for lam, v in map(np.linalg.eigh, _marginals(final, dim_s, dim_r))
+    )
+    eye_s, eye_r = np.eye(dim_s), np.eye(dim_r)
+    log_sum = log_s[:, None, :, None] * eye_r[None, :, None, :] + eye_s[:, None, :, None] * log_r[None, :, None, :]
+    return log_sum.reshape(dim_s * dim_r, dim_s * dim_r)
+
+
+def _descend(
+    rho: np.ndarray, dim_s: int, dim_r: int, u: np.ndarray, s_local0: float, config: UnitarySearchConfig
+) -> DescentProbe:
+    """Armijo-backtracked steepest descent U <- exp(-mu C) U on U(d), with
+    C = [rho', ln rho'_S (x) I + I (x) ln rho'_R] the Riemannian gradient of
+    the local entropy sum (Abrudan, Eriksson & Koivunen, IEEE TSP 2008)."""
+    final = u @ rho @ u.conj().T
+    value = _local_entropy(final, dim_s, dim_r)
+    sums = [value - s_local0]
+    mu = 1.0
+    for _ in range(config.max_iterations):
+        log_sum = _log_marginal_sum(final, dim_s, dim_r)
+        c = final @ log_sum - log_sum @ final
+        slope = float(np.sum(np.abs(c) ** 2))
+        h = 1j * c  # Hermitian, and exp(-mu C) = exp(i mu h)
+        lam, v = np.linalg.eigh(h)
+        mu *= 2.0
+        for _ in range(ARMIJO_HALVINGS):
+            u_new = ((v * np.exp(1j * mu * lam)) @ v.conj().T) @ u
+            final_new = u_new @ rho @ u_new.conj().T
+            value_new = _local_entropy(final_new, dim_s, dim_r)
+            if value - value_new >= ARMIJO_FRACTION * mu * slope:
+                break
+            mu *= 0.5
+        else:  # no step lowers the sum measurably: stationary up to rounding
+            return DescentProbe(unitary=u, sums=tuple(sums), converged=True)
+        decrease = value - value_new
+        u, final, value = u_new, final_new, value_new
+        sums.append(value - s_local0)
+        if decrease < config.convergence_tolerance:
+            return DescentProbe(unitary=u, sums=tuple(sums), converged=True)
+    return DescentProbe(unitary=u, sums=tuple(sums), converged=False)
+
+
+def _random_hermitian_unit(dim: int, rng: RandomSource) -> np.ndarray:
+    """Hermitian matrix of unit Frobenius norm from a complex Gaussian draw."""
+    g = rng.generator()
+    a = g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
+    h = a + a.conj().T
+    return h / np.linalg.norm(h)
+
+
 def search_entropy_decreasing_unitary(
     rho_joint: DensityOperator,
     layout: BipartitionLayout,
     config: UnitarySearchConfig | None = None,
 ) -> UnitarySearchResult:
-    """Minimize dS_S + dS_R over U(theta) = exp(-i sum theta_k G_k).
+    """Minimize dS_S + dS_R over the unitary group.
 
-    Restart schedule: restart 0 starts from the spectral-assignment unitary
-    (a deterministic feasible point that is exact for states whose spectrum
-    factorizes), remaining restarts start from random coefficient draws.
-    Each restart is polished with Nelder-Mead; the lowest recomputed entropy
-    sum wins, ties broken by the lower restart index.  A result that never
-    dips below zero is returned with a warning, not an error: finitely many
-    iterations cannot refute the existence of a decreasing unitary.
+    Restart 0 is the answer: the spectral-assignment unitary, exact for
+    states whose spectrum factorizes.  Restarts 1 .. restarts - 1 probe its
+    local optimality: each kicks it by exp(-i PROBE_KICK H) with H a random
+    unit-norm Hermitian drawn from ``config.rng.child(k)``, then descends
+    along the Riemannian gradient.  A probe replaces the answer only when
+    its sum is lower by more than ``BALANCE_CONSISTENCY_TOL``, so rounding
+    ties keep restart 0.  A result that never dips below zero is returned
+    with a warning, not an error: finitely many steps cannot refute the
+    existence of a decreasing unitary.
     """
     if rho_joint.dim != layout.dim:
         raise ValueError("state and layout dimensions must agree")
     if mutual_information(rho_joint, layout) <= NON_PRODUCT_TOL:
         raise ValueError("input is a product state; local entropies cannot decrease")
     config = config or UnitarySearchConfig()
-    dim = layout.dim
-    basis = hermitian_generator_basis(dim)
     dim_s, dim_r = layout.dim_s, layout.dim_r
 
-    rho = rho_joint.matrix
-    s_local0 = _entropy_of_matrix(_partial_trace_matrix(rho, dim_s, dim_r, "S")) + _entropy_of_matrix(
-        _partial_trace_matrix(rho, dim_s, dim_r, "R")
-    )
-
-    def objective(theta: np.ndarray) -> float:
-        u = unitary_from_angles(theta, basis)
-        final = u @ rho @ u.conj().T
-        return (
-            _entropy_of_matrix(_partial_trace_matrix(final, dim_s, dim_r, "S"))
-            + _entropy_of_matrix(_partial_trace_matrix(final, dim_s, dim_r, "R"))
-            - s_local0
-        )
-
-    starts = [angles_from_unitary(spectral_assignment_unitary(rho_joint, layout), basis)]
-    for k in range(1, config.restarts):
-        g = config.rng.child(k).generator()
-        starts.append(g.normal(scale=np.pi / 4.0, size=dim * dim))
-
-    best_theta, best_val, best_restart = None, np.inf, -1
-    for idx, theta0 in enumerate(starts):
-        res = scipy.optimize.minimize(
-            objective,
-            theta0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": config.max_iterations,
-                "maxfev": 4 * config.max_iterations,
-                "fatol": config.convergence_tolerance,
-                "xatol": 1e-5,
-                "adaptive": True,
-            },
-        )
-        if res.fun < best_val:
-            best_theta, best_val, best_restart = res.x, float(res.fun), idx
-
-    u_best = UnitaryOperator(unitary_from_angles(best_theta, basis))
+    u_best = UnitaryOperator(spectral_assignment_unitary(rho_joint, layout))
     report = entropy_balance(rho_joint, layout, u_best)
+    best_sum, best_restart = report.sum, 0
+    rho = rho_joint.matrix
+    s_local0 = _local_entropy(rho, dim_s, dim_r)
+    probes = []
+    for k in range(1, config.restarts):
+        kick = unitary_from_hamiltonian(Hamiltonian(_random_hermitian_unit(layout.dim, config.rng.child(k))), PROBE_KICK)
+        probe = _descend(rho, dim_s, dim_r, kick.matrix @ u_best.matrix, s_local0, config)
+        probes.append(probe)
+        if probe.sums[-1] < best_sum - BALANCE_CONSISTENCY_TOL:
+            best_sum, best_restart = probe.sums[-1], k
+    if best_restart:
+        u_best = UnitaryOperator(probes[best_restart - 1].unitary)
+        report = entropy_balance(rho_joint, layout, u_best)
+
     if report.sum >= 0.0:
         warnings.warn("search did not find an entropy-decreasing unitary within its budget", stacklevel=2)
     return UnitarySearchResult(
@@ -348,7 +386,7 @@ def search_entropy_decreasing_unitary(
         achieved_sum=report.sum,
         report=report,
         best_restart=best_restart,
-        parameter_count=dim * dim,
+        probes=tuple(probes),
     )
 
 

@@ -7,7 +7,8 @@ derived from ``--seed``, and serializes a result record as CSV or JSON.
 Metric rows are deterministic functions of the echoed configuration, so a
 rerun with the same flags reproduces them byte for byte.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 when at least one
+Exit codes: 0 success; 1 for a usage or configuration error, an input the
+library rejects, or an output path that cannot be opened; 2 when at least one
 run invariant failed its tolerance (rows are still written).
 """
 
@@ -144,8 +145,8 @@ EXPERIMENT_PARAMS: dict[str, tuple[Param, ...]] = {
     "decorrelate": (),
     "search": (
         Param("trials", "int", 20, "number of optimizer runs", validate=_check_trials),
-        Param("restarts", "int", 4, "restarts per run (first is deterministic)", validate=_check_trials),
-        Param("max-iter", "int", 300, "iteration budget per restart", validate=_check_trials),
+        Param("restarts", "int", 4, "spectral-assignment answer plus restarts-1 descent probes", validate=_check_trials),
+        Param("max-iter", "int", 300, "descent steps per probe", validate=_check_trials),
         Param("min-mi", "float", 0.01, "mutual-information floor for random inputs", validate=_check_positive),
         Param("demo", "choice", "random", "input family", choices=("random", "near-product", "classical")),
         Param("epsilon", "float", 0.1, "epsilon for demo=near-product", validate=_check_epsilon),
@@ -287,11 +288,8 @@ def _dispatch(config: ExperimentConfig):
     if name == "decorrelate":
         return (*experiments.run_decorrelate(), {})
     if name == "search":
-        return (
-            *experiments.run_search(
-                v["trials"], v["restarts"], v["max-iter"], v["min-mi"], v["seed"], demo=v["demo"], epsilon=v["epsilon"]
-            ),
-            {},
+        return experiments.run_search(
+            v["trials"], v["restarts"], v["max-iter"], v["min-mi"], v["seed"], demo=v["demo"], epsilon=v["epsilon"]
         )
     if name == "schrodinger":
         return (*experiments.run_schrodinger(v["trials"], v["dims"][0], v["dims"][1], v["seed"]), {})
@@ -453,13 +451,21 @@ def main(argv: list[str] | None = None) -> int:
         print(f"arrowlab: error: cannot read config: {exc}", file=sys.stderr)
         return 1
 
-    code, record = run(config)
-    text = serialize_csv(record) if config["format"] == "csv" else serialize_json(record)
-    if config["out"] == "-":
-        sys.stdout.write(text)
-    else:
-        with open(config["out"], "w", encoding="utf-8") as fh:
-            fh.write(text)
+    # open the output first, so that an unwritable path fails before computing
+    try:
+        out = sys.stdout if config["out"] == "-" else open(config["out"], "w", encoding="utf-8")
+    except OSError as exc:
+        print(f"arrowlab: error: cannot open output: {exc}", file=sys.stderr)
+        return 1
+    try:
+        code, record = run(config)
+        out.write(serialize_csv(record) if config["format"] == "csv" else serialize_json(record))
+    except ValueError as exc:
+        print(f"arrowlab: error: {exc}", file=sys.stderr)
+        return 1
+    finally:
+        if out is not sys.stdout:
+            out.close()
     for failure in record.invariant_failures:
         print(f"arrowlab: invariant failure: {failure}", file=sys.stderr)
     return code

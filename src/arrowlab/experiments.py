@@ -2,7 +2,9 @@
 
 Every experiment function takes plain parameters, derives all randomness
 from one seed via RandomSource children, and returns ``(columns, rows,
-failures)`` where ``failures`` lists violated run invariants.  Rows are
+failures)`` where ``failures`` lists violated run invariants; ``run_search``
+and ``run_collide`` append a dict of extra metadata.  Invariants are checked
+as ``not (value <= tolerance)`` so that a NaN counts as a failure.  Rows are
 ordered by trial / grid index, never by completion time, so a rerun with
 the same configuration reproduces them byte for byte.
 """
@@ -70,9 +72,9 @@ def run_balance(trials: int, dim_s: int, dim_r: int, seed: int) -> Result:
         rep = _random_product_trial(layout, root.child(k))
         dev = abs(rep.sum - rep.mi_final)
         rows.append((k, rep.ds_s, rep.ds_r, rep.sum, rep.mi_initial, rep.mi_final, dev, arrow.schrodinger_check(rep).value))
-        if rep.sum < -BALANCE_TOL:
+        if not rep.sum >= -BALANCE_TOL:
             failures.append(f"trial {k}: entropy sum {rep.sum} below -{BALANCE_TOL}")
-        if dev > BALANCE_TOL:
+        if not dev <= BALANCE_TOL:
             failures.append(f"trial {k}: |sum - final mutual information| = {dev}")
     return columns, rows, failures
 
@@ -85,9 +87,9 @@ def run_near_product(epsilon: float) -> Result:
     dev = abs(rep.sum - analytic)
     rows = [(epsilon, rep.ds_s, rep.ds_r, rep.sum, rep.mi_initial, rep.mi_final, analytic, dev)]
     failures = []
-    if dev > BALANCE_TOL:
+    if not dev <= BALANCE_TOL:
         failures.append(f"entropy sum deviates from analytic value by {dev}")
-    if rep.mi_final > FINAL_MI_TOL:
+    if not rep.mi_final <= FINAL_MI_TOL:
         failures.append(f"final mutual information {rep.mi_final} not erased")
     return columns, rows, failures
 
@@ -98,9 +100,9 @@ def run_decorrelate() -> Result:
     columns = ["ds_s", "ds_r", "sum", "mi_initial", "mi_final"]
     rows = [(rep.ds_s, rep.ds_r, rep.sum, rep.mi_initial, rep.mi_final)]
     failures = []
-    if abs(rep.sum + math.log(2.0)) > BALANCE_TOL:
+    if not abs(rep.sum + math.log(2.0)) <= BALANCE_TOL:
         failures.append(f"entropy sum {rep.sum} is not -ln 2")
-    if rep.mi_final > FINAL_MI_TOL:
+    if not rep.mi_final <= FINAL_MI_TOL:
         failures.append(f"final mutual information {rep.mi_final} not erased")
     return columns, rows, failures
 
@@ -121,16 +123,19 @@ def run_search(
     seed: int,
     demo: str = "random",
     epsilon: float = 0.1,
-) -> Result:
+) -> tuple[list[str], list[Row], list[str], dict]:
     """Optimizer hunting entropy-decreasing unitaries.
 
     demo='random' draws non-product two-qubit states; the named demos rerun
     the analytic constructions, whose achievable sums bound the optimizer.
+    Returns an extra metadata dict with the descent probes run and converged
+    over all trials.
     """
     layout = arrow.TWO_QUBITS
     root = RandomSource(seed)
     columns = ["trial", "mi_initial", "achieved_sum", "improved", "best_restart"]
     rows, failures = [], []
+    extra = {"probes_run": 0, "probes_converged": 0}
     draw_index = 0
     for k in range(trials):
         src = root.child(k)
@@ -152,9 +157,11 @@ def run_search(
             warnings.simplefilter("ignore")
             res = arrow.search_entropy_decreasing_unitary(rho, layout, config)
         rows.append((k, res.report.mi_initial, res.achieved_sum, res.improved, res.best_restart))
-        if bound is not None and res.achieved_sum > bound + FEASIBLE_MARGIN:
+        extra["probes_run"] += res.probes_run
+        extra["probes_converged"] += res.probes_converged
+        if bound is not None and not res.achieved_sum <= bound + FEASIBLE_MARGIN:
             failures.append(f"trial {k}: achieved sum {res.achieved_sum} above feasible bound {bound}")
-    return columns, rows, failures
+    return columns, rows, failures, extra
 
 
 def run_schrodinger(trials: int, dim_s: int, dim_r: int, seed: int) -> Result:
@@ -166,7 +173,7 @@ def run_schrodinger(trials: int, dim_s: int, dim_r: int, seed: int) -> Result:
     for k in range(trials):
         rep = _random_product_trial(layout, root.child(k))
         rows.append((k, rep.ds_s, rep.ds_r, rep.schrodinger_product, arrow.schrodinger_check(rep).value, rep.sum))
-        if rep.sum < -BALANCE_TOL:
+        if not rep.sum >= -BALANCE_TOL:
             failures.append(f"trial {k}: entropy sum {rep.sum} below -{BALANCE_TOL}")
     return columns, rows, failures
 
@@ -197,9 +204,9 @@ def run_sweep(
     rows = [(p.coupling, p.epsilon, p.time, p.sum) for p in points]
     failures = []
     for p in points:
-        if p.coupling == 0.0 and abs(p.sum) > BALANCE_TOL:
+        if p.coupling == 0.0 and not abs(p.sum) <= BALANCE_TOL:
             failures.append(f"local evolution changed the entropy sum by {p.sum} at eps={p.epsilon}, t={p.time}")
-        if p.epsilon == 0.0 and p.sum < -BALANCE_TOL:
+        if p.epsilon == 0.0 and not p.sum >= -BALANCE_TOL:
             failures.append(f"product input gave entropy sum {p.sum} at g={p.coupling}, t={p.time}")
     return columns, rows, failures
 
@@ -238,7 +245,7 @@ def run_collide(
         extra["recovered_trace_distance"] = recover_dist
         extra["joint_entropy_initial"] = von_neumann_entropy(rho0) + count * von_neumann_entropy(xi)
         extra["joint_entropy_final"] = von_neumann_entropy(joint_final)
-        if recover_dist > RECOVERY_TOL:
+        if not recover_dist <= RECOVERY_TOL:
             failures.append(f"reversal missed the initial state by {recover_dist}")
         if count >= 2:
             order = [int(i) for i in root.child(1).generator().permutation(count)]
@@ -289,11 +296,11 @@ def run_crooks(trials: int, beta: float, dim_s: int, dim_r: int, seed: int) -> R
         jarzynski_dev = abs(lhs - rhs) / rhs
         identity_dev = abs(kl - avg)
         rows.append((k, report.delta_f, report.max_deviation, lhs, rhs, jarzynski_dev, kl, avg, identity_dev))
-        if report.max_deviation > RATIO_TOL:
+        if not report.max_deviation <= RATIO_TOL:
             failures.append(f"trial {k}: detailed ratio deviation {report.max_deviation}")
-        if jarzynski_dev > RATIO_TOL:
+        if not jarzynski_dev <= RATIO_TOL:
             failures.append(f"trial {k}: work-average deviation {jarzynski_dev}")
-        if identity_dev > RATIO_TOL:
+        if not identity_dev <= RATIO_TOL:
             failures.append(f"trial {k}: entropy-production identity deviation {identity_dev}")
     return columns, rows, failures
 
@@ -310,7 +317,7 @@ def run_jarzynski(trials: int, beta: float, dim_s: int, dim_r: int, seed: int) -
         lhs, rhs = fluctuation.jarzynski_check(fluctuation.forward_distribution(protocol), beta, delta_f)
         dev = abs(lhs - rhs) / rhs
         rows.append((k, lhs, rhs, dev))
-        if dev > RATIO_TOL:
+        if not dev <= RATIO_TOL:
             failures.append(f"trial {k}: work-average deviation {dev}")
     return columns, rows, failures
 
@@ -342,9 +349,9 @@ def run_heatflow(trials: int, seed: int) -> Result:
         beta_s, beta_r = (beta_hot, beta_cold) if hot_is_s else (beta_cold, beta_hot)
         t = fluctuation.heat_flow_trial(beta_s, beta_r, time=g.uniform(0.5, 1.2))
         rows.append((k, t.beta_s, t.beta_r, t.hotter, t.du_s, t.du_r, t.ds_s, t.ds_r, t.t_s, t.t_r, t.clausius_lhs))
-        if t.du_hotter > 1e-12:
+        if not t.du_hotter <= 1e-12:
             failures.append(f"trial {k}: hotter subsystem gained energy {t.du_hotter}")
-        if t.clausius_lhs < -BALANCE_TOL:
+        if not t.clausius_lhs >= -BALANCE_TOL:
             failures.append(f"trial {k}: Clausius combination {t.clausius_lhs} negative")
     return columns, rows, failures
 
@@ -364,14 +371,14 @@ def run_damping(trials: int, beta: float, seed: int) -> Result:
     for k, (kind, state) in enumerate(named):
         heat = fluctuation.damping_heat(state, h, beta)
         rows.append((k, kind, heat))
-        if heat < 0.0:
+        if not heat >= 0.0:
             failures.append(f"trial {k}: negative damping heat {heat}")
-    if abs(rows[0][2]) > 1e-12:
+    if not abs(rows[0][2]) <= 1e-12:
         failures.append(f"thermal state reports nonzero damping heat {rows[0][2]}")
     for k in range(trials):
         state = random_density_operator(2, 2, root.child(k))
         heat = fluctuation.damping_heat(state, h, beta)
         rows.append((len(named) + k, "random", heat))
-        if heat < 0.0:
+        if not heat >= 0.0:
             failures.append(f"random trial {k}: negative damping heat {heat}")
     return columns, rows, failures

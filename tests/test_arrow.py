@@ -10,19 +10,16 @@ from arrowlab.arrow import (
     EntropyBalanceReport,
     SweepGrid,
     UnitarySearchConfig,
-    angles_from_unitary,
     bures_neighborhood_sample,
     classical_correlated_demo,
     classical_correlated_state,
     classical_decorrelating_unitary,
     decorrelating_unitary,
     entropy_balance,
-    hermitian_generator_basis,
     near_product_state,
     schrodinger_check,
     search_entropy_decreasing_unitary,
     spectral_assignment_unitary,
-    unitary_from_angles,
     weak_coupling_sweep,
 )
 from arrowlab.core import (
@@ -203,31 +200,8 @@ class TestSchrodingerCheck:
 
 
 # ---------------------------------------------------------------------------
-# generator basis and the optimizer
+# the unitary search
 # ---------------------------------------------------------------------------
-
-class TestGeneratorBasis:
-    @pytest.mark.parametrize("dim", [2, 3, 4])
-    def test_orthonormal_hermitian_and_complete(self, dim):
-        basis = hermitian_generator_basis(dim)
-        assert basis.shape == (dim * dim, dim, dim)
-        for g in basis:
-            assert np.abs(g - g.conj().T).max() <= 1e-14
-        gram = np.einsum("aij,bji->ab", basis, basis)
-        assert np.abs(gram - np.eye(dim * dim)).max() <= 1e-12
-
-    def test_angle_round_trip(self):
-        basis = hermitian_generator_basis(4)
-        for seed in range(5):
-            u = haar_random_unitary(4, RandomSource(seed)).matrix
-            theta = angles_from_unitary(u, basis)
-            assert np.abs(unitary_from_angles(theta, basis) - u).max() <= 1e-10
-
-    def test_round_trip_with_degenerate_eigenvalues(self):
-        basis = hermitian_generator_basis(4)
-        theta = angles_from_unitary(SWAP, basis)  # eigenvalues +1, +1, +1, -1
-        assert np.abs(unitary_from_angles(theta, basis) - SWAP).max() <= 1e-10
-
 
 class TestSearch:
     def test_rejects_product_input(self):
@@ -241,6 +215,27 @@ class TestSearch:
         ]:
             u = UnitaryOperator(spectral_assignment_unitary(rho, TWO_QUBITS))
             assert entropy_balance(rho, TWO_QUBITS, u).sum == pytest.approx(target, abs=1e-12)
+
+    def test_single_restart_is_the_spectral_assignment(self):
+        rho = random_density_operator(4, 4, RandomSource(77))
+        res = search_entropy_decreasing_unitary(rho, TWO_QUBITS, UnitarySearchConfig(restarts=1))
+        u = UnitaryOperator(spectral_assignment_unitary(rho, TWO_QUBITS))
+        assert res.achieved_sum == entropy_balance(rho, TWO_QUBITS, u).sum
+        assert np.array_equal(res.unitary.matrix, u.matrix)
+        assert res.best_restart == 0
+        assert res.probes_run == res.probes_converged == 0
+
+    def test_near_product_probes_descend_and_converge(self):
+        res = search_entropy_decreasing_unitary(near_product_state(0.1), TWO_QUBITS, UnitarySearchConfig(rng=RandomSource(1)))
+        assert res.probes_run == 3
+        for probe in res.probes:
+            assert len(probe.sums) >= 2
+            assert probe.sums[0] > res.achieved_sum  # the kick leaves the optimum
+            assert all(later <= earlier for earlier, later in zip(probe.sums, probe.sums[1:]))
+            assert probe.converged
+            assert len(probe.sums) - 1 < UnitarySearchConfig().max_iterations
+        assert res.probes_converged == 3
+        assert res.best_restart == 0
 
     def test_near_product_feasible_bound(self):
         res = search_entropy_decreasing_unitary(
@@ -274,14 +269,15 @@ class TestSearch:
         assert hits >= 9
 
     def test_warning_when_budget_too_small_is_result_not_error(self):
-        # one iteration cannot polish anything; still returns a result
+        # a one-step probe runs out of budget; the search still returns a result
         rho = random_density_operator(4, 4, RandomSource(900))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             res = search_entropy_decreasing_unitary(
-                rho, TWO_QUBITS, UnitarySearchConfig(max_iterations=1, restarts=1, rng=RandomSource(0))
+                rho, TWO_QUBITS, UnitarySearchConfig(max_iterations=1, restarts=2, rng=RandomSource(0))
             )
         assert isinstance(res.achieved_sum, float)
+        assert (res.probes_run, res.probes_converged) == (1, 0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -125,6 +125,33 @@ class TestMainExitCodes:
         assert "injected failure" in capsys.readouterr().err
 
 
+    def test_library_value_error_is_one_line_exit_1(self, capsys):
+        assert main(["search", "--demo", "near-product", "--epsilon", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("arrowlab: error:")
+        assert "product" in err
+        assert err.count("\n") == 1
+
+    def test_missing_output_directory_fails_before_computing(self, capsys, monkeypatch, tmp_path):
+        from arrowlab import experiments
+
+        def unreachable(*args):
+            raise AssertionError("experiment ran before the output was opened")
+
+        monkeypatch.setattr(experiments, "run_balance", unreachable)
+        assert main(["balance", "--out", str(tmp_path / "missing" / "out.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("arrowlab: error:")
+        assert err.count("\n") == 1
+
+    def test_non_finite_rows_are_invariant_failures(self, capsys):
+        import math
+
+        code, out = run_cli(capsys, "jarzynski", "--beta", "200", "--trials", "3")
+        cells = [float(cell) for line in rows_of_csv(out)[1:] for cell in line.split(",")]
+        assert code == (0 if all(math.isfinite(c) for c in cells) else 2)
+
+
 class TestSerialization:
     def test_csv_layout(self, capsys):
         code, out = run_cli(capsys, "balance", "--trials", "3", "--seed", "2")
@@ -197,6 +224,15 @@ class TestSerialization:
             d_n = dict(zip(nats.columns, row_n))
             d_b = dict(zip(bits.columns, row_b))
             assert d_b["schrodinger_product"] == pytest.approx(d_n["schrodinger_product"] / math.log(2) ** 2, abs=1e-15)
+
+
+class TestSearchCommand:
+    def test_probe_outcome_is_metadata_not_a_column(self, capsys):
+        code, out = run_cli(capsys, "search", "--trials", "2")
+        assert code == 0
+        assert "# extra.probes_run=6" in out
+        assert "# extra.probes_converged=" in out
+        assert rows_of_csv(out)[0] == "trial,mi_initial,achieved_sum,improved,best_restart"
 
 
 class TestCollideCommand:
