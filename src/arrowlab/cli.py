@@ -8,8 +8,8 @@ Metric rows are deterministic functions of the echoed configuration, so a
 rerun with the same flags reproduces them byte for byte.
 
 Exit codes: 0 success; 1 for a usage or configuration error, an input the
-library rejects, or an output path that cannot be opened; 2 when at least one
-run invariant failed its tolerance (rows are still written).
+library rejects, or an output path that cannot be opened or written; 2 when
+at least one run invariant failed its tolerance (rows are still written).
 """
 
 from __future__ import annotations
@@ -428,6 +428,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_output(out, text: str) -> None:
+    """Write the result and close a file output even when the write fails;
+    a full device often fails only at the close, which flushes the buffer."""
+    try:
+        out.write(text)
+    finally:
+        if out is not sys.stdout:
+            out.close()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -459,13 +469,17 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         code, record = run(config)
-        out.write(serialize_csv(record) if config["format"] == "csv" else serialize_json(record))
+        text = serialize_csv(record) if config["format"] == "csv" else serialize_json(record)
     except ValueError as exc:
         print(f"arrowlab: error: {exc}", file=sys.stderr)
-        return 1
-    finally:
         if out is not sys.stdout:
             out.close()
+        return 1
+    try:
+        _write_output(out, text)
+    except OSError as exc:
+        print(f"arrowlab: error: cannot write output: {exc}", file=sys.stderr)
+        return 1
     for failure in record.invariant_failures:
         print(f"arrowlab: invariant failure: {failure}", file=sys.stderr)
     return code

@@ -27,14 +27,15 @@ import numpy as np
 from .core import (
     DensityOperator,
     UnitaryOperator,
-    _entropy_of_matrix,
     trace_distance,
+    von_neumann_entropy,
 )
 
 JOINT_DIM_CAP = 2**12
 EXACT_DISTANCE_FLOOR = 1e-14
 
-_SWAP = np.array(
+# exchanges two qubits; also the swap coupling of the weak-coupling sweep
+SWAP = np.array(
     [
         [1, 0, 0, 0],
         [0, 0, 1, 0],
@@ -43,11 +44,12 @@ _SWAP = np.array(
     ],
     dtype=complex,
 )
+SWAP.setflags(write=False)
 
 
 def partial_swap_unitary(theta: float) -> UnitaryOperator:
     """cos(theta) I + i sin(theta) SWAP; unitary for every real theta."""
-    return UnitaryOperator(np.cos(theta) * np.eye(4, dtype=complex) + 1j * np.sin(theta) * _SWAP)
+    return UnitaryOperator(np.cos(theta) * np.eye(4, dtype=complex) + 1j * np.sin(theta) * SWAP)
 
 
 @dataclass(frozen=True)
@@ -126,7 +128,7 @@ def run_collisions(
     g = gate.matrix
     rho = system_init.matrix
     states = [system_init]
-    entropies = [_entropy_of_matrix(rho)]
+    entropies = [von_neumann_entropy(system_init)]
     distances = [trace_distance(system_init, spec.state_at(0))]
     steps = []
     for k in range(spec.count):
@@ -135,7 +137,7 @@ def run_collisions(
         rho = np.einsum("ikjk->ij", joint.reshape(2, 2, 2, 2))
         state = DensityOperator(rho)
         states.append(state)
-        entropies.append(_entropy_of_matrix(rho))
+        entropies.append(von_neumann_entropy(state))
         distances.append(trace_distance(state, xi))
         steps.append((k, gate))
     record = TrajectoryRecord(
@@ -200,7 +202,7 @@ def run_collisions_joint(
     g = gate.matrix
     joint = system_init.matrix
     states = [system_init]
-    entropies = [_entropy_of_matrix(joint)]
+    entropies = [von_neumann_entropy(system_init)]
     distances = [trace_distance(system_init, spec.state_at(0))]
     steps = []
     for k in range(spec.count):
@@ -209,7 +211,7 @@ def run_collisions_joint(
         joint = _apply_pair_unitary(joint, g, k + 2, 0, k + 1)
         reduced = DensityOperator(_reduce_to_system(joint, k + 2))
         states.append(reduced)
-        entropies.append(_entropy_of_matrix(reduced.matrix))
+        entropies.append(von_neumann_entropy(reduced))
         distances.append(trace_distance(reduced, xi))
         steps.append((k, gate))
     record = TrajectoryRecord(

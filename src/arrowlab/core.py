@@ -232,14 +232,25 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     return _entropy_of_matrix(rho.matrix)
 
 
+def bipartite_entropies(matrix: np.ndarray, layout: BipartitionLayout) -> tuple[float, float, float]:
+    """(S(rho_S), S(rho_R), S(rho_SR)) of a joint matrix, in nats.
+
+    The matrix is taken as given, without building a DensityOperator; each
+    of the three spectra is still checked for eigenvalues below -PSD_TOL.
+    """
+    if matrix.shape != (layout.dim, layout.dim):
+        raise ValueError(f"state dim {matrix.shape[0]} does not match layout {layout.dim_s}x{layout.dim_r}")
+    return (
+        _entropy_of_matrix(_partial_trace_matrix(matrix, layout.dim_s, layout.dim_r, "S")),
+        _entropy_of_matrix(_partial_trace_matrix(matrix, layout.dim_s, layout.dim_r, "R")),
+        _entropy_of_matrix(matrix),
+    )
+
+
 def mutual_information(rho: DensityOperator, layout: BipartitionLayout) -> float:
     """I(S:R) = S(rho_S) + S(rho_R) - S(rho_SR), total correlations in nats."""
-    if rho.dim != layout.dim:
-        raise ValueError(f"state dim {rho.dim} does not match layout {layout.dim_s}x{layout.dim_r}")
-    m = rho.matrix
-    s_s = _entropy_of_matrix(_partial_trace_matrix(m, layout.dim_s, layout.dim_r, "S"))
-    s_r = _entropy_of_matrix(_partial_trace_matrix(m, layout.dim_s, layout.dim_r, "R"))
-    return s_s + s_r - _entropy_of_matrix(m)
+    s_s, s_r, s = bipartite_entropies(rho.matrix, layout)
+    return s_s + s_r - s
 
 
 # ---------------------------------------------------------------------------

@@ -181,11 +181,6 @@ def run_schrodinger(trials: int, dim_s: int, dim_r: int, seed: int) -> Result:
 DEFAULT_GAP_S = 1.0
 DEFAULT_GAP_R = 1.5
 
-_SWAP_COUPLING = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
-    dtype=complex,
-)
-
 
 def run_sweep(
     g_values: tuple[float, ...],
@@ -197,7 +192,7 @@ def run_sweep(
     """Coupling-strength phase map: detuned qubit gaps with a swap coupling."""
     h_s = Hamiltonian(np.diag([0.0, gap_s]).astype(complex))
     h_r = Hamiltonian(np.diag([0.0, gap_r]).astype(complex))
-    h_int = Hamiltonian(_SWAP_COUPLING)
+    h_int = Hamiltonian(collisions.SWAP)
     grid = arrow.SweepGrid(g_values, eps_values, t_values)
     points = arrow.weak_coupling_sweep(h_s, h_r, h_int, grid)
     columns = ["g", "epsilon", "t", "sum"]
@@ -289,10 +284,8 @@ def run_crooks(trials: int, beta: float, dim_s: int, dim_r: int, seed: int) -> R
     for k in range(trials):
         protocol = fluctuation.random_protocol(layout, beta, root.child(k))
         report = fluctuation.crooks_check(protocol)
-        pf = fluctuation.forward_distribution(protocol)
-        pb = fluctuation.backward_distribution(protocol)
-        lhs, rhs = fluctuation.jarzynski_check(pf, beta, report.delta_f)
-        kl, avg = fluctuation.entropy_production_identity(pf, pb, beta, report.delta_f)
+        lhs, rhs = report.jarzynski_lhs, report.jarzynski_rhs
+        kl, avg = report.entropy_production, report.average_sigma
         jarzynski_dev = abs(lhs - rhs) / rhs
         identity_dev = abs(kl - avg)
         rows.append((k, report.delta_f, report.max_deviation, lhs, rhs, jarzynski_dev, kl, avg, identity_dev))

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .arrow import TWO_QUBITS, EntropyBalanceReport, entropy_balance
 from .core import (
@@ -114,7 +113,15 @@ class JointOutcomeDistribution:
 
 
 def _log_partition(h: Hamiltonian, beta: float) -> float:
-    return float(logsumexp(-beta * h.eigenvalues))
+    """ln sum exp(-beta E) in the form of scipy.special.logsumexp, so results
+    match it bit for bit: every maximal term is taken out of the sum and
+    counted, the rest are summed relative to the maximum."""
+    a = -beta * h.eigenvalues
+    a_max = a.max()
+    top = a == a_max
+    count = np.count_nonzero(top)
+    rest = np.exp(np.where(top, -np.inf, a) - a_max).sum() / count
+    return float(np.log1p(rest) + np.log(count) + a_max)
 
 
 def free_energy(h: Hamiltonian, beta: float) -> float:
@@ -182,6 +189,9 @@ class CrooksReport:
 
     ``ratio``, ``predicted`` and ``deviation`` are NaN wherever the backward
     probability falls below the 1e-15 floor (those pairs carry no data).
+    ``jarzynski_lhs`` and ``jarzynski_rhs`` are <exp(-beta W)> and
+    exp(-beta dF); ``entropy_production`` is KL(p_f || p_b), which must equal
+    ``average_sigma`` = <beta (W - dF)>.
     """
 
     ratio: np.ndarray
@@ -189,7 +199,9 @@ class CrooksReport:
     deviation: np.ndarray
     delta_f: float
     jarzynski_lhs: float
+    jarzynski_rhs: float
     entropy_production: float
+    average_sigma: float
 
     @property
     def max_deviation(self) -> float:
@@ -215,15 +227,17 @@ def crooks_check(protocol: TwoPointProtocol) -> CrooksReport:
     predicted = np.exp(protocol.beta * (w - delta_f))
     predicted_masked = np.where(supported, predicted, np.nan)
     deviation = np.abs(ratio - predicted_masked) / predicted_masked
-    lhs, _ = jarzynski_check(pf, protocol.beta, delta_f)
-    kl, _ = entropy_production_identity(pf, pb, protocol.beta, delta_f)
+    lhs, rhs = jarzynski_check(pf, protocol.beta, delta_f)
+    kl, avg_sigma = entropy_production_identity(pf, pb, protocol.beta, delta_f)
     return CrooksReport(
         ratio=ratio,
         predicted=predicted_masked,
         deviation=deviation,
         delta_f=delta_f,
         jarzynski_lhs=lhs,
+        jarzynski_rhs=rhs,
         entropy_production=kl,
+        average_sigma=avg_sigma,
     )
 
 

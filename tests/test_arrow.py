@@ -91,6 +91,24 @@ class TestEntropyBalance:
         with pytest.raises(ValueError):
             entropy_balance(random_product(1), BipartitionLayout(2, 3), identity_unitary(4))
 
+    def test_six_spectra_and_no_revalidated_state(self, monkeypatch):
+        rho, u = random_product(2), haar_random_unitary(4, RandomSource(3))
+        calls = {"eig": 0, "state": 0}
+
+        def counting(fn, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, "eig"))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh, "eig"))
+        monkeypatch.setattr(DensityOperator, "__post_init__", counting(DensityOperator.__post_init__, "state"))
+        entropy_balance(rho, TWO_QUBITS, u)
+        # S(rho_S), S(rho_R), S(rho) before and after the unitary
+        assert calls == {"eig": 6, "state": 0}
+
 
 # ---------------------------------------------------------------------------
 # near-product construction and its decorrelator

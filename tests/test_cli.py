@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import arrowlab
 from arrowlab.cli import (
     EXPERIMENT_PARAMS,
     ConfigError,
@@ -143,6 +147,22 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("arrowlab: error:")
         assert err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("experiment", ["decorrelate", "balance"])
+    def test_full_device_is_one_line_exit_1(self, capsys, experiment):
+        # decorrelate fits the write buffer and fails at close; balance fails at write
+        assert main([experiment, "--out", "/dev/full"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("arrowlab: error: cannot write output:")
+        assert err.count("\n") == 1
+
+    def test_import_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(arrowlab.__file__))
+        probe = "import sys, arrowlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+        assert result.stdout.strip() == "[]"
 
     def test_non_finite_rows_are_invariant_failures(self, capsys):
         import math

@@ -9,6 +9,7 @@ from arrowlab.core import (
     Hamiltonian,
     RandomSource,
     UnitaryOperator,
+    bipartite_entropies,
     evolve,
     fidelity_and_bures,
     gibbs_state,
@@ -157,6 +158,15 @@ class TestEntropy:
 
     def test_mutual_information_of_bell_state(self):
         assert mutual_information(pure_state(BELL_PHI), QUBITS) == pytest.approx(2 * LN2, abs=1e-12)
+
+    def test_bipartite_entropies_of_raw_matrices(self):
+        s_s, s_r, s = bipartite_entropies(pure_state(BELL_PHI).matrix, QUBITS)
+        assert (s_s, s_r, s) == pytest.approx((LN2, LN2, 0.0), abs=1e-12)
+        # a raw matrix is not validated as a state, but its spectra still are
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            bipartite_entropies(np.diag([0.6, 0.6, -0.1, -0.1]).astype(complex), QUBITS)
+        with pytest.raises(ValueError, match="does not match layout"):
+            bipartite_entropies(np.eye(3) / 3, QUBITS)
 
     def test_entropy_invariant_under_unitaries(self):
         for seed, d in [(0, 2), (1, 5), (2, 16)]:

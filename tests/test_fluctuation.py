@@ -26,6 +26,7 @@ from arrowlab.fluctuation import (
     eigen_projectors,
     entropy_production_identity,
     forward_distribution,
+    free_energy,
     free_energy_difference,
     heat_flow_trial,
     jarzynski_check,
@@ -160,6 +161,31 @@ class TestCrooks:
         for seed in range(5):
             report = crooks_check(random_protocol(layout, 0.5, RandomSource(seed)))
             assert report.max_deviation <= 1e-9
+
+    def test_run_crooks_builds_two_distributions_per_trial(self, monkeypatch):
+        from arrowlab import experiments, fluctuation
+
+        calls = []
+        for name in ("forward_distribution", "backward_distribution"):
+            original = getattr(fluctuation, name)
+            monkeypatch.setattr(fluctuation, name, lambda protocol, f=original: calls.append(f) or f(protocol))
+        experiments.run_crooks(trials=3, beta=1.0, dim_s=2, dim_r=2, seed=0)
+        assert len(calls) == 6
+
+
+class TestFreeEnergy:
+    def test_matches_scipy_logsumexp_bit_for_bit(self):
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(0)
+        for dim in (2, 4, 6):
+            for k in range(40):
+                z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                # odd draws get a degenerate spectrum with exact ties
+                m = (z + z.conj().T) / 2 if k % 2 == 0 else np.diag(np.round(2 * rng.standard_normal(dim)) / 2)
+                h = Hamiltonian(m.astype(complex))
+                for beta in (0.1, 1.0, 50.0):
+                    assert free_energy(h, beta) == -float(logsumexp(-beta * h.eigenvalues)) / beta
 
 
 class TestJarzynski:
