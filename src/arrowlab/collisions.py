@@ -1,4 +1,4 @@
-"""Thermalizing collision machine with an exactly reversible transcript.
+"""Thermalizing collision machine, exactly reversible from its joint state.
 
 A system qubit repeatedly collides with fresh reservoir qubits through a
 two-qubit gate.  Two simulation modes exist on purpose:
@@ -8,17 +8,16 @@ two-qubit gate.  Two simulation modes exist on purpose:
   system at the moment of impact;
 * joint mode retains the full (system + all ancillas) state, capped at 12
   qubits, so the collisions can be undone exactly by replaying the inverse
-  gates in reverse order.
+  gate in reverse order.
 
 The contrast between the two is the point: the forward reduced dynamics
-looks irreversible, yet the transcript plus the joint state recovers the
+looks irreversible, yet the gate plus the retained joint state recovers the
 initial system state to machine precision.  Scramble the replay order and
 the recovery fails.
 """
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -81,21 +80,6 @@ class ReservoirSpec:
 
 
 @dataclass(frozen=True)
-class CollisionTranscript:
-    """Ordered record of every collision, sufficient for exact reversal."""
-
-    system_initial: DensityOperator
-    steps: tuple[tuple[int, UnitaryOperator], ...]
-
-    def __post_init__(self):
-        indices = [i for i, _ in self.steps]
-        if indices != list(range(len(indices))):
-            raise ValueError("collision indices must be contiguous from 0")
-        if any(u.dim != 4 for _, u in self.steps):
-            raise ValueError("collision gates must act on two qubits")
-
-
-@dataclass(frozen=True)
 class TrajectoryRecord:
     """Per-collision system state, entropy and distance to the incoming
     ancilla; index 0 is the initial point."""
@@ -115,7 +99,7 @@ def run_collisions(
     system_init: DensityOperator,
     spec: ReservoirSpec,
     gate: UnitaryOperator,
-) -> tuple[TrajectoryRecord, CollisionTranscript]:
+) -> TrajectoryRecord:
     """Reduced-mode trajectory: rho_{k+1} = tr_anc[gate (rho_k x xi_k) gate+].
 
     The pre-collision pair state is product by construction because each
@@ -130,7 +114,6 @@ def run_collisions(
     states = [system_init]
     entropies = [von_neumann_entropy(system_init)]
     distances = [trace_distance(system_init, spec.state_at(0))]
-    steps = []
     for k in range(spec.count):
         xi = spec.state_at(k)
         joint = g @ np.kron(rho, xi.matrix) @ g.conj().T
@@ -139,38 +122,25 @@ def run_collisions(
         states.append(state)
         entropies.append(von_neumann_entropy(state))
         distances.append(trace_distance(state, xi))
-        steps.append((k, gate))
-    record = TrajectoryRecord(
+    return TrajectoryRecord(
         states=tuple(states),
         entropies=tuple(entropies),
         distances_to_ancilla=tuple(distances),
         homogeneous=spec.homogeneous,
     )
-    return record, CollisionTranscript(system_initial=system_init, steps=tuple(steps))
 
 
 # ---------------------------------------------------------------------------
 # exact joint-state simulation
 # ---------------------------------------------------------------------------
 
-def _apply_pair_unitary(joint: np.ndarray, u4: np.ndarray, n_qubits: int, a: int, b: int) -> np.ndarray:
-    """U rho U+ with U a two-qubit gate on qubit positions (a, b)."""
-    letters = string.ascii_letters
-    if 2 * n_qubits + 4 > len(letters):
-        raise ValueError("too many qubits for einsum contraction")
-    t = joint.reshape([2] * (2 * n_qubits))
+def _apply_pair_unitary(joint: np.ndarray, u4: np.ndarray, n_qubits: int, k: int) -> np.ndarray:
+    """U rho U+ with U a two-qubit gate on qubits (0, k), 0 < k < n_qubits."""
+    between, after = 2 ** (k - 1), 2 ** (n_qubits - k - 1)
+    t = joint.reshape(2, between, 2, after, 2, between, 2, after)
     u = u4.reshape(2, 2, 2, 2)
-
-    def contract(tensor, op, i, j):
-        subs = list(letters[: 2 * n_qubits])
-        out = list(subs)
-        op_subs = [letters[2 * n_qubits], letters[2 * n_qubits + 1], subs[i], subs[j]]
-        out[i], out[j] = op_subs[0], op_subs[1]
-        subscripts = "".join(op_subs) + "," + "".join(subs) + "->" + "".join(out)
-        return np.einsum(subscripts, op, tensor)
-
-    t = contract(t, u, a, b)  # ket side
-    t = contract(t, u.conj(), n_qubits + a, n_qubits + b)  # bra side
+    t = np.einsum("abij,iljrpmqs->albrpmqs", u, t, order="C")  # ket side
+    t = np.einsum("cdpq,albrpmqs->albrcmds", u.conj(), t, order="C")  # bra side
     d = 2**n_qubits
     return t.reshape(d, d)
 
@@ -184,82 +154,74 @@ def run_collisions_joint(
     system_init: DensityOperator,
     spec: ReservoirSpec,
     gate: UnitaryOperator,
-    dim_cap: int = JOINT_DIM_CAP,
-) -> tuple[TrajectoryRecord, CollisionTranscript, DensityOperator]:
+) -> tuple[TrajectoryRecord, np.ndarray]:
     """Joint-mode trajectory retaining the full post-collision state.
 
     Ancillas are attached lazily, with the system as qubit 0 and collision k
-    on qubit k + 1.  Also returns the final joint state so callers can check
-    global-entropy conservation.
+    on qubit k + 1.  Also returns the final joint state, read-only, so
+    callers can check global-entropy conservation and reverse the
+    collisions with :func:`reverse_collisions`.
     """
     if system_init.dim != 2:
         raise ValueError("system must be a qubit")
     if gate.dim != 4:
         raise ValueError("gate must act on two qubits")
     joint_dim = 2 ** (spec.count + 1)
-    if joint_dim > dim_cap:
-        raise ValueError(f"joint dimension {joint_dim} exceeds the cap {dim_cap}")
+    if joint_dim > JOINT_DIM_CAP:
+        raise ValueError(f"joint dimension {joint_dim} exceeds the cap {JOINT_DIM_CAP}")
     g = gate.matrix
     joint = system_init.matrix
     states = [system_init]
     entropies = [von_neumann_entropy(system_init)]
     distances = [trace_distance(system_init, spec.state_at(0))]
-    steps = []
     for k in range(spec.count):
         xi = spec.state_at(k)
         joint = np.kron(joint, xi.matrix)
-        joint = _apply_pair_unitary(joint, g, k + 2, 0, k + 1)
+        joint = _apply_pair_unitary(joint, g, k + 2, k + 1)
         reduced = DensityOperator(_reduce_to_system(joint, k + 2))
         states.append(reduced)
         entropies.append(von_neumann_entropy(reduced))
         distances.append(trace_distance(reduced, xi))
-        steps.append((k, gate))
     record = TrajectoryRecord(
         states=tuple(states),
         entropies=tuple(entropies),
         distances_to_ancilla=tuple(distances),
         homogeneous=spec.homogeneous,
     )
-    transcript = CollisionTranscript(system_initial=system_init, steps=tuple(steps))
-    return record, transcript, DensityOperator(joint)
+    joint.setflags(write=False)
+    return record, joint
 
 
 def reverse_collisions(
-    transcript: CollisionTranscript,
-    spec: ReservoirSpec,
+    joint_final: np.ndarray,
+    gate: UnitaryOperator,
     order: Sequence[int] | None = None,
-    dim_cap: int = JOINT_DIM_CAP,
 ) -> DensityOperator:
-    """Replay inverse gates on the exact joint state and return the recovered
-    system state.
+    """Replay the inverse gate on the retained joint state and return the
+    recovered system state.
 
-    The forward pass is re-simulated jointly from the transcript, then the
-    inverses are applied in the given order (default: exact reverse).  Any
-    other order demonstrates how bookkeeping, not dynamics, is what makes
-    the machine look irreversible.
+    Collision k acted on qubits (0, k + 1) of ``joint_final``, the state
+    :func:`run_collisions_joint` returns.  The inverse is applied in the
+    given order (default: exact reverse).  Any other order demonstrates how
+    bookkeeping, not dynamics, is what makes the machine look irreversible.
     """
-    n = len(transcript.steps)
-    n_qubits = n + 1
-    if 2**n_qubits > dim_cap:
-        raise ValueError(f"joint dimension {2 ** n_qubits} exceeds the cap {dim_cap}")
-    if n != spec.count:
-        raise ValueError("transcript length and reservoir count disagree")
+    joint = np.asarray(joint_final)
+    if joint.ndim != 2 or joint.shape[0] != joint.shape[1]:
+        raise ValueError(f"joint state must be a square matrix, got shape {joint.shape}")
+    d = joint.shape[0]
+    if not 4 <= d <= JOINT_DIM_CAP or d & (d - 1):
+        raise ValueError(f"joint dimension {d} must be a power of two in [4, {JOINT_DIM_CAP}]")
+    if gate.dim != 4:
+        raise ValueError("gate must act on two qubits")
+    n_qubits = d.bit_length() - 1
+    n = n_qubits - 1
     replay = list(range(n - 1, -1, -1)) if order is None else [int(i) for i in order]
     if sorted(replay) != list(range(n)):
         raise ValueError("order must be a permutation of the collision indices")
-
-    joint = transcript.system_initial.matrix
-    for k, (_, gate) in enumerate(transcript.steps):
-        joint = np.kron(joint, spec.state_at(k).matrix)
-        joint = _apply_pair_unitary(joint, gate.matrix, k + 2, 0, k + 1)
+    inverse = gate.matrix.conj().T
     for k in replay:
-        gate = transcript.steps[k][1]
-        joint = _apply_pair_unitary(joint, gate.matrix.conj().T, n_qubits, 0, k + 1)
-    reduced = joint
-    for _ in range(n):
-        d = reduced.shape[0] // 2
-        reduced = np.einsum("aibi->ab", reduced.reshape(d, 2, d, 2))
-    return DensityOperator(reduced)
+        joint = _apply_pair_unitary(joint, inverse, n_qubits, k + 1)
+    return DensityOperator(_reduce_to_system(joint, n_qubits))
 
 
 @dataclass(frozen=True)

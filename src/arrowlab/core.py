@@ -86,9 +86,6 @@ class UnitaryOperator:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dim", m.shape[0])
 
-    def dagger(self) -> "UnitaryOperator":
-        return UnitaryOperator(self.matrix.conj().T)
-
 
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
@@ -221,7 +218,9 @@ def _clamped_probabilities(eigs: np.ndarray, what: str = "state") -> np.ndarray:
     return np.clip(eigs, 0.0, None)
 
 
-def _entropy_of_matrix(m: np.ndarray) -> float:
+def entropy_of_matrix(m: np.ndarray) -> float:
+    """-tr m ln m in nats of a raw Hermitian matrix, without building a
+    DensityOperator; raises on eigenvalues below -PSD_TOL."""
     lam = _clamped_probabilities(np.linalg.eigvalsh(m))
     lam = lam[lam > 0.0]
     return float(-np.sum(lam * np.log(lam)))
@@ -229,7 +228,7 @@ def _entropy_of_matrix(m: np.ndarray) -> float:
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """S(rho) = -tr rho ln rho in nats, with 0 ln 0 := 0."""
-    return _entropy_of_matrix(rho.matrix)
+    return entropy_of_matrix(rho.matrix)
 
 
 def bipartite_entropies(matrix: np.ndarray, layout: BipartitionLayout) -> tuple[float, float, float]:
@@ -241,9 +240,9 @@ def bipartite_entropies(matrix: np.ndarray, layout: BipartitionLayout) -> tuple[
     if matrix.shape != (layout.dim, layout.dim):
         raise ValueError(f"state dim {matrix.shape[0]} does not match layout {layout.dim_s}x{layout.dim_r}")
     return (
-        _entropy_of_matrix(_partial_trace_matrix(matrix, layout.dim_s, layout.dim_r, "S")),
-        _entropy_of_matrix(_partial_trace_matrix(matrix, layout.dim_s, layout.dim_r, "R")),
-        _entropy_of_matrix(matrix),
+        entropy_of_matrix(_partial_trace_matrix(matrix, layout.dim_s, layout.dim_r, "S")),
+        entropy_of_matrix(_partial_trace_matrix(matrix, layout.dim_s, layout.dim_r, "R")),
+        entropy_of_matrix(matrix),
     )
 
 

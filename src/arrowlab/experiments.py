@@ -21,6 +21,7 @@ from .core import (
     BipartitionLayout,
     Hamiltonian,
     RandomSource,
+    entropy_of_matrix,
     gibbs_state,
     haar_random_unitary,
     mutual_information,
@@ -234,23 +235,23 @@ def run_collide(
     extra: dict = {}
     failures: list[str] = []
     if mode == "joint":
-        record, transcript, joint_final = collisions.run_collisions_joint(rho0, spec, gate)
-        recovered = collisions.reverse_collisions(transcript, spec)
+        record, joint_final = collisions.run_collisions_joint(rho0, spec, gate)
+        recovered = collisions.reverse_collisions(joint_final, gate)
         recover_dist = trace_distance(recovered, rho0)
         extra["recovered_trace_distance"] = recover_dist
         extra["joint_entropy_initial"] = von_neumann_entropy(rho0) + count * von_neumann_entropy(xi)
-        extra["joint_entropy_final"] = von_neumann_entropy(joint_final)
+        extra["joint_entropy_final"] = entropy_of_matrix(joint_final)
         if not recover_dist <= RECOVERY_TOL:
             failures.append(f"reversal missed the initial state by {recover_dist}")
         if count >= 2:
             order = [int(i) for i in root.child(1).generator().permutation(count)]
             if order == list(range(count - 1, -1, -1)):
                 order = order[::-1]
-            shuffled = collisions.reverse_collisions(transcript, spec, order=order)
+            shuffled = collisions.reverse_collisions(joint_final, gate, order=order)
             extra["shuffled_order"] = order
             extra["shuffled_trace_distance"] = trace_distance(shuffled, rho0)
     elif mode == "reduced":
-        record, transcript = collisions.run_collisions(rho0, spec, gate)
+        record = collisions.run_collisions(rho0, spec, gate)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 

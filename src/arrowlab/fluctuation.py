@@ -27,10 +27,8 @@ from .core import (
     Hamiltonian,
     RandomSource,
     UnitaryOperator,
-    evolve,
     gibbs_state,
     haar_random_unitary,
-    partial_trace,
     relative_entropy,
     tensor_product,
     unitary_from_hamiltonian,
@@ -340,21 +338,18 @@ def heat_flow_trial(
         raise ValueError("beta_s and beta_r must differ so that one side is hotter")
     h_local = Hamiltonian(np.diag([0.0, gap]).astype(complex))
     rho = tensor_product(gibbs_state(h_local, beta_s), gibbs_state(h_local, beta_r))
-    h_total = Hamiltonian(
-        np.kron(h_local.matrix, np.eye(2))
-        + np.kron(np.eye(2), h_local.matrix)
-        + coupling * exchange_interaction().matrix
-    )
+    h_s = np.kron(h_local.matrix, np.eye(2))
+    h_r = np.kron(np.eye(2), h_local.matrix)
+    h_total = Hamiltonian(h_s + h_r + coupling * exchange_interaction().matrix)
     u = unitary_from_hamiltonian(h_total, time)
     report = entropy_balance(rho, TWO_QUBITS, u)
-    final = evolve(rho, u)
+    final = u.matrix @ rho.matrix @ u.matrix.conj().T
 
-    def local_energy(state: DensityOperator, keep: str) -> float:
-        reduced = partial_trace(state, TWO_QUBITS, keep)
-        return float(np.real(np.einsum("ij,ji->", h_local.matrix, reduced.matrix)))
+    def energy(h: np.ndarray, m: np.ndarray) -> float:
+        return float(np.real(np.einsum("ij,ji->", h, m)))
 
-    du_s = local_energy(final, "S") - local_energy(rho, "S")
-    du_r = local_energy(final, "R") - local_energy(rho, "R")
+    du_s = energy(h_s, final) - energy(h_s, rho.matrix)
+    du_r = energy(h_r, final) - energy(h_r, rho.matrix)
     temps = effective_temperatures(report, du_s, du_r)
     hotter = "S" if beta_s < beta_r else "R"
     return HeatFlowTrial(

@@ -61,3 +61,17 @@ SWAP = np.array(
     ],
     dtype=complex,
 )
+
+
+def pair_gate_on_qubits(u4, n_qubits: int, k: int) -> np.ndarray:
+    """Dense 2^n matrix of a two-qubit gate on qubits (0, k), qubit 0 the
+    most significant: the gate on qubits (0, 1) conjugated by the basis
+    permutation that exchanges qubits 1 and k."""
+    d = 2**n_qubits
+    on_first_two = np.kron(u4, np.eye(d // 4))
+    exchange = np.zeros((d, d))
+    for i in range(d):
+        bits = [(i >> (n_qubits - 1 - q)) & 1 for q in range(n_qubits)]
+        bits[1], bits[k] = bits[k], bits[1]
+        exchange[int("".join(map(str, bits)), 2), i] = 1.0
+    return exchange @ on_first_two @ exchange

@@ -198,16 +198,16 @@ def test_criterion_7_collision_machine():
     gate = partial_swap_unitary(math.pi / 4.0)
 
     spec_fit = ReservoirSpec(ancilla_state=xi, count=10)
-    record, _ = run_collisions(pure_state(ket(1)), spec_fit, gate)
+    record = run_collisions(pure_state(ket(1)), spec_fit, gate)
     fit = convergence_report(record)
     rate_ok = abs(fit.rate - math.log(0.5)) <= 1e-6
 
     spec_joint = ReservoirSpec(ancilla_state=xi, count=8)
     rho0 = random_density_operator(2, 2, RandomSource(77))
-    _, transcript, _ = run_collisions_joint(rho0, spec_joint, gate)
-    recovered = reverse_collisions(transcript, spec_joint)
+    _, joint_final = run_collisions_joint(rho0, spec_joint, gate)
+    recovered = reverse_collisions(joint_final, gate)
     recover_dist = trace_distance(recovered, rho0)
-    shuffled = reverse_collisions(transcript, spec_joint, order=[3, 7, 0, 5, 1, 6, 2, 4])
+    shuffled = reverse_collisions(joint_final, gate, order=[3, 7, 0, 5, 1, 6, 2, 4])
     shuffled_dist = trace_distance(shuffled, rho0)
     ok = rate_ok and recover_dist <= 1e-9 and shuffled_dist > 0.01
     report(7, "collision machine: contraction rate, exact reversal, shuffled failure", ok, f"rate={fit.rate:.8f}, recover={recover_dist:.2e}, shuffled={shuffled_dist:.3f}")

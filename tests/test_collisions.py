@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from arrowlab import collisions, experiments
 from arrowlab.collisions import (
-    CollisionTranscript,
+    JOINT_DIM_CAP,
     ReservoirSpec,
+    _apply_pair_unitary,
     convergence_report,
     partial_swap_unitary,
     reverse_collisions,
@@ -18,13 +20,14 @@ from arrowlab.core import (
     RandomSource,
     UnitaryOperator,
     gibbs_state,
+    haar_random_unitary,
     identity_unitary,
     pure_state,
     random_density_operator,
     trace_distance,
     von_neumann_entropy,
 )
-from oracles import SWAP, ket
+from oracles import SWAP, ket, pair_gate_on_qubits
 
 H_QUBIT = Hamiltonian(np.diag([0.0, 1.0]).astype(complex))
 XI = gibbs_state(H_QUBIT, math.log(3))  # diag(0.75, 0.25)
@@ -58,39 +61,33 @@ class TestPartialSwap:
 class TestRunCollisions:
     def test_identity_gate_keeps_trajectory_constant(self):
         spec = ReservoirSpec(ancilla_state=XI, count=5)
-        record, transcript = run_collisions(diag_state(0.2), spec, identity_unitary(4))
+        record = run_collisions(diag_state(0.2), spec, identity_unitary(4))
         for state in record.states:
             assert np.allclose(state.matrix, np.diag([0.2, 0.8]), atol=1e-14)
-        assert len(transcript.steps) == 5
 
     def test_full_swap_thermalizes_in_one_collision(self):
         spec = ReservoirSpec(ancilla_state=XI, count=3)
-        record, _ = run_collisions(pure_state(ket(1)), spec, UnitaryOperator(SWAP))
+        record = run_collisions(pure_state(ket(1)), spec, UnitaryOperator(SWAP))
         for state in record.states[1:]:
             assert trace_distance(state, XI) <= 1e-14
 
     def test_distance_halves_at_quarter_angle(self):
         spec = ReservoirSpec(ancilla_state=XI, count=8)
-        record, _ = run_collisions(pure_state(ket(1)), spec, partial_swap_unitary(math.pi / 4))
+        record = run_collisions(pure_state(ket(1)), spec, partial_swap_unitary(math.pi / 4))
         d = record.distances_to_ancilla
         for k in range(len(d) - 1):
             assert d[k + 1] == pytest.approx(0.5 * d[k], abs=1e-12)
 
     def test_trajectory_lengths(self):
         spec = ReservoirSpec(ancilla_state=XI, count=4)
-        record, transcript = run_collisions(diag_state(0.5), spec, partial_swap_unitary(0.3))
+        record = run_collisions(diag_state(0.5), spec, partial_swap_unitary(0.3))
         assert len(record.states) == 5
         assert len(record.entropies) == 5
-        assert [i for i, _ in transcript.steps] == [0, 1, 2, 3]
-
-    def test_transcript_rejects_gapped_indices(self):
-        with pytest.raises(ValueError, match="contiguous"):
-            CollisionTranscript(system_initial=XI, steps=((0, identity_unitary(4)), (2, identity_unitary(4))))
 
     def test_inhomogeneous_reservoir(self):
         states = (diag_state(0.9), diag_state(0.1), diag_state(0.5))
         spec = ReservoirSpec(ancilla_state=states[0], count=3, ancilla_states=states)
-        record, _ = run_collisions(diag_state(0.5), spec, UnitaryOperator(SWAP))
+        record = run_collisions(diag_state(0.5), spec, UnitaryOperator(SWAP))
         assert not record.homogeneous
         for k, xi in enumerate(states):
             assert trace_distance(record.states[k + 1], xi) <= 1e-14
@@ -101,17 +98,17 @@ class TestJointMode:
         spec = ReservoirSpec(ancilla_state=XI, count=6)
         gate = partial_swap_unitary(0.6)
         rho0 = random_density_operator(2, 2, RandomSource(5))
-        reduced_rec, _ = run_collisions(rho0, spec, gate)
-        joint_rec, _, _ = run_collisions_joint(rho0, spec, gate)
+        reduced_rec = run_collisions(rho0, spec, gate)
+        joint_rec, _ = run_collisions_joint(rho0, spec, gate)
         for a, b in zip(reduced_rec.states, joint_rec.states):
             assert trace_distance(a, b) <= 1e-12
 
     def test_joint_entropy_is_conserved(self):
         spec = ReservoirSpec(ancilla_state=XI, count=6)
         rho0 = random_density_operator(2, 2, RandomSource(9))
-        _, _, joint_final = run_collisions_joint(rho0, spec, partial_swap_unitary(0.7))
+        _, joint_final = run_collisions_joint(rho0, spec, partial_swap_unitary(0.7))
         expected = von_neumann_entropy(rho0) + 6 * von_neumann_entropy(XI)
-        assert von_neumann_entropy(joint_final) == pytest.approx(expected, abs=1e-9)
+        assert von_neumann_entropy(DensityOperator(joint_final)) == pytest.approx(expected, abs=1e-9)
 
     def test_sum_of_marginal_entropies_is_nondecreasing(self):
         # fresh uncorrelated partners make every collision a product-input
@@ -135,14 +132,29 @@ class TestJointMode:
                 total += float(-(lam * np.log(lam)).sum())
             return total
 
-        from arrowlab.collisions import _apply_pair_unitary
-
         previous = marginal_entropy_sum(joint)
         for k in range(count):
-            joint = _apply_pair_unitary(joint, gate, n, 0, k + 1)
+            joint = _apply_pair_unitary(joint, gate, n, k + 1)
             current = marginal_entropy_sum(joint)
             assert current >= previous - 1e-10
             previous = current
+
+    def test_final_joint_state_is_read_only(self):
+        spec = ReservoirSpec(ancilla_state=XI, count=3)
+        _, joint_final = run_collisions_joint(diag_state(0.4), spec, partial_swap_unitary(0.5))
+        assert joint_final.shape == (16, 16)
+        with pytest.raises(ValueError, match="read-only"):
+            joint_final[0, 0] = 0.0
+
+    @pytest.mark.parametrize("n_qubits", [2, 3, 4, 5])
+    def test_pair_gate_matches_dense_oracle(self, n_qubits):
+        d = 2**n_qubits
+        rho = random_density_operator(d, d, RandomSource(n_qubits)).matrix
+        u4 = haar_random_unitary(4, RandomSource(100 + n_qubits)).matrix
+        for k in range(1, n_qubits):
+            g = pair_gate_on_qubits(u4, n_qubits, k)
+            expected = g @ rho @ g.conj().T
+            assert np.abs(_apply_pair_unitary(rho, u4, n_qubits, k) - expected).max() <= 1e-14
 
     def test_cap_enforced(self):
         spec = ReservoirSpec(ancilla_state=XI, count=12)
@@ -154,43 +166,96 @@ class TestReversal:
     def test_zero_collisions_unsupported_by_spec_but_single_swap_recovers(self):
         spec = ReservoirSpec(ancilla_state=XI, count=1)
         rho0 = random_density_operator(2, 2, RandomSource(1))
-        _, transcript, _ = run_collisions_joint(rho0, spec, UnitaryOperator(SWAP))
-        recovered = reverse_collisions(transcript, spec)
+        gate = UnitaryOperator(SWAP)
+        _, joint_final = run_collisions_joint(rho0, spec, gate)
+        recovered = reverse_collisions(joint_final, gate)
         assert trace_distance(recovered, rho0) <= 1e-12
 
     def test_eight_collisions_round_trip(self):
         spec = ReservoirSpec(ancilla_state=XI, count=8)
         rho0 = random_density_operator(2, 2, RandomSource(7))
-        record, transcript, _ = run_collisions_joint(rho0, spec, partial_swap_unitary(math.pi / 4))
-        recovered = reverse_collisions(transcript, spec)
+        gate = partial_swap_unitary(math.pi / 4)
+        record, joint_final = run_collisions_joint(rho0, spec, gate)
+        recovered = reverse_collisions(joint_final, gate)
         assert trace_distance(recovered, rho0) <= 1e-9
         assert trace_distance(record.states[-1], rho0) >= 0.1  # forward really moved
 
     def test_shuffled_replay_fails_to_recover(self):
         spec = ReservoirSpec(ancilla_state=XI, count=8)
         rho0 = random_density_operator(2, 2, RandomSource(7))
-        _, transcript, _ = run_collisions_joint(rho0, spec, partial_swap_unitary(math.pi / 4))
+        gate = partial_swap_unitary(math.pi / 4)
+        _, joint_final = run_collisions_joint(rho0, spec, gate)
         order = [3, 7, 0, 5, 1, 6, 2, 4]
-        shuffled = reverse_collisions(transcript, spec, order=order)
+        shuffled = reverse_collisions(joint_final, gate, order=order)
         assert trace_distance(shuffled, rho0) > 0.01
 
     def test_order_must_be_permutation(self):
         spec = ReservoirSpec(ancilla_state=XI, count=2)
-        _, transcript, _ = run_collisions_joint(diag_state(0.4), spec, partial_swap_unitary(0.5))
+        gate = partial_swap_unitary(0.5)
+        _, joint_final = run_collisions_joint(diag_state(0.4), spec, gate)
         with pytest.raises(ValueError, match="permutation"):
-            reverse_collisions(transcript, spec, order=[0, 0])
+            reverse_collisions(joint_final, gate, order=[0, 0])
+
+    def test_replays_one_gate_per_collision_and_no_forward_pass(self, monkeypatch):
+        count = 5
+        spec = ReservoirSpec(ancilla_state=XI, count=count)
+        gate = partial_swap_unitary(0.5)
+        _, joint_final = run_collisions_joint(diag_state(0.3), spec, gate)
+        calls = []
+
+        def counting(joint, u4, n_qubits, k):
+            calls.append(k)
+            return _apply_pair_unitary(joint, u4, n_qubits, k)
+
+        monkeypatch.setattr(collisions, "_apply_pair_unitary", counting)
+        reverse_collisions(joint_final, gate)
+        assert calls == list(range(count, 0, -1))
+
+    @pytest.mark.parametrize(
+        "joint, match",
+        [
+            (np.zeros((4, 8), dtype=complex), "square"),
+            (np.eye(6, dtype=complex) / 6, "power of two"),
+            (np.eye(2, dtype=complex) / 2, "power of two"),
+            # a zero-stride view: the cap check must not need the memory
+            (np.broadcast_to(np.zeros((1, 1), dtype=complex), (2 * JOINT_DIM_CAP,) * 2), "power of two"),
+        ],
+        ids=["non-square", "not-power-of-two", "dim-2", "above-cap"],
+    )
+    def test_rejects_malformed_joint_state(self, joint, match):
+        with pytest.raises(ValueError, match=match):
+            reverse_collisions(joint, partial_swap_unitary(0.5))
+
+    def test_rejects_gate_that_is_not_two_qubit(self):
+        joint = np.eye(8, dtype=complex) / 8
+        with pytest.raises(ValueError, match="two qubits"):
+            reverse_collisions(joint, identity_unitary(2))
+
+    def test_joint_mode_builds_no_state_larger_than_a_qubit(self, monkeypatch):
+        dims = []
+        validate = DensityOperator.__post_init__
+
+        def recording(self):
+            validate(self)
+            dims.append(self.dim)
+
+        monkeypatch.setattr(DensityOperator, "__post_init__", recording)
+        _, _, failures, extra = experiments.run_collide(6, math.pi / 4, math.log(3), 0, mode="joint")
+        assert not failures
+        assert "shuffled_trace_distance" in extra
+        assert dims and max(dims) == 2
 
 
 class TestConvergenceReport:
     def test_requires_three_points(self):
         spec = ReservoirSpec(ancilla_state=XI, count=1)
-        record, _ = run_collisions(diag_state(0.4), spec, partial_swap_unitary(0.3))
+        record = run_collisions(diag_state(0.4), spec, partial_swap_unitary(0.3))
         with pytest.raises(ValueError, match=">= 3"):
             convergence_report(record)
 
     def test_constant_at_fixed_point_reports_exact(self):
         spec = ReservoirSpec(ancilla_state=XI, count=4)
-        record, _ = run_collisions(XI, spec, partial_swap_unitary(0.9))
+        record = run_collisions(XI, spec, partial_swap_unitary(0.9))
         report = convergence_report(record)
         assert report.final_distance <= 1e-14
         assert report.exact
@@ -198,7 +263,7 @@ class TestConvergenceReport:
 
     def test_quarter_angle_rate(self):
         spec = ReservoirSpec(ancilla_state=XI, count=10)
-        record, _ = run_collisions(pure_state(ket(1)), spec, partial_swap_unitary(math.pi / 4))
+        record = run_collisions(pure_state(ket(1)), spec, partial_swap_unitary(math.pi / 4))
         report = convergence_report(record)
         assert report.rate == pytest.approx(math.log(0.5), abs=1e-6)
         assert report.residual <= 1e-8
@@ -207,17 +272,17 @@ class TestConvergenceReport:
         spec = ReservoirSpec(ancilla_state=XI, count=10)
         rates = []
         for theta in (0.3, 0.6, 0.9, 1.2, 1.5):
-            record, _ = run_collisions(pure_state(ket(1)), spec, partial_swap_unitary(theta))
+            record = run_collisions(pure_state(ket(1)), spec, partial_swap_unitary(theta))
             rates.append(convergence_report(record).rate)
         assert all(a > b for a, b in zip(rates, rates[1:]))
         # the full swap converges exactly in one step, below any finite rate
-        record, _ = run_collisions(pure_state(ket(1)), spec, partial_swap_unitary(math.pi / 2))
+        record = run_collisions(pure_state(ket(1)), spec, partial_swap_unitary(math.pi / 2))
         assert convergence_report(record).exact
 
     def test_inhomogeneous_skips_fit(self):
         states = tuple(diag_state(p) for p in (0.9, 0.8, 0.7, 0.6))
         spec = ReservoirSpec(ancilla_state=states[0], count=4, ancilla_states=states)
-        record, _ = run_collisions(diag_state(0.5), spec, partial_swap_unitary(0.4))
+        record = run_collisions(diag_state(0.5), spec, partial_swap_unitary(0.4))
         report = convergence_report(record)
         assert report.rate is None
         assert not report.exact

@@ -6,6 +6,7 @@ import pytest
 from arrowlab.arrow import TWO_QUBITS, entropy_balance
 from arrowlab.core import (
     BipartitionLayout,
+    DensityOperator,
     Hamiltonian,
     RandomSource,
     UnitaryOperator,
@@ -329,6 +330,24 @@ class TestEffectiveTemperatures:
     def test_equal_betas_rejected(self):
         with pytest.raises(ValueError, match="differ"):
             heat_flow_trial(1.0, 1.0)
+
+    def test_state_evolved_once_and_no_reduced_state_built(self, monkeypatch):
+        calls = {"eig": 0, "state": 0}
+
+        def counting(fn, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, "eig"))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh, "eig"))
+        monkeypatch.setattr(DensityOperator, "__post_init__", counting(DensityOperator.__post_init__, "state"))
+        heat_flow_trial(0.5, 1.5, time=0.8)
+        # two Gibbs states and their product; three Hamiltonians; the six
+        # spectra of entropy_balance
+        assert calls == {"eig": 12, "state": 3}
 
 
 class TestDampingHeat:
