@@ -27,9 +27,11 @@ from .core import (
     basis_ket,
     bipartite_entropies,
     fidelity_and_bures,
+    marginal_entropies,
     mutual_information,
     pure_state,
     unitary_from_hamiltonian,
+    von_neumann_entropy,
 )
 
 PRODUCT_INPUT_TOL = 1e-9
@@ -75,7 +77,8 @@ def entropy_balance(rho_joint: DensityOperator, layout: BipartitionLayout, u: Un
     """Evolve the joint state and report both local entropy changes."""
     if rho_joint.dim != layout.dim or u.dim != layout.dim:
         raise ValueError("state, layout and unitary dimensions must agree")
-    s_s0, s_r0, s0 = bipartite_entropies(rho_joint.matrix, layout)
+    s_s0, s_r0 = marginal_entropies(rho_joint.matrix, layout)
+    s0 = von_neumann_entropy(rho_joint)
     # U rho U+ of a valid state under a valid unitary is a state: no re-validation
     final = u.matrix @ rho_joint.matrix @ u.matrix.conj().T
     s_s1, s_r1, s1 = bipartite_entropies(final, layout)

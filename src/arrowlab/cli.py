@@ -19,6 +19,8 @@ import csv
 import io
 import json
 import math
+import os
+import stat
 import sys
 import time
 from dataclasses import dataclass, field
@@ -428,10 +430,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_output(out, text: str) -> None:
-    """Write the result and close a file output even when the write fails;
-    a full device often fails only at the close, which flushes the buffer."""
+def _open_output(path: str):
+    """Open the output before computing, so that an unwritable path fails
+    early, but truncate nothing yet.  Returns the file and whether this call
+    created it."""
+    if path == "-":
+        return sys.stdout, False
     try:
+        return open(path, "x", encoding="utf-8"), True
+    except FileExistsError:
+        return open(path, "a", encoding="utf-8"), False
+
+
+def _discard_output(out, created: bool) -> None:
+    """After a failed run, leave the output path as it was: close the file
+    and remove it if this run created it."""
+    if out is sys.stdout:
+        return
+    try:
+        out.close()
+    finally:
+        if created:
+            os.remove(out.name)
+
+
+def _write_output(out, text: str) -> None:
+    """Replace a regular file's contents with the result (a device is just
+    written to) and close a file output even when the write fails; a full
+    device often fails only at the close, which flushes the buffer."""
+    try:
+        if out is not sys.stdout and stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+            out.truncate(0)
         out.write(text)
     finally:
         if out is not sys.stdout:
@@ -461,9 +490,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"arrowlab: error: cannot read config: {exc}", file=sys.stderr)
         return 1
 
-    # open the output first, so that an unwritable path fails before computing
     try:
-        out = sys.stdout if config["out"] == "-" else open(config["out"], "w", encoding="utf-8")
+        out, created = _open_output(config["out"])
     except OSError as exc:
         print(f"arrowlab: error: cannot open output: {exc}", file=sys.stderr)
         return 1
@@ -472,13 +500,13 @@ def main(argv: list[str] | None = None) -> int:
         text = serialize_csv(record) if config["format"] == "csv" else serialize_json(record)
     except ValueError as exc:
         print(f"arrowlab: error: {exc}", file=sys.stderr)
-        if out is not sys.stdout:
-            out.close()
+        _discard_output(out, created)
         return 1
     try:
         _write_output(out, text)
     except OSError as exc:
         print(f"arrowlab: error: cannot write output: {exc}", file=sys.stderr)
+        _discard_output(out, created)
         return 1
     for failure in record.invariant_failures:
         print(f"arrowlab: invariant failure: {failure}", file=sys.stderr)

@@ -13,11 +13,14 @@ two-qubit gate.  Two simulation modes exist on purpose:
 The contrast between the two is the point: the forward reduced dynamics
 looks irreversible, yet the gate plus the retained joint state recovers the
 initial system state to machine precision.  Scramble the replay order and
-the recovery fails.
+the recovery fails.  Either way each ancilla meets exactly one inverse gate,
+so it is traced out as soon as that gate has acted and the replay continues
+on a state half the size: dimensions D, D/2, ..., 4 instead of n times D.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -145,6 +148,14 @@ def _apply_pair_unitary(joint: np.ndarray, u4: np.ndarray, n_qubits: int, k: int
     return t.reshape(d, d)
 
 
+def _trace_out_qubit(joint: np.ndarray, n_qubits: int, k: int) -> np.ndarray:
+    """Partial trace over qubit k, 0 < k < n_qubits; the others keep their order."""
+    before, after = 2**k, 2 ** (n_qubits - k - 1)
+    t = joint.reshape(before, 2, after, before, 2, after)
+    d = before * after
+    return np.einsum("ikjlkm->ijlm", t).reshape(d, d)
+
+
 def _reduce_to_system(joint: np.ndarray, n_qubits: int) -> np.ndarray:
     rest = 2 ** (n_qubits - 1)
     return np.einsum("abcb->ac", joint.reshape(2, rest, 2, rest))
@@ -204,6 +215,8 @@ def reverse_collisions(
     :func:`run_collisions_joint` returns.  The inverse is applied in the
     given order (default: exact reverse).  Any other order demonstrates how
     bookkeeping, not dynamics, is what makes the machine look irreversible.
+    No later gate touches an ancilla once its inverse gate has acted, so it
+    is traced out right away: the replay runs at dimensions D, D/2, ..., 4.
     """
     joint = np.asarray(joint_final)
     if joint.ndim != 2 or joint.shape[0] != joint.shape[1]:
@@ -213,15 +226,26 @@ def reverse_collisions(
         raise ValueError(f"joint dimension {d} must be a power of two in [4, {JOINT_DIM_CAP}]")
     if gate.dim != 4:
         raise ValueError("gate must act on two qubits")
-    n_qubits = d.bit_length() - 1
-    n = n_qubits - 1
-    replay = list(range(n - 1, -1, -1)) if order is None else [int(i) for i in order]
+    n = d.bit_length() - 2
+    if order is None:
+        replay = list(range(n - 1, -1, -1))
+    else:
+        try:
+            replay = [operator.index(i) for i in order]
+        except TypeError:
+            raise ValueError("order entries must be integers") from None
     if sorted(replay) != list(range(n)):
         raise ValueError("order must be a permutation of the collision indices")
     inverse = gate.matrix.conj().T
+    # collision indices whose ancilla is still held; index k sits on qubit
+    # 1 + held.index(k), since tracing a qubit out keeps the others' order
+    held = list(range(n))
     for k in replay:
-        joint = _apply_pair_unitary(joint, inverse, n_qubits, k + 1)
-    return DensityOperator(_reduce_to_system(joint, n_qubits))
+        n_qubits, qubit = len(held) + 1, held.index(k) + 1
+        joint = _apply_pair_unitary(joint, inverse, n_qubits, qubit)
+        joint = _trace_out_qubit(joint, n_qubits, qubit)
+        held.remove(k)
+    return DensityOperator(joint)
 
 
 @dataclass(frozen=True)

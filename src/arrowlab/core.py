@@ -47,10 +47,15 @@ def _hermiticity_defect(m: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Hermitian, positive-semidefinite, unit-trace complex matrix."""
+    """Hermitian, positive-semidefinite, unit-trace complex matrix.
+
+    ``spectrum`` is the ascending, read-only ``eigvalsh`` of ``matrix`` that
+    validation computes; entropies read it instead of decomposing again.
+    """
 
     matrix: np.ndarray
     dim: int = field(init=False)
+    spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = _as_square_complex(self.matrix)
@@ -60,15 +65,18 @@ class DensityOperator:
         trace_err = abs(m.trace() - 1.0)
         if trace_err > TRACE_TOL:
             raise ValueError(f"state trace deviates from 1 by {trace_err:.3e}")
-        lam_min = float(np.linalg.eigvalsh(m).min())
+        spectrum = np.linalg.eigvalsh(m)
+        lam_min = float(spectrum.min())
         if lam_min < -PSD_TOL:
             raise ValueError(f"state has negative eigenvalue {lam_min:.3e}")
+        spectrum.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dim", m.shape[0])
+        object.__setattr__(self, "spectrum", spectrum)
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending real spectrum, roundoff negatives clamped to zero."""
-        return np.clip(np.linalg.eigvalsh(self.matrix), 0.0, None)
+        return np.clip(self.spectrum, 0.0, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,38 +226,48 @@ def _clamped_probabilities(eigs: np.ndarray, what: str = "state") -> np.ndarray:
     return np.clip(eigs, 0.0, None)
 
 
-def entropy_of_matrix(m: np.ndarray) -> float:
-    """-tr m ln m in nats of a raw Hermitian matrix, without building a
-    DensityOperator; raises on eigenvalues below -PSD_TOL."""
-    lam = _clamped_probabilities(np.linalg.eigvalsh(m))
+def _entropy_of_spectrum(eigs: np.ndarray) -> float:
+    lam = _clamped_probabilities(eigs)
     lam = lam[lam > 0.0]
     return float(-np.sum(lam * np.log(lam)))
 
 
+def entropy_of_matrix(m: np.ndarray) -> float:
+    """-tr m ln m in nats of a raw Hermitian matrix, without building a
+    DensityOperator; raises on eigenvalues below -PSD_TOL."""
+    return _entropy_of_spectrum(np.linalg.eigvalsh(m))
+
+
 def von_neumann_entropy(rho: DensityOperator) -> float:
-    """S(rho) = -tr rho ln rho in nats, with 0 ln 0 := 0."""
-    return entropy_of_matrix(rho.matrix)
+    """S(rho) = -tr rho ln rho in nats, with 0 ln 0 := 0, from the spectrum
+    the state was validated with."""
+    return _entropy_of_spectrum(rho.spectrum)
 
 
-def bipartite_entropies(matrix: np.ndarray, layout: BipartitionLayout) -> tuple[float, float, float]:
-    """(S(rho_S), S(rho_R), S(rho_SR)) of a joint matrix, in nats.
+def marginal_entropies(matrix: np.ndarray, layout: BipartitionLayout) -> tuple[float, float]:
+    """(S(rho_S), S(rho_R)) of a joint matrix, in nats.
 
     The matrix is taken as given, without building a DensityOperator; each
-    of the three spectra is still checked for eigenvalues below -PSD_TOL.
+    marginal spectrum is still checked for eigenvalues below -PSD_TOL.
     """
     if matrix.shape != (layout.dim, layout.dim):
         raise ValueError(f"state dim {matrix.shape[0]} does not match layout {layout.dim_s}x{layout.dim_r}")
     return (
         entropy_of_matrix(_partial_trace_matrix(matrix, layout.dim_s, layout.dim_r, "S")),
         entropy_of_matrix(_partial_trace_matrix(matrix, layout.dim_s, layout.dim_r, "R")),
-        entropy_of_matrix(matrix),
     )
+
+
+def bipartite_entropies(matrix: np.ndarray, layout: BipartitionLayout) -> tuple[float, float, float]:
+    """(S(rho_S), S(rho_R), S(rho_SR)) of a raw joint matrix, in nats; see
+    :func:`marginal_entropies`."""
+    return (*marginal_entropies(matrix, layout), entropy_of_matrix(matrix))
 
 
 def mutual_information(rho: DensityOperator, layout: BipartitionLayout) -> float:
     """I(S:R) = S(rho_S) + S(rho_R) - S(rho_SR), total correlations in nats."""
-    s_s, s_r, s = bipartite_entropies(rho.matrix, layout)
-    return s_s + s_r - s
+    s_s, s_r = marginal_entropies(rho.matrix, layout)
+    return s_s + s_r - von_neumann_entropy(rho)
 
 
 # ---------------------------------------------------------------------------

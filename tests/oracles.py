@@ -75,3 +75,14 @@ def pair_gate_on_qubits(u4, n_qubits: int, k: int) -> np.ndarray:
         bits[1], bits[k] = bits[k], bits[1]
         exchange[int("".join(map(str, bits)), 2), i] = 1.0
     return exchange @ on_first_two @ exchange
+
+
+def replay_then_trace(joint, u4, order) -> np.ndarray:
+    """System state after applying u4 on qubits (0, k + 1) for each k in
+    order, every gate at the full dimension, then tracing out all ancillas."""
+    d = joint.shape[0]
+    n_qubits = d.bit_length() - 1
+    for k in order:
+        g = pair_gate_on_qubits(u4, n_qubits, k + 1)
+        joint = g @ joint @ g.conj().T
+    return np.trace(joint.reshape(2, d // 2, 2, d // 2), axis1=1, axis2=3)

@@ -148,6 +148,24 @@ class TestMainExitCodes:
         assert err.startswith("arrowlab: error:")
         assert err.count("\n") == 1
 
+    def test_failed_run_leaves_existing_output_as_it_was(self, capsys, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"precious\n")
+        assert main(["search", "--demo", "near-product", "--epsilon", "0", "--out", str(path)]) == 1
+        assert path.read_bytes() == b"precious\n"
+
+    def test_failed_run_creates_no_output(self, capsys, tmp_path):
+        path = tmp_path / "out.csv"
+        assert main(["search", "--demo", "near-product", "--epsilon", "0", "--out", str(path)]) == 1
+        assert not path.exists()
+
+    def test_successful_run_replaces_a_longer_output(self, capsys, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("x" * 100_000)
+        assert main(["near-product", "--out", str(path)]) == 0
+        assert main(["near-product"]) == 0
+        assert rows_of_csv(path.read_text()) == rows_of_csv(capsys.readouterr().out)
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("experiment", ["decorrelate", "balance"])
     def test_full_device_is_one_line_exit_1(self, capsys, experiment):

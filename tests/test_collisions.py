@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from arrowlab.core import (
     trace_distance,
     von_neumann_entropy,
 )
-from oracles import SWAP, ket, pair_gate_on_qubits
+from oracles import SWAP, ket, pair_gate_on_qubits, replay_then_trace
 
 H_QUBIT = Hamiltonian(np.diag([0.0, 1.0]).astype(complex))
 XI = gibbs_state(H_QUBIT, math.log(3))  # diag(0.75, 0.25)
@@ -210,6 +211,39 @@ class TestReversal:
         monkeypatch.setattr(collisions, "_apply_pair_unitary", counting)
         reverse_collisions(joint_final, gate)
         assert calls == list(range(count, 0, -1))
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+    def test_every_order_matches_full_size_replay_oracle(self, count):
+        d = 2 ** (count + 1)
+        joint = random_density_operator(d, d, RandomSource(200 + count)).matrix
+        gate = haar_random_unitary(4, RandomSource(300 + count))
+        inverse = gate.matrix.conj().T
+        for order in itertools.permutations(range(count)):
+            expected = replay_then_trace(joint, inverse, order)
+            got = reverse_collisions(joint, gate, order=order).matrix
+            assert np.abs(got - expected).max() <= 1e-14
+
+    @pytest.mark.parametrize("order", [None, [3, 7, 0, 5, 1, 6, 2, 4]], ids=["exact", "shuffled"])
+    def test_each_gate_acts_on_a_state_half_the_size_of_the_last(self, monkeypatch, order):
+        spec = ReservoirSpec(ancilla_state=XI, count=8)
+        _, joint_final = run_collisions_joint(diag_state(0.3), spec, partial_swap_unitary(0.5))
+        dims = []
+
+        def recording(joint, u4, n_qubits, k):
+            dims.append(joint.shape[0])
+            return _apply_pair_unitary(joint, u4, n_qubits, k)
+
+        monkeypatch.setattr(collisions, "_apply_pair_unitary", recording)
+        recovered = reverse_collisions(joint_final, partial_swap_unitary(0.5), order=order)
+        assert dims == [2**9 >> i for i in range(8)]
+        assert recovered.dim == 2
+
+    def test_order_entries_must_be_integers(self):
+        spec = ReservoirSpec(ancilla_state=XI, count=3)
+        gate = partial_swap_unitary(0.5)
+        _, joint_final = run_collisions_joint(diag_state(0.4), spec, gate)
+        with pytest.raises(ValueError, match="integers"):
+            reverse_collisions(joint_final, gate, order=[2.9, 1.5, 0.99])
 
     @pytest.mark.parametrize(
         "joint, match",

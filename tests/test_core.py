@@ -61,6 +61,12 @@ class TestTypes:
         rho = diag_state(1.0 + 5e-11, -5e-11)
         assert rho.dim == 2
 
+    def test_density_operator_keeps_its_read_only_spectrum(self):
+        rho = random_density_operator(8, 8, RandomSource(4))
+        assert np.array_equal(rho.spectrum, np.linalg.eigvalsh(rho.matrix))
+        with pytest.raises(ValueError, match="read-only"):
+            rho.spectrum[0] = 0.0
+
     def test_unitary_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             UnitaryOperator(np.array([[1, 0], [0, 2]], dtype=complex))

@@ -345,9 +345,9 @@ class TestEffectiveTemperatures:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh, "eig"))
         monkeypatch.setattr(DensityOperator, "__post_init__", counting(DensityOperator.__post_init__, "state"))
         heat_flow_trial(0.5, 1.5, time=0.8)
-        # two Gibbs states and their product; three Hamiltonians; the six
+        # two Gibbs states and their product; three Hamiltonians; the five
         # spectra of entropy_balance
-        assert calls == {"eig": 12, "state": 3}
+        assert calls == {"eig": 11, "state": 3}
 
 
 class TestDampingHeat:
