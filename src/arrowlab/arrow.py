@@ -26,10 +26,8 @@ from .core import (
     UnitaryOperator,
     basis_ket,
     bipartite_entropies,
-    fidelity_and_bures,
     marginal_entropies,
     mutual_information,
-    pure_state,
     unitary_from_hamiltonian,
     von_neumann_entropy,
 )
@@ -392,55 +390,8 @@ def search_entropy_decreasing_unitary(
 
 
 # ---------------------------------------------------------------------------
-# perturbed product states and the weak-coupling map
+# the weak-coupling map
 # ---------------------------------------------------------------------------
-
-def bures_neighborhood_sample(
-    product: DensityOperator,
-    layout: BipartitionLayout,
-    delta: float,
-    rng: RandomSource,
-) -> DensityOperator:
-    """A correlated state within Bures distance delta of the given product
-    state, built by mixing in a random correlated pure state and bisecting
-    on the mixing weight."""
-    if delta < 1e-6:
-        raise ValueError("delta below the 1e-6 numerical floor")
-    if mutual_information(product, layout) > PRODUCT_INPUT_TOL:
-        raise ValueError("reference state is not a product state")
-    g = rng.generator()
-    chi = None
-    for _ in range(64):
-        vec = g.standard_normal(layout.dim) + 1j * g.standard_normal(layout.dim)
-        candidate = pure_state(vec)
-        if mutual_information(candidate, layout) > 0.05:
-            chi = candidate.matrix
-            break
-    if chi is None:
-        raise RuntimeError("failed to draw a correlated perturbation")
-
-    def mix(w: float) -> DensityOperator:
-        return DensityOperator((1.0 - w) * product.matrix + w * chi)
-
-    def distance(w: float) -> float:
-        return fidelity_and_bures(mix(w), product)[1]
-
-    if distance(1.0) <= delta:
-        return mix(1.0)
-    lo, hi = 0.0, 1.0  # distance(lo) <= delta < distance(hi), monotone in w
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if distance(mid) <= delta:
-            lo = mid
-        else:
-            hi = mid
-    if lo == 0.0:
-        raise ValueError("delta too small to admit a correlated perturbation")
-    sample = mix(lo)
-    if mutual_information(sample, layout) <= 0.0:
-        raise ValueError("delta too small to retain measurable correlations")
-    return sample
-
 
 @dataclass(frozen=True)
 class SweepGrid:

@@ -1,11 +1,13 @@
 """Command-line experiment runner with reproducible, diffable output.
 
-Every subcommand is a thin adapter over one experiment in
-:mod:`arrowlab.experiments`: it validates a configuration (defaults <
-config file < explicit flags), runs the experiment with all randomness
-derived from ``--seed``, and serializes a result record as CSV or JSON.
-Metric rows are deterministic functions of the echoed configuration, so a
-rerun with the same flags reproduces them byte for byte.
+Every subcommand is a thin adapter over one record of
+:data:`arrowlab.experiments.EXPERIMENTS`: it validates a configuration
+(defaults < config file < explicit flags), runs the experiment with all
+randomness derived from ``--seed``, checks the record's invariants on the
+rows in nats, and serializes a result record as CSV or JSON, with each
+invariant's worst value, tolerance and pass/fail in the metadata.  Metric
+rows are deterministic functions of the echoed configuration, so a rerun
+with the same flags reproduces them byte for byte.
 
 Exit codes: 0 success; 1 for a usage or configuration error, an input the
 library rejects, or an output path that cannot be opened or written; 2 when
@@ -24,14 +26,12 @@ import stat
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 from . import __version__, experiments
 from .core import RNG_ALGORITHM
+from .experiments import Param
 
 SCHEMA_VERSION = 1
-
-LN3 = 1.0986122886681098
 
 
 class ConfigError(ValueError):
@@ -50,57 +50,6 @@ class UsageError(ValueError):
 # parameter schemas
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Param:
-    key: str
-    kind: str  # int | float | float_list | dims | choice | str
-    default: object
-    help: str
-    choices: tuple[str, ...] = ()
-    validate: Callable[[object], str | None] | None = None
-
-
-def _check_trials(v) -> str | None:
-    return None if v >= 1 else "must be >= 1"
-
-
-def _check_epsilon(v) -> str | None:
-    return None if 0.0 <= v <= 1.0 else "must lie in [0, 1]"
-
-
-def _check_beta(v) -> str | None:
-    return None if math.isfinite(v) and v > 0.0 else "must be finite and > 0"
-
-
-def _check_dims(v) -> str | None:
-    d_s, d_r = v
-    if not (2 <= d_s <= 16 and 2 <= d_r <= 16):
-        return "each factor must lie in [2, 16]"
-    return None
-
-
-def _check_collisions(v) -> str | None:
-    return None if 1 <= v <= 11 else "must lie in [1, 11] (joint dimension cap 2^12)"
-
-
-def _check_finite(v) -> str | None:
-    return None if math.isfinite(v) else "must be finite"
-
-
-def _check_positive(v) -> str | None:
-    return None if math.isfinite(v) and v > 0.0 else "must be finite and > 0"
-
-
-def _check_finite_list(v) -> str | None:
-    return None if v and all(math.isfinite(x) for x in v) else "must be a non-empty finite list"
-
-
-def _check_epsilon_list(v) -> str | None:
-    if not v or not all(math.isfinite(x) and 0.0 <= x <= 1.0 for x in v):
-        return "every value must lie in [0, 1]"
-    return None
-
-
 def _check_seed(v) -> str | None:
     return None if 0 <= v < 2**64 else "must be a 64-bit unsigned integer"
 
@@ -112,83 +61,9 @@ GLOBAL_PARAMS = (
     Param("units", "choice", "nats", "display units for entropy-valued columns", choices=("nats", "bits")),
 )
 
-# entropy-valued columns per experiment and their power of nats, for the
-# bits display conversion (schrodinger_product is a product of two entropies)
-ENTROPY_COLUMNS: dict[str, dict[str, int]] = {
-    "balance": {"ds_s": 1, "ds_r": 1, "sum": 1, "mi_initial": 1, "mi_final": 1, "balance_deviation": 1},
-    "near-product": {
-        "ds_s": 1,
-        "ds_r": 1,
-        "sum": 1,
-        "mi_initial": 1,
-        "mi_final": 1,
-        "analytic_sum": 1,
-        "sum_deviation": 1,
-    },
-    "decorrelate": {"ds_s": 1, "ds_r": 1, "sum": 1, "mi_initial": 1, "mi_final": 1},
-    "search": {"mi_initial": 1, "achieved_sum": 1},
-    "schrodinger": {"ds_s": 1, "ds_r": 1, "schrodinger_product": 2, "sum": 1},
-    "sweep": {"sum": 1},
-    "collide": {"entropy": 1},
-    "crooks": {"kl_divergence": 1, "average_sigma": 1, "identity_deviation": 1},
-    "jarzynski": {},
-    "heatflow": {"ds_s": 1, "ds_r": 1, "clausius_lhs": 1},
-    "damping": {"heat": 1},
-}
 
-EXPERIMENT_PARAMS: dict[str, tuple[Param, ...]] = {
-    "balance": (
-        Param("trials", "int", 100, "number of random product inputs", validate=_check_trials),
-        Param("dims", "dims", (2, 2), "bipartition as AxB, e.g. 2x2", validate=_check_dims),
-    ),
-    "near-product": (
-        Param("epsilon", "float", 0.1, "mixing weight of the correlated part", validate=_check_epsilon),
-    ),
-    "decorrelate": (),
-    "search": (
-        Param("trials", "int", 20, "number of optimizer runs", validate=_check_trials),
-        Param("restarts", "int", 4, "spectral-assignment answer plus restarts-1 descent probes", validate=_check_trials),
-        Param("max-iter", "int", 300, "descent steps per probe", validate=_check_trials),
-        Param("min-mi", "float", 0.01, "mutual-information floor for random inputs", validate=_check_positive),
-        Param("demo", "choice", "random", "input family", choices=("random", "near-product", "classical")),
-        Param("epsilon", "float", 0.1, "epsilon for demo=near-product", validate=_check_epsilon),
-    ),
-    "schrodinger": (
-        Param("trials", "int", 200, "number of random product inputs", validate=_check_trials),
-        Param("dims", "dims", (2, 2), "bipartition as AxB", validate=_check_dims),
-    ),
-    "sweep": (
-        Param("g-values", "float_list", (0.0, 0.25, 0.5, 1.0, 2.0), "coupling strengths", validate=_check_finite_list),
-        Param("eps-values", "float_list", (0.0, 0.25, 0.5), "correlation strengths", validate=_check_epsilon_list),
-        Param("t-values", "float_list", (0.5, 1.0, 2.0, 4.0), "evolution times", validate=_check_finite_list),
-        Param("gap-s", "float", experiments.DEFAULT_GAP_S, "system qubit gap", validate=_check_finite),
-        Param("gap-r", "float", experiments.DEFAULT_GAP_R, "rest qubit gap", validate=_check_finite),
-    ),
-    "collide": (
-        Param("collisions", "int", 8, "number of fresh-ancilla collisions", validate=_check_collisions),
-        Param("theta", "float", math.pi / 4.0, "partial-swap angle", validate=_check_finite),
-        Param("beta", "float", LN3, "inverse temperature of the reservoir qubits", validate=_check_beta),
-        Param("mode", "choice", "joint", "simulation mode", choices=("joint", "reduced")),
-        Param("init", "choice", "excited", "initial system state", choices=("excited", "random")),
-    ),
-    "crooks": (
-        Param("trials", "int", 100, "number of random protocols", validate=_check_trials),
-        Param("beta", "float", 1.0, "inverse temperature", validate=_check_beta),
-        Param("dims", "dims", (2, 2), "bipartition as AxB", validate=_check_dims),
-    ),
-    "jarzynski": (
-        Param("trials", "int", 100, "number of random protocols", validate=_check_trials),
-        Param("beta", "float", 1.0, "inverse temperature", validate=_check_beta),
-        Param("dims", "dims", (2, 2), "bipartition as AxB", validate=_check_dims),
-    ),
-    "heatflow": (
-        Param("trials", "int", 50, "number of random Gibbs pairs", validate=_check_trials),
-    ),
-    "damping": (
-        Param("trials", "int", 10, "number of random states", validate=_check_trials),
-        Param("beta", "float", LN3, "inverse temperature of the bath", validate=_check_beta),
-    ),
-}
+def _schema(experiment: str) -> tuple[Param, ...]:
+    return (*experiments.EXPERIMENTS[experiment].params, *GLOBAL_PARAMS)
 
 
 def _parse_value(param: Param, raw: str):
@@ -245,9 +120,9 @@ def validate_config(experiment: str, raw_text: str = "", overrides: dict[str, st
     ``raw_text`` is the optional config-file body; ``overrides`` are explicit
     flag values (highest precedence).  Unknown keys are rejected by name.
     """
-    if experiment not in EXPERIMENT_PARAMS:
+    if experiment not in experiments.EXPERIMENTS:
         raise UsageError(f"unknown experiment {experiment!r}")
-    schema = {p.key: p for p in (*EXPERIMENT_PARAMS[experiment], *GLOBAL_PARAMS)}
+    schema = {p.key: p for p in _schema(experiment)}
     values = {p.key: p.default for p in schema.values()}
     for source in (parse_config_text(raw_text), overrides or {}):
         for key, raw in source.items():
@@ -274,70 +149,35 @@ class ResultRecord:
     rows: list[tuple]
     invariant_failures: list[str]
     extra: dict = field(default_factory=dict)
+    invariants: dict = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
     library_version: str = __version__
     rng_algorithm: str = RNG_ALGORITHM
     duration_seconds: float = 0.0
 
 
-def _dispatch(config: ExperimentConfig):
-    v = config.values
-    name = config.experiment
-    if name == "balance":
-        return (*experiments.run_balance(v["trials"], v["dims"][0], v["dims"][1], v["seed"]), {})
-    if name == "near-product":
-        return (*experiments.run_near_product(v["epsilon"]), {})
-    if name == "decorrelate":
-        return (*experiments.run_decorrelate(), {})
-    if name == "search":
-        return experiments.run_search(
-            v["trials"], v["restarts"], v["max-iter"], v["min-mi"], v["seed"], demo=v["demo"], epsilon=v["epsilon"]
-        )
-    if name == "schrodinger":
-        return (*experiments.run_schrodinger(v["trials"], v["dims"][0], v["dims"][1], v["seed"]), {})
-    if name == "sweep":
-        planned = len(v["g-values"]) * len(v["eps-values"]) * len(v["t-values"])
-        return (
-            *experiments.run_sweep(v["g-values"], v["eps-values"], v["t-values"], gap_s=v["gap-s"], gap_r=v["gap-r"]),
-            {"planned_cells": planned},
-        )
-    if name == "collide":
-        columns, rows, failures, extra = experiments.run_collide(
-            v["collisions"], v["theta"], v["beta"], v["seed"], mode=v["mode"], init=v["init"]
-        )
-        return columns, rows, failures, extra
-    if name == "crooks":
-        return (*experiments.run_crooks(v["trials"], v["beta"], v["dims"][0], v["dims"][1], v["seed"]), {})
-    if name == "jarzynski":
-        return (*experiments.run_jarzynski(v["trials"], v["beta"], v["dims"][0], v["dims"][1], v["seed"]), {})
-    if name == "heatflow":
-        return (*experiments.run_heatflow(v["trials"], v["seed"]), {})
-    if name == "damping":
-        return (*experiments.run_damping(v["trials"], v["beta"], v["seed"]), {})
-    raise UsageError(f"unknown experiment {config.experiment!r}")
-
-
-def _rows_in_bits(experiment: str, columns: list[str], rows: list[tuple]) -> list[tuple]:
-    powers = ENTROPY_COLUMNS.get(experiment, {})
-    scale = {i: math.log(2.0) ** powers[c] for i, c in enumerate(columns) if c in powers}
-    if not scale:
-        return rows
-    return [tuple(v / scale[i] if i in scale else v for i, v in enumerate(row)) for row in rows]
+def _rows_in_bits(columns: dict[str, int], rows: list[tuple]) -> list[tuple]:
+    scale = [math.log(2.0) ** power if power else None for power in columns.values()]
+    return [tuple(v if s is None else v / s for v, s in zip(row, scale)) for row in rows]
 
 
 def run(config: ExperimentConfig) -> tuple[int, ResultRecord]:
-    """Execute one validated configuration; exit code 2 flags invariant failures."""
+    """Execute one validated configuration and check its invariants on the
+    nats rows; exit code 2 flags invariant failures."""
     start = time.perf_counter()
-    columns, rows, failures, extra = _dispatch(config)
+    experiment = experiments.EXPERIMENTS[config.experiment]
+    rows, extra = experiment.run(config.values)
+    invariants, failures = experiments.check_invariants(experiment, rows, extra, config.values)
     if config["units"] == "bits":
-        rows = _rows_in_bits(config.experiment, columns, rows)
+        rows = _rows_in_bits(experiment.columns, rows)
     record = ResultRecord(
         experiment=config.experiment,
         config=dict(config.values),
-        columns=columns,
+        columns=list(experiment.columns),
         rows=rows,
         invariant_failures=failures,
         extra=extra,
+        invariants=invariants,
         duration_seconds=time.perf_counter() - start,
     )
     return (2 if failures else 0), record
@@ -355,7 +195,7 @@ def _format_cell(value) -> str:
 
 def _config_echo(experiment: str, config: dict) -> dict:
     """Echo values in the same text form the config file accepts."""
-    kinds = {p.key: p.kind for p in (*EXPERIMENT_PARAMS[experiment], *GLOBAL_PARAMS)}
+    kinds = {p.key: p.kind for p in _schema(experiment)}
     out = {}
     for key, value in config.items():
         if kinds.get(key) == "dims":
@@ -382,6 +222,9 @@ def serialize_csv(record: ResultRecord) -> str:
         buf.write(f"# config.{key}={_format_cell(value)}\n")
     for key, value in record.extra.items():
         buf.write(f"# extra.{key}={_format_cell(value)}\n")
+    for name, summary in record.invariants.items():
+        for key, value in summary.items():
+            buf.write(f"# invariant.{name}.{key}={_format_cell(value)}\n")
     buf.write(f"# invariant_failures={len(record.invariant_failures)}\n")
     for i, failure in enumerate(record.invariant_failures):
         buf.write(f"# failure.{i}={failure}\n")
@@ -402,6 +245,7 @@ def serialize_json(record: ResultRecord) -> str:
             "duration_seconds": record.duration_seconds,
             "config": _config_echo(record.experiment, record.config),
             "extra": {k: (list(v) if isinstance(v, tuple) else v) for k, v in record.extra.items()},
+            "invariants": record.invariants,
             "invariant_failures": record.invariant_failures,
         },
         "columns": record.columns,
@@ -422,9 +266,9 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="arrowlab", description="Entropy-balance and fluctuation experiments on small bipartite quantum systems.")
     sub = parser.add_subparsers(dest="experiment", metavar="experiment")
-    for name, params in EXPERIMENT_PARAMS.items():
+    for name in experiments.EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} experiment", description=f"Run the {name} experiment.")
-        for param in (*params, *GLOBAL_PARAMS):
+        for param in _schema(name):
             p.add_argument(f"--{param.key}", dest=param.key, default=None, metavar="V", help=f"{param.help} (default {_format_cell(param.default) if not isinstance(param.default, tuple) else ','.join(map(_format_cell, param.default))})")
         p.add_argument("--config", dest="config", default=None, metavar="PATH", help="optional key=value config file")
     return parser
@@ -479,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
                 raw_text = fh.read()
         overrides = {
             param.key: getattr(args, param.key)
-            for param in (*EXPERIMENT_PARAMS[args.experiment], *GLOBAL_PARAMS)
+            for param in _schema(args.experiment)
             if getattr(args, param.key) is not None
         }
         config = validate_config(args.experiment, raw_text, overrides)

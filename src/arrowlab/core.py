@@ -333,24 +333,8 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
 
 
 # ---------------------------------------------------------------------------
-# purification and evolution
+# evolution
 # ---------------------------------------------------------------------------
-
-def purify(rho: DensityOperator) -> DensityOperator:
-    """Rank-1 state on dim^2 whose left-factor reduction recovers rho.
-
-    Spectral purification: sum_i sqrt(lambda_i) |v_i> |i>, eigenvalues taken
-    in descending order with the ancilla in the computational basis.
-    """
-    lam, v = np.linalg.eigh(rho.matrix)
-    lam = _clamped_probabilities(lam)
-    order = np.argsort(-lam, kind="stable")
-    d = rho.dim
-    psi = np.zeros(d * d, dtype=complex)
-    for slot, i in enumerate(order):
-        psi += np.sqrt(lam[i]) * np.kron(v[:, i], basis_ket(d, slot))
-    return pure_state(psi)
-
 
 def evolve(rho: DensityOperator, u: UnitaryOperator) -> DensityOperator:
     if rho.dim != u.dim:
@@ -360,7 +344,11 @@ def evolve(rho: DensityOperator, u: UnitaryOperator) -> DensityOperator:
 
 def unitary_from_hamiltonian(h: Hamiltonian, t: float) -> UnitaryOperator:
     """exp(-i H t) through the cached eigendecomposition."""
-    phases = np.exp(-1j * h.eigenvalues * t)
+    with np.errstate(over="ignore"):
+        angles = h.eigenvalues * t
+    if not np.all(np.isfinite(angles)):
+        raise ValueError(f"H t overflows: largest |eigenvalue| {float(np.abs(h.eigenvalues).max())!r} at t = {t!r}")
+    phases = np.exp(-1j * angles)
     return UnitaryOperator((h.eigenvectors * phases) @ h.eigenvectors.conj().T)
 
 

@@ -1,18 +1,26 @@
-"""Named experiments behind the CLI: thin, deterministic orchestration.
+"""Named experiments behind the CLI, one registry record each.
 
-Every experiment function takes plain parameters, derives all randomness
-from one seed via RandomSource children, and returns ``(columns, rows,
-failures)`` where ``failures`` lists violated run invariants; ``run_search``
-and ``run_collide`` append a dict of extra metadata.  Invariants are checked
-as ``not (value <= tolerance)`` so that a NaN counts as a failure.  Rows are
-ordered by trial / grid index, never by completion time, so a rerun with
-the same configuration reproduces them byte for byte.
+Each experiment is one :class:`Experiment` in :data:`EXPERIMENTS`: its
+parameters, its columns with their powers of nats, its run invariants and a
+``run`` that maps validated parameter values to ``(rows, extra)``.  Every
+``run_*`` function returns that one shape: metric rows in column order and a
+dict of extra metadata.  All randomness derives from one seed via
+RandomSource children, and rows are ordered by trial / grid index, never by
+completion time, so a rerun with the same configuration reproduces them byte
+for byte.
+
+Invariants are data.  Each yields (row label, value) pairs from the rows,
+extra and config of a run, and :func:`check_invariants` tests every value as
+``not (value <= tol)``, so that a NaN counts as a failure.  A lower bound is
+stated as an upper bound on the negated value (``-sum <= BALANCE_TOL``).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -36,12 +44,109 @@ BALANCE_TOL = 1e-9
 FINAL_MI_TOL = 1e-10
 RATIO_TOL = 1e-9
 RECOVERY_TOL = 1e-9
-SHUFFLE_FLOOR = 1e-2
 FEASIBLE_MARGIN = 1e-6
+HOTTER_GAIN_TOL = 1e-12
+HEAT_SIGN_TOL = 0.0
+THERMAL_HEAT_TOL = 1e-12
+# random draws per search trial that may fall below --min-mi before the run
+# gives up; two-qubit mutual information never exceeds ln 4
+MAX_REJECTED_DRAWS = 10_000
+
+DEFAULT_GAP_S = 1.0
+DEFAULT_GAP_R = 1.5
+LN3 = 1.0986122886681098
 
 Row = tuple
-Result = tuple[list[str], list[Row], list[str]]
+Result = tuple[list[Row], dict]
 
+
+# ---------------------------------------------------------------------------
+# registry records
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Param:
+    key: str
+    kind: str  # int | float | float_list | dims | choice | str
+    default: object
+    help: str
+    choices: tuple[str, ...] = ()
+    validate: Callable[[object], str | None] | None = None
+
+
+@dataclass(frozen=True)
+class Invariant:
+    """``values(rows, extra, config)`` yields (row label, value) pairs, each of
+    which must satisfy ``value <= tol``; rows arrive as column-keyed dicts."""
+
+    name: str
+    tol: float
+    values: Callable[[list[dict], dict, dict], Iterable[tuple[str, float]]]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: its parameters, its columns mapped to their power of
+    nats (0 for a column that is not an entropy), its invariants, and a
+    ``run`` from validated parameter values to ``(rows, extra)``."""
+
+    params: tuple[Param, ...]
+    columns: dict[str, int]
+    run: Callable[[dict], Result]
+    invariants: tuple[Invariant, ...] = ()
+
+
+def check_invariants(experiment: Experiment, rows: list[Row], extra: dict, config: dict) -> tuple[dict, list[str]]:
+    """Evaluate every invariant of a run on its (nats) rows.
+
+    Returns ``{name: {"worst", "tol", "passed"}}``, where ``worst`` is the
+    largest value (NaN if any value is NaN, None if the run yielded none),
+    and one failure line per value that is not ``<= tol``.
+    """
+    named = [dict(zip(experiment.columns, row)) for row in rows]
+    summary, failures = {}, []
+    for inv in experiment.invariants:
+        pairs = [(label, float(value)) for label, value in inv.values(named, extra, config)]
+        failing = [f"{label}: {inv.name} = {value!r} is not <= {inv.tol!r}" for label, value in pairs if not value <= inv.tol]
+        worst = float(np.max([value for _, value in pairs])) if pairs else None
+        summary[inv.name] = {"worst": worst, "tol": inv.tol, "passed": not failing}
+        failures.extend(failing)
+    return summary, failures
+
+
+def _each_row(name: str, tol: float, value: Callable[[dict], float], where: Callable[[dict], bool] = lambda r: True) -> Invariant:
+    """Invariant ``value(row) <= tol`` on every row selected by ``where``."""
+    return Invariant(name, tol, lambda rows, extra, config: ((f"row {i}", value(r)) for i, r in enumerate(rows) if where(r)))
+
+
+def _rule(ok: Callable[[object], bool], message: str) -> Callable[[object], str | None]:
+    return lambda v: None if ok(v) else message
+
+
+_at_least_one = _rule(lambda v: v >= 1, "must be >= 1")
+_unit_interval = _rule(lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
+_positive = _rule(lambda v: math.isfinite(v) and v > 0.0, "must be finite and > 0")
+_finite = _rule(math.isfinite, "must be finite")
+_finite_list = _rule(lambda v: bool(v) and all(math.isfinite(x) for x in v), "must be a non-empty finite list")
+_unit_list = _rule(lambda v: bool(v) and all(0.0 <= x <= 1.0 for x in v), "every value must lie in [0, 1]")
+_dims_range = _rule(lambda v: all(2 <= d <= 16 for d in v), "each factor must lie in [2, 16]")
+_collision_range = _rule(lambda v: 1 <= v <= 11, "must lie in [1, 11] (joint dimension cap 2^12)")
+
+
+def _trials(default: int, help: str) -> Param:
+    return Param("trials", "int", default, help, validate=_at_least_one)
+
+
+_DIMS = Param("dims", "dims", (2, 2), "bipartition as AxB, e.g. 2x2", validate=_dims_range)
+
+
+def _beta(default: float, help: str = "inverse temperature") -> Param:
+    return Param("beta", "float", default, help, validate=_positive)
+
+
+# ---------------------------------------------------------------------------
+# experiments
+# ---------------------------------------------------------------------------
 
 def _binary_entropy(p: float) -> float:
     if p <= 0.0 or p >= 1.0:
@@ -67,48 +172,30 @@ def run_balance(trials: int, dim_s: int, dim_r: int, seed: int) -> Result:
     """Entropy-balance identity on random product inputs under Haar unitaries."""
     layout = BipartitionLayout(dim_s, dim_r)
     root = RandomSource(seed)
-    columns = ["trial", "ds_s", "ds_r", "sum", "mi_initial", "mi_final", "balance_deviation", "alignment"]
-    rows, failures = [], []
+    rows = []
     for k in range(trials):
         rep = _random_product_trial(layout, root.child(k))
         dev = abs(rep.sum - rep.mi_final)
         rows.append((k, rep.ds_s, rep.ds_r, rep.sum, rep.mi_initial, rep.mi_final, dev, arrow.schrodinger_check(rep).value))
-        if not rep.sum >= -BALANCE_TOL:
-            failures.append(f"trial {k}: entropy sum {rep.sum} below -{BALANCE_TOL}")
-        if not dev <= BALANCE_TOL:
-            failures.append(f"trial {k}: |sum - final mutual information| = {dev}")
-    return columns, rows, failures
+    return rows, {}
 
 
 def run_near_product(epsilon: float) -> Result:
     """Near-product construction plus its analytic decorrelating unitary."""
     rep = arrow.entropy_balance(arrow.near_product_state(epsilon), arrow.TWO_QUBITS, arrow.decorrelating_unitary())
     analytic = -near_product_mutual_information(epsilon)
-    columns = ["epsilon", "ds_s", "ds_r", "sum", "mi_initial", "mi_final", "analytic_sum", "sum_deviation"]
     dev = abs(rep.sum - analytic)
-    rows = [(epsilon, rep.ds_s, rep.ds_r, rep.sum, rep.mi_initial, rep.mi_final, analytic, dev)]
-    failures = []
-    if not dev <= BALANCE_TOL:
-        failures.append(f"entropy sum deviates from analytic value by {dev}")
-    if not rep.mi_final <= FINAL_MI_TOL:
-        failures.append(f"final mutual information {rep.mi_final} not erased")
-    return columns, rows, failures
+    return [(epsilon, rep.ds_s, rep.ds_r, rep.sum, rep.mi_initial, rep.mi_final, analytic, dev)], {}
 
 
 def run_decorrelate() -> Result:
     """Classically correlated pair mapped to an exact product state."""
     rep = arrow.classical_correlated_demo()
-    columns = ["ds_s", "ds_r", "sum", "mi_initial", "mi_final"]
-    rows = [(rep.ds_s, rep.ds_r, rep.sum, rep.mi_initial, rep.mi_final)]
-    failures = []
-    if not abs(rep.sum + math.log(2.0)) <= BALANCE_TOL:
-        failures.append(f"entropy sum {rep.sum} is not -ln 2")
-    if not rep.mi_final <= FINAL_MI_TOL:
-        failures.append(f"final mutual information {rep.mi_final} not erased")
-    return columns, rows, failures
+    return [(rep.ds_s, rep.ds_r, rep.sum, rep.mi_initial, rep.mi_final)], {}
 
 
 def _demo_state(demo: str, epsilon: float):
+    """A named demo input and the analytic optimum of its entropy sum."""
     if demo == "near-product":
         return arrow.near_product_state(epsilon), -near_product_mutual_information(epsilon)
     if demo == "classical":
@@ -124,63 +211,59 @@ def run_search(
     seed: int,
     demo: str = "random",
     epsilon: float = 0.1,
-) -> tuple[list[str], list[Row], list[str], dict]:
+) -> Result:
     """Optimizer hunting entropy-decreasing unitaries.
 
     demo='random' draws non-product two-qubit states; the named demos rerun
     the analytic constructions, whose achievable sums bound the optimizer.
-    Returns an extra metadata dict with the descent probes run and converged
-    over all trials.
+    The extra metadata counts the descent probes run and converged over all
+    trials.
     """
     layout = arrow.TWO_QUBITS
     root = RandomSource(seed)
-    columns = ["trial", "mi_initial", "achieved_sum", "improved", "best_restart"]
-    rows, failures = [], []
+    rows = []
     extra = {"probes_run": 0, "probes_converged": 0}
     draw_index = 0
     for k in range(trials):
-        src = root.child(k)
         if demo == "random":
-            while True:
+            for _ in range(MAX_REJECTED_DRAWS):
                 rho = random_density_operator(layout.dim, layout.dim, root.child(10**6 + draw_index))
                 draw_index += 1
                 if mutual_information(rho, layout) > min_mutual_information:
                     break
-            bound = None
+            else:
+                raise ValueError(
+                    f"no random state with mutual information above min-mi {min_mutual_information} "
+                    f"in {MAX_REJECTED_DRAWS} draws (two-qubit mutual information is at most ln 4)"
+                )
         else:
-            rho, bound = _demo_state(demo, epsilon)
-        config = arrow.UnitarySearchConfig(
-            max_iterations=max_iterations,
-            restarts=restarts,
-            rng=src.child(1),
-        )
+            rho, _ = _demo_state(demo, epsilon)
+        config = arrow.UnitarySearchConfig(max_iterations=max_iterations, restarts=restarts, rng=root.child(k).child(1))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             res = arrow.search_entropy_decreasing_unitary(rho, layout, config)
         rows.append((k, res.report.mi_initial, res.achieved_sum, res.improved, res.best_restart))
         extra["probes_run"] += res.probes_run
         extra["probes_converged"] += res.probes_converged
-        if bound is not None and not res.achieved_sum <= bound + FEASIBLE_MARGIN:
-            failures.append(f"trial {k}: achieved sum {res.achieved_sum} above feasible bound {bound}")
-    return columns, rows, failures, extra
+    return rows, extra
+
+
+def _above_feasible_bound(rows: list[dict], extra: dict, config: dict):
+    if config["demo"] == "random":
+        return ()
+    bound = _demo_state(config["demo"], config["epsilon"])[1]
+    return ((f"row {i}", r["achieved_sum"] - bound) for i, r in enumerate(rows))
 
 
 def run_schrodinger(trials: int, dim_s: int, dim_r: int, seed: int) -> Result:
     """Census of relative arrow directions for product inputs under Haar unitaries."""
     layout = BipartitionLayout(dim_s, dim_r)
     root = RandomSource(seed)
-    columns = ["trial", "ds_s", "ds_r", "schrodinger_product", "alignment", "sum"]
-    rows, failures = [], []
+    rows = []
     for k in range(trials):
         rep = _random_product_trial(layout, root.child(k))
         rows.append((k, rep.ds_s, rep.ds_r, rep.schrodinger_product, arrow.schrodinger_check(rep).value, rep.sum))
-        if not rep.sum >= -BALANCE_TOL:
-            failures.append(f"trial {k}: entropy sum {rep.sum} below -{BALANCE_TOL}")
-    return columns, rows, failures
-
-
-DEFAULT_GAP_S = 1.0
-DEFAULT_GAP_R = 1.5
+    return rows, {}
 
 
 def run_sweep(
@@ -196,15 +279,7 @@ def run_sweep(
     h_int = Hamiltonian(collisions.SWAP)
     grid = arrow.SweepGrid(g_values, eps_values, t_values)
     points = arrow.weak_coupling_sweep(h_s, h_r, h_int, grid)
-    columns = ["g", "epsilon", "t", "sum"]
-    rows = [(p.coupling, p.epsilon, p.time, p.sum) for p in points]
-    failures = []
-    for p in points:
-        if p.coupling == 0.0 and not abs(p.sum) <= BALANCE_TOL:
-            failures.append(f"local evolution changed the entropy sum by {p.sum} at eps={p.epsilon}, t={p.time}")
-        if p.epsilon == 0.0 and not p.sum >= -BALANCE_TOL:
-            failures.append(f"product input gave entropy sum {p.sum} at g={p.coupling}, t={p.time}")
-    return columns, rows, failures
+    return [(p.coupling, p.epsilon, p.time, p.sum) for p in points], {"planned_cells": grid.size}
 
 
 def run_collide(
@@ -214,11 +289,11 @@ def run_collide(
     seed: int,
     mode: str = "joint",
     init: str = "excited",
-) -> tuple[list[str], list[Row], list[str], dict]:
+) -> Result:
     """Collision trajectory, convergence fit and (joint mode) exact reversal.
 
-    Returns an extra metadata dict with the fitted rate and the reversal
-    distances; those numbers are recomputable from the same seed.
+    The extra metadata holds the fitted rate and the reversal distances;
+    those numbers are recomputable from the same seed.
     """
     h = Hamiltonian(np.diag([0.0, 1.0]).astype(complex))
     xi = gibbs_state(h, beta)
@@ -233,16 +308,12 @@ def run_collide(
         raise ValueError(f"unknown init {init!r}")
 
     extra: dict = {}
-    failures: list[str] = []
     if mode == "joint":
         record, joint_final = collisions.run_collisions_joint(rho0, spec, gate)
         recovered = collisions.reverse_collisions(joint_final, gate)
-        recover_dist = trace_distance(recovered, rho0)
-        extra["recovered_trace_distance"] = recover_dist
+        extra["recovered_trace_distance"] = trace_distance(recovered, rho0)
         extra["joint_entropy_initial"] = von_neumann_entropy(rho0) + count * von_neumann_entropy(xi)
         extra["joint_entropy_final"] = entropy_of_matrix(joint_final)
-        if not recover_dist <= RECOVERY_TOL:
-            failures.append(f"reversal missed the initial state by {recover_dist}")
         if count >= 2:
             order = [int(i) for i in root.child(1).generator().permutation(count)]
             if order == list(range(count - 1, -1, -1)):
@@ -260,9 +331,8 @@ def run_collide(
         extra["fitted_rate"] = report.rate
         extra["fit_residual"] = report.residual
         extra["exact_convergence"] = report.exact
-    columns = ["step", "entropy", "distance_to_ancilla"]
     rows = [(k, record.entropies[k], record.distances_to_ancilla[k]) for k in range(len(record.entropies))]
-    return columns, rows, failures, extra
+    return rows, extra
 
 
 def run_crooks(trials: int, beta: float, dim_s: int, dim_r: int, seed: int) -> Result:
@@ -270,50 +340,27 @@ def run_crooks(trials: int, beta: float, dim_s: int, dim_r: int, seed: int) -> R
     random two-point protocols."""
     layout = BipartitionLayout(dim_s, dim_r)
     root = RandomSource(seed)
-    columns = [
-        "trial",
-        "delta_f",
-        "max_ratio_deviation",
-        "jarzynski_lhs",
-        "jarzynski_rhs",
-        "jarzynski_deviation",
-        "kl_divergence",
-        "average_sigma",
-        "identity_deviation",
-    ]
-    rows, failures = [], []
+    rows = []
     for k in range(trials):
         protocol = fluctuation.random_protocol(layout, beta, root.child(k))
         report = fluctuation.crooks_check(protocol)
         lhs, rhs = report.jarzynski_lhs, report.jarzynski_rhs
         kl, avg = report.entropy_production, report.average_sigma
-        jarzynski_dev = abs(lhs - rhs) / rhs
-        identity_dev = abs(kl - avg)
-        rows.append((k, report.delta_f, report.max_deviation, lhs, rhs, jarzynski_dev, kl, avg, identity_dev))
-        if not report.max_deviation <= RATIO_TOL:
-            failures.append(f"trial {k}: detailed ratio deviation {report.max_deviation}")
-        if not jarzynski_dev <= RATIO_TOL:
-            failures.append(f"trial {k}: work-average deviation {jarzynski_dev}")
-        if not identity_dev <= RATIO_TOL:
-            failures.append(f"trial {k}: entropy-production identity deviation {identity_dev}")
-    return columns, rows, failures
+        rows.append((k, report.delta_f, report.max_deviation, lhs, rhs, abs(lhs - rhs) / rhs, kl, avg, abs(kl - avg)))
+    return rows, {}
 
 
 def run_jarzynski(trials: int, beta: float, dim_s: int, dim_r: int, seed: int) -> Result:
     """Work-average identity alone, on the same random protocol family."""
     layout = BipartitionLayout(dim_s, dim_r)
     root = RandomSource(seed)
-    columns = ["trial", "lhs", "rhs", "relative_deviation"]
-    rows, failures = [], []
+    rows = []
     for k in range(trials):
         protocol = fluctuation.random_protocol(layout, beta, root.child(k))
         delta_f = fluctuation.free_energy_difference(protocol)
         lhs, rhs = fluctuation.jarzynski_check(fluctuation.forward_distribution(protocol), beta, delta_f)
-        dev = abs(lhs - rhs) / rhs
-        rows.append((k, lhs, rhs, dev))
-        if not dev <= RATIO_TOL:
-            failures.append(f"trial {k}: work-average deviation {dev}")
-    return columns, rows, failures
+        rows.append((k, lhs, rhs, abs(lhs - rhs) / rhs))
+    return rows, {}
 
 
 def run_heatflow(trials: int, seed: int) -> Result:
@@ -321,20 +368,7 @@ def run_heatflow(trials: int, seed: int) -> Result:
     hotter side must not gain energy and the Clausius combination must be
     non-negative."""
     root = RandomSource(seed)
-    columns = [
-        "trial",
-        "beta_s",
-        "beta_r",
-        "hotter",
-        "du_s",
-        "du_r",
-        "ds_s",
-        "ds_r",
-        "t_s",
-        "t_r",
-        "clausius_lhs",
-    ]
-    rows, failures = [], []
+    rows = []
     for k in range(trials):
         g = root.child(k).generator()
         beta_hot = g.uniform(0.2, 1.0)
@@ -343,36 +377,138 @@ def run_heatflow(trials: int, seed: int) -> Result:
         beta_s, beta_r = (beta_hot, beta_cold) if hot_is_s else (beta_cold, beta_hot)
         t = fluctuation.heat_flow_trial(beta_s, beta_r, time=g.uniform(0.5, 1.2))
         rows.append((k, t.beta_s, t.beta_r, t.hotter, t.du_s, t.du_r, t.ds_s, t.ds_r, t.t_s, t.t_r, t.clausius_lhs))
-        if not t.du_hotter <= 1e-12:
-            failures.append(f"trial {k}: hotter subsystem gained energy {t.du_hotter}")
-        if not t.clausius_lhs >= -BALANCE_TOL:
-            failures.append(f"trial {k}: Clausius combination {t.clausius_lhs} negative")
-    return columns, rows, failures
+    return rows, {}
 
 
 def run_damping(trials: int, beta: float, seed: int) -> Result:
     """Relative-entropy heat of damping canonical and random states into a
-    thermal bath."""
+    thermal bath; row 0 is the bath's own thermal state."""
     h = Hamiltonian(np.diag([0.0, 1.0]).astype(complex))
     root = RandomSource(seed)
-    columns = ["trial", "kind", "heat"]
-    rows, failures = [], []
     named = [
         ("thermal", gibbs_state(h, beta)),
         ("maximally-mixed", gibbs_state(h, 0.0)),
         ("excited", pure_state([0.0, 1.0])),
     ]
-    for k, (kind, state) in enumerate(named):
-        heat = fluctuation.damping_heat(state, h, beta)
-        rows.append((k, kind, heat))
-        if not heat >= 0.0:
-            failures.append(f"trial {k}: negative damping heat {heat}")
-    if not abs(rows[0][2]) <= 1e-12:
-        failures.append(f"thermal state reports nonzero damping heat {rows[0][2]}")
-    for k in range(trials):
-        state = random_density_operator(2, 2, root.child(k))
-        heat = fluctuation.damping_heat(state, h, beta)
-        rows.append((len(named) + k, "random", heat))
-        if not heat >= 0.0:
-            failures.append(f"random trial {k}: negative damping heat {heat}")
-    return columns, rows, failures
+    named += [("random", random_density_operator(2, 2, root.child(k))) for k in range(trials)]
+    return [(k, kind, fluctuation.damping_heat(state, h, beta)) for k, (kind, state) in enumerate(named)], {}
+
+
+# ---------------------------------------------------------------------------
+# the registry
+# ---------------------------------------------------------------------------
+
+_BALANCE = {"ds_s": 1, "ds_r": 1, "sum": 1, "mi_initial": 1, "mi_final": 1}
+_MINUS_SUM = _each_row("minus_sum", BALANCE_TOL, lambda r: -r["sum"])
+_MI_FINAL = _each_row("mi_final", FINAL_MI_TOL, lambda r: r["mi_final"])
+
+EXPERIMENTS: dict[str, Experiment] = {
+    "balance": Experiment(
+        params=(_trials(100, "number of random product inputs"), _DIMS),
+        columns={"trial": 0, **_BALANCE, "balance_deviation": 1, "alignment": 0},
+        run=lambda v: run_balance(v["trials"], *v["dims"], v["seed"]),
+        invariants=(_MINUS_SUM, _each_row("balance_deviation", BALANCE_TOL, lambda r: r["balance_deviation"])),
+    ),
+    "near-product": Experiment(
+        params=(Param("epsilon", "float", 0.1, "mixing weight of the correlated part", validate=_unit_interval),),
+        columns={"epsilon": 0, **_BALANCE, "analytic_sum": 1, "sum_deviation": 1},
+        run=lambda v: run_near_product(v["epsilon"]),
+        invariants=(_each_row("sum_deviation", BALANCE_TOL, lambda r: r["sum_deviation"]), _MI_FINAL),
+    ),
+    "decorrelate": Experiment(
+        params=(),
+        columns=dict(_BALANCE),
+        run=lambda v: run_decorrelate(),
+        invariants=(_each_row("sum_deviation", BALANCE_TOL, lambda r: abs(r["sum"] + math.log(2.0))), _MI_FINAL),
+    ),
+    "search": Experiment(
+        params=(
+            _trials(20, "number of optimizer runs"),
+            Param("restarts", "int", 4, "spectral-assignment answer plus restarts-1 descent probes", validate=_at_least_one),
+            Param("max-iter", "int", 300, "descent steps per probe", validate=_at_least_one),
+            Param("min-mi", "float", 0.01, "mutual-information floor for random inputs", validate=_positive),
+            Param("demo", "choice", "random", "input family", choices=("random", "near-product", "classical")),
+            Param("epsilon", "float", 0.1, "epsilon for demo=near-product", validate=_unit_interval),
+        ),
+        columns={"trial": 0, "mi_initial": 1, "achieved_sum": 1, "improved": 0, "best_restart": 0},
+        run=lambda v: run_search(
+            v["trials"], v["restarts"], v["max-iter"], v["min-mi"], v["seed"], demo=v["demo"], epsilon=v["epsilon"]
+        ),
+        invariants=(Invariant("achieved_sum_above_bound", FEASIBLE_MARGIN, _above_feasible_bound),),
+    ),
+    "schrodinger": Experiment(
+        params=(_trials(200, "number of random product inputs"), _DIMS),
+        columns={"trial": 0, "ds_s": 1, "ds_r": 1, "schrodinger_product": 2, "alignment": 0, "sum": 1},
+        run=lambda v: run_schrodinger(v["trials"], *v["dims"], v["seed"]),
+        invariants=(_MINUS_SUM,),
+    ),
+    "sweep": Experiment(
+        params=(
+            Param("g-values", "float_list", (0.0, 0.25, 0.5, 1.0, 2.0), "coupling strengths", validate=_finite_list),
+            Param("eps-values", "float_list", (0.0, 0.25, 0.5), "correlation strengths", validate=_unit_list),
+            Param("t-values", "float_list", (0.5, 1.0, 2.0, 4.0), "evolution times", validate=_finite_list),
+            Param("gap-s", "float", DEFAULT_GAP_S, "system qubit gap", validate=_finite),
+            Param("gap-r", "float", DEFAULT_GAP_R, "rest qubit gap", validate=_finite),
+        ),
+        columns={"g": 0, "epsilon": 0, "t": 0, "sum": 1},
+        run=lambda v: run_sweep(v["g-values"], v["eps-values"], v["t-values"], gap_s=v["gap-s"], gap_r=v["gap-r"]),
+        invariants=(
+            # local evolution leaves the entropy sum at zero; a product input keeps it >= 0
+            _each_row("uncoupled_abs_sum", BALANCE_TOL, lambda r: abs(r["sum"]), where=lambda r: r["g"] == 0.0),
+            _each_row("product_minus_sum", BALANCE_TOL, lambda r: -r["sum"], where=lambda r: r["epsilon"] == 0.0),
+        ),
+    ),
+    "collide": Experiment(
+        params=(
+            Param("collisions", "int", 8, "number of fresh-ancilla collisions", validate=_collision_range),
+            Param("theta", "float", math.pi / 4.0, "partial-swap angle", validate=_finite),
+            _beta(LN3, "inverse temperature of the reservoir qubits"),
+            Param("mode", "choice", "joint", "simulation mode", choices=("joint", "reduced")),
+            Param("init", "choice", "excited", "initial system state", choices=("excited", "random")),
+        ),
+        columns={"step": 0, "entropy": 1, "distance_to_ancilla": 0},
+        run=lambda v: run_collide(v["collisions"], v["theta"], v["beta"], v["seed"], mode=v["mode"], init=v["init"]),
+        invariants=(
+            Invariant(
+                "reversal_distance",
+                RECOVERY_TOL,
+                lambda rows, extra, v: [("reversal", extra["recovered_trace_distance"])] if "recovered_trace_distance" in extra else [],
+            ),
+        ),
+    ),
+    "crooks": Experiment(
+        params=(_trials(100, "number of random protocols"), _beta(1.0), _DIMS),
+        columns={"trial": 0, "delta_f": 0, "max_ratio_deviation": 0, "jarzynski_lhs": 0, "jarzynski_rhs": 0,
+                 "jarzynski_deviation": 0, "kl_divergence": 1, "average_sigma": 1, "identity_deviation": 1},
+        run=lambda v: run_crooks(v["trials"], v["beta"], *v["dims"], v["seed"]),
+        invariants=tuple(
+            _each_row(column, RATIO_TOL, lambda r, c=column: r[c])
+            for column in ("max_ratio_deviation", "jarzynski_deviation", "identity_deviation")
+        ),
+    ),
+    "jarzynski": Experiment(
+        params=(_trials(100, "number of random protocols"), _beta(1.0), _DIMS),
+        columns={"trial": 0, "lhs": 0, "rhs": 0, "relative_deviation": 0},
+        run=lambda v: run_jarzynski(v["trials"], v["beta"], *v["dims"], v["seed"]),
+        invariants=(_each_row("relative_deviation", RATIO_TOL, lambda r: r["relative_deviation"]),),
+    ),
+    "heatflow": Experiment(
+        params=(_trials(50, "number of random Gibbs pairs"),),
+        columns={"trial": 0, "beta_s": 0, "beta_r": 0, "hotter": 0, "du_s": 0, "du_r": 0,
+                 "ds_s": 1, "ds_r": 1, "t_s": 0, "t_r": 0, "clausius_lhs": 1},
+        run=lambda v: run_heatflow(v["trials"], v["seed"]),
+        invariants=(
+            _each_row("hotter_energy_gain", HOTTER_GAIN_TOL, lambda r: r["du_s"] if r["hotter"] == "S" else r["du_r"]),
+            _each_row("minus_clausius_lhs", BALANCE_TOL, lambda r: -r["clausius_lhs"]),
+        ),
+    ),
+    "damping": Experiment(
+        params=(_trials(10, "number of random states"), _beta(LN3, "inverse temperature of the bath")),
+        columns={"trial": 0, "kind": 0, "heat": 1},
+        run=lambda v: run_damping(v["trials"], v["beta"], v["seed"]),
+        invariants=(
+            _each_row("minus_heat", HEAT_SIGN_TOL, lambda r: -r["heat"]),
+            _each_row("thermal_abs_heat", THERMAL_HEAT_TOL, lambda r: abs(r["heat"]), where=lambda r: r["kind"] == "thermal"),
+        ),
+    ),
+}

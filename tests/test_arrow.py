@@ -10,7 +10,6 @@ from arrowlab.arrow import (
     EntropyBalanceReport,
     SweepGrid,
     UnitarySearchConfig,
-    bures_neighborhood_sample,
     classical_correlated_demo,
     classical_correlated_state,
     classical_decorrelating_unitary,
@@ -269,6 +268,15 @@ class TestSearch:
         )
         assert res.achieved_sum <= -LN2 + 1e-6
 
+    def test_decrease_is_bounded_by_initial_mutual_information(self):
+        # the decrease can never exceed the correlations initially present
+        rho = near_product_state(0.3)
+        res = search_entropy_decreasing_unitary(
+            rho, TWO_QUBITS, UnitarySearchConfig(max_iterations=300, restarts=2, rng=RandomSource(0))
+        )
+        assert res.achieved_sum < 0.0
+        assert res.achieved_sum >= -mutual_information(rho, TWO_QUBITS) - 1e-9
+
     def test_achieved_sum_matches_recomputed_balance(self):
         rho = random_density_operator(4, 4, RandomSource(77))
         res = search_entropy_decreasing_unitary(rho, TWO_QUBITS, UnitarySearchConfig(max_iterations=200, restarts=2, rng=RandomSource(2)))
@@ -303,46 +311,6 @@ class TestSearch:
             UnitarySearchConfig(max_iterations=0)
         with pytest.raises(ValueError):
             UnitarySearchConfig(convergence_tolerance=0.0)
-
-
-# ---------------------------------------------------------------------------
-# Bures neighborhood sampling
-# ---------------------------------------------------------------------------
-
-class TestBuresNeighborhood:
-    PRODUCT = tensor_product(pure_state(ket(0)), pure_state(ket(0)))
-
-    def test_sample_is_close_and_correlated(self):
-        sample = bures_neighborhood_sample(self.PRODUCT, TWO_QUBITS, 0.3, RandomSource(11))
-        _, bures = fidelity_and_bures(sample, self.PRODUCT)
-        assert bures <= 0.3
-        assert mutual_information(sample, TWO_QUBITS) > 0.0
-
-    def test_search_decreases_entropy_on_sample(self):
-        sample = bures_neighborhood_sample(self.PRODUCT, TWO_QUBITS, 0.3, RandomSource(11))
-        res = search_entropy_decreasing_unitary(
-            sample, TWO_QUBITS, UnitarySearchConfig(max_iterations=300, restarts=2, rng=RandomSource(0))
-        )
-        assert res.achieved_sum < 0.0
-        # the decrease can never exceed the correlations initially present
-        assert res.achieved_sum >= -mutual_information(sample, TWO_QUBITS) - 1e-9
-
-    def test_shrinking_delta_shrinks_achievable_decrease(self):
-        # |achieved| is bounded by the initial mutual information, which
-        # vanishes with delta
-        magnitudes = []
-        for delta in (0.5, 0.2, 0.05):
-            sample = bures_neighborhood_sample(self.PRODUCT, TWO_QUBITS, delta, RandomSource(21))
-            magnitudes.append(mutual_information(sample, TWO_QUBITS))
-        assert magnitudes[0] > magnitudes[1] > magnitudes[2] > 0.0
-
-    def test_delta_below_floor_raises(self):
-        with pytest.raises(ValueError, match="delta"):
-            bures_neighborhood_sample(self.PRODUCT, TWO_QUBITS, 1e-7, RandomSource(0))
-
-    def test_rejects_correlated_reference(self):
-        with pytest.raises(ValueError, match="product"):
-            bures_neighborhood_sample(near_product_state(0.5), TWO_QUBITS, 0.3, RandomSource(0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import arrowlab
+from arrowlab import experiments
 from arrowlab.cli import (
-    EXPERIMENT_PARAMS,
     ConfigError,
     UsageError,
     main,
@@ -69,7 +72,7 @@ class TestValidateConfig:
         assert len(config["g-values"]) * len(config["eps-values"]) * len(config["t-values"]) == 27
 
     def test_every_experiment_has_runnable_defaults(self):
-        for name in EXPERIMENT_PARAMS:
+        for name in experiments.EXPERIMENTS:
             config = validate_config(name)
             assert config.experiment == name
 
@@ -119,15 +122,13 @@ class TestMainExitCodes:
     def test_invariant_failure_is_exit_2(self, capsys, monkeypatch):
         # the physics never fails its own invariants, so inject one to
         # exercise the exit-code path
-        from arrowlab import experiments
-
-        def broken(trials, dim_s, dim_r, seed):
-            return ["trial"], [(0,)], ["injected failure"]
-
-        monkeypatch.setattr(experiments, "run_balance", broken)
+        injected = experiments.Invariant("injected", 0.0, lambda rows, extra, config: [("row 0", 1.0)])
+        balance = dataclasses.replace(experiments.EXPERIMENTS["balance"], invariants=(injected,))
+        monkeypatch.setitem(experiments.EXPERIMENTS, "balance", balance)
         assert main(["balance", "--trials", "1"]) == 2
-        assert "injected failure" in capsys.readouterr().err
-
+        captured = capsys.readouterr()
+        assert "row 0: injected = 1.0 is not <= 0.0" in captured.err
+        assert "# invariant.injected.passed=false" in captured.out
 
     def test_library_value_error_is_one_line_exit_1(self, capsys):
         assert main(["search", "--demo", "near-product", "--epsilon", "0"]) == 1
@@ -137,12 +138,11 @@ class TestMainExitCodes:
         assert err.count("\n") == 1
 
     def test_missing_output_directory_fails_before_computing(self, capsys, monkeypatch, tmp_path):
-        from arrowlab import experiments
-
-        def unreachable(*args):
+        def unreachable(values):
             raise AssertionError("experiment ran before the output was opened")
 
-        monkeypatch.setattr(experiments, "run_balance", unreachable)
+        balance = dataclasses.replace(experiments.EXPERIMENTS["balance"], run=unreachable)
+        monkeypatch.setitem(experiments.EXPERIMENTS, "balance", balance)
         assert main(["balance", "--out", str(tmp_path / "missing" / "out.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("arrowlab: error:")
@@ -183,11 +183,83 @@ class TestMainExitCodes:
         assert result.stdout.strip() == "[]"
 
     def test_non_finite_rows_are_invariant_failures(self, capsys):
-        import math
-
         code, out = run_cli(capsys, "jarzynski", "--beta", "200", "--trials", "3")
         cells = [float(cell) for line in rows_of_csv(out)[1:] for cell in line.split(",")]
         assert code == (0 if all(math.isfinite(c) for c in cells) else 2)
+
+    def test_unreachable_min_mi_is_one_line_exit_1(self, capsys):
+        # two-qubit mutual information never exceeds ln 4 < 1.5
+        assert main(["search", "--trials", "1", "--min-mi", "1.5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("arrowlab: error:")
+        assert "min-mi" in err
+        assert err.count("\n") == 1
+
+    def test_overflowing_gap_is_one_line_exit_1_without_warnings(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--gap-s", "1e308"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("arrowlab: error:")
+        assert "overflows" in err
+        assert err.count("\n") == 1
+
+
+# small arguments for every registered experiment
+SMALL_ARGS = {
+    "balance": ["--trials", "2"],
+    "near-product": [],
+    "decorrelate": [],
+    "search": ["--trials", "1", "--demo", "near-product"],
+    "schrodinger": ["--trials", "2"],
+    "sweep": ["--g-values", "0,1", "--eps-values", "0,0.5", "--t-values", "1"],
+    "collide": ["--collisions", "3"],
+    "crooks": ["--trials", "2"],
+    "jarzynski": ["--trials", "2"],
+    "heatflow": ["--trials", "2"],
+    "damping": ["--trials", "1"],
+}
+
+
+def csv_metadata(text: str) -> dict[str, str]:
+    return dict(line[2:].split("=", 1) for line in text.splitlines() if line.startswith("# "))
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("name", list(experiments.EXPERIMENTS))
+    def test_record_matches_output(self, capsys, name):
+        experiment = experiments.EXPERIMENTS[name]
+        code, nats = run_cli(capsys, name, *SMALL_ARGS[name])
+        assert code == 0
+        assert rows_of_csv(nats)[0].split(",") == list(experiment.columns)
+        meta = csv_metadata(nats)
+        assert experiment.invariants
+        for invariant in experiment.invariants:
+            assert meta[f"invariant.{invariant.name}.tol"] == repr(invariant.tol)
+            assert meta[f"invariant.{invariant.name}.passed"] == "true"
+            assert f"invariant.{invariant.name}.worst" in meta
+        code, payload = run_cli(capsys, name, *SMALL_ARGS[name], "--format", "json")
+        assert code == 0
+        recorded = json.loads(payload)["metadata"]["invariants"]
+        assert sorted(recorded) == sorted(invariant.name for invariant in experiment.invariants)
+        assert all(sorted(summary) == ["passed", "tol", "worst"] for summary in recorded.values())
+
+        code, bits = run_cli(capsys, name, *SMALL_ARGS[name], "--units", "bits")
+        assert code == 0
+        for row_n, row_b in zip(rows_of_csv(nats)[1:], rows_of_csv(bits)[1:], strict=True):
+            for power, cell_n, cell_b in zip(experiment.columns.values(), row_n.split(","), row_b.split(",")):
+                if power:
+                    assert float(cell_b) == float(cell_n) / math.log(2.0) ** power
+                else:
+                    assert cell_b == cell_n
+
+    def test_nan_value_is_worst_and_fails(self, capsys):
+        code, out = run_cli(capsys, "jarzynski", "--beta", "200", "--trials", "3")
+        meta = csv_metadata(out)
+        assert code == 2
+        assert meta["invariant.relative_deviation.worst"] == "nan"
+        assert meta["invariant.relative_deviation.passed"] == "false"
+        assert int(meta["invariant_failures"]) >= 1
 
 
 class TestSerialization:

@@ -274,8 +274,8 @@ class TestReversal:
             dims.append(self.dim)
 
         monkeypatch.setattr(DensityOperator, "__post_init__", recording)
-        _, _, failures, extra = experiments.run_collide(6, math.pi / 4, math.log(3), 0, mode="joint")
-        assert not failures
+        _, extra = experiments.run_collide(6, math.pi / 4, math.log(3), 0, mode="joint")
+        assert extra["recovered_trace_distance"] <= experiments.RECOVERY_TOL
         assert "shuffled_trace_distance" in extra
         assert dims and max(dims) == 2
 

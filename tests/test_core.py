@@ -19,7 +19,6 @@ from arrowlab.core import (
     mutual_information,
     partial_trace,
     pure_state,
-    purify,
     random_density_operator,
     relative_entropy,
     tensor_product,
@@ -269,34 +268,10 @@ class TestRelativeEntropy:
 
 
 # ---------------------------------------------------------------------------
-# purification, evolution, thermal states
+# evolution, thermal states
 # ---------------------------------------------------------------------------
 
 class TestPurifyEvolve:
-    def test_purify_pure_input_stays_factorized(self):
-        out = purify(pure_state(ket(0)))
-        assert np.allclose(out.matrix, projector(ket(0, 0)), atol=1e-12)
-
-    def test_purify_maximally_mixed_gives_bell_projector(self):
-        out = purify(maximally_mixed(2))
-        assert np.allclose(out.matrix, projector(BELL_PHI), atol=1e-12)
-
-    def test_purify_spectral_form(self):
-        out = purify(diag_state(0.95, 0.05))
-        target = math.sqrt(0.95) * ket(0, 0) + math.sqrt(0.05) * ket(1, 1)
-        assert np.allclose(out.matrix, projector(target), atol=1e-12)
-
-    def test_purify_round_trip(self):
-        for seed, d in [(0, 2), (1, 3), (2, 5)]:
-            rho = random_density_operator(d, d, RandomSource(seed))
-            reduced = partial_trace(purify(rho), BipartitionLayout(d, d), "S")
-            assert np.abs(reduced.matrix - rho.matrix).max() <= 1e-10
-
-    def test_purified_state_is_rank_one(self):
-        lam = purify(random_density_operator(3, 3, RandomSource(6))).eigenvalues()
-        assert lam[-1] == pytest.approx(1.0, abs=1e-10)
-        assert np.all(lam[:-1] <= 1e-10)
-
     def test_evolve_identity(self):
         rho = random_density_operator(4, 4, RandomSource(2))
         assert np.allclose(evolve(rho, identity_unitary(4)).matrix, rho.matrix)
