@@ -35,6 +35,9 @@ from .core import (
 
 JOINT_DIM_CAP = 2**12
 EXACT_DISTANCE_FLOOR = 1e-14
+# joint-state elements per chunk of a pair gate; keeps its temporaries near
+# 1/16 of a 9-qubit state
+PAIR_GATE_CHUNK = 2**14
 
 # exchanges two qubits; also the swap coupling of the weak-coupling sweep
 SWAP = np.array(
@@ -137,15 +140,74 @@ def run_collisions(
 # exact joint-state simulation
 # ---------------------------------------------------------------------------
 
+def _mix_pairs(u: np.ndarray, sources, targets, work) -> None:
+    """targets[a][b] = sum over (i, j) of u[a, b, i, j] sources[i][j].
+
+    Terms are added in (i, j) order, skipping zero entries of u, and each
+    product c x is formed as Re(c) x + i Im(c) x with one rounding per part,
+    the way np.einsum forms it; numpy's complex multiply may fuse the two
+    parts and round differently.  ``work`` holds two arrays shaped like
+    one target; u is unitary, so every target gets at least one term.
+    """
+    for a in range(2):
+        for b in range(2):
+            target, first = targets[a][b], True
+            for i in range(2):
+                for j in range(2):
+                    c = u[a, b, i, j]
+                    if c == 0:
+                        continue
+                    term = target if first else work[0]
+                    if c.real and c.imag:
+                        np.multiply(sources[i][j], c.real, out=term)
+                        term += np.multiply(sources[i][j], 1j * c.imag, out=work[1])
+                    else:
+                        np.multiply(sources[i][j], c, out=term)
+                    if not first:
+                        target += term
+                    first = False
+
+
 def _apply_pair_unitary(joint: np.ndarray, u4: np.ndarray, n_qubits: int, k: int) -> np.ndarray:
-    """U rho U+ with U a two-qubit gate on qubits (0, k), 0 < k < n_qubits."""
+    """U rho U+ with U a two-qubit gate on qubits (0, k), 0 < k < n_qubits.
+
+    Index a row as (a, m, b, r), with a the bit of qubit 0 and b that of
+    qubit k.  The ket side mixes only the four rows that share (m, r), so
+    the rows go through in chunks of whole such groups: the gate acts on
+    the chunk's rows, then on their columns (bra side), straight into the
+    result.  A chunk holds at most PAIR_GATE_CHUNK elements, or one group
+    where a group is larger; besides the result, a gate allocates 1.5
+    chunks of temporaries.
+    """
     between, after = 2 ** (k - 1), 2 ** (n_qubits - k - 1)
-    t = joint.reshape(2, between, 2, after, 2, between, 2, after)
-    u = u4.reshape(2, 2, 2, 2)
-    t = np.einsum("abij,iljrpmqs->albrpmqs", u, t, order="C")  # ket side
-    t = np.einsum("cdpq,albrpmqs->albrcmds", u.conj(), t, order="C")  # bra side
     d = 2**n_qubits
-    return t.reshape(d, d)
+    t = joint.reshape(2, between, 2, after, 2, between, 2, after)
+    out = np.empty((d, d), dtype=complex)
+    o = out.reshape(t.shape)
+    u = u4.reshape(2, 2, 2, 2)
+    u_bra = u.conj()
+    groups = min(between * after, max(1, PAIR_GATE_CHUNK // (4 * d)))
+    if groups <= after:
+        rb, mb = groups, 1
+        chunks = [(slice(m, m + 1), slice(r, r + rb)) for m in range(between) for r in range(0, after, rb)]
+    else:
+        rb, mb = after, groups // after
+        chunks = [(slice(m, m + mb), slice(None)) for m in range(0, between, mb)]
+    ket = np.empty((2, 2, mb, rb, 2, between, 2, after), dtype=complex)
+    work = np.empty((2, mb * rb * d), dtype=complex)
+    ket_work = work.reshape(2, *ket.shape[2:])
+    bra_work = work.reshape(2, 2, 2, mb, rb, between, after)
+    for ms, rs in chunks:
+        rows = t[:, ms, :, rs]
+        _mix_pairs(u, [[rows[i, :, j] for j in range(2)] for i in range(2)], ket, ket_work)
+        dest = o[:, ms, :, rs].transpose(0, 2, 1, 3, 4, 5, 6, 7)
+        _mix_pairs(
+            u_bra,
+            [[ket[..., p, :, q, :] for q in range(2)] for p in range(2)],
+            [[dest[..., c, :, e, :] for e in range(2)] for c in range(2)],
+            bra_work,
+        )
+    return out
 
 
 def _trace_out_qubit(joint: np.ndarray, n_qubits: int, k: int) -> np.ndarray:

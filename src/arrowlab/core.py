@@ -238,6 +238,12 @@ def entropy_of_matrix(m: np.ndarray) -> float:
     return _entropy_of_spectrum(np.linalg.eigvalsh(m))
 
 
+def renyi2_of_matrix(m: np.ndarray) -> float:
+    """Collision (Renyi-2) entropy -ln tr m^2 in nats of a raw Hermitian
+    matrix, from its squared Frobenius norm: O(d^2), no eigendecomposition."""
+    return -float(np.log(np.vdot(m, m).real))
+
+
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """S(rho) = -tr rho ln rho in nats, with 0 ln 0 := 0, from the spectrum
     the state was validated with."""
@@ -273,33 +279,6 @@ def mutual_information(rho: DensityOperator, layout: BipartitionLayout) -> float
 # ---------------------------------------------------------------------------
 # distances
 # ---------------------------------------------------------------------------
-
-def _hermitian_sqrt(m: np.ndarray, what: str) -> np.ndarray:
-    lam, v = np.linalg.eigh(m)
-    lam = _clamped_probabilities(lam, what=what)
-    # eigenvalues at the solver's resolution floor are noise; the square
-    # root would amplify them from ~1e-16 to ~1e-8
-    lam[lam < lam.max() * 1e-14] = 0.0
-    return (v * np.sqrt(lam)) @ v.conj().T
-
-
-def fidelity_and_bures(rho: DensityOperator, sigma: DensityOperator) -> tuple[float, float]:
-    """Uhlmann fidelity F = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 and the
-    Bures distance sqrt(2 (1 - sqrt(F))).
-
-    The trace of the matrix square root equals the nuclear norm of
-    sqrt(rho) sqrt(sigma); summing singular values directly avoids taking
-    square roots of roundoff-sized eigenvalues.
-    """
-    if rho.dim != sigma.dim:
-        raise ValueError("states must have equal dimension")
-    root_rho = _hermitian_sqrt(rho.matrix, "fidelity inner matrix")
-    root_sigma = _hermitian_sqrt(sigma.matrix, "fidelity inner matrix")
-    singular = np.linalg.svd(root_rho @ root_sigma, compute_uv=False)
-    fidelity = min(max(float(singular.sum() ** 2), 0.0), 1.0)
-    bures = float(np.sqrt(2.0 * (1.0 - np.sqrt(fidelity))))
-    return fidelity, bures
-
 
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Half the sum of absolute eigenvalues of rho - sigma; in [0, 1]."""

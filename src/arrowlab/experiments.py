@@ -29,21 +29,21 @@ from .core import (
     BipartitionLayout,
     Hamiltonian,
     RandomSource,
-    entropy_of_matrix,
     gibbs_state,
     haar_random_unitary,
     mutual_information,
     pure_state,
     random_density_operator,
+    renyi2_of_matrix,
     tensor_product,
     trace_distance,
-    von_neumann_entropy,
 )
 
 BALANCE_TOL = 1e-9
 FINAL_MI_TOL = 1e-10
 RATIO_TOL = 1e-9
 RECOVERY_TOL = 1e-9
+RENYI2_TOL = 1e-9
 FEASIBLE_MARGIN = 1e-6
 HOTTER_GAIN_TOL = 1e-12
 HEAT_SIGN_TOL = 0.0
@@ -292,8 +292,9 @@ def run_collide(
 ) -> Result:
     """Collision trajectory, convergence fit and (joint mode) exact reversal.
 
-    The extra metadata holds the fitted rate and the reversal distances;
-    those numbers are recomputable from the same seed.
+    The extra metadata holds the fitted rate, the reversal distances and the
+    joint state's Renyi-2 entropy before and after the collisions; those
+    numbers are recomputable from the same seed.
     """
     h = Hamiltonian(np.diag([0.0, 1.0]).astype(complex))
     xi = gibbs_state(h, beta)
@@ -312,8 +313,10 @@ def run_collide(
         record, joint_final = collisions.run_collisions_joint(rho0, spec, gate)
         recovered = collisions.reverse_collisions(joint_final, gate)
         extra["recovered_trace_distance"] = trace_distance(recovered, rho0)
-        extra["joint_entropy_initial"] = von_neumann_entropy(rho0) + count * von_neumann_entropy(xi)
-        extra["joint_entropy_final"] = entropy_of_matrix(joint_final)
+        # a unitary conserves every Renyi entropy; Renyi-2 is additive on the
+        # product input and costs O(D^2) on the final joint state
+        extra["joint_renyi2_initial"] = renyi2_of_matrix(rho0.matrix) + count * renyi2_of_matrix(xi.matrix)
+        extra["joint_renyi2_final"] = renyi2_of_matrix(joint_final)
         if count >= 2:
             order = [int(i) for i in root.child(1).generator().permutation(count)]
             if order == list(range(count - 1, -1, -1)):
@@ -473,6 +476,15 @@ EXPERIMENTS: dict[str, Experiment] = {
                 "reversal_distance",
                 RECOVERY_TOL,
                 lambda rows, extra, v: [("reversal", extra["recovered_trace_distance"])] if "recovered_trace_distance" in extra else [],
+            ),
+            Invariant(
+                "joint_renyi2_deviation",
+                RENYI2_TOL,
+                lambda rows, extra, v: (
+                    [("joint state", abs(extra["joint_renyi2_final"] - extra["joint_renyi2_initial"]))]
+                    if "joint_renyi2_final" in extra
+                    else []
+                ),
             ),
         ),
     ),

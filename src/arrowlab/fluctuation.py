@@ -133,12 +133,15 @@ def free_energy_difference(protocol: TwoPointProtocol) -> float:
 
 
 def _transition_matrix(p_proj, q_proj, u: np.ndarray) -> np.ndarray:
-    """t[n, m] = tr(Q_m U P_n U+); symmetric under protocol reversal."""
+    """t[n, m] = tr(Q_m U P_n U+); symmetric under protocol reversal.
+
+    One contraction against the stacked Q_m per initial cluster n.
+    """
+    q = np.stack([qm.projector for qm in q_proj])
     t = np.empty((len(p_proj), len(q_proj)))
     for n, pn in enumerate(p_proj):
         rotated = u @ pn.projector @ u.conj().T
-        for m, qm in enumerate(q_proj):
-            t[n, m] = float(np.real(np.einsum("ij,ji->", qm.projector, rotated)))
+        t[n] = np.real(np.einsum("mij,ji->m", q, rotated))
     return np.clip(t, 0.0, None)
 
 
@@ -168,11 +171,11 @@ def backward_distribution(protocol: TwoPointProtocol) -> JointOutcomeDistributio
     log_z = _log_partition(protocol.h_final, protocol.beta)
     weights = np.exp(-protocol.beta * np.array([q.energy for q in q_proj]) - log_z)
     u_dag = protocol.unitary.matrix.conj().T
+    p = np.stack([pn.projector for pn in p_proj])
     t = np.empty((len(p_proj), len(q_proj)))
     for m, qm in enumerate(q_proj):
         rotated = u_dag @ qm.projector @ u_dag.conj().T
-        for n, pn in enumerate(p_proj):
-            t[n, m] = float(np.real(np.einsum("ij,ji->", pn.projector, rotated)))
+        t[:, m] = np.real(np.einsum("nij,ji->n", p, rotated))
     probs = np.clip(t, 0.0, None) * weights[None, :]
     return JointOutcomeDistribution(
         probs=probs,

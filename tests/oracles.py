@@ -86,3 +86,25 @@ def replay_then_trace(joint, u4, order) -> np.ndarray:
         g = pair_gate_on_qubits(u4, n_qubits, k + 1)
         joint = g @ joint @ g.conj().T
     return np.trace(joint.reshape(2, d // 2, 2, d // 2), axis1=1, axis2=3)
+
+
+def pair_gate_einsum(rho, u4, n_qubits: int, k: int) -> np.ndarray:
+    """U rho U+ for a two-qubit gate on qubits (0, k) as two np.einsum
+    contractions, ket side then bra side: the arithmetic the chunked kernel
+    must reproduce bit for bit for the partial swap."""
+    between, after = 2 ** (k - 1), 2 ** (n_qubits - k - 1)
+    t = rho.reshape(2, between, 2, after, 2, between, 2, after)
+    u = u4.reshape(2, 2, 2, 2)
+    t = np.einsum("abij,iljrpmqs->albrpmqs", u, t)
+    t = np.einsum("cdpq,albrpmqs->albrcmds", u.conj(), t)
+    return t.reshape(rho.shape)
+
+
+def transition_matrix_by_pairs(p_projectors, q_projectors, u) -> np.ndarray:
+    """t[n, m] = tr(Q_m U P_n U+), one np.einsum per outcome pair."""
+    t = np.empty((len(p_projectors), len(q_projectors)))
+    for n, p in enumerate(p_projectors):
+        rotated = u @ p @ u.conj().T
+        for m, q in enumerate(q_projectors):
+            t[n, m] = float(np.real(np.einsum("ij,ji->", q, rotated)))
+    return np.clip(t, 0.0, None)

@@ -9,7 +9,7 @@ import warnings
 import pytest
 
 import arrowlab
-from arrowlab import experiments
+from arrowlab import collisions, experiments
 from arrowlab.cli import (
     ConfigError,
     UsageError,
@@ -352,6 +352,35 @@ class TestCollideCommand:
         assert "# extra.recovered_trace_distance=" in out
         assert "# extra.shuffled_trace_distance=" in out
         assert "# extra.fitted_rate=" in out
+
+    def test_joint_mode_records_renyi2_conservation(self, capsys):
+        code, out = run_cli(capsys, "collide", "--collisions", "4")
+        meta = csv_metadata(out)
+        assert code == 0
+        assert {"extra.joint_renyi2_initial", "extra.joint_renyi2_final"} <= set(meta)
+        assert float(meta["invariant.joint_renyi2_deviation.worst"]) <= 1e-12
+        assert meta["invariant.joint_renyi2_deviation.tol"] == repr(experiments.RENYI2_TOL)
+        assert meta["invariant.joint_renyi2_deviation.passed"] == "true"
+        assert "joint_entropy" not in out
+
+    def test_perturbed_joint_state_fails_renyi2_conservation(self, capsys, monkeypatch):
+        run_joint = collisions.run_collisions_joint
+
+        def perturbed(*args):
+            record, joint = run_joint(*args)
+            joint = joint.copy()
+            # still Hermitian with unit trace, but no longer unitarily related
+            # to the product input
+            joint[0, 1] += 1e-3
+            joint[1, 0] += 1e-3
+            return record, joint
+
+        monkeypatch.setattr(collisions, "run_collisions_joint", perturbed)
+        assert main(["collide", "--collisions", "4", "--init", "random"]) == 2
+        captured = capsys.readouterr()
+        meta = csv_metadata(captured.out)
+        assert meta["invariant.joint_renyi2_deviation.passed"] == "false"
+        assert "joint state: joint_renyi2_deviation = " in captured.err
 
     def test_reduced_mode_skips_reversal(self, capsys):
         code, out = run_cli(capsys, "collide", "--collisions", "4", "--mode", "reduced")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,10 +26,11 @@ from arrowlab.core import (
     identity_unitary,
     pure_state,
     random_density_operator,
+    renyi2_of_matrix,
     trace_distance,
     von_neumann_entropy,
 )
-from oracles import SWAP, ket, pair_gate_on_qubits, replay_then_trace
+from oracles import SWAP, ket, pair_gate_einsum, pair_gate_on_qubits, replay_then_trace
 
 H_QUBIT = Hamiltonian(np.diag([0.0, 1.0]).astype(complex))
 XI = gibbs_state(H_QUBIT, math.log(3))  # diag(0.75, 0.25)
@@ -111,6 +113,14 @@ class TestJointMode:
         expected = von_neumann_entropy(rho0) + 6 * von_neumann_entropy(XI)
         assert von_neumann_entropy(DensityOperator(joint_final)) == pytest.approx(expected, abs=1e-9)
 
+    @pytest.mark.parametrize("count", range(1, 9))
+    def test_renyi2_entropy_is_conserved_under_a_haar_gate(self, count):
+        rho0 = random_density_operator(2, 2, RandomSource(40 + count))
+        gate = haar_random_unitary(4, RandomSource(50 + count))
+        _, joint_final = run_collisions_joint(rho0, ReservoirSpec(ancilla_state=XI, count=count), gate)
+        expected = renyi2_of_matrix(rho0.matrix) + count * renyi2_of_matrix(XI.matrix)
+        assert abs(renyi2_of_matrix(joint_final) - expected) <= 1e-12
+
     def test_sum_of_marginal_entropies_is_nondecreasing(self):
         # fresh uncorrelated partners make every collision a product-input
         # balance on the colliding pair
@@ -147,7 +157,7 @@ class TestJointMode:
         with pytest.raises(ValueError, match="read-only"):
             joint_final[0, 0] = 0.0
 
-    @pytest.mark.parametrize("n_qubits", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n_qubits", [2, 3, 4, 5, 6, 7])
     def test_pair_gate_matches_dense_oracle(self, n_qubits):
         d = 2**n_qubits
         rho = random_density_operator(d, d, RandomSource(n_qubits)).matrix
@@ -156,6 +166,33 @@ class TestJointMode:
             g = pair_gate_on_qubits(u4, n_qubits, k)
             expected = g @ rho @ g.conj().T
             assert np.abs(_apply_pair_unitary(rho, u4, n_qubits, k) - expected).max() <= 1e-14
+
+    @pytest.mark.parametrize("n_qubits", [2, 3, 4, 5, 6, 7])
+    def test_pair_gate_is_bit_identical_to_einsum_for_the_partial_swap(self, n_qubits):
+        d = 2**n_qubits
+        rho = random_density_operator(d, d, RandomSource(20 + n_qubits)).matrix
+        for theta in (0.3, math.pi / 4, 1.5, math.pi / 2):
+            u4 = partial_swap_unitary(theta).matrix
+            for k in range(1, n_qubits):
+                got = _apply_pair_unitary(rho, u4, n_qubits, k)
+                assert np.array_equal(got.view(float), pair_gate_einsum(rho, u4, n_qubits, k).view(float))
+
+    def test_pair_gate_allocates_about_one_state(self):
+        n_qubits = 9
+        d = 2**n_qubits
+        rho = random_density_operator(d, d, RandomSource(11)).matrix
+        u4 = haar_random_unitary(4, RandomSource(12)).matrix
+        tracemalloc.start()
+        try:
+            for k in range(1, n_qubits):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                out = _apply_pair_unitary(rho, u4, n_qubits, k)
+                peak = tracemalloc.get_traced_memory()[1] - before
+                del out
+                assert peak <= 1.25 * rho.nbytes, (k, peak / rho.nbytes)
+        finally:
+            tracemalloc.stop()
 
     def test_cap_enforced(self):
         spec = ReservoirSpec(ancilla_state=XI, count=12)

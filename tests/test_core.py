@@ -11,7 +11,6 @@ from arrowlab.core import (
     UnitaryOperator,
     bipartite_entropies,
     evolve,
-    fidelity_and_bures,
     gibbs_state,
     haar_random_unitary,
     identity_unitary,
@@ -21,6 +20,7 @@ from arrowlab.core import (
     pure_state,
     random_density_operator,
     relative_entropy,
+    renyi2_of_matrix,
     tensor_product,
     trace_distance,
     unitary_from_hamiltonian,
@@ -157,6 +157,13 @@ class TestEntropy:
             s = von_neumann_entropy(rho)
             assert -1e-12 <= s <= math.log(5) + 1e-12
 
+    def test_renyi2_hand_values(self):
+        # -ln tr rho^2: 0 for a pure state, ln d for the maximally mixed one,
+        # -ln(p^2 + q^2) for a diagonal qubit
+        assert renyi2_of_matrix(pure_state([1, 1j]).matrix) == pytest.approx(0.0, abs=1e-15)
+        assert renyi2_of_matrix(maximally_mixed(5).matrix) == pytest.approx(math.log(5), abs=1e-15)
+        assert renyi2_of_matrix(diag_state(0.95, 0.05).matrix) == pytest.approx(-math.log(0.905), abs=1e-15)
+
     def test_mutual_information_of_product_is_zero(self):
         joint = tensor_product(diag_state(0.8, 0.2), maximally_mixed(2))
         assert mutual_information(joint, QUBITS) == pytest.approx(0.0, abs=1e-12)
@@ -195,31 +202,6 @@ class TestEntropy:
 # ---------------------------------------------------------------------------
 
 class TestDistances:
-    def test_fidelity_of_state_with_itself(self):
-        rho = random_density_operator(3, 3, RandomSource(5))
-        f, d = fidelity_and_bures(rho, rho)
-        assert f == pytest.approx(1.0, abs=1e-12)
-        assert d == pytest.approx(0.0, abs=1e-6)
-
-    def test_fidelity_of_orthogonal_pure_states(self):
-        f, d = fidelity_and_bures(pure_state(ket(0)), pure_state(ket(1)))
-        assert f == pytest.approx(0.0, abs=1e-12)
-        assert d == pytest.approx(math.sqrt(2), abs=1e-12)
-
-    def test_fidelity_against_pure_reference_is_overlap(self):
-        # <psi| rho |psi> oracle for pure sigma
-        rho = random_density_operator(4, 4, RandomSource(8))
-        psi = RandomSource(9).generator().standard_normal(4) + 1j * RandomSource(9).child(1).generator().standard_normal(4)
-        psi = psi / np.linalg.norm(psi)
-        f, _ = fidelity_and_bures(rho, pure_state(psi))
-        assert f == pytest.approx(float(np.real(psi.conj() @ rho.matrix @ psi)), abs=1e-12)
-
-    def test_fidelity_of_commuting_states_is_bhattacharyya(self):
-        p = [0.5, 0.3, 0.2]
-        q = [0.2, 0.2, 0.6]
-        f, _ = fidelity_and_bures(diag_state(*p), diag_state(*q))
-        assert f == pytest.approx(sum(math.sqrt(a * b) for a, b in zip(p, q)) ** 2, abs=1e-12)
-
     def test_trace_distance_extremes(self):
         rho = random_density_operator(3, 3, RandomSource(4))
         assert trace_distance(rho, rho) == 0.0
@@ -234,9 +216,8 @@ class TestDistances:
             a = random_density_operator(3, 3, src.child(0))
             b = random_density_operator(3, 3, src.child(1))
             c = random_density_operator(3, 3, src.child(2))
-            for dist in (trace_distance, lambda x, y: fidelity_and_bures(x, y)[1]):
-                assert dist(a, b) == pytest.approx(dist(b, a), abs=1e-10)
-                assert dist(a, c) <= dist(a, b) + dist(b, c) + 1e-10
+            assert trace_distance(a, b) == pytest.approx(trace_distance(b, a), abs=1e-10)
+            assert trace_distance(a, c) <= trace_distance(a, b) + trace_distance(b, c) + 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from arrowlab.core import (
 )
 from arrowlab.fluctuation import (
     TwoPointProtocol,
+    _transition_matrix,
     backward_distribution,
     crooks_check,
     damping_heat,
@@ -34,7 +35,7 @@ from arrowlab.fluctuation import (
     measurement_symmetry_check,
     random_protocol,
 )
-from oracles import PAULI_X, ket, kl_divergence, projector
+from oracles import PAULI_X, ket, kl_divergence, projector, transition_matrix_by_pairs
 
 LN3 = 1.0986122886681098
 H_QUBIT = Hamiltonian(np.diag([0.0, 1.0]).astype(complex))
@@ -172,6 +173,66 @@ class TestCrooks:
             monkeypatch.setattr(fluctuation, name, lambda protocol, f=original: calls.append(f) or f(protocol))
         experiments.run_crooks(trials=3, beta=1.0, dim_s=2, dim_r=2, seed=0)
         assert len(calls) == 6
+
+
+class TestTransitionMatrix:
+    @staticmethod
+    def oracle(protocol: TwoPointProtocol, labels_i, labels_f) -> np.ndarray:
+        """p(N, M) from single eigenvectors: Gibbs weight of level n times
+        |<f_m| U |i_n>|^2, summed over the levels of each labelled cluster."""
+        e_i, v_i = np.linalg.eigh(protocol.h_initial.matrix)
+        _, v_f = np.linalg.eigh(protocol.h_final.matrix)
+        w = np.exp(-protocol.beta * (e_i - e_i.min()))
+        levels = (w / w.sum())[:, None] * np.abs(v_f.conj().T @ protocol.unitary.matrix @ v_i).T ** 2
+        out = np.zeros((max(labels_i) + 1, max(labels_f) + 1))
+        np.add.at(out, (np.asarray(labels_i)[:, None], np.asarray(labels_f)[None, :]), levels)
+        return out
+
+    @pytest.mark.parametrize("dims", [(3, 3), (4, 4)], ids=["3x3", "4x4"])
+    def test_forward_matches_eigenvector_oracle(self, dims):
+        layout = BipartitionLayout(*dims)
+        for seed in range(5):
+            protocol = random_protocol(layout, 0.7, RandomSource(seed))
+            assert len(eigen_projectors(protocol.h_initial)) == len(eigen_projectors(protocol.h_final)) == layout.dim
+            levels = range(layout.dim)
+            expected = self.oracle(protocol, levels, levels)
+            assert np.abs(forward_distribution(protocol).probs - expected).max() <= 1e-14
+
+    def test_degenerate_forward_matches_clustered_oracle(self):
+        # spectra with repeated levels in Haar bases; the oracle sums single
+        # levels over each cluster
+        energies_i, labels_i = [0.0, 0.0, 0.0, 0.5, 0.5, 1.2, 2.0, 2.0, 3.0], [0, 0, 0, 1, 1, 2, 3, 3, 4]
+        energies_f, labels_f = [-1.0, 0.2, 0.2, 0.2, 0.9, 1.5, 1.5, 2.5, 2.5], [0, 1, 1, 1, 2, 3, 3, 4, 4]
+
+        def hamiltonian(energies, seed):
+            v = haar_random_unitary(9, RandomSource(seed)).matrix
+            m = (v * np.array(energies)) @ v.conj().T
+            return Hamiltonian((m + m.conj().T) / 2.0)
+
+        protocol = TwoPointProtocol(
+            hamiltonian(energies_i, 1), hamiltonian(energies_f, 2), haar_random_unitary(9, RandomSource(3)), 0.8
+        )
+        assert [p.multiplicity for p in eigen_projectors(protocol.h_initial)] == [3, 2, 1, 2, 1]
+        assert [q.multiplicity for q in eigen_projectors(protocol.h_final)] == [1, 3, 1, 2, 2]
+        expected = self.oracle(protocol, labels_i, labels_f)
+        assert np.abs(forward_distribution(protocol).probs - expected).max() <= 1e-14
+
+    @pytest.mark.parametrize("dims", [(2, 2), (4, 4)], ids=["2x2", "4x4"])
+    def test_bit_identical_to_one_contraction_per_pair(self, dims):
+        for seed in range(20):
+            protocol = random_protocol(BipartitionLayout(*dims), 1.0, RandomSource(seed))
+            p_proj, q_proj = eigen_projectors(protocol.h_initial), eigen_projectors(protocol.h_final)
+            u = protocol.unitary.matrix
+            expected = transition_matrix_by_pairs([p.projector for p in p_proj], [q.projector for q in q_proj], u)
+            assert np.array_equal(_transition_matrix(p_proj, q_proj, u), expected)
+
+    def test_one_contraction_per_outcome_row(self, monkeypatch):
+        protocol = random_protocol(BipartitionLayout(4, 4), 1.0, RandomSource(0))
+        calls = []
+        einsum = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: calls.append(args[0]) or einsum(*args, **kwargs))
+        crooks_check(protocol)
+        assert len(calls) <= 2 * 16
 
 
 class TestFreeEnergy:
