@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -25,11 +25,13 @@ from .core import (
     RandomSource,
     UnitaryOperator,
     basis_ket,
-    bipartite_entropies,
-    marginal_entropies,
+    marginal_entropies_of_stack,
     mutual_information,
+    raise_first_failure,
+    spectrum_entropies,
+    unitaries_from_hamiltonian,
     unitary_from_hamiltonian,
-    von_neumann_entropy,
+    validate_unitaries,
 )
 
 PRODUCT_INPUT_TOL = 1e-9
@@ -48,7 +50,8 @@ class Alignment(str, Enum):
 
 @dataclass(frozen=True)
 class EntropyBalanceReport:
-    """Local entropy changes of one joint state under one global unitary.
+    """Local entropy changes of one joint state under one global unitary,
+    or of a stack of them, with every field an (n,) array.
 
     ``sum`` is dS_S + dS_R; for product inputs it must equal the final
     mutual information (that equality is validated on construction).
@@ -63,27 +66,39 @@ class EntropyBalanceReport:
     product_input: bool
 
     def __post_init__(self):
-        if abs(self.sum - (self.ds_s + self.ds_r)) > BALANCE_CONSISTENCY_TOL:
-            raise ValueError("sum field is inconsistent with ds_s + ds_r")
-        if self.product_input and abs(self.sum - self.mi_final) > PRODUCT_INPUT_TOL:
-            raise ValueError(
-                f"product input but sum - final mutual information = {self.sum - self.mi_final:.3e}"
-            )
+        gap = np.atleast_1d(np.subtract(self.sum, self.mi_final))
+        raise_first_failure((
+            (
+                np.atleast_1d(np.abs(np.subtract(self.sum, np.add(self.ds_s, self.ds_r))) > BALANCE_CONSISTENCY_TOL),
+                lambda k: "sum field is inconsistent with ds_s + ds_r",
+            ),
+            (
+                np.atleast_1d(self.product_input) & (np.abs(gap) > PRODUCT_INPUT_TOL),
+                lambda k: f"product input but sum - final mutual information = {gap[k]:.3e}",
+            ),
+        ))
+
+    def trial(self, k: int) -> "EntropyBalanceReport":
+        """Trial k of a stacked report, with Python scalars as fields."""
+        return EntropyBalanceReport(**{f.name: getattr(self, f.name)[k].item() for f in fields(self)})
 
 
-def entropy_balance(rho_joint: DensityOperator, layout: BipartitionLayout, u: UnitaryOperator) -> EntropyBalanceReport:
-    """Evolve the joint state and report both local entropy changes."""
-    if rho_joint.dim != layout.dim or u.dim != layout.dim:
-        raise ValueError("state, layout and unitary dimensions must agree")
-    s_s0, s_r0 = marginal_entropies(rho_joint.matrix, layout)
-    s0 = von_neumann_entropy(rho_joint)
+def entropy_balances(
+    rho: np.ndarray, spectra: np.ndarray, layout: BipartitionLayout, u: np.ndarray
+) -> tuple[EntropyBalanceReport, np.ndarray]:
+    """Evolve a stack (n, D, D) of validated joint states, whose spectra are
+    ``spectra``, by a stack of validated unitaries; return the stacked
+    report and the evolved states U rho U+."""
+    s_s0, s_r0 = marginal_entropies_of_stack(rho, layout)
+    s0 = spectrum_entropies(spectra)
     # U rho U+ of a valid state under a valid unitary is a state: no re-validation
-    final = u.matrix @ rho_joint.matrix @ u.matrix.conj().T
-    s_s1, s_r1, s1 = bipartite_entropies(final, layout)
+    final = u @ rho @ u.conj().swapaxes(-1, -2)
+    s_s1, s_r1 = marginal_entropies_of_stack(final, layout)
+    s1 = spectrum_entropies(np.linalg.eigvalsh(final))
     ds_s = s_s1 - s_s0
     ds_r = s_r1 - s_r0
     mi_initial = s_s0 + s_r0 - s0
-    return EntropyBalanceReport(
+    report = EntropyBalanceReport(
         ds_s=ds_s,
         ds_r=ds_r,
         sum=ds_s + ds_r,
@@ -92,15 +107,29 @@ def entropy_balance(rho_joint: DensityOperator, layout: BipartitionLayout, u: Un
         schrodinger_product=ds_s * ds_r,
         product_input=mi_initial <= PRODUCT_INPUT_TOL,
     )
+    return report, final
+
+
+def entropy_balance(rho_joint: DensityOperator, layout: BipartitionLayout, u: UnitaryOperator) -> EntropyBalanceReport:
+    """Evolve the joint state and report both local entropy changes."""
+    if rho_joint.dim != layout.dim or u.dim != layout.dim:
+        raise ValueError("state, layout and unitary dimensions must agree")
+    report, _ = entropy_balances(rho_joint.matrix[None], rho_joint.spectrum[None], layout, u.matrix[None])
+    return report.trial(0)
+
+
+def schrodinger_checks(products: np.ndarray, tol: float = ALIGNMENT_TOL) -> list[Alignment]:
+    """Classify, for each Schrodinger product dS_S * dS_R of a stack, whether
+    the two local arrows point the same way."""
+    return [
+        Alignment.ALIGNED if p > tol else Alignment.ANTI_ALIGNED if p < -tol else Alignment.DEGENERATE
+        for p in products.tolist()
+    ]
 
 
 def schrodinger_check(report: EntropyBalanceReport, tol: float = ALIGNMENT_TOL) -> Alignment:
     """Classify whether the two local arrows point the same way."""
-    if report.schrodinger_product > tol:
-        return Alignment.ALIGNED
-    if report.schrodinger_product < -tol:
-        return Alignment.ANTI_ALIGNED
-    return Alignment.DEGENERATE
+    return schrodinger_checks(np.array([report.schrodinger_product]), tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +470,16 @@ def weak_coupling_sweep(
     if h_local_s.dim != 2 or h_local_r.dim != 2 or h_int.dim != 4:
         raise ValueError("sweep expects qubit local Hamiltonians and a 4-dim interaction")
     h_local = np.kron(h_local_s.matrix, np.eye(2)) + np.kron(np.eye(2), h_local_r.matrix)
-    states = {eps: near_product_state(eps) for eps in grid.correlation_strengths}
+    states = [near_product_state(eps) for eps in grid.correlation_strengths]
+    times = grid.evolution_times
+    # one stack per coupling, over the (eps, t) cells in grid order
+    rho = np.repeat(np.stack([state.matrix for state in states]), len(times), axis=0)
+    spectra = np.repeat(np.stack([state.spectrum for state in states]), len(times), axis=0)
+    cells = list(itertools.product(grid.correlation_strengths, times))
     points = []
     for g in grid.coupling_strengths:
-        h_total = Hamiltonian(h_local + g * h_int.matrix)
-        unitaries = {t: unitary_from_hamiltonian(h_total, t) for t in grid.evolution_times}
-        for eps in grid.correlation_strengths:
-            for t in grid.evolution_times:
-                report = entropy_balance(states[eps], TWO_QUBITS, unitaries[t])
-                points.append(SweepPoint(coupling=g, epsilon=eps, time=t, sum=report.sum))
+        u = unitaries_from_hamiltonian(Hamiltonian(h_local + g * h_int.matrix), times)
+        validate_unitaries(u)
+        report, _ = entropy_balances(rho, spectra, TWO_QUBITS, np.tile(u, (len(states), 1, 1)))
+        points += [SweepPoint(coupling=g, epsilon=eps, time=t, sum=s) for (eps, t), s in zip(cells, report.sum.tolist())]
     return points

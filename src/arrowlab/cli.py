@@ -263,10 +263,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(experiment: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every experiment, or of ``experiment`` alone: one
+    subparser parses and prints the same as it does within the full parser."""
     parser = _Parser(prog="arrowlab", description="Entropy-balance and fluctuation experiments on small bipartite quantum systems.")
     sub = parser.add_subparsers(dest="experiment", metavar="experiment")
-    for name in experiments.EXPERIMENTS:
+    for name in experiments.EXPERIMENTS if experiment is None else (experiment,):
         p = sub.add_parser(name, help=f"run the {name} experiment", description=f"Run the {name} experiment.")
         for param in _schema(name):
             p.add_argument(f"--{param.key}", dest=param.key, default=None, metavar="V", help=f"{param.help} (default {_format_cell(param.default) if not isinstance(param.default, tuple) else ','.join(map(_format_cell, param.default))})")
@@ -312,7 +314,10 @@ def _write_output(out, text: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # build only the subparser dispatched to; --help, a missing or an unknown
+    # subcommand need the full parser
+    parser = build_parser(argv[0] if argv and argv[0] in experiments.EXPERIMENTS else None)
     try:
         args = parser.parse_args(argv)
         if args.experiment is None:

@@ -14,12 +14,18 @@ Conventions, fixed once for the whole package:
 * randomness flows only through :class:`RandomSource` (numpy PCG64, children
   derived via SeedSequence spawn keys), so every sampling routine is a
   deterministic function of its source.
+
+Experiments run their trials as stacks: the validators, samplers and
+kernels with plural names act on (n, d, d) arrays, one trial per leading
+index, and the single-state functions are their one-element case.
+Every stacked numpy call used here rounds exactly like the per-matrix call,
+so a trial's numbers do not depend on the stack it runs in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Literal
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -33,6 +39,18 @@ SUPPORT_TOL = 1e-12  # eigenvalue threshold defining the support of a state
 RNG_ALGORITHM = "numpy-PCG64"
 
 
+# Stacked arrays are cut into chunks of at most this many entries each: 2^16
+# complex128 entries are 1 MiB, one 256x256 joint state.
+STACK_ENTRIES = 2**16
+
+
+def trial_chunks(trials: int, entries_per_trial: int) -> list[range]:
+    """Consecutive trial index ranges whose stacks hold at most
+    STACK_ENTRIES entries per array (at least one trial per chunk)."""
+    size = max(1, STACK_ENTRIES // entries_per_trial)
+    return [range(start, min(start + size, trials)) for start in range(0, trials, size)]
+
+
 def _as_square_complex(matrix) -> np.ndarray:
     a = np.array(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -41,8 +59,59 @@ def _as_square_complex(matrix) -> np.ndarray:
     return a
 
 
-def _hermiticity_defect(m: np.ndarray) -> float:
-    return float(np.abs(m - m.conj().T).max())
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def raise_first_failure(checks) -> None:
+    """Raise for the first trial of a stack that fails any check.
+
+    ``checks`` lists (failed mask over trials, message for trial k) in the
+    order one trial is checked, so that trial's first failing check names
+    the error, as if the trials had been checked one at a time.
+    """
+    if not any(np.count_nonzero(mask) for mask, _ in checks):
+        return
+    k = np.flatnonzero(np.any([mask for mask, _ in checks], axis=0))[0]
+    raise ValueError(next(message(k) for mask, message in checks if mask[k]))
+
+
+def _hermiticity_defects(m: np.ndarray) -> np.ndarray:
+    return np.abs(m - _dagger(m)).max(axis=(-2, -1))
+
+
+def validate_states(m: np.ndarray) -> np.ndarray:
+    """Check a stack (n, d, d) of density matrices for Hermiticity, unit
+    trace and positivity; return their ascending ``eigvalsh`` spectra."""
+    defect = _hermiticity_defects(m)
+    trace_err = np.abs(m.trace(axis1=-2, axis2=-1) - 1.0)
+    spectra = np.linalg.eigvalsh(m)
+    lam_min = spectra.min(axis=-1)
+    raise_first_failure((
+        (defect > HERMITICITY_TOL, lambda k: f"state is not Hermitian (max deviation {defect[k]:.3e})"),
+        (trace_err > TRACE_TOL, lambda k: f"state trace deviates from 1 by {trace_err[k]:.3e}"),
+        (lam_min < -PSD_TOL, lambda k: f"state has negative eigenvalue {lam_min[k]:.3e}"),
+    ))
+    return spectra
+
+
+def validate_unitaries(m: np.ndarray) -> None:
+    """Check a stack (n, d, d) of matrices for U+U = I."""
+    defect = np.abs(_dagger(m) @ m - np.eye(m.shape[-1])).max(axis=(-2, -1))
+    raise_first_failure(((defect > UNITARITY_TOL, lambda k: f"matrix is not unitary (max deviation {defect[k]:.3e})"),))
+
+
+def validate_hamiltonians(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Check a stack (n, d, d) of Hamiltonians for Hermiticity and return
+    their ``eigh`` eigenvalues and eigenvectors, checked to reconstruct them."""
+    defect = _hermiticity_defects(m)
+    evals, evecs = np.linalg.eigh(m)
+    recon = np.abs((evecs * evals[..., None, :]) @ _dagger(evecs) - m).max(axis=(-2, -1))
+    raise_first_failure((
+        (defect > HERMITICITY_TOL, lambda k: f"Hamiltonian is not Hermitian (max deviation {defect[k]:.3e})"),
+        (recon > RECONSTRUCTION_TOL, lambda k: f"eigendecomposition fails to reconstruct to {recon[k]:.3e}"),
+    ))
+    return evals, evecs
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,16 +128,7 @@ class DensityOperator:
 
     def __post_init__(self):
         m = _as_square_complex(self.matrix)
-        defect = _hermiticity_defect(m)
-        if defect > HERMITICITY_TOL:
-            raise ValueError(f"state is not Hermitian (max deviation {defect:.3e})")
-        trace_err = abs(m.trace() - 1.0)
-        if trace_err > TRACE_TOL:
-            raise ValueError(f"state trace deviates from 1 by {trace_err:.3e}")
-        spectrum = np.linalg.eigvalsh(m)
-        lam_min = float(spectrum.min())
-        if lam_min < -PSD_TOL:
-            raise ValueError(f"state has negative eigenvalue {lam_min:.3e}")
+        spectrum = validate_states(m[None])[0]
         spectrum.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dim", m.shape[0])
@@ -88,9 +148,7 @@ class UnitaryOperator:
 
     def __post_init__(self):
         m = _as_square_complex(self.matrix)
-        defect = float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
-        if defect > UNITARITY_TOL:
-            raise ValueError(f"matrix is not unitary (max deviation {defect:.3e})")
+        validate_unitaries(m[None])
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dim", m.shape[0])
 
@@ -106,13 +164,8 @@ class Hamiltonian:
 
     def __post_init__(self):
         m = _as_square_complex(self.matrix)
-        defect = _hermiticity_defect(m)
-        if defect > HERMITICITY_TOL:
-            raise ValueError(f"Hamiltonian is not Hermitian (max deviation {defect:.3e})")
-        evals, evecs = np.linalg.eigh(m)
-        recon = float(np.abs((evecs * evals) @ evecs.conj().T - m).max())
-        if recon > RECONSTRUCTION_TOL:
-            raise ValueError(f"eigendecomposition fails to reconstruct to {recon:.3e}")
+        evals, evecs = validate_hamiltonians(m[None])
+        evals, evecs = evals[0], evecs[0]
         evals.setflags(write=False)
         evecs.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -196,23 +249,30 @@ def identity_unitary(dim: int) -> UnitaryOperator:
 # composition and reduction
 # ---------------------------------------------------------------------------
 
+def tensor_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker products a_k (x) b_k of two stacks (n, p, p) and (n, q, q)."""
+    n, p, q = len(a), a.shape[-1], b.shape[-1]
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, p * q, p * q)
+
+
 def tensor_product(a: DensityOperator, b: DensityOperator) -> DensityOperator:
-    return DensityOperator(np.kron(a.matrix, b.matrix))
+    return DensityOperator(tensor_products(a.matrix[None], b.matrix[None])[0])
 
 
-def _partial_trace_matrix(m: np.ndarray, dim_s: int, dim_r: int, keep: str) -> np.ndarray:
-    t = m.reshape(dim_s, dim_r, dim_s, dim_r)
+def partial_traces(m: np.ndarray, dim_s: int, dim_r: int, keep: str) -> np.ndarray:
+    """Reduced matrices of a stack (n, D, D) of joint matrices, keeping S or R."""
+    t = m.reshape(len(m), dim_s, dim_r, dim_s, dim_r)
     if keep == "S":
-        return np.einsum("ikjk->ij", t)
+        return np.einsum("nikjk->nij", t)
     if keep == "R":
-        return np.einsum("kikj->ij", t)
+        return np.einsum("nkikj->nij", t)
     raise ValueError(f"keep must be 'S' or 'R', got {keep!r}")
 
 
 def partial_trace(rho: DensityOperator, layout: BipartitionLayout, keep: Literal["S", "R"]) -> DensityOperator:
     if rho.dim != layout.dim:
         raise ValueError(f"state dim {rho.dim} does not match layout {layout.dim_s}x{layout.dim_r}")
-    return DensityOperator(_partial_trace_matrix(rho.matrix, layout.dim_s, layout.dim_r, keep))
+    return DensityOperator(partial_traces(rho.matrix[None], layout.dim_s, layout.dim_r, keep)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +286,32 @@ def _clamped_probabilities(eigs: np.ndarray, what: str = "state") -> np.ndarray:
     return np.clip(eigs, 0.0, None)
 
 
+def masked_row_sums(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Sum of each row of x (n, m) over the entries where ``mask`` holds.
+
+    A row with an entry masked out is summed over its selected entries
+    alone, as one array: summing zeros in their place would regroup
+    numpy's pairwise summation from 8 entries up and move the last bits.
+    """
+    sums = x.sum(axis=-1)
+    if np.count_nonzero(mask) < mask.size:
+        for k in np.flatnonzero(~mask.all(axis=-1)):
+            sums[k] = x[k][mask[k]].sum()
+    return sums
+
+
+def spectrum_entropies(eigs: np.ndarray) -> np.ndarray:
+    """-sum lam ln lam in nats of each spectrum in a stack (n, d), with
+    0 ln 0 := 0; raises on eigenvalues below -PSD_TOL."""
+    lam_min = eigs.min(axis=-1)
+    raise_first_failure(((lam_min < -PSD_TOL, lambda k: f"state has negative eigenvalue {lam_min[k]:.3e}"),))
+    lam = np.clip(eigs, 0.0, None)
+    positive = lam > 0.0
+    return -masked_row_sums(lam * np.log(np.where(positive, lam, 1.0)), positive)
+
+
 def _entropy_of_spectrum(eigs: np.ndarray) -> float:
-    lam = _clamped_probabilities(eigs)
-    lam = lam[lam > 0.0]
-    return float(-np.sum(lam * np.log(lam)))
+    return float(spectrum_entropies(eigs[None])[0])
 
 
 def entropy_of_matrix(m: np.ndarray) -> float:
@@ -250,18 +332,24 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     return _entropy_of_spectrum(rho.spectrum)
 
 
-def marginal_entropies(matrix: np.ndarray, layout: BipartitionLayout) -> tuple[float, float]:
-    """(S(rho_S), S(rho_R)) of a joint matrix, in nats.
+def marginal_entropies_of_stack(m: np.ndarray, layout: BipartitionLayout) -> tuple[np.ndarray, np.ndarray]:
+    """(S(rho_S), S(rho_R)) in nats of each joint matrix in a stack (n, D, D).
 
-    The matrix is taken as given, without building a DensityOperator; each
-    marginal spectrum is still checked for eigenvalues below -PSD_TOL.
+    The matrices are taken as given, without validating them as states;
+    each marginal spectrum is still checked for eigenvalues below -PSD_TOL.
     """
+    return tuple(
+        spectrum_entropies(np.linalg.eigvalsh(partial_traces(m, layout.dim_s, layout.dim_r, keep))) for keep in "SR"
+    )
+
+
+def marginal_entropies(matrix: np.ndarray, layout: BipartitionLayout) -> tuple[float, float]:
+    """(S(rho_S), S(rho_R)) of a joint matrix, in nats; see
+    :func:`marginal_entropies_of_stack`."""
     if matrix.shape != (layout.dim, layout.dim):
         raise ValueError(f"state dim {matrix.shape[0]} does not match layout {layout.dim_s}x{layout.dim_r}")
-    return (
-        entropy_of_matrix(_partial_trace_matrix(matrix, layout.dim_s, layout.dim_r, "S")),
-        entropy_of_matrix(_partial_trace_matrix(matrix, layout.dim_s, layout.dim_r, "R")),
-    )
+    s_s, s_r = marginal_entropies_of_stack(matrix[None], layout)
+    return float(s_s[0]), float(s_r[0])
 
 
 def bipartite_entropies(matrix: np.ndarray, layout: BipartitionLayout) -> tuple[float, float, float]:
@@ -321,47 +409,84 @@ def evolve(rho: DensityOperator, u: UnitaryOperator) -> DensityOperator:
     return DensityOperator(u.matrix @ rho.matrix @ u.matrix.conj().T)
 
 
+def unitaries_from_hamiltonian(h: Hamiltonian, times) -> np.ndarray:
+    """exp(-i H t) for each t of a sequence, through the cached
+    eigendecomposition; the stack (n, d, d) is not validated
+    (:func:`validate_unitaries` checks it)."""
+    with np.errstate(over="ignore"):
+        angles = np.asarray(times, dtype=float)[:, None] * h.eigenvalues
+    raise_first_failure(((
+        ~np.isfinite(angles).all(axis=-1),
+        lambda k: f"H t overflows: largest |eigenvalue| {float(np.abs(h.eigenvalues).max())!r} at t = {times[k]!r}",
+    ),))
+    phases = np.exp(-1j * angles)
+    return (h.eigenvectors * phases[:, None, :]) @ h.eigenvectors.conj().T
+
+
 def unitary_from_hamiltonian(h: Hamiltonian, t: float) -> UnitaryOperator:
     """exp(-i H t) through the cached eigendecomposition."""
-    with np.errstate(over="ignore"):
-        angles = h.eigenvalues * t
-    if not np.all(np.isfinite(angles)):
-        raise ValueError(f"H t overflows: largest |eigenvalue| {float(np.abs(h.eigenvalues).max())!r} at t = {t!r}")
-    phases = np.exp(-1j * angles)
-    return UnitaryOperator((h.eigenvectors * phases) @ h.eigenvectors.conj().T)
+    return UnitaryOperator(unitaries_from_hamiltonian(h, [t])[0])
+
+
+def gibbs_matrices(h: Hamiltonian, betas) -> np.ndarray:
+    """Thermal states exp(-beta H)/Z for each beta of a sequence; the
+    spectrum is shifted by its minimum before exponentiating so large beta
+    cannot overflow.  The stack (n, d, d) is not validated
+    (:func:`validate_states` checks it)."""
+    betas = np.asarray(betas, dtype=float)
+    raise_first_failure(((~(np.isfinite(betas) & (betas >= 0.0)), lambda k: "beta must be finite and >= 0"),))
+    w = np.exp(-betas[:, None] * (h.eigenvalues - h.eigenvalues.min()))
+    p = w / w.sum(axis=-1, keepdims=True)
+    return (h.eigenvectors * p[:, None, :]) @ h.eigenvectors.conj().T
 
 
 def gibbs_state(h: Hamiltonian, beta: float) -> DensityOperator:
-    """Thermal state exp(-beta H)/Z; the spectrum is shifted by its minimum
-    before exponentiating so large beta cannot overflow."""
-    if not np.isfinite(beta) or beta < 0.0:
-        raise ValueError("beta must be finite and >= 0")
-    w = np.exp(-beta * (h.eigenvalues - h.eigenvalues.min()))
-    p = w / w.sum()
-    return DensityOperator((h.eigenvectors * p) @ h.eigenvectors.conj().T)
+    """Thermal state exp(-beta H)/Z; see :func:`gibbs_matrices`."""
+    return DensityOperator(gibbs_matrices(h, [beta])[0])
 
 
 # ---------------------------------------------------------------------------
 # random sampling
 # ---------------------------------------------------------------------------
 
-def haar_random_unitary(dim: int, rng: RandomSource) -> UnitaryOperator:
-    """Haar-distributed unitary: QR of a complex Ginibre matrix with the
-    standard phase-fixing correction on the diagonal of R."""
+def gaussian_matrices(sources: Sequence[RandomSource], rows: int, cols: int) -> np.ndarray:
+    """Stack of complex Gaussian matrices X + iY, one per source, each drawn
+    from the start of its source's stream: all of X, then all of Y."""
+    re = np.empty((len(sources), rows, cols))
+    im = np.empty_like(re)
+    for k, source in enumerate(sources):
+        g = source.generator()
+        g.standard_normal(out=re[k])
+        g.standard_normal(out=im[k])
+    return re + 1j * im
+
+
+def haar_unitaries(dim: int, sources: Sequence[RandomSource]) -> np.ndarray:
+    """Haar-distributed unitaries, one per source: QR of a complex Ginibre
+    matrix with the standard phase-fixing correction on the diagonal of R.
+    The stack is not validated (:func:`validate_unitaries` checks it)."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    g = rng.generator()
-    z = (g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r) / np.abs(np.diag(r))
-    return UnitaryOperator(q * phases)
+    q, r = np.linalg.qr(gaussian_matrices(sources, dim, dim) / np.sqrt(2.0))
+    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diagonal / np.abs(diagonal))[:, None, :]
+
+
+def haar_random_unitary(dim: int, rng: RandomSource) -> UnitaryOperator:
+    """Haar-distributed unitary; see :func:`haar_unitaries`."""
+    return UnitaryOperator(haar_unitaries(dim, [rng])[0])
+
+
+def random_density_matrices(dim: int, rank: int, sources: Sequence[RandomSource]) -> np.ndarray:
+    """G G† / tr(G G†) per source, with G a dim x rank complex Gaussian
+    matrix.  The stack is not validated (:func:`validate_states` checks it)."""
+    if not 1 <= rank <= dim:
+        raise ValueError("rank must satisfy 1 <= rank <= dim")
+    z = gaussian_matrices(sources, dim, rank) / np.sqrt(2.0)
+    m = z @ _dagger(z)
+    return m / m.trace(axis1=-2, axis2=-1).real[:, None, None]
 
 
 def random_density_operator(dim: int, rank: int, rng: RandomSource) -> DensityOperator:
     """G G† / tr(G G†) with G a dim x rank complex Gaussian matrix."""
-    if not 1 <= rank <= dim:
-        raise ValueError("rank must satisfy 1 <= rank <= dim")
-    g = rng.generator()
-    z = (g.standard_normal((dim, rank)) + 1j * g.standard_normal((dim, rank))) / np.sqrt(2.0)
-    m = z @ z.conj().T
-    return DensityOperator(m / m.trace().real)
+    return DensityOperator(random_density_matrices(dim, rank, [rng])[0])

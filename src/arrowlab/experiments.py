@@ -30,13 +30,17 @@ from .core import (
     Hamiltonian,
     RandomSource,
     gibbs_state,
-    haar_random_unitary,
+    haar_unitaries,
     mutual_information,
     pure_state,
+    random_density_matrices,
     random_density_operator,
     renyi2_of_matrix,
-    tensor_product,
+    tensor_products,
     trace_distance,
+    trial_chunks,
+    validate_states,
+    validate_unitaries,
 )
 
 BALANCE_TOL = 1e-9
@@ -159,25 +163,52 @@ def near_product_mutual_information(epsilon: float) -> float:
     return 2.0 * _binary_entropy(epsilon / 2.0) - _binary_entropy(epsilon)
 
 
-def _random_product_trial(layout: BipartitionLayout, src: RandomSource):
-    rho = tensor_product(
-        random_density_operator(layout.dim_s, layout.dim_s, src.child(0)),
-        random_density_operator(layout.dim_r, layout.dim_r, src.child(1)),
-    )
-    u = haar_random_unitary(layout.dim, src.child(2))
-    return arrow.entropy_balance(rho, layout, u)
+def _by_chunks(trials: int, entries_per_trial: int, run_chunk: Callable[[range], list[Row]]) -> list[Row]:
+    """Rows of ``run_chunk`` over consecutive chunks of the trials, each
+    chunk run as one stack (see :func:`core.trial_chunks`).
+
+    Trial k draws from ``root.child(k)`` whatever chunk it falls in.  When a
+    chunk fails, its trials rerun one at a time, so the error raised is the
+    one the first failing trial raises on its own.
+    """
+    rows = []
+    for chunk in trial_chunks(trials, entries_per_trial):
+        try:
+            rows += run_chunk(chunk)
+        except ValueError:
+            for k in chunk:
+                run_chunk(range(k, k + 1))
+            raise
+    return rows
+
+
+def _product_balances(layout: BipartitionLayout, sources: list[RandomSource]) -> arrow.EntropyBalanceReport:
+    """Stacked entropy balances of random product inputs under Haar
+    unitaries: per source, the two factors from its children 0 and 1 and
+    the unitary from child 2."""
+    rho_s = random_density_matrices(layout.dim_s, layout.dim_s, [src.child(0) for src in sources])
+    validate_states(rho_s)
+    rho_r = random_density_matrices(layout.dim_r, layout.dim_r, [src.child(1) for src in sources])
+    validate_states(rho_r)
+    rho = tensor_products(rho_s, rho_r)
+    spectra = validate_states(rho)
+    u = haar_unitaries(layout.dim, [src.child(2) for src in sources])
+    validate_unitaries(u)
+    return arrow.entropy_balances(rho, spectra, layout, u)[0]
 
 
 def run_balance(trials: int, dim_s: int, dim_r: int, seed: int) -> Result:
     """Entropy-balance identity on random product inputs under Haar unitaries."""
     layout = BipartitionLayout(dim_s, dim_r)
     root = RandomSource(seed)
-    rows = []
-    for k in range(trials):
-        rep = _random_product_trial(layout, root.child(k))
-        dev = abs(rep.sum - rep.mi_final)
-        rows.append((k, rep.ds_s, rep.ds_r, rep.sum, rep.mi_initial, rep.mi_final, dev, arrow.schrodinger_check(rep).value))
-    return rows, {}
+
+    def run_chunk(chunk: range) -> list[Row]:
+        rep = _product_balances(layout, [root.child(k) for k in chunk])
+        alignments = arrow.schrodinger_checks(rep.schrodinger_product)
+        columns = (rep.ds_s, rep.ds_r, rep.sum, rep.mi_initial, rep.mi_final, np.abs(rep.sum - rep.mi_final))
+        return [(k, *cells, a.value) for k, cells, a in zip(chunk, zip(*(c.tolist() for c in columns)), alignments)]
+
+    return _by_chunks(trials, layout.dim**2, run_chunk), {}
 
 
 def run_near_product(epsilon: float) -> Result:
@@ -259,11 +290,14 @@ def run_schrodinger(trials: int, dim_s: int, dim_r: int, seed: int) -> Result:
     """Census of relative arrow directions for product inputs under Haar unitaries."""
     layout = BipartitionLayout(dim_s, dim_r)
     root = RandomSource(seed)
-    rows = []
-    for k in range(trials):
-        rep = _random_product_trial(layout, root.child(k))
-        rows.append((k, rep.ds_s, rep.ds_r, rep.schrodinger_product, arrow.schrodinger_check(rep).value, rep.sum))
-    return rows, {}
+
+    def run_chunk(chunk: range) -> list[Row]:
+        rep = _product_balances(layout, [root.child(k) for k in chunk])
+        alignments = arrow.schrodinger_checks(rep.schrodinger_product)
+        columns = zip(rep.ds_s.tolist(), rep.ds_r.tolist(), rep.schrodinger_product.tolist(), alignments, rep.sum.tolist())
+        return [(k, ds_s, ds_r, product, a.value, total) for k, (ds_s, ds_r, product, a, total) in zip(chunk, columns)]
+
+    return _by_chunks(trials, layout.dim**2, run_chunk), {}
 
 
 def run_sweep(
@@ -343,27 +377,41 @@ def run_crooks(trials: int, beta: float, dim_s: int, dim_r: int, seed: int) -> R
     random two-point protocols."""
     layout = BipartitionLayout(dim_s, dim_r)
     root = RandomSource(seed)
-    rows = []
-    for k in range(trials):
-        protocol = fluctuation.random_protocol(layout, beta, root.child(k))
-        report = fluctuation.crooks_check(protocol)
-        lhs, rhs = report.jarzynski_lhs, report.jarzynski_rhs
-        kl, avg = report.entropy_production, report.average_sigma
-        rows.append((k, report.delta_f, report.max_deviation, lhs, rhs, abs(lhs - rhs) / rhs, kl, avg, abs(kl - avg)))
-    return rows, {}
+
+    def run_chunk(chunk: range) -> list[Row]:
+        rows = []
+        stack = fluctuation.random_protocols(layout, beta, [root.child(k) for k in chunk])
+        for k, report in zip(chunk, fluctuation.crooks_checks(stack)):
+            lhs, rhs = report.jarzynski_lhs, report.jarzynski_rhs
+            kl, avg = report.entropy_production, report.average_sigma
+            rows.append((k, report.delta_f, report.max_deviation, lhs, rhs, abs(lhs - rhs) / rhs, kl, avg, abs(kl - avg)))
+        return rows
+
+    # the largest stacks hold d projectors of d x d per trial
+    return _by_chunks(trials, layout.dim**3, run_chunk), {}
 
 
 def run_jarzynski(trials: int, beta: float, dim_s: int, dim_r: int, seed: int) -> Result:
     """Work-average identity alone, on the same random protocol family."""
     layout = BipartitionLayout(dim_s, dim_r)
     root = RandomSource(seed)
-    rows = []
-    for k in range(trials):
-        protocol = fluctuation.random_protocol(layout, beta, root.child(k))
-        delta_f = fluctuation.free_energy_difference(protocol)
-        lhs, rhs = fluctuation.jarzynski_check(fluctuation.forward_distribution(protocol), beta, delta_f)
-        rows.append((k, lhs, rhs, abs(lhs - rhs) / rhs))
-    return rows, {}
+
+    def run_chunk(chunk: range) -> list[Row]:
+        stack = fluctuation.random_protocols(layout, beta, [root.child(k) for k in chunk])
+        lhs, rhs = fluctuation.jarzynski_checks(stack)
+        return [(k, lh, rh, abs(lh - rh) / rh) for k, lh, rh in zip(chunk, lhs.tolist(), rhs.tolist())]
+
+    return _by_chunks(trials, layout.dim**3, run_chunk), {}
+
+
+def _heatflow_draw(src: RandomSource) -> tuple[float, float, float]:
+    """(beta_s, beta_r, time) of one heat-flow trial."""
+    g = src.generator()
+    beta_hot = g.uniform(0.2, 1.0)
+    beta_cold = beta_hot + g.uniform(0.5, 2.0)
+    hot_is_s = bool(g.integers(2))
+    beta_s, beta_r = (beta_hot, beta_cold) if hot_is_s else (beta_cold, beta_hot)
+    return beta_s, beta_r, g.uniform(0.5, 1.2)
 
 
 def run_heatflow(trials: int, seed: int) -> Result:
@@ -371,16 +419,15 @@ def run_heatflow(trials: int, seed: int) -> Result:
     hotter side must not gain energy and the Clausius combination must be
     non-negative."""
     root = RandomSource(seed)
-    rows = []
-    for k in range(trials):
-        g = root.child(k).generator()
-        beta_hot = g.uniform(0.2, 1.0)
-        beta_cold = beta_hot + g.uniform(0.5, 2.0)
-        hot_is_s = bool(g.integers(2))
-        beta_s, beta_r = (beta_hot, beta_cold) if hot_is_s else (beta_cold, beta_hot)
-        t = fluctuation.heat_flow_trial(beta_s, beta_r, time=g.uniform(0.5, 1.2))
-        rows.append((k, t.beta_s, t.beta_r, t.hotter, t.du_s, t.du_r, t.ds_s, t.ds_r, t.t_s, t.t_r, t.clausius_lhs))
-    return rows, {}
+
+    def run_chunk(chunk: range) -> list[Row]:
+        beta_s, beta_r, times = zip(*(_heatflow_draw(root.child(k)) for k in chunk))
+        return [
+            (k, t.beta_s, t.beta_r, t.hotter, t.du_s, t.du_r, t.ds_s, t.ds_r, t.t_s, t.t_r, t.clausius_lhs)
+            for k, t in zip(chunk, fluctuation.heat_flow_trials(beta_s, beta_r, times))
+        ]
+
+    return _by_chunks(trials, arrow.TWO_QUBITS.dim**2, run_chunk), {}
 
 
 def run_damping(trials: int, beta: float, seed: int) -> Result:

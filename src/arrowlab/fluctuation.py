@@ -20,18 +20,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrow import TWO_QUBITS, EntropyBalanceReport, entropy_balance
+from .arrow import TWO_QUBITS, EntropyBalanceReport, entropy_balances
 from .core import (
     BipartitionLayout,
     DensityOperator,
     Hamiltonian,
     RandomSource,
     UnitaryOperator,
+    gaussian_matrices,
+    gibbs_matrices,
     gibbs_state,
-    haar_random_unitary,
+    haar_unitaries,
+    masked_row_sums,
+    raise_first_failure,
     relative_entropy,
-    tensor_product,
-    unitary_from_hamiltonian,
+    tensor_products,
+    unitaries_from_hamiltonian,
+    validate_hamiltonians,
+    validate_states,
+    validate_unitaries,
 )
 
 CLUSTER_GAP_TOL = 1e-9
@@ -52,20 +59,43 @@ class EnergyProjector:
         return int(round(np.real(self.projector.trace())))
 
 
+def _cluster_breaks(evals: np.ndarray) -> np.ndarray:
+    """(n, d - 1) mask over a stack of ascending spectra: level i + 1 starts
+    a new cluster, its gap to level i being above CLUSTER_GAP_TOL."""
+    return ~(np.diff(evals, axis=-1) <= CLUSTER_GAP_TOL)
+
+
+def _cluster_sizes(breaks: np.ndarray) -> tuple[int, ...]:
+    edges = [0, *(np.flatnonzero(breaks) + 1).tolist(), len(breaks) + 1]
+    return tuple(np.diff(edges).tolist())
+
+
+def spectral_projectors(evals: np.ndarray, evecs: np.ndarray, sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster energies (n, c) and projectors (n, c, d, d) of a stack of
+    eigensystems whose spectra share the cluster sizes ``sizes``.
+
+    Each projector is V V+ over its cluster's eigenvectors; each energy is
+    the mean of the cluster's eigenvalues, the eigenvalue itself for one level.
+    """
+    n, d = evals.shape
+    energies = np.empty((n, len(sizes)))
+    projectors = np.empty((n, len(sizes), d, d), dtype=complex)
+    start = 0
+    for c, size in enumerate(sizes):
+        members = slice(start, start + size)
+        # contiguous, like one trial's evecs[:, members], so BLAS rounds the same
+        v = np.ascontiguousarray(evecs[:, :, members])
+        projectors[:, c] = v @ v.conj().swapaxes(-1, -2)
+        energies[:, c] = evals[:, start] if size == 1 else np.mean(evals[:, members], axis=-1)
+        start += size
+    return energies, projectors
+
+
 def eigen_projectors(h: Hamiltonian) -> list[EnergyProjector]:
     """Spectral projectors, one per eigenvalue cluster (gap tolerance 1e-9)."""
-    evals, evecs = h.eigenvalues, h.eigenvectors
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, len(evals)):
-        if evals[i] - evals[clusters[-1][-1]] <= CLUSTER_GAP_TOL:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    out = []
-    for members in clusters:
-        v = evecs[:, members]
-        out.append(EnergyProjector(energy=float(np.mean(evals[members])), projector=v @ v.conj().T))
-    return out
+    evals = h.eigenvalues[None]
+    energies, projectors = spectral_projectors(evals, h.eigenvectors[None], _cluster_sizes(_cluster_breaks(evals)[0]))
+    return [EnergyProjector(energy=e, projector=p) for e, p in zip(energies[0].tolist(), projectors[0])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,8 +111,61 @@ class TwoPointProtocol:
     def __post_init__(self):
         if not (self.h_initial.dim == self.h_final.dim == self.unitary.dim):
             raise ValueError("protocol dimensions must agree")
-        if not np.isfinite(self.beta) or self.beta <= 0.0:
-            raise ValueError("beta must be finite and > 0")
+        _check_beta(self.beta)
+
+
+def _check_beta(beta: float) -> None:
+    if not np.isfinite(beta) or beta <= 0.0:
+        raise ValueError("beta must be finite and > 0")
+
+
+@dataclass(frozen=True, eq=False)
+class ProtocolStack:
+    """n validated two-point protocols of one dimension at one inverse
+    temperature, as stacks: the eigenvalues (n, d) and eigenvectors
+    (n, d, d) of both Hamiltonians, and the drives (n, d, d)."""
+
+    evals_initial: np.ndarray
+    evecs_initial: np.ndarray
+    evals_final: np.ndarray
+    evecs_final: np.ndarray
+    unitaries: np.ndarray
+    beta: float
+
+    def __post_init__(self):
+        _check_beta(self.beta)
+
+    def __len__(self) -> int:
+        return len(self.unitaries)
+
+    @classmethod
+    def of(cls, protocols) -> "ProtocolStack":
+        """Stack protocols that share one beta."""
+        betas = {protocol.beta for protocol in protocols}
+        if len(betas) != 1:
+            raise ValueError("stacked protocols must share one beta")
+        return cls(
+            evals_initial=np.stack([p.h_initial.eigenvalues for p in protocols]),
+            evecs_initial=np.stack([p.h_initial.eigenvectors for p in protocols]),
+            evals_final=np.stack([p.h_final.eigenvalues for p in protocols]),
+            evecs_final=np.stack([p.h_final.eigenvectors for p in protocols]),
+            unitaries=np.stack([p.unitary.matrix for p in protocols]),
+            beta=betas.pop(),
+        )
+
+
+def check_distributions(probs: np.ndarray) -> np.ndarray:
+    """Validate a stack (n, a, b) of joint outcome distributions: no
+    probability below -1e-12 and each sum within 1e-12 of 1.  Returns the
+    stack clipped at zero."""
+    lowest = probs.min(axis=(-2, -1))
+    p = np.clip(probs, 0.0, None)
+    total = p.sum(axis=(-2, -1))
+    raise_first_failure((
+        (lowest < -DISTRIBUTION_SUM_TOL, lambda k: f"negative outcome probability {lowest[k]:.3e}"),
+        (np.abs(total - 1.0) > DISTRIBUTION_SUM_TOL, lambda k: f"outcome probabilities sum to {total[k]!r}, not 1"),
+    ))
+    return p
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,12 +177,7 @@ class JointOutcomeDistribution:
     energies_final: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if p.min() < -DISTRIBUTION_SUM_TOL:
-            raise ValueError(f"negative outcome probability {p.min():.3e}")
-        p = np.clip(p, 0.0, None)
-        if abs(p.sum() - 1.0) > DISTRIBUTION_SUM_TOL:
-            raise ValueError(f"outcome probabilities sum to {p.sum()!r}, not 1")
+        p = check_distributions(np.asarray(self.probs, dtype=float)[None])[0]
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "energies_initial", np.asarray(self.energies_initial, dtype=float))
@@ -110,21 +188,22 @@ class JointOutcomeDistribution:
         return self.energies_final[None, :] - self.energies_initial[:, None]
 
 
-def _log_partition(h: Hamiltonian, beta: float) -> float:
-    """ln sum exp(-beta E) in the form of scipy.special.logsumexp, so results
-    match it bit for bit: every maximal term is taken out of the sum and
-    counted, the rest are summed relative to the maximum."""
-    a = -beta * h.eigenvalues
-    a_max = a.max()
+def log_partitions(evals: np.ndarray, beta: float) -> np.ndarray:
+    """ln sum exp(-beta E) of each spectrum in a stack (n, d), in the form of
+    scipy.special.logsumexp, so results match it bit for bit: every maximal
+    term is taken out of the sum and counted, the rest are summed relative
+    to the maximum."""
+    a = -beta * evals
+    a_max = a.max(axis=-1, keepdims=True)
     top = a == a_max
-    count = np.count_nonzero(top)
-    rest = np.exp(np.where(top, -np.inf, a) - a_max).sum() / count
-    return float(np.log1p(rest) + np.log(count) + a_max)
+    count = np.count_nonzero(top, axis=-1)
+    rest = np.exp(np.where(top, -np.inf, a) - a_max).sum(axis=-1) / count
+    return np.log1p(rest) + np.log(count) + a_max[:, 0]
 
 
 def free_energy(h: Hamiltonian, beta: float) -> float:
     """F = -ln(Z)/beta in the same (dimensionless) energy units as H."""
-    return -_log_partition(h, beta) / beta
+    return -float(log_partitions(h.eigenvalues[None], beta)[0]) / beta
 
 
 def free_energy_difference(protocol: TwoPointProtocol) -> float:
@@ -132,32 +211,96 @@ def free_energy_difference(protocol: TwoPointProtocol) -> float:
     return free_energy(protocol.h_final, protocol.beta) - free_energy(protocol.h_initial, protocol.beta)
 
 
-def _transition_matrix(p_proj, q_proj, u: np.ndarray) -> np.ndarray:
-    """t[n, m] = tr(Q_m U P_n U+); symmetric under protocol reversal.
+def _transitions(p: np.ndarray, q: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """t[k, n, m] = tr(Q_m U P_n U+) for each trial k of stacked projectors
+    p (N, a, d, d), q (N, b, d, d) and drives u (N, d, d).
 
-    One contraction against the stacked Q_m per initial cluster n.
+    The rotations U P_n U+ are stacked; the contraction against the stacked
+    Q_m stays one np.einsum per (trial, n), because no stacked form of it
+    rounds like that one.
     """
-    q = np.stack([qm.projector for qm in q_proj])
-    t = np.empty((len(p_proj), len(q_proj)))
-    for n, pn in enumerate(p_proj):
-        rotated = u @ pn.projector @ u.conj().T
-        t[n] = np.real(np.einsum("mij,ji->m", q, rotated))
+    rotated = u[:, None] @ p @ u.conj().swapaxes(-1, -2)[:, None]
+    t = np.empty(p.shape[:2] + q.shape[1:2])
+    for k in range(len(p)):
+        for n in range(p.shape[1]):
+            t[k, n] = np.real(np.einsum("mij,ji->m", q[k], rotated[k, n]))
     return np.clip(t, 0.0, None)
+
+
+@dataclass(frozen=True, eq=False)
+class _ProtocolGroup:
+    """The trials of a protocol stack whose spectra share their cluster
+    sizes, each Hamiltonian projected once."""
+
+    trials: np.ndarray
+    energies_initial: np.ndarray
+    projectors_initial: np.ndarray
+    energies_final: np.ndarray
+    projectors_final: np.ndarray
+    unitaries: np.ndarray
+    log_z_initial: np.ndarray
+    log_z_final: np.ndarray
+    beta: float
+
+    def forward(self) -> np.ndarray:
+        """Unvalidated p_f(n, m): Gibbs-weighted initial outcome, drive, final measurement."""
+        weights = np.exp(-self.beta * self.energies_initial - self.log_z_initial[:, None])
+        return weights[:, :, None] * _transitions(self.projectors_initial, self.projectors_final, self.unitaries)
+
+    def backward(self) -> np.ndarray:
+        """Unvalidated p_b(n, m): start thermal on h_final, drive with U+,
+        measure h_initial; computed independently of p_f."""
+        weights = np.exp(-self.beta * self.energies_final - self.log_z_final[:, None])
+        u_dag = self.unitaries.conj().swapaxes(-1, -2)
+        t = _transitions(self.projectors_final, self.projectors_initial, u_dag)
+        # indexed (n, m) in C order, as p_f is, so that sums over it group alike
+        return np.ascontiguousarray(t.swapaxes(-1, -2)) * weights[:, None, :]
+
+    def delta_f(self) -> np.ndarray:
+        """dF = F(h_final) - F(h_initial) of each trial."""
+        return -self.log_z_final / self.beta - -self.log_z_initial / self.beta
+
+    def work(self) -> np.ndarray:
+        """W[k, n, m] = E'_m - E_n."""
+        return self.energies_final[:, None, :] - self.energies_initial[:, :, None]
+
+
+def _groups(stack: ProtocolStack) -> list[_ProtocolGroup]:
+    """Split a stack by the cluster sizes of both spectra; random draws make
+    one group, a degenerate protocol a group of its own."""
+    d = stack.evals_initial.shape[-1]
+    breaks = np.concatenate([_cluster_breaks(stack.evals_initial), _cluster_breaks(stack.evals_final)], axis=-1)
+    keys, inverse = np.unique(breaks, axis=0, return_inverse=True)
+    groups = []
+    for g, key in enumerate(keys):
+        trials = np.flatnonzero(inverse.ravel() == g)
+        e_i, p = spectral_projectors(stack.evals_initial[trials], stack.evecs_initial[trials], _cluster_sizes(key[: d - 1]))
+        e_f, q = spectral_projectors(stack.evals_final[trials], stack.evecs_final[trials], _cluster_sizes(key[d - 1 :]))
+        groups.append(
+            _ProtocolGroup(
+                trials=trials,
+                energies_initial=e_i,
+                projectors_initial=p,
+                energies_final=e_f,
+                projectors_final=q,
+                unitaries=stack.unitaries[trials],
+                log_z_initial=log_partitions(stack.evals_initial[trials], stack.beta),
+                log_z_final=log_partitions(stack.evals_final[trials], stack.beta),
+                beta=stack.beta,
+            )
+        )
+    return groups
+
+
+def _single_group(protocol: TwoPointProtocol) -> _ProtocolGroup:
+    (group,) = _groups(ProtocolStack.of([protocol]))
+    return group
 
 
 def forward_distribution(protocol: TwoPointProtocol) -> JointOutcomeDistribution:
     """p_f(n, m): Gibbs-weighted initial outcome, drive, final measurement."""
-    p_proj = eigen_projectors(protocol.h_initial)
-    q_proj = eigen_projectors(protocol.h_final)
-    log_z = _log_partition(protocol.h_initial, protocol.beta)
-    weights = np.exp(-protocol.beta * np.array([p.energy for p in p_proj]) - log_z)
-    t = _transition_matrix(p_proj, q_proj, protocol.unitary.matrix)
-    probs = weights[:, None] * t
-    return JointOutcomeDistribution(
-        probs=probs,
-        energies_initial=np.array([p.energy for p in p_proj]),
-        energies_final=np.array([q.energy for q in q_proj]),
-    )
+    group = _single_group(protocol)
+    return JointOutcomeDistribution(group.forward()[0], group.energies_initial[0], group.energies_final[0])
 
 
 def backward_distribution(protocol: TwoPointProtocol) -> JointOutcomeDistribution:
@@ -166,22 +309,8 @@ def backward_distribution(protocol: TwoPointProtocol) -> JointOutcomeDistributio
     Indexed (n, m) exactly like the forward distribution so the two can be
     compared elementwise.
     """
-    p_proj = eigen_projectors(protocol.h_initial)
-    q_proj = eigen_projectors(protocol.h_final)
-    log_z = _log_partition(protocol.h_final, protocol.beta)
-    weights = np.exp(-protocol.beta * np.array([q.energy for q in q_proj]) - log_z)
-    u_dag = protocol.unitary.matrix.conj().T
-    p = np.stack([pn.projector for pn in p_proj])
-    t = np.empty((len(p_proj), len(q_proj)))
-    for m, qm in enumerate(q_proj):
-        rotated = u_dag @ qm.projector @ u_dag.conj().T
-        t[:, m] = np.real(np.einsum("nij,ji->n", p, rotated))
-    probs = np.clip(t, 0.0, None) * weights[None, :]
-    return JointOutcomeDistribution(
-        probs=probs,
-        energies_initial=np.array([p.energy for p in p_proj]),
-        energies_final=np.array([q.energy for q in q_proj]),
-    )
+    group = _single_group(protocol)
+    return JointOutcomeDistribution(group.backward()[0], group.energies_initial[0], group.energies_final[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +318,8 @@ class CrooksReport:
     """Elementwise detailed-ratio check plus the derived integral identities.
 
     ``ratio``, ``predicted`` and ``deviation`` are NaN wherever the backward
-    probability falls below the 1e-15 floor (those pairs carry no data).
+    probability falls below the 1e-15 floor (those pairs carry no data), and
+    ``max_deviation`` is the largest finite deviation (0 if there is none).
     ``jarzynski_lhs`` and ``jarzynski_rhs`` are <exp(-beta W)> and
     exp(-beta dF); ``entropy_production`` is KL(p_f || p_b), which must equal
     ``average_sigma`` = <beta (W - dF)>.
@@ -198,16 +328,66 @@ class CrooksReport:
     ratio: np.ndarray
     predicted: np.ndarray
     deviation: np.ndarray
+    max_deviation: float
     delta_f: float
     jarzynski_lhs: float
     jarzynski_rhs: float
     entropy_production: float
     average_sigma: float
 
-    @property
-    def max_deviation(self) -> float:
-        finite = self.deviation[np.isfinite(self.deviation)]
-        return float(finite.max()) if finite.size else 0.0
+
+def _work_averages(pf: np.ndarray, work: np.ndarray, beta: float) -> np.ndarray:
+    """<exp(-beta W)> over each forward distribution of a stack."""
+    return (pf * np.exp(-beta * work)).reshape(len(pf), -1).sum(axis=-1)
+
+
+def _entropy_productions(pf, pb, work, beta: float, delta_f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(KL(p_f || p_b), <beta (W - dF)>_pf) for each trial of a stack, both
+    summed over the forward support."""
+    on = pf > PROBABILITY_FLOOR
+    if np.any(on & (pb <= PROBABILITY_FLOOR)):
+        raise ValueError("support of the forward distribution exceeds the backward one")
+    on = on.reshape(len(pf), -1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = pf * np.log(pf / pb)
+    sigma = beta * (work - delta_f[:, None, None])
+    return masked_row_sums(terms.reshape(on.shape), on), masked_row_sums((pf * sigma).reshape(on.shape), on)
+
+
+def crooks_checks(stack: ProtocolStack) -> list[CrooksReport]:
+    """:func:`crooks_check` for every protocol of a stack, in stack order."""
+    reports: list[CrooksReport] = [None] * len(stack)
+    for group in _groups(stack):
+        pf = check_distributions(group.forward())
+        pb = check_distributions(group.backward())
+        delta_f = group.delta_f()
+        w = group.work()
+        supported = pb > PROBABILITY_FLOOR
+        if np.any((pf > PROBABILITY_FLOOR) & ~supported):
+            raise ValueError("forward-supported outcome pair with vanishing backward probability")
+        ratio = np.divide(pf, pb, out=np.full_like(pf, np.nan), where=supported)
+        predicted = np.exp(stack.beta * (w - delta_f[:, None, None]))
+        predicted_masked = np.where(supported, predicted, np.nan)
+        deviation = np.abs(ratio - predicted_masked) / predicted_masked
+        finite = np.isfinite(deviation)
+        max_deviation = np.where(finite, deviation, -np.inf).max(axis=(-2, -1))
+        max_deviation[~finite.any(axis=(-2, -1))] = 0.0
+        lhs, rhs = _work_averages(pf, w, stack.beta), np.exp(-stack.beta * delta_f)
+        kl, avg_sigma = _entropy_productions(pf, pb, w, stack.beta, delta_f)
+        columns = zip(max_deviation.tolist(), delta_f.tolist(), lhs.tolist(), rhs.tolist(), kl.tolist(), avg_sigma.tolist())
+        for k, (trial, (dev, df, lh, rh, kl_k, avg_k)) in enumerate(zip(group.trials.tolist(), columns)):
+            reports[trial] = CrooksReport(
+                ratio=ratio[k],
+                predicted=predicted_masked[k],
+                deviation=deviation[k],
+                max_deviation=dev,
+                delta_f=df,
+                jarzynski_lhs=lh,
+                jarzynski_rhs=rh,
+                entropy_production=kl_k,
+                average_sigma=avg_k,
+            )
+    return reports
 
 
 def crooks_check(protocol: TwoPointProtocol) -> CrooksReport:
@@ -216,37 +396,23 @@ def crooks_check(protocol: TwoPointProtocol) -> CrooksReport:
     Pairs where p_f is supported but p_b is not are impossible for a finite
     temperature bath (both Gibbs states are full rank) and raise.
     """
-    pf = forward_distribution(protocol)
-    pb = backward_distribution(protocol)
-    delta_f = free_energy_difference(protocol)
-    w = pf.work_values()
-    supported = pb.probs > PROBABILITY_FLOOR
-    if np.any((pf.probs > PROBABILITY_FLOOR) & ~supported):
-        raise ValueError("forward-supported outcome pair with vanishing backward probability")
-    ratio = np.full_like(pf.probs, np.nan)
-    ratio[supported] = pf.probs[supported] / pb.probs[supported]
-    predicted = np.exp(protocol.beta * (w - delta_f))
-    predicted_masked = np.where(supported, predicted, np.nan)
-    deviation = np.abs(ratio - predicted_masked) / predicted_masked
-    lhs, rhs = jarzynski_check(pf, protocol.beta, delta_f)
-    kl, avg_sigma = entropy_production_identity(pf, pb, protocol.beta, delta_f)
-    return CrooksReport(
-        ratio=ratio,
-        predicted=predicted_masked,
-        deviation=deviation,
-        delta_f=delta_f,
-        jarzynski_lhs=lhs,
-        jarzynski_rhs=rhs,
-        entropy_production=kl,
-        average_sigma=avg_sigma,
-    )
+    return crooks_checks(ProtocolStack.of([protocol]))[0]
+
+
+def jarzynski_checks(stack: ProtocolStack) -> tuple[np.ndarray, np.ndarray]:
+    """(<exp(-beta W)>, exp(-beta dF)) over the forward distribution of every
+    protocol of a stack, in stack order."""
+    lhs, rhs = np.empty(len(stack)), np.empty(len(stack))
+    for group in _groups(stack):
+        lhs[group.trials] = _work_averages(check_distributions(group.forward()), group.work(), stack.beta)
+        rhs[group.trials] = np.exp(-stack.beta * group.delta_f())
+    return lhs, rhs
 
 
 def jarzynski_check(dist: JointOutcomeDistribution, beta: float, delta_f: float) -> tuple[float, float]:
     """(<exp(-beta W)> over the forward distribution, exp(-beta dF))."""
-    lhs = float(np.sum(dist.probs * np.exp(-beta * dist.work_values())))
-    rhs = float(np.exp(-beta * delta_f))
-    return lhs, rhs
+    lhs = _work_averages(dist.probs[None], dist.work_values()[None], beta)
+    return float(lhs[0]), float(np.exp(-beta * delta_f))
 
 
 def entropy_production_identity(
@@ -258,15 +424,8 @@ def entropy_production_identity(
     """(KL(p_f || p_b), <beta (W - dF)>_pf); the two agree identically."""
     if pf.probs.shape != pb.probs.shape:
         raise ValueError("distributions must share outcome indexing")
-    f = pf.probs
-    b = pb.probs
-    on = f > PROBABILITY_FLOOR
-    if np.any(on & (b <= PROBABILITY_FLOOR)):
-        raise ValueError("support of the forward distribution exceeds the backward one")
-    kl = float(np.sum(f[on] * np.log(f[on] / b[on])))
-    sigma = beta * (pf.work_values() - delta_f)
-    avg_sigma = float(np.sum(f[on] * sigma[on]))
-    return kl, avg_sigma
+    kl, avg_sigma = _entropy_productions(pf.probs[None], pb.probs[None], pf.work_values()[None], beta, np.array([delta_f]))
+    return float(kl[0]), float(avg_sigma[0])
 
 
 def measurement_symmetry_check(p: np.ndarray, q: np.ndarray, u: UnitaryOperator) -> tuple[float, float]:
@@ -289,10 +448,11 @@ class EffectiveTemperatureReport:
     clausius_lhs: float
 
 
-def effective_temperatures(report: EntropyBalanceReport, du_s: float, du_r: float) -> EffectiveTemperatureReport:
+def effective_temperatures(report: EntropyBalanceReport, du_s, du_r) -> EffectiveTemperatureReport:
     """T = dU/dS per subsystem; the Clausius combination dU_S/T_S + dU_R/T_R
-    collapses to dS_S + dS_R by construction."""
-    if abs(report.ds_s) <= TEMPERATURE_DS_FLOOR or abs(report.ds_r) <= TEMPERATURE_DS_FLOOR:
+    collapses to dS_S + dS_R by construction.  A stacked report takes (n,)
+    arrays of energy changes and gives (n,) arrays."""
+    if np.any((np.abs(report.ds_s) <= TEMPERATURE_DS_FLOOR) | (np.abs(report.ds_r) <= TEMPERATURE_DS_FLOOR)):
         raise ValueError("effective temperature undefined: a local entropy change vanishes")
     return EffectiveTemperatureReport(
         t_s=du_s / report.ds_s,
@@ -301,12 +461,15 @@ def effective_temperatures(report: EntropyBalanceReport, du_s: float, du_r: floa
     )
 
 
+EXCHANGE = np.zeros((4, 4), dtype=complex)
+EXCHANGE[1, 2] = EXCHANGE[2, 1] = 1.0
+EXCHANGE.setflags(write=False)
+
+
 def exchange_interaction() -> Hamiltonian:
     """Resonant excitation exchange |01><10| + |10><01|; commutes with the
     sum of two equal-gap local Hamiltonians."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[1, 2] = m[2, 1] = 1.0
-    return Hamiltonian(m)
+    return Hamiltonian(EXCHANGE)
 
 
 @dataclass(frozen=True)
@@ -324,6 +487,51 @@ class HeatFlowTrial:
     du_hotter: float
 
 
+def heat_flow_trials(beta_s, beta_r, times, gap: float = 1.0, coupling: float = 1.0) -> list[HeatFlowTrial]:
+    """:func:`heat_flow_trial` for each entry of the equal-length sequences
+    ``beta_s``, ``beta_r`` and ``times``, run as one stack."""
+    raise_first_failure(((np.equal(beta_s, beta_r), lambda k: "beta_s and beta_r must differ so that one side is hotter"),))
+    h_local = Hamiltonian(np.diag([0.0, gap]).astype(complex))
+    rho_s = gibbs_matrices(h_local, beta_s)
+    validate_states(rho_s)
+    rho_r = gibbs_matrices(h_local, beta_r)
+    validate_states(rho_r)
+    rho = tensor_products(rho_s, rho_r)
+    spectra = validate_states(rho)
+    h_s = np.kron(h_local.matrix, np.eye(2))
+    h_r = np.kron(np.eye(2), h_local.matrix)
+    u = unitaries_from_hamiltonian(Hamiltonian(h_s + h_r + coupling * EXCHANGE), times)
+    validate_unitaries(u)
+    report, final = entropy_balances(rho, spectra, TWO_QUBITS, u)
+
+    # one contraction per trace: stacked, they would round differently
+    def energy(h: np.ndarray, m: np.ndarray) -> float:
+        return float(np.real(np.einsum("ij,ji->", h, m)))
+
+    du_s = np.array([energy(h_s, f) - energy(h_s, r) for f, r in zip(final, rho)])
+    du_r = np.array([energy(h_r, f) - energy(h_r, r) for f, r in zip(final, rho)])
+    temps = effective_temperatures(report, du_s, du_r)
+    trials = []
+    columns = zip(beta_s, beta_r, du_s.tolist(), du_r.tolist(), report.ds_s.tolist(), report.ds_r.tolist(),
+                  temps.t_s.tolist(), temps.t_r.tolist(), temps.clausius_lhs.tolist())
+    for b_s, b_r, du_s_k, du_r_k, ds_s_k, ds_r_k, t_s_k, t_r_k, clausius_k in columns:
+        hotter = "S" if b_s < b_r else "R"
+        trials.append(HeatFlowTrial(
+            beta_s=b_s,
+            beta_r=b_r,
+            du_s=du_s_k,
+            du_r=du_r_k,
+            ds_s=ds_s_k,
+            ds_r=ds_r_k,
+            t_s=t_s_k,
+            t_r=t_r_k,
+            clausius_lhs=clausius_k,
+            hotter=hotter,
+            du_hotter=du_s_k if hotter == "S" else du_r_k,
+        ))
+    return trials
+
+
 def heat_flow_trial(
     beta_s: float,
     beta_r: float,
@@ -337,37 +545,7 @@ def heat_flow_trial(
     The local Hamiltonians share one gap so the exchange commutes with their
     sum; total energy is conserved and the hotter side can only lose.
     """
-    if beta_s == beta_r:
-        raise ValueError("beta_s and beta_r must differ so that one side is hotter")
-    h_local = Hamiltonian(np.diag([0.0, gap]).astype(complex))
-    rho = tensor_product(gibbs_state(h_local, beta_s), gibbs_state(h_local, beta_r))
-    h_s = np.kron(h_local.matrix, np.eye(2))
-    h_r = np.kron(np.eye(2), h_local.matrix)
-    h_total = Hamiltonian(h_s + h_r + coupling * exchange_interaction().matrix)
-    u = unitary_from_hamiltonian(h_total, time)
-    report = entropy_balance(rho, TWO_QUBITS, u)
-    final = u.matrix @ rho.matrix @ u.matrix.conj().T
-
-    def energy(h: np.ndarray, m: np.ndarray) -> float:
-        return float(np.real(np.einsum("ij,ji->", h, m)))
-
-    du_s = energy(h_s, final) - energy(h_s, rho.matrix)
-    du_r = energy(h_r, final) - energy(h_r, rho.matrix)
-    temps = effective_temperatures(report, du_s, du_r)
-    hotter = "S" if beta_s < beta_r else "R"
-    return HeatFlowTrial(
-        beta_s=beta_s,
-        beta_r=beta_r,
-        du_s=du_s,
-        du_r=du_r,
-        ds_s=report.ds_s,
-        ds_r=report.ds_r,
-        t_s=temps.t_s,
-        t_r=temps.t_r,
-        clausius_lhs=temps.clausius_lhs,
-        hotter=hotter,
-        du_hotter=du_s if hotter == "S" else du_r,
-    )
+    return heat_flow_trials([beta_s], [beta_r], [time], gap=gap, coupling=coupling)[0]
 
 
 def damping_heat(state: DensityOperator, h_final: Hamiltonian, beta: float) -> float:
@@ -380,17 +558,28 @@ def damping_heat(state: DensityOperator, h_final: Hamiltonian, beta: float) -> f
 # randomized protocol factory (used by experiment suites)
 # ---------------------------------------------------------------------------
 
+def _random_hamiltonian_matrices(dim: int, sources) -> np.ndarray:
+    z = gaussian_matrices(sources, dim, dim)
+    return (z + z.conj().swapaxes(-1, -2)) / 2.0
+
+
+def random_protocols(layout: BipartitionLayout, beta: float, sources) -> ProtocolStack:
+    """:func:`random_protocol` for each source, drawn and validated as one stack."""
+    h_initial = _random_hamiltonian_matrices(layout.dim, [source.child(0) for source in sources])
+    h_final = _random_hamiltonian_matrices(layout.dim, [source.child(1) for source in sources])
+    unitaries = haar_unitaries(layout.dim, [source.child(2) for source in sources])
+    evals_initial, evecs_initial = validate_hamiltonians(h_initial)
+    evals_final, evecs_final = validate_hamiltonians(h_final)
+    validate_unitaries(unitaries)
+    return ProtocolStack(evals_initial, evecs_initial, evals_final, evecs_final, unitaries, beta)
+
+
 def random_protocol(layout: BipartitionLayout, beta: float, rng: RandomSource) -> TwoPointProtocol:
-    """Random Hermitian initial/final Hamiltonians with a Haar drive."""
-
-    def random_hamiltonian(source: RandomSource) -> Hamiltonian:
-        g = source.generator()
-        z = g.standard_normal((layout.dim, layout.dim)) + 1j * g.standard_normal((layout.dim, layout.dim))
-        return Hamiltonian((z + z.conj().T) / 2.0)
-
+    """Random Hermitian initial/final Hamiltonians with a Haar drive: the
+    Hamiltonians from the children 0 and 1 of ``rng``, the drive from child 2."""
     return TwoPointProtocol(
-        h_initial=random_hamiltonian(rng.child(0)),
-        h_final=random_hamiltonian(rng.child(1)),
-        unitary=haar_random_unitary(layout.dim, rng.child(2)),
+        h_initial=Hamiltonian(_random_hamiltonian_matrices(layout.dim, [rng.child(0)])[0]),
+        h_final=Hamiltonian(_random_hamiltonian_matrices(layout.dim, [rng.child(1)])[0]),
+        unitary=UnitaryOperator(haar_unitaries(layout.dim, [rng.child(2)])[0]),
         beta=beta,
     )

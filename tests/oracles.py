@@ -108,3 +108,192 @@ def transition_matrix_by_pairs(p_projectors, q_projectors, u) -> np.ndarray:
         for m, q in enumerate(q_projectors):
             t[n, m] = float(np.real(np.einsum("ij,ji->", q, rotated)))
     return np.clip(t, 0.0, None)
+
+
+# ---------------------------------------------------------------------------
+# per-trial references for the trial-batched experiments
+# ---------------------------------------------------------------------------
+# The rows of run_balance, run_schrodinger, run_crooks, run_jarzynski and
+# run_heatflow as computed one trial at a time, one matrix per numpy call,
+# with the arithmetic of every library call written out.  The stacked runs
+# must reproduce them bit for bit.
+
+ALIGNMENT_TOL = 1e-10
+CLUSTER_GAP_TOL = 1e-9
+PROBABILITY_FLOOR = 1e-15
+
+
+def _ginibre(g, rows, cols) -> np.ndarray:
+    return g.standard_normal((rows, cols)) + 1j * g.standard_normal((rows, cols))
+
+
+def _random_density(dim, src) -> np.ndarray:
+    z = _ginibre(src.generator(), dim, dim) / np.sqrt(2.0)
+    m = z @ z.conj().T
+    return m / m.trace().real
+
+
+def _haar(dim, src) -> np.ndarray:
+    q, r = np.linalg.qr(_ginibre(src.generator(), dim, dim) / np.sqrt(2.0))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _entropy(eigs) -> float:
+    lam = np.clip(eigs, 0.0, None)
+    lam = lam[lam > 0.0]
+    return float(-np.sum(lam * np.log(lam)))
+
+
+def _marginal_entropies(m, dim_s, dim_r) -> tuple[float, float]:
+    t = m.reshape(dim_s, dim_r, dim_s, dim_r)
+    return (
+        _entropy(np.linalg.eigvalsh(np.einsum("ikjk->ij", t))),
+        _entropy(np.linalg.eigvalsh(np.einsum("kikj->ij", t))),
+    )
+
+
+def _balance(rho, u, dim_s, dim_r) -> tuple[float, float, float, float]:
+    """(ds_s, ds_r, mi_initial, mi_final) of rho under u."""
+    s_s0, s_r0 = _marginal_entropies(rho, dim_s, dim_r)
+    s0 = _entropy(np.linalg.eigvalsh(rho))
+    final = u @ rho @ u.conj().T
+    s_s1, s_r1 = _marginal_entropies(final, dim_s, dim_r)
+    s1 = _entropy(np.linalg.eigvalsh(final))
+    return s_s1 - s_s0, s_r1 - s_r0, s_s0 + s_r0 - s0, s_s1 + s_r1 - s1
+
+
+def _alignment(product) -> str:
+    if product > ALIGNMENT_TOL:
+        return "aligned"
+    return "anti-aligned" if product < -ALIGNMENT_TOL else "degenerate"
+
+
+def _product_trial(dim_s, dim_r, src):
+    rho = np.kron(_random_density(dim_s, src.child(0)), _random_density(dim_r, src.child(1)))
+    return _balance(rho, _haar(dim_s * dim_r, src.child(2)), dim_s, dim_r)
+
+
+def balance_rows(trials, dim_s, dim_r, root) -> list[tuple]:
+    rows = []
+    for k in range(trials):
+        ds_s, ds_r, mi_initial, mi_final = _product_trial(dim_s, dim_r, root.child(k))
+        total = ds_s + ds_r
+        rows.append((k, ds_s, ds_r, total, mi_initial, mi_final, abs(total - mi_final), _alignment(ds_s * ds_r)))
+    return rows
+
+
+def schrodinger_rows(trials, dim_s, dim_r, root) -> list[tuple]:
+    rows = []
+    for k in range(trials):
+        ds_s, ds_r, _, _ = _product_trial(dim_s, dim_r, root.child(k))
+        rows.append((k, ds_s, ds_r, ds_s * ds_r, _alignment(ds_s * ds_r), ds_s + ds_r))
+    return rows
+
+
+def _random_hamiltonian(dim, src):
+    z = _ginibre(src.generator(), dim, dim)
+    return np.linalg.eigh((z + z.conj().T) / 2.0)
+
+
+def _projectors(evals, evecs) -> tuple[np.ndarray, list]:
+    clusters = [[0]]
+    for i in range(1, len(evals)):
+        if evals[i] - evals[clusters[-1][-1]] <= CLUSTER_GAP_TOL:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    energies = np.array([float(np.mean(evals[members])) for members in clusters])
+    return energies, [evecs[:, members] @ evecs[:, members].conj().T for members in clusters]
+
+
+def _log_partition(evals, beta) -> float:
+    a = -beta * evals
+    a_max = a.max()
+    top = a == a_max
+    count = np.count_nonzero(top)
+    rest = np.exp(np.where(top, -np.inf, a) - a_max).sum() / count
+    return float(np.log1p(rest) + np.log(count) + a_max)
+
+
+def two_point(layout, beta, src):
+    """(p_f, p_b, W, dF) of the random protocol drawn from src."""
+    evals_i, evecs_i = _random_hamiltonian(layout.dim, src.child(0))
+    evals_f, evecs_f = _random_hamiltonian(layout.dim, src.child(1))
+    u = _haar(layout.dim, src.child(2))
+    e_i, p = _projectors(evals_i, evecs_i)
+    e_f, q = _projectors(evals_f, evecs_f)
+    log_z_i, log_z_f = _log_partition(evals_i, beta), _log_partition(evals_f, beta)
+    t_f = np.empty((len(p), len(q)))
+    for n, pn in enumerate(p):
+        t_f[n] = np.real(np.einsum("mij,ji->m", np.stack(q), u @ pn @ u.conj().T))
+    pf = np.clip(np.exp(-beta * e_i - log_z_i)[:, None] * np.clip(t_f, 0.0, None), 0.0, None)
+    u_dag = u.conj().T
+    t_b = np.empty((len(p), len(q)))
+    for m, qm in enumerate(q):
+        t_b[:, m] = np.real(np.einsum("nij,ji->n", np.stack(p), u_dag @ qm @ u_dag.conj().T))
+    pb = np.clip(np.clip(t_b, 0.0, None) * np.exp(-beta * e_f - log_z_f)[None, :], 0.0, None)
+    delta_f = -log_z_f / beta - -log_z_i / beta
+    return pf, pb, e_f[None, :] - e_i[:, None], delta_f
+
+
+def crooks_rows(trials, beta, layout, root) -> list[tuple]:
+    rows = []
+    for k in range(trials):
+        pf, pb, w, delta_f = two_point(layout, beta, root.child(k))
+        supported = pb > PROBABILITY_FLOOR
+        ratio = np.full_like(pf, np.nan)
+        ratio[supported] = pf[supported] / pb[supported]
+        predicted = np.where(supported, np.exp(beta * (w - delta_f)), np.nan)
+        deviation = np.abs(ratio - predicted) / predicted
+        finite = deviation[np.isfinite(deviation)]
+        lhs = float(np.sum(pf * np.exp(-beta * w)))
+        rhs = float(np.exp(-beta * delta_f))
+        on = pf > PROBABILITY_FLOOR
+        kl = float(np.sum(pf[on] * np.log(pf[on] / pb[on])))
+        avg = float(np.sum(pf[on] * (beta * (w - delta_f))[on]))
+        max_deviation = float(finite.max()) if finite.size else 0.0
+        rows.append((k, delta_f, max_deviation, lhs, rhs, abs(lhs - rhs) / rhs, kl, avg, abs(kl - avg)))
+    return rows
+
+
+def jarzynski_rows(trials, beta, layout, root) -> list[tuple]:
+    rows = []
+    for k in range(trials):
+        pf, _, w, delta_f = two_point(layout, beta, root.child(k))
+        lhs = float(np.sum(pf * np.exp(-beta * w)))
+        rhs = float(np.exp(-beta * delta_f))
+        rows.append((k, lhs, rhs, abs(lhs - rhs) / rhs))
+    return rows
+
+
+def heatflow_rows(trials, root) -> list[tuple]:
+    rows = []
+    h_local = np.diag([0.0, 1.0]).astype(complex)
+    evals, evecs = np.linalg.eigh(h_local)
+    h_s, h_r = np.kron(h_local, np.eye(2)), np.kron(np.eye(2), h_local)
+    exchange = np.zeros((4, 4), dtype=complex)
+    exchange[1, 2] = exchange[2, 1] = 1.0
+    evals_total, evecs_total = np.linalg.eigh(h_s + h_r + 1.0 * exchange)
+
+    def gibbs(beta):
+        w = np.exp(-beta * (evals - evals.min()))
+        return (evecs * (w / w.sum())) @ evecs.conj().T
+
+    def energy(h, m):
+        return float(np.real(np.einsum("ij,ji->", h, m)))
+
+    for k in range(trials):
+        g = root.child(k).generator()
+        beta_hot = g.uniform(0.2, 1.0)
+        beta_cold = beta_hot + g.uniform(0.5, 2.0)
+        beta_s, beta_r = (beta_hot, beta_cold) if bool(g.integers(2)) else (beta_cold, beta_hot)
+        t = g.uniform(0.5, 1.2)
+        rho = np.kron(gibbs(beta_s), gibbs(beta_r))
+        u = (evecs_total * np.exp(-1j * (evals_total * t))) @ evecs_total.conj().T
+        ds_s, ds_r, _, _ = _balance(rho, u, 2, 2)
+        final = u @ rho @ u.conj().T
+        du_s = energy(h_s, final) - energy(h_s, rho)
+        du_r = energy(h_r, final) - energy(h_r, rho)
+        hotter = "S" if beta_s < beta_r else "R"
+        rows.append((k, beta_s, beta_r, hotter, du_s, du_r, ds_s, ds_r, du_s / ds_s, du_r / ds_r, ds_s + ds_r))
+    return rows

@@ -9,10 +9,11 @@ import warnings
 import pytest
 
 import arrowlab
-from arrowlab import collisions, experiments
+from arrowlab import cli, collisions, experiments
 from arrowlab.cli import (
     ConfigError,
     UsageError,
+    build_parser,
     main,
     parse_config_text,
     run,
@@ -98,6 +99,45 @@ class TestRun:
         _, first = run(config)
         _, second = run(config)
         assert first.rows == second.rows
+
+
+def main_outcome(capsys, argv) -> tuple:
+    """(exit code, stdout, stderr) of cli.main, --help's SystemExit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserPerSubcommand:
+    @pytest.mark.parametrize("name", list(experiments.EXPERIMENTS))
+    def test_one_subparser_prints_and_fails_like_the_full_parser(self, name, capsys, monkeypatch):
+        argvs = ([name, "--help"], [name, "--no-such-flag", "1"], [name, "--seed"], [name, "--trials", "1", "extra"])
+        lazy = [main_outcome(capsys, argv) for argv in argvs]
+        full = build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda experiment=None: full())
+        assert lazy == [main_outcome(capsys, argv) for argv in argvs]
+        assert lazy[0][0] == 0 and f"usage: arrowlab {name}" in lazy[0][1]
+        assert lazy[1] == (1, "", "arrowlab: error: unrecognized arguments: --no-such-flag 1\n")
+
+    def test_main_builds_only_the_subparser_it_dispatches_to(self, capsys, monkeypatch):
+        built = []
+        full = build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda experiment=None: built.append(experiment) or full(experiment))
+        for argv in (["decorrelate"], ["--help"], [], ["frobnicate"], ["--seed", "1", "balance"]):
+            main_outcome(capsys, argv)
+        assert built == ["decorrelate", None, None, None, None]
+
+    def test_top_level_help_and_subcommand_errors_keep_their_text(self, capsys):
+        code, out, _ = main_outcome(capsys, ["--help"])
+        assert code == 0 and out.startswith("usage: arrowlab [-h] experiment ...")
+        assert all(name in out for name in experiments.EXPERIMENTS)
+        assert main_outcome(capsys, []) == (1, "", "arrowlab: error: an experiment subcommand is required\n")
+        code, _, err = main_outcome(capsys, ["frobnicate"])
+        choices = ", ".join(f"'{name}'" for name in experiments.EXPERIMENTS)
+        assert (code, err) == (1, f"arrowlab: error: argument experiment: invalid choice: 'frobnicate' (choose from {choices})\n")
 
 
 class TestMainExitCodes:

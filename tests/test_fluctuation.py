@@ -19,10 +19,13 @@ from arrowlab.core import (
     random_density_operator,
 )
 from arrowlab.fluctuation import (
+    ProtocolStack,
     TwoPointProtocol,
-    _transition_matrix,
+    _groups,
+    _transitions,
     backward_distribution,
     crooks_check,
+    crooks_checks,
     damping_heat,
     effective_temperatures,
     eigen_projectors,
@@ -32,6 +35,7 @@ from arrowlab.fluctuation import (
     free_energy_difference,
     heat_flow_trial,
     jarzynski_check,
+    jarzynski_checks,
     measurement_symmetry_check,
     random_protocol,
 )
@@ -164,15 +168,18 @@ class TestCrooks:
             report = crooks_check(random_protocol(layout, 0.5, RandomSource(seed)))
             assert report.max_deviation <= 1e-9
 
-    def test_run_crooks_builds_two_distributions_per_trial(self, monkeypatch):
+    @pytest.mark.parametrize("dims, trials, chunks", [((2, 2), 3, 1), ((4, 4), 20, 2)], ids=["2x2", "4x4"])
+    def test_run_crooks_builds_two_stacks_per_chunk(self, monkeypatch, dims, trials, chunks):
         from arrowlab import experiments, fluctuation
 
         calls = []
-        for name in ("forward_distribution", "backward_distribution"):
-            original = getattr(fluctuation, name)
-            monkeypatch.setattr(fluctuation, name, lambda protocol, f=original: calls.append(f) or f(protocol))
-        experiments.run_crooks(trials=3, beta=1.0, dim_s=2, dim_r=2, seed=0)
-        assert len(calls) == 6
+        for name in ("forward", "backward"):
+            original = getattr(fluctuation._ProtocolGroup, name)
+            monkeypatch.setattr(fluctuation._ProtocolGroup, name, lambda group, f=original: calls.append(len(group.trials)) or f(group))
+        experiments.run_crooks(trials=trials, beta=1.0, dim_s=dims[0], dim_r=dims[1], seed=0)
+        # 4x4 stacks hold at most 2^16 / 16^3 = 16 trials
+        assert len(calls) == 2 * chunks
+        assert sum(calls) == 2 * trials
 
 
 class TestTransitionMatrix:
@@ -198,33 +205,85 @@ class TestTransitionMatrix:
             expected = self.oracle(protocol, levels, levels)
             assert np.abs(forward_distribution(protocol).probs - expected).max() <= 1e-14
 
-    def test_degenerate_forward_matches_clustered_oracle(self):
-        # spectra with repeated levels in Haar bases; the oracle sums single
-        # levels over each cluster
-        energies_i, labels_i = [0.0, 0.0, 0.0, 0.5, 0.5, 1.2, 2.0, 2.0, 3.0], [0, 0, 0, 1, 1, 2, 3, 3, 4]
-        energies_f, labels_f = [-1.0, 0.2, 0.2, 0.2, 0.9, 1.5, 1.5, 2.5, 2.5], [0, 1, 1, 1, 2, 3, 3, 4, 4]
+    @staticmethod
+    def degenerate_protocol() -> TwoPointProtocol:
+        """Spectra with repeated levels in Haar bases, clustered as
+        [3, 2, 1, 2, 1] initially and [1, 3, 1, 2, 2] finally."""
+        energies_i = [0.0, 0.0, 0.0, 0.5, 0.5, 1.2, 2.0, 2.0, 3.0]
+        energies_f = [-1.0, 0.2, 0.2, 0.2, 0.9, 1.5, 1.5, 2.5, 2.5]
 
         def hamiltonian(energies, seed):
             v = haar_random_unitary(9, RandomSource(seed)).matrix
             m = (v * np.array(energies)) @ v.conj().T
             return Hamiltonian((m + m.conj().T) / 2.0)
 
-        protocol = TwoPointProtocol(
+        return TwoPointProtocol(
             hamiltonian(energies_i, 1), hamiltonian(energies_f, 2), haar_random_unitary(9, RandomSource(3)), 0.8
         )
+
+    def test_degenerate_forward_matches_clustered_oracle(self):
+        # the oracle sums single levels over each cluster
+        labels_i = [0, 0, 0, 1, 1, 2, 3, 3, 4]
+        labels_f = [0, 1, 1, 1, 2, 3, 3, 4, 4]
+        protocol = self.degenerate_protocol()
         assert [p.multiplicity for p in eigen_projectors(protocol.h_initial)] == [3, 2, 1, 2, 1]
         assert [q.multiplicity for q in eigen_projectors(protocol.h_final)] == [1, 3, 1, 2, 2]
         expected = self.oracle(protocol, labels_i, labels_f)
         assert np.abs(forward_distribution(protocol).probs - expected).max() <= 1e-14
 
+    def test_degenerate_and_nondegenerate_protocols_share_a_stack(self):
+        # the degenerate protocol of the test above and a random one, stacked:
+        # each is its own cluster-size group and gives its own distributions
+        protocols = [self.degenerate_protocol(), random_protocol(BipartitionLayout(3, 3), 0.8, RandomSource(4))]
+        stack = ProtocolStack.of(protocols)
+        groups = _groups(stack)
+        assert sorted(int(k) for group in groups for k in group.trials) == [0, 1]
+        for group in groups:
+            (trial,) = group.trials
+            protocol = protocols[trial]
+            assert np.array_equal(group.forward()[0], forward_distribution(protocol).probs)
+            assert np.array_equal(group.backward()[0], backward_distribution(protocol).probs)
+        expected = self.oracle(protocols[0], [0, 0, 0, 1, 1, 2, 3, 3, 4], [0, 1, 1, 1, 2, 3, 3, 4, 4])
+        (degenerate,) = [group for group in groups if group.trials[0] == 0]
+        assert np.abs(degenerate.forward()[0] - expected).max() <= 1e-14
+        for report, protocol in zip(crooks_checks(stack), protocols):
+            single = crooks_check(protocol)
+            assert report.max_deviation == single.max_deviation <= 1e-9
+            assert np.array_equal(report.ratio, single.ratio, equal_nan=True)
+            assert (report.delta_f, report.jarzynski_lhs, report.entropy_production) == (
+                single.delta_f, single.jarzynski_lhs, single.entropy_production
+            )
+        lhs, rhs = jarzynski_checks(stack)
+        for k, protocol in enumerate(protocols):
+            single = jarzynski_check(forward_distribution(protocol), protocol.beta, free_energy_difference(protocol))
+            assert (lhs[k], rhs[k]) == single
+
+    def test_each_hamiltonian_projected_once_and_each_direction_transported_once(self, monkeypatch):
+        from arrowlab import fluctuation
+
+        calls = {"spectral_projectors": 0, "_transitions": 0}
+        for name in calls:
+            original = getattr(fluctuation, name)
+
+            def counting(*args, original=original, name=name):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(fluctuation, name, counting)
+        crooks_check(random_protocol(BipartitionLayout(2, 2), 1.0, RandomSource(0)))
+        # the backward transition matrix is computed on its own, from U+
+        assert calls == {"spectral_projectors": 2, "_transitions": 2}
+
     @pytest.mark.parametrize("dims", [(2, 2), (4, 4)], ids=["2x2", "4x4"])
     def test_bit_identical_to_one_contraction_per_pair(self, dims):
-        for seed in range(20):
-            protocol = random_protocol(BipartitionLayout(*dims), 1.0, RandomSource(seed))
-            p_proj, q_proj = eigen_projectors(protocol.h_initial), eigen_projectors(protocol.h_final)
-            u = protocol.unitary.matrix
-            expected = transition_matrix_by_pairs([p.projector for p in p_proj], [q.projector for q in q_proj], u)
-            assert np.array_equal(_transition_matrix(p_proj, q_proj, u), expected)
+        # the transition matrices of 20 protocols, computed as one stack
+        protocols = [random_protocol(BipartitionLayout(*dims), 1.0, RandomSource(seed)) for seed in range(20)]
+        p = np.stack([[pn.projector for pn in eigen_projectors(protocol.h_initial)] for protocol in protocols])
+        q = np.stack([[qm.projector for qm in eigen_projectors(protocol.h_final)] for protocol in protocols])
+        stacked = _transitions(p, q, ProtocolStack.of(protocols).unitaries)
+        for k, protocol in enumerate(protocols):
+            expected = transition_matrix_by_pairs(p[k], q[k], protocol.unitary.matrix)
+            assert np.array_equal(stacked[k], expected)
 
     def test_one_contraction_per_outcome_row(self, monkeypatch):
         protocol = random_protocol(BipartitionLayout(4, 4), 1.0, RandomSource(0))
@@ -406,9 +465,10 @@ class TestEffectiveTemperatures:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh, "eig"))
         monkeypatch.setattr(DensityOperator, "__post_init__", counting(DensityOperator.__post_init__, "state"))
         heat_flow_trial(0.5, 1.5, time=0.8)
-        # two Gibbs states and their product; three Hamiltonians; the five
-        # spectra of entropy_balance
-        assert calls == {"eig": 11, "state": 3}
+        # two Gibbs states and their product, each validated as a stack of
+        # one; the local and the total Hamiltonian; the five spectra of the
+        # entropy balance
+        assert calls == {"eig": 10, "state": 0}
 
 
 class TestDampingHeat:

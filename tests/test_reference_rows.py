@@ -1,7 +1,8 @@
 """Reference rows of the benchmark, checked on every test run.
 
-Every ``--seed 0`` invocation with committed reference rows in
-``perfbench/reference/{small-dims,large-dims}.json.gz`` runs through
+Every invocation with committed reference rows in
+``perfbench/reference/small-dims.json.gz`` (seeds 0-4) and every ``--seed 0``
+invocation in ``perfbench/reference/large-dims.json.gz`` runs through
 ``cli.main`` and must pass the benchmark's own output gate,
 ``perfbench/checks.check_invocation``: exit code 0, no invariant failures,
 and every cell within ``checks.REFERENCE_TOL`` of the reference.  Nothing is
@@ -37,17 +38,33 @@ def _load_checks():
 checks = _load_checks()
 REFERENCES = {workload: checks.load_references(workload) for workload in WORKLOADS}
 CASES = [(workload, key) for workload in WORKLOADS for key in sorted(REFERENCES[workload]) if key.endswith(" --seed 0")]
+# a small-dims pass takes about 0.1 s, so its other seeds are checked too
+LATER_SEEDS = [key for key in sorted(REFERENCES["small-dims"]) if not key.endswith(" --seed 0")]
 
 
-def test_every_workload_has_seed_0_references():
-    assert {workload for workload, _ in CASES} == set(WORKLOADS)
-
-
-@pytest.mark.parametrize("workload, key", CASES, ids=[f"{w}: {k}" for w, k in CASES])
-def test_seed_0_invocation_passes_the_output_gate(workload, key):
+def _passes_the_output_gate(workload: str, key: str) -> None:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(key.split())
     verdict = checks.check_invocation(code, out.getvalue(), REFERENCES[workload][key])
     assert not verdict.failed, verdict.problems
     assert verdict.compared
+
+
+def test_every_workload_has_seed_0_references():
+    assert {workload for workload, _ in CASES} == set(WORKLOADS)
+
+
+def test_small_dims_has_references_at_seeds_1_to_4():
+    assert {key.rsplit(" ", 1)[1] for key in LATER_SEEDS} == {"1", "2", "3", "4"}
+    assert len(LATER_SEEDS) == 4 * sum(1 for workload, _ in CASES if workload == "small-dims")
+
+
+@pytest.mark.parametrize("workload, key", CASES, ids=[f"{w}: {k}" for w, k in CASES])
+def test_seed_0_invocation_passes_the_output_gate(workload, key):
+    _passes_the_output_gate(workload, key)
+
+
+@pytest.mark.parametrize("key", LATER_SEEDS, ids=[f"small-dims: {k}" for k in LATER_SEEDS])
+def test_small_dims_invocation_at_seeds_1_to_4_passes_the_output_gate(key):
+    _passes_the_output_gate("small-dims", key)
