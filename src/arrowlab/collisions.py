@@ -16,6 +16,7 @@ initial system state to machine precision.  Scramble the replay order and
 the recovery fails.  Either way each ancilla meets exactly one inverse gate,
 so it is traced out as soon as that gate has acted and the replay continues
 on a state half the size: dimensions D, D/2, ..., 4 instead of n times D.
+Both modes reduce to the system with core's partial trace.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 from .core import (
     DensityOperator,
     UnitaryOperator,
+    partial_traces,
     trace_distance,
     von_neumann_entropy,
 )
@@ -123,7 +125,7 @@ def run_collisions(
     for k in range(spec.count):
         xi = spec.state_at(k)
         joint = g @ np.kron(rho, xi.matrix) @ g.conj().T
-        rho = np.einsum("ikjk->ij", joint.reshape(2, 2, 2, 2))
+        rho = partial_traces(joint[None], 2, 2, "S")[0]
         state = DensityOperator(rho)
         states.append(state)
         entropies.append(von_neumann_entropy(state))
@@ -218,11 +220,6 @@ def _trace_out_qubit(joint: np.ndarray, n_qubits: int, k: int) -> np.ndarray:
     return np.einsum("ikjlkm->ijlm", t).reshape(d, d)
 
 
-def _reduce_to_system(joint: np.ndarray, n_qubits: int) -> np.ndarray:
-    rest = 2 ** (n_qubits - 1)
-    return np.einsum("abcb->ac", joint.reshape(2, rest, 2, rest))
-
-
 def run_collisions_joint(
     system_init: DensityOperator,
     spec: ReservoirSpec,
@@ -251,7 +248,7 @@ def run_collisions_joint(
         xi = spec.state_at(k)
         joint = np.kron(joint, xi.matrix)
         joint = _apply_pair_unitary(joint, g, k + 2, k + 1)
-        reduced = DensityOperator(_reduce_to_system(joint, k + 2))
+        reduced = DensityOperator(partial_traces(joint[None], 2, 2 ** (k + 1), "S")[0])
         states.append(reduced)
         entropies.append(von_neumann_entropy(reduced))
         distances.append(trace_distance(reduced, xi))

@@ -461,6 +461,13 @@ def gaussian_matrices(sources: Sequence[RandomSource], rows: int, cols: int) -> 
     return re + 1j * im
 
 
+def random_hermitians(dim: int, sources: Sequence[RandomSource]) -> np.ndarray:
+    """(Z + Z†)/2 per source, with Z a dim x dim complex Gaussian matrix.
+    The stack is not validated (:func:`validate_hamiltonians` checks it)."""
+    z = gaussian_matrices(sources, dim, dim)
+    return (z + _dagger(z)) / 2.0
+
+
 def haar_unitaries(dim: int, sources: Sequence[RandomSource]) -> np.ndarray:
     """Haar-distributed unitaries, one per source: QR of a complex Ginibre
     matrix with the standard phase-fixing correction on the diagonal of R.

@@ -27,18 +27,17 @@ from .core import (
     Hamiltonian,
     RandomSource,
     UnitaryOperator,
-    gaussian_matrices,
     gibbs_matrices,
-    gibbs_state,
     haar_unitaries,
     masked_row_sums,
     raise_first_failure,
-    relative_entropy,
+    random_hermitians,
     tensor_products,
     unitaries_from_hamiltonian,
     validate_hamiltonians,
     validate_states,
     validate_unitaries,
+    von_neumann_entropy,
 )
 
 CLUSTER_GAP_TOL = 1e-9
@@ -461,15 +460,11 @@ def effective_temperatures(report: EntropyBalanceReport, du_s, du_r) -> Effectiv
     )
 
 
+# resonant excitation exchange |01><10| + |10><01|; commutes with the sum of
+# two equal-gap local Hamiltonians
 EXCHANGE = np.zeros((4, 4), dtype=complex)
 EXCHANGE[1, 2] = EXCHANGE[2, 1] = 1.0
 EXCHANGE.setflags(write=False)
-
-
-def exchange_interaction() -> Hamiltonian:
-    """Resonant excitation exchange |01><10| + |10><01|; commutes with the
-    sum of two equal-gap local Hamiltonians."""
-    return Hamiltonian(EXCHANGE)
 
 
 @dataclass(frozen=True)
@@ -550,23 +545,25 @@ def heat_flow_trial(
 
 def damping_heat(state: DensityOperator, h_final: Hamiltonian, beta: float) -> float:
     """Heat released when the state is damped into a bath thermal on h_final:
-    the relative entropy to the corresponding Gibbs state."""
-    return relative_entropy(state, gibbs_state(h_final, beta))
+    the relative entropy to its Gibbs state, beta tr(rho H) + ln Z - S(rho),
+    clamped at 0.  No Gibbs weight is formed, so no large beta underflows."""
+    if state.dim != h_final.dim:
+        raise ValueError("state and Hamiltonian dimensions must agree")
+    if not (np.isfinite(beta) and beta >= 0.0):
+        raise ValueError("beta must be finite and >= 0")
+    energy = float(np.real(np.einsum("ij,ji->", state.matrix, h_final.matrix)))
+    log_z = float(log_partitions(h_final.eigenvalues[None], beta)[0])
+    return max(beta * energy + log_z - von_neumann_entropy(state), 0.0)
 
 
 # ---------------------------------------------------------------------------
 # randomized protocol factory (used by experiment suites)
 # ---------------------------------------------------------------------------
 
-def _random_hamiltonian_matrices(dim: int, sources) -> np.ndarray:
-    z = gaussian_matrices(sources, dim, dim)
-    return (z + z.conj().swapaxes(-1, -2)) / 2.0
-
-
 def random_protocols(layout: BipartitionLayout, beta: float, sources) -> ProtocolStack:
     """:func:`random_protocol` for each source, drawn and validated as one stack."""
-    h_initial = _random_hamiltonian_matrices(layout.dim, [source.child(0) for source in sources])
-    h_final = _random_hamiltonian_matrices(layout.dim, [source.child(1) for source in sources])
+    h_initial = random_hermitians(layout.dim, [source.child(0) for source in sources])
+    h_final = random_hermitians(layout.dim, [source.child(1) for source in sources])
     unitaries = haar_unitaries(layout.dim, [source.child(2) for source in sources])
     evals_initial, evecs_initial = validate_hamiltonians(h_initial)
     evals_final, evecs_final = validate_hamiltonians(h_final)
@@ -578,8 +575,8 @@ def random_protocol(layout: BipartitionLayout, beta: float, rng: RandomSource) -
     """Random Hermitian initial/final Hamiltonians with a Haar drive: the
     Hamiltonians from the children 0 and 1 of ``rng``, the drive from child 2."""
     return TwoPointProtocol(
-        h_initial=Hamiltonian(_random_hamiltonian_matrices(layout.dim, [rng.child(0)])[0]),
-        h_final=Hamiltonian(_random_hamiltonian_matrices(layout.dim, [rng.child(1)])[0]),
+        h_initial=Hamiltonian(random_hermitians(layout.dim, [rng.child(0)])[0]),
+        h_final=Hamiltonian(random_hermitians(layout.dim, [rng.child(1)])[0]),
         unitary=UnitaryOperator(haar_unitaries(layout.dim, [rng.child(2)])[0]),
         beta=beta,
     )

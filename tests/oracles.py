@@ -4,6 +4,7 @@ Everything here is deliberately written against plain probability vectors
 and small hand-built matrices, never through the library paths it checks.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -297,3 +298,43 @@ def heatflow_rows(trials, root) -> list[tuple]:
         hotter = "S" if beta_s < beta_r else "R"
         rows.append((k, beta_s, beta_r, hotter, du_s, du_r, ds_s, ds_r, du_s / ds_s, du_r / ds_r, ds_s + ds_r))
     return rows
+
+
+def spectral_assignment_per_cell(matrix, dim_s: int, dim_r: int) -> np.ndarray:
+    """The search's spectral-assignment unitary, each placement of the
+    descending spectrum scored on its own: every permutation of the cells up
+    to 8 cells, above that the staircase that fills low s + r shells first.
+    A later placement wins only by more than 1e-15."""
+    dim = dim_s * dim_r
+    lam, v = np.linalg.eigh(matrix)
+    order = np.argsort(lam)[::-1]
+    lam = np.clip(lam[order], 0.0, None)
+    vecs = v[:, order]
+    if dim <= 8:
+        candidates = itertools.permutations(range(dim))
+    else:
+        candidates = [tuple(sorted(range(dim), key=lambda i: (sum(divmod(i, dim_r)), i)))]
+    best_cells, best_val = None, np.inf
+    for cells in candidates:
+        p_s = np.zeros(dim_s)
+        p_r = np.zeros(dim_r)
+        for weight, cell in zip(lam, cells):
+            s, r = divmod(cell, dim_r)
+            p_s[s] += weight
+            p_r[r] += weight
+        val = -np.sum(p_s[p_s > 0] * np.log(p_s[p_s > 0])) - np.sum(p_r[p_r > 0] * np.log(p_r[p_r > 0]))
+        if val < best_val - 1e-15:
+            best_val, best_cells = val, cells
+    u = np.zeros((dim, dim), dtype=complex)
+    for i, cell in enumerate(best_cells):
+        u[cell, :] = vecs[:, i].conj()
+    return u
+
+
+def unit_hermitian(dim: int, src) -> np.ndarray:
+    """H / ||H||_F with H = A + A+, A a dim x dim complex Gaussian matrix
+    drawn from src."""
+    g = src.generator()
+    a = g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
+    h = a + a.conj().T
+    return h / np.linalg.norm(h)

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from arrowlab import arrow
 from arrowlab.arrow import (
     TWO_QUBITS,
     Alignment,
@@ -36,7 +37,7 @@ from arrowlab.core import (
     random_density_operator,
     tensor_product,
 )
-from oracles import BELL_PHI, CNOT, SWAP, binary_entropy, ket, projector
+from oracles import BELL_PHI, CNOT, SWAP, binary_entropy, ket, projector, spectral_assignment_per_cell
 
 LN2 = 0.6931471805599453
 DS_S_01 = -0.1985152433458726  # -H2(0.05)
@@ -306,8 +307,44 @@ class TestSearch:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             UnitarySearchConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            UnitarySearchConfig(convergence_tolerance=0.0)
+
+    @pytest.mark.parametrize("dim_s, dim_r, states", [(2, 2, 40), (2, 3, 12), (2, 4, 2), (3, 3, 20)])
+    def test_stacked_placement_scorer_matches_the_per_cell_loop(self, dim_s, dim_r, states):
+        layout = BipartitionLayout(dim_s, dim_r)
+        for seed in range(states):
+            # low ranks leave cells empty, so placements tie and the first one must win
+            rank = layout.dim - seed % layout.dim
+            rho = random_density_operator(layout.dim, rank, RandomSource(seed + 3000))
+            expected = spectral_assignment_per_cell(rho.matrix, dim_s, dim_r)
+            assert np.array_equal(spectral_assignment_unitary(rho, layout), expected)
+
+    def test_probe_decomposes_each_marginal_once_per_evaluated_point(self, monkeypatch):
+        calls = {"eig_2x2": 0, "points": 0, "balances": 0}
+
+        def counting_2x2(decompose):
+            def wrapper(m, *args, **kwargs):
+                calls["eig_2x2"] += np.shape(m)[-2:] == (2, 2)
+                return decompose(m, *args, **kwargs)
+
+            return wrapper
+
+        def counting(fn, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        rho = random_density_operator(4, 4, RandomSource(77))
+        monkeypatch.setattr(np.linalg, "eigh", counting_2x2(np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_2x2(np.linalg.eigvalsh))
+        monkeypatch.setattr(arrow, "_objective", counting(arrow._objective, "points"))
+        monkeypatch.setattr(arrow, "entropy_balance", counting(arrow.entropy_balance, "balances"))
+        res = search_entropy_decreasing_unitary(rho, TWO_QUBITS, UnitarySearchConfig(restarts=2, rng=RandomSource(2)))
+        # accepted steps, whose gradients read the marginals of their point
+        assert len(res.probes[0].sums) >= 3
+        # a balance takes both marginals of the initial and of the final state
+        assert calls["eig_2x2"] == 4 * calls["balances"] + 2 * calls["points"]
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,14 @@ class TestMainExitCodes:
         cells = [float(cell) for line in rows_of_csv(out)[1:] for cell in line.split(",")]
         assert code == (0 if all(math.isfinite(c) for c in cells) else 2)
 
+    @pytest.mark.parametrize("beta", ["50", "800"])
+    def test_damping_at_large_beta_has_finite_rows(self, capsys, beta):
+        code, out = run_cli(capsys, "damping", "--beta", beta)
+        heats = [float(line.split(",")[-1]) for line in rows_of_csv(out)[1:]]
+        assert code == 0
+        assert len(heats) == 13
+        assert all(math.isfinite(h) and h >= 0.0 for h in heats)
+
     def test_unreachable_min_mi_is_one_line_exit_1(self, capsys):
         # two-qubit mutual information never exceeds ln 4 < 1.5
         assert main(["search", "--trials", "1", "--min-mi", "1.5"]) == 1

@@ -19,6 +19,7 @@ from arrowlab.core import (
     partial_trace,
     pure_state,
     random_density_operator,
+    random_hermitians,
     relative_entropy,
     renyi2_of_matrix,
     tensor_product,
@@ -26,7 +27,7 @@ from arrowlab.core import (
     unitary_from_hamiltonian,
     von_neumann_entropy,
 )
-from oracles import BELL_PHI, CNOT, PAULI_X, binary_entropy, ket, projector
+from oracles import BELL_PHI, CNOT, PAULI_X, binary_entropy, ket, projector, unit_hermitian
 
 LN2 = 0.6931471805599453
 H2_005 = 0.1985152433458726  # binary_entropy(0.05)
@@ -345,6 +346,19 @@ class TestSampling:
         from scipy.stats import chi2
 
         assert stat < chi2.isf(0.01, bins - 1)
+
+    def test_random_hermitians_are_hermitian_and_stack_like_single_draws(self):
+        sources = [RandomSource(5).child(k) for k in range(6)]
+        stack = random_hermitians(3, sources)
+        assert np.array_equal(stack, stack.conj().swapaxes(-1, -2))
+        for source, h in zip(sources, stack):
+            assert np.array_equal(random_hermitians(3, [source])[0], h)
+
+    def test_random_hermitian_over_its_norm_is_the_unit_draw(self):
+        # halving the draw is exact, so the search's unit-norm kick keeps its bits
+        for k in range(500):
+            h = random_hermitians(4, [RandomSource(k)])[0]
+            assert np.array_equal(h / np.linalg.norm(h), unit_hermitian(4, RandomSource(k)))
 
     def test_random_density_rank_one_is_pure(self):
         rho = random_density_operator(4, 1, RandomSource(3))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrowlab.arrow import TWO_QUBITS, entropy_balance
 from arrowlab.core import (
@@ -487,3 +489,24 @@ class TestDampingHeat:
         for seed in range(30):
             state = random_density_operator(2, 2, RandomSource(seed))
             assert damping_heat(state, H_QUBIT, 1.3) >= 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        beta=st.floats(min_value=0.0, max_value=1e3, exclude_min=True),
+        r=st.floats(min_value=0.0, max_value=1.0),
+        theta=st.floats(min_value=0.0, max_value=math.pi),
+        phi=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    )
+    def test_heat_is_finite_and_nonnegative_and_vanishes_when_thermal(self, beta, r, theta, phi):
+        # the qubit with Bloch vector r (sin theta cos phi, sin theta sin phi, cos theta)
+        x, y, z = r * math.sin(theta) * math.cos(phi), r * math.sin(theta) * math.sin(phi), r * math.cos(theta)
+        state = DensityOperator(np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]]) / 2.0)
+        heat = damping_heat(state, H_QUBIT, beta)
+        assert math.isfinite(heat) and heat >= 0.0
+        assert abs(damping_heat(gibbs_state(H_QUBIT, beta), H_QUBIT, beta)) <= 1e-12
+
+    @pytest.mark.parametrize("beta", [1e-300, 50.0, 800.0, 1e300])
+    def test_extreme_beta_heats_are_finite(self, beta):
+        # beyond beta ~ 745 every Gibbs weight but the ground one underflows
+        assert damping_heat(gibbs_state(H_QUBIT, beta), H_QUBIT, beta) == pytest.approx(0.0, abs=1e-12)
+        assert damping_heat(pure_state(ket(1)), H_QUBIT, beta) == pytest.approx(beta + math.log1p(math.exp(-beta)), rel=1e-15)

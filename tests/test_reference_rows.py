@@ -1,7 +1,8 @@
 """Reference rows of the benchmark, checked on every test run.
 
 Every invocation with committed reference rows in
-``perfbench/reference/small-dims.json.gz`` (seeds 0-4) and every ``--seed 0``
+``perfbench/reference/small-dims.json.gz`` and
+``perfbench/reference/optimizer.json.gz`` (seeds 0-4) and every ``--seed 0``
 invocation in ``perfbench/reference/large-dims.json.gz`` runs through
 ``cli.main`` and must pass the benchmark's own output gate,
 ``perfbench/checks.check_invocation``: exit code 0, no invariant failures,
@@ -20,7 +21,9 @@ import pytest
 from arrowlab import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-WORKLOADS = ("small-dims", "large-dims")
+WORKLOADS = ("small-dims", "large-dims", "optimizer")
+# a pass of each of these takes well under a second, so their other seeds are checked too
+EVERY_SEED = ("small-dims", "optimizer")
 
 
 def _load_checks():
@@ -38,8 +41,9 @@ def _load_checks():
 checks = _load_checks()
 REFERENCES = {workload: checks.load_references(workload) for workload in WORKLOADS}
 CASES = [(workload, key) for workload in WORKLOADS for key in sorted(REFERENCES[workload]) if key.endswith(" --seed 0")]
-# a small-dims pass takes about 0.1 s, so its other seeds are checked too
-LATER_SEEDS = [key for key in sorted(REFERENCES["small-dims"]) if not key.endswith(" --seed 0")]
+LATER_SEEDS = [
+    (workload, key) for workload in EVERY_SEED for key in sorted(REFERENCES[workload]) if not key.endswith(" --seed 0")
+]
 
 
 def _passes_the_output_gate(workload: str, key: str) -> None:
@@ -55,9 +59,11 @@ def test_every_workload_has_seed_0_references():
     assert {workload for workload, _ in CASES} == set(WORKLOADS)
 
 
-def test_small_dims_has_references_at_seeds_1_to_4():
-    assert {key.rsplit(" ", 1)[1] for key in LATER_SEEDS} == {"1", "2", "3", "4"}
-    assert len(LATER_SEEDS) == 4 * sum(1 for workload, _ in CASES if workload == "small-dims")
+@pytest.mark.parametrize("workload", EVERY_SEED)
+def test_workload_has_references_at_seeds_1_to_4(workload):
+    later = [key for w, key in LATER_SEEDS if w == workload]
+    assert {key.rsplit(" ", 1)[1] for key in later} == {"1", "2", "3", "4"}
+    assert len(later) == 4 * sum(1 for w, _ in CASES if w == workload)
 
 
 @pytest.mark.parametrize("workload, key", CASES, ids=[f"{w}: {k}" for w, k in CASES])
@@ -65,6 +71,6 @@ def test_seed_0_invocation_passes_the_output_gate(workload, key):
     _passes_the_output_gate(workload, key)
 
 
-@pytest.mark.parametrize("key", LATER_SEEDS, ids=[f"small-dims: {k}" for k in LATER_SEEDS])
-def test_small_dims_invocation_at_seeds_1_to_4_passes_the_output_gate(key):
-    _passes_the_output_gate("small-dims", key)
+@pytest.mark.parametrize("workload, key", LATER_SEEDS, ids=[f"{w}: {k}" for w, k in LATER_SEEDS])
+def test_invocation_at_seeds_1_to_4_passes_the_output_gate(workload, key):
+    _passes_the_output_gate(workload, key)
