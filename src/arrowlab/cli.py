@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -263,9 +264,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser(experiment: str | None = None) -> argparse.ArgumentParser:
     """The parser of every experiment, or of ``experiment`` alone: one
-    subparser parses and prints the same as it does within the full parser."""
+    subparser parses and prints the same as it does within the full parser.
+
+    Built once per process: parsing leaves a parser unchanged, while a
+    fresh one per call is cyclic garbage that waits for the collector and
+    lifts the peak memory of a process that runs many invocations."""
     parser = _Parser(prog="arrowlab", description="Entropy-balance and fluctuation experiments on small bipartite quantum systems.")
     sub = parser.add_subparsers(dest="experiment", metavar="experiment")
     for name in experiments.EXPERIMENTS if experiment is None else (experiment,):

@@ -61,30 +61,16 @@ def partial_swap_unitary(theta: float) -> UnitaryOperator:
 
 @dataclass(frozen=True)
 class ReservoirSpec:
-    """Fresh-ancilla reservoir: one qubit state repeated ``count`` times, or
-    an explicit per-collision tuple for an inhomogeneous reservoir."""
+    """Fresh-ancilla reservoir: one qubit state repeated ``count`` times."""
 
     ancilla_state: DensityOperator
     count: int
-    ancilla_states: tuple[DensityOperator, ...] | None = None
 
     def __post_init__(self):
         if self.ancilla_state.dim != 2:
             raise ValueError("ancilla state must be a qubit")
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if self.ancilla_states is not None:
-            if len(self.ancilla_states) != self.count:
-                raise ValueError("ancilla_states length must equal count")
-            if any(s.dim != 2 for s in self.ancilla_states):
-                raise ValueError("all ancilla states must be qubits")
-
-    @property
-    def homogeneous(self) -> bool:
-        return self.ancilla_states is None
-
-    def state_at(self, k: int) -> DensityOperator:
-        return self.ancilla_state if self.ancilla_states is None else self.ancilla_states[k]
 
 
 @dataclass(frozen=True)
@@ -95,7 +81,6 @@ class TrajectoryRecord:
     states: tuple[DensityOperator, ...]
     entropies: tuple[float, ...]
     distances_to_ancilla: tuple[float, ...]
-    homogeneous: bool
 
     def __post_init__(self):
         n = len(self.states)
@@ -108,7 +93,7 @@ def run_collisions(
     spec: ReservoirSpec,
     gate: UnitaryOperator,
 ) -> TrajectoryRecord:
-    """Reduced-mode trajectory: rho_{k+1} = tr_anc[gate (rho_k x xi_k) gate+].
+    """Reduced-mode trajectory: rho_{k+1} = tr_anc[gate (rho_k x xi) gate+].
 
     The pre-collision pair state is product by construction because each
     ancilla is fresh.
@@ -119,11 +104,11 @@ def run_collisions(
         raise ValueError("gate must act on two qubits")
     g = gate.matrix
     rho = system_init.matrix
+    xi = spec.ancilla_state
     states = [system_init]
     entropies = [von_neumann_entropy(system_init)]
-    distances = [trace_distance(system_init, spec.state_at(0))]
-    for k in range(spec.count):
-        xi = spec.state_at(k)
+    distances = [trace_distance(system_init, xi)]
+    for _ in range(spec.count):
         joint = g @ np.kron(rho, xi.matrix) @ g.conj().T
         rho = partial_traces(joint[None], 2, 2, "S")[0]
         state = DensityOperator(rho)
@@ -134,7 +119,6 @@ def run_collisions(
         states=tuple(states),
         entropies=tuple(entropies),
         distances_to_ancilla=tuple(distances),
-        homogeneous=spec.homogeneous,
     )
 
 
@@ -241,11 +225,11 @@ def run_collisions_joint(
         raise ValueError(f"joint dimension {joint_dim} exceeds the cap {JOINT_DIM_CAP}")
     g = gate.matrix
     joint = system_init.matrix
+    xi = spec.ancilla_state
     states = [system_init]
     entropies = [von_neumann_entropy(system_init)]
-    distances = [trace_distance(system_init, spec.state_at(0))]
+    distances = [trace_distance(system_init, xi)]
     for k in range(spec.count):
-        xi = spec.state_at(k)
         joint = np.kron(joint, xi.matrix)
         joint = _apply_pair_unitary(joint, g, k + 2, k + 1)
         reduced = DensityOperator(partial_traces(joint[None], 2, 2 ** (k + 1), "S")[0])
@@ -256,7 +240,6 @@ def run_collisions_joint(
         states=tuple(states),
         entropies=tuple(entropies),
         distances_to_ancilla=tuple(distances),
-        homogeneous=spec.homogeneous,
     )
     joint.setflags(write=False)
     return record, joint
@@ -319,14 +302,12 @@ def convergence_report(trajectory: TrajectoryRecord) -> ConvergenceReport:
     """Least-squares fit of ln(distance) against collision index.
 
     Distances at or below 1e-14 count as exact convergence and are excluded
-    from the fit; inhomogeneous reservoirs skip the rate fit entirely.
+    from the fit.
     """
     if len(trajectory.distances_to_ancilla) < 3:
         raise ValueError("need a trajectory of length >= 3 to fit a rate")
     distances = np.asarray(trajectory.distances_to_ancilla)
     final = float(distances[-1])
-    if not trajectory.homogeneous:
-        return ConvergenceReport(final_distance=final, rate=None, residual=None, exact=False)
     mask = distances > EXACT_DISTANCE_FLOOR
     if mask.sum() < 2:
         return ConvergenceReport(final_distance=final, rate=None, residual=None, exact=True)

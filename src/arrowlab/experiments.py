@@ -56,8 +56,6 @@ THERMAL_HEAT_TOL = 1e-12
 # gives up; two-qubit mutual information never exceeds ln 4
 MAX_REJECTED_DRAWS = 10_000
 
-DEFAULT_GAP_S = 1.0
-DEFAULT_GAP_R = 1.5
 LN3 = 1.0986122886681098
 
 Row = tuple
@@ -240,8 +238,8 @@ def run_search(
     max_iterations: int,
     min_mutual_information: float,
     seed: int,
-    demo: str = "random",
-    epsilon: float = 0.1,
+    demo: str,
+    epsilon: float,
 ) -> Result:
     """Optimizer hunting entropy-decreasing unitaries.
 
@@ -304,8 +302,8 @@ def run_sweep(
     g_values: tuple[float, ...],
     eps_values: tuple[float, ...],
     t_values: tuple[float, ...],
-    gap_s: float = DEFAULT_GAP_S,
-    gap_r: float = DEFAULT_GAP_R,
+    gap_s: float,
+    gap_r: float,
 ) -> Result:
     """Coupling-strength phase map: detuned qubit gaps with a swap coupling."""
     h_s = Hamiltonian(np.diag([0.0, gap_s]).astype(complex))
@@ -321,8 +319,8 @@ def run_collide(
     theta: float,
     beta: float,
     seed: int,
-    mode: str = "joint",
-    init: str = "excited",
+    mode: str,
+    init: str,
 ) -> Result:
     """Collision trajectory, convergence fit and (joint mode) exact reversal.
 
@@ -387,8 +385,8 @@ def run_crooks(trials: int, beta: float, dim_s: int, dim_r: int, seed: int) -> R
             rows.append((k, report.delta_f, report.max_deviation, lhs, rhs, abs(lhs - rhs) / rhs, kl, avg, abs(kl - avg)))
         return rows
 
-    # the largest stacks hold d projectors of d x d per trial
-    return _by_chunks(trials, layout.dim**3, run_chunk), {}
+    # the largest stacks hold a few d x d matrices per trial
+    return _by_chunks(trials, layout.dim**2, run_chunk), {}
 
 
 def run_jarzynski(trials: int, beta: float, dim_s: int, dim_r: int, seed: int) -> Result:
@@ -401,7 +399,7 @@ def run_jarzynski(trials: int, beta: float, dim_s: int, dim_r: int, seed: int) -
         lhs, rhs = fluctuation.jarzynski_checks(stack)
         return [(k, lh, rh, abs(lh - rh) / rh) for k, lh, rh in zip(chunk, lhs.tolist(), rhs.tolist())]
 
-    return _by_chunks(trials, layout.dim**3, run_chunk), {}
+    return _by_chunks(trials, layout.dim**2, run_chunk), {}
 
 
 def _heatflow_draw(src: RandomSource) -> tuple[float, float, float]:
@@ -497,8 +495,8 @@ EXPERIMENTS: dict[str, Experiment] = {
             Param("g-values", "float_list", (0.0, 0.25, 0.5, 1.0, 2.0), "coupling strengths", validate=_finite_list),
             Param("eps-values", "float_list", (0.0, 0.25, 0.5), "correlation strengths", validate=_unit_list),
             Param("t-values", "float_list", (0.5, 1.0, 2.0, 4.0), "evolution times", validate=_finite_list),
-            Param("gap-s", "float", DEFAULT_GAP_S, "system qubit gap", validate=_finite),
-            Param("gap-r", "float", DEFAULT_GAP_R, "rest qubit gap", validate=_finite),
+            Param("gap-s", "float", 1.0, "system qubit gap", validate=_finite),
+            Param("gap-r", "float", 1.5, "rest qubit gap", validate=_finite),
         ),
         columns={"g": 0, "epsilon": 0, "t": 0, "sum": 1},
         run=lambda v: run_sweep(v["g-values"], v["eps-values"], v["t-values"], gap_s=v["gap-s"], gap_r=v["gap-r"]),

@@ -9,9 +9,13 @@ p_f/p_b = exp(beta (W - dF)), from which the work-average identity
 <exp(-beta W)> = exp(-beta dF) and the entropy-production identity
 KL(p_f || p_b) = <beta (W - dF)> follow.
 
-Degenerate spectra are handled by clustering eigenvalues: each projector
-covers one cluster and the post-measurement state is the normalized
-projector, which keeps the detailed ratio exact for every (n, m) pair.
+Degenerate spectra are handled by clustering eigenvalues: each outcome is
+one cluster, whose projector P_n is the sum of its levels' eigenvector
+projectors, and the post-measurement state is the normalized projector,
+which keeps the detailed ratio exact for every (n, m) pair.  So a transition
+probability tr(Q_m U P_n U+) is a sum of squared eigenvector overlaps
+|<f_j| U |i_k>|^2 over the levels k of cluster n and j of cluster m; no
+projector is formed on the way to a distribution.
 """
 
 from __future__ import annotations
@@ -64,37 +68,21 @@ def _cluster_breaks(evals: np.ndarray) -> np.ndarray:
     return ~(np.diff(evals, axis=-1) <= CLUSTER_GAP_TOL)
 
 
-def _cluster_sizes(breaks: np.ndarray) -> tuple[int, ...]:
-    edges = [0, *(np.flatnonzero(breaks) + 1).tolist(), len(breaks) + 1]
-    return tuple(np.diff(edges).tolist())
+def _cluster_starts(breaks: np.ndarray) -> np.ndarray:
+    """The first level of each cluster, from one row of cluster breaks."""
+    return np.concatenate(([0], np.flatnonzero(breaks) + 1))
 
 
-def spectral_projectors(evals: np.ndarray, evecs: np.ndarray, sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster energies (n, c) and projectors (n, c, d, d) of a stack of
-    eigensystems whose spectra share the cluster sizes ``sizes``.
-
-    Each projector is V V+ over its cluster's eigenvectors; each energy is
-    the mean of the cluster's eigenvalues, the eigenvalue itself for one level.
-    """
-    n, d = evals.shape
-    energies = np.empty((n, len(sizes)))
-    projectors = np.empty((n, len(sizes), d, d), dtype=complex)
-    start = 0
-    for c, size in enumerate(sizes):
-        members = slice(start, start + size)
-        # contiguous, like one trial's evecs[:, members], so BLAS rounds the same
-        v = np.ascontiguousarray(evecs[:, :, members])
-        projectors[:, c] = v @ v.conj().swapaxes(-1, -2)
-        energies[:, c] = evals[:, start] if size == 1 else np.mean(evals[:, members], axis=-1)
-        start += size
-    return energies, projectors
+def _cluster_energies(evals: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Mean eigenvalue of each cluster of a stack of spectra (n, d)."""
+    return np.add.reduceat(evals, starts, axis=-1) / np.diff(starts, append=evals.shape[-1])
 
 
 def eigen_projectors(h: Hamiltonian) -> list[EnergyProjector]:
     """Spectral projectors, one per eigenvalue cluster (gap tolerance 1e-9)."""
-    evals = h.eigenvalues[None]
-    energies, projectors = spectral_projectors(evals, h.eigenvectors[None], _cluster_sizes(_cluster_breaks(evals)[0]))
-    return [EnergyProjector(energy=e, projector=p) for e, p in zip(energies[0].tolist(), projectors[0])]
+    starts = _cluster_starts(_cluster_breaks(h.eigenvalues))
+    energies = _cluster_energies(h.eigenvalues, starts).tolist()
+    return [EnergyProjector(e, v @ v.conj().T) for e, v in zip(energies, np.split(h.eigenvectors, starts[1:], axis=1))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,32 +198,29 @@ def free_energy_difference(protocol: TwoPointProtocol) -> float:
     return free_energy(protocol.h_final, protocol.beta) - free_energy(protocol.h_initial, protocol.beta)
 
 
-def _transitions(p: np.ndarray, q: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """t[k, n, m] = tr(Q_m U P_n U+) for each trial k of stacked projectors
-    p (N, a, d, d), q (N, b, d, d) and drives u (N, d, d).
-
-    The rotations U P_n U+ are stacked; the contraction against the stacked
-    Q_m stays one np.einsum per (trial, n), because no stacked form of it
-    rounds like that one.
-    """
-    rotated = u[:, None] @ p @ u.conj().swapaxes(-1, -2)[:, None]
-    t = np.empty(p.shape[:2] + q.shape[1:2])
-    for k in range(len(p)):
-        for n in range(p.shape[1]):
-            t[k, n] = np.real(np.einsum("mij,ji->m", q[k], rotated[k, n]))
-    return np.clip(t, 0.0, None)
+def _transitions(v_from: np.ndarray, v_to: np.ndarray, u: np.ndarray, starts_from: np.ndarray, starts_to: np.ndarray) -> np.ndarray:
+    """t[k, n, m] = tr(Q_m U P_n U+) for each trial k of stacked eigenvectors
+    v_from, v_to (N, d, d) and drives u (N, d, d): the squared overlaps
+    |<to_j| U |from_i>|^2, summed over the levels i of cluster n and j of
+    cluster m, the clusters beginning at ``starts_from`` and ``starts_to``."""
+    overlaps = v_to.conj().swapaxes(-1, -2) @ u @ v_from
+    levels = (overlaps.real**2 + overlaps.imag**2).swapaxes(-1, -2)
+    return np.add.reduceat(np.add.reduceat(levels, starts_from, axis=-2), starts_to, axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
 class _ProtocolGroup:
     """The trials of a protocol stack whose spectra share their cluster
-    sizes, each Hamiltonian projected once."""
+    sizes: the eigenvectors of both Hamiltonians, the first level of each
+    cluster and the cluster energies."""
 
     trials: np.ndarray
+    evecs_initial: np.ndarray
+    starts_initial: np.ndarray
     energies_initial: np.ndarray
-    projectors_initial: np.ndarray
+    evecs_final: np.ndarray
+    starts_final: np.ndarray
     energies_final: np.ndarray
-    projectors_final: np.ndarray
     unitaries: np.ndarray
     log_z_initial: np.ndarray
     log_z_final: np.ndarray
@@ -244,16 +229,17 @@ class _ProtocolGroup:
     def forward(self) -> np.ndarray:
         """Unvalidated p_f(n, m): Gibbs-weighted initial outcome, drive, final measurement."""
         weights = np.exp(-self.beta * self.energies_initial - self.log_z_initial[:, None])
-        return weights[:, :, None] * _transitions(self.projectors_initial, self.projectors_final, self.unitaries)
+        t = _transitions(self.evecs_initial, self.evecs_final, self.unitaries, self.starts_initial, self.starts_final)
+        return weights[:, :, None] * t
 
     def backward(self) -> np.ndarray:
         """Unvalidated p_b(n, m): start thermal on h_final, drive with U+,
-        measure h_initial; computed independently of p_f."""
+        measure h_initial; computed from U+ on its own, never as the
+        transpose of p_f's transitions, which equal it only in exact arithmetic."""
         weights = np.exp(-self.beta * self.energies_final - self.log_z_final[:, None])
         u_dag = self.unitaries.conj().swapaxes(-1, -2)
-        t = _transitions(self.projectors_final, self.projectors_initial, u_dag)
-        # indexed (n, m) in C order, as p_f is, so that sums over it group alike
-        return np.ascontiguousarray(t.swapaxes(-1, -2)) * weights[:, None, :]
+        t = _transitions(self.evecs_final, self.evecs_initial, u_dag, self.starts_final, self.starts_initial)
+        return t.swapaxes(-1, -2) * weights[:, None, :]
 
     def delta_f(self) -> np.ndarray:
         """dF = F(h_final) - F(h_initial) of each trial."""
@@ -273,18 +259,20 @@ def _groups(stack: ProtocolStack) -> list[_ProtocolGroup]:
     groups = []
     for g, key in enumerate(keys):
         trials = np.flatnonzero(inverse.ravel() == g)
-        e_i, p = spectral_projectors(stack.evals_initial[trials], stack.evecs_initial[trials], _cluster_sizes(key[: d - 1]))
-        e_f, q = spectral_projectors(stack.evals_final[trials], stack.evecs_final[trials], _cluster_sizes(key[d - 1 :]))
+        evals_i, evals_f = stack.evals_initial[trials], stack.evals_final[trials]
+        starts_i, starts_f = _cluster_starts(key[: d - 1]), _cluster_starts(key[d - 1 :])
         groups.append(
             _ProtocolGroup(
                 trials=trials,
-                energies_initial=e_i,
-                projectors_initial=p,
-                energies_final=e_f,
-                projectors_final=q,
+                evecs_initial=stack.evecs_initial[trials],
+                starts_initial=starts_i,
+                energies_initial=_cluster_energies(evals_i, starts_i),
+                evecs_final=stack.evecs_final[trials],
+                starts_final=starts_f,
+                energies_final=_cluster_energies(evals_f, starts_f),
                 unitaries=stack.unitaries[trials],
-                log_z_initial=log_partitions(stack.evals_initial[trials], stack.beta),
-                log_z_final=log_partitions(stack.evals_final[trials], stack.beta),
+                log_z_initial=log_partitions(evals_i, stack.beta),
+                log_z_final=log_partitions(evals_f, stack.beta),
                 beta=stack.beta,
             )
         )

@@ -196,15 +196,22 @@ def _random_hamiltonian(dim, src):
     return np.linalg.eigh((z + z.conj().T) / 2.0)
 
 
-def _projectors(evals, evecs) -> tuple[np.ndarray, list]:
+def _clusters(evals) -> list[list[int]]:
     clusters = [[0]]
     for i in range(1, len(evals)):
         if evals[i] - evals[clusters[-1][-1]] <= CLUSTER_GAP_TOL:
             clusters[-1].append(i)
         else:
             clusters.append([i])
-    energies = np.array([float(np.mean(evals[members])) for members in clusters])
-    return energies, [evecs[:, members] @ evecs[:, members].conj().T for members in clusters]
+    return clusters
+
+
+def _cluster_transitions(v_from, v_to, u, c_from, c_to) -> np.ndarray:
+    """t[n, m] = sum of |<to_j| U |from_i>|^2 over the levels i of cluster
+    n of c_from and j of cluster m of c_to."""
+    a = v_to.conj().T @ u @ v_from
+    levels = (a.real**2 + a.imag**2).T
+    return np.array([[levels[np.ix_(n, m)].sum() for m in c_to] for n in c_from])
 
 
 def _log_partition(evals, beta) -> float:
@@ -221,18 +228,14 @@ def two_point(layout, beta, src):
     evals_i, evecs_i = _random_hamiltonian(layout.dim, src.child(0))
     evals_f, evecs_f = _random_hamiltonian(layout.dim, src.child(1))
     u = _haar(layout.dim, src.child(2))
-    e_i, p = _projectors(evals_i, evecs_i)
-    e_f, q = _projectors(evals_f, evecs_f)
+    c_i, c_f = _clusters(evals_i), _clusters(evals_f)
+    e_i = np.array([float(np.mean(evals_i[members])) for members in c_i])
+    e_f = np.array([float(np.mean(evals_f[members])) for members in c_f])
     log_z_i, log_z_f = _log_partition(evals_i, beta), _log_partition(evals_f, beta)
-    t_f = np.empty((len(p), len(q)))
-    for n, pn in enumerate(p):
-        t_f[n] = np.real(np.einsum("mij,ji->m", np.stack(q), u @ pn @ u.conj().T))
-    pf = np.clip(np.exp(-beta * e_i - log_z_i)[:, None] * np.clip(t_f, 0.0, None), 0.0, None)
-    u_dag = u.conj().T
-    t_b = np.empty((len(p), len(q)))
-    for m, qm in enumerate(q):
-        t_b[:, m] = np.real(np.einsum("nij,ji->n", np.stack(p), u_dag @ qm @ u_dag.conj().T))
-    pb = np.clip(np.clip(t_b, 0.0, None) * np.exp(-beta * e_f - log_z_f)[None, :], 0.0, None)
+    pf = np.exp(-beta * e_i - log_z_i)[:, None] * _cluster_transitions(evecs_i, evecs_f, u, c_i, c_f)
+    # the backward transitions from U+ on their own, indexed (n, m) like p_f
+    t_b = _cluster_transitions(evecs_f, evecs_i, u.conj().T, c_f, c_i).T
+    pb = t_b * np.exp(-beta * e_f - log_z_f)[None, :]
     delta_f = -log_z_f / beta - -log_z_i / beta
     return pf, pb, e_f[None, :] - e_i[:, None], delta_f
 

@@ -130,6 +130,16 @@ class TestParserPerSubcommand:
             main_outcome(capsys, argv)
         assert built == ["decorrelate", None, None, None, None]
 
+    def test_each_parser_is_built_once_and_survives_a_usage_error(self, capsys):
+        assert build_parser("balance") is build_parser("balance")
+        assert build_parser() is build_parser()
+        first = main_outcome(capsys, ["balance", "--trials", "2"])
+        assert main_outcome(capsys, ["balance", "--no-such-flag", "1"])[0] == 1
+        second = main_outcome(capsys, ["balance", "--trials", "2"])
+        assert [line for line in first[1].splitlines() if "duration" not in line] == [
+            line for line in second[1].splitlines() if "duration" not in line
+        ]
+
     def test_top_level_help_and_subcommand_errors_keep_their_text(self, capsys):
         code, out, _ = main_outcome(capsys, ["--help"])
         assert code == 0 and out.startswith("usage: arrowlab [-h] experiment ...")

@@ -87,14 +87,6 @@ class TestRunCollisions:
         assert len(record.states) == 5
         assert len(record.entropies) == 5
 
-    def test_inhomogeneous_reservoir(self):
-        states = (diag_state(0.9), diag_state(0.1), diag_state(0.5))
-        spec = ReservoirSpec(ancilla_state=states[0], count=3, ancilla_states=states)
-        record = run_collisions(diag_state(0.5), spec, UnitaryOperator(SWAP))
-        assert not record.homogeneous
-        for k, xi in enumerate(states):
-            assert trace_distance(record.states[k + 1], xi) <= 1e-14
-
 
 class TestJointMode:
     def test_joint_matches_reduced_trajectory(self):
@@ -311,7 +303,7 @@ class TestReversal:
             dims.append(self.dim)
 
         monkeypatch.setattr(DensityOperator, "__post_init__", recording)
-        _, extra = experiments.run_collide(6, math.pi / 4, math.log(3), 0, mode="joint")
+        _, extra = experiments.run_collide(6, math.pi / 4, math.log(3), 0, mode="joint", init="excited")
         assert extra["recovered_trace_distance"] <= experiments.RECOVERY_TOL
         assert "shuffled_trace_distance" in extra
         assert dims and max(dims) == 2
@@ -349,11 +341,3 @@ class TestConvergenceReport:
         # the full swap converges exactly in one step, below any finite rate
         record = run_collisions(pure_state(ket(1)), spec, partial_swap_unitary(math.pi / 2))
         assert convergence_report(record).exact
-
-    def test_inhomogeneous_skips_fit(self):
-        states = tuple(diag_state(p) for p in (0.9, 0.8, 0.7, 0.6))
-        spec = ReservoirSpec(ancilla_state=states[0], count=4, ancilla_states=states)
-        record = run_collisions(diag_state(0.5), spec, partial_swap_unitary(0.4))
-        report = convergence_report(record)
-        assert report.rate is None
-        assert not report.exact

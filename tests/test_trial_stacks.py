@@ -25,6 +25,20 @@ def exact(rows):
     return [tuple(map(repr, row)) for row in rows]
 
 
+@pytest.fixture
+def chunk_sizes(monkeypatch):
+    """The chunk lengths of each trial_chunks call the experiments make."""
+    sizes = []
+
+    def recording(trials, entries_per_trial):
+        chunks = core.trial_chunks(trials, entries_per_trial)
+        sizes.append([len(chunk) for chunk in chunks])
+        return chunks
+
+    monkeypatch.setattr(experiments, "trial_chunks", recording)
+    return sizes
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("dims", DIMS, ids=DIM_IDS)
 def test_balance_and_schrodinger_match_per_trial_loops(dims, seed):
@@ -36,13 +50,16 @@ def test_balance_and_schrodinger_match_per_trial_loops(dims, seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("dims", DIMS, ids=DIM_IDS)
-def test_crooks_and_jarzynski_match_per_trial_loops(dims, seed):
-    # 18 trials cross the 16-trial chunk boundary at 4x4
+def test_crooks_and_jarzynski_match_per_trial_loops(monkeypatch, chunk_sizes, dims, seed):
+    # a trial takes d^2 entries, so chunks hold 16 trials and 18 trials
+    # cross a chunk boundary at every dimension
     layout = BipartitionLayout(*dims)
+    monkeypatch.setattr(core, "STACK_ENTRIES", 16 * layout.dim**2)
     rows, _ = experiments.run_crooks(18, 1.0, *dims, seed)
     assert exact(rows) == exact(oracles.crooks_rows(18, 1.0, layout, RandomSource(seed)))
     rows, _ = experiments.run_jarzynski(18, 1.0, *dims, seed)
     assert exact(rows) == exact(oracles.jarzynski_rows(18, 1.0, layout, RandomSource(seed)))
+    assert chunk_sizes == [[16, 2], [16, 2]]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -63,17 +80,18 @@ def test_balance_at_16x16_keeps_each_trial_on_its_own_stream():
     [
         (lambda: experiments.run_balance(10, 2, 2, 3), 4**2),
         (lambda: experiments.run_schrodinger(10, 2, 2, 3), 4**2),
-        (lambda: experiments.run_crooks(10, 1.0, 2, 2, 3), 4**3),
-        (lambda: experiments.run_jarzynski(10, 1.0, 2, 2, 3), 4**3),
+        (lambda: experiments.run_crooks(10, 1.0, 2, 2, 3), 4**2),
+        (lambda: experiments.run_jarzynski(10, 1.0, 2, 2, 3), 4**2),
         (lambda: experiments.run_heatflow(10, 3), 4**2),
     ],
     ids=["balance", "schrodinger", "crooks", "jarzynski", "heatflow"],
 )
-def test_rows_do_not_depend_on_the_chunk_size(monkeypatch, run, entries):
+def test_rows_do_not_depend_on_the_chunk_size(monkeypatch, chunk_sizes, run, entries):
     whole, _ = run()
     monkeypatch.setattr(core, "STACK_ENTRIES", 3 * entries)
-    assert [len(chunk) for chunk in core.trial_chunks(10, entries)] == [3, 3, 3, 1]
     assert exact(run()[0]) == exact(whole)
+    # the experiment itself sizes a trial at ``entries``
+    assert chunk_sizes == [[10], [3, 3, 3, 1]]
 
 
 def test_balance_at_16x16_allocates_no_more_than_one_trial_at_a_time():
