@@ -11,9 +11,11 @@ Conventions, fixed once for the whole package:
 * entropies and relative entropies are in nats (natural log),
 * composite bases are ordered lexicographically with subsystem S as the left
   (slow) tensor factor, so index ``i = s * dim_r + r``,
-* randomness flows only through :class:`RandomSource` (numpy PCG64, children
-  derived via SeedSequence spawn keys), so every sampling routine is a
-  deterministic function of its source.
+* randomness flows only through :class:`RandomSource`: each source's stream
+  is numpy's PCG64 seeded from SeedSequence with the source's spawn key, and
+  the stacked samplers derive those streams for a whole stack in one pass
+  (:func:`pcg64_states`), so every sampling routine is a deterministic
+  function of its sources.
 
 Experiments run their trials as stacks: the validators, samplers and
 kernels with plural names act on (n, d, d) arrays, one trial per leading
@@ -24,8 +26,9 @@ so a trial's numbers do not depend on the stack it runs in.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence, TypeVar
 
 import numpy as np
 
@@ -37,6 +40,8 @@ RECONSTRUCTION_TOL = 1e-10
 SUPPORT_TOL = 1e-12  # eigenvalue threshold defining the support of a state
 
 RNG_ALGORITHM = "numpy-PCG64"
+
+T = TypeVar("T")
 
 
 # Stacked arrays are cut into chunks of at most this many entries each: 2^16
@@ -194,11 +199,14 @@ class BipartitionLayout:
 class RandomSource:
     """Deterministic randomness root: a 64-bit seed plus a split key.
 
-    The generator algorithm is fixed to numpy's PCG64.  Children derived via
-    :meth:`child` use SeedSequence spawn keys, so parallel trials get
-    independent, reproducible streams.  Every call to :meth:`generator`
-    returns a fresh generator at the start of the stream; sampling functions
-    are therefore pure functions of their RandomSource argument.
+    A source's stream is numpy's PCG64 seeded from
+    ``SeedSequence(seed, spawn_key=key)``.  Children derived via
+    :meth:`child` extend the spawn key, so parallel trials get independent,
+    reproducible streams.  :meth:`generator` builds that stream through
+    numpy's own ``SeedSequence``; the stacked samplers derive the same
+    streams for a whole stack in one pass (:func:`pcg64_states`).  Every
+    stream starts at its beginning, so sampling functions are pure
+    functions of their RandomSource arguments.
     """
 
     seed: int
@@ -209,12 +217,170 @@ class RandomSource:
     def __post_init__(self):
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
+        if min(self.key, default=0) < 0:
+            raise ValueError("expected non-negative integer")
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=self.key)))
 
     def child(self, index: int) -> "RandomSource":
         return RandomSource(self.seed, self.key + (int(index),))
+
+
+# ---------------------------------------------------------------------------
+# stream derivation
+# ---------------------------------------------------------------------------
+# numpy's SeedSequence -> PCG64 seeding (numpy/random/bit_generator.pyx and
+# pcg64.h) is fixed arithmetic that NEP 19 keeps stable: a uint32 hashmix of
+# the entropy words into a 4-word pool, generate_state(4, uint64) from the
+# pool, and two steps of PCG64's 128-bit LCG.  The entropy words are the
+# seed's, zero-padded to the pool size, then the spawn key's.  Every hash
+# constant depends only on the position of its word, so the constants are
+# tables, and the pool after the seed words depends only on the seed.
+
+_MASK32 = 2**32 - 1
+_MASK128 = 2**128 - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_POOL_SIZE = 4
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**t mod 2^32 for t = 0 .. count - 1."""
+    return np.array([init * pow(mult, t, 2**32) & _MASK32 for t in range(count)], dtype=np.uint32)
+
+
+# generate_state(4, uint64) hashes the pool twice round into 8 words; word t
+# is xor-ed with constant t and multiplied by constant t + 1
+_STATE_HASH = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1)
+_STATE_XOR = _STATE_HASH[:-1].reshape(2, _POOL_SIZE)
+_STATE_MULT = _STATE_HASH[1:].reshape(2, _POOL_SIZE)
+# the seed words take the first 4 + 4 * 3 hashmix calls of mix_entropy;
+# spawn word j then takes one call per pool word
+_SEED_CALLS = _POOL_SIZE * _POOL_SIZE
+
+
+@functools.lru_cache(maxsize=64)
+def _spawn_hash(words: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xor, multiplier) constants (words, 4) of each spawn word's hashmix
+    into each pool word."""
+    a = _hash_constants(_INIT_A, _MULT_A, _SEED_CALLS + _POOL_SIZE * words + 1)[_SEED_CALLS:]
+    a.setflags(write=False)
+    return a[:-1].reshape(words, _POOL_SIZE), a[1:].reshape(words, _POOL_SIZE)
+
+
+@functools.lru_cache(maxsize=64)
+def _seed_pool(seed: int) -> np.ndarray:
+    """The 4-word pool once the seed's words are mixed in: numpy's pool for
+    this seed with an empty spawn key."""
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (int(_MIX_MULT_L) * x - int(_MIX_MULT_R) * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(word) for word in (seed & _MASK32, seed >> 32, 0, 0)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    pool = np.array(pool, dtype=np.uint32)
+    pool.setflags(write=False)
+    return pool
+
+
+def _spawn_words(key: tuple[int, ...]) -> tuple[int, ...]:
+    """SeedSequence's uint32 words of a spawn key: each entry little-endian
+    32-bit words, 0 as one word."""
+    if max(key, default=0) <= _MASK32:
+        return key
+    words = []
+    for entry in map(int, key):
+        words.append(entry & _MASK32)
+        while entry > _MASK32:
+            entry >>= 32
+            words.append(entry & _MASK32)
+    return tuple(words)
+
+
+def _group_states(seed: int, spawn: np.ndarray) -> list[tuple[int, int]]:
+    """(state, inc) per row of spawn words (n, m), all under one seed."""
+    xor, mult = _spawn_hash(spawn.shape[1])
+    # a spawn word's hashmix depends on its position alone, not on the pool
+    hashed = spawn[:, :, None] ^ xor
+    hashed *= mult
+    hashed ^= hashed >> _XSHIFT
+    hashed *= _MIX_MULT_R
+    pool = _seed_pool(seed)
+    for j in range(spawn.shape[1]):
+        pool = pool * _MIX_MULT_L - hashed[:, j]
+        pool ^= pool >> _XSHIFT
+    words = np.empty((len(spawn), 2, _POOL_SIZE), dtype=np.uint32)
+    np.bitwise_xor(pool[..., None, :], _STATE_XOR, out=words)
+    words *= _STATE_MULT
+    words ^= words >> _XSHIFT
+    # numpy reads the 8 words as 4 little-endian uint64; PCG64 takes each
+    # pair of those as (high, low) halves of a 128-bit seed and increment
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in words.reshape(len(spawn), -1).astype("<u4", copy=False).view("<u8").tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        states.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, inc))
+    return states
+
+
+def pcg64_states(sources: Sequence[RandomSource]) -> list[tuple[int, int]]:
+    """(state, inc) of each source's PCG64, as numpy seeds it from
+    ``SeedSequence(seed, spawn_key=key)``, derived for the whole stack at
+    once: one group per seed and spawn-key word count."""
+    words = [_spawn_words(source.key) for source in sources]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, (source, w) in enumerate(zip(sources, words)):
+        groups.setdefault((int(source.seed), len(w)), []).append(k)
+    states: list = [None] * len(sources)
+    for (seed, count), members in groups.items():
+        spawn = np.array([words[k] for k in members], dtype=np.uint32).reshape(len(members), count)
+        for k, state in zip(members, _group_states(seed, spawn)):
+            states[k] = state
+    return states
+
+
+@functools.cache
+def _shared_generator() -> np.random.Generator:
+    """The one generator whose state is set to each source's in turn.  Built
+    on first use: numpy imports ``numpy.random`` lazily, and importing
+    arrowlab need not pay for it."""
+    return np.random.Generator(np.random.PCG64(0))
+
+
+def draw_streams(sources: Sequence[RandomSource], draw: Callable[[np.random.Generator], T]) -> list[T]:
+    """``draw(g)`` per source, with ``g`` a numpy Generator at the start of
+    that source's stream.  ``g`` is shared: ``draw`` must not keep it.  Its
+    bit generator's lock is held across the stack, so concurrent callers
+    cannot interleave."""
+    states = pcg64_states(sources)
+    g = _shared_generator()
+    bit_generator = g.bit_generator
+    results = []
+    with bit_generator.lock:
+        for state, inc in states:
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            results.append(draw(g))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +617,19 @@ def gibbs_state(h: Hamiltonian, beta: float) -> DensityOperator:
 
 def gaussian_matrices(sources: Sequence[RandomSource], rows: int, cols: int) -> np.ndarray:
     """Stack of complex Gaussian matrices X + iY, one per source, each drawn
-    from the start of its source's stream: all of X, then all of Y."""
+    from the start of its source's stream: all of X, then all of Y.  The
+    streams are derived for the whole stack in one pass
+    (:func:`draw_streams`)."""
     re = np.empty((len(sources), rows, cols))
     im = np.empty_like(re)
-    for k, source in enumerate(sources):
-        g = source.generator()
-        g.standard_normal(out=re[k])
-        g.standard_normal(out=im[k])
+    slabs = iter(zip(re, im))
+
+    def fill(g: np.random.Generator) -> None:
+        x, y = next(slabs)
+        g.standard_normal(out=x)
+        g.standard_normal(out=y)
+
+    draw_streams(sources, fill)
     return re + 1j * im
 
 

@@ -29,6 +29,7 @@ from .core import (
     BipartitionLayout,
     Hamiltonian,
     RandomSource,
+    draw_streams,
     gibbs_state,
     haar_unitaries,
     mutual_information,
@@ -402,9 +403,9 @@ def run_jarzynski(trials: int, beta: float, dim_s: int, dim_r: int, seed: int) -
     return _by_chunks(trials, layout.dim**2, run_chunk), {}
 
 
-def _heatflow_draw(src: RandomSource) -> tuple[float, float, float]:
-    """(beta_s, beta_r, time) of one heat-flow trial."""
-    g = src.generator()
+def _heatflow_draw(g: np.random.Generator) -> tuple[float, float, float]:
+    """(beta_s, beta_r, time) of one heat-flow trial, from the start of its
+    stream."""
     beta_hot = g.uniform(0.2, 1.0)
     beta_cold = beta_hot + g.uniform(0.5, 2.0)
     hot_is_s = bool(g.integers(2))
@@ -419,7 +420,7 @@ def run_heatflow(trials: int, seed: int) -> Result:
     root = RandomSource(seed)
 
     def run_chunk(chunk: range) -> list[Row]:
-        beta_s, beta_r, times = zip(*(_heatflow_draw(root.child(k)) for k in chunk))
+        beta_s, beta_r, times = zip(*draw_streams([root.child(k) for k in chunk], _heatflow_draw))
         return [
             (k, t.beta_s, t.beta_r, t.hotter, t.du_s, t.du_r, t.ds_s, t.ds_r, t.t_s, t.t_r, t.clausius_lhs)
             for k, t in zip(chunk, fluctuation.heat_flow_trials(beta_s, beta_r, times))
