@@ -29,10 +29,14 @@ from .core import (
     basis_ket,
     marginal_entropies_of_stack,
     partial_traces,
+    product_spectra,
     raise_first_failure,
     random_hermitians,
     spectrum_entropies,
+    state_checks,
+    tensor_products,
     unitaries_from_hamiltonian,
+    unitary_checks,
     unitary_from_hamiltonian,
     validate_unitaries,
 )
@@ -87,13 +91,23 @@ class EntropyBalanceReport:
 
 
 def entropy_balances(
-    rho: np.ndarray, spectra: np.ndarray, layout: BipartitionLayout, u: np.ndarray
+    rho: np.ndarray,
+    initial: tuple[np.ndarray, np.ndarray, np.ndarray],
+    layout: BipartitionLayout,
+    u: np.ndarray,
 ) -> tuple[EntropyBalanceReport, np.ndarray]:
-    """Evolve a stack (n, D, D) of validated joint states, whose spectra are
-    ``spectra``, by a stack of validated unitaries; return the stacked
-    report and the evolved states U rho U+."""
-    s_s0, s_r0 = marginal_entropies_of_stack(rho, layout)
-    s0 = spectrum_entropies(spectra)
+    """Evolve a stack (n, D, D) of validated joint states by a stack of
+    validated unitaries; return the stacked report and the evolved states
+    U rho U+.
+
+    ``initial`` holds the states' entropies (S(rho_S), S(rho_R), S(rho)),
+    each (n,), as the caller already knows them: from a DensityOperator's
+    spectrum, or for a product input from its factors (see
+    :func:`product_balances`).  The final entropies are computed here, S of
+    the final state from its own ``eigvalsh``: that is the one independent
+    input to the product-input check sum == mi_final.
+    """
+    s_s0, s_r0, s0 = initial
     # U rho U+ of a valid state under a valid unitary is a state: no re-validation
     final = u @ rho @ u.conj().swapaxes(-1, -2)
     s_s1, s_r1 = marginal_entropies_of_stack(final, layout)
@@ -113,11 +127,43 @@ def entropy_balances(
     return report, final
 
 
+def product_balances(
+    rho_s: np.ndarray, rho_r: np.ndarray, layout: BipartitionLayout, u: np.ndarray
+) -> tuple[EntropyBalanceReport, np.ndarray, np.ndarray]:
+    """Entropy balances of the product inputs rho_S (x) rho_R of two stacks
+    of factors (n, d_S, d_S) and (n, d_R, d_R) under a stack of unitaries
+    (n, D, D); return the stacked report, the products and the evolved
+    states.
+
+    The factors and the unitaries are validated here, each trial in the
+    order rho_S, rho_R, U, so a stack raises what its first failing trial
+    raises on its own.  The product of two states is a state, so it is built
+    for the evolution only, never validated or decomposed: its spectrum is
+    the sorted outer product of the factor spectra, and its marginal
+    entropies are the factors' own.
+    """
+    if rho_s.shape[-1] != layout.dim_s or rho_r.shape[-1] != layout.dim_r or u.shape[-1] != layout.dim:
+        raise ValueError("factor, layout and unitary dimensions must agree")
+    spectra_s, checks_s = state_checks(rho_s)
+    spectra_r, checks_r = state_checks(rho_r)
+    raise_first_failure((*checks_s, *checks_r, *unitary_checks(u)))
+    rho = tensor_products(rho_s, rho_r)
+    initial = (
+        spectrum_entropies(spectra_s),
+        spectrum_entropies(spectra_r),
+        spectrum_entropies(product_spectra(spectra_s, spectra_r)),
+    )
+    report, final = entropy_balances(rho, initial, layout, u)
+    return report, rho, final
+
+
 def entropy_balance(rho_joint: DensityOperator, layout: BipartitionLayout, u: UnitaryOperator) -> EntropyBalanceReport:
     """Evolve the joint state and report both local entropy changes."""
     if rho_joint.dim != layout.dim or u.dim != layout.dim:
         raise ValueError("state, layout and unitary dimensions must agree")
-    report, _ = entropy_balances(rho_joint.matrix[None], rho_joint.spectrum[None], layout, u.matrix[None])
+    rho = rho_joint.matrix[None]
+    initial = (*marginal_entropies_of_stack(rho, layout), spectrum_entropies(rho_joint.spectrum[None]))
+    report, _ = entropy_balances(rho, initial, layout, u.matrix[None])
     return report.trial(0)
 
 
@@ -458,14 +504,18 @@ def weak_coupling_sweep(
     h_local = np.kron(h_local_s.matrix, np.eye(2)) + np.kron(np.eye(2), h_local_r.matrix)
     states = [near_product_state(eps) for eps in grid.correlation_strengths]
     times = grid.evolution_times
-    # one stack per coupling, over the (eps, t) cells in grid order
-    rho = np.repeat(np.stack([state.matrix for state in states]), len(times), axis=0)
-    spectra = np.repeat(np.stack([state.spectrum for state in states]), len(times), axis=0)
+    matrices = np.stack([state.matrix for state in states])
+    spectra = np.stack([state.spectrum for state in states])
+    # one stack per coupling, over the (eps, t) cells in grid order; each
+    # state's initial entropies are computed once and repeated over its times
+    rho = np.repeat(matrices, len(times), axis=0)
+    entropies = (*marginal_entropies_of_stack(matrices, TWO_QUBITS), spectrum_entropies(spectra))
+    initial = tuple(np.repeat(e, len(times)) for e in entropies)
     cells = list(itertools.product(grid.correlation_strengths, times))
     points = []
     for g in grid.coupling_strengths:
         u = unitaries_from_hamiltonian(Hamiltonian(h_local + g * h_int.matrix), times)
         validate_unitaries(u)
-        report, _ = entropy_balances(rho, spectra, TWO_QUBITS, np.tile(u, (len(states), 1, 1)))
+        report, _ = entropy_balances(rho, initial, TWO_QUBITS, np.tile(u, (len(states), 1, 1)))
         points += [SweepPoint(coupling=g, epsilon=eps, time=t, sum=s) for (eps, t), s in zip(cells, report.sum.tolist())]
     return points

@@ -85,25 +85,39 @@ def _hermiticity_defects(m: np.ndarray) -> np.ndarray:
     return np.abs(m - _dagger(m)).max(axis=(-2, -1))
 
 
-def validate_states(m: np.ndarray) -> np.ndarray:
-    """Check a stack (n, d, d) of density matrices for Hermiticity, unit
-    trace and positivity; return their ascending ``eigvalsh`` spectra."""
+def state_checks(m: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The ascending ``eigvalsh`` spectra of a stack (n, d, d) of density
+    matrices and their Hermiticity, unit-trace and positivity checks, in the
+    form :func:`raise_first_failure` takes; nothing is raised here."""
     defect = _hermiticity_defects(m)
     trace_err = np.abs(m.trace(axis1=-2, axis2=-1) - 1.0)
     spectra = np.linalg.eigvalsh(m)
     lam_min = spectra.min(axis=-1)
-    raise_first_failure((
+    return spectra, (
         (defect > HERMITICITY_TOL, lambda k: f"state is not Hermitian (max deviation {defect[k]:.3e})"),
         (trace_err > TRACE_TOL, lambda k: f"state trace deviates from 1 by {trace_err[k]:.3e}"),
         (lam_min < -PSD_TOL, lambda k: f"state has negative eigenvalue {lam_min[k]:.3e}"),
-    ))
+    )
+
+
+def validate_states(m: np.ndarray) -> np.ndarray:
+    """Check a stack (n, d, d) of density matrices for Hermiticity, unit
+    trace and positivity; return their ascending ``eigvalsh`` spectra."""
+    spectra, checks = state_checks(m)
+    raise_first_failure(checks)
     return spectra
+
+
+def unitary_checks(m: np.ndarray) -> tuple:
+    """The U+U = I check of a stack (n, d, d) of matrices, in the form
+    :func:`raise_first_failure` takes; nothing is raised here."""
+    defect = np.abs(_dagger(m) @ m - np.eye(m.shape[-1])).max(axis=(-2, -1))
+    return ((defect > UNITARITY_TOL, lambda k: f"matrix is not unitary (max deviation {defect[k]:.3e})"),)
 
 
 def validate_unitaries(m: np.ndarray) -> None:
     """Check a stack (n, d, d) of matrices for U+U = I."""
-    defect = np.abs(_dagger(m) @ m - np.eye(m.shape[-1])).max(axis=(-2, -1))
-    raise_first_failure(((defect > UNITARITY_TOL, lambda k: f"matrix is not unitary (max deviation {defect[k]:.3e})"),))
+    raise_first_failure(unitary_checks(m))
 
 
 def validate_hamiltonians(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -419,6 +433,13 @@ def tensor_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker products a_k (x) b_k of two stacks (n, p, p) and (n, q, q)."""
     n, p, q = len(a), a.shape[-1], b.shape[-1]
     return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, p * q, p * q)
+
+
+def product_spectra(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ascending spectra (n, p * q) of the Kronecker products a_k (x) b_k,
+    from the spectra (n, p) and (n, q) of their factors: every product of
+    one eigenvalue of each, sorted.  No eigendecomposition is made."""
+    return np.sort((a[:, :, None] * b[:, None, :]).reshape(len(a), -1), axis=-1)
 
 
 def tensor_product(a: DensityOperator, b: DensityOperator) -> DensityOperator:

@@ -37,11 +37,8 @@ from .core import (
     random_density_matrices,
     random_density_operator,
     renyi2_of_matrix,
-    tensor_products,
     trace_distance,
     trial_chunks,
-    validate_states,
-    validate_unitaries,
 )
 
 BALANCE_TOL = 1e-9
@@ -184,16 +181,12 @@ def _by_chunks(trials: int, entries_per_trial: int, run_chunk: Callable[[range],
 def _product_balances(layout: BipartitionLayout, sources: list[RandomSource]) -> arrow.EntropyBalanceReport:
     """Stacked entropy balances of random product inputs under Haar
     unitaries: per source, the two factors from its children 0 and 1 and
-    the unitary from child 2."""
+    the unitary from child 2.  The inputs are validated through their
+    factors (:func:`arrow.product_balances`)."""
     rho_s = random_density_matrices(layout.dim_s, layout.dim_s, [src.child(0) for src in sources])
-    validate_states(rho_s)
     rho_r = random_density_matrices(layout.dim_r, layout.dim_r, [src.child(1) for src in sources])
-    validate_states(rho_r)
-    rho = tensor_products(rho_s, rho_r)
-    spectra = validate_states(rho)
     u = haar_unitaries(layout.dim, [src.child(2) for src in sources])
-    validate_unitaries(u)
-    return arrow.entropy_balances(rho, spectra, layout, u)[0]
+    return arrow.product_balances(rho_s, rho_r, layout, u)[0]
 
 
 def run_balance(trials: int, dim_s: int, dim_r: int, seed: int) -> Result:

@@ -117,7 +117,10 @@ def transition_matrix_by_pairs(p_projectors, q_projectors, u) -> np.ndarray:
 # The rows of run_balance, run_schrodinger, run_crooks, run_jarzynski and
 # run_heatflow as computed one trial at a time, one matrix per numpy call,
 # with the arithmetic of every library call written out.  The stacked runs
-# must reproduce them bit for bit.
+# must reproduce them bit for bit.  A product input's initial entropies
+# come from its factor spectra, as in the library; ``from_factors=False``
+# takes them from the eigvalsh of the product and of its marginals instead,
+# the independent path the library's rows must agree with to roundoff.
 
 ALIGNMENT_TOL = 1e-10
 CLUSTER_GAP_TOL = 1e-9
@@ -153,10 +156,33 @@ def _marginal_entropies(m, dim_s, dim_r) -> tuple[float, float]:
     )
 
 
-def _balance(rho, u, dim_s, dim_r) -> tuple[float, float, float, float]:
-    """(ds_s, ds_r, mi_initial, mi_final) of rho under u."""
-    s_s0, s_r0 = _marginal_entropies(rho, dim_s, dim_r)
-    s0 = _entropy(np.linalg.eigvalsh(rho))
+def _joint_entropies(rho, dim_s, dim_r) -> tuple[float, float, float]:
+    """(S(rho_S), S(rho_R), S(rho)) of a joint matrix, each from its own
+    eigvalsh."""
+    return (*_marginal_entropies(rho, dim_s, dim_r), _entropy(np.linalg.eigvalsh(rho)))
+
+
+def _factor_entropies(a, b) -> tuple[float, float, float]:
+    """(S(a), S(b), S(a (x) b)) from the two factor spectra alone: the
+    product's spectrum is every product of one eigenvalue of each, sorted."""
+    spec_a, spec_b = np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)
+    return _entropy(spec_a), _entropy(spec_b), _entropy(np.sort(np.outer(spec_a, spec_b).ravel()))
+
+
+def _product_balance(a, b, u, from_factors) -> tuple[np.ndarray, tuple[float, float, float, float]]:
+    """(rho, (ds_s, ds_r, mi_initial, mi_final)) of rho = a (x) b under u;
+    the initial entropies from the factor spectra, or with ``from_factors``
+    False from the eigvalsh of the product and of its two marginals."""
+    dim_s, dim_r = len(a), len(b)
+    rho = np.kron(a, b)
+    initial = _factor_entropies(a, b) if from_factors else _joint_entropies(rho, dim_s, dim_r)
+    return rho, _balance(rho, initial, u, dim_s, dim_r)
+
+
+def _balance(rho, initial, u, dim_s, dim_r) -> tuple[float, float, float, float]:
+    """(ds_s, ds_r, mi_initial, mi_final) of rho under u, given the initial
+    entropies (S(rho_S), S(rho_R), S(rho))."""
+    s_s0, s_r0, s0 = initial
     final = u @ rho @ u.conj().T
     s_s1, s_r1 = _marginal_entropies(final, dim_s, dim_r)
     s1 = _entropy(np.linalg.eigvalsh(final))
@@ -169,24 +195,24 @@ def _alignment(product) -> str:
     return "anti-aligned" if product < -ALIGNMENT_TOL else "degenerate"
 
 
-def _product_trial(dim_s, dim_r, src):
-    rho = np.kron(_random_density(dim_s, src.child(0)), _random_density(dim_r, src.child(1)))
-    return _balance(rho, _haar(dim_s * dim_r, src.child(2)), dim_s, dim_r)
+def _product_trial(dim_s, dim_r, src, from_factors):
+    a, b = _random_density(dim_s, src.child(0)), _random_density(dim_r, src.child(1))
+    return _product_balance(a, b, _haar(dim_s * dim_r, src.child(2)), from_factors)[1]
 
 
-def balance_rows(trials, dim_s, dim_r, root) -> list[tuple]:
+def balance_rows(trials, dim_s, dim_r, root, from_factors=True) -> list[tuple]:
     rows = []
     for k in range(trials):
-        ds_s, ds_r, mi_initial, mi_final = _product_trial(dim_s, dim_r, root.child(k))
+        ds_s, ds_r, mi_initial, mi_final = _product_trial(dim_s, dim_r, root.child(k), from_factors)
         total = ds_s + ds_r
         rows.append((k, ds_s, ds_r, total, mi_initial, mi_final, abs(total - mi_final), _alignment(ds_s * ds_r)))
     return rows
 
 
-def schrodinger_rows(trials, dim_s, dim_r, root) -> list[tuple]:
+def schrodinger_rows(trials, dim_s, dim_r, root, from_factors=True) -> list[tuple]:
     rows = []
     for k in range(trials):
-        ds_s, ds_r, _, _ = _product_trial(dim_s, dim_r, root.child(k))
+        ds_s, ds_r, _, _ = _product_trial(dim_s, dim_r, root.child(k), from_factors)
         rows.append((k, ds_s, ds_r, ds_s * ds_r, _alignment(ds_s * ds_r), ds_s + ds_r))
     return rows
 
@@ -270,7 +296,7 @@ def jarzynski_rows(trials, beta, layout, root) -> list[tuple]:
     return rows
 
 
-def heatflow_rows(trials, root) -> list[tuple]:
+def heatflow_rows(trials, root, from_factors=True) -> list[tuple]:
     rows = []
     h_local = np.diag([0.0, 1.0]).astype(complex)
     evals, evecs = np.linalg.eigh(h_local)
@@ -292,9 +318,8 @@ def heatflow_rows(trials, root) -> list[tuple]:
         beta_cold = beta_hot + g.uniform(0.5, 2.0)
         beta_s, beta_r = (beta_hot, beta_cold) if bool(g.integers(2)) else (beta_cold, beta_hot)
         t = g.uniform(0.5, 1.2)
-        rho = np.kron(gibbs(beta_s), gibbs(beta_r))
         u = (evecs_total * np.exp(-1j * (evals_total * t))) @ evecs_total.conj().T
-        ds_s, ds_r, _, _ = _balance(rho, u, 2, 2)
+        rho, (ds_s, ds_r, _, _) = _product_balance(gibbs(beta_s), gibbs(beta_r), u, from_factors)
         final = u @ rho @ u.conj().T
         du_s = energy(h_s, final) - energy(h_s, rho)
         du_r = energy(h_r, final) - energy(h_r, rho)

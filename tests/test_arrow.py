@@ -31,6 +31,7 @@ from arrowlab.core import (
     evolve,
     haar_random_unitary,
     identity_unitary,
+    marginal_entropies_of_stack,
     mutual_information,
     partial_trace,
     pure_state,
@@ -376,6 +377,19 @@ class TestSweep:
         grid = SweepGrid((1.0, 2.0), (0.5,), (0.5, 1.0, 2.0, 4.0))
         points = weak_coupling_sweep(self.H_S, self.H_R, self.H_INT, grid)
         assert min(p.sum for p in points) < -1e-3
+
+    def test_initial_entropies_once_per_state(self, monkeypatch):
+        stacks = []
+
+        def recording(m, layout):
+            stacks.append(len(m))
+            return marginal_entropies_of_stack(m, layout)
+
+        monkeypatch.setattr(arrow, "marginal_entropies_of_stack", recording)
+        grid = SweepGrid((0.0, 0.5, 1.0, 2.0, 4.0), (0.0, 0.25, 0.5), (0.5, 1.0, 2.0, 4.0))
+        weak_coupling_sweep(self.H_S, self.H_R, self.H_INT, grid)
+        # the three states once, then the twelve final states of each coupling
+        assert stacks == [3] + [12] * 5
 
     def test_row_order_is_lexicographic(self):
         grid = SweepGrid((0.0, 1.0), (0.0, 0.5), (1.0, 2.0))

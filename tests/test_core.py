@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrowlab.core import (
     BipartitionLayout,
@@ -17,12 +19,16 @@ from arrowlab.core import (
     maximally_mixed,
     mutual_information,
     partial_trace,
+    product_spectra,
     pure_state,
+    random_density_matrices,
     random_density_operator,
     random_hermitians,
     relative_entropy,
     renyi2_of_matrix,
+    spectrum_entropies,
     tensor_product,
+    tensor_products,
     trace_distance,
     unitary_from_hamiltonian,
     von_neumann_entropy,
@@ -134,6 +140,38 @@ class TestTensorAndTrace:
     def test_partial_trace_dimension_mismatch(self):
         with pytest.raises(ValueError, match="match"):
             partial_trace(maximally_mixed(6), QUBITS, "S")
+
+
+def assert_product_entropy_matches_the_decomposed_product(dim_a, rank_a, dim_b, rank_b, seed):
+    src = RandomSource(seed)
+    a = random_density_matrices(dim_a, rank_a, [src.child(0)])
+    b = random_density_matrices(dim_b, rank_b, [src.child(1)])
+    spectra = product_spectra(np.linalg.eigvalsh(a), np.linalg.eigvalsh(b))
+    assert spectra.shape == (1, dim_a * dim_b)
+    assert np.all(np.diff(spectra, axis=-1) >= 0.0)
+    decomposed = spectrum_entropies(np.linalg.eigvalsh(tensor_products(a, b)))
+    assert abs(spectrum_entropies(spectra)[0] - decomposed[0]) <= 1e-13
+
+
+class TestProductSpectra:
+    def test_sorted_outer_product_of_the_factor_spectra(self):
+        # dyadic weights: every product is exact
+        got = product_spectra(np.array([[0.25, 0.75]]), np.array([[0.125, 0.375, 0.5]]))
+        assert np.array_equal(got, [[0.03125, 0.09375, 0.09375, 0.125, 0.28125, 0.375]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(2, 4), st.integers(2, 4)),
+        ranks=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_entropy_matches_the_decomposed_product(self, dims, ranks, seed):
+        (dim_a, dim_b), (rank_a, rank_b) = dims, ranks
+        assert_product_entropy_matches_the_decomposed_product(dim_a, min(rank_a, dim_a), dim_b, min(rank_b, dim_b), seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_entropy_matches_the_decomposed_product_at_16x16(self, seed):
+        assert_product_entropy_matches_the_decomposed_product(16, 16, 16, 16, seed)
 
 
 # ---------------------------------------------------------------------------

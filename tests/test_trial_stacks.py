@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from arrowlab import core, experiments
+from arrowlab import arrow, core, experiments
 from arrowlab.core import BipartitionLayout, RandomSource
 
 SEEDS = range(5)
@@ -75,6 +75,61 @@ def test_balance_at_16x16_keeps_each_trial_on_its_own_stream():
     assert exact(rows) == exact(oracles.balance_rows(3, 16, 16, RandomSource(7)))
 
 
+def close(rows, expected, tol):
+    """Rows equal cell by cell: text exactly, numbers within ``tol``."""
+    assert len(rows) == len(expected)
+    for row, want in zip(rows, expected):
+        assert len(row) == len(want)
+        for cell, cell_want in zip(row, want):
+            if isinstance(cell, str):
+                assert cell == cell_want
+            else:
+                assert abs(cell - cell_want) <= tol, (row, want)
+
+
+# the eigvalsh of the product and of its marginals, the path that the factor
+# spectra replace: rows agree with it to roundoff
+PRODUCT_PATH_TOL = 1e-12
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dims", [*DIMS, (16, 16)], ids=[*DIM_IDS, "16x16"])
+def test_balance_rows_agree_with_the_decomposed_product(dims, seed):
+    trials = 2 if dims == (16, 16) else 12
+    root = RandomSource(seed)
+    rows, _ = experiments.run_balance(trials, *dims, seed)
+    close(rows, oracles.balance_rows(trials, *dims, root, from_factors=False), PRODUCT_PATH_TOL)
+    rows, _ = experiments.run_schrodinger(trials, *dims, seed)
+    close(rows, oracles.schrodinger_rows(trials, *dims, root, from_factors=False), PRODUCT_PATH_TOL)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_heatflow_rows_agree_with_the_decomposed_product(seed):
+    rows, _ = experiments.run_heatflow(30, seed)
+    close(rows, oracles.heatflow_rows(30, RandomSource(seed), from_factors=False), PRODUCT_PATH_TOL)
+
+
+def test_balance_at_16x16_decomposes_one_joint_state_per_trial(monkeypatch):
+    eig_dims, states = [], []
+
+    def counting(fn, record):
+        def wrapper(m, *args, **kwargs):
+            record.append(m)
+            return fn(m, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh, eig_dims))
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, eig_dims))
+    monkeypatch.setattr(core.DensityOperator, "__post_init__", counting(core.DensityOperator.__post_init__, states))
+    experiments.run_balance(3, 16, 16, 0)
+    # one trial per chunk, five calls per trial: rho_S, rho_R, the two final
+    # marginals and the final state; the product is neither validated nor
+    # decomposed
+    assert [m.shape[-1] for m in eig_dims] == [16, 16, 16, 16, 256] * 3
+    assert states == []
+
+
 @pytest.mark.parametrize(
     "run, entries",
     [
@@ -124,6 +179,27 @@ class TestFirstFailure:
             core.validate_states(np.stack([good, negative, skew]))
         with pytest.raises(ValueError, match="not Hermitian"):
             core.validate_states(np.stack([good, skew, negative]))
+
+    @pytest.mark.parametrize("factor", ["S", "R"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.diag([1.5, -0.5]).astype(complex), "negative eigenvalue -5.000e-01"),
+            (np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex), "not Hermitian"),
+        ],
+        ids=["non-PSD", "non-Hermitian"],
+    )
+    def test_product_input_names_its_first_failing_trial(self, factor, bad, message):
+        # trial 1 has a bad factor, trial 2 a bad factor and a non-unitary U,
+        # trial 3 a non-unitary U alone: within a trial the factors are
+        # checked before U, and a stack raises its first failing trial's error
+        good = np.eye(2, dtype=complex) / 2
+        factors, goods = np.stack([good, bad, bad, good]), np.stack([good] * 4)
+        rho_s, rho_r = (factors, goods) if factor == "S" else (goods, factors)
+        u = np.stack([np.eye(4), np.eye(4), 2.0 * np.eye(4), 2.0 * np.eye(4)]).astype(complex)
+        for trials, expected in [([0, 1, 2, 3], message), ([2, 3], message), ([3], "not unitary"), ([3, 1], "not unitary")]:
+            with pytest.raises(ValueError, match=expected):
+                arrow.product_balances(rho_s[trials], rho_r[trials], arrow.TWO_QUBITS, u[trials])
 
     def test_failing_chunk_reruns_its_trials_one_at_a_time(self):
         # stacked, trial 3's error is found first; on its own, trial 1 fails first
