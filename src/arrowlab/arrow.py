@@ -7,7 +7,8 @@ that balance, builds the canonical correlated states whose local entropies
 can be pushed *down*, classifies the relative direction of the two local
 arrows, and searches the unitary group for entropy-decreasing evolutions of
 arbitrary correlated inputs.  The search runs on core's partial trace,
-Hermitian draw and spectrum entropy; its probes stop at the module constant
+Hermitian draw and spectrum entropy; the probes of one call descend in
+lockstep as one stack, and stop at the module constant
 PROBE_CONVERGENCE_TOL.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -35,6 +37,7 @@ from .core import (
     spectrum_entropies,
     state_checks,
     tensor_products,
+    trial_chunks,
     unitaries_from_hamiltonian,
     unitary_checks,
     unitary_from_hamiltonian,
@@ -349,54 +352,165 @@ def spectral_assignment_unitary(rho_joint: DensityOperator, layout: BipartitionL
     return u
 
 
-def _objective(final: np.ndarray, dim_s: int, dim_r: int) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
-    """S(rho_S) + S(rho_R) of a joint matrix, with 0 ln 0 := 0, and the
-    ``eigh`` of both marginals, which the gradient at an accepted point
-    reads: each marginal is decomposed once per evaluated point."""
-    eigensystems = [np.linalg.eigh(partial_traces(final[None], dim_s, dim_r, keep)[0]) for keep in "SR"]
-    total = 0.0
+def _objectives(finals: np.ndarray, dim_s: int, dim_r: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """S(rho_S) + S(rho_R) of each joint matrix in a stack (n, D, D), with
+    0 ln 0 := 0, and the ``eigh`` of both marginal stacks, which the gradient
+    at an accepted point reads: each marginal is decomposed once per
+    evaluated point.  Each row's entropy is one dot product, a 1 x d by d x 1
+    matmul; a row whose marginal has an eigenvalue <= 0 drops those from its
+    dot product, so every row rounds as its matrix would on its own."""
+    eigensystems = [np.linalg.eigh(partial_traces(finals, dim_s, dim_r, keep)) for keep in "SR"]
+    total = np.zeros(len(finals))
     for p, _ in eigensystems:
-        p = p[p > 0.0]
-        total -= float(p @ np.log(p))
+        positive = p > 0.0
+        terms = (p[:, None, :] @ np.log(np.where(positive, p, 1.0))[:, :, None])[:, 0, 0]
+        for k in np.flatnonzero(~positive.all(axis=-1)):
+            q = p[k][positive[k]]
+            terms[k] = q @ np.log(q)
+        total -= terms
     return total, eigensystems
 
 
 def _descend(
-    rho: np.ndarray, dim_s: int, dim_r: int, u: np.ndarray, s_local0: float, max_iterations: int
-) -> DescentProbe:
+    rho: np.ndarray, u: np.ndarray, s_local0: np.ndarray, budgets: np.ndarray, dim_s: int, dim_r: int
+) -> list[DescentProbe]:
     """Armijo-backtracked steepest descent U <- exp(-mu C) U on U(d), with
     C = [rho', ln rho'_S (x) I + I (x) ln rho'_R] the Riemannian gradient of
-    the local entropy sum (Abrudan, Eriksson & Koivunen, IEEE TSP 2008)."""
-    final = u @ rho @ u.conj().T
-    value, eigensystems = _objective(final, dim_s, dim_r)
-    sums = [value - s_local0]
+    the local entropy sum (Abrudan, Eriksson & Koivunen, IEEE TSP 2008).
+
+    Probe i starts at u[i] on the state rho[i], whose local entropy sum is
+    s_local0[i], and takes at most budgets[i] steps.  The probes run in
+    lockstep: one gradient and one ``eigh`` of iC per step for the probes
+    still running, Armijo halvings that retry only the probes whose step is
+    still pending, and a probe that converges, stalls or spends its budget
+    leaves the stack.  Every probe does the arithmetic it would do alone.
+    """
+    dim = dim_s * dim_r
     eye_s, eye_r = np.eye(dim_s), np.eye(dim_r)
-    mu = 1.0
-    for _ in range(max_iterations):
-        log_s, log_r = ((v * np.log(np.clip(lam, LOG_FLOOR, None))) @ v.conj().T for lam, v in eigensystems)
+    u = u.copy()  # each accepted step is written into its row
+    final = u @ rho @ u.conj().swapaxes(-1, -2)
+    value, eigensystems = _objectives(final, dim_s, dim_r)
+    sums = [[s] for s in (value - s_local0).tolist()]
+    probes: list[DescentProbe | None] = [None] * len(u)
+    live = np.arange(len(u))  # the probe each row of the stack holds
+    mu = np.ones(len(u))
+    steps = 0
+    while live.size:
+        log_s, log_r = (
+            (v * np.log(np.clip(lam, LOG_FLOOR, None))[:, None, :]) @ v.conj().swapaxes(-1, -2)
+            for lam, v in eigensystems
+        )
         # a broadcast: np.kron gives the same bits at several times the cost
-        log_sum = log_s[:, None, :, None] * eye_r[None, :, None, :] + eye_s[:, None, :, None] * log_r[None, :, None, :]
-        log_sum = log_sum.reshape(dim_s * dim_r, dim_s * dim_r)
+        log_sum = (
+            log_s[:, :, None, :, None] * eye_r[None, None, :, None, :]
+            + eye_s[None, :, None, :, None] * log_r[:, None, :, None, :]
+        ).reshape(len(live), dim, dim)
         c = final @ log_sum - log_sum @ final
-        slope = float(np.sum(np.abs(c) ** 2))
-        h = 1j * c  # Hermitian, and exp(-mu C) = exp(i mu h)
-        lam, v = np.linalg.eigh(h)
+        slope = (np.abs(c) ** 2).reshape(len(live), -1).sum(axis=-1)
+        lam, v = np.linalg.eigh(1j * c)  # Hermitian, and exp(-mu C) = exp(i mu h)
         mu *= 2.0
+        # a probe's accepted point replaces its row; the rows still pending
+        # keep the point their step starts from
+        decrease = np.zeros(len(live))
+        pending = np.arange(len(live))
         for _ in range(ARMIJO_HALVINGS):
-            u_new = ((v * np.exp(1j * mu * lam)) @ v.conj().T) @ u
-            final_new = u_new @ rho @ u_new.conj().T
-            value_new, eigensystems_new = _objective(final_new, dim_s, dim_r)
-            if value - value_new >= ARMIJO_FRACTION * mu * slope:
+            v_p = v[pending]
+            phases = np.exp(1j * mu[pending, None] * lam[pending])
+            u_try = ((v_p * phases[:, None, :]) @ v_p.conj().swapaxes(-1, -2)) @ u[pending]
+            final_try = u_try @ rho[pending] @ u_try.conj().swapaxes(-1, -2)
+            value_try, eigensystems_try = _objectives(final_try, dim_s, dim_r)
+            gain = value[pending] - value_try
+            ok = gain >= ARMIJO_FRACTION * mu[pending] * slope[pending]
+            done = pending[ok]
+            decrease[done], u[done], final[done], value[done] = gain[ok], u_try[ok], final_try[ok], value_try[ok]
+            for (w, x), (w_try, x_try) in zip(eigensystems, eigensystems_try):
+                w[done], x[done] = w_try[ok], x_try[ok]
+            pending = pending[~ok]
+            if not pending.size:
                 break
-            mu *= 0.5
-        else:  # no step lowers the sum measurably: stationary up to rounding
-            return DescentProbe(unitary=u, sums=tuple(sums), converged=True)
-        decrease = value - value_new
-        u, final, value, eigensystems = u_new, final_new, value_new, eigensystems_new
-        sums.append(value - s_local0)
-        if decrease < PROBE_CONVERGENCE_TOL:
-            return DescentProbe(unitary=u, sums=tuple(sums), converged=True)
-    return DescentProbe(unitary=u, sums=tuple(sums), converged=False)
+            mu[pending] *= 0.5
+        # a probe still pending found no step that lowers the sum measurably:
+        # it is stationary up to rounding and stops where it stands
+        moved = np.ones(len(live), dtype=bool)
+        moved[pending] = False
+        for i, s in zip(np.flatnonzero(moved).tolist(), (value[moved] - s_local0[moved]).tolist()):
+            sums[live[i]].append(s)
+        steps += 1
+        converged = ~moved | (decrease < PROBE_CONVERGENCE_TOL)
+        leaving = converged | (budgets == steps)
+        if not leaving.any():
+            continue
+        for i in np.flatnonzero(leaving).tolist():
+            probes[live[i]] = DescentProbe(unitary=u[i].copy(), sums=tuple(sums[live[i]]), converged=bool(converged[i]))
+        staying = ~leaving
+        live, rho, u, final, value, s_local0, budgets, mu = (
+            a[staying] for a in (live, rho, u, final, value, s_local0, budgets, mu)
+        )
+        eigensystems = [(w[staying], x[staying]) for w, x in eigensystems]
+    return probes
+
+
+def search_entropy_decreasing_unitaries(
+    states: Sequence[DensityOperator],
+    layout: BipartitionLayout,
+    configs: Sequence[UnitarySearchConfig],
+) -> list[UnitarySearchResult]:
+    """Minimize dS_S + dS_R over the unitary group for each state with its
+    config; see :func:`search_entropy_decreasing_unitary`.
+
+    Each trial in turn is checked, answered by its spectral assignment,
+    checked for a product input and kicked, so a failing trial raises what
+    it raises alone, before any descent.  Then the probes of all trials
+    descend in lockstep (:func:`_descend`), in stacks of at most
+    ``STACK_ENTRIES`` entries per array.  A result that never dips below
+    zero is returned with a warning, not an error.
+    """
+    if len(states) != len(configs):
+        raise ValueError("give one search config per state")
+    answers, starts, owners, budgets = [], [], [], []
+    for j, (rho_joint, config) in enumerate(zip(states, configs)):
+        if rho_joint.dim != layout.dim:
+            raise ValueError("state and layout dimensions must agree")
+        u = UnitaryOperator(spectral_assignment_unitary(rho_joint, layout))
+        report = entropy_balance(rho_joint, layout, u)
+        if report.mi_initial <= NON_PRODUCT_TOL:
+            raise ValueError("input is a product state; local entropies cannot decrease")
+        answers.append((u, report))
+        restarts = range(1, config.restarts)
+        for h in random_hermitians(layout.dim, [config.rng.child(k) for k in restarts]):
+            kick = unitary_from_hamiltonian(Hamiltonian(h / np.linalg.norm(h)), PROBE_KICK)
+            starts.append(kick.matrix @ u.matrix)
+        owners += [j] * len(restarts)
+        budgets += [config.max_iterations] * len(restarts)
+
+    probes = []
+    if starts:
+        rho = np.stack([rho_joint.matrix for rho_joint in states])
+        s_local0, _ = _objectives(rho, layout.dim_s, layout.dim_r)
+        starts, owners, budgets = np.stack(starts), np.array(owners), np.array(budgets)
+        for chunk in trial_chunks(len(starts), layout.dim**2):
+            trial = owners[chunk]
+            probes += _descend(rho[trial], starts[chunk], s_local0[trial], budgets[chunk], layout.dim_s, layout.dim_r)
+
+    results, first = [], 0
+    for rho_joint, config, (u_best, report) in zip(states, configs, answers):
+        own = tuple(probes[first : first + config.restarts - 1])
+        first += len(own)
+        best_sum, best_restart = report.sum, 0
+        for k, probe in enumerate(own, start=1):
+            if probe.sums[-1] < best_sum - BALANCE_CONSISTENCY_TOL:
+                best_sum, best_restart = probe.sums[-1], k
+        if best_restart:
+            u_best = UnitaryOperator(own[best_restart - 1].unitary)
+            report = entropy_balance(rho_joint, layout, u_best)
+        if report.sum >= 0.0:
+            warnings.warn("search did not find an entropy-decreasing unitary within its budget", stacklevel=2)
+        results.append(
+            UnitarySearchResult(
+                unitary=u_best, achieved_sum=report.sum, report=report, best_restart=best_restart, probes=own
+            )
+        )
+    return results
 
 
 def search_entropy_decreasing_unitary(
@@ -417,37 +531,7 @@ def search_entropy_decreasing_unitary(
     that never dips below zero is returned with a warning, not an error:
     finitely many steps cannot refute the existence of a decreasing unitary.
     """
-    if rho_joint.dim != layout.dim:
-        raise ValueError("state and layout dimensions must agree")
-    config = config or UnitarySearchConfig()
-    u_best = UnitaryOperator(spectral_assignment_unitary(rho_joint, layout))
-    report = entropy_balance(rho_joint, layout, u_best)
-    if report.mi_initial <= NON_PRODUCT_TOL:
-        raise ValueError("input is a product state; local entropies cannot decrease")
-    best_sum, best_restart = report.sum, 0
-    rho, dim_s, dim_r = rho_joint.matrix, layout.dim_s, layout.dim_r
-    s_local0, _ = _objective(rho, dim_s, dim_r)
-    probes = []
-    for k in range(1, config.restarts):
-        h = random_hermitians(layout.dim, [config.rng.child(k)])[0]
-        kick = unitary_from_hamiltonian(Hamiltonian(h / np.linalg.norm(h)), PROBE_KICK)
-        probe = _descend(rho, dim_s, dim_r, kick.matrix @ u_best.matrix, s_local0, config.max_iterations)
-        probes.append(probe)
-        if probe.sums[-1] < best_sum - BALANCE_CONSISTENCY_TOL:
-            best_sum, best_restart = probe.sums[-1], k
-    if best_restart:
-        u_best = UnitaryOperator(probes[best_restart - 1].unitary)
-        report = entropy_balance(rho_joint, layout, u_best)
-
-    if report.sum >= 0.0:
-        warnings.warn("search did not find an entropy-decreasing unitary within its budget", stacklevel=2)
-    return UnitarySearchResult(
-        unitary=u_best,
-        achieved_sum=report.sum,
-        report=report,
-        best_restart=best_restart,
-        probes=tuple(probes),
-    )
+    return search_entropy_decreasing_unitaries([rho_joint], layout, [config or UnitarySearchConfig()])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -239,16 +239,19 @@ def run_search(
 
     demo='random' draws non-product two-qubit states; the named demos rerun
     the analytic constructions, whose achievable sums bound the optimizer.
-    The extra metadata counts the descent probes run and converged over all
-    trials.
+    Every trial's state is drawn first, then all trials are searched in one
+    call, their descent probes in lockstep.  The extra metadata counts the
+    descent probes run and converged over all trials, and their accepted
+    steps.
     """
     layout = arrow.TWO_QUBITS
     root = RandomSource(seed)
-    rows = []
-    extra = {"probes_run": 0, "probes_converged": 0}
-    draw_index = 0
-    for k in range(trials):
-        if demo == "random":
+    if demo != "random":
+        states = [_demo_state(demo, epsilon)[0]] * trials
+    else:
+        states = []
+        draw_index = 0
+        for _ in range(trials):
             for _ in range(MAX_REJECTED_DRAWS):
                 rho = random_density_operator(layout.dim, layout.dim, root.child(10**6 + draw_index))
                 draw_index += 1
@@ -259,15 +262,21 @@ def run_search(
                     f"no random state with mutual information above min-mi {min_mutual_information} "
                     f"in {MAX_REJECTED_DRAWS} draws (two-qubit mutual information is at most ln 4)"
                 )
-        else:
-            rho, _ = _demo_state(demo, epsilon)
-        config = arrow.UnitarySearchConfig(max_iterations=max_iterations, restarts=restarts, rng=root.child(k).child(1))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = arrow.search_entropy_decreasing_unitary(rho, layout, config)
-        rows.append((k, res.report.mi_initial, res.achieved_sum, res.improved, res.best_restart))
-        extra["probes_run"] += res.probes_run
-        extra["probes_converged"] += res.probes_converged
+            states.append(rho)
+    configs = [
+        arrow.UnitarySearchConfig(max_iterations=max_iterations, restarts=restarts, rng=root.child(k).child(1))
+        for k in range(trials)
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        results = arrow.search_entropy_decreasing_unitaries(states, layout, configs)
+    rows = [(k, res.report.mi_initial, res.achieved_sum, res.improved, res.best_restart) for k, res in enumerate(results)]
+    probes = [probe for res in results for probe in res.probes]
+    extra = {
+        "probes_run": len(probes),
+        "probes_converged": sum(probe.converged for probe in probes),
+        "probe_steps": sum(len(probe.sums) - 1 for probe in probes),
+    }
     return rows, extra
 
 

@@ -366,3 +366,68 @@ def unit_hermitian(dim: int, src) -> np.ndarray:
     a = g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
     h = a + a.conj().T
     return h / np.linalg.norm(h)
+
+
+# ---------------------------------------------------------------------------
+# the search's descent probes, one at a time
+# ---------------------------------------------------------------------------
+# The kicked Riemannian descent one probe at a time, one 2-D matrix per
+# numpy call.  The search's lockstep stack must reproduce each probe's
+# unitary, sums and convergence bit for bit.
+
+PROBE_CONVERGENCE_TOL = 1e-12
+ARMIJO_FRACTION = 0.5
+ARMIJO_HALVINGS = 60
+LOG_FLOOR = 1e-300
+
+
+def probe_objective(final, dim_s, dim_r):
+    """S(rho_S) + S(rho_R) of a joint matrix, with 0 ln 0 := 0, and the
+    ``eigh`` of both marginals."""
+    t = final.reshape(dim_s, dim_r, dim_s, dim_r)
+    eigensystems = [np.linalg.eigh(np.einsum(spec, t)) for spec in ("ikjk->ij", "kikj->ij")]
+    total = 0.0
+    for p, _ in eigensystems:
+        p = p[p > 0.0]
+        total -= float(p @ np.log(p))
+    return total, eigensystems
+
+
+def descend_probe(rho, dim_s, dim_r, u, s_local0, max_iterations):
+    """(unitary, sums, converged) of one Armijo-backtracked steepest descent
+    U <- exp(-mu C) U from u, C = [rho', ln rho'_S (x) I + I (x) ln rho'_R]."""
+    final = u @ rho @ u.conj().T
+    value, eigensystems = probe_objective(final, dim_s, dim_r)
+    sums = [value - s_local0]
+    eye_s, eye_r = np.eye(dim_s), np.eye(dim_r)
+    mu = 1.0
+    for _ in range(max_iterations):
+        log_s, log_r = ((v * np.log(np.clip(lam, LOG_FLOOR, None))) @ v.conj().T for lam, v in eigensystems)
+        log_sum = log_s[:, None, :, None] * eye_r[None, :, None, :] + eye_s[:, None, :, None] * log_r[None, :, None, :]
+        log_sum = log_sum.reshape(dim_s * dim_r, dim_s * dim_r)
+        c = final @ log_sum - log_sum @ final
+        slope = float(np.sum(np.abs(c) ** 2))
+        lam, v = np.linalg.eigh(1j * c)
+        mu *= 2.0
+        for _ in range(ARMIJO_HALVINGS):
+            u_new = ((v * np.exp(1j * mu * lam)) @ v.conj().T) @ u
+            final_new = u_new @ rho @ u_new.conj().T
+            value_new, eigensystems_new = probe_objective(final_new, dim_s, dim_r)
+            if value - value_new >= ARMIJO_FRACTION * mu * slope:
+                break
+            mu *= 0.5
+        else:  # no step lowers the sum measurably
+            return u, tuple(sums), True
+        decrease = value - value_new
+        u, final, value, eigensystems = u_new, final_new, value_new, eigensystems_new
+        sums.append(value - s_local0)
+        if decrease < PROBE_CONVERGENCE_TOL:
+            return u, tuple(sums), True
+    return u, tuple(sums), False
+
+
+def search_probes(rho, dim_s, dim_r, starts, max_iterations) -> list[tuple]:
+    """(unitary, sums, converged) of a descent from each start on rho, one
+    probe after the other."""
+    s_local0, _ = probe_objective(rho, dim_s, dim_r)
+    return [descend_probe(rho, dim_s, dim_r, u, s_local0, max_iterations) for u in starts]

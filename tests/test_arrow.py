@@ -324,8 +324,17 @@ class TestSearch:
 
         def counting_2x2(decompose):
             def wrapper(m, *args, **kwargs):
-                calls["eig_2x2"] += np.shape(m)[-2:] == (2, 2)
+                # a stack counts each 2x2 matrix it decomposes
+                if np.shape(m)[-2:] == (2, 2):
+                    calls["eig_2x2"] += math.prod(np.shape(m)[:-2])
                 return decompose(m, *args, **kwargs)
+
+            return wrapper
+
+        def counting_rows(objectives):
+            def wrapper(finals, *args, **kwargs):
+                calls["points"] += len(finals)
+                return objectives(finals, *args, **kwargs)
 
             return wrapper
 
@@ -339,11 +348,12 @@ class TestSearch:
         rho = random_density_operator(4, 4, RandomSource(77))
         monkeypatch.setattr(np.linalg, "eigh", counting_2x2(np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_2x2(np.linalg.eigvalsh))
-        monkeypatch.setattr(arrow, "_objective", counting(arrow._objective, "points"))
+        monkeypatch.setattr(arrow, "_objectives", counting_rows(arrow._objectives))
         monkeypatch.setattr(arrow, "entropy_balance", counting(arrow.entropy_balance, "balances"))
-        res = search_entropy_decreasing_unitary(rho, TWO_QUBITS, UnitarySearchConfig(restarts=2, rng=RandomSource(2)))
+        # two probes share each stacked decomposition
+        res = search_entropy_decreasing_unitary(rho, TWO_QUBITS, UnitarySearchConfig(restarts=3, rng=RandomSource(2)))
         # accepted steps, whose gradients read the marginals of their point
-        assert len(res.probes[0].sums) >= 3
+        assert all(len(probe.sums) >= 3 for probe in res.probes)
         # a balance takes both marginals of the initial and of the final state
         assert calls["eig_2x2"] == 4 * calls["balances"] + 2 * calls["points"]
 

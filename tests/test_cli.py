@@ -407,6 +407,7 @@ class TestSearchCommand:
         assert code == 0
         assert "# extra.probes_run=6" in out
         assert "# extra.probes_converged=" in out
+        assert "# extra.probe_steps=" in out
         assert rows_of_csv(out)[0] == "trial,mi_initial,achieved_sum,improved,best_restart"
 
 
