@@ -29,6 +29,8 @@ from .core import (
     RandomSource,
     UnitaryOperator,
     basis_ket,
+    evolve_products,
+    evolve_states,
     marginal_entropies_of_stack,
     partial_traces,
     product_spectra,
@@ -36,7 +38,6 @@ from .core import (
     random_hermitians,
     spectrum_entropies,
     state_checks,
-    tensor_products,
     trial_chunks,
     unitaries_from_hamiltonian,
     unitary_checks,
@@ -94,31 +95,28 @@ class EntropyBalanceReport:
 
 
 def entropy_balances(
-    rho: np.ndarray,
+    final: np.ndarray,
     initial: tuple[np.ndarray, np.ndarray, np.ndarray],
     layout: BipartitionLayout,
-    u: np.ndarray,
-) -> tuple[EntropyBalanceReport, np.ndarray]:
-    """Evolve a stack (n, D, D) of validated joint states by a stack of
-    validated unitaries; return the stacked report and the evolved states
-    U rho U+.
+) -> EntropyBalanceReport:
+    """The stacked report of a stack (n, D, D) of joint states evolved by
+    global unitaries, from their final states U rho U+.
 
-    ``initial`` holds the states' entropies (S(rho_S), S(rho_R), S(rho)),
-    each (n,), as the caller already knows them: from a DensityOperator's
-    spectrum, or for a product input from its factors (see
+    ``initial`` holds the initial states' entropies (S(rho_S), S(rho_R),
+    S(rho)), each (n,), as the caller already knows them: from a
+    DensityOperator's spectrum, or for a product input from its factors (see
     :func:`product_balances`).  The final entropies are computed here, S of
     the final state from its own ``eigvalsh``: that is the one independent
-    input to the product-input check sum == mi_final.
+    input to the product-input check sum == mi_final.  U rho U+ of a valid
+    state under a valid unitary is a state, so ``final`` is not validated.
     """
     s_s0, s_r0, s0 = initial
-    # U rho U+ of a valid state under a valid unitary is a state: no re-validation
-    final = u @ rho @ u.conj().swapaxes(-1, -2)
     s_s1, s_r1 = marginal_entropies_of_stack(final, layout)
     s1 = spectrum_entropies(np.linalg.eigvalsh(final))
     ds_s = s_s1 - s_s0
     ds_r = s_r1 - s_r0
     mi_initial = s_s0 + s_r0 - s0
-    report = EntropyBalanceReport(
+    return EntropyBalanceReport(
         ds_s=ds_s,
         ds_r=ds_r,
         sum=ds_s + ds_r,
@@ -127,37 +125,34 @@ def entropy_balances(
         schrodinger_product=ds_s * ds_r,
         product_input=mi_initial <= PRODUCT_INPUT_TOL,
     )
-    return report, final
 
 
 def product_balances(
     rho_s: np.ndarray, rho_r: np.ndarray, layout: BipartitionLayout, u: np.ndarray
-) -> tuple[EntropyBalanceReport, np.ndarray, np.ndarray]:
+) -> tuple[EntropyBalanceReport, np.ndarray]:
     """Entropy balances of the product inputs rho_S (x) rho_R of two stacks
     of factors (n, d_S, d_S) and (n, d_R, d_R) under a stack of unitaries
-    (n, D, D); return the stacked report, the products and the evolved
-    states.
+    (n, D, D); return the stacked report and the evolved states.
 
     The factors and the unitaries are validated here, each trial in the
     order rho_S, rho_R, U, so a stack raises what its first failing trial
-    raises on its own.  The product of two states is a state, so it is built
-    for the evolution only, never validated or decomposed: its spectrum is
-    the sorted outer product of the factor spectra, and its marginal
-    entropies are the factors' own.
+    raises on its own.  The D x D product is never built: the inputs evolve
+    through their factors (:func:`core.evolve_products`), the product's
+    spectrum is the sorted outer product of the factor spectra, and its
+    marginal entropies are the factors' own.
     """
     if rho_s.shape[-1] != layout.dim_s or rho_r.shape[-1] != layout.dim_r or u.shape[-1] != layout.dim:
         raise ValueError("factor, layout and unitary dimensions must agree")
     spectra_s, checks_s = state_checks(rho_s)
     spectra_r, checks_r = state_checks(rho_r)
     raise_first_failure((*checks_s, *checks_r, *unitary_checks(u)))
-    rho = tensor_products(rho_s, rho_r)
     initial = (
         spectrum_entropies(spectra_s),
         spectrum_entropies(spectra_r),
         spectrum_entropies(product_spectra(spectra_s, spectra_r)),
     )
-    report, final = entropy_balances(rho, initial, layout, u)
-    return report, rho, final
+    final = evolve_products(rho_s, rho_r, u)
+    return entropy_balances(final, initial, layout), final
 
 
 def entropy_balance(rho_joint: DensityOperator, layout: BipartitionLayout, u: UnitaryOperator) -> EntropyBalanceReport:
@@ -166,8 +161,7 @@ def entropy_balance(rho_joint: DensityOperator, layout: BipartitionLayout, u: Un
         raise ValueError("state, layout and unitary dimensions must agree")
     rho = rho_joint.matrix[None]
     initial = (*marginal_entropies_of_stack(rho, layout), spectrum_entropies(rho_joint.spectrum[None]))
-    report, _ = entropy_balances(rho, initial, layout, u.matrix[None])
-    return report.trial(0)
+    return entropy_balances(evolve_states(rho, u.matrix[None]), initial, layout).trial(0)
 
 
 def schrodinger_checks(products: np.ndarray, tol: float = ALIGNMENT_TOL) -> list[Alignment]:
@@ -388,7 +382,7 @@ def _descend(
     dim = dim_s * dim_r
     eye_s, eye_r = np.eye(dim_s), np.eye(dim_r)
     u = u.copy()  # each accepted step is written into its row
-    final = u @ rho @ u.conj().swapaxes(-1, -2)
+    final = evolve_states(rho, u)
     value, eigensystems = _objectives(final, dim_s, dim_r)
     sums = [[s] for s in (value - s_local0).tolist()]
     probes: list[DescentProbe | None] = [None] * len(u)
@@ -417,7 +411,7 @@ def _descend(
             v_p = v[pending]
             phases = np.exp(1j * mu[pending, None] * lam[pending])
             u_try = ((v_p * phases[:, None, :]) @ v_p.conj().swapaxes(-1, -2)) @ u[pending]
-            final_try = u_try @ rho[pending] @ u_try.conj().swapaxes(-1, -2)
+            final_try = evolve_states(rho[pending], u_try)
             value_try, eigensystems_try = _objectives(final_try, dim_s, dim_r)
             gain = value[pending] - value_try
             ok = gain >= ARMIJO_FRACTION * mu[pending] * slope[pending]
@@ -600,6 +594,6 @@ def weak_coupling_sweep(
     for g in grid.coupling_strengths:
         u = unitaries_from_hamiltonian(Hamiltonian(h_local + g * h_int.matrix), times)
         validate_unitaries(u)
-        report, _ = entropy_balances(rho, initial, TWO_QUBITS, np.tile(u, (len(states), 1, 1)))
+        report = entropy_balances(evolve_states(rho, np.tile(u, (len(states), 1, 1))), initial, TWO_QUBITS)
         points += [SweepPoint(coupling=g, epsilon=eps, time=t, sum=s) for (eps, t), s in zip(cells, report.sum.tolist())]
     return points

@@ -108,10 +108,17 @@ def validate_states(m: np.ndarray) -> np.ndarray:
     return spectra
 
 
+def _unitarity_defects(m: np.ndarray) -> np.ndarray:
+    gram = _dagger(m) @ m
+    # U+U - I, with I taken off the diagonal in place
+    np.einsum("...ii->...i", gram)[...] -= 1.0
+    return np.abs(gram).max(axis=(-2, -1))
+
+
 def unitary_checks(m: np.ndarray) -> tuple:
     """The U+U = I check of a stack (n, d, d) of matrices, in the form
     :func:`raise_first_failure` takes; nothing is raised here."""
-    defect = np.abs(_dagger(m) @ m - np.eye(m.shape[-1])).max(axis=(-2, -1))
+    defect = _unitarity_defects(m)
     return ((defect > UNITARITY_TOL, lambda k: f"matrix is not unitary (max deviation {defect[k]:.3e})"),)
 
 
@@ -590,10 +597,31 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
 # evolution
 # ---------------------------------------------------------------------------
 
+def evolve_states(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """U rho U+ for a stack (n, D, D) of matrices under a stack of
+    unitaries; nothing is validated."""
+    return u @ rho @ _dagger(u)
+
+
+def evolve_products(rho_s: np.ndarray, rho_r: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """U (rho_S (x) rho_R) U+ for stacks of factors (n, d_S, d_S) and
+    (n, d_R, d_R) under a stack of unitaries (n, D, D), D = d_S d_R, without
+    building the D x D product: U's column index (s, r) is contracted with
+    rho_S, then with rho_R, each one batched matmul of O(D^2 (d_S + d_R)),
+    and one D^3 product with U+ remains.  Nothing is validated."""
+    n, d_s, d_r = len(u), rho_s.shape[-1], rho_r.shape[-1]
+    d = d_s * d_r
+    # U as rows (i, r) and columns s, times rho_S: x[i, r, s']
+    x = u.reshape(n, d, d_s, d_r).swapaxes(-1, -2).reshape(n, d * d_r, d_s) @ rho_s
+    # x as rows (i, s') and columns r, times rho_R: x[i, s', r'] = (U rho)[i, (s', r')]
+    x = x.reshape(n, d, d_r, d_s).swapaxes(-1, -2).reshape(n, d * d_s, d_r) @ rho_r
+    return x.reshape(n, d, d) @ _dagger(u)
+
+
 def evolve(rho: DensityOperator, u: UnitaryOperator) -> DensityOperator:
     if rho.dim != u.dim:
         raise ValueError(f"state dim {rho.dim} does not match unitary dim {u.dim}")
-    return DensityOperator(u.matrix @ rho.matrix @ u.matrix.conj().T)
+    return DensityOperator(evolve_states(rho.matrix[None], u.matrix[None])[0])
 
 
 def unitaries_from_hamiltonian(h: Hamiltonian, times) -> np.ndarray:
@@ -651,7 +679,12 @@ def gaussian_matrices(sources: Sequence[RandomSource], rows: int, cols: int) -> 
         g.standard_normal(out=y)
 
     draw_streams(sources, fill)
-    return re + 1j * im
+    # a Generator fills only contiguous arrays: X and Y are drawn apart and
+    # written into the parts of one complex stack
+    z = np.empty(re.shape, dtype=complex)
+    z.real = re
+    z.imag = im
+    return z
 
 
 def random_hermitians(dim: int, sources: Sequence[RandomSource]) -> np.ndarray:
@@ -667,9 +700,12 @@ def haar_unitaries(dim: int, sources: Sequence[RandomSource]) -> np.ndarray:
     The stack is not validated (:func:`validate_unitaries` checks it)."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    q, r = np.linalg.qr(gaussian_matrices(sources, dim, dim) / np.sqrt(2.0))
+    z = gaussian_matrices(sources, dim, dim)
+    z /= np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
     diagonal = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diagonal / np.abs(diagonal))[:, None, :]
+    q *= (diagonal / np.abs(diagonal))[:, None, :]
+    return q
 
 
 def haar_random_unitary(dim: int, rng: RandomSource) -> UnitaryOperator:
@@ -682,7 +718,8 @@ def random_density_matrices(dim: int, rank: int, sources: Sequence[RandomSource]
     matrix.  The stack is not validated (:func:`validate_states` checks it)."""
     if not 1 <= rank <= dim:
         raise ValueError("rank must satisfy 1 <= rank <= dim")
-    z = gaussian_matrices(sources, dim, rank) / np.sqrt(2.0)
+    z = gaussian_matrices(sources, dim, rank)
+    z /= np.sqrt(2.0)
     m = z @ _dagger(z)
     return m / m.trace(axis1=-2, axis2=-1).real[:, None, None]
 

@@ -181,8 +181,8 @@ def _by_chunks(trials: int, entries_per_trial: int, run_chunk: Callable[[range],
 def _product_balances(layout: BipartitionLayout, sources: list[RandomSource]) -> arrow.EntropyBalanceReport:
     """Stacked entropy balances of random product inputs under Haar
     unitaries: per source, the two factors from its children 0 and 1 and
-    the unitary from child 2.  The inputs are validated through their
-    factors (:func:`arrow.product_balances`)."""
+    the unitary from child 2.  The inputs are validated and evolved
+    through their factors (:func:`arrow.product_balances`)."""
     rho_s = random_density_matrices(layout.dim_s, layout.dim_s, [src.child(0) for src in sources])
     rho_r = random_density_matrices(layout.dim_r, layout.dim_r, [src.child(1) for src in sources])
     u = haar_unitaries(layout.dim, [src.child(2) for src in sources])

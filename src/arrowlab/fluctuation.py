@@ -36,6 +36,7 @@ from .core import (
     masked_row_sums,
     raise_first_failure,
     random_hermitians,
+    tensor_products,
     unitaries_from_hamiltonian,
     validate_hamiltonians,
     validate_unitaries,
@@ -478,8 +479,10 @@ def heat_flow_trials(beta_s, beta_r, times, gap: float = 1.0, coupling: float = 
     h_s = np.kron(h_local.matrix, np.eye(2))
     h_r = np.kron(np.eye(2), h_local.matrix)
     u = unitaries_from_hamiltonian(Hamiltonian(h_s + h_r + coupling * EXCHANGE), times)
-    # the Gibbs pairs are validated through their factors, not as products
-    report, rho, final = product_balances(rho_s, rho_r, TWO_QUBITS, u)
+    # the Gibbs pairs are validated and evolved through their factors; the
+    # products are built here for the initial energies only
+    report, final = product_balances(rho_s, rho_r, TWO_QUBITS, u)
+    rho = tensor_products(rho_s, rho_r)
 
     # one contraction per trace: stacked, they would round differently
     def energy(h: np.ndarray, m: np.ndarray) -> float:

@@ -117,10 +117,12 @@ def transition_matrix_by_pairs(p_projectors, q_projectors, u) -> np.ndarray:
 # The rows of run_balance, run_schrodinger, run_crooks, run_jarzynski and
 # run_heatflow as computed one trial at a time, one matrix per numpy call,
 # with the arithmetic of every library call written out.  The stacked runs
-# must reproduce them bit for bit.  A product input's initial entropies
-# come from its factor spectra, as in the library; ``from_factors=False``
-# takes them from the eigvalsh of the product and of its marginals instead,
-# the independent path the library's rows must agree with to roundoff.
+# must reproduce them bit for bit.  A product input evolves through its
+# factors and takes its initial entropies from their spectra, as in the
+# library; ``from_factors=False`` builds the product, evolves it as
+# U rho U+ and takes the entropies from the eigvalsh of the product and of
+# its marginals instead, the independent path the library's rows must
+# agree with to roundoff.
 
 ALIGNMENT_TOL = 1e-10
 CLUSTER_GAP_TOL = 1e-9
@@ -169,21 +171,34 @@ def _factor_entropies(a, b) -> tuple[float, float, float]:
     return _entropy(spec_a), _entropy(spec_b), _entropy(np.sort(np.outer(spec_a, spec_b).ravel()))
 
 
-def _product_balance(a, b, u, from_factors) -> tuple[np.ndarray, tuple[float, float, float, float]]:
-    """(rho, (ds_s, ds_r, mi_initial, mi_final)) of rho = a (x) b under u;
-    the initial entropies from the factor spectra, or with ``from_factors``
-    False from the eigvalsh of the product and of its two marginals."""
+def _evolve_factors(a, b, u) -> np.ndarray:
+    """U (a (x) b) U+ without the product: U's column index (s, r)
+    contracted with a, then with b, each one matmul of the reshaped U."""
     dim_s, dim_r = len(a), len(b)
-    rho = np.kron(a, b)
-    initial = _factor_entropies(a, b) if from_factors else _joint_entropies(rho, dim_s, dim_r)
-    return rho, _balance(rho, initial, u, dim_s, dim_r)
+    d = dim_s * dim_r
+    x = u.reshape(d, dim_s, dim_r).swapaxes(1, 2).reshape(d * dim_r, dim_s) @ a
+    x = x.reshape(d, dim_r, dim_s).swapaxes(1, 2).reshape(d * dim_s, dim_r) @ b
+    return x.reshape(d, d) @ u.conj().T
 
 
-def _balance(rho, initial, u, dim_s, dim_r) -> tuple[float, float, float, float]:
-    """(ds_s, ds_r, mi_initial, mi_final) of rho under u, given the initial
-    entropies (S(rho_S), S(rho_R), S(rho))."""
+def _product_balance(a, b, u, from_factors) -> tuple[np.ndarray, tuple[float, float, float, float]]:
+    """(final, (ds_s, ds_r, mi_initial, mi_final)) of a (x) b under u: the
+    input evolved and its initial entropies taken through the factors, or
+    with ``from_factors`` False the product built, evolved as U rho U+ and
+    its entropies from the eigvalsh of the product and of its marginals."""
+    dim_s, dim_r = len(a), len(b)
+    if from_factors:
+        final, initial = _evolve_factors(a, b, u), _factor_entropies(a, b)
+    else:
+        rho = np.kron(a, b)
+        final, initial = u @ rho @ u.conj().T, _joint_entropies(rho, dim_s, dim_r)
+    return final, _balance(final, initial, dim_s, dim_r)
+
+
+def _balance(final, initial, dim_s, dim_r) -> tuple[float, float, float, float]:
+    """(ds_s, ds_r, mi_initial, mi_final) of an evolved state, given the
+    initial entropies (S(rho_S), S(rho_R), S(rho))."""
     s_s0, s_r0, s0 = initial
-    final = u @ rho @ u.conj().T
     s_s1, s_r1 = _marginal_entropies(final, dim_s, dim_r)
     s1 = _entropy(np.linalg.eigvalsh(final))
     return s_s1 - s_s0, s_r1 - s_r0, s_s0 + s_r0 - s0, s_s1 + s_r1 - s1
@@ -319,8 +334,9 @@ def heatflow_rows(trials, root, from_factors=True) -> list[tuple]:
         beta_s, beta_r = (beta_hot, beta_cold) if bool(g.integers(2)) else (beta_cold, beta_hot)
         t = g.uniform(0.5, 1.2)
         u = (evecs_total * np.exp(-1j * (evals_total * t))) @ evecs_total.conj().T
-        rho, (ds_s, ds_r, _, _) = _product_balance(gibbs(beta_s), gibbs(beta_r), u, from_factors)
-        final = u @ rho @ u.conj().T
+        a, b = gibbs(beta_s), gibbs(beta_r)
+        final, (ds_s, ds_r, _, _) = _product_balance(a, b, u, from_factors)
+        rho = np.kron(a, b)
         du_s = energy(h_s, final) - energy(h_s, rho)
         du_r = energy(h_r, final) - energy(h_r, rho)
         hotter = "S" if beta_s < beta_r else "R"

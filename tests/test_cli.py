@@ -462,3 +462,37 @@ class TestCollideCommand:
         assert code == 0
         assert "fitted_rate" not in out
         assert "recovered_trace_distance" in out
+
+
+def numeric_cells(out: str) -> list[float]:
+    """Every cell of the rows that parses as a number; text cells such as
+    an alignment are left out."""
+    cells = []
+    for line in rows_of_csv(out)[1:]:
+        for cell in line.split(","):
+            try:
+                cells.append(float(cell))
+            except ValueError:
+                pass
+    return cells
+
+
+class TestExtremeValidParameters:
+    @pytest.mark.parametrize("dims", ["16x16", "2x16", "16x2"])
+    @pytest.mark.parametrize("experiment", ["balance", "schrodinger"])
+    def test_largest_dims_give_finite_rows_and_pass_every_invariant(self, capsys, experiment, dims):
+        code, out = run_cli(capsys, experiment, "--dims", dims, "--trials", "2")
+        assert code == 0
+        assert len(rows_of_csv(out)) == 3
+        cells = numeric_cells(out)
+        assert cells and all(math.isfinite(c) for c in cells)
+        passed = {k: v for k, v in csv_metadata(out).items() if k.startswith("invariant.") and k.endswith(".passed")}
+        assert passed and set(passed.values()) == {"true"}
+
+    @pytest.mark.parametrize("epsilon", ["0", "1"])
+    def test_near_product_at_the_ends_of_epsilon_gives_finite_rows(self, capsys, epsilon):
+        code, out = run_cli(capsys, "near-product", "--epsilon", epsilon)
+        assert code == 0
+        cells = numeric_cells(out)
+        assert len(rows_of_csv(out)) == 2
+        assert cells and all(math.isfinite(c) for c in cells)

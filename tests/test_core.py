@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arrowlab import core
 from arrowlab.core import (
     BipartitionLayout,
     DensityOperator,
@@ -13,6 +14,8 @@ from arrowlab.core import (
     UnitaryOperator,
     bipartite_entropies,
     evolve,
+    evolve_products,
+    gaussian_matrices,
     gibbs_state,
     haar_random_unitary,
     identity_unitary,
@@ -30,6 +33,7 @@ from arrowlab.core import (
     tensor_product,
     tensor_products,
     trace_distance,
+    unitary_checks,
     unitary_from_hamiltonian,
     von_neumann_entropy,
 )
@@ -311,6 +315,36 @@ class TestPurifyEvolve:
             evolve(maximally_mixed(2), UnitaryOperator(CNOT))
 
 
+FACTOR_DIMS = [(2, 2), (2, 3), (3, 2), (2, 16), (16, 2), (16, 16)]
+
+
+def factor_stack(dim_s, dim_r, rank, seed):
+    """Factors of the given rank and Haar unitaries, two trials (one at
+    16 x 16)."""
+    sources = [RandomSource(seed).child(k) for k in range(1 if dim_s * dim_r == 256 else 2)]
+    a = random_density_matrices(dim_s, min(rank, dim_s), [src.child(0) for src in sources])
+    b = random_density_matrices(dim_r, min(rank, dim_r), [src.child(1) for src in sources])
+    return a, b, core.haar_unitaries(dim_s * dim_r, [src.child(2) for src in sources])
+
+
+class TestEvolveProducts:
+    @pytest.mark.parametrize("rank", [1, 16], ids=["rank-1", "full-rank"])
+    @pytest.mark.parametrize("dims", FACTOR_DIMS, ids=[f"{a}x{b}" for a, b in FACTOR_DIMS])
+    def test_matches_the_evolved_kronecker_product(self, dims, rank):
+        # non-square layouts catch a contraction over the wrong index
+        a, b, u = factor_stack(*dims, rank, seed=sum(dims) + rank)
+        final = evolve_products(a, b, u)
+        for k in range(len(u)):
+            expected = u[k] @ np.kron(a[k], b[k]) @ u[k].conj().T
+            assert np.abs(final[k] - expected).max() <= 1e-13
+
+    def test_stacked_trials_evolve_as_on_their_own(self):
+        a, b, u = factor_stack(2, 3, 3, seed=5)
+        final = evolve_products(a, b, u)
+        for k in range(len(u)):
+            assert np.array_equal(evolve_products(a[k : k + 1], b[k : k + 1], u[k : k + 1])[0], final[k])
+
+
 class TestHamiltonianMaps:
     def test_exponential_at_zero_time(self):
         h = Hamiltonian(np.diag([0.0, 1.3, 2.0]).astype(complex))
@@ -420,3 +454,38 @@ class TestSampling:
         for i in range(n):
             total += random_density_operator(2, 2, root.child(i)).matrix
         assert np.abs(total / n - np.eye(2) / 2).max() <= 0.02
+
+
+class TestAllocationTrims:
+    """The Ginibre draw, the unitarity check and the Haar scaling write in
+    place; their bits are those of the allocating expressions."""
+
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (3, 5), (16, 16)])
+    def test_gaussian_matrices_are_re_plus_i_im(self, rows, cols):
+        sources = [RandomSource(9).child(k) for k in range(4)]
+        expected = []
+        for source in sources:
+            g = source.generator()
+            re, im = g.standard_normal((rows, cols)), g.standard_normal((rows, cols))
+            expected.append(re + 1j * im)
+        assert np.array_equal(gaussian_matrices(sources, rows, cols).view(float), np.stack(expected).view(float))
+
+    @pytest.mark.parametrize("dim", [2, 4, 16])
+    def test_unitarity_defect_is_the_distance_from_identity(self, dim):
+        sources = [RandomSource(3).child(k) for k in range(3)]
+        u = core.haar_unitaries(dim, sources)
+        u[1] *= 1.0 + 1e-9
+        expected = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(dim)).max(axis=(-2, -1))
+        assert np.array_equal(core._unitarity_defects(u), expected)
+        ((failed, message),) = unitary_checks(u)
+        assert failed.tolist() == [False, True, False]
+        assert message(1) == f"matrix is not unitary (max deviation {expected[1]:.3e})"
+        with pytest.raises(ValueError, match=r"^matrix is not unitary \(max deviation 2\.000e-09\)$"):
+            UnitaryOperator(u[1])
+
+    def test_haar_unitaries_are_the_scaled_ginibre_qr(self):
+        sources = [RandomSource(4).child(k) for k in range(3)]
+        q, r = np.linalg.qr(gaussian_matrices(sources, 4, 4) / np.sqrt(2.0))
+        diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+        expected = q * (diagonal / np.abs(diagonal))[:, None, :]
+        assert np.array_equal(core.haar_unitaries(4, sources).view(float), expected.view(float))

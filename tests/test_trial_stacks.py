@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from arrowlab import arrow, core, experiments
+from arrowlab import arrow, core, experiments, fluctuation
 from arrowlab.core import BipartitionLayout, RandomSource
 
 SEEDS = range(5)
@@ -161,6 +161,38 @@ def test_balance_at_16x16_allocates_no_more_than_one_trial_at_a_time():
     stacked = peak(lambda: experiments.run_balance(3, 16, 16, 0))
     per_trial = peak(lambda: oracles.balance_rows(3, 16, 16, RandomSource(0)))
     assert stacked <= 1.25 * per_trial
+
+
+def traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_balance_at_16x16_allocates_less_than_with_the_product_built():
+    # the product path holds the 256 x 256 product next to the evolved state
+    root = RandomSource(0)
+    built = traced_peak(lambda: oracles.balance_rows(3, 16, 16, root, from_factors=False))
+    assert traced_peak(lambda: experiments.run_balance(3, 16, 16, 0)) < built
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (16, 16)], ids=["2x3", "16x16"])
+def test_balance_and_schrodinger_build_no_product(monkeypatch, dims):
+    def refused(a, b):
+        raise AssertionError("a product input was built")
+
+    for module in (core, arrow, experiments, fluctuation):
+        if hasattr(module, "tensor_products"):
+            monkeypatch.setattr(module, "tensor_products", refused)
+    trials = 1 if dims == (16, 16) else 4
+    assert len(experiments.run_balance(trials, *dims, 0)[0]) == trials
+    assert len(experiments.run_schrodinger(trials, *dims, 0)[0]) == trials
+    # heatflow builds its 4 x 4 products for the initial energies
+    with pytest.raises(AssertionError, match="product input was built"):
+        experiments.run_heatflow(2, 0)
 
 
 def test_chunk_sizes_cover_every_trial_once():
