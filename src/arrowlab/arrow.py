@@ -173,11 +173,6 @@ def schrodinger_checks(products: np.ndarray, tol: float = ALIGNMENT_TOL) -> list
     ]
 
 
-def schrodinger_check(report: EntropyBalanceReport, tol: float = ALIGNMENT_TOL) -> Alignment:
-    """Classify whether the two local arrows point the same way."""
-    return schrodinger_checks(np.array([report.schrodinger_product]), tol)[0]
-
-
 # ---------------------------------------------------------------------------
 # canonical two-qubit constructions
 # ---------------------------------------------------------------------------
@@ -450,14 +445,24 @@ def search_entropy_decreasing_unitaries(
     configs: Sequence[UnitarySearchConfig],
 ) -> list[UnitarySearchResult]:
     """Minimize dS_S + dS_R over the unitary group for each state with its
-    config; see :func:`search_entropy_decreasing_unitary`.
+    config.
+
+    Restart 0 is the answer: the spectral-assignment unitary, exact for
+    states whose spectrum factorizes.  Restarts 1 .. restarts - 1 probe its
+    local optimality: each kicks it by exp(-i PROBE_KICK H) with H a random
+    unit-norm Hermitian drawn from ``config.rng.child(k)``, then descends
+    along the Riemannian gradient until a step lowers the sum by less than
+    ``PROBE_CONVERGENCE_TOL`` or ``config.max_iterations`` steps are taken.
+    A probe replaces the answer only when its sum is lower by more than
+    ``BALANCE_CONSISTENCY_TOL``, so rounding ties keep restart 0.
 
     Each trial in turn is checked, answered by its spectral assignment,
     checked for a product input and kicked, so a failing trial raises what
     it raises alone, before any descent.  Then the probes of all trials
     descend in lockstep (:func:`_descend`), in stacks of at most
     ``STACK_ENTRIES`` entries per array.  A result that never dips below
-    zero is returned with a warning, not an error.
+    zero is returned with a warning, not an error: finitely many steps
+    cannot refute the existence of a decreasing unitary.
     """
     if len(states) != len(configs):
         raise ValueError("give one search config per state")
@@ -505,27 +510,6 @@ def search_entropy_decreasing_unitaries(
             )
         )
     return results
-
-
-def search_entropy_decreasing_unitary(
-    rho_joint: DensityOperator,
-    layout: BipartitionLayout,
-    config: UnitarySearchConfig | None = None,
-) -> UnitarySearchResult:
-    """Minimize dS_S + dS_R over the unitary group.
-
-    Restart 0 is the answer: the spectral-assignment unitary, exact for
-    states whose spectrum factorizes.  Restarts 1 .. restarts - 1 probe its
-    local optimality: each kicks it by exp(-i PROBE_KICK H) with H a random
-    unit-norm Hermitian drawn from ``config.rng.child(k)``, then descends
-    along the Riemannian gradient until a step lowers the sum by less than
-    ``PROBE_CONVERGENCE_TOL`` or ``config.max_iterations`` steps are taken.
-    A probe replaces the answer only when its sum is lower by more than
-    ``BALANCE_CONSISTENCY_TOL``, so rounding ties keep restart 0.  A result
-    that never dips below zero is returned with a warning, not an error:
-    finitely many steps cannot refute the existence of a decreasing unitary.
-    """
-    return search_entropy_decreasing_unitaries([rho_joint], layout, [config or UnitarySearchConfig()])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,12 @@ which keeps the detailed ratio exact for every (n, m) pair.  So a transition
 probability tr(Q_m U P_n U+) is a sum of squared eigenvector overlaps
 |<f_j| U |i_k>|^2 over the levels k of cluster n and j of cluster m; no
 projector is formed on the way to a distribution.
+
+Every protocol is part of a :class:`ProtocolStack`, which
+:meth:`ProtocolStack.of` validates and :func:`random_protocols` draws; a
+single protocol is a stack of one.  :func:`crooks_checks` gives each
+protocol's distributions, detailed ratios, dF and both integral identities,
+:func:`jarzynski_checks` the work average alone.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from .core import (
     BipartitionLayout,
     DensityOperator,
     Hamiltonian,
-    RandomSource,
     UnitaryOperator,
     gibbs_matrices,
     haar_unitaries,
@@ -49,18 +54,6 @@ DISTRIBUTION_SUM_TOL = 1e-12
 TEMPERATURE_DS_FLOOR = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class EnergyProjector:
-    """One eigenvalue cluster of a Hamiltonian: its energy and projector."""
-
-    energy: float
-    projector: np.ndarray
-
-    @property
-    def multiplicity(self) -> int:
-        return int(round(np.real(self.projector.trace())))
-
-
 def _cluster_breaks(evals: np.ndarray) -> np.ndarray:
     """(n, d - 1) mask over a stack of ascending spectra: level i + 1 starts
     a new cluster, its gap to level i being above CLUSTER_GAP_TOL."""
@@ -77,39 +70,12 @@ def _cluster_energies(evals: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.add.reduceat(evals, starts, axis=-1) / np.diff(starts, append=evals.shape[-1])
 
 
-def eigen_projectors(h: Hamiltonian) -> list[EnergyProjector]:
-    """Spectral projectors, one per eigenvalue cluster (gap tolerance 1e-9)."""
-    starts = _cluster_starts(_cluster_breaks(h.eigenvalues))
-    energies = _cluster_energies(h.eigenvalues, starts).tolist()
-    return [EnergyProjector(e, v @ v.conj().T) for e, v in zip(energies, np.split(h.eigenvectors, starts[1:], axis=1))]
-
-
-@dataclass(frozen=True, eq=False)
-class TwoPointProtocol:
-    """Initial/final Hamiltonians, the drive between the measurements, and
-    the inverse temperature of the preparing bath."""
-
-    h_initial: Hamiltonian
-    h_final: Hamiltonian
-    unitary: UnitaryOperator
-    beta: float
-
-    def __post_init__(self):
-        if not (self.h_initial.dim == self.h_final.dim == self.unitary.dim):
-            raise ValueError("protocol dimensions must agree")
-        _check_beta(self.beta)
-
-
-def _check_beta(beta: float) -> None:
-    if not np.isfinite(beta) or beta <= 0.0:
-        raise ValueError("beta must be finite and > 0")
-
-
 @dataclass(frozen=True, eq=False)
 class ProtocolStack:
     """n validated two-point protocols of one dimension at one inverse
     temperature, as stacks: the eigenvalues (n, d) and eigenvectors
-    (n, d, d) of both Hamiltonians, and the drives (n, d, d)."""
+    (n, d, d) of both Hamiltonians, and the drives (n, d, d).  Build one
+    with :meth:`of`, which validates the matrices."""
 
     evals_initial: np.ndarray
     evecs_initial: np.ndarray
@@ -119,25 +85,25 @@ class ProtocolStack:
     beta: float
 
     def __post_init__(self):
-        _check_beta(self.beta)
+        if not np.isfinite(self.beta) or self.beta <= 0.0:
+            raise ValueError("beta must be finite and > 0")
 
     def __len__(self) -> int:
         return len(self.unitaries)
 
     @classmethod
-    def of(cls, protocols) -> "ProtocolStack":
-        """Stack protocols that share one beta."""
-        betas = {protocol.beta for protocol in protocols}
-        if len(betas) != 1:
-            raise ValueError("stacked protocols must share one beta")
-        return cls(
-            evals_initial=np.stack([p.h_initial.eigenvalues for p in protocols]),
-            evecs_initial=np.stack([p.h_initial.eigenvectors for p in protocols]),
-            evals_final=np.stack([p.h_final.eigenvalues for p in protocols]),
-            evecs_final=np.stack([p.h_final.eigenvectors for p in protocols]),
-            unitaries=np.stack([p.unitary.matrix for p in protocols]),
-            beta=betas.pop(),
-        )
+    def of(cls, h_initial, h_final, unitaries, beta: float) -> "ProtocolStack":
+        """Validate and stack n protocols at one beta: the initial and final
+        Hamiltonians (n, d, d) are checked and decomposed, in that order, then
+        the drives (n, d, d) are checked for unitarity."""
+        h_initial, h_final, unitaries = (np.asarray(m, dtype=complex) for m in (h_initial, h_final, unitaries))
+        shape = h_initial.shape
+        if len(shape) != 3 or shape[1] != shape[2] or not shape == h_final.shape == unitaries.shape:
+            raise ValueError("protocol dimensions must agree")
+        evals_initial, evecs_initial = validate_hamiltonians(h_initial)
+        evals_final, evecs_final = validate_hamiltonians(h_final)
+        validate_unitaries(unitaries)
+        return cls(evals_initial, evecs_initial, evals_final, evecs_final, unitaries, beta)
 
 
 def check_distributions(probs: np.ndarray) -> np.ndarray:
@@ -154,26 +120,6 @@ def check_distributions(probs: np.ndarray) -> np.ndarray:
     return p
 
 
-@dataclass(frozen=True, eq=False)
-class JointOutcomeDistribution:
-    """p(n, m) over (initial cluster, final cluster) outcome pairs."""
-
-    probs: np.ndarray
-    energies_initial: np.ndarray
-    energies_final: np.ndarray
-
-    def __post_init__(self):
-        p = check_distributions(np.asarray(self.probs, dtype=float)[None])[0]
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "energies_initial", np.asarray(self.energies_initial, dtype=float))
-        object.__setattr__(self, "energies_final", np.asarray(self.energies_final, dtype=float))
-
-    def work_values(self) -> np.ndarray:
-        """W[n, m] = E'_m - E_n."""
-        return self.energies_final[None, :] - self.energies_initial[:, None]
-
-
 def log_partitions(evals: np.ndarray, beta: float) -> np.ndarray:
     """ln sum exp(-beta E) of each spectrum in a stack (n, d), in the form of
     scipy.special.logsumexp, so results match it bit for bit: every maximal
@@ -185,16 +131,6 @@ def log_partitions(evals: np.ndarray, beta: float) -> np.ndarray:
     count = np.count_nonzero(top, axis=-1)
     rest = np.exp(np.where(top, -np.inf, a) - a_max).sum(axis=-1) / count
     return np.log1p(rest) + np.log(count) + a_max[:, 0]
-
-
-def free_energy(h: Hamiltonian, beta: float) -> float:
-    """F = -ln(Z)/beta in the same (dimensionless) energy units as H."""
-    return -float(log_partitions(h.eigenvalues[None], beta)[0]) / beta
-
-
-def free_energy_difference(protocol: TwoPointProtocol) -> float:
-    """dF = F(h_final) - F(h_initial) at the protocol temperature."""
-    return free_energy(protocol.h_final, protocol.beta) - free_energy(protocol.h_initial, protocol.beta)
 
 
 def _transitions(v_from: np.ndarray, v_to: np.ndarray, u: np.ndarray, starts_from: np.ndarray, starts_to: np.ndarray) -> np.ndarray:
@@ -278,30 +214,14 @@ def _groups(stack: ProtocolStack) -> list[_ProtocolGroup]:
     return groups
 
 
-def _single_group(protocol: TwoPointProtocol) -> _ProtocolGroup:
-    (group,) = _groups(ProtocolStack.of([protocol]))
-    return group
-
-
-def forward_distribution(protocol: TwoPointProtocol) -> JointOutcomeDistribution:
-    """p_f(n, m): Gibbs-weighted initial outcome, drive, final measurement."""
-    group = _single_group(protocol)
-    return JointOutcomeDistribution(group.forward()[0], group.energies_initial[0], group.energies_final[0])
-
-
-def backward_distribution(protocol: TwoPointProtocol) -> JointOutcomeDistribution:
-    """p_b(n, m): start thermal on h_final, drive with U+, measure h_initial.
-
-    Indexed (n, m) exactly like the forward distribution so the two can be
-    compared elementwise.
-    """
-    group = _single_group(protocol)
-    return JointOutcomeDistribution(group.backward()[0], group.energies_initial[0], group.energies_final[0])
-
-
 @dataclass(frozen=True, eq=False)
 class CrooksReport:
     """Elementwise detailed-ratio check plus the derived integral identities.
+
+    ``forward`` and ``backward`` are the validated joint outcome
+    distributions p_f(n, m) and p_b(n, m) over (initial cluster, final
+    cluster) pairs, both indexed (n, m) so they compare elementwise; the
+    clusters are in ascending energy order.
 
     ``ratio``, ``predicted`` and ``deviation`` are NaN wherever the backward
     probability falls below the 1e-15 floor (those pairs carry no data), and
@@ -311,6 +231,8 @@ class CrooksReport:
     ``average_sigma`` = <beta (W - dF)>.
     """
 
+    forward: np.ndarray
+    backward: np.ndarray
     ratio: np.ndarray
     predicted: np.ndarray
     deviation: np.ndarray
@@ -330,10 +252,7 @@ def _work_averages(pf: np.ndarray, work: np.ndarray, beta: float) -> np.ndarray:
 def _entropy_productions(pf, pb, work, beta: float, delta_f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(KL(p_f || p_b), <beta (W - dF)>_pf) for each trial of a stack, both
     summed over the forward support."""
-    on = pf > PROBABILITY_FLOOR
-    if np.any(on & (pb <= PROBABILITY_FLOOR)):
-        raise ValueError("support of the forward distribution exceeds the backward one")
-    on = on.reshape(len(pf), -1)
+    on = (pf > PROBABILITY_FLOOR).reshape(len(pf), -1)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = pf * np.log(pf / pb)
     sigma = beta * (work - delta_f[:, None, None])
@@ -341,7 +260,12 @@ def _entropy_productions(pf, pb, work, beta: float, delta_f: np.ndarray) -> tupl
 
 
 def crooks_checks(stack: ProtocolStack) -> list[CrooksReport]:
-    """:func:`crooks_check` for every protocol of a stack, in stack order."""
+    """Verify p_f/p_b = exp(beta (W - dF)) pair by pair for every protocol
+    of a stack, in stack order.
+
+    Pairs where p_f is supported but p_b is not are impossible for a finite
+    temperature bath (both Gibbs states are full rank) and raise.
+    """
     reports: list[CrooksReport] = [None] * len(stack)
     for group in _groups(stack):
         pf = check_distributions(group.forward())
@@ -363,6 +287,8 @@ def crooks_checks(stack: ProtocolStack) -> list[CrooksReport]:
         columns = zip(max_deviation.tolist(), delta_f.tolist(), lhs.tolist(), rhs.tolist(), kl.tolist(), avg_sigma.tolist())
         for k, (trial, (dev, df, lh, rh, kl_k, avg_k)) in enumerate(zip(group.trials.tolist(), columns)):
             reports[trial] = CrooksReport(
+                forward=pf[k],
+                backward=pb[k],
                 ratio=ratio[k],
                 predicted=predicted_masked[k],
                 deviation=deviation[k],
@@ -376,15 +302,6 @@ def crooks_checks(stack: ProtocolStack) -> list[CrooksReport]:
     return reports
 
 
-def crooks_check(protocol: TwoPointProtocol) -> CrooksReport:
-    """Verify p_f/p_b = exp(beta (W - dF)) pair by pair.
-
-    Pairs where p_f is supported but p_b is not are impossible for a finite
-    temperature bath (both Gibbs states are full rank) and raise.
-    """
-    return crooks_checks(ProtocolStack.of([protocol]))[0]
-
-
 def jarzynski_checks(stack: ProtocolStack) -> tuple[np.ndarray, np.ndarray]:
     """(<exp(-beta W)>, exp(-beta dF)) over the forward distribution of every
     protocol of a stack, in stack order."""
@@ -393,25 +310,6 @@ def jarzynski_checks(stack: ProtocolStack) -> tuple[np.ndarray, np.ndarray]:
         lhs[group.trials] = _work_averages(check_distributions(group.forward()), group.work(), stack.beta)
         rhs[group.trials] = np.exp(-stack.beta * group.delta_f())
     return lhs, rhs
-
-
-def jarzynski_check(dist: JointOutcomeDistribution, beta: float, delta_f: float) -> tuple[float, float]:
-    """(<exp(-beta W)> over the forward distribution, exp(-beta dF))."""
-    lhs = _work_averages(dist.probs[None], dist.work_values()[None], beta)
-    return float(lhs[0]), float(np.exp(-beta * delta_f))
-
-
-def entropy_production_identity(
-    pf: JointOutcomeDistribution,
-    pb: JointOutcomeDistribution,
-    beta: float,
-    delta_f: float,
-) -> tuple[float, float]:
-    """(KL(p_f || p_b), <beta (W - dF)>_pf); the two agree identically."""
-    if pf.probs.shape != pb.probs.shape:
-        raise ValueError("distributions must share outcome indexing")
-    kl, avg_sigma = _entropy_productions(pf.probs[None], pb.probs[None], pf.work_values()[None], beta, np.array([delta_f]))
-    return float(kl[0]), float(avg_sigma[0])
 
 
 def measurement_symmetry_check(p: np.ndarray, q: np.ndarray, u: UnitaryOperator) -> tuple[float, float]:
@@ -470,8 +368,14 @@ class HeatFlowTrial:
 
 
 def heat_flow_trials(beta_s, beta_r, times, gap: float = 1.0, coupling: float = 1.0) -> list[HeatFlowTrial]:
-    """:func:`heat_flow_trial` for each entry of the equal-length sequences
-    ``beta_s``, ``beta_r`` and ``times``, run as one stack."""
+    """Evolve products of Gibbs qubits under an energy-conserving exchange
+    and record energy/entropy bookkeeping for both sides, one trial for each
+    entry of the equal-length sequences ``beta_s``, ``beta_r`` and ``times``,
+    run as one stack.
+
+    The local Hamiltonians share one gap so the exchange commutes with their
+    sum; total energy is conserved and the hotter side can only lose.
+    """
     raise_first_failure(((np.equal(beta_s, beta_r), lambda k: "beta_s and beta_r must differ so that one side is hotter"),))
     h_local = Hamiltonian(np.diag([0.0, gap]).astype(complex))
     rho_s = gibbs_matrices(h_local, beta_s)
@@ -512,22 +416,6 @@ def heat_flow_trials(beta_s, beta_r, times, gap: float = 1.0, coupling: float = 
     return trials
 
 
-def heat_flow_trial(
-    beta_s: float,
-    beta_r: float,
-    gap: float = 1.0,
-    coupling: float = 1.0,
-    time: float = 1.0,
-) -> HeatFlowTrial:
-    """Evolve a product of Gibbs qubits under an energy-conserving exchange
-    and record energy/entropy bookkeeping for both sides.
-
-    The local Hamiltonians share one gap so the exchange commutes with their
-    sum; total energy is conserved and the hotter side can only lose.
-    """
-    return heat_flow_trials([beta_s], [beta_r], [time], gap=gap, coupling=coupling)[0]
-
-
 def damping_heat(state: DensityOperator, h_final: Hamiltonian, beta: float) -> float:
     """Heat released when the state is damped into a bath thermal on h_final:
     the relative entropy to its Gibbs state, beta tr(rho H) + ln Z - S(rho),
@@ -546,22 +434,10 @@ def damping_heat(state: DensityOperator, h_final: Hamiltonian, beta: float) -> f
 # ---------------------------------------------------------------------------
 
 def random_protocols(layout: BipartitionLayout, beta: float, sources) -> ProtocolStack:
-    """:func:`random_protocol` for each source, drawn and validated as one stack."""
+    """Random Hermitian initial/final Hamiltonians with a Haar drive, one
+    protocol per source, drawn and validated as one stack: the Hamiltonians
+    from the children 0 and 1 of each source, the drive from child 2."""
     h_initial = random_hermitians(layout.dim, [source.child(0) for source in sources])
     h_final = random_hermitians(layout.dim, [source.child(1) for source in sources])
     unitaries = haar_unitaries(layout.dim, [source.child(2) for source in sources])
-    evals_initial, evecs_initial = validate_hamiltonians(h_initial)
-    evals_final, evecs_final = validate_hamiltonians(h_final)
-    validate_unitaries(unitaries)
-    return ProtocolStack(evals_initial, evecs_initial, evals_final, evecs_final, unitaries, beta)
-
-
-def random_protocol(layout: BipartitionLayout, beta: float, rng: RandomSource) -> TwoPointProtocol:
-    """Random Hermitian initial/final Hamiltonians with a Haar drive: the
-    Hamiltonians from the children 0 and 1 of ``rng``, the drive from child 2."""
-    return TwoPointProtocol(
-        h_initial=Hamiltonian(random_hermitians(layout.dim, [rng.child(0)])[0]),
-        h_final=Hamiltonian(random_hermitians(layout.dim, [rng.child(1)])[0]),
-        unitary=UnitaryOperator(haar_unitaries(layout.dim, [rng.child(2)])[0]),
-        beta=beta,
-    )
+    return ProtocolStack.of(h_initial, h_final, unitaries, beta)

@@ -18,8 +18,8 @@ from arrowlab.arrow import (
     decorrelating_unitary,
     entropy_balance,
     near_product_state,
-    schrodinger_check,
-    search_entropy_decreasing_unitary,
+    schrodinger_checks,
+    search_entropy_decreasing_unitaries,
 )
 from arrowlab.cli import main
 from arrowlab.collisions import (
@@ -34,7 +34,6 @@ from arrowlab.core import (
     BipartitionLayout,
     Hamiltonian,
     RandomSource,
-    UnitaryOperator,
     gibbs_state,
     haar_random_unitary,
     mutual_information,
@@ -44,16 +43,12 @@ from arrowlab.core import (
     trace_distance,
 )
 from arrowlab.fluctuation import (
-    TwoPointProtocol,
-    backward_distribution,
-    crooks_check,
-    entropy_production_identity,
-    forward_distribution,
-    free_energy_difference,
-    heat_flow_trial,
-    jarzynski_check,
+    ProtocolStack,
+    crooks_checks,
+    heat_flow_trials,
+    jarzynski_checks,
     measurement_symmetry_check,
-    random_protocol,
+    random_protocols,
 )
 from oracles import PAULI_X, binary_entropy, ket, projector
 
@@ -116,14 +111,14 @@ def test_criterion_3_optimizer_realizes_entropy_decrease():
             draws += 1
             if mutual_information(rho, layout) > 0.01:
                 break
-        res = search_entropy_decreasing_unitary(rho, layout, UnitarySearchConfig(rng=root.child(k)))
+        res = search_entropy_decreasing_unitaries([rho], layout, [UnitarySearchConfig(rng=root.child(k))])[0]
         negatives += res.achieved_sum < 0.0
 
     demo_successes, demo_runs = 0, 0
     feasible_ok = True
     for rho, bound in ((near_product_state(0.1), -0.0719), (classical_correlated_state(), -LN2)):
         for k in range(50):
-            res = search_entropy_decreasing_unitary(rho, layout, UnitarySearchConfig(rng=root.child(10**7 + demo_runs)))
+            res = search_entropy_decreasing_unitaries([rho], layout, [UnitarySearchConfig(rng=root.child(10**7 + demo_runs))])[0]
             demo_runs += 1
             demo_successes += res.achieved_sum < 0.0
             feasible_ok = feasible_ok and res.achieved_sum <= bound + 1e-6
@@ -136,7 +131,7 @@ def test_criterion_3_optimizer_realizes_entropy_decrease():
 
 def test_criterion_4_relative_arrow_violation():
     rep = entropy_balance(near_product_state(0.1), TWO_QUBITS, decorrelating_unitary())
-    alignment = schrodinger_check(rep)
+    (alignment,) = schrodinger_checks(np.array([rep.schrodinger_product]))
     ok = rep.ds_s < 0.0 < rep.ds_r and alignment is Alignment.ANTI_ALIGNED
     report(4, "near-product construction yields anti-aligned local arrows", ok, f"ds_s={rep.ds_s:.6f}, ds_r={rep.ds_r:.6f}")
     assert rep.ds_s < 0.0
@@ -147,24 +142,16 @@ def test_criterion_4_relative_arrow_violation():
 def test_criterion_5_crooks_and_jarzynski():
     worst_ratio, worst_jarzynski, worst_identity = 0.0, 0.0, 0.0
     root = RandomSource(55)
-    for k in range(100):
-        protocol = random_protocol(TWO_QUBITS, 1.0, root.child(k))
-        rep = crooks_check(protocol)
-        pf = forward_distribution(protocol)
-        pb = backward_distribution(protocol)
-        delta_f = free_energy_difference(protocol)
-        lhs, rhs = jarzynski_check(pf, 1.0, delta_f)
-        kl, sigma = entropy_production_identity(pf, pb, 1.0, delta_f)
+    stack = random_protocols(TWO_QUBITS, 1.0, [root.child(k) for k in range(100)])
+    lhs, rhs = jarzynski_checks(stack)
+    for rep in crooks_checks(stack):
         worst_ratio = max(worst_ratio, rep.max_deviation)
-        worst_jarzynski = max(worst_jarzynski, abs(lhs - rhs) / rhs)
-        worst_identity = max(worst_identity, abs(kl - sigma))
+        worst_identity = max(worst_identity, abs(rep.entropy_production - rep.average_sigma))
+    worst_jarzynski = float(np.max(np.abs(lhs - rhs) / rhs))
 
-    h = Hamiltonian(np.diag([0.0, 1.0]).astype(complex))
-    flip = TwoPointProtocol(h, h, UnitaryOperator(PAULI_X), LN3)
-    flip_report = crooks_check(flip)
-    kl_flip, sigma_flip = entropy_production_identity(
-        forward_distribution(flip), backward_distribution(flip), LN3, 0.0
-    )
+    h = np.diag([0.0, 1.0]).astype(complex)
+    (flip_report,) = crooks_checks(ProtocolStack.of(h[None], h[None], PAULI_X[None], LN3))
+    kl_flip, sigma_flip = flip_report.entropy_production, flip_report.average_sigma
     hand_ok = (
         abs(flip_report.ratio[0, 1] - 3.0) <= 1e-12
         and abs(kl_flip - 0.5 * LN3) <= 1e-12
@@ -225,7 +212,7 @@ def test_criterion_8_heat_flow():
         beta_cold = beta_hot + g.uniform(0.5, 2.0)
         hot_is_s = bool(g.integers(2))
         beta_s, beta_r = (beta_hot, beta_cold) if hot_is_s else (beta_cold, beta_hot)
-        trial = heat_flow_trial(beta_s, beta_r, time=g.uniform(0.5, 1.2))
+        (trial,) = heat_flow_trials([beta_s], [beta_r], [g.uniform(0.5, 1.2)])
         worst_hot = max(worst_hot, trial.du_hotter)
         worst_clausius = min(worst_clausius, trial.clausius_lhs)
         assert trial.clausius_lhs == pytest.approx(trial.ds_s + trial.ds_r, abs=1e-14)

@@ -17,8 +17,8 @@ from arrowlab.arrow import (
     decorrelating_unitary,
     entropy_balance,
     near_product_state,
-    schrodinger_check,
-    search_entropy_decreasing_unitary,
+    schrodinger_checks,
+    search_entropy_decreasing_unitaries,
     spectral_assignment_unitary,
     weak_coupling_sweep,
 )
@@ -197,21 +197,24 @@ class TestClassicalDemo:
 class TestSchrodingerCheck:
     def test_identity_evolution_is_degenerate(self):
         rep = entropy_balance(random_product(3), TWO_QUBITS, identity_unitary(4))
-        assert schrodinger_check(rep) is Alignment.DEGENERATE
+        assert schrodinger_checks(np.array([rep.schrodinger_product])) == [Alignment.DEGENERATE]
 
     def test_near_product_decorrelation_is_anti_aligned(self):
         rep = entropy_balance(near_product_state(0.1), TWO_QUBITS, decorrelating_unitary())
         assert rep.ds_s < 0 < rep.ds_r
-        assert schrodinger_check(rep) is Alignment.ANTI_ALIGNED
+        assert schrodinger_checks(np.array([rep.schrodinger_product])) == [Alignment.ANTI_ALIGNED]
 
     def test_product_inputs_census(self):
         # no theorem forbids anti-aligned outcomes for product inputs; we
         # only require the identity sum = I(final) >= 0 and record counts
         counts = {a: 0 for a in Alignment}
+        products = []
         for seed in range(300):
             rep = entropy_balance(random_product(seed), TWO_QUBITS, haar_random_unitary(4, RandomSource(seed + 5 * 10**5)))
-            counts[schrodinger_check(rep)] += 1
+            products.append(rep.schrodinger_product)
             assert rep.sum >= -1e-9
+        for alignment in schrodinger_checks(np.array(products)):
+            counts[alignment] += 1
         assert sum(counts.values()) == 300
         assert counts[Alignment.ALIGNED] > 0
 
@@ -223,7 +226,7 @@ class TestSchrodingerCheck:
 class TestSearch:
     def test_rejects_product_input(self):
         with pytest.raises(ValueError, match="product"):
-            search_entropy_decreasing_unitary(random_product(0), TWO_QUBITS)
+            search_entropy_decreasing_unitaries([random_product(0)], TWO_QUBITS, [UnitarySearchConfig()])
 
     def test_spectral_assignment_reaches_analytic_optimum(self):
         for rho, target in [
@@ -235,7 +238,7 @@ class TestSearch:
 
     def test_single_restart_is_the_spectral_assignment(self):
         rho = random_density_operator(4, 4, RandomSource(77))
-        res = search_entropy_decreasing_unitary(rho, TWO_QUBITS, UnitarySearchConfig(restarts=1))
+        res = search_entropy_decreasing_unitaries([rho], TWO_QUBITS, [UnitarySearchConfig(restarts=1)])[0]
         u = UnitaryOperator(spectral_assignment_unitary(rho, TWO_QUBITS))
         assert res.achieved_sum == entropy_balance(rho, TWO_QUBITS, u).sum
         assert np.array_equal(res.unitary.matrix, u.matrix)
@@ -243,7 +246,7 @@ class TestSearch:
         assert res.probes_run == res.probes_converged == 0
 
     def test_near_product_probes_descend_and_converge(self):
-        res = search_entropy_decreasing_unitary(near_product_state(0.1), TWO_QUBITS, UnitarySearchConfig(rng=RandomSource(1)))
+        res = search_entropy_decreasing_unitaries([near_product_state(0.1)], TWO_QUBITS, [UnitarySearchConfig(rng=RandomSource(1))])[0]
         assert res.probes_run == 3
         for probe in res.probes:
             assert len(probe.sums) >= 2
@@ -255,30 +258,30 @@ class TestSearch:
         assert res.best_restart == 0
 
     def test_near_product_feasible_bound(self):
-        res = search_entropy_decreasing_unitary(
-            near_product_state(0.1), TWO_QUBITS, UnitarySearchConfig(max_iterations=300, restarts=2, rng=RandomSource(1))
-        )
+        res = search_entropy_decreasing_unitaries(
+            [near_product_state(0.1)], TWO_QUBITS, [UnitarySearchConfig(max_iterations=300, restarts=2, rng=RandomSource(1))]
+        )[0]
         assert res.achieved_sum <= -0.0719 + 1e-6
         assert res.improved
 
     def test_classical_feasible_bound(self):
-        res = search_entropy_decreasing_unitary(
-            classical_correlated_state(), TWO_QUBITS, UnitarySearchConfig(max_iterations=300, restarts=2, rng=RandomSource(1))
-        )
+        res = search_entropy_decreasing_unitaries(
+            [classical_correlated_state()], TWO_QUBITS, [UnitarySearchConfig(max_iterations=300, restarts=2, rng=RandomSource(1))]
+        )[0]
         assert res.achieved_sum <= -LN2 + 1e-6
 
     def test_decrease_is_bounded_by_initial_mutual_information(self):
         # the decrease can never exceed the correlations initially present
         rho = near_product_state(0.3)
-        res = search_entropy_decreasing_unitary(
-            rho, TWO_QUBITS, UnitarySearchConfig(max_iterations=300, restarts=2, rng=RandomSource(0))
-        )
+        res = search_entropy_decreasing_unitaries(
+            [rho], TWO_QUBITS, [UnitarySearchConfig(max_iterations=300, restarts=2, rng=RandomSource(0))]
+        )[0]
         assert res.achieved_sum < 0.0
         assert res.achieved_sum >= -mutual_information(rho, TWO_QUBITS) - 1e-9
 
     def test_achieved_sum_matches_recomputed_balance(self):
         rho = random_density_operator(4, 4, RandomSource(77))
-        res = search_entropy_decreasing_unitary(rho, TWO_QUBITS, UnitarySearchConfig(max_iterations=200, restarts=2, rng=RandomSource(2)))
+        res = search_entropy_decreasing_unitaries([rho], TWO_QUBITS, [UnitarySearchConfig(max_iterations=200, restarts=2, rng=RandomSource(2))])[0]
         recomputed = entropy_balance(rho, TWO_QUBITS, res.unitary)
         assert abs(res.achieved_sum - recomputed.sum) <= 1e-12
 
@@ -288,9 +291,9 @@ class TestSearch:
             rho = random_density_operator(4, 4, RandomSource(seed + 400))
             if mutual_information(rho, TWO_QUBITS) <= 0.01:
                 continue
-            res = search_entropy_decreasing_unitary(
-                rho, TWO_QUBITS, UnitarySearchConfig(max_iterations=300, restarts=3, rng=RandomSource(seed))
-            )
+            res = search_entropy_decreasing_unitaries(
+                [rho], TWO_QUBITS, [UnitarySearchConfig(max_iterations=300, restarts=3, rng=RandomSource(seed))]
+            )[0]
             hits += res.improved
         assert hits >= 9
 
@@ -299,9 +302,9 @@ class TestSearch:
         rho = random_density_operator(4, 4, RandomSource(900))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            res = search_entropy_decreasing_unitary(
-                rho, TWO_QUBITS, UnitarySearchConfig(max_iterations=1, restarts=2, rng=RandomSource(0))
-            )
+            res = search_entropy_decreasing_unitaries(
+                [rho], TWO_QUBITS, [UnitarySearchConfig(max_iterations=1, restarts=2, rng=RandomSource(0))]
+            )[0]
         assert isinstance(res.achieved_sum, float)
         assert (res.probes_run, res.probes_converged) == (1, 0)
 
@@ -351,7 +354,7 @@ class TestSearch:
         monkeypatch.setattr(arrow, "_objectives", counting_rows(arrow._objectives))
         monkeypatch.setattr(arrow, "entropy_balance", counting(arrow.entropy_balance, "balances"))
         # two probes share each stacked decomposition
-        res = search_entropy_decreasing_unitary(rho, TWO_QUBITS, UnitarySearchConfig(restarts=3, rng=RandomSource(2)))
+        res = search_entropy_decreasing_unitaries([rho], TWO_QUBITS, [UnitarySearchConfig(restarts=3, rng=RandomSource(2))])[0]
         # accepted steps, whose gradients read the marginals of their point
         assert all(len(probe.sums) >= 3 for probe in res.probes)
         # a balance takes both marginals of the initial and of the final state

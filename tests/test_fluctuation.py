@@ -11,163 +11,175 @@ from arrowlab.core import (
     DensityOperator,
     Hamiltonian,
     RandomSource,
-    UnitaryOperator,
     gibbs_state,
     haar_random_unitary,
+    haar_unitaries,
     identity_unitary,
     maximally_mixed,
     mutual_information,
     pure_state,
     random_density_operator,
+    random_hermitians,
 )
 from arrowlab.fluctuation import (
     ProtocolStack,
-    TwoPointProtocol,
     _groups,
     _transitions,
-    backward_distribution,
-    crooks_check,
     crooks_checks,
     damping_heat,
     effective_temperatures,
-    eigen_projectors,
-    entropy_production_identity,
-    forward_distribution,
-    free_energy,
-    free_energy_difference,
-    heat_flow_trial,
-    jarzynski_check,
+    heat_flow_trials,
     jarzynski_checks,
+    log_partitions,
     measurement_symmetry_check,
-    random_protocol,
+    random_protocols,
 )
 from oracles import PAULI_X, ket, kl_divergence, projector, transition_matrix_by_pairs
 
 LN3 = 1.0986122886681098
 H_QUBIT = Hamiltonian(np.diag([0.0, 1.0]).astype(complex))
 
+
+def one_protocol(h_initial, h_final, unitary, beta) -> ProtocolStack:
+    """The stack of one protocol given by d x d matrices."""
+    return ProtocolStack.of(h_initial[None], h_final[None], unitary[None], beta)
+
+
+def draw(layout: BipartitionLayout, seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The initial and final Hamiltonians and drives that
+    :func:`random_protocols` draws from ``RandomSource(seed)`` per seed."""
+    sources = [RandomSource(seed) for seed in seeds]
+    return (
+        random_hermitians(layout.dim, [source.child(0) for source in sources]),
+        random_hermitians(layout.dim, [source.child(1) for source in sources]),
+        haar_unitaries(layout.dim, [source.child(2) for source in sources]),
+    )
+
+
 # the single-qubit bit-flip protocol whose numbers are all hand-computable:
 # thermal populations (0.75, 0.25) at beta = ln 3, W = +-1, dF = 0
-FLIP = TwoPointProtocol(h_initial=H_QUBIT, h_final=H_QUBIT, unitary=UnitaryOperator(PAULI_X), beta=LN3)
+FLIP = one_protocol(H_QUBIT.matrix, H_QUBIT.matrix, PAULI_X, LN3)
+TRIVIAL = one_protocol(H_QUBIT.matrix, H_QUBIT.matrix, np.eye(2), LN3)
 
 
-class TestEigenProjectors:
-    def test_diagonal_hamiltonian(self):
-        projs = eigen_projectors(H_QUBIT)
-        assert len(projs) == 2
-        assert np.allclose(projs[0].projector, projector(ket(0)))
-        assert np.allclose(projs[1].projector, projector(ket(1)))
-        assert [p.energy for p in projs] == [0.0, 1.0]
+class TestClustering:
+    def test_gap_tolerance_and_degenerate_outcomes(self):
+        # levels 1e-10 apart are one outcome, 1e-8 apart two (CLUSTER_GAP_TOL = 1e-9)
+        h_initial = np.array([np.diag([0.0, 1e-10]), np.diag([0.0, 1e-8])])
+        h_final = np.array([np.diag([0.0, 1.0])] * 2)
+        u = np.repeat(haar_unitaries(2, [RandomSource(0)]), 2, axis=0)
+        close, apart = crooks_checks(ProtocolStack.of(h_initial, h_final, u, 1.0))
+        assert close.forward.shape == close.backward.shape == (1, 2)
+        assert apart.forward.shape == apart.backward.shape == (2, 2)
+        # a Gibbs state of the identity is maximally mixed under any drive,
+        # so each final cluster is measured with its multiplicity over 3
+        h_final = np.array([np.diag([0.0, 1.0, 2.0]), np.diag([0.0, 0.0, 1.0])])
+        u = haar_unitaries(3, [RandomSource(1), RandomSource(2)])
+        distinct, paired = crooks_checks(ProtocolStack.of(np.array([np.eye(3)] * 2), h_final, u, 1.0))
+        assert distinct.forward.shape == (1, 3)
+        assert np.abs(distinct.forward - 1.0 / 3.0).max() <= 1e-15
+        assert paired.forward.shape == (1, 2)
+        assert np.abs(paired.forward - [[2.0 / 3.0, 1.0 / 3.0]]).max() <= 1e-15
 
-    def test_pauli_x_eigenbasis(self):
-        projs = eigen_projectors(Hamiltonian(PAULI_X))
-        minus = (ket(0) - ket(1)) / math.sqrt(2)
-        plus = (ket(0) + ket(1)) / math.sqrt(2)
-        assert np.allclose(projs[0].projector, projector(minus), atol=1e-14)
-        assert np.allclose(projs[1].projector, projector(plus), atol=1e-14)
 
-    def test_fully_degenerate_clusters_to_identity(self):
-        projs = eigen_projectors(Hamiltonian(np.eye(3, dtype=complex)))
-        assert len(projs) == 1
-        assert np.allclose(projs[0].projector, np.eye(3))
-        assert projs[0].multiplicity == 3
+class TestProtocolStack:
+    def test_validation(self):
+        with pytest.raises(ValueError, match="beta"):
+            one_protocol(H_QUBIT.matrix, H_QUBIT.matrix, np.eye(2), 0.0)
+        with pytest.raises(ValueError, match="dimensions"):
+            one_protocol(H_QUBIT.matrix, H_QUBIT.matrix, np.eye(4), 1.0)
+        with pytest.raises(ValueError, match="dimensions"):
+            ProtocolStack.of(H_QUBIT.matrix, H_QUBIT.matrix, np.eye(2), 1.0)
+        with pytest.raises(ValueError, match="Hermitian"):
+            one_protocol(H_QUBIT.matrix, np.triu(np.ones((2, 2))), np.eye(2), 1.0)
+        with pytest.raises(ValueError, match="unitary"):
+            one_protocol(H_QUBIT.matrix, H_QUBIT.matrix, 2.0 * np.eye(2), 1.0)
 
-    def test_completeness_and_orthogonality(self):
-        g = RandomSource(4).generator()
-        z = g.standard_normal((5, 5)) + 1j * g.standard_normal((5, 5))
-        projs = eigen_projectors(Hamiltonian((z + z.conj().T) / 2))
-        total = sum(p.projector for p in projs)
-        assert np.abs(total - np.eye(5)).max() <= 1e-12
-        for i, a in enumerate(projs):
-            for j, b in enumerate(projs):
-                product = a.projector @ b.projector
-                target = a.projector if i == j else np.zeros((5, 5))
-                assert np.abs(product - target).max() <= 1e-12
-
-    def test_nondegenerate_projector_count_equals_dim(self):
-        for seed in range(5):
-            g = RandomSource(seed).generator()
-            z = g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4))
-            projs = eigen_projectors(Hamiltonian((z + z.conj().T) / 2))
-            assert len(projs) == 4
+    def test_random_protocols_validate_their_draws_through_of(self):
+        layout = BipartitionLayout(2, 3)
+        drawn = random_protocols(layout, 0.7, [RandomSource(seed) for seed in range(4)])
+        built = ProtocolStack.of(*draw(layout, range(4)), 0.7)
+        for name in ("evals_initial", "evecs_initial", "evals_final", "evecs_final", "unitaries"):
+            assert np.array_equal(getattr(drawn, name), getattr(built, name))
+        assert drawn.beta == built.beta == 0.7
 
 
 class TestDistributions:
     def test_trivial_protocol_is_diagonal_gibbs(self):
-        protocol = TwoPointProtocol(H_QUBIT, H_QUBIT, identity_unitary(2), LN3)
-        pf = forward_distribution(protocol)
-        assert np.allclose(pf.probs, np.diag([0.75, 0.25]), atol=1e-14)
-        pb = backward_distribution(protocol)
-        assert np.allclose(pb.probs, np.diag([0.75, 0.25]), atol=1e-14)
+        (report,) = crooks_checks(TRIVIAL)
+        assert np.allclose(report.forward, np.diag([0.75, 0.25]), atol=1e-14)
+        assert np.allclose(report.backward, np.diag([0.75, 0.25]), atol=1e-14)
 
     def test_flip_forward_hand_values(self):
-        pf = forward_distribution(FLIP)
-        assert np.allclose(pf.probs, [[0.0, 0.75], [0.25, 0.0]], atol=1e-14)
+        (report,) = crooks_checks(FLIP)
+        assert np.allclose(report.forward, [[0.0, 0.75], [0.25, 0.0]], atol=1e-14)
 
     def test_flip_backward_hand_values(self):
-        pb = backward_distribution(FLIP)
-        assert np.allclose(pb.probs, [[0.0, 0.25], [0.75, 0.0]], atol=1e-14)
+        (report,) = crooks_checks(FLIP)
+        assert np.allclose(report.backward, [[0.0, 0.25], [0.75, 0.0]], atol=1e-14)
+
+    def test_pauli_x_initial_basis_hand_values(self):
+        # thermal on X at beta = ln 3 holds |-> and |+> with (0.9, 0.1); each
+        # has overlap 1/2 with both levels of the final Z-basis Hamiltonian
+        (report,) = crooks_checks(one_protocol(PAULI_X, H_QUBIT.matrix, np.eye(2), LN3))
+        assert np.allclose(report.forward, [[0.45, 0.45], [0.05, 0.05]], atol=1e-14)
+        assert np.allclose(report.backward, [[0.375, 0.125], [0.375, 0.125]], atol=1e-14)
+
+    @staticmethod
+    def populations(h: np.ndarray, beta: float) -> np.ndarray:
+        """Gibbs populations of the eigenvectors of h, as projector traces."""
+        rho = gibbs_state(Hamiltonian(h), beta).matrix
+        _, v = np.linalg.eigh(h)
+        return np.array([float(np.real(np.einsum("ij,ji->", projector(v[:, n]), rho))) for n in range(len(h))])
 
     def test_forward_marginal_consistency(self):
-        for seed in range(10):
-            protocol = random_protocol(TWO_QUBITS, 1.0, RandomSource(seed))
-            pf = forward_distribution(protocol)
-            rho = gibbs_state(protocol.h_initial, protocol.beta)
-            populations = [
-                float(np.real(np.einsum("ij,ji->", p.projector, rho.matrix)))
-                for p in eigen_projectors(protocol.h_initial)
-            ]
-            assert np.allclose(pf.probs.sum(axis=1), populations, atol=1e-12)
+        h_initial, _, _ = draw(TWO_QUBITS, range(10))
+        for h, report in zip(h_initial, crooks_checks(random_protocols(TWO_QUBITS, 1.0, [RandomSource(s) for s in range(10)]))):
+            assert np.allclose(report.forward.sum(axis=1), self.populations(h, 1.0), atol=1e-12)
 
     def test_backward_marginal_consistency(self):
-        for seed in range(10):
-            protocol = random_protocol(TWO_QUBITS, 1.0, RandomSource(seed))
-            pb = backward_distribution(protocol)
-            rho = gibbs_state(protocol.h_final, protocol.beta)
-            populations = [
-                float(np.real(np.einsum("ij,ji->", q.projector, rho.matrix)))
-                for q in eigen_projectors(protocol.h_final)
-            ]
-            assert np.allclose(pb.probs.sum(axis=0), populations, atol=1e-12)
+        _, h_final, _ = draw(TWO_QUBITS, range(10))
+        for h, report in zip(h_final, crooks_checks(random_protocols(TWO_QUBITS, 1.0, [RandomSource(s) for s in range(10)]))):
+            assert np.allclose(report.backward.sum(axis=0), self.populations(h, 1.0), atol=1e-12)
 
     def test_distributions_normalize(self):
-        for seed in range(20):
-            protocol = random_protocol(TWO_QUBITS, 0.7, RandomSource(seed))
-            assert forward_distribution(protocol).probs.sum() == pytest.approx(1.0, abs=1e-12)
-            assert backward_distribution(protocol).probs.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_protocol_validation(self):
-        with pytest.raises(ValueError, match="beta"):
-            TwoPointProtocol(H_QUBIT, H_QUBIT, identity_unitary(2), 0.0)
-        with pytest.raises(ValueError, match="dimensions"):
-            TwoPointProtocol(H_QUBIT, H_QUBIT, identity_unitary(4), 1.0)
+        for report in crooks_checks(random_protocols(TWO_QUBITS, 0.7, [RandomSource(s) for s in range(20)])):
+            assert report.forward.sum() == pytest.approx(1.0, abs=1e-12)
+            assert report.backward.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCrooks:
     def test_trivial_protocol_ratios_are_one(self):
-        protocol = TwoPointProtocol(H_QUBIT, H_QUBIT, identity_unitary(2), LN3)
-        report = crooks_check(protocol)
+        (report,) = crooks_checks(TRIVIAL)
         assert report.delta_f == pytest.approx(0.0, abs=1e-14)
         diag = np.diag(report.ratio)
         assert np.allclose(diag, 1.0, atol=1e-12)
 
     def test_flip_ratio_is_three(self):
-        report = crooks_check(FLIP)
+        (report,) = crooks_checks(FLIP)
         assert report.delta_f == pytest.approx(0.0, abs=1e-14)
         assert report.ratio[0, 1] == pytest.approx(3.0, abs=1e-12)
         assert report.predicted[0, 1] == pytest.approx(3.0, abs=1e-12)
         assert report.ratio[1, 0] == pytest.approx(1.0 / 3.0, abs=1e-13)
         assert report.max_deviation <= 1e-12
 
+    def test_ratio_is_the_reported_distributions_divided(self):
+        for report in crooks_checks(random_protocols(BipartitionLayout(2, 3), 1.0, [RandomSource(s) for s in range(5)])):
+            assert np.array_equal(report.ratio, report.forward / report.backward)
+
+    def test_vanishing_backward_probability_raises(self):
+        # at beta = 40 the backward flip starts in the excited level with
+        # weight e^-40 < PROBABILITY_FLOOR, while the forward one is certain
+        with pytest.raises(ValueError, match="vanishing backward probability"):
+            crooks_checks(one_protocol(H_QUBIT.matrix, H_QUBIT.matrix, PAULI_X, 40.0))
+
     def test_random_protocols_satisfy_detailed_ratio(self):
-        for seed in range(100):
-            report = crooks_check(random_protocol(TWO_QUBITS, 1.0, RandomSource(seed)))
+        for report in crooks_checks(random_protocols(TWO_QUBITS, 1.0, [RandomSource(s) for s in range(100)])):
             assert report.max_deviation <= 1e-9
 
     def test_random_qutrit_pair_protocols(self):
         layout = BipartitionLayout(3, 3)
-        for seed in range(5):
-            report = crooks_check(random_protocol(layout, 0.5, RandomSource(seed)))
+        for report in crooks_checks(random_protocols(layout, 0.5, [RandomSource(s) for s in range(5)])):
             assert report.max_deviation <= 1e-9
 
     @pytest.mark.parametrize("dims, trials, chunks", [((2, 2), 3, 1), ((4, 4), 300, 2)], ids=["2x2", "4x4"])
@@ -186,13 +198,13 @@ class TestCrooks:
 
 class TestTransitionMatrix:
     @staticmethod
-    def oracle(protocol: TwoPointProtocol, labels_i, labels_f) -> np.ndarray:
+    def oracle(h_initial, h_final, unitary, beta, labels_i, labels_f) -> np.ndarray:
         """p(N, M) from single eigenvectors: Gibbs weight of level n times
         |<f_m| U |i_n>|^2, summed over the levels of each labelled cluster."""
-        e_i, v_i = np.linalg.eigh(protocol.h_initial.matrix)
-        _, v_f = np.linalg.eigh(protocol.h_final.matrix)
-        w = np.exp(-protocol.beta * (e_i - e_i.min()))
-        levels = (w / w.sum())[:, None] * np.abs(v_f.conj().T @ protocol.unitary.matrix @ v_i).T ** 2
+        e_i, v_i = np.linalg.eigh(h_initial)
+        _, v_f = np.linalg.eigh(h_final)
+        w = np.exp(-beta * (e_i - e_i.min()))
+        levels = (w / w.sum())[:, None] * np.abs(v_f.conj().T @ unitary @ v_i).T ** 2
         out = np.zeros((max(labels_i) + 1, max(labels_f) + 1))
         np.add.at(out, (np.asarray(labels_i)[:, None], np.asarray(labels_f)[None, :]), levels)
         return out
@@ -200,65 +212,72 @@ class TestTransitionMatrix:
     @pytest.mark.parametrize("dims", [(3, 3), (4, 4)], ids=["3x3", "4x4"])
     def test_forward_matches_eigenvector_oracle(self, dims):
         layout = BipartitionLayout(*dims)
-        for seed in range(5):
-            protocol = random_protocol(layout, 0.7, RandomSource(seed))
-            assert len(eigen_projectors(protocol.h_initial)) == len(eigen_projectors(protocol.h_final)) == layout.dim
-            levels = range(layout.dim)
-            expected = self.oracle(protocol, levels, levels)
-            assert np.abs(forward_distribution(protocol).probs - expected).max() <= 1e-14
+        matrices = draw(layout, range(5))
+        levels = range(layout.dim)
+        for k, report in enumerate(crooks_checks(ProtocolStack.of(*matrices, 0.7))):
+            assert report.forward.shape == (layout.dim, layout.dim)
+            expected = self.oracle(*(m[k] for m in matrices), 0.7, levels, levels)
+            assert np.abs(report.forward - expected).max() <= 1e-14
+
+    # spectra with repeated levels in Haar bases, clustered as [3, 2, 1, 2, 1]
+    # initially and [1, 3, 1, 2, 2] finally
+    LABELS_I = [0, 0, 0, 1, 1, 2, 3, 3, 4]
+    LABELS_F = [0, 1, 1, 1, 2, 3, 3, 4, 4]
 
     @staticmethod
-    def degenerate_protocol() -> TwoPointProtocol:
-        """Spectra with repeated levels in Haar bases, clustered as
-        [3, 2, 1, 2, 1] initially and [1, 3, 1, 2, 2] finally."""
+    def degenerate_protocol() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(h_initial, h_final, unitary) of the degenerate protocol at beta 0.8."""
         energies_i = [0.0, 0.0, 0.0, 0.5, 0.5, 1.2, 2.0, 2.0, 3.0]
         energies_f = [-1.0, 0.2, 0.2, 0.2, 0.9, 1.5, 1.5, 2.5, 2.5]
 
         def hamiltonian(energies, seed):
             v = haar_random_unitary(9, RandomSource(seed)).matrix
             m = (v * np.array(energies)) @ v.conj().T
-            return Hamiltonian((m + m.conj().T) / 2.0)
+            return (m + m.conj().T) / 2.0
 
-        return TwoPointProtocol(
-            hamiltonian(energies_i, 1), hamiltonian(energies_f, 2), haar_random_unitary(9, RandomSource(3)), 0.8
-        )
+        return hamiltonian(energies_i, 1), hamiltonian(energies_f, 2), haar_random_unitary(9, RandomSource(3)).matrix
 
     def test_degenerate_forward_matches_clustered_oracle(self):
         # the oracle sums single levels over each cluster
-        labels_i = [0, 0, 0, 1, 1, 2, 3, 3, 4]
-        labels_f = [0, 1, 1, 1, 2, 3, 3, 4, 4]
         protocol = self.degenerate_protocol()
-        assert [p.multiplicity for p in eigen_projectors(protocol.h_initial)] == [3, 2, 1, 2, 1]
-        assert [q.multiplicity for q in eigen_projectors(protocol.h_final)] == [1, 3, 1, 2, 2]
-        expected = self.oracle(protocol, labels_i, labels_f)
-        assert np.abs(forward_distribution(protocol).probs - expected).max() <= 1e-14
+        stack = one_protocol(*protocol, 0.8)
+        (group,) = _groups(stack)
+        assert np.diff(group.starts_initial, append=9).tolist() == [3, 2, 1, 2, 1]
+        assert np.diff(group.starts_final, append=9).tolist() == [1, 3, 1, 2, 2]
+        expected = self.oracle(*protocol, 0.8, self.LABELS_I, self.LABELS_F)
+        (report,) = crooks_checks(stack)
+        assert np.abs(report.forward - expected).max() <= 1e-14
+
+    def test_degenerate_transitions_sum_to_cluster_multiplicities(self):
+        # the cluster projectors are complete on both sides: summed over the
+        # final clusters, tr(Q_m U P_n U+) is the multiplicity of cluster n
+        (group,) = _groups(one_protocol(*self.degenerate_protocol(), 0.8))
+        t = _transitions(group.evecs_initial, group.evecs_final, group.unitaries, group.starts_initial, group.starts_final)[0]
+        assert np.abs(t.sum(axis=1) - [3, 2, 1, 2, 1]).max() <= 1e-14
+        assert np.abs(t.sum(axis=0) - [1, 3, 1, 2, 2]).max() <= 1e-14
 
     def test_degenerate_and_nondegenerate_protocols_share_a_stack(self):
         # the degenerate protocol of the test above and a random one, stacked:
-        # each is its own cluster-size group and gives its own distributions
-        protocols = [self.degenerate_protocol(), random_protocol(BipartitionLayout(3, 3), 0.8, RandomSource(4))]
-        stack = ProtocolStack.of(protocols)
+        # each is its own cluster-size group and gives the reports and work
+        # averages of its own stack of one
+        protocols = [self.degenerate_protocol(), tuple(m[0] for m in draw(BipartitionLayout(3, 3), [4]))]
+        stack = ProtocolStack.of(*(np.stack(m) for m in zip(*protocols)), 0.8)
         groups = _groups(stack)
         assert sorted(int(k) for group in groups for k in group.trials) == [0, 1]
-        for group in groups:
-            (trial,) = group.trials
-            protocol = protocols[trial]
-            assert np.array_equal(group.forward()[0], forward_distribution(protocol).probs)
-            assert np.array_equal(group.backward()[0], backward_distribution(protocol).probs)
-        expected = self.oracle(protocols[0], [0, 0, 0, 1, 1, 2, 3, 3, 4], [0, 1, 1, 1, 2, 3, 3, 4, 4])
         (degenerate,) = [group for group in groups if group.trials[0] == 0]
+        expected = self.oracle(*protocols[0], 0.8, self.LABELS_I, self.LABELS_F)
         assert np.abs(degenerate.forward()[0] - expected).max() <= 1e-14
-        for report, protocol in zip(crooks_checks(stack), protocols):
-            single = crooks_check(protocol)
+        lhs, rhs = jarzynski_checks(stack)
+        for k, (report, protocol) in enumerate(zip(crooks_checks(stack), protocols)):
+            single_stack = one_protocol(*protocol, 0.8)
+            (single,) = crooks_checks(single_stack)
             assert report.max_deviation == single.max_deviation <= 1e-9
-            assert np.array_equal(report.ratio, single.ratio, equal_nan=True)
+            for name in ("forward", "backward", "ratio"):
+                assert np.array_equal(getattr(report, name), getattr(single, name), equal_nan=True)
             assert (report.delta_f, report.jarzynski_lhs, report.entropy_production) == (
                 single.delta_f, single.jarzynski_lhs, single.entropy_production
             )
-        lhs, rhs = jarzynski_checks(stack)
-        for k, protocol in enumerate(protocols):
-            single = jarzynski_check(forward_distribution(protocol), protocol.beta, free_energy_difference(protocol))
-            assert (lhs[k], rhs[k]) == single
+            assert (lhs[k], rhs[k]) == tuple(a[0] for a in jarzynski_checks(single_stack))
 
     def test_each_direction_transported_once_the_backward_by_u_dagger(self, monkeypatch):
         from arrowlab import fluctuation
@@ -271,10 +290,10 @@ class TestTransitionMatrix:
             return original(v_from, v_to, u, starts_from, starts_to)
 
         monkeypatch.setattr(fluctuation, "_transitions", counting)
-        protocol = random_protocol(BipartitionLayout(2, 2), 1.0, RandomSource(0))
-        crooks_check(protocol)
+        stack = random_protocols(BipartitionLayout(2, 2), 1.0, [RandomSource(0)])
+        crooks_checks(stack)
         # the backward transition matrix is computed on its own, from U+
-        u = protocol.unitary.matrix
+        u = stack.unitaries[0]
         assert len(drives) == 2
         assert np.array_equal(drives[0][0], u)
         assert np.array_equal(drives[1][0], u.conj().T)
@@ -282,24 +301,24 @@ class TestTransitionMatrix:
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 4)], ids=["2x2", "3x3", "4x4"])
     def test_stacked_transitions_match_single_protocols_and_pairwise_traces(self, dims):
         # the transition matrices of 50 protocols, computed as one stack
-        protocols = [random_protocol(BipartitionLayout(*dims), 1.0, RandomSource(seed)) for seed in range(50)]
-        (group,) = _groups(ProtocolStack.of(protocols))
+        stack = random_protocols(BipartitionLayout(*dims), 1.0, [RandomSource(seed) for seed in range(50)])
+        (group,) = _groups(stack)
         transitions = (group.evecs_initial, group.evecs_final, group.unitaries, group.starts_initial, group.starts_final)
         stacked = _transitions(*transitions)
-        for k, protocol in enumerate(protocols):
+        for k in range(len(stack)):
             single = _transitions(*(a[k : k + 1] for a in transitions[:3]), *transitions[3:])
             assert np.array_equal(stacked[k], single[0])
-            p = [pn.projector for pn in eigen_projectors(protocol.h_initial)]
-            q = [qm.projector for qm in eigen_projectors(protocol.h_final)]
-            expected = transition_matrix_by_pairs(p, q, protocol.unitary.matrix)
+            p = [np.outer(v, v.conj()) for v in stack.evecs_initial[k].T]
+            q = [np.outer(v, v.conj()) for v in stack.evecs_final[k].T]
+            expected = transition_matrix_by_pairs(p, q, stack.unitaries[k])
             assert np.abs(stacked[k] - expected).max() <= 1e-15
 
     def test_no_einsum_in_a_crooks_check(self, monkeypatch):
-        protocol = random_protocol(BipartitionLayout(4, 4), 1.0, RandomSource(0))
+        stack = random_protocols(BipartitionLayout(4, 4), 1.0, [RandomSource(0)])
         calls = []
         einsum = np.einsum
         monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: calls.append(args[0]) or einsum(*args, **kwargs))
-        crooks_check(protocol)
+        crooks_checks(stack)
         assert calls == []
 
     @pytest.mark.parametrize("dims", [(3, 3), (4, 4)], ids=["3x3", "4x4"])
@@ -324,52 +343,43 @@ class TestFreeEnergy:
                 m = (z + z.conj().T) / 2 if k % 2 == 0 else np.diag(np.round(2 * rng.standard_normal(dim)) / 2)
                 h = Hamiltonian(m.astype(complex))
                 for beta in (0.1, 1.0, 50.0):
-                    assert free_energy(h, beta) == -float(logsumexp(-beta * h.eigenvalues)) / beta
+                    assert log_partitions(h.eigenvalues[None], beta)[0] == logsumexp(-beta * h.eigenvalues)
 
 
 class TestJarzynski:
     def test_trivial_protocol(self):
-        protocol = TwoPointProtocol(H_QUBIT, H_QUBIT, identity_unitary(2), LN3)
-        lhs, rhs = jarzynski_check(forward_distribution(protocol), LN3, 0.0)
-        assert lhs == pytest.approx(1.0, abs=1e-14)
-        assert rhs == 1.0
+        (report,) = crooks_checks(TRIVIAL)
+        assert report.jarzynski_lhs == pytest.approx(1.0, abs=1e-14)
+        assert report.jarzynski_rhs == 1.0
+        assert (report.jarzynski_lhs, report.jarzynski_rhs) == tuple(a[0] for a in jarzynski_checks(TRIVIAL))
 
     def test_flip_hand_sum(self):
         # 0.75 e^{-ln 3} + 0.25 e^{+ln 3} = 0.25 + 0.75 = 1
-        lhs, rhs = jarzynski_check(forward_distribution(FLIP), LN3, 0.0)
-        assert lhs == pytest.approx(1.0, abs=1e-14)
-        assert rhs == 1.0
+        lhs, rhs = jarzynski_checks(FLIP)
+        assert lhs[0] == pytest.approx(1.0, abs=1e-14)
+        assert rhs[0] == 1.0
 
     def test_random_protocols(self):
-        for seed in range(100):
-            protocol = random_protocol(TWO_QUBITS, 1.0, RandomSource(seed))
-            delta_f = free_energy_difference(protocol)
-            lhs, rhs = jarzynski_check(forward_distribution(protocol), 1.0, delta_f)
-            assert abs(lhs - rhs) / rhs <= 1e-9
+        lhs, rhs = jarzynski_checks(random_protocols(TWO_QUBITS, 1.0, [RandomSource(s) for s in range(100)]))
+        assert np.all(np.abs(lhs - rhs) / rhs <= 1e-9)
 
 
 class TestEntropyProduction:
     def test_trivial_protocol_is_zero(self):
-        protocol = TwoPointProtocol(H_QUBIT, H_QUBIT, identity_unitary(2), LN3)
-        kl, avg = entropy_production_identity(
-            forward_distribution(protocol), backward_distribution(protocol), LN3, 0.0
-        )
-        assert kl == pytest.approx(0.0, abs=1e-14)
-        assert avg == pytest.approx(0.0, abs=1e-14)
+        (report,) = crooks_checks(TRIVIAL)
+        assert report.entropy_production == pytest.approx(0.0, abs=1e-14)
+        assert report.average_sigma == pytest.approx(0.0, abs=1e-14)
 
     def test_flip_hand_value(self):
-        kl, avg = entropy_production_identity(forward_distribution(FLIP), backward_distribution(FLIP), LN3, 0.0)
+        (report,) = crooks_checks(FLIP)
+        kl, avg = report.entropy_production, report.average_sigma
         assert kl == pytest.approx(0.5 * LN3, abs=1e-13)  # 0.549306...
         assert avg == pytest.approx(0.5 * LN3, abs=1e-13)
         assert kl == pytest.approx(kl_divergence([0.75, 0.25], [0.25, 0.75]), abs=1e-13)
 
     def test_identity_holds_on_random_protocols(self):
-        for seed in range(100):
-            protocol = random_protocol(TWO_QUBITS, 1.0, RandomSource(seed))
-            delta_f = free_energy_difference(protocol)
-            kl, avg = entropy_production_identity(
-                forward_distribution(protocol), backward_distribution(protocol), 1.0, delta_f
-            )
+        for report in crooks_checks(random_protocols(TWO_QUBITS, 1.0, [RandomSource(s) for s in range(100)])):
+            kl, avg = report.entropy_production, report.average_sigma
             assert abs(kl - avg) <= 1e-9
             assert kl >= -1e-12
             assert avg >= -1e-12
@@ -378,23 +388,13 @@ class TestEntropyProduction:
         # drive two thermal qubits with local flips: the final state stays
         # product (zero mutual information) yet sigma > 0
         h_joint = Hamiltonian(np.kron(H_QUBIT.matrix, np.eye(2)) + np.kron(np.eye(2), H_QUBIT.matrix))
-        u = UnitaryOperator(np.kron(PAULI_X, PAULI_X))
-        protocol = TwoPointProtocol(h_joint, h_joint, u, LN3)
-        kl, avg = entropy_production_identity(
-            forward_distribution(protocol), backward_distribution(protocol), LN3, free_energy_difference(protocol)
-        )
-        from arrowlab.core import evolve
+        u = np.kron(PAULI_X, PAULI_X)
+        (report,) = crooks_checks(one_protocol(h_joint.matrix, h_joint.matrix, u, LN3))
+        from arrowlab.core import UnitaryOperator, evolve
 
-        final = evolve(gibbs_state(h_joint, LN3), u)
+        final = evolve(gibbs_state(h_joint, LN3), UnitaryOperator(u))
         assert mutual_information(final, TWO_QUBITS) == pytest.approx(0.0, abs=1e-12)
-        assert avg > 0.1
-
-    def test_support_violation_raises(self):
-        pf = forward_distribution(FLIP)
-        protocol_id = TwoPointProtocol(H_QUBIT, H_QUBIT, identity_unitary(2), LN3)
-        pb = backward_distribution(protocol_id)  # diagonal support, disjoint from FLIP's
-        with pytest.raises(ValueError, match="support"):
-            entropy_production_identity(pf, pb, LN3, 0.0)
+        assert report.average_sigma > 0.1
 
 
 class TestMeasurementSymmetry:
@@ -459,7 +459,7 @@ class TestEffectiveTemperatures:
                 beta_s, beta_r = beta_hot, beta_cold
             else:
                 beta_s, beta_r = beta_cold, beta_hot
-            trial = heat_flow_trial(beta_s, beta_r, time=g.uniform(0.5, 1.2))
+            (trial,) = heat_flow_trials([beta_s], [beta_r], [g.uniform(0.5, 1.2)])
             assert trial.du_hotter <= 1e-12
             assert trial.du_s + trial.du_r == pytest.approx(0.0, abs=1e-12)  # exchange conserves energy
             assert trial.clausius_lhs >= -1e-9
@@ -467,7 +467,7 @@ class TestEffectiveTemperatures:
 
     def test_equal_betas_rejected(self):
         with pytest.raises(ValueError, match="differ"):
-            heat_flow_trial(1.0, 1.0)
+            heat_flow_trials([1.0], [1.0], [1.0])
 
     def test_state_evolved_once_and_no_reduced_state_built(self, monkeypatch):
         calls = {"eig": 0, "state": 0}
@@ -482,7 +482,7 @@ class TestEffectiveTemperatures:
         monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, "eig"))
         monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh, "eig"))
         monkeypatch.setattr(DensityOperator, "__post_init__", counting(DensityOperator.__post_init__, "state"))
-        heat_flow_trial(0.5, 1.5, time=0.8)
+        heat_flow_trials([0.5], [1.5], [0.8])
         # the two Gibbs factors, each validated as a stack of one; the local
         # and the total Hamiltonian; the two final marginals and the final
         # joint state.  The product is neither validated nor decomposed: its
