@@ -51,15 +51,11 @@ class UsageError(ValueError):
 # parameter schemas
 # ---------------------------------------------------------------------------
 
-def _check_seed(v) -> str | None:
-    return None if 0 <= v < 2**64 else "must be a 64-bit unsigned integer"
-
-
 GLOBAL_PARAMS = (
-    Param("seed", "int", 0, "root seed for all randomness", validate=_check_seed),
-    Param("format", "choice", "csv", "output format", choices=("csv", "json")),
+    Param("seed", "int", 0, "root seed for all randomness", (0, 2**64 - 1)),
+    Param("format", "choice", "csv", "output format", ("csv", "json")),
     Param("out", "str", "-", "output path, '-' for stdout"),
-    Param("units", "choice", "nats", "display units for entropy-valued columns", choices=("nats", "bits")),
+    Param("units", "choice", "nats", "display units for entropy-valued columns", ("nats", "bits")),
 )
 
 
@@ -80,13 +76,9 @@ def _parse_value(param: Param, raw: str):
             if len(parts) != 2:
                 raise ValueError("expected AxB")
             return int(parts[0]), int(parts[1])
-        if param.kind == "choice":
-            if raw not in param.choices:
-                raise ValueError(f"expected one of {', '.join(param.choices)}")
-            return raw
         return raw
-    except ValueError as exc:
-        raise ConfigError(param.key, str(exc) or f"cannot parse {raw!r}") from None
+    except ValueError:
+        raise ConfigError(param.key, f"{param.rule()}, not {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -95,7 +87,6 @@ class ExperimentConfig:
 
     experiment: str
     values: dict
-    schema_version: int = SCHEMA_VERSION
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -131,10 +122,9 @@ def validate_config(experiment: str, raw_text: str = "", overrides: dict[str, st
                 raise ConfigError(key, f"unknown parameter for experiment {experiment!r}")
             values[key] = _parse_value(schema[key], raw)
     for param in schema.values():
-        if param.validate is not None:
-            message = param.validate(values[param.key])
-            if message is not None:
-                raise ConfigError(param.key, message)
+        message = param.check(values[param.key])
+        if message is not None:
+            raise ConfigError(param.key, message)
     return ExperimentConfig(experiment=experiment, values=values)
 
 
@@ -151,9 +141,6 @@ class ResultRecord:
     invariant_failures: list[str]
     extra: dict = field(default_factory=dict)
     invariants: dict = field(default_factory=dict)
-    schema_version: int = SCHEMA_VERSION
-    library_version: str = __version__
-    rng_algorithm: str = RNG_ALGORITHM
     duration_seconds: float = 0.0
 
 
@@ -194,33 +181,27 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _config_echo(experiment: str, config: dict) -> dict:
-    """Echo values in the same text form the config file accepts."""
-    kinds = {p.key: p.kind for p in _schema(experiment)}
-    out = {}
-    for key, value in config.items():
-        if kinds.get(key) == "dims":
-            out[key] = f"{value[0]}x{value[1]}"
-        elif isinstance(value, tuple):
-            out[key] = ",".join(_format_cell(v) for v in value)
-        else:
-            out[key] = value
-    return out
+def _config_text(param: Param, value) -> str:
+    """A value in the text form its config-file line and its flag accept."""
+    if param.kind == "dims":
+        return "x".join(map(str, value))
+    if param.kind == "float_list":
+        return ",".join(map(repr, value))
+    return _format_cell(value)
+
+
+def _metadata(record: ResultRecord) -> dict:
+    """The metadata that leads both output formats."""
+    return {"experiment": record.experiment, "schema_version": SCHEMA_VERSION, "library_version": __version__,
+            "rng_algorithm": RNG_ALGORITHM, "duration_seconds": record.duration_seconds}
 
 
 def serialize_csv(record: ResultRecord) -> str:
     buf = io.StringIO()
-    meta = {
-        "experiment": record.experiment,
-        "schema_version": record.schema_version,
-        "library_version": record.library_version,
-        "rng_algorithm": record.rng_algorithm,
-        "duration_seconds": record.duration_seconds,
-    }
-    for key, value in meta.items():
+    for key, value in _metadata(record).items():
         buf.write(f"# {key}={_format_cell(value)}\n")
-    for key, value in _config_echo(record.experiment, record.config).items():
-        buf.write(f"# config.{key}={_format_cell(value)}\n")
+    for param in _schema(record.experiment):
+        buf.write(f"# config.{param.key}={_config_text(param, record.config[param.key])}\n")
     for key, value in record.extra.items():
         buf.write(f"# extra.{key}={_format_cell(value)}\n")
     for name, summary in record.invariants.items():
@@ -239,18 +220,17 @@ def serialize_csv(record: ResultRecord) -> str:
 def serialize_json(record: ResultRecord) -> str:
     payload = {
         "metadata": {
-            "experiment": record.experiment,
-            "schema_version": record.schema_version,
-            "library_version": record.library_version,
-            "rng_algorithm": record.rng_algorithm,
-            "duration_seconds": record.duration_seconds,
-            "config": _config_echo(record.experiment, record.config),
-            "extra": {k: (list(v) if isinstance(v, tuple) else v) for k, v in record.extra.items()},
+            **_metadata(record),
+            # a scalar config value stays a JSON scalar
+            "config": {
+                p.key: _config_text(p, v) if isinstance(v := record.config[p.key], tuple) else v for p in _schema(record.experiment)
+            },
+            "extra": record.extra,
             "invariants": record.invariants,
             "invariant_failures": record.invariant_failures,
         },
         "columns": record.columns,
-        "rows": [[(v.value if hasattr(v, "value") else v) for v in row] for row in record.rows],
+        "rows": record.rows,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -277,7 +257,9 @@ def build_parser(experiment: str | None = None) -> argparse.ArgumentParser:
     for name in experiments.EXPERIMENTS if experiment is None else (experiment,):
         p = sub.add_parser(name, help=f"run the {name} experiment", description=f"Run the {name} experiment.")
         for param in _schema(name):
-            p.add_argument(f"--{param.key}", dest=param.key, default=None, metavar="V", help=f"{param.help} (default {_format_cell(param.default) if not isinstance(param.default, tuple) else ','.join(map(_format_cell, param.default))})")
+            rule = f"; {param.rule()}" if param.domain else ""
+            text = f"{param.help}{rule} (default {_config_text(param, param.default)})"
+            p.add_argument(f"--{param.key}", dest=param.key, default=None, metavar="V", help=text)
         p.add_argument("--config", dest="config", default=None, metavar="PATH", help="optional key=value config file")
     return parser
 

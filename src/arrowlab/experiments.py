@@ -50,6 +50,8 @@ FEASIBLE_MARGIN = 1e-6
 HOTTER_GAIN_TOL = 1e-12
 HEAT_SIGN_TOL = 0.0
 THERMAL_HEAT_TOL = 1e-12
+# the joint trace sums 2^n terms per entry: up to 2e-14 seen at 11 collisions
+TRAJECTORY_TOL = 1e-10
 # random draws per search trial that may fall below --min-mi before the run
 # gives up; two-qubit mutual information never exceeds ln 4
 MAX_REJECTED_DRAWS = 10_000
@@ -64,14 +66,42 @@ Result = tuple[list[Row], dict]
 # registry records
 # ---------------------------------------------------------------------------
 
+FINITE = (-math.nextafter(math.inf, 0.0), math.nextafter(math.inf, 0.0))
+POSITIVE = (math.nextafter(0.0, 1.0), FINITE[1])
+UNIT = (0.0, 1.0)
+AT_LEAST_ONE = (1, math.inf)
+
+
 @dataclass(frozen=True)
 class Param:
+    """``domain`` holds a choice's choices, or closed bounds (lo, hi) on an int or float,
+    on each entry of a non-empty float_list or on each factor of dims; a str has none."""
+
     key: str
     kind: str  # int | float | float_list | dims | choice | str
     default: object
     help: str
-    choices: tuple[str, ...] = ()
-    validate: Callable[[object], str | None] | None = None
+    domain: tuple = ()
+
+    def rule(self) -> str:
+        """The domain in words, as a rejection and --help state it."""
+        if self.kind == "choice":
+            return f"must be one of {', '.join(self.domain)}"
+        lo, hi = self.domain
+        words = {FINITE: "finite", POSITIVE: "finite and > 0"}.get(self.domain, f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]")
+        noun = {"int": "an integer ", "float_list": "a non-empty list, each value ", "dims": "AxB, each factor an integer "}
+        return "must be " + noun.get(self.kind, "") + words
+
+    def check(self, value) -> str | None:
+        """None when ``value`` lies in the domain, else :meth:`rule`."""
+        if self.kind == "str":
+            return None
+        if self.kind == "choice":
+            ok = value in self.domain
+        else:
+            entries = value if self.kind in ("float_list", "dims") else (value,)
+            ok = bool(entries) and all(self.domain[0] <= x <= self.domain[1] for x in entries)
+        return None if ok else self.rule()
 
 
 @dataclass(frozen=True)
@@ -119,29 +149,20 @@ def _each_row(name: str, tol: float, value: Callable[[dict], float], where: Call
     return Invariant(name, tol, lambda rows, extra, config: ((f"row {i}", value(r)) for i, r in enumerate(rows) if where(r)))
 
 
-def _rule(ok: Callable[[object], bool], message: str) -> Callable[[object], str | None]:
-    return lambda v: None if ok(v) else message
-
-
-_at_least_one = _rule(lambda v: v >= 1, "must be >= 1")
-_unit_interval = _rule(lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
-_positive = _rule(lambda v: math.isfinite(v) and v > 0.0, "must be finite and > 0")
-_finite = _rule(math.isfinite, "must be finite")
-_finite_list = _rule(lambda v: bool(v) and all(math.isfinite(x) for x in v), "must be a non-empty finite list")
-_unit_list = _rule(lambda v: bool(v) and all(0.0 <= x <= 1.0 for x in v), "every value must lie in [0, 1]")
-_dims_range = _rule(lambda v: all(2 <= d <= 16 for d in v), "each factor must lie in [2, 16]")
-_collision_range = _rule(lambda v: 1 <= v <= 11, "must lie in [1, 11] (joint dimension cap 2^12)")
+def _joint_only(name: str, tol: float, label: str, value: Callable[[dict], float]) -> Invariant:
+    """Invariant ``value(extra) <= tol`` on a joint-mode collide run; reduced mode yields none."""
+    return Invariant(name, tol, lambda rows, extra, config: [(label, value(extra))] if config["mode"] == "joint" else [])
 
 
 def _trials(default: int, help: str) -> Param:
-    return Param("trials", "int", default, help, validate=_at_least_one)
+    return Param("trials", "int", default, help, AT_LEAST_ONE)
 
 
-_DIMS = Param("dims", "dims", (2, 2), "bipartition as AxB, e.g. 2x2", validate=_dims_range)
+_DIMS = Param("dims", "dims", (2, 2), "system and rest dimensions", (2, 16))
 
 
 def _beta(default: float, help: str = "inverse temperature") -> Param:
-    return Param("beta", "float", default, help, validate=_positive)
+    return Param("beta", "float", default, help, POSITIVE)
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +348,10 @@ def run_collide(
 ) -> Result:
     """Collision trajectory, convergence fit and (joint mode) exact reversal.
 
-    The extra metadata holds the fitted rate, the reversal distances and the
-    joint state's Renyi-2 entropy before and after the collisions; those
-    numbers are recomputable from the same seed.
+    The extra metadata holds the fitted rate, the reversal distances, the
+    joint state's Renyi-2 entropy before and after the collisions and the
+    joint trajectory's largest trace distance from the reduced-mode
+    recursion; those numbers are recomputable from the same seed.
     """
     h = Hamiltonian(np.diag([0.0, 1.0]).astype(complex))
     xi = gibbs_state(h, beta)
@@ -352,6 +374,10 @@ def run_collide(
         # product input and costs O(D^2) on the final joint state
         extra["joint_renyi2_initial"] = renyi2_of_matrix(rho0.matrix) + count * renyi2_of_matrix(xi.matrix)
         extra["joint_renyi2_final"] = renyi2_of_matrix(joint_final)
+        # fresh ancillas make the 2x2 recursion exact, so the joint state
+        # must reduce to its state after every collision
+        recursion = collisions.run_collisions(rho0, spec, gate)
+        extra["trajectory_deviation"] = max(map(trace_distance, record.states, recursion.states))
         if count >= 2:
             order = [int(i) for i in root.child(1).generator().permutation(count)]
             if order == list(range(count - 1, -1, -1)):
@@ -461,7 +487,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         invariants=(_MINUS_SUM, _each_row("balance_deviation", BALANCE_TOL, lambda r: r["balance_deviation"])),
     ),
     "near-product": Experiment(
-        params=(Param("epsilon", "float", 0.1, "mixing weight of the correlated part", validate=_unit_interval),),
+        params=(Param("epsilon", "float", 0.1, "mixing weight of the correlated part", UNIT),),
         columns={"epsilon": 0, **_BALANCE, "analytic_sum": 1, "sum_deviation": 1},
         run=lambda v: run_near_product(v["epsilon"]),
         invariants=(_each_row("sum_deviation", BALANCE_TOL, lambda r: r["sum_deviation"]), _MI_FINAL),
@@ -475,11 +501,11 @@ EXPERIMENTS: dict[str, Experiment] = {
     "search": Experiment(
         params=(
             _trials(20, "number of optimizer runs"),
-            Param("restarts", "int", 4, "spectral-assignment answer plus restarts-1 descent probes", validate=_at_least_one),
-            Param("max-iter", "int", 300, "descent steps per probe", validate=_at_least_one),
-            Param("min-mi", "float", 0.01, "mutual-information floor for random inputs", validate=_positive),
-            Param("demo", "choice", "random", "input family", choices=("random", "near-product", "classical")),
-            Param("epsilon", "float", 0.1, "epsilon for demo=near-product", validate=_unit_interval),
+            Param("restarts", "int", 4, "spectral-assignment answer plus restarts-1 descent probes", AT_LEAST_ONE),
+            Param("max-iter", "int", 300, "descent steps per probe", AT_LEAST_ONE),
+            Param("min-mi", "float", 0.01, "mutual-information floor for random inputs", POSITIVE),
+            Param("demo", "choice", "random", "input family", ("random", "near-product", "classical")),
+            Param("epsilon", "float", 0.1, "epsilon for demo=near-product", UNIT),
         ),
         columns={"trial": 0, "mi_initial": 1, "achieved_sum": 1, "improved": 0, "best_restart": 0},
         run=lambda v: run_search(
@@ -495,11 +521,11 @@ EXPERIMENTS: dict[str, Experiment] = {
     ),
     "sweep": Experiment(
         params=(
-            Param("g-values", "float_list", (0.0, 0.25, 0.5, 1.0, 2.0), "coupling strengths", validate=_finite_list),
-            Param("eps-values", "float_list", (0.0, 0.25, 0.5), "correlation strengths", validate=_unit_list),
-            Param("t-values", "float_list", (0.5, 1.0, 2.0, 4.0), "evolution times", validate=_finite_list),
-            Param("gap-s", "float", 1.0, "system qubit gap", validate=_finite),
-            Param("gap-r", "float", 1.5, "rest qubit gap", validate=_finite),
+            Param("g-values", "float_list", (0.0, 0.25, 0.5, 1.0, 2.0), "coupling strengths", FINITE),
+            Param("eps-values", "float_list", (0.0, 0.25, 0.5), "correlation strengths", UNIT),
+            Param("t-values", "float_list", (0.5, 1.0, 2.0, 4.0), "evolution times", FINITE),
+            Param("gap-s", "float", 1.0, "system qubit gap", FINITE),
+            Param("gap-r", "float", 1.5, "rest qubit gap", FINITE),
         ),
         columns={"g": 0, "epsilon": 0, "t": 0, "sum": 1},
         run=lambda v: run_sweep(v["g-values"], v["eps-values"], v["t-values"], gap_s=v["gap-s"], gap_r=v["gap-r"]),
@@ -511,29 +537,21 @@ EXPERIMENTS: dict[str, Experiment] = {
     ),
     "collide": Experiment(
         params=(
-            Param("collisions", "int", 8, "number of fresh-ancilla collisions", validate=_collision_range),
-            Param("theta", "float", math.pi / 4.0, "partial-swap angle", validate=_finite),
+            # the joint state holds the system and one qubit per collision
+            Param("collisions", "int", 8, "number of fresh-ancilla collisions", (1, collisions.JOINT_DIM_CAP.bit_length() - 2)),
+            Param("theta", "float", math.pi / 4.0, "partial-swap angle", FINITE),
             _beta(LN3, "inverse temperature of the reservoir qubits"),
-            Param("mode", "choice", "joint", "simulation mode", choices=("joint", "reduced")),
-            Param("init", "choice", "excited", "initial system state", choices=("excited", "random")),
+            Param("mode", "choice", "joint", "simulation mode", ("joint", "reduced")),
+            Param("init", "choice", "excited", "initial system state", ("excited", "random")),
         ),
         columns={"step": 0, "entropy": 1, "distance_to_ancilla": 0},
         run=lambda v: run_collide(v["collisions"], v["theta"], v["beta"], v["seed"], mode=v["mode"], init=v["init"]),
         invariants=(
-            Invariant(
-                "reversal_distance",
-                RECOVERY_TOL,
-                lambda rows, extra, v: [("reversal", extra["recovered_trace_distance"])] if "recovered_trace_distance" in extra else [],
+            _joint_only("reversal_distance", RECOVERY_TOL, "reversal", lambda x: x["recovered_trace_distance"]),
+            _joint_only(
+                "joint_renyi2_deviation", RENYI2_TOL, "joint state", lambda x: abs(x["joint_renyi2_final"] - x["joint_renyi2_initial"])
             ),
-            Invariant(
-                "joint_renyi2_deviation",
-                RENYI2_TOL,
-                lambda rows, extra, v: (
-                    [("joint state", abs(extra["joint_renyi2_final"] - extra["joint_renyi2_initial"]))]
-                    if "joint_renyi2_final" in extra
-                    else []
-                ),
-            ),
+            _joint_only("trajectory_deviation", TRAJECTORY_TOL, "trajectory", lambda x: x["trajectory_deviation"]),
         ),
     ),
     "crooks": Experiment(

@@ -231,8 +231,9 @@ class TestMainExitCodes:
         assert err.count("\n") == 1
 
     def test_import_loads_no_scipy(self):
+        # nor hypothesis, which only the tests use
         src = os.path.dirname(os.path.dirname(arrowlab.__file__))
-        probe = "import sys, arrowlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        probe = "import sys, arrowlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'hypothesis')))"
         env = {**os.environ, "PYTHONPATH": src}
         result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
         assert result.stdout.strip() == "[]"
@@ -447,6 +448,27 @@ class TestCollideCommand:
         meta = csv_metadata(captured.out)
         assert meta["invariant.joint_renyi2_deviation.passed"] == "false"
         assert "joint state: joint_renyi2_deviation = " in captured.err
+
+    def test_joint_trajectory_is_checked_against_the_recursion(self, capsys, monkeypatch):
+        argv = ["collide", "--theta", "0.3", "--init", "random", "--collisions", "4"]
+        assert main(argv) == 0
+        meta = csv_metadata(capsys.readouterr().out)
+        assert float(meta["extra.trajectory_deviation"]) <= 1e-15
+        assert meta["invariant.trajectory_deviation.tol"] == repr(experiments.TRAJECTORY_TOL)
+        partial_traces = collisions.partial_traces
+
+        def newest_ancilla(m, dim_s, dim_r, keep):
+            # once the rest holds more than one qubit, the last qubit's state
+            # stands in for the system's
+            if dim_r > 2:
+                return partial_traces(m, dim_s * dim_r // 2, 2, "R")
+            return partial_traces(m, dim_s, dim_r, keep)
+
+        monkeypatch.setattr(collisions, "partial_traces", newest_ancilla)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert csv_metadata(captured.out)["invariant.trajectory_deviation.passed"] == "false"
+        assert "trajectory: trajectory_deviation = " in captured.err
 
     def test_reduced_mode_skips_reversal(self, capsys):
         code, out = run_cli(capsys, "collide", "--collisions", "4", "--mode", "reduced")
