@@ -8,7 +8,9 @@ can be pushed *down*, classifies the relative direction of the two local
 arrows, and searches the unitary group for entropy-decreasing evolutions of
 arbitrary correlated inputs.  The search runs on core's partial trace,
 Hermitian draw and spectrum entropy; the probes of one call descend in
-lockstep as one stack, and stop at the module constant
+lockstep as one stack, each Armijo round evaluating the next ARMIJO_BATCH
+step sizes of every pending probe, and both marginals of every point in
+one (n, 2, d, d) ``eigh``; the probes stop at the module constant
 PROBE_CONVERGENCE_TOL.
 """
 
@@ -295,9 +297,11 @@ class UnitarySearchResult:
 PROBE_KICK = 0.1
 # a probe stops once an accepted step lowers the entropy sum by less than this
 PROBE_CONVERGENCE_TOL = 1e-12
-# Armijo sufficient-decrease fraction and the step halvings tried per iteration
+# Armijo sufficient-decrease fraction, the step halvings tried per iteration,
+# and how many of them one stacked round evaluates
 ARMIJO_FRACTION = 0.5
 ARMIJO_HALVINGS = 60
+ARMIJO_BATCH = 4
 # marginal eigenvalues are clamped here before the log in the gradient
 LOG_FLOOR = 1e-300
 
@@ -343,21 +347,26 @@ def spectral_assignment_unitary(rho_joint: DensityOperator, layout: BipartitionL
 
 def _objectives(finals: np.ndarray, dim_s: int, dim_r: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """S(rho_S) + S(rho_R) of each joint matrix in a stack (n, D, D), with
-    0 ln 0 := 0, and the ``eigh`` of both marginal stacks, which the gradient
-    at an accepted point reads: each marginal is decomposed once per
-    evaluated point.  Each row's entropy is one dot product, a 1 x d by d x 1
-    matmul; a row whose marginal has an eigenvalue <= 0 drops those from its
-    dot product, so every row rounds as its matrix would on its own."""
-    eigensystems = [np.linalg.eigh(partial_traces(finals, dim_s, dim_r, keep)) for keep in "SR"]
-    total = np.zeros(len(finals))
+    0 ln 0 := 0, and the ``eigh`` of both marginals, which the gradient at an
+    accepted point reads.  The marginals are grouped by size: one (n, 2, d, d)
+    stack of rho_S and rho_R when d_S = d_R, so one ``eigh`` decomposes both
+    marginals of every point, else (n, 1, d_S, d_S) and (n, 1, d_R, d_R).
+    Each marginal's entropy is one dot product, a 1 x d by d x 1 matmul; a
+    marginal with an eigenvalue <= 0 drops those from its dot product, so
+    every marginal rounds as its matrix would on its own."""
+    marginals = [partial_traces(finals, dim_s, dim_r, keep) for keep in "SR"]
+    groups = [np.stack(marginals, axis=1)] if dim_s == dim_r else [m[:, None] for m in marginals]
+    eigensystems = [np.linalg.eigh(m) for m in groups]
+    terms = []
     for p, _ in eigensystems:
         positive = p > 0.0
-        terms = (p[:, None, :] @ np.log(np.where(positive, p, 1.0))[:, :, None])[:, 0, 0]
-        for k in np.flatnonzero(~positive.all(axis=-1)):
-            q = p[k][positive[k]]
-            terms[k] = q @ np.log(q)
-        total -= terms
-    return total, eigensystems
+        t = (p[..., None, :] @ np.log(np.where(positive, p, 1.0))[..., :, None])[..., 0, 0]
+        for k, m in zip(*np.nonzero(~positive.all(axis=-1))):
+            q = p[k, m][positive[k, m]]
+            t[k, m] = q @ np.log(q)
+        terms.append(t)
+    t_s, t_r = np.concatenate(terms, axis=1).T
+    return (0.0 - t_s) - t_r, eigensystems  # 0 - S - R, as a lone probe sums it, zeros' signs included
 
 
 def _descend(
@@ -370,9 +379,14 @@ def _descend(
     Probe i starts at u[i] on the state rho[i], whose local entropy sum is
     s_local0[i], and takes at most budgets[i] steps.  The probes run in
     lockstep: one gradient and one ``eigh`` of iC per step for the probes
-    still running, Armijo halvings that retry only the probes whose step is
-    still pending, and a probe that converges, stalls or spends its budget
-    leaves the stack.  Every probe does the arithmetic it would do alone.
+    still running, then rounds of Armijo tries for the probes whose step is
+    still pending.  One round evaluates the next ``ARMIJO_BATCH`` step sizes
+    mu, mu/2, mu/4, ... of every pending probe as one stack, and each probe
+    takes its first candidate that passes; every candidate counts against
+    ``ARMIJO_HALVINGS``.  The marginal eigensystems of the points are kept
+    grouped as :func:`_objectives` returns them.  A probe that converges,
+    stalls or spends its budget leaves the stack.  Every candidate does the
+    arithmetic of one try of a probe descending alone.
     """
     dim = dim_s * dim_r
     eye_s, eye_r = np.eye(dim_s), np.eye(dim_r)
@@ -385,10 +399,12 @@ def _descend(
     mu = np.ones(len(u))
     steps = 0
     while live.size:
-        log_s, log_r = (
-            (v * np.log(np.clip(lam, LOG_FLOOR, None))[:, None, :]) @ v.conj().swapaxes(-1, -2)
+        # ln rho_S and ln rho_R, in that order, from the grouped eigensystems
+        logs = [
+            (v * np.log(np.clip(lam, LOG_FLOOR, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
             for lam, v in eigensystems
-        )
+        ]
+        log_s, log_r = (log[:, m] for log in logs for m in range(log.shape[1]))
         # a broadcast: np.kron gives the same bits at several times the cost
         log_sum = (
             log_s[:, :, None, :, None] * eye_r[None, None, :, None, :]
@@ -402,22 +418,31 @@ def _descend(
         # keep the point their step starts from
         decrease = np.zeros(len(live))
         pending = np.arange(len(live))
-        for _ in range(ARMIJO_HALVINGS):
-            v_p = v[pending]
-            phases = np.exp(1j * mu[pending, None] * lam[pending])
-            u_try = ((v_p * phases[:, None, :]) @ v_p.conj().swapaxes(-1, -2)) @ u[pending]
-            final_try = evolve_states(rho[pending], u_try)
+        for tried in range(0, ARMIJO_HALVINGS, ARMIJO_BATCH):
+            count = min(ARMIJO_BATCH, ARMIJO_HALVINGS - tried)
+            # halved one at a time, as a lone probe halves its step
+            mus = np.empty((len(pending), count))
+            mus[:, 0] = mu[pending]
+            for j in range(1, count):
+                mus[:, j] = mus[:, j - 1] * 0.5
+            v_p = v[pending][:, None]
+            phases = np.exp(1j * mus[:, :, None] * lam[pending][:, None, :])
+            u_try = ((v_p * phases[..., None, :]) @ v_p.conj().swapaxes(-1, -2)) @ u[pending][:, None]
+            final_try = evolve_states(rho[pending][:, None], u_try).reshape(-1, dim, dim)
             value_try, eigensystems_try = _objectives(final_try, dim_s, dim_r)
-            gain = value[pending] - value_try
-            ok = gain >= ARMIJO_FRACTION * mu[pending] * slope[pending]
-            done = pending[ok]
-            decrease[done], u[done], final[done], value[done] = gain[ok], u_try[ok], final_try[ok], value_try[ok]
+            gain = value[pending][:, None] - value_try.reshape(len(pending), count)
+            ok = gain >= ARMIJO_FRACTION * mus * slope[pending][:, None]
+            passed = ok.any(axis=1)
+            rows, first = np.flatnonzero(passed), ok.argmax(axis=1)[passed]
+            done, picked = pending[passed], rows * count + first  # picked: rows of the candidate stack
+            mu[done], decrease[done] = mus[rows, first], gain[rows, first]
+            u[done], final[done], value[done] = u_try.reshape(-1, dim, dim)[picked], final_try[picked], value_try[picked]
             for (w, x), (w_try, x_try) in zip(eigensystems, eigensystems_try):
-                w[done], x[done] = w_try[ok], x_try[ok]
-            pending = pending[~ok]
+                w[done], x[done] = w_try[picked], x_try[picked]
+            mu[pending[~passed]] = mus[~passed, -1] * 0.5
+            pending = pending[~passed]
             if not pending.size:
                 break
-            mu[pending] *= 0.5
         # a probe still pending found no step that lowers the sum measurably:
         # it is stationary up to rounding and stops where it stands
         moved = np.ones(len(live), dtype=bool)
@@ -460,9 +485,10 @@ def search_entropy_decreasing_unitaries(
     checked for a product input and kicked, so a failing trial raises what
     it raises alone, before any descent.  Then the probes of all trials
     descend in lockstep (:func:`_descend`), in stacks of at most
-    ``STACK_ENTRIES`` entries per array.  A result that never dips below
-    zero is returned with a warning, not an error: finitely many steps
-    cannot refute the existence of a decreasing unitary.
+    ``STACK_ENTRIES`` entries per array, a round's candidates included.  A
+    result that never dips below zero is returned with a warning, not an
+    error: finitely many steps cannot refute the existence of a decreasing
+    unitary.
     """
     if len(states) != len(configs):
         raise ValueError("give one search config per state")
@@ -487,7 +513,8 @@ def search_entropy_decreasing_unitaries(
         rho = np.stack([rho_joint.matrix for rho_joint in states])
         s_local0, _ = _objectives(rho, layout.dim_s, layout.dim_r)
         starts, owners, budgets = np.stack(starts), np.array(owners), np.array(budgets)
-        for chunk in trial_chunks(len(starts), layout.dim**2):
+        # a round's candidates hold ARMIJO_BATCH matrices per probe
+        for chunk in trial_chunks(len(starts), ARMIJO_BATCH * layout.dim**2):
             trial = owners[chunk]
             probes += _descend(rho[trial], starts[chunk], s_local0[trial], budgets[chunk], layout.dim_s, layout.dim_r)
 

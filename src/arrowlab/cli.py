@@ -70,7 +70,8 @@ def _parse_value(param: Param, raw: str):
         if param.kind == "float":
             return float(raw)
         if param.kind == "float_list":
-            return tuple(float(x) for x in raw.split(",") if x.strip() != "")
+            # a blank text is the empty list; an empty entry in a list is a typo
+            return tuple(float(x) for x in raw.split(",")) if raw.strip() else ()
         if param.kind == "dims":
             parts = raw.lower().split("x")
             if len(parts) != 2:

@@ -409,9 +409,12 @@ def probe_objective(final, dim_s, dim_r):
     return total, eigensystems
 
 
-def descend_probe(rho, dim_s, dim_r, u, s_local0, max_iterations):
+def descend_probe(rho, dim_s, dim_r, u, s_local0, max_iterations, tries=None):
     """(unitary, sums, converged) of one Armijo-backtracked steepest descent
-    U <- exp(-mu C) U from u, C = [rho', ln rho'_S (x) I + I (x) ln rho'_R]."""
+    U <- exp(-mu C) U from u, C = [rho', ln rho'_S (x) I + I (x) ln rho'_R].
+    A list passed as ``tries`` gets how many step sizes each step tried, the
+    last one accepted unless the probe stopped there without a step."""
+    tries = [] if tries is None else tries
     final = u @ rho @ u.conj().T
     value, eigensystems = probe_objective(final, dim_s, dim_r)
     sums = [value - s_local0]
@@ -425,7 +428,7 @@ def descend_probe(rho, dim_s, dim_r, u, s_local0, max_iterations):
         slope = float(np.sum(np.abs(c) ** 2))
         lam, v = np.linalg.eigh(1j * c)
         mu *= 2.0
-        for _ in range(ARMIJO_HALVINGS):
+        for tried in range(1, ARMIJO_HALVINGS + 1):
             u_new = ((v * np.exp(1j * mu * lam)) @ v.conj().T) @ u
             final_new = u_new @ rho @ u_new.conj().T
             value_new, eigensystems_new = probe_objective(final_new, dim_s, dim_r)
@@ -433,7 +436,9 @@ def descend_probe(rho, dim_s, dim_r, u, s_local0, max_iterations):
                 break
             mu *= 0.5
         else:  # no step lowers the sum measurably
+            tries.append(ARMIJO_HALVINGS)
             return u, tuple(sums), True
+        tries.append(tried)
         decrease = value - value_new
         u, final, value, eigensystems = u_new, final_new, value_new, eigensystems_new
         sums.append(value - s_local0)
@@ -442,8 +447,12 @@ def descend_probe(rho, dim_s, dim_r, u, s_local0, max_iterations):
     return u, tuple(sums), False
 
 
-def search_probes(rho, dim_s, dim_r, starts, max_iterations) -> list[tuple]:
+def search_probes(rho, dim_s, dim_r, starts, max_iterations, tries=None) -> list[tuple]:
     """(unitary, sums, converged) of a descent from each start on rho, one
-    probe after the other."""
+    probe after the other.  A list passed as ``tries`` gets one list per
+    probe, filled as :func:`descend_probe` fills it."""
     s_local0, _ = probe_objective(rho, dim_s, dim_r)
-    return [descend_probe(rho, dim_s, dim_r, u, s_local0, max_iterations) for u in starts]
+    own = [[] for _ in starts]
+    if tries is not None:
+        tries += own
+    return [descend_probe(rho, dim_s, dim_r, u, s_local0, max_iterations, t) for u, t in zip(starts, own)]

@@ -357,7 +357,9 @@ class TestSearch:
         res = search_entropy_decreasing_unitaries([rho], TWO_QUBITS, [UnitarySearchConfig(restarts=3, rng=RandomSource(2))])[0]
         # accepted steps, whose gradients read the marginals of their point
         assert all(len(probe.sums) >= 3 for probe in res.probes)
-        # a balance takes both marginals of the initial and of the final state
+        # a balance takes both marginals of the initial and of the final state;
+        # the points include every candidate of an Armijo round, the ones
+        # after a probe's first passing candidate, which are thrown away, too
         assert calls["eig_2x2"] == 4 * calls["balances"] + 2 * calls["points"]
 
 

@@ -146,6 +146,24 @@ class TestTensorAndTrace:
             partial_trace(maximally_mixed(6), QUBITS, "S")
 
 
+@pytest.mark.parametrize("d", [2, 3, 16])
+def test_eigh_of_a_stack_of_marginal_pairs_rounds_like_each_marginal(d):
+    # the search decomposes both marginals of each point as one (n, 2, d, d)
+    # stack; rank-1 products leave marginals with eigenvalues at or near zero
+    sources = [RandomSource(d).child(k) for k in range(4)]
+    joint = [random_density_matrices(d * d, rank, sources[:1])[0] for rank in (d * d, 2, 1)]
+    pure_s, pure_r = (random_density_matrices(d, 1, [src]) for src in sources[1:3])
+    joint.append(tensor_products(pure_s, pure_r)[0])
+    joint.append(projector(np.eye(d * d)[0]))
+    joint = np.stack(joint)
+    pairs = np.stack([core.partial_traces(joint, d, d, keep) for keep in "SR"], axis=1)
+    lam, v = np.linalg.eigh(pairs)
+    assert (lam[-2:, :, 0] <= 1e-16).all() and (lam[-1, :, :-1] == 0.0).all()
+    for k, m in np.ndindex(pairs.shape[:2]):
+        lam_1, v_1 = np.linalg.eigh(pairs[k, m].copy())
+        assert np.array_equal(lam[k, m], lam_1) and np.array_equal(v[k, m], v_1)
+
+
 def assert_product_entropy_matches_the_decomposed_product(dim_a, rank_a, dim_b, rank_b, seed):
     src = RandomSource(seed)
     a = random_density_matrices(dim_a, rank_a, [src.child(0)])

@@ -42,10 +42,14 @@ def inside(param):
     return floats if param.kind == "float" else st.lists(floats, min_size=1, max_size=4).map(tuple)
 
 
+# lists with an empty entry, inside every list domain but for that entry
+EMPTY_ENTRIES = ("0,,1", "1,", ",1")
+
+
 def boundary_cases(param) -> list[tuple[str, bool]]:
     """(text, accepted) at the edges of a parameter's domain: each closed
-    bound, the next value outside it, NaN, +-inf, an empty list and an
-    unknown choice."""
+    bound, the next value outside it, NaN, +-inf, an empty list, a list with
+    an empty entry and an unknown choice."""
     if param.kind == "str":
         return []
     if param.kind == "choice":
@@ -57,7 +61,7 @@ def boundary_cases(param) -> list[tuple[str, bool]]:
         if param.kind == "float":
             return [(repr(x), ok) for x, ok in edges]
         # a list is as good as its worst entry
-        return [(f"{lo!r},{x!r}", ok) for x, ok in edges] + [("", False), (",", False)]
+        return [(f"{lo!r},{x!r}", ok) for x, ok in edges] + [(text, False) for text in ("", ",", *EMPTY_ENTRIES)]
     edges = [(lo, True), (lo - 1, False)] + ([(hi, True), (hi + 1, False)] if hi != math.inf else [])
     edges += [("nan", False), ("inf", False), ("-inf", False)]
     if param.kind == "int":
@@ -87,6 +91,15 @@ def test_boundary_values_are_accepted_or_rejected_with_the_domain_in_words(name,
         # through the CLI: exit 1 and that one line
         assert main([name, f"--{param.key}={text}"]) == 1, text
         assert capsys.readouterr().err == f"arrowlab: error: {exc.value}\n"
+
+
+@pytest.mark.parametrize("text", [",", *EMPTY_ENTRIES])
+def test_an_empty_list_entry_is_rejected_with_the_text(text, capsys):
+    lists = [(name, p) for name, p in PARAMS if p.kind == "float_list"]
+    assert lists
+    for name, param in lists:
+        assert main([name, f"--{param.key}={text}"]) == 1
+        assert capsys.readouterr().err == f"arrowlab: error: invalid value for {param.key!r}: {param.rule()}, not {text!r}\n"
 
 
 def test_rules_state_each_domain_in_words():

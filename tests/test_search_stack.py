@@ -57,16 +57,20 @@ def search(states, layout, configs):
         return arrow.search_entropy_decreasing_unitaries(states, layout, configs)
 
 
-def assert_probes_match_oracle(states, layout, configs, results):
+def assert_probes_match_oracle(states, layout, configs, results) -> list[list[int]]:
+    """Check every probe against the oracle; return, probe by probe in stack
+    order, the step sizes the oracle tried at each step."""
+    tries = []
     for rho, config, result in zip(states, configs, results):
         expected = oracles.search_probes(
-            rho.matrix, layout.dim_s, layout.dim_r, kicked_starts(rho, layout, config), config.max_iterations
+            rho.matrix, layout.dim_s, layout.dim_r, kicked_starts(rho, layout, config), config.max_iterations, tries
         )
         assert len(result.probes) == len(expected) == config.restarts - 1
         for probe, (unitary, sums, converged) in zip(result.probes, expected):
             assert np.array_equal(probe.unitary, unitary)
             assert probe.sums == sums
             assert probe.converged == converged
+    return tries
 
 
 @pytest.mark.parametrize("max_iterations", [1, 5, 300])
@@ -76,6 +80,48 @@ def test_lockstep_probes_match_one_at_a_time_descent(dims, max_iterations):
     states = correlated_states(layout)
     configs = [arrow.UnitarySearchConfig(max_iterations, 3, RandomSource(100 + j)) for j in range(len(states))]
     assert_probes_match_oracle(states, layout, configs, search(states, layout, configs))
+
+
+def test_candidate_rounds_at_the_batch_edges(monkeypatch):
+    # at 3x3 the rank-2 state's probes need up to 6 tries in a step, and two
+    # of the rank-1 state's probes spend all their tries and stop
+    layout = BipartitionLayout(3, 3)
+    states = correlated_states(layout)[-2:]
+    configs = [arrow.UnitarySearchConfig(300, 4, RandomSource(107 + j)) for j in range(len(states))]
+    rows = []
+    objectives = arrow._objectives
+
+    def counting(finals, *dims):
+        rows.append(len(finals))
+        return objectives(finals, *dims)
+
+    monkeypatch.setattr(arrow, "_objectives", counting)
+    results = search(states, layout, configs)
+    tries = assert_probes_match_oracle(states, layout, configs, results)
+    # (tries, accepted) of each step of each probe: a probe's last step
+    # accepted nothing when it stopped there without a step
+    probes = [probe for result in results for probe in result.probes]
+    steps = [[(n, k < len(probe.sums) - 1) for k, n in enumerate(t)] for t, probe in zip(tries, probes)]
+
+    # replay the lockstep stack: each step runs the rounds its slowest probe
+    # needs, each round the next ARMIJO_BATCH tries of the probes pending
+    batch, halvings = arrow.ARMIJO_BATCH, arrow.ARMIJO_HALVINGS
+    expected = [len(states), len(probes)]  # the initial sums, then the kicked starts
+    mixed = False
+    for k in itertools.count():
+        live = [s[k] for s in steps if len(s) > k]
+        if not live:
+            break
+        for r in range(-(-max(n for n, _ in live) // batch)):
+            pending = [(n, accepted) for n, accepted in live if n > r * batch]
+            expected.append(len(pending) * min(batch, halvings - r * batch))
+            mixed |= len({n for n, accepted in pending if accepted and n <= (r + 1) * batch}) > 1
+    assert rows == expected
+    # a step accepted after more than one round, two probes that spent every
+    # try and stopped, and probes of one round accepting different candidates
+    assert any(accepted and n > batch for s in steps for n, accepted in s)
+    assert [n for s in steps for n, accepted in s if not accepted] == [halvings, halvings]
+    assert mixed
 
 
 def test_rows_with_nonpositive_marginal_eigenvalues_drop_them():
@@ -145,8 +191,8 @@ def test_search_rows_do_not_depend_on_the_chunk_size(monkeypatch, demo):
         sizes.append([len(chunk) for chunk in chunks])
         return chunks
 
-    # two 4x4 probes per chunk: fifteen probes in eight chunks
-    monkeypatch.setattr(core, "STACK_ENTRIES", 2 * 16)
+    # the candidates of two 4x4 probes per chunk: fifteen probes in eight chunks
+    monkeypatch.setattr(core, "STACK_ENTRIES", 2 * arrow.ARMIJO_BATCH * 16)
     monkeypatch.setattr(arrow, "trial_chunks", recording)
     rows, extra = experiments.run_search(5, 4, 300, 0.01, 3, demo, 0.1)
     assert sizes == [[2] * 7 + [1]]
