@@ -166,11 +166,12 @@ def entropy_balance(rho_joint: DensityOperator, layout: BipartitionLayout, u: Un
     return entropy_balances(evolve_states(rho, u.matrix[None]), initial, layout).trial(0)
 
 
-def schrodinger_checks(products: np.ndarray, tol: float = ALIGNMENT_TOL) -> list[Alignment]:
+def schrodinger_checks(products: np.ndarray) -> list[Alignment]:
     """Classify, for each Schrodinger product dS_S * dS_R of a stack, whether
-    the two local arrows point the same way."""
+    the two local arrows point the same way; within ALIGNMENT_TOL of zero
+    they are degenerate."""
     return [
-        Alignment.ALIGNED if p > tol else Alignment.ANTI_ALIGNED if p < -tol else Alignment.DEGENERATE
+        Alignment.ALIGNED if p > ALIGNMENT_TOL else Alignment.ANTI_ALIGNED if p < -ALIGNMENT_TOL else Alignment.DEGENERATE
         for p in products.tolist()
     ]
 
@@ -567,26 +568,18 @@ class SweepGrid:
         return len(self.coupling_strengths) * len(self.correlation_strengths) * len(self.evolution_times)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    coupling: float
-    epsilon: float
-    time: float
-    sum: float
-
-
 def weak_coupling_sweep(
     h_local_s: Hamiltonian,
     h_local_r: Hamiltonian,
     h_int: Hamiltonian,
     grid: SweepGrid,
-) -> list[SweepPoint]:
+) -> np.ndarray:
     """Entropy-sum phase map of the near-product family under
-    exp(-i (H_S + H_R + g H_int) t) over the whole grid.
+    exp(-i (H_S + H_R + g H_int) t) over the whole grid, as an
+    (n_g, n_eps, n_t) array of dS_S + dS_R indexed like the grid's axes.
 
     At g = 0 the evolution is local and every sum vanishes; the eps = 0
-    column is a product input so its sums are non-negative.  Rows come out
-    in (g, eps, t) lexicographic grid order.
+    column is a product input so its sums are non-negative.
     """
     if h_local_s.dim != 2 or h_local_r.dim != 2 or h_int.dim != 4:
         raise ValueError("sweep expects qubit local Hamiltonians and a 4-dim interaction")
@@ -600,11 +593,10 @@ def weak_coupling_sweep(
     rho = np.repeat(matrices, len(times), axis=0)
     entropies = (*marginal_entropies_of_stack(matrices, TWO_QUBITS), spectrum_entropies(spectra))
     initial = tuple(np.repeat(e, len(times)) for e in entropies)
-    cells = list(itertools.product(grid.correlation_strengths, times))
-    points = []
-    for g in grid.coupling_strengths:
+    sums = np.empty((len(grid.coupling_strengths), len(states), len(times)))
+    for i, g in enumerate(grid.coupling_strengths):
         u = unitaries_from_hamiltonian(Hamiltonian(h_local + g * h_int.matrix), times)
         validate_unitaries(u)
         report = entropy_balances(evolve_states(rho, np.tile(u, (len(states), 1, 1))), initial, TWO_QUBITS)
-        points += [SweepPoint(coupling=g, epsilon=eps, time=t, sum=s) for (eps, t), s in zip(cells, report.sum.tolist())]
-    return points
+        sums[i] = report.sum.reshape(len(states), len(times))
+    return sums

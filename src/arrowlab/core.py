@@ -473,10 +473,10 @@ def partial_trace(rho: DensityOperator, layout: BipartitionLayout, keep: Literal
 # entropies and correlation measures
 # ---------------------------------------------------------------------------
 
-def _clamped_probabilities(eigs: np.ndarray, what: str = "state") -> np.ndarray:
+def _clamped_probabilities(eigs: np.ndarray) -> np.ndarray:
     lam_min = float(eigs.min())
     if lam_min < -PSD_TOL:
-        raise ValueError(f"{what} has negative eigenvalue {lam_min:.3e}")
+        raise ValueError(f"state has negative eigenvalue {lam_min:.3e}")
     return np.clip(eigs, 0.0, None)
 
 
@@ -516,8 +516,10 @@ def entropy_of_matrix(m: np.ndarray) -> float:
 
 def renyi2_of_matrix(m: np.ndarray) -> float:
     """Collision (Renyi-2) entropy -ln tr m^2 in nats of a raw Hermitian
-    matrix, from its squared Frobenius norm: O(d^2), no eigendecomposition."""
-    return -float(np.log(np.vdot(m, m).real))
+    matrix, from its squared Frobenius norm: O(d^2), no eigendecomposition.
+    The norm is summed by einsum over the real and imaginary views, not by
+    BLAS, whose summation order depends on its thread count."""
+    return -float(np.log(np.einsum("ij,ij->", m.real, m.real) + np.einsum("ij,ij->", m.imag, m.imag)))
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:

@@ -17,6 +17,7 @@ stated as an upper bound on the negated value (``-sum <= BALANCE_TOL``).
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -334,8 +335,9 @@ def run_sweep(
     h_r = Hamiltonian(np.diag([0.0, gap_r]).astype(complex))
     h_int = Hamiltonian(collisions.SWAP)
     grid = arrow.SweepGrid(g_values, eps_values, t_values)
-    points = arrow.weak_coupling_sweep(h_s, h_r, h_int, grid)
-    return [(p.coupling, p.epsilon, p.time, p.sum) for p in points], {"planned_cells": grid.size}
+    sums = arrow.weak_coupling_sweep(h_s, h_r, h_int, grid).ravel().tolist()
+    cells = itertools.product(grid.coupling_strengths, grid.correlation_strengths, grid.evolution_times)
+    return [(*cell, s) for cell, s in zip(cells, sums)], {"planned_cells": grid.size}
 
 
 def run_collide(
@@ -449,9 +451,11 @@ def run_heatflow(trials: int, seed: int) -> Result:
 
     def run_chunk(chunk: range) -> list[Row]:
         beta_s, beta_r, times = zip(*draw_streams([root.child(k) for k in chunk], _heatflow_draw))
+        rep = fluctuation.heat_flow_trials(beta_s, beta_r, times)
+        columns = (rep.du_s, rep.du_r, rep.balance.ds_s, rep.balance.ds_r, rep.t_s, rep.t_r, rep.balance.sum)
         return [
-            (k, t.beta_s, t.beta_r, t.hotter, t.du_s, t.du_r, t.ds_s, t.ds_r, t.t_s, t.t_r, t.clausius_lhs)
-            for k, t in zip(chunk, fluctuation.heat_flow_trials(beta_s, beta_r, times))
+            (k, b_s, b_r, "S" if b_s < b_r else "R", *cells)
+            for k, b_s, b_r, cells in zip(chunk, beta_s, beta_r, zip(*(c.tolist() for c in columns)))
         ]
 
     return _by_chunks(trials, arrow.TWO_QUBITS.dim**2, run_chunk), {}

@@ -22,6 +22,12 @@ Every protocol is part of a :class:`ProtocolStack`, which
 single protocol is a stack of one.  :func:`crooks_checks` gives each
 protocol's distributions, detailed ratios, dF and both integral identities,
 :func:`jarzynski_checks` the work average alone.
+
+:func:`heat_flow_trials` evolves a stack of product Gibbs qubit pairs under
+an energy-conserving exchange and returns one :class:`HeatFlowReport` of
+(n,) arrays: the entropy balance of :func:`arrow.product_balances`, each
+side's energy change and its effective temperature dU/dS.  No D x D product
+is built; the initial energies are tr(h rho) of the Gibbs factors.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ from .core import (
     masked_row_sums,
     raise_first_failure,
     random_hermitians,
-    tensor_products,
     unitaries_from_hamiltonian,
     validate_hamiltonians,
     validate_unitaries,
@@ -177,8 +182,9 @@ class _ProtocolGroup:
         return t.swapaxes(-1, -2) * weights[:, None, :]
 
     def delta_f(self) -> np.ndarray:
-        """dF = F(h_final) - F(h_initial) of each trial."""
-        return -self.log_z_final / self.beta - -self.log_z_initial / self.beta
+        """dF = F(h_final) - F(h_initial) of each trial, as -(ln Z' - ln Z) / beta:
+        at the smallest beta, ln Z / beta alone overflows."""
+        return -(self.log_z_final - self.log_z_initial) / self.beta
 
     def work(self) -> np.ndarray:
         """W[k, n, m] = E'_m - E_n."""
@@ -325,24 +331,14 @@ def measurement_symmetry_check(p: np.ndarray, q: np.ndarray, u: UnitaryOperator)
 # effective temperatures and heat flow
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EffectiveTemperatureReport:
-    t_s: float
-    t_r: float
-    clausius_lhs: float
-
-
-def effective_temperatures(report: EntropyBalanceReport, du_s, du_r) -> EffectiveTemperatureReport:
-    """T = dU/dS per subsystem; the Clausius combination dU_S/T_S + dU_R/T_R
-    collapses to dS_S + dS_R by construction.  A stacked report takes (n,)
-    arrays of energy changes and gives (n,) arrays."""
+def effective_temperatures(report: EntropyBalanceReport, du_s, du_r) -> tuple:
+    """(T_S, T_R) with T = dU/dS per subsystem, so that the Clausius
+    combination dU_S/T_S + dU_R/T_R is dS_S + dS_R, the report's ``sum``.
+    A stacked report takes (n,) arrays of energy changes and gives (n,)
+    arrays."""
     if np.any((np.abs(report.ds_s) <= TEMPERATURE_DS_FLOOR) | (np.abs(report.ds_r) <= TEMPERATURE_DS_FLOOR)):
         raise ValueError("effective temperature undefined: a local entropy change vanishes")
-    return EffectiveTemperatureReport(
-        t_s=du_s / report.ds_s,
-        t_r=du_r / report.ds_r,
-        clausius_lhs=report.ds_s + report.ds_r,
-    )
+    return du_s / report.ds_s, du_r / report.ds_r
 
 
 # resonant excitation exchange |01><10| + |10><01|; commutes with the sum of
@@ -352,68 +348,46 @@ EXCHANGE[1, 2] = EXCHANGE[2, 1] = 1.0
 EXCHANGE.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class HeatFlowTrial:
-    beta_s: float
-    beta_r: float
-    du_s: float
-    du_r: float
-    ds_s: float
-    ds_r: float
-    t_s: float
-    t_r: float
-    clausius_lhs: float
-    hotter: str
-    du_hotter: float
+@dataclass(frozen=True, eq=False)
+class HeatFlowReport:
+    """Energy and entropy bookkeeping of a stack of heat-flow trials, every
+    field an (n,) array: the entropy balance, each side's energy change and
+    effective temperature.  The Clausius combination is ``balance.sum``."""
+
+    balance: EntropyBalanceReport
+    du_s: np.ndarray
+    du_r: np.ndarray
+    t_s: np.ndarray
+    t_r: np.ndarray
 
 
-def heat_flow_trials(beta_s, beta_r, times, gap: float = 1.0, coupling: float = 1.0) -> list[HeatFlowTrial]:
+def heat_flow_trials(beta_s, beta_r, times) -> HeatFlowReport:
     """Evolve products of Gibbs qubits under an energy-conserving exchange
-    and record energy/entropy bookkeeping for both sides, one trial for each
+    and report energy/entropy bookkeeping for both sides, one trial for each
     entry of the equal-length sequences ``beta_s``, ``beta_r`` and ``times``,
     run as one stack.
 
-    The local Hamiltonians share one gap so the exchange commutes with their
-    sum; total energy is conserved and the hotter side can only lose.
+    The two unit-gap local Hamiltonians share their gap, so the exchange
+    commutes with their sum; total energy is conserved and the hotter side
+    can only lose.  The Gibbs pairs are validated and evolved through their
+    factors, and the initial energies are the factors' own tr(h rho).
     """
     raise_first_failure(((np.equal(beta_s, beta_r), lambda k: "beta_s and beta_r must differ so that one side is hotter"),))
-    h_local = Hamiltonian(np.diag([0.0, gap]).astype(complex))
+    h_local = Hamiltonian(np.diag([0.0, 1.0]).astype(complex))
     rho_s = gibbs_matrices(h_local, beta_s)
     rho_r = gibbs_matrices(h_local, beta_r)
     h_s = np.kron(h_local.matrix, np.eye(2))
     h_r = np.kron(np.eye(2), h_local.matrix)
-    u = unitaries_from_hamiltonian(Hamiltonian(h_s + h_r + coupling * EXCHANGE), times)
-    # the Gibbs pairs are validated and evolved through their factors; the
-    # products are built here for the initial energies only
-    report, final = product_balances(rho_s, rho_r, TWO_QUBITS, u)
-    rho = tensor_products(rho_s, rho_r)
+    u = unitaries_from_hamiltonian(Hamiltonian(h_s + h_r + EXCHANGE), times)
+    balance, final = product_balances(rho_s, rho_r, TWO_QUBITS, u)
 
-    # one contraction per trace: stacked, they would round differently
-    def energy(h: np.ndarray, m: np.ndarray) -> float:
-        return float(np.real(np.einsum("ij,ji->", h, m)))
+    def energies(h: np.ndarray, m: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,nji->n", h, m).real
 
-    du_s = np.array([energy(h_s, f) - energy(h_s, r) for f, r in zip(final, rho)])
-    du_r = np.array([energy(h_r, f) - energy(h_r, r) for f, r in zip(final, rho)])
-    temps = effective_temperatures(report, du_s, du_r)
-    trials = []
-    columns = zip(beta_s, beta_r, du_s.tolist(), du_r.tolist(), report.ds_s.tolist(), report.ds_r.tolist(),
-                  temps.t_s.tolist(), temps.t_r.tolist(), temps.clausius_lhs.tolist())
-    for b_s, b_r, du_s_k, du_r_k, ds_s_k, ds_r_k, t_s_k, t_r_k, clausius_k in columns:
-        hotter = "S" if b_s < b_r else "R"
-        trials.append(HeatFlowTrial(
-            beta_s=b_s,
-            beta_r=b_r,
-            du_s=du_s_k,
-            du_r=du_r_k,
-            ds_s=ds_s_k,
-            ds_r=ds_r_k,
-            t_s=t_s_k,
-            t_r=t_r_k,
-            clausius_lhs=clausius_k,
-            hotter=hotter,
-            du_hotter=du_s_k if hotter == "S" else du_r_k,
-        ))
-    return trials
+    du_s = energies(h_s, final) - energies(h_local.matrix, rho_s)
+    du_r = energies(h_r, final) - energies(h_local.matrix, rho_r)
+    t_s, t_r = effective_temperatures(balance, du_s, du_r)
+    return HeatFlowReport(balance=balance, du_s=du_s, du_r=du_r, t_s=t_s, t_r=t_r)
 
 
 def damping_heat(state: DensityOperator, h_final: Hamiltonian, beta: float) -> float:

@@ -277,7 +277,7 @@ def two_point(layout, beta, src):
     # the backward transitions from U+ on their own, indexed (n, m) like p_f
     t_b = _cluster_transitions(evecs_f, evecs_i, u.conj().T, c_f, c_i).T
     pb = t_b * np.exp(-beta * e_f - log_z_f)[None, :]
-    delta_f = -log_z_f / beta - -log_z_i / beta
+    delta_f = -(log_z_f - log_z_i) / beta
     return pf, pb, e_f[None, :] - e_i[:, None], delta_f
 
 
@@ -318,7 +318,7 @@ def heatflow_rows(trials, root, from_factors=True) -> list[tuple]:
     h_s, h_r = np.kron(h_local, np.eye(2)), np.kron(np.eye(2), h_local)
     exchange = np.zeros((4, 4), dtype=complex)
     exchange[1, 2] = exchange[2, 1] = 1.0
-    evals_total, evecs_total = np.linalg.eigh(h_s + h_r + 1.0 * exchange)
+    evals_total, evecs_total = np.linalg.eigh(h_s + h_r + exchange)
 
     def gibbs(beta):
         w = np.exp(-beta * (evals - evals.min()))
@@ -336,9 +336,14 @@ def heatflow_rows(trials, root, from_factors=True) -> list[tuple]:
         u = (evecs_total * np.exp(-1j * (evals_total * t))) @ evecs_total.conj().T
         a, b = gibbs(beta_s), gibbs(beta_r)
         final, (ds_s, ds_r, _, _) = _product_balance(a, b, u, from_factors)
-        rho = np.kron(a, b)
-        du_s = energy(h_s, final) - energy(h_s, rho)
-        du_r = energy(h_r, final) - energy(h_r, rho)
+        # the initial energies of the factors, or of the product built
+        if from_factors:
+            initial_s, initial_r = energy(h_local, a), energy(h_local, b)
+        else:
+            rho = np.kron(a, b)
+            initial_s, initial_r = energy(h_s, rho), energy(h_r, rho)
+        du_s = energy(h_s, final) - initial_s
+        du_r = energy(h_r, final) - initial_r
         hotter = "S" if beta_s < beta_r else "R"
         rows.append((k, beta_s, beta_r, hotter, du_s, du_r, ds_s, ds_r, du_s / ds_s, du_r / ds_r, ds_s + ds_r))
     return rows

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -380,18 +381,15 @@ class TestSweep:
 
     def test_zero_coupling_never_moves_local_spectra(self):
         grid = SweepGrid((0.0,), (0.0, 0.3, 0.8), (0.5, 2.0))
-        for p in weak_coupling_sweep(self.H_S, self.H_R, self.H_INT, grid):
-            assert abs(p.sum) <= 1e-10
+        assert np.abs(weak_coupling_sweep(self.H_S, self.H_R, self.H_INT, grid)).max() <= 1e-10
 
     def test_product_column_is_nonnegative(self):
         grid = SweepGrid((0.0, 0.5, 2.0), (0.0,), (0.5, 1.0, 3.0))
-        for p in weak_coupling_sweep(self.H_S, self.H_R, self.H_INT, grid):
-            assert p.sum >= -1e-9
+        assert weak_coupling_sweep(self.H_S, self.H_R, self.H_INT, grid).min() >= -1e-9
 
     def test_strong_coupling_reaches_negative_cells(self):
         grid = SweepGrid((1.0, 2.0), (0.5,), (0.5, 1.0, 2.0, 4.0))
-        points = weak_coupling_sweep(self.H_S, self.H_R, self.H_INT, grid)
-        assert min(p.sum for p in points) < -1e-3
+        assert weak_coupling_sweep(self.H_S, self.H_R, self.H_INT, grid).min() < -1e-3
 
     def test_initial_entropies_once_per_state(self, monkeypatch):
         stacks = []
@@ -406,9 +404,12 @@ class TestSweep:
         # the three states once, then the twelve final states of each coupling
         assert stacks == [3] + [12] * 5
 
-    def test_row_order_is_lexicographic(self):
+    def test_axes_follow_the_grid(self):
         grid = SweepGrid((0.0, 1.0), (0.0, 0.5), (1.0, 2.0))
-        points = weak_coupling_sweep(self.H_S, self.H_R, self.H_INT, grid)
-        keys = [(p.coupling, p.epsilon, p.time) for p in points]
-        assert keys == sorted(keys)
-        assert len(points) == grid.size
+        sums = weak_coupling_sweep(self.H_S, self.H_R, self.H_INT, grid)
+        assert sums.shape == (2, 2, 2)
+        for (i, g), (j, eps), (k, t) in itertools.product(
+            *map(enumerate, (grid.coupling_strengths, grid.correlation_strengths, grid.evolution_times))
+        ):
+            cell = weak_coupling_sweep(self.H_S, self.H_R, self.H_INT, SweepGrid((g,), (eps,), (t,)))
+            assert cell[0, 0, 0] == sums[i, j, k]

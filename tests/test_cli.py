@@ -511,6 +511,15 @@ class TestExtremeValidParameters:
         passed = {k: v for k, v in csv_metadata(out).items() if k.startswith("invariant.") and k.endswith(".passed")}
         assert passed and set(passed.values()) == {"true"}
 
+    @pytest.mark.parametrize("experiment", ["crooks", "jarzynski"])
+    def test_smallest_beta_gives_finite_rows(self, capsys, experiment):
+        # ln Z / beta alone overflows at beta = 5e-324
+        code, out, err = main_outcome(capsys, [experiment, "--beta", "5e-324", "--trials", "2"])
+        assert (code, err) == (0, "")
+        cells = numeric_cells(out)
+        assert len(rows_of_csv(out)) == 3
+        assert cells and all(math.isfinite(c) for c in cells)
+
     @pytest.mark.parametrize("epsilon", ["0", "1"])
     def test_near_product_at_the_ends_of_epsilon_gives_finite_rows(self, capsys, epsilon):
         code, out = run_cli(capsys, "near-product", "--epsilon", epsilon)
@@ -518,3 +527,26 @@ class TestExtremeValidParameters:
         cells = numeric_cells(out)
         assert len(rows_of_csv(out)) == 2
         assert cells and all(math.isfinite(c) for c in cells)
+
+
+def output_at_threads(threads: int, *argv: str) -> str:
+    """Stdout of the CLI in a fresh process at a BLAS thread count, without
+    its '# duration_seconds' line."""
+    src = os.path.dirname(os.path.dirname(arrowlab.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
+    result = subprocess.run([sys.executable, "-m", "arrowlab.cli", *argv], capture_output=True, text=True, env=env, check=True)
+    return "".join(line for line in result.stdout.splitlines(True) if not line.startswith("# duration_seconds"))
+
+
+class TestBlasThreadCount:
+    def test_collide_output_is_the_same_at_one_and_two_threads(self):
+        # the joint state's Renyi-2 entropy is summed without BLAS
+        argv = ("collide", "--collisions", "10")
+        assert output_at_threads(1, *argv) == output_at_threads(2, *argv)
+
+    def test_balance_rows_at_16x16_agree_at_one_and_two_threads(self):
+        # QR and eigvalsh of a 256 x 256 matrix round differently with the thread count
+        argv = ("balance", "--dims", "16x16", "--trials", "2")
+        one, two = (numeric_cells(output_at_threads(n, *argv)) for n in (1, 2))
+        assert len(one) == len(two) > 0
+        assert max(abs(a - b) for a, b in zip(one, two)) <= 1e-12
