@@ -258,6 +258,8 @@ class UnitarySearchConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if len(self.rng) != 1:
+            raise ValueError("rng must be a lone source, not a stack")
 
 
 @dataclass(frozen=True)
@@ -503,7 +505,7 @@ def search_entropy_decreasing_unitaries(
             raise ValueError("input is a product state; local entropies cannot decrease")
         answers.append((u, report))
         restarts = range(1, config.restarts)
-        for h in random_hermitians(layout.dim, [config.rng.child(k) for k in restarts]):
+        for h in random_hermitians(layout.dim, config.rng.children(restarts)):
             kick = unitary_from_hamiltonian(Hamiltonian(h / np.linalg.norm(h)), PROBE_KICK)
             starts.append(kick.matrix @ u.matrix)
         owners += [j] * len(restarts)

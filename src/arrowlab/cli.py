@@ -28,11 +28,15 @@ import sys
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import __version__, experiments
 from .core import RNG_ALGORITHM
 from .experiments import Param
 
 SCHEMA_VERSION = 1
+# the thread counts that OpenBLAS, OpenMP and MKL read at load
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class ConfigError(ValueError):
@@ -191,6 +195,27 @@ def _config_text(param: Param, value) -> str:
     return _format_cell(value)
 
 
+@functools.cache
+def numerics_env() -> dict:
+    """The numerics behind this process's rows, read once: numpy's version,
+    the BLAS and LAPACK that numpy reports (name and version, None where it
+    reports neither) and each of :data:`THREAD_VARIABLES` (None if unset)."""
+    try:
+        deps = np.show_config(mode="dicts").get("Build Dependencies", {})
+    except TypeError:
+        # a numpy whose show_config takes no mode (1.24) names the
+        # libraries in its config module's *_opt_info dicts, with no version
+        deps = {}
+        for lib in ("blas", "lapack"):
+            names = getattr(np.__config__, f"{lib}_opt_info", {}).get("libraries", [])
+            deps[lib] = {"name": ",".join(dict.fromkeys(names))}
+    env = {"numpy": np.__version__}
+    for lib in ("blas", "lapack"):
+        info = deps.get(lib, {})
+        env[lib] = " ".join(str(info[k]) for k in ("name", "version") if info.get(k)) or None
+    return env | {var: os.environ.get(var) for var in THREAD_VARIABLES}
+
+
 def _metadata(record: ResultRecord) -> dict:
     """The metadata that leads both output formats."""
     return {"experiment": record.experiment, "schema_version": SCHEMA_VERSION, "library_version": __version__,
@@ -201,6 +226,8 @@ def serialize_csv(record: ResultRecord) -> str:
     buf = io.StringIO()
     for key, value in _metadata(record).items():
         buf.write(f"# {key}={_format_cell(value)}\n")
+    for key, value in numerics_env().items():
+        buf.write(f"# env.{key}={_format_cell(value)}\n")
     for param in _schema(record.experiment):
         buf.write(f"# config.{param.key}={_config_text(param, record.config[param.key])}\n")
     for key, value in record.extra.items():
@@ -222,6 +249,7 @@ def serialize_json(record: ResultRecord) -> str:
     payload = {
         "metadata": {
             **_metadata(record),
+            "env": numerics_env(),
             # a scalar config value stays a JSON scalar
             "config": {
                 p.key: _config_text(p, v) if isinstance(v := record.config[p.key], tuple) else v for p in _schema(record.experiment)

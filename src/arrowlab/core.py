@@ -11,11 +11,12 @@ Conventions, fixed once for the whole package:
 * entropies and relative entropies are in nats (natural log),
 * composite bases are ordered lexicographically with subsystem S as the left
   (slow) tensor factor, so index ``i = s * dim_r + r``,
-* randomness flows only through :class:`RandomSource`: each source's stream
-  is numpy's PCG64 seeded from SeedSequence with the source's spawn key, and
-  the stacked samplers derive those streams for a whole stack in one pass
-  (:func:`pcg64_states`), so every sampling routine is a deterministic
-  function of its sources.
+* randomness flows only through :class:`RandomSource`, a stack of streams:
+  one seed and an (n, m) spawn-key array, a lone source being a stack of
+  one.  Row k's stream is numpy's PCG64 seeded from SeedSequence with the
+  seed and key k, and the samplers derive every row's stream of a stack in
+  one pass (:func:`pcg64_states`), so every sampling routine is a
+  deterministic function of its sources.
 
 Experiments run their trials as stacks: the validators, samplers and
 kernels with plural names act on (n, d, d) arrays, one trial per leading
@@ -27,6 +28,7 @@ so a trial's numbers do not depend on the stack it runs in.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Literal, Sequence, TypeVar
 
@@ -216,36 +218,92 @@ class BipartitionLayout:
         return self.dim_s * self.dim_r
 
 
-@dataclass(frozen=True)
-class RandomSource:
-    """Deterministic randomness root: a 64-bit seed plus a split key.
+def _integer(value) -> int:
+    """``value`` as an int, refused as numpy's SeedSequence refuses a
+    non-integer seed word (a float is not truncated)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError("seed must be integer") from None
 
-    A source's stream is numpy's PCG64 seeded from
-    ``SeedSequence(seed, spawn_key=key)``.  Children derived via
-    :meth:`child` extend the spawn key, so parallel trials get independent,
-    reproducible streams.  :meth:`generator` builds that stream through
-    numpy's own ``SeedSequence``; the stacked samplers derive the same
-    streams for a whole stack in one pass (:func:`pcg64_states`).  Every
-    stream starts at its beginning, so sampling functions are pure
-    functions of their RandomSource arguments.
+
+def _key_column(entries: Sequence[int]) -> np.ndarray:
+    """One spawn-key entry per row: uint32 when every entry is a single
+    SeedSequence word, else an object array of Python ints."""
+    if min(entries, default=0) < 0:
+        raise ValueError("expected non-negative integer")
+    return np.array(entries, dtype=np.uint32 if max(entries, default=0) <= _MASK32 else object)
+
+
+def _key_array(keys) -> np.ndarray:
+    """A read-only (n, m) spawn-key array, every entry checked."""
+    if not (isinstance(keys, np.ndarray) and keys.dtype == np.uint32 and keys.ndim == 2):
+        rows = [[_integer(entry) for entry in key] for key in keys]
+        if len({len(key) for key in rows}) > 1:
+            raise ValueError("every spawn key of a stack must have the same length")
+        flat = _key_column([entry for key in rows for entry in key])
+        keys = flat.reshape(len(rows), len(rows[0]) if rows else 0)
+    else:
+        keys = keys.copy()
+    keys.setflags(write=False)
+    return keys
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class RandomSource:
+    """A stack of reproducible random streams: one 64-bit seed plus an
+    (n, m) array of spawn keys, one row per stream.
+
+    ``keys`` is a sequence of equal-length spawn keys, and row k's stream is
+    numpy's PCG64 seeded from ``SeedSequence(seed, spawn_key=keys[k])``.
+    ``RandomSource(seed)`` is a lone source, a stack of one with an empty
+    key.  :meth:`child` appends one index to every row's key,
+    :meth:`children` gives each row one child per index, so parallel trials
+    get independent, reproducible streams.  The samplers derive every row's
+    stream of a stack in one pass (:func:`pcg64_states`); :meth:`generator`
+    builds a lone source's stream through numpy's own ``SeedSequence``.
+    Every stream starts at its beginning, so sampling functions are pure
+    functions of their sources.  The seed, each key entry and each child
+    index must be integers, as numpy's ``SeedSequence`` requires.
+
+    Key entries are uint32 while every entry is one SeedSequence word, and
+    Python ints once one is 2^32 or more.
     """
 
     seed: int
-    key: tuple[int, ...] = ()
+    keys: np.ndarray
 
     algorithm = RNG_ALGORITHM
 
-    def __post_init__(self):
-        if not 0 <= int(self.seed) < 2**64:
+    def __init__(self, seed: int, keys=((),)):
+        seed = _integer(seed)
+        if not 0 <= seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if min(self.key, default=0) < 0:
-            raise ValueError("expected non-negative integer")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "keys", _key_array(keys))
+
+    def __len__(self) -> int:
+        return len(self.keys)
 
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=self.key)))
+        """The stream of a lone source, from numpy's own ``SeedSequence``."""
+        if len(self) != 1:
+            raise ValueError(f"a stack of {len(self)} sources has no single generator")
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=self.keys[0].tolist())))
 
     def child(self, index: int) -> "RandomSource":
-        return RandomSource(self.seed, self.key + (int(index),))
+        """Every row's child ``index``: the keys gain one column."""
+        return self.children((index,))
+
+    def children(self, indices: Iterable[int]) -> "RandomSource":
+        """Row r's children at ``indices``, rows in order and the indices
+        within each: a stack of len(self) * len(indices) sources."""
+        column = _key_column([_integer(i) for i in indices])
+        keys = self.keys
+        if keys.dtype != column.dtype:
+            keys, column = keys.astype(object), column.astype(object)
+        rows = np.repeat(keys, len(column), axis=0)
+        return RandomSource(self.seed, np.concatenate((rows, np.tile(column, len(keys))[:, None]), axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -320,22 +378,20 @@ def _seed_pool(seed: int) -> np.ndarray:
     return pool
 
 
-def _spawn_words(key: tuple[int, ...]) -> tuple[int, ...]:
+def _spawn_words(key: list[int]) -> list[int]:
     """SeedSequence's uint32 words of a spawn key: each entry little-endian
     32-bit words, 0 as one word."""
-    if max(key, default=0) <= _MASK32:
-        return key
     words = []
-    for entry in map(int, key):
+    for entry in key:
         words.append(entry & _MASK32)
         while entry > _MASK32:
             entry >>= 32
             words.append(entry & _MASK32)
-    return tuple(words)
+    return words
 
 
 def _group_states(seed: int, spawn: np.ndarray) -> list[tuple[int, int]]:
-    """(state, inc) per row of spawn words (n, m), all under one seed."""
+    """(state, inc) per row of uint32 spawn words (n, m), all under one seed."""
     xor, mult = _spawn_hash(spawn.shape[1])
     # a spawn word's hashmix depends on its position alone, not on the pool
     hashed = spawn[:, :, None] ^ xor
@@ -353,24 +409,27 @@ def _group_states(seed: int, spawn: np.ndarray) -> list[tuple[int, int]]:
     # numpy reads the 8 words as 4 little-endian uint64; PCG64 takes each
     # pair of those as (high, low) halves of a 128-bit seed and increment
     states = []
-    for s_hi, s_lo, i_hi, i_lo in words.reshape(len(spawn), -1).astype("<u4", copy=False).view("<u8").tolist():
+    for s_hi, s_lo, i_hi, i_lo in words.reshape(len(spawn), 2 * _POOL_SIZE).astype("<u4", copy=False).view("<u8").tolist():
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
         states.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, inc))
     return states
 
 
-def pcg64_states(sources: Sequence[RandomSource]) -> list[tuple[int, int]]:
-    """(state, inc) of each source's PCG64, as numpy seeds it from
+def pcg64_states(sources: RandomSource) -> list[tuple[int, int]]:
+    """(state, inc) of each row's PCG64, as numpy seeds it from
     ``SeedSequence(seed, spawn_key=key)``, derived for the whole stack at
-    once: one group per seed and spawn-key word count."""
-    words = [_spawn_words(source.key) for source in sources]
-    groups: dict[tuple[int, int], list[int]] = {}
-    for k, (source, w) in enumerate(zip(sources, words)):
-        groups.setdefault((int(source.seed), len(w)), []).append(k)
-    states: list = [None] * len(sources)
-    for (seed, count), members in groups.items():
+    once.  A uint32 key array is its own spawn words; only keys holding an
+    entry of 2^32 or more are split into words and grouped by word count."""
+    if sources.keys.dtype == np.uint32:
+        return _group_states(sources.seed, sources.keys)
+    words = [_spawn_words(key) for key in sources.keys.tolist()]
+    groups: dict[int, list[int]] = {}
+    for k, w in enumerate(words):
+        groups.setdefault(len(w), []).append(k)
+    states: list = [None] * len(words)
+    for count, members in groups.items():
         spawn = np.array([words[k] for k in members], dtype=np.uint32).reshape(len(members), count)
-        for k, state in zip(members, _group_states(seed, spawn)):
+        for k, state in zip(members, _group_states(sources.seed, spawn)):
             states[k] = state
     return states
 
@@ -383,23 +442,22 @@ def _shared_generator() -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(0))
 
 
-def draw_streams(sources: Sequence[RandomSource], draw: Callable[[np.random.Generator], T]) -> list[T]:
-    """``draw(g)`` per source, with ``g`` a numpy Generator at the start of
-    that source's stream.  ``g`` is shared: ``draw`` must not keep it.  Its
-    bit generator's lock is held across the stack, so concurrent callers
+def draw_streams(sources: RandomSource, draw: Callable[[np.random.Generator], T]) -> list[T]:
+    """``draw(g)`` per row of the stack, with ``g`` a numpy Generator at the
+    start of that row's stream.  ``g`` is shared: ``draw`` must not keep it.
+    Its bit generator's lock is held across the stack, so concurrent callers
     cannot interleave."""
     states = pcg64_states(sources)
     g = _shared_generator()
     bit_generator = g.bit_generator
+    # one state dict, refilled per row: the setter copies the values out
+    pcg = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     results = []
     with bit_generator.lock:
         for state, inc in states:
-            bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+            pcg["state"], pcg["inc"] = state, inc
+            bit_generator.state = full
             results.append(draw(g))
     return results
 
@@ -666,39 +724,35 @@ def gibbs_state(h: Hamiltonian, beta: float) -> DensityOperator:
 # random sampling
 # ---------------------------------------------------------------------------
 
-def gaussian_matrices(sources: Sequence[RandomSource], rows: int, cols: int) -> np.ndarray:
-    """Stack of complex Gaussian matrices X + iY, one per source, each drawn
-    from the start of its source's stream: all of X, then all of Y.  The
-    streams are derived for the whole stack in one pass
-    (:func:`draw_streams`)."""
-    re = np.empty((len(sources), rows, cols))
-    im = np.empty_like(re)
-    slabs = iter(zip(re, im))
-
-    def fill(g: np.random.Generator) -> None:
-        x, y = next(slabs)
-        g.standard_normal(out=x)
-        g.standard_normal(out=y)
-
-    draw_streams(sources, fill)
-    # a Generator fills only contiguous arrays: X and Y are drawn apart and
-    # written into the parts of one complex stack
-    z = np.empty(re.shape, dtype=complex)
-    z.real = re
-    z.imag = im
+def gaussian_matrices(sources: RandomSource, rows: int, cols: int) -> np.ndarray:
+    """Stack (n, rows, cols) of complex Gaussian matrices X + iY, one per
+    row of the source stack, each drawn from the start of its row's stream:
+    all of X, then all of Y.  The streams are derived for the whole stack
+    in one pass (:func:`draw_streams`)."""
+    # a Generator fills only contiguous arrays: X then Y are one call into
+    # each source's contiguous (2, rows, cols) slab, the same stream bits as
+    # two calls, then written into the parts of one complex stack
+    parts = np.empty((len(sources), 2, rows, cols))
+    slabs = iter(parts)
+    draw_streams(sources, lambda g: g.standard_normal(out=next(slabs)))
+    z = np.empty((len(sources), rows, cols), dtype=complex)
+    z.real = parts[:, 0]
+    z.imag = parts[:, 1]
     return z
 
 
-def random_hermitians(dim: int, sources: Sequence[RandomSource]) -> np.ndarray:
-    """(Z + Z†)/2 per source, with Z a dim x dim complex Gaussian matrix.
-    The stack is not validated (:func:`validate_hamiltonians` checks it)."""
+def random_hermitians(dim: int, sources: RandomSource) -> np.ndarray:
+    """(Z + Z†)/2 per row of the source stack, with Z a dim x dim complex
+    Gaussian matrix.  The stack is not validated
+    (:func:`validate_hamiltonians` checks it)."""
     z = gaussian_matrices(sources, dim, dim)
     return (z + _dagger(z)) / 2.0
 
 
-def haar_unitaries(dim: int, sources: Sequence[RandomSource]) -> np.ndarray:
-    """Haar-distributed unitaries, one per source: QR of a complex Ginibre
-    matrix with the standard phase-fixing correction on the diagonal of R.
+def haar_unitaries(dim: int, sources: RandomSource) -> np.ndarray:
+    """Haar-distributed unitaries, one per row of the source stack: QR of a
+    complex Ginibre matrix with the standard phase-fixing correction on the
+    diagonal of R.
     The stack is not validated (:func:`validate_unitaries` checks it)."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -711,13 +765,15 @@ def haar_unitaries(dim: int, sources: Sequence[RandomSource]) -> np.ndarray:
 
 
 def haar_random_unitary(dim: int, rng: RandomSource) -> UnitaryOperator:
-    """Haar-distributed unitary; see :func:`haar_unitaries`."""
-    return UnitaryOperator(haar_unitaries(dim, [rng])[0])
+    """Haar-distributed unitary of a lone source; see :func:`haar_unitaries`."""
+    (u,) = haar_unitaries(dim, rng)
+    return UnitaryOperator(u)
 
 
-def random_density_matrices(dim: int, rank: int, sources: Sequence[RandomSource]) -> np.ndarray:
-    """G G† / tr(G G†) per source, with G a dim x rank complex Gaussian
-    matrix.  The stack is not validated (:func:`validate_states` checks it)."""
+def random_density_matrices(dim: int, rank: int, sources: RandomSource) -> np.ndarray:
+    """G G† / tr(G G†) per row of the source stack, with G a dim x rank
+    complex Gaussian matrix.  The stack is not validated
+    (:func:`validate_states` checks it)."""
     if not 1 <= rank <= dim:
         raise ValueError("rank must satisfy 1 <= rank <= dim")
     z = gaussian_matrices(sources, dim, rank)
@@ -727,5 +783,7 @@ def random_density_matrices(dim: int, rank: int, sources: Sequence[RandomSource]
 
 
 def random_density_operator(dim: int, rank: int, rng: RandomSource) -> DensityOperator:
-    """G G† / tr(G G†) with G a dim x rank complex Gaussian matrix."""
-    return DensityOperator(random_density_matrices(dim, rank, [rng])[0])
+    """G G† / tr(G G†) of a lone source, with G a dim x rank complex
+    Gaussian matrix; see :func:`random_density_matrices`."""
+    (m,) = random_density_matrices(dim, rank, rng)
+    return DensityOperator(m)

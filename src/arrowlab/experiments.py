@@ -28,6 +28,7 @@ import numpy as np
 from . import arrow, collisions, fluctuation
 from .core import (
     BipartitionLayout,
+    DensityOperator,
     Hamiltonian,
     RandomSource,
     draw_streams,
@@ -200,14 +201,14 @@ def _by_chunks(trials: int, entries_per_trial: int, run_chunk: Callable[[range],
     return rows
 
 
-def _product_balances(layout: BipartitionLayout, sources: list[RandomSource]) -> arrow.EntropyBalanceReport:
+def _product_balances(layout: BipartitionLayout, sources: RandomSource) -> arrow.EntropyBalanceReport:
     """Stacked entropy balances of random product inputs under Haar
     unitaries: per source, the two factors from its children 0 and 1 and
     the unitary from child 2.  The inputs are validated and evolved
     through their factors (:func:`arrow.product_balances`)."""
-    rho_s = random_density_matrices(layout.dim_s, layout.dim_s, [src.child(0) for src in sources])
-    rho_r = random_density_matrices(layout.dim_r, layout.dim_r, [src.child(1) for src in sources])
-    u = haar_unitaries(layout.dim, [src.child(2) for src in sources])
+    rho_s = random_density_matrices(layout.dim_s, layout.dim_s, sources.child(0))
+    rho_r = random_density_matrices(layout.dim_r, layout.dim_r, sources.child(1))
+    u = haar_unitaries(layout.dim, sources.child(2))
     return arrow.product_balances(rho_s, rho_r, layout, u)[0]
 
 
@@ -217,7 +218,7 @@ def run_balance(trials: int, dim_s: int, dim_r: int, seed: int) -> Result:
     root = RandomSource(seed)
 
     def run_chunk(chunk: range) -> list[Row]:
-        rep = _product_balances(layout, [root.child(k) for k in chunk])
+        rep = _product_balances(layout, root.children(chunk))
         alignments = arrow.schrodinger_checks(rep.schrodinger_product)
         columns = (rep.ds_s, rep.ds_r, rep.sum, rep.mi_initial, rep.mi_final, np.abs(rep.sum - rep.mi_final))
         return [(k, *cells, a.value) for k, cells, a in zip(chunk, zip(*(c.tolist() for c in columns)), alignments)]
@@ -315,7 +316,7 @@ def run_schrodinger(trials: int, dim_s: int, dim_r: int, seed: int) -> Result:
     root = RandomSource(seed)
 
     def run_chunk(chunk: range) -> list[Row]:
-        rep = _product_balances(layout, [root.child(k) for k in chunk])
+        rep = _product_balances(layout, root.children(chunk))
         alignments = arrow.schrodinger_checks(rep.schrodinger_product)
         columns = zip(rep.ds_s.tolist(), rep.ds_r.tolist(), rep.schrodinger_product.tolist(), alignments, rep.sum.tolist())
         return [(k, ds_s, ds_r, product, a.value, total) for k, (ds_s, ds_r, product, a, total) in zip(chunk, columns)]
@@ -409,7 +410,7 @@ def run_crooks(trials: int, beta: float, dim_s: int, dim_r: int, seed: int) -> R
 
     def run_chunk(chunk: range) -> list[Row]:
         rows = []
-        stack = fluctuation.random_protocols(layout, beta, [root.child(k) for k in chunk])
+        stack = fluctuation.random_protocols(layout, beta, root.children(chunk))
         for k, report in zip(chunk, fluctuation.crooks_checks(stack)):
             lhs, rhs = report.jarzynski_lhs, report.jarzynski_rhs
             kl, avg = report.entropy_production, report.average_sigma
@@ -426,7 +427,7 @@ def run_jarzynski(trials: int, beta: float, dim_s: int, dim_r: int, seed: int) -
     root = RandomSource(seed)
 
     def run_chunk(chunk: range) -> list[Row]:
-        stack = fluctuation.random_protocols(layout, beta, [root.child(k) for k in chunk])
+        stack = fluctuation.random_protocols(layout, beta, root.children(chunk))
         lhs, rhs = fluctuation.jarzynski_checks(stack)
         return [(k, lh, rh, abs(lh - rh) / rh) for k, lh, rh in zip(chunk, lhs.tolist(), rhs.tolist())]
 
@@ -450,7 +451,7 @@ def run_heatflow(trials: int, seed: int) -> Result:
     root = RandomSource(seed)
 
     def run_chunk(chunk: range) -> list[Row]:
-        beta_s, beta_r, times = zip(*draw_streams([root.child(k) for k in chunk], _heatflow_draw))
+        beta_s, beta_r, times = zip(*draw_streams(root.children(chunk), _heatflow_draw))
         rep = fluctuation.heat_flow_trials(beta_s, beta_r, times)
         columns = (rep.du_s, rep.du_r, rep.balance.ds_s, rep.balance.ds_r, rep.t_s, rep.t_r, rep.balance.sum)
         return [
@@ -471,7 +472,7 @@ def run_damping(trials: int, beta: float, seed: int) -> Result:
         ("maximally-mixed", gibbs_state(h, 0.0)),
         ("excited", pure_state([0.0, 1.0])),
     ]
-    named += [("random", random_density_operator(2, 2, root.child(k))) for k in range(trials)]
+    named += [("random", DensityOperator(m)) for m in random_density_matrices(2, 2, root.children(range(trials)))]
     return [(k, kind, fluctuation.damping_heat(state, h, beta)) for k, (kind, state) in enumerate(named)], {}
 
 

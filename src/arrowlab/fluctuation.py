@@ -41,6 +41,7 @@ from .core import (
     BipartitionLayout,
     DensityOperator,
     Hamiltonian,
+    RandomSource,
     UnitaryOperator,
     gibbs_matrices,
     haar_unitaries,
@@ -407,11 +408,12 @@ def damping_heat(state: DensityOperator, h_final: Hamiltonian, beta: float) -> f
 # randomized protocol factory (used by experiment suites)
 # ---------------------------------------------------------------------------
 
-def random_protocols(layout: BipartitionLayout, beta: float, sources) -> ProtocolStack:
+def random_protocols(layout: BipartitionLayout, beta: float, sources: RandomSource) -> ProtocolStack:
     """Random Hermitian initial/final Hamiltonians with a Haar drive, one
-    protocol per source, drawn and validated as one stack: the Hamiltonians
-    from the children 0 and 1 of each source, the drive from child 2."""
-    h_initial = random_hermitians(layout.dim, [source.child(0) for source in sources])
-    h_final = random_hermitians(layout.dim, [source.child(1) for source in sources])
-    unitaries = haar_unitaries(layout.dim, [source.child(2) for source in sources])
+    protocol per source of the stack, drawn and validated as one stack: the
+    Hamiltonians from the children 0 and 1 of each source, the drive from
+    child 2."""
+    h_initial = random_hermitians(layout.dim, sources.child(0))
+    h_final = random_hermitians(layout.dim, sources.child(1))
+    unitaries = haar_unitaries(layout.dim, sources.child(2))
     return ProtocolStack.of(h_initial, h_final, unitaries, beta)

@@ -142,7 +142,7 @@ def test_criterion_4_relative_arrow_violation():
 def test_criterion_5_crooks_and_jarzynski():
     worst_ratio, worst_jarzynski, worst_identity = 0.0, 0.0, 0.0
     root = RandomSource(55)
-    stack = random_protocols(TWO_QUBITS, 1.0, [root.child(k) for k in range(100)])
+    stack = random_protocols(TWO_QUBITS, 1.0, root.children(range(100)))
     lhs, rhs = jarzynski_checks(stack)
     for rep in crooks_checks(stack):
         worst_ratio = max(worst_ratio, rep.max_deviation)

@@ -529,13 +529,18 @@ class TestExtremeValidParameters:
         assert cells and all(math.isfinite(c) for c in cells)
 
 
-def output_at_threads(threads: int, *argv: str) -> str:
-    """Stdout of the CLI in a fresh process at a BLAS thread count, without
-    its '# duration_seconds' line."""
+def stdout_at_threads(threads: int, *argv: str) -> str:
+    """Stdout of the CLI in a fresh process at a BLAS thread count."""
     src = os.path.dirname(os.path.dirname(arrowlab.__file__))
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
-    result = subprocess.run([sys.executable, "-m", "arrowlab.cli", *argv], capture_output=True, text=True, env=env, check=True)
-    return "".join(line for line in result.stdout.splitlines(True) if not line.startswith("# duration_seconds"))
+    return subprocess.run([sys.executable, "-m", "arrowlab.cli", *argv], capture_output=True, text=True, env=env, check=True).stdout
+
+
+def output_at_threads(threads: int, *argv: str) -> str:
+    """Stdout of the CLI at a BLAS thread count, without its
+    '# duration_seconds' line and the '# env.' lines that record the count."""
+    lines = stdout_at_threads(threads, *argv).splitlines(True)
+    return "".join(line for line in lines if not line.startswith(("# duration_seconds", "# env.")))
 
 
 class TestBlasThreadCount:
@@ -550,3 +555,46 @@ class TestBlasThreadCount:
         one, two = (numeric_cells(output_at_threads(n, *argv)) for n in (1, 2))
         assert len(one) == len(two) > 0
         assert max(abs(a - b) for a, b in zip(one, two)) <= 1e-12
+
+
+class TestNumericsEnv:
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        cli.numerics_env.cache_clear()
+        yield
+        cli.numerics_env.cache_clear()
+
+    def test_csv_and_json_record_the_numerics_and_thread_counts(self):
+        import numpy as np
+
+        meta = csv_metadata(stdout_at_threads(1, "balance", "--trials", "2"))
+        assert meta["env.numpy"] == np.__version__
+        assert (meta["env.OPENBLAS_NUM_THREADS"], meta["env.OMP_NUM_THREADS"]) == ("1", "1")
+        assert [k for k in meta if k.startswith("env.")] == [f"env.{k}" for k in cli.numerics_env()]
+        env = json.loads(stdout_at_threads(2, "crooks", "--trials", "2", "--format", "json"))["metadata"]["env"]
+        assert env == {**cli.numerics_env(), "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}
+
+    def test_computed_once_per_process(self, monkeypatch):
+        import numpy as np
+
+        calls = []
+        show_config = np.show_config
+        monkeypatch.setattr(np, "show_config", lambda **kwargs: calls.append(kwargs) or show_config(**kwargs))
+        first = cli.numerics_env()
+        assert cli.numerics_env() is first
+        assert calls == [{"mode": "dicts"}]
+        config = np.show_config(mode="dicts")["Build Dependencies"]
+        assert first["blas"] == f"{config['blas']['name']} {config['blas']['version']}"
+
+    def test_numpy_without_a_show_config_mode(self, monkeypatch):
+        # numpy 1.24's show_config takes no argument and prints
+        import numpy as np
+
+        def legacy_show_config():
+            raise AssertionError("printed the configuration")
+
+        monkeypatch.setattr(np, "show_config", legacy_show_config)
+        monkeypatch.setattr(np.__config__, "blas_opt_info", {"libraries": ["openblas", "openblas"]}, raising=False)
+        monkeypatch.delattr(np.__config__, "lapack_opt_info", raising=False)
+        env = cli.numerics_env()
+        assert (env["numpy"], env["blas"], env["lapack"]) == (np.__version__, "openblas", None)

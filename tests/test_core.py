@@ -150,9 +150,9 @@ class TestTensorAndTrace:
 def test_eigh_of_a_stack_of_marginal_pairs_rounds_like_each_marginal(d):
     # the search decomposes both marginals of each point as one (n, 2, d, d)
     # stack; rank-1 products leave marginals with eigenvalues at or near zero
-    sources = [RandomSource(d).child(k) for k in range(4)]
-    joint = [random_density_matrices(d * d, rank, sources[:1])[0] for rank in (d * d, 2, 1)]
-    pure_s, pure_r = (random_density_matrices(d, 1, [src]) for src in sources[1:3])
+    root = RandomSource(d)
+    joint = [random_density_matrices(d * d, rank, root.child(0))[0] for rank in (d * d, 2, 1)]
+    pure_s, pure_r = (random_density_matrices(d, 1, root.child(k)) for k in (1, 2))
     joint.append(tensor_products(pure_s, pure_r)[0])
     joint.append(projector(np.eye(d * d)[0]))
     joint = np.stack(joint)
@@ -166,8 +166,8 @@ def test_eigh_of_a_stack_of_marginal_pairs_rounds_like_each_marginal(d):
 
 def assert_product_entropy_matches_the_decomposed_product(dim_a, rank_a, dim_b, rank_b, seed):
     src = RandomSource(seed)
-    a = random_density_matrices(dim_a, rank_a, [src.child(0)])
-    b = random_density_matrices(dim_b, rank_b, [src.child(1)])
+    a = random_density_matrices(dim_a, rank_a, src.child(0))
+    b = random_density_matrices(dim_b, rank_b, src.child(1))
     spectra = product_spectra(np.linalg.eigvalsh(a), np.linalg.eigvalsh(b))
     assert spectra.shape == (1, dim_a * dim_b)
     assert np.all(np.diff(spectra, axis=-1) >= 0.0)
@@ -339,10 +339,10 @@ FACTOR_DIMS = [(2, 2), (2, 3), (3, 2), (2, 16), (16, 2), (16, 16)]
 def factor_stack(dim_s, dim_r, rank, seed):
     """Factors of the given rank and Haar unitaries, two trials (one at
     16 x 16)."""
-    sources = [RandomSource(seed).child(k) for k in range(1 if dim_s * dim_r == 256 else 2)]
-    a = random_density_matrices(dim_s, min(rank, dim_s), [src.child(0) for src in sources])
-    b = random_density_matrices(dim_r, min(rank, dim_r), [src.child(1) for src in sources])
-    return a, b, core.haar_unitaries(dim_s * dim_r, [src.child(2) for src in sources])
+    sources = RandomSource(seed).children(range(1 if dim_s * dim_r == 256 else 2))
+    a = random_density_matrices(dim_s, min(rank, dim_s), sources.child(0))
+    b = random_density_matrices(dim_r, min(rank, dim_r), sources.child(1))
+    return a, b, core.haar_unitaries(dim_s * dim_r, sources.child(2))
 
 
 class TestEvolveProducts:
@@ -438,16 +438,15 @@ class TestSampling:
         assert stat < chi2.isf(0.01, bins - 1)
 
     def test_random_hermitians_are_hermitian_and_stack_like_single_draws(self):
-        sources = [RandomSource(5).child(k) for k in range(6)]
-        stack = random_hermitians(3, sources)
+        stack = random_hermitians(3, RandomSource(5).children(range(6)))
         assert np.array_equal(stack, stack.conj().swapaxes(-1, -2))
-        for source, h in zip(sources, stack):
-            assert np.array_equal(random_hermitians(3, [source])[0], h)
+        for k, h in enumerate(stack):
+            assert np.array_equal(random_hermitians(3, RandomSource(5).child(k))[0], h)
 
     def test_random_hermitian_over_its_norm_is_the_unit_draw(self):
         # halving the draw is exact, so the search's unit-norm kick keeps its bits
         for k in range(500):
-            h = random_hermitians(4, [RandomSource(k)])[0]
+            h = random_hermitians(4, RandomSource(k))[0]
             assert np.array_equal(h / np.linalg.norm(h), unit_hermitian(4, RandomSource(k)))
 
     def test_random_density_rank_one_is_pure(self):
@@ -480,17 +479,17 @@ class TestAllocationTrims:
 
     @pytest.mark.parametrize("rows, cols", [(2, 2), (3, 5), (16, 16)])
     def test_gaussian_matrices_are_re_plus_i_im(self, rows, cols):
-        sources = [RandomSource(9).child(k) for k in range(4)]
+        sources = RandomSource(9).children(range(4))
         expected = []
-        for source in sources:
-            g = source.generator()
+        for k in range(4):
+            g = RandomSource(9).child(k).generator()
             re, im = g.standard_normal((rows, cols)), g.standard_normal((rows, cols))
             expected.append(re + 1j * im)
         assert np.array_equal(gaussian_matrices(sources, rows, cols).view(float), np.stack(expected).view(float))
 
     @pytest.mark.parametrize("dim", [2, 4, 16])
     def test_unitarity_defect_is_the_distance_from_identity(self, dim):
-        sources = [RandomSource(3).child(k) for k in range(3)]
+        sources = RandomSource(3).children(range(3))
         u = core.haar_unitaries(dim, sources)
         u[1] *= 1.0 + 1e-9
         expected = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(dim)).max(axis=(-2, -1))
@@ -502,7 +501,7 @@ class TestAllocationTrims:
             UnitaryOperator(u[1])
 
     def test_haar_unitaries_are_the_scaled_ginibre_qr(self):
-        sources = [RandomSource(4).child(k) for k in range(3)]
+        sources = RandomSource(4).children(range(3))
         q, r = np.linalg.qr(gaussian_matrices(sources, 4, 4) / np.sqrt(2.0))
         diagonal = np.diagonal(r, axis1=-2, axis2=-1)
         expected = q * (diagonal / np.abs(diagonal))[:, None, :]

@@ -45,14 +45,13 @@ def one_protocol(h_initial, h_final, unitary, beta) -> ProtocolStack:
     return ProtocolStack.of(h_initial[None], h_final[None], unitary[None], beta)
 
 
-def draw(layout: BipartitionLayout, seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def draw(layout: BipartitionLayout, sources: RandomSource) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The initial and final Hamiltonians and drives that
-    :func:`random_protocols` draws from ``RandomSource(seed)`` per seed."""
-    sources = [RandomSource(seed) for seed in seeds]
+    :func:`random_protocols` draws from a stack of sources."""
     return (
-        random_hermitians(layout.dim, [source.child(0) for source in sources]),
-        random_hermitians(layout.dim, [source.child(1) for source in sources]),
-        haar_unitaries(layout.dim, [source.child(2) for source in sources]),
+        random_hermitians(layout.dim, sources.child(0)),
+        random_hermitians(layout.dim, sources.child(1)),
+        haar_unitaries(layout.dim, sources.child(2)),
     )
 
 
@@ -67,14 +66,14 @@ class TestClustering:
         # levels 1e-10 apart are one outcome, 1e-8 apart two (CLUSTER_GAP_TOL = 1e-9)
         h_initial = np.array([np.diag([0.0, 1e-10]), np.diag([0.0, 1e-8])])
         h_final = np.array([np.diag([0.0, 1.0])] * 2)
-        u = np.repeat(haar_unitaries(2, [RandomSource(0)]), 2, axis=0)
+        u = np.repeat(haar_unitaries(2, RandomSource(0)), 2, axis=0)
         close, apart = crooks_checks(ProtocolStack.of(h_initial, h_final, u, 1.0))
         assert close.forward.shape == close.backward.shape == (1, 2)
         assert apart.forward.shape == apart.backward.shape == (2, 2)
         # a Gibbs state of the identity is maximally mixed under any drive,
         # so each final cluster is measured with its multiplicity over 3
         h_final = np.array([np.diag([0.0, 1.0, 2.0]), np.diag([0.0, 0.0, 1.0])])
-        u = haar_unitaries(3, [RandomSource(1), RandomSource(2)])
+        u = haar_unitaries(3, RandomSource(1).children(range(2)))
         distinct, paired = crooks_checks(ProtocolStack.of(np.array([np.eye(3)] * 2), h_final, u, 1.0))
         assert distinct.forward.shape == (1, 3)
         assert np.abs(distinct.forward - 1.0 / 3.0).max() <= 1e-15
@@ -97,8 +96,8 @@ class TestProtocolStack:
 
     def test_random_protocols_validate_their_draws_through_of(self):
         layout = BipartitionLayout(2, 3)
-        drawn = random_protocols(layout, 0.7, [RandomSource(seed) for seed in range(4)])
-        built = ProtocolStack.of(*draw(layout, range(4)), 0.7)
+        drawn = random_protocols(layout, 0.7, RandomSource(0).children(range(4)))
+        built = ProtocolStack.of(*draw(layout, RandomSource(0).children(range(4))), 0.7)
         for name in ("evals_initial", "evecs_initial", "evals_final", "evecs_final", "unitaries"):
             assert np.array_equal(getattr(drawn, name), getattr(built, name))
         assert drawn.beta == built.beta == 0.7
@@ -133,17 +132,17 @@ class TestDistributions:
         return np.array([float(np.real(np.einsum("ij,ji->", projector(v[:, n]), rho))) for n in range(len(h))])
 
     def test_forward_marginal_consistency(self):
-        h_initial, _, _ = draw(TWO_QUBITS, range(10))
-        for h, report in zip(h_initial, crooks_checks(random_protocols(TWO_QUBITS, 1.0, [RandomSource(s) for s in range(10)]))):
+        h_initial, _, _ = draw(TWO_QUBITS, RandomSource(0).children(range(10)))
+        for h, report in zip(h_initial, crooks_checks(random_protocols(TWO_QUBITS, 1.0, RandomSource(0).children(range(10))))):
             assert np.allclose(report.forward.sum(axis=1), self.populations(h, 1.0), atol=1e-12)
 
     def test_backward_marginal_consistency(self):
-        _, h_final, _ = draw(TWO_QUBITS, range(10))
-        for h, report in zip(h_final, crooks_checks(random_protocols(TWO_QUBITS, 1.0, [RandomSource(s) for s in range(10)]))):
+        _, h_final, _ = draw(TWO_QUBITS, RandomSource(0).children(range(10)))
+        for h, report in zip(h_final, crooks_checks(random_protocols(TWO_QUBITS, 1.0, RandomSource(0).children(range(10))))):
             assert np.allclose(report.backward.sum(axis=0), self.populations(h, 1.0), atol=1e-12)
 
     def test_distributions_normalize(self):
-        for report in crooks_checks(random_protocols(TWO_QUBITS, 0.7, [RandomSource(s) for s in range(20)])):
+        for report in crooks_checks(random_protocols(TWO_QUBITS, 0.7, RandomSource(0).children(range(20)))):
             assert report.forward.sum() == pytest.approx(1.0, abs=1e-12)
             assert report.backward.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -164,7 +163,7 @@ class TestCrooks:
         assert report.max_deviation <= 1e-12
 
     def test_ratio_is_the_reported_distributions_divided(self):
-        for report in crooks_checks(random_protocols(BipartitionLayout(2, 3), 1.0, [RandomSource(s) for s in range(5)])):
+        for report in crooks_checks(random_protocols(BipartitionLayout(2, 3), 1.0, RandomSource(0).children(range(5)))):
             assert np.array_equal(report.ratio, report.forward / report.backward)
 
     def test_vanishing_backward_probability_raises(self):
@@ -174,12 +173,12 @@ class TestCrooks:
             crooks_checks(one_protocol(H_QUBIT.matrix, H_QUBIT.matrix, PAULI_X, 40.0))
 
     def test_random_protocols_satisfy_detailed_ratio(self):
-        for report in crooks_checks(random_protocols(TWO_QUBITS, 1.0, [RandomSource(s) for s in range(100)])):
+        for report in crooks_checks(random_protocols(TWO_QUBITS, 1.0, RandomSource(0).children(range(100)))):
             assert report.max_deviation <= 1e-9
 
     def test_random_qutrit_pair_protocols(self):
         layout = BipartitionLayout(3, 3)
-        for report in crooks_checks(random_protocols(layout, 0.5, [RandomSource(s) for s in range(5)])):
+        for report in crooks_checks(random_protocols(layout, 0.5, RandomSource(0).children(range(5)))):
             assert report.max_deviation <= 1e-9
 
     @pytest.mark.parametrize("dims, trials, chunks", [((2, 2), 3, 1), ((4, 4), 300, 2)], ids=["2x2", "4x4"])
@@ -212,7 +211,7 @@ class TestTransitionMatrix:
     @pytest.mark.parametrize("dims", [(3, 3), (4, 4)], ids=["3x3", "4x4"])
     def test_forward_matches_eigenvector_oracle(self, dims):
         layout = BipartitionLayout(*dims)
-        matrices = draw(layout, range(5))
+        matrices = draw(layout, RandomSource(0).children(range(5)))
         levels = range(layout.dim)
         for k, report in enumerate(crooks_checks(ProtocolStack.of(*matrices, 0.7))):
             assert report.forward.shape == (layout.dim, layout.dim)
@@ -260,7 +259,7 @@ class TestTransitionMatrix:
         # the degenerate protocol of the test above and a random one, stacked:
         # each is its own cluster-size group and gives the reports and work
         # averages of its own stack of one
-        protocols = [self.degenerate_protocol(), tuple(m[0] for m in draw(BipartitionLayout(3, 3), [4]))]
+        protocols = [self.degenerate_protocol(), tuple(m[0] for m in draw(BipartitionLayout(3, 3), RandomSource(4)))]
         stack = ProtocolStack.of(*(np.stack(m) for m in zip(*protocols)), 0.8)
         groups = _groups(stack)
         assert sorted(int(k) for group in groups for k in group.trials) == [0, 1]
@@ -290,7 +289,7 @@ class TestTransitionMatrix:
             return original(v_from, v_to, u, starts_from, starts_to)
 
         monkeypatch.setattr(fluctuation, "_transitions", counting)
-        stack = random_protocols(BipartitionLayout(2, 2), 1.0, [RandomSource(0)])
+        stack = random_protocols(BipartitionLayout(2, 2), 1.0, RandomSource(0))
         crooks_checks(stack)
         # the backward transition matrix is computed on its own, from U+
         u = stack.unitaries[0]
@@ -301,7 +300,7 @@ class TestTransitionMatrix:
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 4)], ids=["2x2", "3x3", "4x4"])
     def test_stacked_transitions_match_single_protocols_and_pairwise_traces(self, dims):
         # the transition matrices of 50 protocols, computed as one stack
-        stack = random_protocols(BipartitionLayout(*dims), 1.0, [RandomSource(seed) for seed in range(50)])
+        stack = random_protocols(BipartitionLayout(*dims), 1.0, RandomSource(0).children(range(50)))
         (group,) = _groups(stack)
         transitions = (group.evecs_initial, group.evecs_final, group.unitaries, group.starts_initial, group.starts_final)
         stacked = _transitions(*transitions)
@@ -314,7 +313,7 @@ class TestTransitionMatrix:
             assert np.abs(stacked[k] - expected).max() <= 1e-15
 
     def test_no_einsum_in_a_crooks_check(self, monkeypatch):
-        stack = random_protocols(BipartitionLayout(4, 4), 1.0, [RandomSource(0)])
+        stack = random_protocols(BipartitionLayout(4, 4), 1.0, RandomSource(0))
         calls = []
         einsum = np.einsum
         monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: calls.append(args[0]) or einsum(*args, **kwargs))
@@ -360,7 +359,7 @@ class TestJarzynski:
         assert rhs[0] == 1.0
 
     def test_random_protocols(self):
-        lhs, rhs = jarzynski_checks(random_protocols(TWO_QUBITS, 1.0, [RandomSource(s) for s in range(100)]))
+        lhs, rhs = jarzynski_checks(random_protocols(TWO_QUBITS, 1.0, RandomSource(0).children(range(100))))
         assert np.all(np.abs(lhs - rhs) / rhs <= 1e-9)
 
 
@@ -378,7 +377,7 @@ class TestEntropyProduction:
         assert kl == pytest.approx(kl_divergence([0.75, 0.25], [0.25, 0.75]), abs=1e-13)
 
     def test_identity_holds_on_random_protocols(self):
-        for report in crooks_checks(random_protocols(TWO_QUBITS, 1.0, [RandomSource(s) for s in range(100)])):
+        for report in crooks_checks(random_protocols(TWO_QUBITS, 1.0, RandomSource(0).children(range(100)))):
             kl, avg = report.entropy_production, report.average_sigma
             assert abs(kl - avg) <= 1e-9
             assert kl >= -1e-12

@@ -46,7 +46,7 @@ def kicked_starts(rho: DensityOperator, layout: BipartitionLayout, config: arrow
     answer = UnitaryOperator(arrow.spectral_assignment_unitary(rho, layout)).matrix
     starts = []
     for k in range(1, config.restarts):
-        h = random_hermitians(layout.dim, [config.rng.child(k)])[0]
+        h = random_hermitians(layout.dim, config.rng.child(k))[0]
         starts.append(unitary_from_hamiltonian(Hamiltonian(h / np.linalg.norm(h)), arrow.PROBE_KICK).matrix @ answer)
     return starts
 
