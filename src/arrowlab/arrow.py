@@ -7,11 +7,12 @@ that balance, builds the canonical correlated states whose local entropies
 can be pushed *down*, classifies the relative direction of the two local
 arrows, and searches the unitary group for entropy-decreasing evolutions of
 arbitrary correlated inputs.  The search runs on core's partial trace,
-Hermitian draw and spectrum entropy; the probes of one call descend in
-lockstep as one stack, each Armijo round evaluating the next ARMIJO_BATCH
-step sizes of every pending probe, and both marginals of every point in
-one (n, 2, d, d) ``eigh``; the probes stop at the module constant
-PROBE_CONVERGENCE_TOL.
+Hermitian draw and spectrum entropy; its probes descend by Riemannian
+conjugate gradient (Abrudan, Eriksson & Koivunen, Signal Processing 89,
+1704 (2009)), the probes of one call in lockstep as one stack, each Armijo
+round evaluating the next ARMIJO_BATCH step sizes of every pending probe,
+and both marginals of every point in one (n, 2, d, d) ``eigh``; the probes
+stop at the module constant PROBE_CONVERGENCE_TOL.
 """
 
 from __future__ import annotations
@@ -264,7 +265,7 @@ class UnitarySearchConfig:
 
 @dataclass(frozen=True)
 class DescentProbe:
-    """One kicked steepest descent on U(d).
+    """One kicked conjugate-gradient descent on U(d).
 
     ``sums`` holds dS_S + dS_R at the kicked start and after every accepted
     step; ``converged`` is False when the step budget ran out first.
@@ -307,6 +308,8 @@ ARMIJO_HALVINGS = 60
 ARMIJO_BATCH = 4
 # marginal eigenvalues are clamped here before the log in the gradient
 LOG_FLOOR = 1e-300
+# warned for each state whose best sum stays >= 0
+NO_DECREASE_WARNING = "search did not find an entropy-decreasing unitary within its budget"
 
 
 def _assignment_cells(dim_s: int, dim_r: int) -> list[tuple[int, ...]]:
@@ -372,24 +375,35 @@ def _objectives(finals: np.ndarray, dim_s: int, dim_r: int) -> tuple[np.ndarray,
     return (0.0 - t_s) - t_r, eigensystems  # 0 - S - R, as a lone probe sums it, zeros' signs included
 
 
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<A, B> = Re tr(A+ B) of each pair of matrices in two stacks (n, D, D)."""
+    return (a.real * b.real + a.imag * b.imag).reshape(len(a), -1).sum(axis=-1)
+
+
 def _descend(
     rho: np.ndarray, u: np.ndarray, s_local0: np.ndarray, budgets: np.ndarray, dim_s: int, dim_r: int
 ) -> list[DescentProbe]:
-    """Armijo-backtracked steepest descent U <- exp(-mu C) U on U(d), with
-    C = [rho', ln rho'_S (x) I + I (x) ln rho'_R] the Riemannian gradient of
-    the local entropy sum (Abrudan, Eriksson & Koivunen, IEEE TSP 2008).
+    """Armijo-backtracked Riemannian conjugate gradient U <- exp(-mu H) U on
+    U(d) (Abrudan, Eriksson & Koivunen, Signal Processing 89, 1704 (2009)).
+    C = [rho', ln rho'_S (x) I + I (x) ln rho'_R] is the Riemannian gradient
+    of the local entropy sum, and the direction is Polak-Ribiere+:
+    H_k = C_k + gamma_k H_{k-1}, gamma_k = max(0, <C_k - C_{k-1}, C_k> /
+    <C_{k-1}, C_{k-1}>), with <A, B> = Re tr(A+ B).  H_k restarts as C_k on
+    a probe's first step, when <C_{k-1}, C_{k-1}> = 0, or when H_k is not a
+    descent direction, <H_k, C_k> <= 0.  The Armijo slope is <C_k, H_k>.
 
     Probe i starts at u[i] on the state rho[i], whose local entropy sum is
     s_local0[i], and takes at most budgets[i] steps.  The probes run in
-    lockstep: one gradient and one ``eigh`` of iC per step for the probes
-    still running, then rounds of Armijo tries for the probes whose step is
-    still pending.  One round evaluates the next ``ARMIJO_BATCH`` step sizes
-    mu, mu/2, mu/4, ... of every pending probe as one stack, and each probe
-    takes its first candidate that passes; every candidate counts against
-    ``ARMIJO_HALVINGS``.  The marginal eigensystems of the points are kept
-    grouped as :func:`_objectives` returns them.  A probe that converges,
-    stalls or spends its budget leaves the stack.  Every candidate does the
-    arithmetic of one try of a probe descending alone.
+    lockstep: one gradient, one direction and one ``eigh`` of iH per step
+    for the probes still running, then rounds of Armijo tries for the probes
+    whose step is still pending.  One round evaluates the next
+    ``ARMIJO_BATCH`` step sizes mu, mu/2, mu/4, ... of every pending probe as
+    one stack, and each probe takes its first candidate that passes; every
+    candidate counts against ``ARMIJO_HALVINGS``.  The marginal eigensystems
+    of the points are kept grouped as :func:`_objectives` returns them.  A
+    probe that converges, stalls or spends its budget leaves the stack.
+    Every candidate does the arithmetic of one try of a probe descending
+    alone.
     """
     dim = dim_s * dim_r
     eye_s, eye_r = np.eye(dim_s), np.eye(dim_r)
@@ -414,8 +428,17 @@ def _descend(
             + eye_s[None, :, None, :, None] * log_r[:, None, :, None, :]
         ).reshape(len(live), dim, dim)
         c = final @ log_sum - log_sum @ final
-        slope = (np.abs(c) ** 2).reshape(len(live), -1).sum(axis=-1)
-        lam, v = np.linalg.eigh(1j * c)  # Hermitian, and exp(-mu C) = exp(i mu h)
+        norm2 = _inner(c, c)  # <C, C>
+        if steps:
+            restart = norm2_prev == 0.0
+            gamma = np.maximum(0.0, _inner(c - c_prev, c) / np.where(restart, 1.0, norm2_prev))
+            h = c + gamma[:, None, None] * h_prev
+            restart |= _inner(h, c) <= 0.0
+            h[restart] = c[restart]
+        else:
+            h = c
+        slope = _inner(c, h)
+        lam, v = np.linalg.eigh(1j * h)  # Hermitian, and exp(-mu H) = exp(i mu lam)
         mu *= 2.0
         # a probe's accepted point replaces its row; the rows still pending
         # keep the point their step starts from
@@ -453,6 +476,7 @@ def _descend(
         for i, s in zip(np.flatnonzero(moved).tolist(), (value[moved] - s_local0[moved]).tolist()):
             sums[live[i]].append(s)
         steps += 1
+        c_prev, h_prev, norm2_prev = c, h, norm2
         converged = ~moved | (decrease < PROBE_CONVERGENCE_TOL)
         leaving = converged | (budgets == steps)
         if not leaving.any():
@@ -460,8 +484,8 @@ def _descend(
         for i in np.flatnonzero(leaving).tolist():
             probes[live[i]] = DescentProbe(unitary=u[i].copy(), sums=tuple(sums[live[i]]), converged=bool(converged[i]))
         staying = ~leaving
-        live, rho, u, final, value, s_local0, budgets, mu = (
-            a[staying] for a in (live, rho, u, final, value, s_local0, budgets, mu)
+        live, rho, u, final, value, s_local0, budgets, mu, c_prev, h_prev, norm2_prev = (
+            a[staying] for a in (live, rho, u, final, value, s_local0, budgets, mu, c_prev, h_prev, norm2_prev)
         )
         eigensystems = [(w[staying], x[staying]) for w, x in eigensystems]
     return probes
@@ -478,8 +502,8 @@ def search_entropy_decreasing_unitaries(
     Restart 0 is the answer: the spectral-assignment unitary, exact for
     states whose spectrum factorizes.  Restarts 1 .. restarts - 1 probe its
     local optimality: each kicks it by exp(-i PROBE_KICK H) with H a random
-    unit-norm Hermitian drawn from ``config.rng.child(k)``, then descends
-    along the Riemannian gradient until a step lowers the sum by less than
+    unit-norm Hermitian drawn from ``config.rng.child(k)``, then descends by
+    Riemannian conjugate gradient until a step lowers the sum by less than
     ``PROBE_CONVERGENCE_TOL`` or ``config.max_iterations`` steps are taken.
     A probe replaces the answer only when its sum is lower by more than
     ``BALANCE_CONSISTENCY_TOL``, so rounding ties keep restart 0.
@@ -533,7 +557,7 @@ def search_entropy_decreasing_unitaries(
             u_best = UnitaryOperator(own[best_restart - 1].unitary)
             report = entropy_balance(rho_joint, layout, u_best)
         if report.sum >= 0.0:
-            warnings.warn("search did not find an entropy-decreasing unitary within its budget", stacklevel=2)
+            warnings.warn(NO_DECREASE_WARNING, stacklevel=2)
         results.append(
             UnitarySearchResult(
                 unitary=u_best, achieved_sum=report.sum, report=report, best_restart=best_restart, probes=own

@@ -368,6 +368,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"arrowlab: error: {exc}", file=sys.stderr)
         _discard_output(out, created)
         return 1
+    except MemoryError as exc:
+        # the last resort for a configuration too large for this machine
+        print(f"arrowlab: error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        _discard_output(out, created)
+        return 1
     try:
         _write_output(out, text)
     except OSError as exc:

@@ -392,9 +392,9 @@ def unit_hermitian(dim: int, src) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the search's descent probes, one at a time
 # ---------------------------------------------------------------------------
-# The kicked Riemannian descent one probe at a time, one 2-D matrix per
-# numpy call.  The search's lockstep stack must reproduce each probe's
-# unitary, sums and convergence bit for bit.
+# The kicked Riemannian conjugate-gradient descent one probe at a time, one
+# 2-D matrix per numpy call.  The search's lockstep stack must reproduce
+# each probe's unitary, sums and convergence bit for bit.
 
 PROBE_CONVERGENCE_TOL = 1e-12
 ARMIJO_FRACTION = 0.5
@@ -414,9 +414,17 @@ def probe_objective(final, dim_s, dim_r):
     return total, eigensystems
 
 
+def inner(a, b) -> float:
+    """<A, B> = Re tr(A+ B)."""
+    return float(np.sum(a.real * b.real + a.imag * b.imag))
+
+
 def descend_probe(rho, dim_s, dim_r, u, s_local0, max_iterations, tries=None):
-    """(unitary, sums, converged) of one Armijo-backtracked steepest descent
-    U <- exp(-mu C) U from u, C = [rho', ln rho'_S (x) I + I (x) ln rho'_R].
+    """(unitary, sums, converged) of one Armijo-backtracked Riemannian
+    conjugate gradient U <- exp(-mu H) U from u, with C = [rho', ln rho'_S
+    (x) I + I (x) ln rho'_R] and the Polak-Ribiere+ direction
+    H = C + max(0, <C - C_prev, C> / <C_prev, C_prev>) H_prev, restarted as
+    H = C on the first step, when <C_prev, C_prev> = 0 or when <H, C> <= 0.
     A list passed as ``tries`` gets how many step sizes each step tried, the
     last one accepted unless the probe stopped there without a step."""
     tries = [] if tries is None else tries
@@ -425,13 +433,20 @@ def descend_probe(rho, dim_s, dim_r, u, s_local0, max_iterations, tries=None):
     sums = [value - s_local0]
     eye_s, eye_r = np.eye(dim_s), np.eye(dim_r)
     mu = 1.0
+    c_prev = h_prev = None
     for _ in range(max_iterations):
         log_s, log_r = ((v * np.log(np.clip(lam, LOG_FLOOR, None))) @ v.conj().T for lam, v in eigensystems)
         log_sum = log_s[:, None, :, None] * eye_r[None, :, None, :] + eye_s[:, None, :, None] * log_r[None, :, None, :]
         log_sum = log_sum.reshape(dim_s * dim_r, dim_s * dim_r)
         c = final @ log_sum - log_sum @ final
-        slope = float(np.sum(np.abs(c) ** 2))
-        lam, v = np.linalg.eigh(1j * c)
+        h = c
+        if c_prev is not None and inner(c_prev, c_prev) != 0.0:
+            gamma = max(0.0, inner(c - c_prev, c) / inner(c_prev, c_prev))
+            h = c + gamma * h_prev
+            if inner(h, c) <= 0.0:
+                h = c
+        slope = inner(c, h)
+        lam, v = np.linalg.eigh(1j * h)
         mu *= 2.0
         for tried in range(1, ARMIJO_HALVINGS + 1):
             u_new = ((v * np.exp(1j * mu * lam)) @ v.conj().T) @ u
@@ -446,6 +461,7 @@ def descend_probe(rho, dim_s, dim_r, u, s_local0, max_iterations, tries=None):
         tries.append(tried)
         decrease = value - value_new
         u, final, value, eigensystems = u_new, final_new, value_new, eigensystems_new
+        c_prev, h_prev = c, h
         sums.append(value - s_local0)
         if decrease < PROBE_CONVERGENCE_TOL:
             return u, tuple(sums), True

@@ -185,6 +185,37 @@ class TestMainExitCodes:
         assert "row 0: injected = 1.0 is not <= 0.0" in captured.err
         assert "# invariant.injected.passed=false" in captured.out
 
+    @pytest.mark.parametrize("demo", ["random", "near-product", "classical"])
+    def test_sum_below_minus_initial_information_is_exit_2(self, capsys, monkeypatch, demo):
+        # dS_S + dS_R >= -I_0 holds for every input; inject a sum just past it
+        search = experiments.arrow.search_entropy_decreasing_unitaries
+
+        def overshooting(states, layout, configs):
+            results = search(states, layout, configs)
+            return [dataclasses.replace(r, achieved_sum=-r.report.mi_initial - 1e-6) for r in results]
+
+        monkeypatch.setattr(experiments.arrow, "search_entropy_decreasing_unitaries", overshooting)
+        assert main(["search", "--trials", "2", "--demo", demo]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 2
+        assert all(
+            line.startswith(f"arrowlab: invariant failure: row {k}: decrease_beyond_mi_initial = ")
+            for k, line in enumerate(err.splitlines())
+        )
+
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 7.45 GiB for an array"])
+    def test_memory_error_is_one_line_exit_1(self, capsys, monkeypatch, tmp_path, message):
+        def exhausted(values):
+            raise MemoryError(message)
+
+        search = dataclasses.replace(experiments.EXPERIMENTS["search"], run=exhausted)
+        monkeypatch.setitem(experiments.EXPERIMENTS, "search", search)
+        path = tmp_path / "out.csv"
+        assert main(["search", "--restarts", "1000000000", "--trials", "1", "--out", str(path)]) == 1
+        expected = f"arrowlab: error: out of memory: {message}\n" if message else "arrowlab: error: out of memory\n"
+        assert capsys.readouterr() == ("", expected)
+        assert not path.exists()
+
     def test_library_value_error_is_one_line_exit_1(self, capsys):
         assert main(["search", "--demo", "near-product", "--epsilon", "0"]) == 1
         err = capsys.readouterr().err

@@ -232,3 +232,37 @@ def test_exhausted_draws_exit_1_with_one_line_before_any_search(monkeypatch, cap
     assert captured.out == ""
     assert captured.err.startswith("arrowlab: error: no random state with mutual information above min-mi")
     assert captured.err.count("\n") == 1
+
+
+def test_search_hides_only_its_own_no_decrease_warning(monkeypatch):
+    search = arrow.search_entropy_decreasing_unitaries
+
+    def warning(states, layout, configs):
+        warnings.warn(arrow.NO_DECREASE_WARNING, UserWarning)
+        warnings.warn("a numerical defect", RuntimeWarning)
+        return search(states, layout, configs)
+
+    monkeypatch.setattr(experiments.arrow, "search_entropy_decreasing_unitaries", warning)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        experiments.run_search(2, 2, 1, 0.01, 0, "random", 0.1)
+    assert [(w.category, str(w.message)) for w in caught] == [(RuntimeWarning, "a numerical defect")]
+
+
+def test_every_probe_converges_at_the_cli_defaults():
+    # steepest descent takes 4,843 steps here and leaves 3 of the 60 probes
+    # at their 300-step budget
+    _, extra = experiments.run_search(20, 4, 300, 0.01, 0, "random", 0.1)
+    assert (extra["probes_run"], extra["probes_converged"]) == (60, 60)
+    assert extra["probe_steps"] <= 4843 // 2
+
+
+def test_probes_converge_above_eight_cells():
+    # at 3x3 the answer is one staircase placement, not a local optimum;
+    # steepest descent converges none of these probes within 300 steps
+    layout = BipartitionLayout(3, 3)
+    states = [random_density_operator(layout.dim, layout.dim, RandomSource(k)) for k in range(4)]
+    configs = [arrow.UnitarySearchConfig(rng=RandomSource(k)) for k in range(4)]
+    results = search(states, layout, configs)
+    assert all(probe.converged for result in results for probe in result.probes)
+    assert sum(result.best_restart > 0 for result in results) >= 3
