@@ -9,21 +9,11 @@ from .core import (
     RandomSource,
     UnitaryOperator,
     basis_ket,
-    bipartite_entropies,
-    entropy_of_matrix,
-    evolve,
     gibbs_state,
-    haar_random_unitary,
-    identity_unitary,
-    marginal_entropies,
-    maximally_mixed,
     mutual_information,
-    partial_trace,
     pure_state,
     random_density_operator,
-    relative_entropy,
     renyi2_of_matrix,
-    tensor_product,
     trace_distance,
     unitary_from_hamiltonian,
     von_neumann_entropy,
@@ -65,7 +55,6 @@ from .fluctuation import (
     effective_temperatures,
     heat_flow_trials,
     jarzynski_checks,
-    measurement_symmetry_check,
     random_protocols,
 )
 

@@ -8,7 +8,7 @@ series-based.
 
 Conventions, fixed once for the whole package:
 
-* entropies and relative entropies are in nats (natural log),
+* entropies are in nats (natural log),
 * composite bases are ordered lexicographically with subsystem S as the left
   (slow) tensor factor, so index ``i = s * dim_r + r``,
 * randomness flows only through :class:`RandomSource`, a stack of streams:
@@ -20,7 +20,9 @@ Conventions, fixed once for the whole package:
 
 Experiments run their trials as stacks: the validators, samplers and
 kernels with plural names act on (n, d, d) arrays, one trial per leading
-index, and the single-state functions are their one-element case.
+index.  The single-state functions left are their one-element case, kept
+where an experiment handles one state at a time; a one-state partial
+trace, evolution or Haar draw is the stacked kernel on a stack of one.
 Every stacked numpy call used here rounds exactly like the per-matrix call,
 so a trial's numbers do not depend on the stack it runs in.
 """
@@ -30,7 +32,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Literal, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -39,7 +41,6 @@ TRACE_TOL = 1e-12
 PSD_TOL = 1e-10  # eigenvalues in [-PSD_TOL, 0) count as roundoff and clamp to 0
 UNITARITY_TOL = 1e-12
 RECONSTRUCTION_TOL = 1e-10
-SUPPORT_TOL = 1e-12  # eigenvalue threshold defining the support of a state
 
 RNG_ALGORITHM = "numpy-PCG64"
 
@@ -476,39 +477,21 @@ def pure_state(amplitudes: Iterable[complex]) -> DensityOperator:
     return DensityOperator(np.outer(v, v.conj()))
 
 
-def maximally_mixed(dim: int) -> DensityOperator:
-    return DensityOperator(np.eye(dim) / dim)
-
-
 def basis_ket(dim: int, index: int) -> np.ndarray:
     v = np.zeros(dim, dtype=complex)
     v[index] = 1.0
     return v
 
 
-def identity_unitary(dim: int) -> UnitaryOperator:
-    return UnitaryOperator(np.eye(dim, dtype=complex))
-
-
 # ---------------------------------------------------------------------------
 # composition and reduction
 # ---------------------------------------------------------------------------
-
-def tensor_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker products a_k (x) b_k of two stacks (n, p, p) and (n, q, q)."""
-    n, p, q = len(a), a.shape[-1], b.shape[-1]
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, p * q, p * q)
-
 
 def product_spectra(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Ascending spectra (n, p * q) of the Kronecker products a_k (x) b_k,
     from the spectra (n, p) and (n, q) of their factors: every product of
     one eigenvalue of each, sorted.  No eigendecomposition is made."""
     return np.sort((a[:, :, None] * b[:, None, :]).reshape(len(a), -1), axis=-1)
-
-
-def tensor_product(a: DensityOperator, b: DensityOperator) -> DensityOperator:
-    return DensityOperator(tensor_products(a.matrix[None], b.matrix[None])[0])
 
 
 def partial_traces(m: np.ndarray, dim_s: int, dim_r: int, keep: str) -> np.ndarray:
@@ -521,22 +504,9 @@ def partial_traces(m: np.ndarray, dim_s: int, dim_r: int, keep: str) -> np.ndarr
     raise ValueError(f"keep must be 'S' or 'R', got {keep!r}")
 
 
-def partial_trace(rho: DensityOperator, layout: BipartitionLayout, keep: Literal["S", "R"]) -> DensityOperator:
-    if rho.dim != layout.dim:
-        raise ValueError(f"state dim {rho.dim} does not match layout {layout.dim_s}x{layout.dim_r}")
-    return DensityOperator(partial_traces(rho.matrix[None], layout.dim_s, layout.dim_r, keep)[0])
-
-
 # ---------------------------------------------------------------------------
 # entropies and correlation measures
 # ---------------------------------------------------------------------------
-
-def _clamped_probabilities(eigs: np.ndarray) -> np.ndarray:
-    lam_min = float(eigs.min())
-    if lam_min < -PSD_TOL:
-        raise ValueError(f"state has negative eigenvalue {lam_min:.3e}")
-    return np.clip(eigs, 0.0, None)
-
 
 def masked_row_sums(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Sum of each row of x (n, m) over the entries where ``mask`` holds.
@@ -562,16 +532,6 @@ def spectrum_entropies(eigs: np.ndarray) -> np.ndarray:
     return -masked_row_sums(lam * np.log(np.where(positive, lam, 1.0)), positive)
 
 
-def _entropy_of_spectrum(eigs: np.ndarray) -> float:
-    return float(spectrum_entropies(eigs[None])[0])
-
-
-def entropy_of_matrix(m: np.ndarray) -> float:
-    """-tr m ln m in nats of a raw Hermitian matrix, without building a
-    DensityOperator; raises on eigenvalues below -PSD_TOL."""
-    return _entropy_of_spectrum(np.linalg.eigvalsh(m))
-
-
 def renyi2_of_matrix(m: np.ndarray) -> float:
     """Collision (Renyi-2) entropy -ln tr m^2 in nats of a raw Hermitian
     matrix, from its squared Frobenius norm: O(d^2), no eigendecomposition.
@@ -583,7 +543,7 @@ def renyi2_of_matrix(m: np.ndarray) -> float:
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """S(rho) = -tr rho ln rho in nats, with 0 ln 0 := 0, from the spectrum
     the state was validated with."""
-    return _entropy_of_spectrum(rho.spectrum)
+    return float(spectrum_entropies(rho.spectrum[None])[0])
 
 
 def marginal_entropies_of_stack(m: np.ndarray, layout: BipartitionLayout) -> tuple[np.ndarray, np.ndarray]:
@@ -597,25 +557,12 @@ def marginal_entropies_of_stack(m: np.ndarray, layout: BipartitionLayout) -> tup
     )
 
 
-def marginal_entropies(matrix: np.ndarray, layout: BipartitionLayout) -> tuple[float, float]:
-    """(S(rho_S), S(rho_R)) of a joint matrix, in nats; see
-    :func:`marginal_entropies_of_stack`."""
-    if matrix.shape != (layout.dim, layout.dim):
-        raise ValueError(f"state dim {matrix.shape[0]} does not match layout {layout.dim_s}x{layout.dim_r}")
-    s_s, s_r = marginal_entropies_of_stack(matrix[None], layout)
-    return float(s_s[0]), float(s_r[0])
-
-
-def bipartite_entropies(matrix: np.ndarray, layout: BipartitionLayout) -> tuple[float, float, float]:
-    """(S(rho_S), S(rho_R), S(rho_SR)) of a raw joint matrix, in nats; see
-    :func:`marginal_entropies`."""
-    return (*marginal_entropies(matrix, layout), entropy_of_matrix(matrix))
-
-
 def mutual_information(rho: DensityOperator, layout: BipartitionLayout) -> float:
     """I(S:R) = S(rho_S) + S(rho_R) - S(rho_SR), total correlations in nats."""
-    s_s, s_r = marginal_entropies(rho.matrix, layout)
-    return s_s + s_r - von_neumann_entropy(rho)
+    if rho.dim != layout.dim:
+        raise ValueError(f"state dim {rho.dim} does not match layout {layout.dim_s}x{layout.dim_r}")
+    (s_s,), (s_r,) = marginal_entropies_of_stack(rho.matrix[None], layout)
+    return float(s_s + s_r) - von_neumann_entropy(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -627,30 +574,6 @@ def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     if rho.dim != sigma.dim:
         raise ValueError("states must have equal dimension")
     return 0.5 * float(np.abs(np.linalg.eigvalsh(rho.matrix - sigma.matrix)).sum())
-
-
-def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """tr rho (ln rho - ln sigma) in nats.
-
-    Raises if rho has weight outside the support of sigma (the divergence
-    would be infinite); support membership uses the 1e-12 eigenvalue
-    threshold.
-    """
-    if rho.dim != sigma.dim:
-        raise ValueError("states must have equal dimension")
-    p = _clamped_probabilities(np.linalg.eigvalsh(rho.matrix))
-    q, vq = np.linalg.eigh(sigma.matrix)
-    q = _clamped_probabilities(q)
-    # weight of rho along each eigenvector of sigma
-    w = np.real(np.einsum("ji,jk,ki->i", vq.conj(), rho.matrix, vq))
-    w = np.clip(w, 0.0, None)
-    outside = q <= SUPPORT_TOL
-    if np.any(w[outside] > SUPPORT_TOL):
-        raise ValueError("support of rho is not contained in support of sigma (infinite relative entropy)")
-    plogp = float(np.sum(p[p > 0.0] * np.log(p[p > 0.0])))
-    inside = ~outside
-    cross = float(np.sum(w[inside] * np.log(q[inside])))
-    return max(plogp - cross, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -676,12 +599,6 @@ def evolve_products(rho_s: np.ndarray, rho_r: np.ndarray, u: np.ndarray) -> np.n
     # x as rows (i, s') and columns r, times rho_R: x[i, s', r'] = (U rho)[i, (s', r')]
     x = x.reshape(n, d, d_r, d_s).swapaxes(-1, -2).reshape(n, d * d_s, d_r) @ rho_r
     return x.reshape(n, d, d) @ _dagger(u)
-
-
-def evolve(rho: DensityOperator, u: UnitaryOperator) -> DensityOperator:
-    if rho.dim != u.dim:
-        raise ValueError(f"state dim {rho.dim} does not match unitary dim {u.dim}")
-    return DensityOperator(evolve_states(rho.matrix[None], u.matrix[None])[0])
 
 
 def unitaries_from_hamiltonian(h: Hamiltonian, times) -> np.ndarray:
@@ -762,12 +679,6 @@ def haar_unitaries(dim: int, sources: RandomSource) -> np.ndarray:
     diagonal = np.diagonal(r, axis1=-2, axis2=-1)
     q *= (diagonal / np.abs(diagonal))[:, None, :]
     return q
-
-
-def haar_random_unitary(dim: int, rng: RandomSource) -> UnitaryOperator:
-    """Haar-distributed unitary of a lone source; see :func:`haar_unitaries`."""
-    (u,) = haar_unitaries(dim, rng)
-    return UnitaryOperator(u)
 
 
 def random_density_matrices(dim: int, rank: int, sources: RandomSource) -> np.ndarray:

@@ -55,7 +55,7 @@ THERMAL_HEAT_TOL = 1e-12
 # the joint trace sums 2^n terms per entry: up to 2e-14 seen at 11 collisions
 TRAJECTORY_TOL = 1e-10
 # random draws per search trial that may fall below --min-mi before the run
-# gives up; two-qubit mutual information never exceeds ln 4
+# gives up
 MAX_REJECTED_DRAWS = 10_000
 
 LN3 = 1.0986122886681098
@@ -72,6 +72,8 @@ FINITE = (-math.nextafter(math.inf, 0.0), math.nextafter(math.inf, 0.0))
 POSITIVE = (math.nextafter(0.0, 1.0), FINITE[1])
 UNIT = (0.0, 1.0)
 AT_LEAST_ONE = (1, math.inf)
+# a floor a two-qubit state can exceed: its mutual information is at most ln 4
+BELOW_LN4 = (POSITIVE[0], math.nextafter(math.log(4.0), 0.0))
 
 
 @dataclass(frozen=True)
@@ -509,7 +511,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             _trials(20, "number of optimizer runs"),
             Param("restarts", "int", 4, "spectral-assignment answer plus restarts-1 descent probes", AT_LEAST_ONE),
             Param("max-iter", "int", 300, "descent steps per probe", AT_LEAST_ONE),
-            Param("min-mi", "float", 0.01, "mutual-information floor for random inputs", POSITIVE),
+            Param("min-mi", "float", 0.01, "mutual-information floor for random inputs", BELOW_LN4),
             Param("demo", "choice", "random", "input family", ("random", "near-product", "classical")),
             Param("epsilon", "float", 0.1, "epsilon for demo=near-product", UNIT),
         ),

@@ -21,7 +21,11 @@ Every protocol is part of a :class:`ProtocolStack`, which
 :meth:`ProtocolStack.of` validates and :func:`random_protocols` draws; a
 single protocol is a stack of one.  :func:`crooks_checks` gives each
 protocol's distributions, detailed ratios, dF and both integral identities,
-:func:`jarzynski_checks` the work average alone.
+:func:`jarzynski_checks` the work average alone.  Measurement statistics
+alone carry no arrow of time: p_f(n, m) / w_n = tr(Q_m U P_n U+) equals
+p_b(n, m) / w'_m = tr(P_n U+ Q_m U) for the Gibbs weights w and w', and
+the backward side is computed from U+ on its own, so a report's ``forward``
+and ``backward`` test that symmetry.
 
 :func:`heat_flow_trials` evolves a stack of product Gibbs qubit pairs under
 an energy-conserving exchange and returns one :class:`HeatFlowReport` of
@@ -42,7 +46,6 @@ from .core import (
     DensityOperator,
     Hamiltonian,
     RandomSource,
-    UnitaryOperator,
     gibbs_matrices,
     haar_unitaries,
     masked_row_sums,
@@ -317,15 +320,6 @@ def jarzynski_checks(stack: ProtocolStack) -> tuple[np.ndarray, np.ndarray]:
         lhs[group.trials] = _work_averages(check_distributions(group.forward()), group.work(), stack.beta)
         rhs[group.trials] = np.exp(-stack.beta * group.delta_f())
     return lhs, rhs
-
-
-def measurement_symmetry_check(p: np.ndarray, q: np.ndarray, u: UnitaryOperator) -> tuple[float, float]:
-    """tr(Q U P U+) and tr(P U+ Q U): identical by trace cyclicity, which is
-    why measurement statistics alone carry no arrow of time."""
-    m = u.matrix
-    forward = float(np.real(np.einsum("ij,ji->", q, m @ p @ m.conj().T)))
-    backward = float(np.real(np.einsum("ij,ji->", p, m.conj().T @ q @ m)))
-    return forward, backward
 
 
 # ---------------------------------------------------------------------------

@@ -32,14 +32,15 @@ from arrowlab.collisions import (
 )
 from arrowlab.core import (
     BipartitionLayout,
+    DensityOperator,
     Hamiltonian,
     RandomSource,
+    UnitaryOperator,
     gibbs_state,
-    haar_random_unitary,
+    haar_unitaries,
     mutual_information,
     pure_state,
     random_density_operator,
-    tensor_product,
     trace_distance,
 )
 from arrowlab.fluctuation import (
@@ -47,10 +48,9 @@ from arrowlab.fluctuation import (
     crooks_checks,
     heat_flow_trials,
     jarzynski_checks,
-    measurement_symmetry_check,
     random_protocols,
 )
-from oracles import PAULI_X, binary_entropy, ket, projector
+from oracles import PAULI_X, binary_entropy, ket
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -69,11 +69,9 @@ def test_criterion_1_entropy_balance_identity():
         root = RandomSource(1000 + dim)
         for k in range(trials):
             src = root.child(k)
-            rho = tensor_product(
-                random_density_operator(dim, dim, src.child(0)),
-                random_density_operator(dim, dim, src.child(1)),
-            )
-            rep = entropy_balance(rho, layout, haar_random_unitary(layout.dim, src.child(2)))
+            a, b = (random_density_operator(dim, dim, src.child(j)).matrix for j in (0, 1))
+            u = UnitaryOperator(haar_unitaries(layout.dim, src.child(2))[0])
+            rep = entropy_balance(DensityOperator(np.kron(a, b)), layout, u)
             worst_dev = max(worst_dev, abs(rep.sum - rep.mi_final))
             worst_sum = min(worst_sum, rep.sum)
             count += 1
@@ -165,18 +163,28 @@ def test_criterion_5_crooks_and_jarzynski():
     assert hand_ok
 
 
+def gibbs_weights(evals: np.ndarray, beta: float) -> np.ndarray:
+    w = np.exp(-beta * (evals - evals[:, :1]))
+    return w / w.sum(axis=-1, keepdims=True)
+
+
 def test_criterion_6_measurement_symmetry():
-    root = RandomSource(66)
-    worst = 0.0
-    for k in range(1000):
-        src = root.child(k)
-        g = src.child(0).generator()
-        p = projector(g.standard_normal(4) + 1j * g.standard_normal(4))
-        q = projector(g.standard_normal(4) + 1j * g.standard_normal(4))
-        f, b = measurement_symmetry_check(p, q, haar_random_unitary(4, src.child(1)))
-        worst = max(worst, abs(f - b))
-    ok = worst <= 1e-12
-    report(6, "measurement statistics carry no arrow", ok, f"max |forward-backward|={worst:.2e}")
+    # tr(Q_m U P_n U+) = tr(P_n U+ Q_m U): the forward transition p_f(n, m) / w_n
+    # equals the backward one p_b(n, m) / w'_m, which the two-point path
+    # computes from U+ on its own
+    worst, count = 0.0, 0
+    for beta in (1.0, 1e-3):
+        stack = random_protocols(TWO_QUBITS, beta, RandomSource(66).children(range(1000)))
+        w_initial, w_final = gibbs_weights(stack.evals_initial, beta), gibbs_weights(stack.evals_final, beta)
+        for k, rep in enumerate(crooks_checks(stack)):
+            assert rep.forward.shape == (4, 4)  # one level per outcome
+            forward = rep.forward / w_initial[k][:, None]
+            backward = rep.backward / w_final[k][None, :]
+            worst = max(worst, float(np.abs(forward - backward).max()))
+            count += 1
+    ok = count == 2000 and worst <= 1e-12
+    report(6, "measurement statistics carry no arrow", ok, f"{count} protocols, max |forward-backward|={worst:.2e}")
+    assert count == 2000
     assert worst <= 1e-12
 
 

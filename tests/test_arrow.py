@@ -29,15 +29,13 @@ from arrowlab.core import (
     Hamiltonian,
     RandomSource,
     UnitaryOperator,
-    evolve,
-    haar_random_unitary,
-    identity_unitary,
+    evolve_states,
+    haar_unitaries,
     marginal_entropies_of_stack,
     mutual_information,
-    partial_trace,
+    partial_traces,
     pure_state,
     random_density_operator,
-    tensor_product,
 )
 from oracles import BELL_PHI, CNOT, SWAP, binary_entropy, ket, projector, spectral_assignment_per_cell
 
@@ -47,12 +45,22 @@ DS_R_01 = 0.12656773004557562  # H2(0.1) - H2(0.05)
 MI_01 = 0.07194751330029697  # 2 H2(0.05) - H2(0.1)
 
 
+IDENTITY = UnitaryOperator(np.eye(4, dtype=complex))
+
+
 def random_product(seed: int) -> DensityOperator:
     src = RandomSource(seed)
-    return tensor_product(
-        random_density_operator(2, 2, src.child(0)),
-        random_density_operator(2, 2, src.child(1)),
-    )
+    a, b = (random_density_operator(2, 2, src.child(k)).matrix for k in (0, 1))
+    return DensityOperator(np.kron(a, b))
+
+
+def haar_unitary(seed: int) -> UnitaryOperator:
+    return UnitaryOperator(haar_unitaries(4, RandomSource(seed))[0])
+
+
+def evolved(rho: DensityOperator, u: UnitaryOperator) -> DensityOperator:
+    """U rho U+ through the stacked kernel, validated as a state."""
+    return DensityOperator(evolve_states(rho.matrix[None], u.matrix[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +69,7 @@ def random_product(seed: int) -> DensityOperator:
 
 class TestEntropyBalance:
     def test_identity_on_product_input_is_all_zero(self):
-        rep = entropy_balance(random_product(0), TWO_QUBITS, identity_unitary(4))
+        rep = entropy_balance(random_product(0), TWO_QUBITS, IDENTITY)
         assert rep.ds_s == pytest.approx(0.0, abs=1e-12)
         assert rep.ds_r == pytest.approx(0.0, abs=1e-12)
         assert rep.sum == pytest.approx(0.0, abs=1e-12)
@@ -70,7 +78,7 @@ class TestEntropyBalance:
 
     def test_product_input_sum_equals_final_mutual_information(self):
         for seed in range(200):
-            rep = entropy_balance(random_product(seed), TWO_QUBITS, haar_random_unitary(4, RandomSource(seed + 10**6)))
+            rep = entropy_balance(random_product(seed), TWO_QUBITS, haar_unitary(seed + 10**6))
             assert rep.product_input
             assert abs(rep.sum - rep.mi_final) <= 1e-9
             assert rep.sum >= -1e-9
@@ -90,10 +98,10 @@ class TestEntropyBalance:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            entropy_balance(random_product(1), BipartitionLayout(2, 3), identity_unitary(4))
+            entropy_balance(random_product(1), BipartitionLayout(2, 3), IDENTITY)
 
     def test_five_spectra_and_no_revalidated_state(self, monkeypatch):
-        rho, u = random_product(2), haar_random_unitary(4, RandomSource(3))
+        rho, u = random_product(2), haar_unitary(3)
         calls = {"eig": 0, "state": 0}
 
         def counting(fn, key):
@@ -143,8 +151,8 @@ class TestNearProduct:
         assert np.real(ket(0, 0).conj() @ rho.matrix @ ket(0, 0)) == pytest.approx(0.9, abs=1e-12)
 
     def test_marginal_populations(self):
-        reduced = partial_trace(near_product_state(0.1), TWO_QUBITS, "S")
-        assert np.allclose(reduced.matrix, np.diag([0.95, 0.05]), atol=1e-14)
+        (reduced,) = partial_traces(near_product_state(0.1).matrix[None], 2, 2, "S")
+        assert np.allclose(reduced, np.diag([0.95, 0.05]), atol=1e-14)
 
     def test_decorrelator_basis_action(self):
         u = decorrelating_unitary().matrix
@@ -158,13 +166,13 @@ class TestNearProduct:
     def test_decorrelator_produces_exact_product(self):
         u = decorrelating_unitary()
         for eps in (0.05, 0.1, 0.3, 0.7, 1.0):
-            final = evolve(near_product_state(eps), u)
+            final = evolved(near_product_state(eps), u)
             expected = np.kron(projector(ket(0)), np.diag([1 - eps, eps]))
             assert np.allclose(final.matrix, expected, atol=1e-12)
             assert mutual_information(final, TWO_QUBITS) <= 1e-10
 
     def test_decorrelator_fixes_corner_state(self):
-        out = evolve(pure_state(ket(0, 0)), decorrelating_unitary())
+        out = evolved(pure_state(ket(0, 0)), decorrelating_unitary())
         assert np.allclose(out.matrix, projector(ket(0, 0)), atol=1e-14)
 
     def test_balance_at_epsilon_01(self):
@@ -179,7 +187,7 @@ class TestClassicalDemo:
         assert mutual_information(classical_correlated_state(), TWO_QUBITS) == pytest.approx(LN2, abs=1e-12)
 
     def test_final_state_is_mixed_times_ground(self):
-        final = evolve(classical_correlated_state(), classical_decorrelating_unitary())
+        final = evolved(classical_correlated_state(), classical_decorrelating_unitary())
         expected = np.kron(np.eye(2) / 2, projector(ket(0)))
         assert np.allclose(final.matrix, expected, atol=1e-14)
         assert mutual_information(final, TWO_QUBITS) == pytest.approx(0.0, abs=1e-12)
@@ -197,7 +205,7 @@ class TestClassicalDemo:
 
 class TestSchrodingerCheck:
     def test_identity_evolution_is_degenerate(self):
-        rep = entropy_balance(random_product(3), TWO_QUBITS, identity_unitary(4))
+        rep = entropy_balance(random_product(3), TWO_QUBITS, IDENTITY)
         assert schrodinger_checks(np.array([rep.schrodinger_product])) == [Alignment.DEGENERATE]
 
     def test_near_product_decorrelation_is_anti_aligned(self):
@@ -211,7 +219,7 @@ class TestSchrodingerCheck:
         counts = {a: 0 for a in Alignment}
         products = []
         for seed in range(300):
-            rep = entropy_balance(random_product(seed), TWO_QUBITS, haar_random_unitary(4, RandomSource(seed + 5 * 10**5)))
+            rep = entropy_balance(random_product(seed), TWO_QUBITS, haar_unitary(seed + 5 * 10**5))
             products.append(rep.schrodinger_product)
             assert rep.sum >= -1e-9
         for alignment in schrodinger_checks(np.array(products)):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import arrowlab
@@ -284,11 +285,13 @@ class TestMainExitCodes:
         assert all(math.isfinite(h) and h >= 0.0 for h in heats)
 
     def test_unreachable_min_mi_is_one_line_exit_1(self, capsys):
-        # two-qubit mutual information never exceeds ln 4 < 1.5
+        # two-qubit mutual information never exceeds ln 4 < 1.5: the domain
+        # rejects the floor before any state is drawn
         assert main(["search", "--trials", "1", "--min-mi", "1.5"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("arrowlab: error:")
         assert "min-mi" in err
+        assert "must be in [5e-324, 1.3862943611198904]" in err
         assert err.count("\n") == 1
 
     def test_overflowing_gap_is_one_line_exit_1_without_warnings(self, capsys):
@@ -500,6 +503,28 @@ class TestCollideCommand:
         captured = capsys.readouterr()
         assert csv_metadata(captured.out)["invariant.trajectory_deviation.passed"] == "false"
         assert "trajectory: trajectory_deviation = " in captured.err
+
+    def test_reversal_is_checked_against_the_initial_state(self, capsys, monkeypatch):
+        argv = ["collide", "--collisions", "4"]
+        assert main(argv) == 0
+        meta = csv_metadata(capsys.readouterr().out)
+        assert float(meta["invariant.reversal_distance.worst"]) <= 1e-15
+        reverse = collisions.reverse_collisions
+
+        def perturbed(joint_final, gate, order=None):
+            # still a valid state, 1e-6 of the way to the maximally mixed one
+            recovered = reverse(joint_final, gate, order=order).matrix
+            return arrowlab.DensityOperator((1.0 - 1e-6) * recovered + 1e-6 * np.eye(2) / 2.0)
+
+        monkeypatch.setattr(collisions, "reverse_collisions", perturbed)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        meta = csv_metadata(captured.out)
+        assert meta["invariant.reversal_distance.passed"] == "false"
+        assert float(meta["invariant.reversal_distance.worst"]) == pytest.approx(5e-7, rel=1e-6)
+        assert captured.err.splitlines() == [
+            f"arrowlab: invariant failure: reversal: reversal_distance = {meta['invariant.reversal_distance.worst']} is not <= 1e-09"
+        ]
 
     def test_reduced_mode_skips_reversal(self, capsys):
         code, out = run_cli(capsys, "collide", "--collisions", "4", "--mode", "reduced")

@@ -22,8 +22,7 @@ from arrowlab.core import (
     RandomSource,
     UnitaryOperator,
     gibbs_state,
-    haar_random_unitary,
-    identity_unitary,
+    haar_unitaries,
     pure_state,
     random_density_operator,
     renyi2_of_matrix,
@@ -34,6 +33,10 @@ from oracles import SWAP, ket, pair_gate_einsum, pair_gate_on_qubits, replay_the
 
 H_QUBIT = Hamiltonian(np.diag([0.0, 1.0]).astype(complex))
 XI = gibbs_state(H_QUBIT, math.log(3))  # diag(0.75, 0.25)
+
+
+def haar_unitary(dim: int, seed: int) -> UnitaryOperator:
+    return UnitaryOperator(haar_unitaries(dim, RandomSource(seed))[0])
 
 
 def diag_state(p0: float) -> DensityOperator:
@@ -64,7 +67,7 @@ class TestPartialSwap:
 class TestRunCollisions:
     def test_identity_gate_keeps_trajectory_constant(self):
         spec = ReservoirSpec(ancilla_state=XI, count=5)
-        record = run_collisions(diag_state(0.2), spec, identity_unitary(4))
+        record = run_collisions(diag_state(0.2), spec, UnitaryOperator(np.eye(4, dtype=complex)))
         for state in record.states:
             assert np.allclose(state.matrix, np.diag([0.2, 0.8]), atol=1e-14)
 
@@ -108,7 +111,7 @@ class TestJointMode:
     @pytest.mark.parametrize("count", range(1, 9))
     def test_renyi2_entropy_is_conserved_under_a_haar_gate(self, count):
         rho0 = random_density_operator(2, 2, RandomSource(40 + count))
-        gate = haar_random_unitary(4, RandomSource(50 + count))
+        gate = haar_unitary(4, 50 + count)
         _, joint_final = run_collisions_joint(rho0, ReservoirSpec(ancilla_state=XI, count=count), gate)
         expected = renyi2_of_matrix(rho0.matrix) + count * renyi2_of_matrix(XI.matrix)
         assert abs(renyi2_of_matrix(joint_final) - expected) <= 1e-12
@@ -153,7 +156,7 @@ class TestJointMode:
     def test_pair_gate_matches_dense_oracle(self, n_qubits):
         d = 2**n_qubits
         rho = random_density_operator(d, d, RandomSource(n_qubits)).matrix
-        u4 = haar_random_unitary(4, RandomSource(100 + n_qubits)).matrix
+        (u4,) = haar_unitaries(4, RandomSource(100 + n_qubits))
         for k in range(1, n_qubits):
             g = pair_gate_on_qubits(u4, n_qubits, k)
             expected = g @ rho @ g.conj().T
@@ -173,7 +176,7 @@ class TestJointMode:
         n_qubits = 9
         d = 2**n_qubits
         rho = random_density_operator(d, d, RandomSource(11)).matrix
-        u4 = haar_random_unitary(4, RandomSource(12)).matrix
+        (u4,) = haar_unitaries(4, RandomSource(12))
         tracemalloc.start()
         try:
             for k in range(1, n_qubits):
@@ -245,7 +248,7 @@ class TestReversal:
     def test_every_order_matches_full_size_replay_oracle(self, count):
         d = 2 ** (count + 1)
         joint = random_density_operator(d, d, RandomSource(200 + count)).matrix
-        gate = haar_random_unitary(4, RandomSource(300 + count))
+        gate = haar_unitary(4, 300 + count)
         inverse = gate.matrix.conj().T
         for order in itertools.permutations(range(count)):
             expected = replay_then_trace(joint, inverse, order)
@@ -292,7 +295,7 @@ class TestReversal:
     def test_rejects_gate_that_is_not_two_qubit(self):
         joint = np.eye(8, dtype=complex) / 8
         with pytest.raises(ValueError, match="two qubits"):
-            reverse_collisions(joint, identity_unitary(2))
+            reverse_collisions(joint, UnitaryOperator(np.eye(2, dtype=complex)))
 
     def test_joint_mode_builds_no_state_larger_than_a_qubit(self, monkeypatch):
         dims = []
@@ -304,7 +307,7 @@ class TestReversal:
 
         monkeypatch.setattr(DensityOperator, "__post_init__", recording)
         _, extra = experiments.run_collide(6, math.pi / 4, math.log(3), 0, mode="joint", init="excited")
-        assert extra["recovered_trace_distance"] <= experiments.RECOVERY_TOL
+        assert extra["recovered_trace_distance"] <= 1e-9
         assert "shuffled_trace_distance" in extra
         assert dims and max(dims) == 2
 

@@ -171,7 +171,7 @@ def test_product_input_raises_before_any_descent(monkeypatch):
     monkeypatch.setattr(arrow, "_descend", unreachable)
     layout = arrow.TWO_QUBITS
     correlated = correlated_states(layout)[:3]
-    product = core.tensor_product(core.maximally_mixed(2), core.pure_state([1.0, 0.0]))
+    product = core.DensityOperator(np.kron(np.eye(2) / 2, np.diag([1.0, 0.0])))
     with pytest.raises(ValueError, match="^input is a product state; local entropies cannot decrease$"):
         search([*correlated[:2], product, correlated[2]], layout, [arrow.UnitarySearchConfig()] * 4)
 

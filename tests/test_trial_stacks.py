@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from arrowlab import arrow, core, experiments, fluctuation
+from arrowlab import arrow, core, experiments
 from arrowlab.core import BipartitionLayout, RandomSource
 
 SEEDS = range(5)
@@ -181,16 +181,24 @@ def test_balance_at_16x16_allocates_less_than_with_the_product_built():
 
 @pytest.mark.parametrize("dims", [(2, 3), (16, 16)], ids=["2x3", "16x16"])
 def test_balance_and_schrodinger_build_no_product(monkeypatch, dims):
+    kron = np.kron
+
     def refused(a, b):
         raise AssertionError("a product input was built")
 
-    for module in (core, arrow, experiments, fluctuation):
-        if hasattr(module, "tensor_products"):
-            monkeypatch.setattr(module, "tensor_products", refused)
+    monkeypatch.setattr(np, "kron", refused)
     trials = 1 if dims == (16, 16) else 4
     assert len(experiments.run_balance(trials, *dims, 0)[0]) == trials
     assert len(experiments.run_schrodinger(trials, *dims, 0)[0]) == trials
-    # heatflow takes its initial energies from the Gibbs factors
+
+    # heatflow takes its initial energies from the Gibbs factors; its only
+    # Kronecker products embed the local Hamiltonians, h (x) I and I (x) h
+    def embedding_only(a, b):
+        if not any(np.array_equal(factor, np.eye(2)) for factor in (a, b)):
+            raise AssertionError("a product input was built")
+        return kron(a, b)
+
+    monkeypatch.setattr(np, "kron", embedding_only)
     assert len(experiments.run_heatflow(2, 0)[0]) == 2
 
 
