@@ -15,7 +15,6 @@ from .core import (
     random_density_operator,
     renyi2_of_matrix,
     trace_distance,
-    unitary_from_hamiltonian,
     von_neumann_entropy,
 )
 from .arrow import (
@@ -24,7 +23,6 @@ from .arrow import (
     DescentProbe,
     EntropyBalanceReport,
     SweepGrid,
-    UnitarySearchConfig,
     UnitarySearchResult,
     classical_correlated_demo,
     classical_correlated_state,

@@ -6,10 +6,11 @@ information of the final state, hence is non-negative.  This module computes
 that balance, builds the canonical correlated states whose local entropies
 can be pushed *down*, classifies the relative direction of the two local
 arrows, and searches the unitary group for entropy-decreasing evolutions of
-arbitrary correlated inputs.  The search runs on core's partial trace,
-Hermitian draw and spectrum entropy; its probes descend by Riemannian
-conjugate gradient (Abrudan, Eriksson & Koivunen, Signal Processing 89,
-1704 (2009)), the probes of one call in lockstep as one stack, each Armijo
+arbitrary correlated inputs.  The search takes n states and a source stack
+of n rows and returns one result of stacked fields.  It runs on core's
+partial trace, Hermitian draw and spectrum entropy, and its probes descend
+by Riemannian conjugate gradient (Abrudan, Eriksson & Koivunen, Signal
+Processing 89, 1704 (2009)), the probes of one call in lockstep as one stack, each Armijo
 round evaluating the next ARMIJO_BATCH step sizes of every pending probe,
 and both marginals of every point in one (n, 2, d, d) ``eigh``; the probes
 stop at the module constant PROBE_CONVERGENCE_TOL.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -44,7 +45,7 @@ from .core import (
     trial_chunks,
     unitaries_from_hamiltonian,
     unitary_checks,
-    unitary_from_hamiltonian,
+    validate_hamiltonians,
     validate_unitaries,
 )
 
@@ -245,25 +246,6 @@ def classical_correlated_demo() -> EntropyBalanceReport:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class UnitarySearchConfig:
-    """Knobs for the search: ``restarts`` counts the spectral-assignment
-    answer plus ``restarts - 1`` descent probes, and ``max_iterations``
-    bounds the steps of each probe."""
-
-    max_iterations: int = 300
-    restarts: int = 4
-    rng: RandomSource = field(default_factory=lambda: RandomSource(0))
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if len(self.rng) != 1:
-            raise ValueError("rng must be a lone source, not a stack")
-
-
-@dataclass(frozen=True)
 class DescentProbe:
     """One kicked conjugate-gradient descent on U(d).
 
@@ -278,23 +260,15 @@ class DescentProbe:
 
 @dataclass(frozen=True)
 class UnitarySearchResult:
-    unitary: UnitaryOperator
-    achieved_sum: float
+    """The search of a stack of n states: the best unitaries (n, D, D),
+    their stacked :class:`EntropyBalanceReport`, whose ``sum`` is the
+    achieved dS_S + dS_R, the restart each came from (n,), 0 for the answer,
+    and each state's descent probes in restart order."""
+
+    unitaries: np.ndarray
     report: EntropyBalanceReport
-    best_restart: int
-    probes: tuple[DescentProbe, ...]
-
-    @property
-    def improved(self) -> bool:
-        return self.achieved_sum < 0.0
-
-    @property
-    def probes_run(self) -> int:
-        return len(self.probes)
-
-    @property
-    def probes_converged(self) -> int:
-        return sum(probe.converged for probe in self.probes)
+    best_restarts: np.ndarray
+    probes: tuple[tuple[DescentProbe, ...], ...]
 
 
 # Frobenius norm of the random generator that kicks a probe off the answer
@@ -308,7 +282,7 @@ ARMIJO_HALVINGS = 60
 ARMIJO_BATCH = 4
 # marginal eigenvalues are clamped here before the log in the gradient
 LOG_FLOOR = 1e-300
-# warned for each state whose best sum stays >= 0
+# warned, with a count, when states' best sums stay >= 0
 NO_DECREASE_WARNING = "search did not find an entropy-decreasing unitary within its budget"
 
 
@@ -381,7 +355,7 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _descend(
-    rho: np.ndarray, u: np.ndarray, s_local0: np.ndarray, budgets: np.ndarray, dim_s: int, dim_r: int
+    rho: np.ndarray, u: np.ndarray, s_local0: np.ndarray, max_iterations: int, dim_s: int, dim_r: int
 ) -> list[DescentProbe]:
     """Armijo-backtracked Riemannian conjugate gradient U <- exp(-mu H) U on
     U(d) (Abrudan, Eriksson & Koivunen, Signal Processing 89, 1704 (2009)).
@@ -393,7 +367,7 @@ def _descend(
     descent direction, <H_k, C_k> <= 0.  The Armijo slope is <C_k, H_k>.
 
     Probe i starts at u[i] on the state rho[i], whose local entropy sum is
-    s_local0[i], and takes at most budgets[i] steps.  The probes run in
+    s_local0[i], and takes at most max_iterations steps.  The probes run in
     lockstep: one gradient, one direction and one ``eigh`` of iH per step
     for the probes still running, then rounds of Armijo tries for the probes
     whose step is still pending.  One round evaluates the next
@@ -478,14 +452,14 @@ def _descend(
         steps += 1
         c_prev, h_prev, norm2_prev = c, h, norm2
         converged = ~moved | (decrease < PROBE_CONVERGENCE_TOL)
-        leaving = converged | (budgets == steps)
+        leaving = converged | (steps == max_iterations)
         if not leaving.any():
             continue
         for i in np.flatnonzero(leaving).tolist():
             probes[live[i]] = DescentProbe(unitary=u[i].copy(), sums=tuple(sums[live[i]]), converged=bool(converged[i]))
         staying = ~leaving
-        live, rho, u, final, value, s_local0, budgets, mu, c_prev, h_prev, norm2_prev = (
-            a[staying] for a in (live, rho, u, final, value, s_local0, budgets, mu, c_prev, h_prev, norm2_prev)
+        live, rho, u, final, value, s_local0, mu, c_prev, h_prev, norm2_prev = (
+            a[staying] for a in (live, rho, u, final, value, s_local0, mu, c_prev, h_prev, norm2_prev)
         )
         eigensystems = [(w[staying], x[staying]) for w, x in eigensystems]
     return probes
@@ -494,76 +468,83 @@ def _descend(
 def search_entropy_decreasing_unitaries(
     states: Sequence[DensityOperator],
     layout: BipartitionLayout,
-    configs: Sequence[UnitarySearchConfig],
-) -> list[UnitarySearchResult]:
-    """Minimize dS_S + dS_R over the unitary group for each state with its
-    config.
+    sources: RandomSource,
+    restarts: int = 4,
+    max_iterations: int = 300,
+) -> UnitarySearchResult:
+    """Minimize dS_S + dS_R over the unitary group for each of n states,
+    state j drawing from row j of the source stack ``sources``.
 
     Restart 0 is the answer: the spectral-assignment unitary, exact for
     states whose spectrum factorizes.  Restarts 1 .. restarts - 1 probe its
-    local optimality: each kicks it by exp(-i PROBE_KICK H) with H a random
-    unit-norm Hermitian drawn from ``config.rng.child(k)``, then descends by
-    Riemannian conjugate gradient until a step lowers the sum by less than
-    ``PROBE_CONVERGENCE_TOL`` or ``config.max_iterations`` steps are taken.
-    A probe replaces the answer only when its sum is lower by more than
-    ``BALANCE_CONSISTENCY_TOL``, so rounding ties keep restart 0.
+    local optimality: probe k of state j kicks it by exp(-i PROBE_KICK H),
+    with H a random unit-norm Hermitian drawn from row j's child k, then
+    descends by Riemannian conjugate gradient until a step lowers the sum by
+    less than ``PROBE_CONVERGENCE_TOL`` or ``max_iterations`` steps are
+    taken.  A probe replaces the answer only when its sum is lower by more
+    than ``BALANCE_CONSISTENCY_TOL``, so rounding ties keep restart 0.
 
-    Each trial in turn is checked, answered by its spectral assignment,
-    checked for a product input and kicked, so a failing trial raises what
-    it raises alone, before any descent.  Then the probes of all trials
-    descend in lockstep (:func:`_descend`), in stacks of at most
-    ``STACK_ENTRIES`` entries per array, a round's candidates included.  A
-    result that never dips below zero is returned with a warning, not an
-    error: finitely many steps cannot refute the existence of a decreasing
-    unitary.
+    The answers are checked as one stack, each for U+U = I and then for a
+    product input, so the first failing state raises what it raises alone;
+    then the kicks are drawn and checked, all before any descent.  The
+    probes of all states descend in lockstep (:func:`_descend`), in stacks
+    of at most ``STACK_ENTRIES`` entries per array, a round's candidates
+    included, and the states whose probe wins get one stacked balance.
+    Best sums that stay >= 0 are returned with a warning, not an error:
+    finitely many steps cannot refute the existence of a decreasing unitary.
     """
-    if len(states) != len(configs):
-        raise ValueError("give one search config per state")
-    answers, starts, owners, budgets = [], [], [], []
-    for j, (rho_joint, config) in enumerate(zip(states, configs)):
-        if rho_joint.dim != layout.dim:
-            raise ValueError("state and layout dimensions must agree")
-        u = UnitaryOperator(spectral_assignment_unitary(rho_joint, layout))
-        report = entropy_balance(rho_joint, layout, u)
-        if report.mi_initial <= NON_PRODUCT_TOL:
-            raise ValueError("input is a product state; local entropies cannot decrease")
-        answers.append((u, report))
-        restarts = range(1, config.restarts)
-        for h in random_hermitians(layout.dim, config.rng.children(restarts)):
-            kick = unitary_from_hamiltonian(Hamiltonian(h / np.linalg.norm(h)), PROBE_KICK)
-            starts.append(kick.matrix @ u.matrix)
-        owners += [j] * len(restarts)
-        budgets += [config.max_iterations] * len(restarts)
+    if restarts < 1 or max_iterations < 1:
+        raise ValueError("restarts and max_iterations must be >= 1")
+    if len(sources) != len(states):
+        raise ValueError("give one source per state")
+    if any(state.dim != layout.dim for state in states):
+        raise ValueError("state and layout dimensions must agree")
+    rho = np.stack([state.matrix for state in states])
+    initial = (*marginal_entropies_of_stack(rho, layout), spectrum_entropies(np.stack([state.spectrum for state in states])))
+    # each state's answer, replaced below where a probe beats it
+    unitaries = np.stack([spectral_assignment_unitary(state, layout) for state in states])
+    report = entropy_balances(evolve_states(rho, unitaries), initial, layout)
+    raise_first_failure((
+        *unitary_checks(unitaries),
+        (report.mi_initial <= NON_PRODUCT_TOL, lambda k: "input is a product state; local entropies cannot decrease"),
+    ))
 
+    count = restarts - 1
     probes = []
-    if starts:
-        rho = np.stack([rho_joint.matrix for rho_joint in states])
+    if count:
+        h = random_hermitians(layout.dim, sources.children(range(1, restarts)))
+        for m in h:  # each by its own norm: a stacked norm rounds differently
+            m /= np.linalg.norm(m)
+        evals, evecs = validate_hamiltonians(h)
+        kicks = (evecs * np.exp(-1j * (PROBE_KICK * evals))[:, None, :]) @ evecs.conj().swapaxes(-1, -2)
+        validate_unitaries(kicks)
+        owners = np.repeat(np.arange(len(states)), count)
+        starts = kicks @ unitaries[owners]
         s_local0, _ = _objectives(rho, layout.dim_s, layout.dim_r)
-        starts, owners, budgets = np.stack(starts), np.array(owners), np.array(budgets)
         # a round's candidates hold ARMIJO_BATCH matrices per probe
         for chunk in trial_chunks(len(starts), ARMIJO_BATCH * layout.dim**2):
             trial = owners[chunk]
-            probes += _descend(rho[trial], starts[chunk], s_local0[trial], budgets[chunk], layout.dim_s, layout.dim_r)
+            probes += _descend(rho[trial], starts[chunk], s_local0[trial], max_iterations, layout.dim_s, layout.dim_r)
+    own = tuple(tuple(probes[j * count : (j + 1) * count]) for j in range(len(states)))
 
-    results, first = [], 0
-    for rho_joint, config, (u_best, report) in zip(states, configs, answers):
-        own = tuple(probes[first : first + config.restarts - 1])
-        first += len(own)
-        best_sum, best_restart = report.sum, 0
-        for k, probe in enumerate(own, start=1):
+    best_restarts = np.zeros(len(states), dtype=int)
+    for j, best_sum in enumerate(report.sum.tolist()):
+        for k, probe in enumerate(own[j], start=1):
             if probe.sums[-1] < best_sum - BALANCE_CONSISTENCY_TOL:
-                best_sum, best_restart = probe.sums[-1], k
-        if best_restart:
-            u_best = UnitaryOperator(own[best_restart - 1].unitary)
-            report = entropy_balance(rho_joint, layout, u_best)
-        if report.sum >= 0.0:
-            warnings.warn(NO_DECREASE_WARNING, stacklevel=2)
-        results.append(
-            UnitarySearchResult(
-                unitary=u_best, achieved_sum=report.sum, report=report, best_restart=best_restart, probes=own
-            )
-        )
-    return results
+                best_sum, best_restarts[j] = probe.sums[-1], k
+    won = np.flatnonzero(best_restarts)
+    if won.size:
+        unitaries[won] = [own[j][best_restarts[j] - 1].unitary for j in won]
+        validate_unitaries(unitaries[won])
+        better = entropy_balances(evolve_states(rho[won], unitaries[won]), tuple(e[won] for e in initial), layout)
+        columns = {f.name: getattr(report, f.name).copy() for f in fields(report)}
+        for name, column in columns.items():
+            column[won] = getattr(better, name)
+        report = EntropyBalanceReport(**columns)
+    short = np.count_nonzero(report.sum >= 0.0)
+    if short:
+        warnings.warn(f"{NO_DECREASE_WARNING} for {short} of {len(states)} states", stacklevel=2)
+    return UnitarySearchResult(unitaries=unitaries, report=report, best_restarts=best_restarts, probes=own)
 
 
 # ---------------------------------------------------------------------------

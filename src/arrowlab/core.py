@@ -163,10 +163,6 @@ class DensityOperator:
         object.__setattr__(self, "dim", m.shape[0])
         object.__setattr__(self, "spectrum", spectrum)
 
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending real spectrum, roundoff negatives clamped to zero."""
-        return np.clip(self.spectrum, 0.0, None)
-
 
 @dataclass(frozen=True, eq=False)
 class UnitaryOperator:
@@ -379,27 +375,26 @@ def _seed_pool(seed: int) -> np.ndarray:
     return pool
 
 
-def _spawn_words(key: list[int]) -> list[int]:
-    """SeedSequence's uint32 words of a spawn key: each entry little-endian
-    32-bit words, 0 as one word."""
-    words = []
-    for entry in key:
-        words.append(entry & _MASK32)
-        while entry > _MASK32:
-            entry >>= 32
-            words.append(entry & _MASK32)
-    return words
-
-
-def _group_states(seed: int, spawn: np.ndarray) -> list[tuple[int, int]]:
-    """(state, inc) per row of uint32 spawn words (n, m), all under one seed."""
+def pcg64_states(sources: RandomSource) -> list[tuple[int, int]]:
+    """(state, inc) of each row's PCG64, as numpy seeds it from
+    ``SeedSequence(seed, spawn_key=key)``.  A uint32 key array is its own
+    spawn words, and the whole stack is derived at once; a key holding an
+    entry of 2^32 or more spans several words, and numpy seeds those rows
+    itself."""
+    if sources.keys.dtype != np.uint32:
+        states = []
+        for key in sources.keys.tolist():
+            pcg = np.random.PCG64(np.random.SeedSequence(sources.seed, spawn_key=key)).state["state"]
+            states.append((pcg["state"], pcg["inc"]))
+        return states
+    spawn = sources.keys
     xor, mult = _spawn_hash(spawn.shape[1])
     # a spawn word's hashmix depends on its position alone, not on the pool
     hashed = spawn[:, :, None] ^ xor
     hashed *= mult
     hashed ^= hashed >> _XSHIFT
     hashed *= _MIX_MULT_R
-    pool = _seed_pool(seed)
+    pool = _seed_pool(sources.seed)
     for j in range(spawn.shape[1]):
         pool = pool * _MIX_MULT_L - hashed[:, j]
         pool ^= pool >> _XSHIFT
@@ -413,25 +408,6 @@ def _group_states(seed: int, spawn: np.ndarray) -> list[tuple[int, int]]:
     for s_hi, s_lo, i_hi, i_lo in words.reshape(len(spawn), 2 * _POOL_SIZE).astype("<u4", copy=False).view("<u8").tolist():
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
         states.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, inc))
-    return states
-
-
-def pcg64_states(sources: RandomSource) -> list[tuple[int, int]]:
-    """(state, inc) of each row's PCG64, as numpy seeds it from
-    ``SeedSequence(seed, spawn_key=key)``, derived for the whole stack at
-    once.  A uint32 key array is its own spawn words; only keys holding an
-    entry of 2^32 or more are split into words and grouped by word count."""
-    if sources.keys.dtype == np.uint32:
-        return _group_states(sources.seed, sources.keys)
-    words = [_spawn_words(key) for key in sources.keys.tolist()]
-    groups: dict[int, list[int]] = {}
-    for k, w in enumerate(words):
-        groups.setdefault(len(w), []).append(k)
-    states: list = [None] * len(words)
-    for count, members in groups.items():
-        spawn = np.array([words[k] for k in members], dtype=np.uint32).reshape(len(members), count)
-        for k, state in zip(members, _group_states(sources.seed, spawn)):
-            states[k] = state
     return states
 
 
@@ -613,11 +589,6 @@ def unitaries_from_hamiltonian(h: Hamiltonian, times) -> np.ndarray:
     ),))
     phases = np.exp(-1j * angles)
     return (h.eigenvectors * phases[:, None, :]) @ h.eigenvectors.conj().T
-
-
-def unitary_from_hamiltonian(h: Hamiltonian, t: float) -> UnitaryOperator:
-    """exp(-i H t) through the cached eigendecomposition."""
-    return UnitaryOperator(unitaries_from_hamiltonian(h, [t])[0])
 
 
 def gibbs_matrices(h: Hamiltonian, betas) -> np.ndarray:

@@ -265,9 +265,9 @@ def run_search(
     demo='random' draws non-product two-qubit states; the named demos rerun
     the analytic constructions, whose achievable sums bound the optimizer.
     Every trial's state is drawn first, then all trials are searched in one
-    call, their descent probes in lockstep.  The extra metadata counts the
-    descent probes run and converged over all trials, and their accepted
-    steps.
+    call, trial k drawing its kicks from ``root.child(k).child(1)``.  The
+    extra metadata counts the descent probes run and converged over all
+    trials, and their accepted steps.
     """
     layout = arrow.TWO_QUBITS
     root = RandomSource(seed)
@@ -277,27 +277,30 @@ def run_search(
         states = []
         draw_index = 0
         for _ in range(trials):
+            largest = -math.inf
             for _ in range(MAX_REJECTED_DRAWS):
                 rho = random_density_operator(layout.dim, layout.dim, root.child(10**6 + draw_index))
                 draw_index += 1
-                if mutual_information(rho, layout) > min_mutual_information:
+                information = mutual_information(rho, layout)
+                if information > min_mutual_information:
                     break
+                largest = max(largest, information)
             else:
                 raise ValueError(
                     f"no random state with mutual information above min-mi {min_mutual_information} "
-                    f"in {MAX_REJECTED_DRAWS} draws (two-qubit mutual information is at most ln 4)"
+                    f"in {MAX_REJECTED_DRAWS} draws; the draws are full-rank random two-qubit states, "
+                    f"and the largest mutual information drawn was {largest!r}"
                 )
             states.append(rho)
-    configs = [
-        arrow.UnitarySearchConfig(max_iterations=max_iterations, restarts=restarts, rng=root.child(k).child(1))
-        for k in range(trials)
-    ]
     with warnings.catch_warnings():
         # a sum that stays >= 0 is a row (improved = false), not a warning
         warnings.filterwarnings("ignore", arrow.NO_DECREASE_WARNING, UserWarning)
-        results = arrow.search_entropy_decreasing_unitaries(states, layout, configs)
-    rows = [(k, res.report.mi_initial, res.achieved_sum, res.improved, res.best_restart) for k, res in enumerate(results)]
-    probes = [probe for res in results for probe in res.probes]
+        result = arrow.search_entropy_decreasing_unitaries(
+            states, layout, root.children(range(trials)).child(1), restarts, max_iterations
+        )
+    report = result.report
+    rows = list(zip(range(trials), report.mi_initial.tolist(), report.sum.tolist(), (report.sum < 0.0).tolist(), result.best_restarts.tolist()))
+    probes = [probe for own in result.probes for probe in own]
     extra = {
         "probes_run": len(probes),
         "probes_converged": sum(probe.converged for probe in probes),

@@ -13,7 +13,6 @@ import pytest
 from arrowlab.arrow import (
     TWO_QUBITS,
     Alignment,
-    UnitarySearchConfig,
     classical_correlated_state,
     decorrelating_unitary,
     entropy_balance,
@@ -102,24 +101,23 @@ def test_criterion_2_near_product_construction():
 def test_criterion_3_optimizer_realizes_entropy_decrease():
     layout = TWO_QUBITS
     root = RandomSource(33)
-    negatives, draws = 0, 0
-    for k in range(100):
-        while True:
-            rho = random_density_operator(4, 4, root.child(10**6 + draws))
-            draws += 1
-            if mutual_information(rho, layout) > 0.01:
-                break
-        res = search_entropy_decreasing_unitaries([rho], layout, [UnitarySearchConfig(rng=root.child(k))])[0]
-        negatives += res.achieved_sum < 0.0
+    states, draws = [], 0
+    while len(states) < 100:
+        rho = random_density_operator(4, 4, root.child(10**6 + draws))
+        draws += 1
+        if mutual_information(rho, layout) > 0.01:
+            states.append(rho)
+    # state k searches with root.child(k)
+    res = search_entropy_decreasing_unitaries(states, layout, root.children(range(100)))
+    negatives = int(np.count_nonzero(res.report.sum < 0.0))
 
     demo_successes, demo_runs = 0, 0
     feasible_ok = True
     for rho, bound in ((near_product_state(0.1), -0.0719), (classical_correlated_state(), -LN2)):
-        for k in range(50):
-            res = search_entropy_decreasing_unitaries([rho], layout, [UnitarySearchConfig(rng=root.child(10**7 + demo_runs))])[0]
-            demo_runs += 1
-            demo_successes += res.achieved_sum < 0.0
-            feasible_ok = feasible_ok and res.achieved_sum <= bound + 1e-6
+        res = search_entropy_decreasing_unitaries([rho] * 50, layout, root.children(range(10**7 + demo_runs, 10**7 + demo_runs + 50)))
+        demo_runs += 50
+        demo_successes += int(np.count_nonzero(res.report.sum < 0.0))
+        feasible_ok = feasible_ok and bool(np.all(res.report.sum <= bound + 1e-6))
     ok = negatives >= 95 and demo_successes == 100 and feasible_ok
     report(3, "optimizer decreases local entropy sum", ok, f"random {negatives}/100 negative, demos {demo_successes}/100, feasible bounds {'held' if feasible_ok else 'violated'}")
     assert negatives >= 95

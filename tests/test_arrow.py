@@ -11,7 +11,6 @@ from arrowlab.arrow import (
     Alignment,
     EntropyBalanceReport,
     SweepGrid,
-    UnitarySearchConfig,
     classical_correlated_demo,
     classical_correlated_state,
     classical_decorrelating_unitary,
@@ -232,10 +231,17 @@ class TestSchrodingerCheck:
 # the unitary search
 # ---------------------------------------------------------------------------
 
+def search_one(rho, source=RandomSource(0), restarts=4, max_iterations=300):
+    """The search of one state, as scalars: (unitary, achieved sum, best
+    restart, probes)."""
+    result = search_entropy_decreasing_unitaries([rho], TWO_QUBITS, source, restarts, max_iterations)
+    return result.unitaries[0], result.report.sum[0].item(), int(result.best_restarts[0]), result.probes[0]
+
+
 class TestSearch:
     def test_rejects_product_input(self):
         with pytest.raises(ValueError, match="product"):
-            search_entropy_decreasing_unitaries([random_product(0)], TWO_QUBITS, [UnitarySearchConfig()])
+            search_one(random_product(0))
 
     def test_spectral_assignment_reaches_analytic_optimum(self):
         for rho, target in [
@@ -247,52 +253,59 @@ class TestSearch:
 
     def test_single_restart_is_the_spectral_assignment(self):
         rho = random_density_operator(4, 4, RandomSource(77))
-        res = search_entropy_decreasing_unitaries([rho], TWO_QUBITS, [UnitarySearchConfig(restarts=1)])[0]
+        unitary, achieved, best, probes = search_one(rho, restarts=1)
         u = UnitaryOperator(spectral_assignment_unitary(rho, TWO_QUBITS))
-        assert res.achieved_sum == entropy_balance(rho, TWO_QUBITS, u).sum
-        assert np.array_equal(res.unitary.matrix, u.matrix)
-        assert res.best_restart == 0
-        assert res.probes_run == res.probes_converged == 0
+        assert achieved == entropy_balance(rho, TWO_QUBITS, u).sum
+        assert np.array_equal(unitary, u.matrix)
+        assert best == 0
+        assert probes == ()
 
     def test_near_product_probes_descend_and_converge(self):
-        res = search_entropy_decreasing_unitaries([near_product_state(0.1)], TWO_QUBITS, [UnitarySearchConfig(rng=RandomSource(1))])[0]
-        assert res.probes_run == 3
-        for probe in res.probes:
+        _, achieved, best, probes = search_one(near_product_state(0.1), RandomSource(1))
+        assert len(probes) == 3
+        for probe in probes:
             assert len(probe.sums) >= 2
-            assert probe.sums[0] > res.achieved_sum  # the kick leaves the optimum
+            assert probe.sums[0] > achieved  # the kick leaves the optimum
             assert all(later <= earlier for earlier, later in zip(probe.sums, probe.sums[1:]))
             assert probe.converged
-            assert len(probe.sums) - 1 < UnitarySearchConfig().max_iterations
-        assert res.probes_converged == 3
-        assert res.best_restart == 0
+            assert len(probe.sums) - 1 < 300
+        assert best == 0
 
     def test_near_product_feasible_bound(self):
-        res = search_entropy_decreasing_unitaries(
-            [near_product_state(0.1)], TWO_QUBITS, [UnitarySearchConfig(max_iterations=300, restarts=2, rng=RandomSource(1))]
-        )[0]
-        assert res.achieved_sum <= -0.0719 + 1e-6
-        assert res.improved
+        _, achieved, _, _ = search_one(near_product_state(0.1), RandomSource(1), restarts=2)
+        assert achieved <= -0.0719 + 1e-6
+        assert achieved < 0.0
 
     def test_classical_feasible_bound(self):
-        res = search_entropy_decreasing_unitaries(
-            [classical_correlated_state()], TWO_QUBITS, [UnitarySearchConfig(max_iterations=300, restarts=2, rng=RandomSource(1))]
-        )[0]
-        assert res.achieved_sum <= -LN2 + 1e-6
+        _, achieved, _, _ = search_one(classical_correlated_state(), RandomSource(1), restarts=2)
+        assert achieved <= -LN2 + 1e-6
 
     def test_decrease_is_bounded_by_initial_mutual_information(self):
         # the decrease can never exceed the correlations initially present
         rho = near_product_state(0.3)
-        res = search_entropy_decreasing_unitaries(
-            [rho], TWO_QUBITS, [UnitarySearchConfig(max_iterations=300, restarts=2, rng=RandomSource(0))]
-        )[0]
-        assert res.achieved_sum < 0.0
-        assert res.achieved_sum >= -mutual_information(rho, TWO_QUBITS) - 1e-9
+        _, achieved, _, _ = search_one(rho, RandomSource(0), restarts=2)
+        assert achieved < 0.0
+        assert achieved >= -mutual_information(rho, TWO_QUBITS) - 1e-9
 
     def test_achieved_sum_matches_recomputed_balance(self):
         rho = random_density_operator(4, 4, RandomSource(77))
-        res = search_entropy_decreasing_unitaries([rho], TWO_QUBITS, [UnitarySearchConfig(max_iterations=200, restarts=2, rng=RandomSource(2))])[0]
-        recomputed = entropy_balance(rho, TWO_QUBITS, res.unitary)
-        assert abs(res.achieved_sum - recomputed.sum) <= 1e-12
+        unitary, achieved, _, _ = search_one(rho, RandomSource(2), restarts=2, max_iterations=200)
+        recomputed = entropy_balance(rho, TWO_QUBITS, UnitaryOperator(unitary))
+        assert abs(achieved - recomputed.sum) <= 1e-12
+
+    def test_stacked_report_is_each_states_balance(self):
+        # the states whose probe wins are balanced again, as one stack; at
+        # 3x3 the answer is a staircase placement, which probes often beat
+        layout = BipartitionLayout(3, 3)
+        states = [random_density_operator(9, 9, RandomSource(seed)) for seed in range(4)]
+        result = search_entropy_decreasing_unitaries(states, layout, RandomSource(0).children(range(4)))
+        assert 0 < np.count_nonzero(result.best_restarts) < 4
+        for k, rho in enumerate(states):
+            expected = entropy_balance(rho, layout, UnitaryOperator(result.unitaries[k]))
+            assert result.report.trial(k) == expected
+            probe_sums = [probe.sums[-1] for probe in result.probes[k]]
+            if result.best_restarts[k]:
+                assert abs(probe_sums[result.best_restarts[k] - 1] - expected.sum) <= 1e-12
 
     def test_random_correlated_states_admit_decrease(self):
         hits = 0
@@ -300,10 +313,8 @@ class TestSearch:
             rho = random_density_operator(4, 4, RandomSource(seed + 400))
             if mutual_information(rho, TWO_QUBITS) <= 0.01:
                 continue
-            res = search_entropy_decreasing_unitaries(
-                [rho], TWO_QUBITS, [UnitarySearchConfig(max_iterations=300, restarts=3, rng=RandomSource(seed))]
-            )[0]
-            hits += res.improved
+            _, achieved, _, _ = search_one(rho, RandomSource(seed), restarts=3)
+            hits += achieved < 0.0
         assert hits >= 9
 
     def test_warning_when_budget_too_small_is_result_not_error(self):
@@ -311,15 +322,23 @@ class TestSearch:
         rho = random_density_operator(4, 4, RandomSource(900))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            res = search_entropy_decreasing_unitaries(
-                [rho], TWO_QUBITS, [UnitarySearchConfig(max_iterations=1, restarts=2, rng=RandomSource(0))]
-            )[0]
-        assert isinstance(res.achieved_sum, float)
-        assert (res.probes_run, res.probes_converged) == (1, 0)
+            _, achieved, _, probes = search_one(rho, RandomSource(0), restarts=2, max_iterations=1)
+        assert isinstance(achieved, float)
+        assert [probe.converged for probe in probes] == [False]
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            UnitarySearchConfig(max_iterations=0)
+    def test_one_warning_counts_the_states_without_decrease(self, monkeypatch):
+        # the identity keeps a sum at exactly 0; the true answer lowers it
+        decreasing = near_product_state(0.1)
+        states = [decreasing, near_product_state(0.2), near_product_state(0.3)]
+        answer = arrow.spectral_assignment_unitary
+        monkeypatch.setattr(
+            arrow, "spectral_assignment_unitary", lambda rho, layout: answer(rho, layout) if rho is decreasing else np.eye(4, dtype=complex)
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = search_entropy_decreasing_unitaries(states, TWO_QUBITS, RandomSource(0).children(range(3)), 1)
+        assert (result.report.sum >= 0.0).tolist() == [False, True, True]
+        assert [str(w.message) for w in caught] == [f"{arrow.NO_DECREASE_WARNING} for 2 of 3 states"]
 
     @pytest.mark.parametrize("dim_s, dim_r, states", [(2, 2, 40), (2, 3, 12), (2, 4, 2), (3, 3, 20)])
     def test_stacked_placement_scorer_matches_the_per_cell_loop(self, dim_s, dim_r, states):
@@ -343,33 +362,28 @@ class TestSearch:
 
             return wrapper
 
-        def counting_rows(objectives):
+        def counting_rows(fn, key):
             def wrapper(finals, *args, **kwargs):
-                calls["points"] += len(finals)
-                return objectives(finals, *args, **kwargs)
+                calls[key] += len(finals)
+                return fn(finals, *args, **kwargs)
 
             return wrapper
 
-        def counting(fn, key):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        rho = random_density_operator(4, 4, RandomSource(77))
+        states = [random_density_operator(4, 4, RandomSource(seed)) for seed in (77, 78)]
         monkeypatch.setattr(np.linalg, "eigh", counting_2x2(np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_2x2(np.linalg.eigvalsh))
-        monkeypatch.setattr(arrow, "_objectives", counting_rows(arrow._objectives))
-        monkeypatch.setattr(arrow, "entropy_balance", counting(arrow.entropy_balance, "balances"))
-        # two probes share each stacked decomposition
-        res = search_entropy_decreasing_unitaries([rho], TWO_QUBITS, [UnitarySearchConfig(restarts=3, rng=RandomSource(2))])[0]
+        monkeypatch.setattr(arrow, "_objectives", counting_rows(arrow._objectives, "points"))
+        monkeypatch.setattr(arrow, "entropy_balances", counting_rows(arrow.entropy_balances, "balances"))
+        # four probes share each stacked decomposition
+        res = search_entropy_decreasing_unitaries(states, TWO_QUBITS, RandomSource(2).children(range(2)), restarts=3)
         # accepted steps, whose gradients read the marginals of their point
-        assert all(len(probe.sums) >= 3 for probe in res.probes)
-        # a balance takes both marginals of the initial and of the final state;
-        # the points include every candidate of an Armijo round, the ones
-        # after a probe's first passing candidate, which are thrown away, too
-        assert calls["eig_2x2"] == 4 * calls["balances"] + 2 * calls["points"]
+        assert all(len(probe.sums) >= 3 for own in res.probes for probe in own)
+        # each state's initial marginals are decomposed once, and a balance
+        # takes both marginals of its final state; the points include every
+        # candidate of an Armijo round, the ones after a probe's first
+        # passing candidate, which are thrown away, too
+        assert calls["balances"] == len(states) + np.count_nonzero(res.best_restarts)
+        assert calls["eig_2x2"] == 2 * len(states) + 2 * calls["balances"] + 2 * calls["points"]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import arrowlab
-from arrowlab import cli, collisions, experiments
+from arrowlab import arrow, cli, collisions, experiments
 from arrowlab.cli import (
     ConfigError,
     UsageError,
@@ -20,6 +20,7 @@ from arrowlab.cli import (
     run,
     validate_config,
 )
+from arrowlab.core import RandomSource, mutual_information, random_density_operator
 
 
 # at --beta 200, exp(-beta W) overflows in the work average and 0 * inf gives
@@ -35,6 +36,20 @@ def run_cli(capsys, *argv: str) -> tuple[int, str]:
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def patch_search_sums(monkeypatch, sums) -> None:
+    """Make the search report ``sums(report)`` as its achieved sums, moving
+    ds_s with them so the report stays consistent."""
+    search = experiments.arrow.search_entropy_decreasing_unitaries
+
+    def patched(*args):
+        result = search(*args)
+        total = sums(result.report)
+        report = dataclasses.replace(result.report, ds_s=total - result.report.ds_r, sum=total)
+        return dataclasses.replace(result, report=report)
+
+    monkeypatch.setattr(experiments.arrow, "search_entropy_decreasing_unitaries", patched)
 
 
 class TestValidateConfig:
@@ -189,13 +204,7 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("demo", ["random", "near-product", "classical"])
     def test_sum_below_minus_initial_information_is_exit_2(self, capsys, monkeypatch, demo):
         # dS_S + dS_R >= -I_0 holds for every input; inject a sum just past it
-        search = experiments.arrow.search_entropy_decreasing_unitaries
-
-        def overshooting(states, layout, configs):
-            results = search(states, layout, configs)
-            return [dataclasses.replace(r, achieved_sum=-r.report.mi_initial - 1e-6) for r in results]
-
-        monkeypatch.setattr(experiments.arrow, "search_entropy_decreasing_unitaries", overshooting)
+        patch_search_sums(monkeypatch, lambda report: -report.mi_initial - 1e-6)
         assert main(["search", "--trials", "2", "--demo", demo]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 2
@@ -203,6 +212,23 @@ class TestMainExitCodes:
             line.startswith(f"arrowlab: invariant failure: row {k}: decrease_beyond_mi_initial = ")
             for k, line in enumerate(err.splitlines())
         )
+
+    def test_sum_above_the_analytic_optimum_is_exit_2(self, capsys, monkeypatch):
+        # the near-product demo's sums must reach -I(eps) within FEASIBLE_MARGIN
+        code, out = run_cli(capsys, "search", "--trials", "3", "--demo", "near-product")
+        assert code == 0 and "# invariant.achieved_sum_above_bound.passed=true" in out
+        bound = -experiments.near_product_mutual_information(0.1)
+        patch_search_sums(monkeypatch, lambda report: np.full_like(report.sum, bound + 1e-5))
+        code = main(["search", "--trials", "3", "--demo", "near-product"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert "# invariant.achieved_sum_above_bound.passed=false" in out
+        assert "# invariant.decrease_beyond_mi_initial.passed=true" in out
+        assert err.count("\n") == 3
+        for k, line in enumerate(err.splitlines()):
+            prefix = f"arrowlab: invariant failure: row {k}: achieved_sum_above_bound = "
+            assert line.startswith(prefix) and line.endswith(" is not <= 1e-06")
+            assert float(line[len(prefix) :].split()[0]) == pytest.approx(1e-5, abs=1e-12)
 
     @pytest.mark.parametrize("message", ["", "Unable to allocate 7.45 GiB for an array"])
     def test_memory_error_is_one_line_exit_1(self, capsys, monkeypatch, tmp_path, message):
@@ -293,6 +319,19 @@ class TestMainExitCodes:
         assert "min-mi" in err
         assert "must be in [5e-324, 1.3862943611198904]" in err
         assert err.count("\n") == 1
+
+    def test_min_mi_above_every_draw_names_the_largest_drawn(self, capsys, monkeypatch):
+        # full-rank random states rarely reach a mutual information of 1.3
+        monkeypatch.setattr(experiments, "MAX_REJECTED_DRAWS", 50)
+        root = RandomSource(0)
+        drawn = [mutual_information(random_density_operator(4, 4, root.child(10**6 + k)), arrow.TWO_QUBITS) for k in range(50)]
+        assert main(["search", "--trials", "1", "--min-mi", "1.3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "arrowlab: error: no random state with mutual information above min-mi 1.3 in 50 draws; "
+            f"the draws are full-rank random two-qubit states, and the largest mutual information drawn was {max(drawn)!r}\n"
+        )
 
     def test_overflowing_gap_is_one_line_exit_1_without_warnings(self, capsys):
         with warnings.catch_warnings():

@@ -28,8 +28,8 @@ from arrowlab.core import (
     renyi2_of_matrix,
     spectrum_entropies,
     trace_distance,
+    unitaries_from_hamiltonian,
     unitary_checks,
-    unitary_from_hamiltonian,
     von_neumann_entropy,
 )
 from oracles import BELL_PHI, CNOT, PAULI_X, binary_entropy, ket, projector, unit_hermitian
@@ -339,17 +339,18 @@ class TestEvolveProducts:
 class TestHamiltonianMaps:
     def test_exponential_at_zero_time(self):
         h = Hamiltonian(np.diag([0.0, 1.3, 2.0]).astype(complex))
-        assert np.allclose(unitary_from_hamiltonian(h, 0.0).matrix, np.eye(3))
+        assert np.allclose(unitaries_from_hamiltonian(h, [0.0])[0], np.eye(3))
 
     def test_exponential_phases(self):
         h = Hamiltonian(np.diag([0.0, math.pi]).astype(complex))
-        assert np.allclose(unitary_from_hamiltonian(h, 1.0).matrix, np.diag([1.0, -1.0]), atol=1e-12)
+        assert np.allclose(unitaries_from_hamiltonian(h, [1.0])[0], np.diag([1.0, -1.0]), atol=1e-12)
 
     def test_time_reversal_inverts(self):
         g = RandomSource(17).generator()
         z = g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4))
         h = Hamiltonian((z + z.conj().T) / 2)
-        prod = unitary_from_hamiltonian(h, 0.7).matrix @ unitary_from_hamiltonian(h, -0.7).matrix
+        forward, backward = unitaries_from_hamiltonian(h, [0.7, -0.7])
+        prod = forward @ backward
         assert np.abs(prod - np.eye(4)).max() <= 1e-12
 
     def test_gibbs_infinite_temperature(self):

@@ -1,9 +1,9 @@
 """The public surface is the surface the experiments use.
 
-Every function and class that ``arrowlab`` exports must run when each
-experiment of the registry runs once at a small size, or be listed below as
-library-only; and no module of the package reaches into another module's
-private ``_names``.
+Every function and class that ``arrowlab`` exports, and every public method
+and property of an exported class, must run when each experiment of the
+registry runs once at a small size, or be listed below as library-only; and
+no module of the package reaches into another module's private ``_names``.
 """
 
 import ast
@@ -17,7 +17,8 @@ import arrowlab
 from arrowlab import experiments
 from arrowlab.cli import main
 
-# exports that no experiment reaches, kept for library users on purpose
+# exports, and ``Class.member`` names, that no experiment reaches, kept for
+# library users on purpose
 LIBRARY_ONLY: frozenset[str] = frozenset()
 
 # small values for the parameters that set an experiment's size
@@ -45,6 +46,48 @@ def own_code(obj) -> set:
     }
 
 
+def public_members(cls) -> dict[str, object]:
+    """The code of each public method, class or static method and property
+    that a class defines itself, by ``Class.member`` name; dunders and
+    plain values (a dataclass field's default, an Enum member) are left
+    out."""
+    found = {}
+    for name, member in vars(cls).items():
+        function = member.fget if isinstance(member, property) else getattr(member, "__func__", member)
+        if not name.startswith("_") and inspect.isfunction(function):
+            found[f"{cls.__name__}.{name}"] = function.__code__
+    return found
+
+
+class _Probe:
+    value = 1
+
+    def __init__(self):
+        pass
+
+    def method(self):
+        pass
+
+    @property
+    def prop(self):
+        return 0
+
+    @classmethod
+    def build(cls):
+        pass
+
+    @staticmethod
+    def helper():
+        pass
+
+    def _private(self):
+        pass
+
+
+def test_public_members_are_methods_and_properties():
+    assert sorted(public_members(_Probe)) == ["_Probe.build", "_Probe.helper", "_Probe.method", "_Probe.prop"]
+
+
 def test_every_export_is_reached_by_an_experiment(capsys):
     assert set(SMALL) <= {p.key for e in experiments.EXPERIMENTS.values() for p in e.params}
     reached = set()
@@ -65,6 +108,9 @@ def test_every_export_is_reached_by_an_experiment(capsys):
     exports = {name: obj for name, obj in vars(arrowlab).items() if not name.startswith("_") and not inspect.ismodule(obj)}
     assert LIBRARY_ONLY <= exports.keys()
     unreached = {name for name, obj in exports.items() if own_code(obj) and not own_code(obj) & reached}
+    members = {name: code for obj in exports.values() if inspect.isclass(obj) for name, code in public_members(obj).items()}
+    assert members  # methods such as RandomSource.children are checked one by one
+    unreached |= {name for name, code in members.items() if code not in reached}
     assert sorted(unreached) == sorted(LIBRARY_ONLY)
 
 

@@ -19,11 +19,10 @@ from arrowlab.core import (
     DensityOperator,
     Hamiltonian,
     RandomSource,
-    UnitaryOperator,
     mutual_information,
     random_density_operator,
     random_hermitians,
-    unitary_from_hamiltonian,
+    unitaries_from_hamiltonian,
 )
 
 LAYOUTS = [(2, 2), (2, 3), (3, 3)]
@@ -40,33 +39,38 @@ def correlated_states(layout: BipartitionLayout) -> list[DensityOperator]:
     return states
 
 
-def kicked_starts(rho: DensityOperator, layout: BipartitionLayout, config: arrow.UnitarySearchConfig) -> list[np.ndarray]:
-    """Where the search's probes start: its answer kicked by exp(-i PROBE_KICK H)
-    for a unit-norm Hermitian H drawn from config.rng.child(k)."""
-    answer = UnitaryOperator(arrow.spectral_assignment_unitary(rho, layout)).matrix
+def kicked_starts(rho: DensityOperator, layout: BipartitionLayout, source: RandomSource, restarts: int) -> list[np.ndarray]:
+    """Where the search's probes start, one matrix at a time: its answer
+    kicked by exp(-i PROBE_KICK H) for a unit-norm Hermitian H drawn from
+    source.child(k)."""
+    answer = arrow.spectral_assignment_unitary(rho, layout)
     starts = []
-    for k in range(1, config.restarts):
-        h = random_hermitians(layout.dim, config.rng.child(k))[0]
-        starts.append(unitary_from_hamiltonian(Hamiltonian(h / np.linalg.norm(h)), arrow.PROBE_KICK).matrix @ answer)
+    for k in range(1, restarts):
+        h = random_hermitians(layout.dim, source.child(k))[0]
+        starts.append(unitaries_from_hamiltonian(Hamiltonian(h / np.linalg.norm(h)), [arrow.PROBE_KICK])[0] @ answer)
     return starts
 
 
-def search(states, layout, configs):
+def search(states, layout, sources, restarts=4, max_iterations=300):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return arrow.search_entropy_decreasing_unitaries(states, layout, configs)
+        return arrow.search_entropy_decreasing_unitaries(states, layout, sources, restarts, max_iterations)
 
 
-def assert_probes_match_oracle(states, layout, configs, results) -> list[list[int]]:
+def rows(sources: RandomSource) -> list[RandomSource]:
+    """Each row of a source stack as a lone source."""
+    return [RandomSource(sources.seed, [key]) for key in sources.keys.tolist()]
+
+
+def assert_probes_match_oracle(states, layout, sources, restarts, max_iterations, result) -> list[list[int]]:
     """Check every probe against the oracle; return, probe by probe in stack
     order, the step sizes the oracle tried at each step."""
     tries = []
-    for rho, config, result in zip(states, configs, results):
-        expected = oracles.search_probes(
-            rho.matrix, layout.dim_s, layout.dim_r, kicked_starts(rho, layout, config), config.max_iterations, tries
-        )
-        assert len(result.probes) == len(expected) == config.restarts - 1
-        for probe, (unitary, sums, converged) in zip(result.probes, expected):
+    for rho, source, probes in zip(states, rows(sources), result.probes, strict=True):
+        starts = kicked_starts(rho, layout, source, restarts)
+        expected = oracles.search_probes(rho.matrix, layout.dim_s, layout.dim_r, starts, max_iterations, tries)
+        assert len(probes) == len(expected) == restarts - 1
+        for probe, (unitary, sums, converged) in zip(probes, expected):
             assert np.array_equal(probe.unitary, unitary)
             assert probe.sums == sums
             assert probe.converged == converged
@@ -78,8 +82,8 @@ def assert_probes_match_oracle(states, layout, configs, results) -> list[list[in
 def test_lockstep_probes_match_one_at_a_time_descent(dims, max_iterations):
     layout = BipartitionLayout(*dims)
     states = correlated_states(layout)
-    configs = [arrow.UnitarySearchConfig(max_iterations, 3, RandomSource(100 + j)) for j in range(len(states))]
-    assert_probes_match_oracle(states, layout, configs, search(states, layout, configs))
+    sources = RandomSource(100).children(range(len(states)))
+    assert_probes_match_oracle(states, layout, sources, 3, max_iterations, search(states, layout, sources, 3, max_iterations))
 
 
 def test_candidate_rounds_at_the_batch_edges(monkeypatch):
@@ -87,7 +91,7 @@ def test_candidate_rounds_at_the_batch_edges(monkeypatch):
     # of the rank-1 state's probes spend all their tries and stop
     layout = BipartitionLayout(3, 3)
     states = correlated_states(layout)[-2:]
-    configs = [arrow.UnitarySearchConfig(300, 4, RandomSource(107 + j)) for j in range(len(states))]
+    sources = RandomSource(2).children(range(len(states)))
     rows = []
     objectives = arrow._objectives
 
@@ -96,11 +100,11 @@ def test_candidate_rounds_at_the_batch_edges(monkeypatch):
         return objectives(finals, *dims)
 
     monkeypatch.setattr(arrow, "_objectives", counting)
-    results = search(states, layout, configs)
-    tries = assert_probes_match_oracle(states, layout, configs, results)
+    result = search(states, layout, sources)
+    tries = assert_probes_match_oracle(states, layout, sources, 4, 300, result)
     # (tries, accepted) of each step of each probe: a probe's last step
     # accepted nothing when it stopped there without a step
-    probes = [probe for result in results for probe in result.probes]
+    probes = [probe for own in result.probes for probe in own]
     steps = [[(n, k < len(probe.sums) - 1) for k, n in enumerate(t)] for t, probe in zip(tries, probes)]
 
     # replay the lockstep stack: each step runs the rounds its slowest probe
@@ -130,23 +134,22 @@ def test_rows_with_nonpositive_marginal_eigenvalues_drop_them():
     # groups its sum differently from the dot product over the rest
     layout = BipartitionLayout(2, 16)
     states = [random_density_operator(layout.dim, rank, RandomSource(40 + rank)) for rank in (1, 2)]
-    configs = [arrow.UnitarySearchConfig(5, 2, RandomSource(rank)) for rank in (1, 2)]
-    assert_probes_match_oracle(states, layout, configs, search(states, layout, configs))
+    sources = RandomSource(0, [[1], [2]])
+    assert_probes_match_oracle(states, layout, sources, 2, 5, search(states, layout, sources, 2, 5))
 
 
-def test_configs_of_one_call_may_differ():
+@pytest.mark.parametrize("restarts, max_iterations", [(2, 1), (4, 5), (1, 300), (3, 300), (6, 40)])
+def test_a_states_search_does_not_depend_on_its_stack(restarts, max_iterations):
     layout = arrow.TWO_QUBITS
     states = correlated_states(layout)
-    budgets = itertools.cycle([(1, 2), (5, 4), (300, 1), (300, 3), (40, 6)])
-    configs = [arrow.UnitarySearchConfig(*next(budgets), RandomSource(j)) for j in range(len(states))]
-    results = search(states, layout, configs)
-    assert_probes_match_oracle(states, layout, configs, results)
-    # a trial's result does not depend on the trials that share its stack
-    for rho, config, result in zip(states, configs, results):
-        (alone,) = search([rho], layout, [config])
-        assert np.array_equal(alone.unitary.matrix, result.unitary.matrix)
-        assert (alone.achieved_sum, alone.best_restart) == (result.achieved_sum, result.best_restart)
-        for a, b in zip(alone.probes, result.probes, strict=True):
+    sources = RandomSource(0).children(range(len(states)))
+    result = search(states, layout, sources, restarts, max_iterations)
+    assert_probes_match_oracle(states, layout, sources, restarts, max_iterations, result)
+    for j, (rho, source) in enumerate(zip(states, rows(sources))):
+        alone = search([rho], layout, source, restarts, max_iterations)
+        assert np.array_equal(alone.unitaries[0], result.unitaries[j])
+        assert (alone.report.trial(0), alone.best_restarts[0]) == (result.report.trial(j), result.best_restarts[j])
+        for a, b in zip(alone.probes[0], result.probes[j], strict=True):
             assert np.array_equal(a.unitary, b.unitary) and (a.sums, a.converged) == (b.sums, b.converged)
 
 
@@ -157,11 +160,11 @@ def test_single_restarts_descend_nothing(monkeypatch):
     monkeypatch.setattr(arrow, "_descend", unreachable)
     layout = arrow.TWO_QUBITS
     states = correlated_states(layout)
-    results = search(states, layout, [arrow.UnitarySearchConfig(restarts=1)] * len(states))
-    for rho, result in zip(states, results):
-        assert result.probes == ()
-        assert result.best_restart == 0
-        assert np.array_equal(result.unitary.matrix, arrow.spectral_assignment_unitary(rho, layout))
+    result = search(states, layout, RandomSource(0).children(range(len(states))), restarts=1)
+    assert result.probes == ((),) * len(states)
+    assert result.best_restarts.tolist() == [0] * len(states)
+    for rho, unitary in zip(states, result.unitaries, strict=True):
+        assert np.array_equal(unitary, arrow.spectral_assignment_unitary(rho, layout))
 
 
 def test_product_input_raises_before_any_descent(monkeypatch):
@@ -173,12 +176,21 @@ def test_product_input_raises_before_any_descent(monkeypatch):
     correlated = correlated_states(layout)[:3]
     product = core.DensityOperator(np.kron(np.eye(2) / 2, np.diag([1.0, 0.0])))
     with pytest.raises(ValueError, match="^input is a product state; local entropies cannot decrease$"):
-        search([*correlated[:2], product, correlated[2]], layout, [arrow.UnitarySearchConfig()] * 4)
+        search([*correlated[:2], product, correlated[2]], layout, RandomSource(0).children(range(4)))
 
 
-def test_one_config_per_state():
-    with pytest.raises(ValueError, match="one search config per state"):
-        arrow.search_entropy_decreasing_unitaries(correlated_states(arrow.TWO_QUBITS)[:2], arrow.TWO_QUBITS, [])
+def test_one_source_per_state():
+    states = correlated_states(arrow.TWO_QUBITS)[:2]
+    for sources in (RandomSource(0), RandomSource(0).children(range(3))):
+        with pytest.raises(ValueError, match="^give one source per state$"):
+            arrow.search_entropy_decreasing_unitaries(states, arrow.TWO_QUBITS, sources)
+
+
+@pytest.mark.parametrize("restarts, max_iterations", [(0, 300), (4, 0)])
+def test_counts_are_at_least_one(restarts, max_iterations):
+    states = correlated_states(arrow.TWO_QUBITS)[:1]
+    with pytest.raises(ValueError, match="^restarts and max_iterations must be >= 1$"):
+        arrow.search_entropy_decreasing_unitaries(states, arrow.TWO_QUBITS, RandomSource(0), restarts, max_iterations)
 
 
 @pytest.mark.parametrize("demo", ["random", "near-product"])
@@ -204,17 +216,31 @@ def test_probe_steps_count_the_accepted_steps(monkeypatch):
     searched = []
     stacked = arrow.search_entropy_decreasing_unitaries
 
-    def recording(states, layout, configs):
-        results = stacked(states, layout, configs)
-        searched.extend(results)
-        return results
+    def recording(*args):
+        searched.append(stacked(*args))
+        return searched[-1]
 
     monkeypatch.setattr(experiments.arrow, "search_entropy_decreasing_unitaries", recording)
     _, extra = experiments.run_search(4, 3, 300, 0.01, 0, "random", 0.1)
-    probes = [probe for result in searched for probe in result.probes]
-    assert len(searched) == 4 and len(probes) == 8
+    (result,) = searched
+    probes = [probe for own in result.probes for probe in own]
+    assert len(result.probes) == 4 and len(probes) == 8
     assert extra["probe_steps"] == sum(len(probe.sums) - 1 for probe in probes) > 0
     assert (extra["probes_run"], extra["probes_converged"]) == (8, sum(probe.converged for probe in probes))
+
+
+def test_trial_k_searches_with_its_own_streams(monkeypatch):
+    # trial k kicks from root.child(k).child(1), whatever the other trials
+    calls = []
+    stacked = arrow.search_entropy_decreasing_unitaries
+
+    def recording(states, layout, sources, *counts):
+        calls.append(sources.keys.tolist())
+        return stacked(states, layout, sources, *counts)
+
+    monkeypatch.setattr(experiments.arrow, "search_entropy_decreasing_unitaries", recording)
+    experiments.run_search(3, 2, 5, 0.01, 0, "near-product", 0.1)
+    assert calls == [[[0, 1], [1, 1], [2, 1]]]
 
 
 def test_exhausted_draws_exit_1_with_one_line_before_any_search(monkeypatch, capsys):
@@ -237,10 +263,10 @@ def test_exhausted_draws_exit_1_with_one_line_before_any_search(monkeypatch, cap
 def test_search_hides_only_its_own_no_decrease_warning(monkeypatch):
     search = arrow.search_entropy_decreasing_unitaries
 
-    def warning(states, layout, configs):
-        warnings.warn(arrow.NO_DECREASE_WARNING, UserWarning)
+    def warning(*args):
+        warnings.warn(f"{arrow.NO_DECREASE_WARNING} for 1 of 2 states", UserWarning)
         warnings.warn("a numerical defect", RuntimeWarning)
-        return search(states, layout, configs)
+        return search(*args)
 
     monkeypatch.setattr(experiments.arrow, "search_entropy_decreasing_unitaries", warning)
     with warnings.catch_warnings(record=True) as caught:
@@ -262,7 +288,6 @@ def test_probes_converge_above_eight_cells():
     # steepest descent converges none of these probes within 300 steps
     layout = BipartitionLayout(3, 3)
     states = [random_density_operator(layout.dim, layout.dim, RandomSource(k)) for k in range(4)]
-    configs = [arrow.UnitarySearchConfig(rng=RandomSource(k)) for k in range(4)]
-    results = search(states, layout, configs)
-    assert all(probe.converged for result in results for probe in result.probes)
-    assert sum(result.best_restart > 0 for result in results) >= 3
+    results = [search([rho], layout, RandomSource(k)) for k, rho in enumerate(states)]
+    assert all(probe.converged for result in results for probe in result.probes[0])
+    assert sum(result.best_restarts[0] > 0 for result in results) >= 3

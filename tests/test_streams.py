@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrowlab import arrow, experiments
+from arrowlab import experiments
 from arrowlab.core import RandomSource, draw_streams, gaussian_matrices, pcg64_states
 
 EDGE_SEEDS = (0, 1, 42, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1)
@@ -124,10 +124,6 @@ class TestStacks:
     def test_keys_of_a_stack_have_one_length(self):
         with pytest.raises(ValueError, match="same length"):
             RandomSource(0, [(1,), (1, 2)])
-
-    def test_a_search_config_takes_a_lone_source(self):
-        with pytest.raises(ValueError, match="lone source"):
-            arrow.UnitarySearchConfig(rng=RandomSource(0).children(range(2)))
 
 
 class TestDraws:
