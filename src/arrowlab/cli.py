@@ -139,35 +139,45 @@ def validate_config(experiment: str, raw_text: str = "", overrides: dict[str, st
 
 @dataclass
 class ResultRecord:
+    """One run's result.  ``table`` maps each column name to a 1-D array of
+    the column's cells in display units; ``columns`` and ``rows`` read it."""
+
     experiment: str
     config: dict
-    columns: list[str]
-    rows: list[tuple]
+    table: dict[str, np.ndarray]
     invariant_failures: list[str]
     extra: dict = field(default_factory=dict)
     invariants: dict = field(default_factory=dict)
     duration_seconds: float = 0.0
 
+    @property
+    def columns(self) -> list[str]:
+        return list(self.table)
 
-def _rows_in_bits(columns: dict[str, int], rows: list[tuple]) -> list[tuple]:
-    scale = [math.log(2.0) ** power if power else None for power in columns.values()]
-    return [tuple(v if s is None else v / s for v, s in zip(row, scale)) for row in rows]
+    @property
+    def rows(self) -> list[tuple]:
+        """The cells row by row, each a built-in Python value."""
+        return list(zip(*(column.tolist() for column in self.table.values())))
+
+
+def _table_in_bits(powers: dict[str, int], table: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    return {name: column / math.log(2.0) ** powers[name] if powers[name] else column for name, column in table.items()}
 
 
 def run(config: ExperimentConfig) -> tuple[int, ResultRecord]:
     """Execute one validated configuration and check its invariants on the
-    nats rows; exit code 2 flags invariant failures."""
+    nats columns; exit code 2 flags invariant failures."""
     start = time.perf_counter()
     experiment = experiments.EXPERIMENTS[config.experiment]
     rows, extra = experiment.run(config.values)
-    invariants, failures = experiments.check_invariants(experiment, rows, extra, config.values)
+    table = experiments.table(experiment, rows)
+    invariants, failures = experiments.check_invariants(experiment, table, extra, config.values)
     if config["units"] == "bits":
-        rows = _rows_in_bits(experiment.columns, rows)
+        table = _table_in_bits(experiment.columns, table)
     record = ResultRecord(
         experiment=config.experiment,
         config=dict(config.values),
-        columns=list(experiment.columns),
-        rows=rows,
+        table=table,
         invariant_failures=failures,
         extra=extra,
         invariants=invariants,
@@ -184,6 +194,38 @@ def _format_cell(value) -> str:
     if value is None:
         return ""
     return str(value)
+
+
+def _quoted_by_csv_writer(char: str) -> bool:
+    """Whether csv.writer quotes a field that holds ``char``."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([char, ""])
+    return buf.getvalue() != char + ",\n"
+
+
+# the characters that make csv.writer's QUOTE_MINIMAL quote a field with
+# "\n" line ends: the comma, the quote and "\n", and "\r" where this
+# Python's csv module quotes it too
+_CSV_QUOTED = tuple(char for char in ',"\n\r' if _quoted_by_csv_writer(char))
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer writes a field: quoted, with its quotes
+    doubled, when it holds one of :data:`_CSV_QUOTED`."""
+    if any(char in text for char in _CSV_QUOTED):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _column_text(column: np.ndarray) -> list[str]:
+    """The CSV fields of one column, by :func:`_format_cell`'s rules, with
+    one call over a float or an int column."""
+    cells = column.tolist()
+    if column.dtype.kind == "f":
+        return list(map(float.__repr__, cells))
+    if column.dtype.kind == "i":
+        return list(map(int.__repr__, cells))
+    return [_csv_field(_format_cell(cell)) for cell in cells]
 
 
 def _config_text(param: Param, value) -> str:
@@ -238,11 +280,22 @@ def serialize_csv(record: ResultRecord) -> str:
     buf.write(f"# invariant_failures={len(record.invariant_failures)}\n")
     for i, failure in enumerate(record.invariant_failures):
         buf.write(f"# failure.{i}={failure}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(record.columns)
-    for row in record.rows:
-        writer.writerow([_format_cell(v) for v in row])
+    header = ",".join(map(_csv_field, record.table))
+    fields = [_column_text(column) for column in record.table.values()]
+    buf.write("\n".join([header, *map(",".join, zip(*fields))]) + "\n")
     return buf.getvalue()
+
+
+def _finite_or_text(value):
+    """``value`` with every non-finite float in it written as CSV writes it
+    (``nan``, ``inf``, ``-inf``), so that strict JSON parsers accept it."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else repr(float(value))
+    if isinstance(value, dict):
+        return {key: _finite_or_text(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_text(v) for v in value]
+    return value
 
 
 def serialize_json(record: ResultRecord) -> str:
@@ -261,7 +314,7 @@ def serialize_json(record: ResultRecord) -> str:
         "columns": record.columns,
         "rows": record.rows,
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_finite_or_text(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,11 @@ so a trial's numbers do not depend on the stack it runs in.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -419,24 +420,34 @@ def _shared_generator() -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(0))
 
 
-def draw_streams(sources: RandomSource, draw: Callable[[np.random.Generator], T]) -> list[T]:
-    """``draw(g)`` per row of the stack, with ``g`` a numpy Generator at the
-    start of that row's stream.  ``g`` is shared: ``draw`` must not keep it.
-    Its bit generator's lock is held across the stack, so concurrent callers
-    cannot interleave."""
-    states = pcg64_states(sources)
+@contextlib.contextmanager
+def _stream_rows(sources: RandomSource) -> Iterator[Iterator[np.random.Generator]]:
+    """An iterator over the rows of the stack that yields, for each row in
+    turn, one shared numpy Generator set to the start of that row's stream.
+    The bit generator's lock is held until the block exits, so concurrent
+    callers cannot interleave; the Generator must not be kept."""
     g = _shared_generator()
     bit_generator = g.bit_generator
     # one state dict, refilled per row: the setter copies the values out
     pcg = {"state": 0, "inc": 0}
     full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    results = []
-    with bit_generator.lock:
-        for state, inc in states:
-            pcg["state"], pcg["inc"] = state, inc
+
+    def rows() -> Iterator[np.random.Generator]:
+        for pcg["state"], pcg["inc"] in pcg64_states(sources):
             bit_generator.state = full
-            results.append(draw(g))
-    return results
+            yield g
+
+    with bit_generator.lock:
+        yield rows()
+
+
+def draw_streams(sources: RandomSource, draw: Callable[[np.random.Generator], T]) -> list[T]:
+    """``draw(g)`` per row of the stack, with ``g`` a numpy Generator at the
+    start of that row's stream.  ``g`` is shared: ``draw`` must not keep it.
+    Its bit generator's lock is held across the stack, so concurrent callers
+    cannot interleave."""
+    with _stream_rows(sources) as rows:
+        return [draw(g) for g in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -533,12 +544,19 @@ def marginal_entropies_of_stack(m: np.ndarray, layout: BipartitionLayout) -> tup
     )
 
 
+def mutual_informations(m: np.ndarray, spectra: np.ndarray, layout: BipartitionLayout) -> np.ndarray:
+    """I(S:R) = S(rho_S) + S(rho_R) - S(rho_SR) in nats of each joint state
+    of a stack (n, D, D), given their spectra (n, D) as
+    :func:`validate_states` returns them."""
+    s_s, s_r = marginal_entropies_of_stack(m, layout)
+    return s_s + s_r - spectrum_entropies(spectra)
+
+
 def mutual_information(rho: DensityOperator, layout: BipartitionLayout) -> float:
     """I(S:R) = S(rho_S) + S(rho_R) - S(rho_SR), total correlations in nats."""
     if rho.dim != layout.dim:
         raise ValueError(f"state dim {rho.dim} does not match layout {layout.dim_s}x{layout.dim_r}")
-    (s_s,), (s_r,) = marginal_entropies_of_stack(rho.matrix[None], layout)
-    return float(s_s + s_r) - von_neumann_entropy(rho)
+    return float(mutual_informations(rho.matrix[None], rho.spectrum[None], layout)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -616,13 +634,15 @@ def gaussian_matrices(sources: RandomSource, rows: int, cols: int) -> np.ndarray
     """Stack (n, rows, cols) of complex Gaussian matrices X + iY, one per
     row of the source stack, each drawn from the start of its row's stream:
     all of X, then all of Y.  The streams are derived for the whole stack
-    in one pass (:func:`draw_streams`)."""
+    in one pass and drawn in the one loop that :func:`draw_streams` also
+    runs."""
     # a Generator fills only contiguous arrays: X then Y are one call into
     # each source's contiguous (2, rows, cols) slab, the same stream bits as
     # two calls, then written into the parts of one complex stack
     parts = np.empty((len(sources), 2, rows, cols))
-    slabs = iter(parts)
-    draw_streams(sources, lambda g: g.standard_normal(out=next(slabs)))
+    with _stream_rows(sources) as streams:
+        for g, slab in zip(streams, parts):
+            g.standard_normal(out=slab)
     z = np.empty((len(sources), rows, cols), dtype=complex)
     z.real = parts[:, 0]
     z.imag = parts[:, 1]

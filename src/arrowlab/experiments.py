@@ -9,10 +9,13 @@ RandomSource children, and rows are ordered by trial / grid index, never by
 completion time, so a rerun with the same configuration reproduces them byte
 for byte.
 
-Invariants are data.  Each yields (row label, value) pairs from the rows,
-extra and config of a run, and :func:`check_invariants` tests every value as
-``not (value <= tol)``, so that a NaN counts as a failure.  A lower bound is
-stated as an upper bound on the negated value (``-sum <= BALANCE_TOL``).
+Invariants are data.  The CLI transposes a run's rows once into columns,
+name -> 1-D array in nats (:func:`table`); each invariant maps the columns,
+extra and config of a run to one array of values, and
+:func:`check_invariants` tests the whole array as ``not (value <= tol)``, so
+that a NaN counts as a failure, building a row label only for a value that
+fails.  A lower bound is stated as an upper bound on the negated value
+(``-sum <= BALANCE_TOL``).
 """
 
 from __future__ import annotations
@@ -21,12 +24,13 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 from . import arrow, collisions, fluctuation
 from .core import (
+    STACK_ENTRIES,
     BipartitionLayout,
     DensityOperator,
     Hamiltonian,
@@ -34,13 +38,14 @@ from .core import (
     draw_streams,
     gibbs_state,
     haar_unitaries,
-    mutual_information,
+    mutual_informations,
     pure_state,
     random_density_matrices,
     random_density_operator,
     renyi2_of_matrix,
     trace_distance,
     trial_chunks,
+    validate_states,
 )
 
 BALANCE_TOL = 1e-9
@@ -108,14 +113,23 @@ class Param:
         return None if ok else self.rule()
 
 
+Columns = dict[str, np.ndarray]
+
+
 @dataclass(frozen=True)
 class Invariant:
-    """``values(rows, extra, config)`` yields (row label, value) pairs, each of
-    which must satisfy ``value <= tol``; rows arrive as column-keyed dicts."""
+    """``values(columns, extra, config)`` returns a run's values as one 1-D
+    array, each of which must satisfy ``value <= tol``; the columns arrive as
+    column name -> 1-D array of the rows' cells, in nats.  With ``where``,
+    only the rows that ``where(columns)`` selects are checked, and
+    ``values`` still returns one value per row.  A failing value is named by
+    ``label`` formatted with its row index."""
 
     name: str
     tol: float
-    values: Callable[[list[dict], dict, dict], Iterable[tuple[str, float]]]
+    values: Callable[[Columns, dict, dict], np.ndarray]
+    where: Callable[[Columns], np.ndarray] | None = None
+    label: str = "row {}"
 
 
 @dataclass(frozen=True)
@@ -130,32 +144,48 @@ class Experiment:
     invariants: tuple[Invariant, ...] = ()
 
 
-def check_invariants(experiment: Experiment, rows: list[Row], extra: dict, config: dict) -> tuple[dict, list[str]]:
-    """Evaluate every invariant of a run on its (nats) rows.
+def table(experiment: Experiment, rows: list[Row]) -> Columns:
+    """The rows of a run as its columns: name -> 1-D array, one entry per
+    row.  A column whose cells are all float, all int or all bool is an
+    array of that type; any other column is an object array of its cells."""
+    cells = list(zip(*rows)) or [()] * len(experiment.columns)
+    columns = {}
+    for name, column in zip(experiment.columns, cells):
+        kinds = set(map(type, column))
+        kind = kinds.pop() if len(kinds) == 1 else object
+        columns[name] = np.array(column, dtype=kind if kind in (float, int, bool) else object)
+    return columns
+
+
+def check_invariants(experiment: Experiment, columns: Columns, extra: dict, config: dict) -> tuple[dict, list[str]]:
+    """Evaluate every invariant of a run on its (nats) columns.
 
     Returns ``{name: {"worst", "tol", "passed"}}``, where ``worst`` is the
     largest value (NaN if any value is NaN, None if the run yielded none),
-    and one failure line per value that is not ``<= tol``.
+    and one failure line per value that is not ``<= tol``, in row order.
     """
-    named = [dict(zip(experiment.columns, row)) for row in rows]
     summary, failures = {}, []
     for inv in experiment.invariants:
-        pairs = [(label, float(value)) for label, value in inv.values(named, extra, config)]
-        failing = [f"{label}: {inv.name} = {value!r} is not <= {inv.tol!r}" for label, value in pairs if not value <= inv.tol]
-        worst = float(np.max([value for _, value in pairs])) if pairs else None
-        summary[inv.name] = {"worst": worst, "tol": inv.tol, "passed": not failing}
-        failures.extend(failing)
+        values = np.asarray(inv.values(columns, extra, config), dtype=float)
+        rows = np.arange(len(values))
+        if inv.where is not None:
+            selected = inv.where(columns)
+            values, rows = values[selected], rows[selected]
+        failing = np.flatnonzero(~(values <= inv.tol))
+        failures.extend(f"{inv.label.format(rows[i])}: {inv.name} = {values[i].item()!r} is not <= {inv.tol!r}" for i in failing)
+        worst = values.max().item() if len(values) else None
+        summary[inv.name] = {"worst": worst, "tol": inv.tol, "passed": not len(failing)}
     return summary, failures
 
 
-def _each_row(name: str, tol: float, value: Callable[[dict], float], where: Callable[[dict], bool] = lambda r: True) -> Invariant:
-    """Invariant ``value(row) <= tol`` on every row selected by ``where``."""
-    return Invariant(name, tol, lambda rows, extra, config: ((f"row {i}", value(r)) for i, r in enumerate(rows) if where(r)))
+def _each_row(name: str, tol: float, value: Callable[[Columns], np.ndarray], where: Callable[[Columns], np.ndarray] | None = None) -> Invariant:
+    """Invariant ``value(columns) <= tol`` on every row selected by ``where``."""
+    return Invariant(name, tol, lambda columns, extra, config: value(columns), where)
 
 
 def _joint_only(name: str, tol: float, label: str, value: Callable[[dict], float]) -> Invariant:
     """Invariant ``value(extra) <= tol`` on a joint-mode collide run; reduced mode yields none."""
-    return Invariant(name, tol, lambda rows, extra, config: [(label, value(extra))] if config["mode"] == "joint" else [])
+    return Invariant(name, tol, lambda columns, extra, config: [value(extra)] if config["mode"] == "joint" else [], label=label)
 
 
 def _trials(default: int, help: str) -> Param:
@@ -251,6 +281,44 @@ def _demo_state(demo: str, epsilon: float):
     raise ValueError(f"unknown demo {demo!r}")
 
 
+def _random_states(trials: int, min_mutual_information: float, layout: BipartitionLayout, root: RandomSource) -> list[DensityOperator]:
+    """Trial k's random state: the first full-rank random state, in draw
+    order after trial k - 1's, whose mutual information exceeds the floor,
+    draw i coming from ``root.child(10**6 + i)``.  A trial that rejects
+    MAX_REJECTED_DRAWS draws raises.
+
+    The draws are made, validated and scored in stacks
+    ``root.children(range(10**6 + i, 10**6 + i + m))`` and walked in order:
+    the first stack holds one draw per trial, and the size doubles after a
+    stack with a rejection, up to one chunk of STACK_ENTRIES entries.  Each
+    draw is scored as :func:`core.mutual_information` scores it alone.
+    """
+    cap = max(1, STACK_ENTRIES // layout.dim**2)
+    states, drawn, size = [], 0, min(trials, cap)
+    rejected, largest = 0, -math.inf
+    while True:
+        m = random_density_matrices(layout.dim, layout.dim, root.children(range(10**6 + drawn, 10**6 + drawn + size)))
+        informations = mutual_informations(m, validate_states(m), layout).tolist()
+        drawn += size
+        for candidate, information in zip(m, informations):
+            if information > min_mutual_information:
+                states.append(DensityOperator(candidate))
+                if len(states) == trials:
+                    return states
+                rejected, largest = 0, -math.inf
+                continue
+            rejected += 1
+            largest = max(largest, information)
+            if rejected == MAX_REJECTED_DRAWS:
+                raise ValueError(
+                    f"no random state with mutual information above min-mi {min_mutual_information} "
+                    f"in {MAX_REJECTED_DRAWS} draws; the draws are full-rank random two-qubit states, "
+                    f"and the largest mutual information drawn was {largest!r}"
+                )
+        # a stack ends before the last trial's state only after a rejection, or at the cap
+        size = min(2 * size, cap)
+
+
 def run_search(
     trials: int,
     restarts: int,
@@ -274,24 +342,7 @@ def run_search(
     if demo != "random":
         states = [_demo_state(demo, epsilon)[0]] * trials
     else:
-        states = []
-        draw_index = 0
-        for _ in range(trials):
-            largest = -math.inf
-            for _ in range(MAX_REJECTED_DRAWS):
-                rho = random_density_operator(layout.dim, layout.dim, root.child(10**6 + draw_index))
-                draw_index += 1
-                information = mutual_information(rho, layout)
-                if information > min_mutual_information:
-                    break
-                largest = max(largest, information)
-            else:
-                raise ValueError(
-                    f"no random state with mutual information above min-mi {min_mutual_information} "
-                    f"in {MAX_REJECTED_DRAWS} draws; the draws are full-rank random two-qubit states, "
-                    f"and the largest mutual information drawn was {largest!r}"
-                )
-            states.append(rho)
+        states = _random_states(trials, min_mutual_information, layout, root)
     with warnings.catch_warnings():
         # a sum that stays >= 0 is a row (improved = false), not a warning
         warnings.filterwarnings("ignore", arrow.NO_DECREASE_WARNING, UserWarning)
@@ -309,11 +360,10 @@ def run_search(
     return rows, extra
 
 
-def _above_feasible_bound(rows: list[dict], extra: dict, config: dict):
+def _above_feasible_bound(columns: Columns, extra: dict, config: dict) -> np.ndarray:
     if config["demo"] == "random":
-        return ()
-    bound = _demo_state(config["demo"], config["epsilon"])[1]
-    return ((f"row {i}", r["achieved_sum"] - bound) for i, r in enumerate(rows))
+        return np.empty(0)
+    return columns["achieved_sum"] - _demo_state(config["demo"], config["epsilon"])[1]
 
 
 def run_schrodinger(trials: int, dim_s: int, dim_r: int, seed: int) -> Result:
@@ -487,27 +537,27 @@ def run_damping(trials: int, beta: float, seed: int) -> Result:
 # ---------------------------------------------------------------------------
 
 _BALANCE = {"ds_s": 1, "ds_r": 1, "sum": 1, "mi_initial": 1, "mi_final": 1}
-_MINUS_SUM = _each_row("minus_sum", BALANCE_TOL, lambda r: -r["sum"])
-_MI_FINAL = _each_row("mi_final", FINAL_MI_TOL, lambda r: r["mi_final"])
+_MINUS_SUM = _each_row("minus_sum", BALANCE_TOL, lambda c: -c["sum"])
+_MI_FINAL = _each_row("mi_final", FINAL_MI_TOL, lambda c: c["mi_final"])
 
 EXPERIMENTS: dict[str, Experiment] = {
     "balance": Experiment(
         params=(_trials(100, "number of random product inputs"), _DIMS),
         columns={"trial": 0, **_BALANCE, "balance_deviation": 1, "alignment": 0},
         run=lambda v: run_balance(v["trials"], *v["dims"], v["seed"]),
-        invariants=(_MINUS_SUM, _each_row("balance_deviation", BALANCE_TOL, lambda r: r["balance_deviation"])),
+        invariants=(_MINUS_SUM, _each_row("balance_deviation", BALANCE_TOL, lambda c: c["balance_deviation"])),
     ),
     "near-product": Experiment(
         params=(Param("epsilon", "float", 0.1, "mixing weight of the correlated part", UNIT),),
         columns={"epsilon": 0, **_BALANCE, "analytic_sum": 1, "sum_deviation": 1},
         run=lambda v: run_near_product(v["epsilon"]),
-        invariants=(_each_row("sum_deviation", BALANCE_TOL, lambda r: r["sum_deviation"]), _MI_FINAL),
+        invariants=(_each_row("sum_deviation", BALANCE_TOL, lambda c: c["sum_deviation"]), _MI_FINAL),
     ),
     "decorrelate": Experiment(
         params=(),
         columns=dict(_BALANCE),
         run=lambda v: run_decorrelate(),
-        invariants=(_each_row("sum_deviation", BALANCE_TOL, lambda r: abs(r["sum"] + math.log(2.0))), _MI_FINAL),
+        invariants=(_each_row("sum_deviation", BALANCE_TOL, lambda c: np.abs(c["sum"] + math.log(2.0))), _MI_FINAL),
     ),
     "search": Experiment(
         params=(
@@ -525,7 +575,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         invariants=(
             Invariant("achieved_sum_above_bound", FEASIBLE_MARGIN, _above_feasible_bound),
             # dS_S + dS_R = dI >= -I_0: the sum falls at most by the initial correlations
-            _each_row("decrease_beyond_mi_initial", BALANCE_TOL, lambda r: -(r["achieved_sum"] + r["mi_initial"])),
+            _each_row("decrease_beyond_mi_initial", BALANCE_TOL, lambda c: -(c["achieved_sum"] + c["mi_initial"])),
         ),
     ),
     "schrodinger": Experiment(
@@ -546,8 +596,8 @@ EXPERIMENTS: dict[str, Experiment] = {
         run=lambda v: run_sweep(v["g-values"], v["eps-values"], v["t-values"], gap_s=v["gap-s"], gap_r=v["gap-r"]),
         invariants=(
             # local evolution leaves the entropy sum at zero; a product input keeps it >= 0
-            _each_row("uncoupled_abs_sum", BALANCE_TOL, lambda r: abs(r["sum"]), where=lambda r: r["g"] == 0.0),
-            _each_row("product_minus_sum", BALANCE_TOL, lambda r: -r["sum"], where=lambda r: r["epsilon"] == 0.0),
+            _each_row("uncoupled_abs_sum", BALANCE_TOL, lambda c: np.abs(c["sum"]), where=lambda c: c["g"] == 0.0),
+            _each_row("product_minus_sum", BALANCE_TOL, lambda c: -c["sum"], where=lambda c: c["epsilon"] == 0.0),
         ),
     ),
     "collide": Experiment(
@@ -575,7 +625,7 @@ EXPERIMENTS: dict[str, Experiment] = {
                  "jarzynski_deviation": 0, "kl_divergence": 1, "average_sigma": 1, "identity_deviation": 1},
         run=lambda v: run_crooks(v["trials"], v["beta"], *v["dims"], v["seed"]),
         invariants=tuple(
-            _each_row(column, RATIO_TOL, lambda r, c=column: r[c])
+            _each_row(column, RATIO_TOL, lambda c, name=column: c[name])
             for column in ("max_ratio_deviation", "jarzynski_deviation", "identity_deviation")
         ),
     ),
@@ -583,7 +633,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         params=(_trials(100, "number of random protocols"), _beta(1.0), _DIMS),
         columns={"trial": 0, "lhs": 0, "rhs": 0, "relative_deviation": 0},
         run=lambda v: run_jarzynski(v["trials"], v["beta"], *v["dims"], v["seed"]),
-        invariants=(_each_row("relative_deviation", RATIO_TOL, lambda r: r["relative_deviation"]),),
+        invariants=(_each_row("relative_deviation", RATIO_TOL, lambda c: c["relative_deviation"]),),
     ),
     "heatflow": Experiment(
         params=(_trials(50, "number of random Gibbs pairs"),),
@@ -591,8 +641,8 @@ EXPERIMENTS: dict[str, Experiment] = {
                  "ds_s": 1, "ds_r": 1, "t_s": 0, "t_r": 0, "clausius_lhs": 1},
         run=lambda v: run_heatflow(v["trials"], v["seed"]),
         invariants=(
-            _each_row("hotter_energy_gain", HOTTER_GAIN_TOL, lambda r: r["du_s"] if r["hotter"] == "S" else r["du_r"]),
-            _each_row("minus_clausius_lhs", BALANCE_TOL, lambda r: -r["clausius_lhs"]),
+            _each_row("hotter_energy_gain", HOTTER_GAIN_TOL, lambda c: np.where(c["hotter"] == "S", c["du_s"], c["du_r"])),
+            _each_row("minus_clausius_lhs", BALANCE_TOL, lambda c: -c["clausius_lhs"]),
         ),
     ),
     "damping": Experiment(
@@ -600,8 +650,8 @@ EXPERIMENTS: dict[str, Experiment] = {
         columns={"trial": 0, "kind": 0, "heat": 1},
         run=lambda v: run_damping(v["trials"], v["beta"], v["seed"]),
         invariants=(
-            _each_row("minus_heat", HEAT_SIGN_TOL, lambda r: -r["heat"]),
-            _each_row("thermal_abs_heat", THERMAL_HEAT_TOL, lambda r: abs(r["heat"]), where=lambda r: r["kind"] == "thermal"),
+            _each_row("minus_heat", HEAT_SIGN_TOL, lambda c: -c["heat"]),
+            _each_row("thermal_abs_heat", THERMAL_HEAT_TOL, lambda c: np.abs(c["heat"]), where=lambda c: c["kind"] == "thermal"),
         ),
     ),
 }

@@ -4,6 +4,8 @@ Everything here is deliberately written against plain probability vectors
 and small hand-built matrices, never through the library paths it checks.
 """
 
+import csv
+import io
 import itertools
 import math
 
@@ -477,3 +479,76 @@ def search_probes(rho, dim_s, dim_r, starts, max_iterations, tries=None) -> list
     if tries is not None:
         tries += own
     return [descend_probe(rho, dim_s, dim_r, u, s_local0, max_iterations, t) for u, t in zip(starts, own)]
+
+
+def random_states_one_at_a_time(trials, min_mi, root, max_rejected, dim_s=2, dim_r=2):
+    """The search's random inputs drawn and scored one at a time: trial k's
+    state is the first full-rank draw after trial k - 1's whose mutual
+    information exceeds ``min_mi``, draw i from ``root.child(10**6 + i)``.
+    Returns (the accepted matrices, None), or, once a trial rejects
+    ``max_rejected`` draws, (the matrices accepted before it, the largest
+    mutual information that trial drew)."""
+    states, drawn = [], 0
+    for _ in range(trials):
+        largest = -math.inf
+        for _ in range(max_rejected):
+            rho = _random_density(dim_s * dim_r, root.child(10**6 + drawn))
+            drawn += 1
+            s_s, s_r, s = _joint_entropies(rho, dim_s, dim_r)
+            information = s_s + s_r - s
+            if information > min_mi:
+                break
+            largest = max(largest, information)
+        else:
+            return states, largest
+        states.append(rho)
+    return states, None
+
+
+# ---------------------------------------------------------------------------
+# CSV written cell by cell
+# ---------------------------------------------------------------------------
+
+
+def _format_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if value is None:
+        return ""
+    return str(value)
+
+
+def rows_in_bits(columns: dict, rows: list) -> list:
+    """Rows in bits: each cell of a column with power p of nats divided by
+    (ln 2)^p, one cell at a time."""
+    scale = [math.log(2.0) ** power if power else None for power in columns.values()]
+    return [tuple(v if s is None else v / s for v, s in zip(row, scale)) for row in rows]
+
+
+def csv_per_cell(record, rows) -> str:
+    """The CSV text of a result record with ``rows`` as its rows, each row
+    formatted cell by cell and written through ``csv.writer``."""
+    from arrowlab import cli
+
+    buf = io.StringIO()
+    for key, value in cli._metadata(record).items():
+        buf.write(f"# {key}={_format_cell(value)}\n")
+    for key, value in cli.numerics_env().items():
+        buf.write(f"# env.{key}={_format_cell(value)}\n")
+    for param in cli._schema(record.experiment):
+        buf.write(f"# config.{param.key}={cli._config_text(param, record.config[param.key])}\n")
+    for key, value in record.extra.items():
+        buf.write(f"# extra.{key}={_format_cell(value)}\n")
+    for name, summary in record.invariants.items():
+        for key, value in summary.items():
+            buf.write(f"# invariant.{name}.{key}={_format_cell(value)}\n")
+    buf.write(f"# invariant_failures={len(record.invariant_failures)}\n")
+    for i, failure in enumerate(record.invariant_failures):
+        buf.write(f"# failure.{i}={failure}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(record.columns)
+    for row in rows:
+        writer.writerow([_format_cell(v) for v in row])
+    return buf.getvalue()

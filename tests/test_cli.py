@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import arrowlab
+import oracles
 from arrowlab import arrow, cli, collisions, experiments
 from arrowlab.cli import (
     ConfigError,
@@ -18,6 +19,7 @@ from arrowlab.cli import (
     main,
     parse_config_text,
     run,
+    serialize_csv,
     validate_config,
 )
 from arrowlab.core import RandomSource, mutual_information, random_density_operator
@@ -193,7 +195,7 @@ class TestMainExitCodes:
     def test_invariant_failure_is_exit_2(self, capsys, monkeypatch):
         # the physics never fails its own invariants, so inject one to
         # exercise the exit-code path
-        injected = experiments.Invariant("injected", 0.0, lambda rows, extra, config: [("row 0", 1.0)])
+        injected = experiments.Invariant("injected", 0.0, lambda columns, extra, config: [1.0])
         balance = dataclasses.replace(experiments.EXPERIMENTS["balance"], invariants=(injected,))
         monkeypatch.setitem(experiments.EXPERIMENTS, "balance", balance)
         assert main(["balance", "--trials", "1"]) == 2
@@ -473,6 +475,76 @@ class TestSerialization:
             d_n = dict(zip(nats.columns, row_n))
             d_b = dict(zip(bits.columns, row_b))
             assert d_b["schrodinger_product"] == pytest.approx(d_n["schrodinger_product"] / math.log(2) ** 2, abs=1e-15)
+
+
+def small_config(name: str, units: str):
+    args = SMALL_ARGS[name]
+    overrides = {key.removeprefix("--"): value for key, value in zip(args[::2], args[1::2])}
+    return validate_config(name, overrides={**overrides, "units": units})
+
+
+def strict_json(text: str):
+    def reject(token):
+        raise ValueError(f"non-finite token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestColumnSerialization:
+    @pytest.mark.parametrize("units", ["nats", "bits"])
+    @pytest.mark.parametrize("name", list(experiments.EXPERIMENTS))
+    def test_csv_equals_the_per_cell_writer(self, name, units):
+        config = small_config(name, units)
+        experiment = experiments.EXPERIMENTS[name]
+        rows, _ = experiment.run(config.values)
+        if units == "bits":
+            rows = oracles.rows_in_bits(experiment.columns, rows)
+        code, record = run(config)
+        assert code == 0
+        assert record.rows == rows
+        assert {type(cell) for row in record.rows for cell in row} <= {int, float, str, bool}
+        assert serialize_csv(record) == oracles.csv_per_cell(record, rows)
+
+    def test_str_cells_are_quoted_as_the_csv_writer_quotes_them(self, monkeypatch):
+        damping = experiments.EXPERIMENTS["damping"]
+        kinds = iter(["plain", 'with "quotes"', "with, comma", "with\nnewline", "", "with\rreturn"])
+
+        def renamed(values):
+            rows, extra = damping.run(values)
+            return [(k, next(kinds, kind), heat) for k, kind, heat in rows], extra
+
+        monkeypatch.setitem(experiments.EXPERIMENTS, "damping", dataclasses.replace(damping, run=renamed))
+        code, record = run(validate_config("damping", overrides={"trials": "3"}))
+        assert code == 0
+        rows = record.rows
+        assert [kind for _, kind, _ in rows] == ["plain", 'with "quotes"', "with, comma", "with\nnewline", "", "with\rreturn"]
+        assert serialize_csv(record) == oracles.csv_per_cell(record, rows)
+        assert '\n1,"with ""quotes""",' in serialize_csv(record)
+
+    def test_json_writes_non_finite_floats_as_the_csv_text(self, capsys):
+        argv = ["jarzynski", "--beta", "200", "--trials", "1"]
+        with pytest.warns(RuntimeWarning, match=JARZYNSKI_OVERFLOW):
+            csv_code, csv_out = run_cli(capsys, *argv)
+            json_code, json_out = run_cli(capsys, *argv, "--format", "json")
+        assert csv_code == json_code == 2
+        payload = strict_json(json_out)
+        cells = [[cell if isinstance(cell, str) else repr(cell) for cell in row] for row in payload["rows"]]
+        assert cells == [line.split(",") for line in rows_of_csv(csv_out)[1:]]
+        assert "nan" in cells[0]
+        worst = payload["metadata"]["invariants"]["relative_deviation"]["worst"]
+        assert worst == csv_metadata(csv_out)["invariant.relative_deviation.worst"] == "nan"
+
+    def test_json_writes_non_finite_extra_values_as_text(self, capsys, monkeypatch):
+        decorrelate = experiments.EXPERIMENTS["decorrelate"]
+
+        def with_extra(values):
+            rows, extra = decorrelate.run(values)
+            return rows, {**extra, "rate": math.inf, "distances": [-math.inf, 0.5, math.nan]}
+
+        monkeypatch.setitem(experiments.EXPERIMENTS, "decorrelate", dataclasses.replace(decorrelate, run=with_extra))
+        code, out = run_cli(capsys, "decorrelate", "--format", "json")
+        assert code == 0
+        assert strict_json(out)["metadata"]["extra"] == {"rate": "inf", "distances": ["-inf", 0.5, "nan"]}
 
 
 class TestSearchCommand:

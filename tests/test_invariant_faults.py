@@ -1,0 +1,130 @@
+"""Every run invariant of the registry fires.
+
+For each (experiment, invariant) pair of ``experiments.EXPERIMENTS``, one
+case wraps the experiment's real ``run`` and moves one row cell, or one
+``extra`` value, just past the invariant's tolerance.  Through ``cli.main``
+the unmoved run passes the invariant, and the moved run exits 2 with the
+invariant recorded as failed and a failure line that names it.  A registry
+walk fails when a pair has no case, so a new invariant arrives with one.
+"""
+
+import dataclasses
+import math
+
+import pytest
+
+from arrowlab import experiments
+from arrowlab.cli import main
+
+# how far past its tolerance each case moves an invariant's value
+PAST = 1e-6
+
+
+def cell(column, value, row=0):
+    """Move row ``row``'s ``column`` cell to ``value(cells, tol)``, with
+    ``cells`` that row by column name; ``column`` may be a function of
+    ``cells``."""
+
+    def move(experiment, rows, extra, tol):
+        names = list(experiment.columns)
+        cells = dict(zip(names, rows[row]))
+        cells[column(cells) if callable(column) else column] = value(cells, tol)
+        return [*rows[:row], tuple(cells[name] for name in names), *rows[row + 1 :]], extra
+
+    return move
+
+
+def extra_value(key, value):
+    """Move ``extra[key]`` to ``value(extra, tol)``."""
+
+    def move(experiment, rows, extra, tol):
+        return rows, {**extra, key: value(extra, tol)}
+
+    return move
+
+
+def above(cells, tol):
+    return tol + PAST
+
+
+def below_minus(cells, tol):
+    return -(tol + PAST)
+
+
+SMALL = {
+    "balance": ["--trials", "2"],
+    "near-product": [],
+    "decorrelate": [],
+    "search": ["--trials", "2"],
+    "schrodinger": ["--trials", "2"],
+    "sweep": [],
+    "collide": ["--collisions", "3"],
+    "crooks": ["--trials", "2"],
+    "jarzynski": ["--trials", "2"],
+    "heatflow": ["--trials", "2"],
+    "damping": ["--trials", "1"],
+}
+
+# (experiment, invariant) -> (extra arguments, fault)
+FAULTS = {
+    ("balance", "minus_sum"): ([], cell("sum", below_minus)),
+    ("balance", "balance_deviation"): ([], cell("balance_deviation", above)),
+    ("near-product", "sum_deviation"): ([], cell("sum_deviation", above)),
+    ("near-product", "mi_final"): ([], cell("mi_final", above)),
+    ("decorrelate", "sum_deviation"): ([], cell("sum", lambda c, tol: -math.log(2.0) + tol + PAST)),
+    ("decorrelate", "mi_final"): ([], cell("mi_final", above)),
+    # the near-product optimum -I(eps) bounds the achieved sum from above
+    ("search", "achieved_sum_above_bound"): (
+        ["--demo", "near-product"],
+        cell("achieved_sum", lambda c, tol: -experiments.near_product_mutual_information(0.1) + tol + PAST),
+    ),
+    ("search", "decrease_beyond_mi_initial"): ([], cell("achieved_sum", lambda c, tol: -c["mi_initial"] - (tol + PAST))),
+    ("schrodinger", "minus_sum"): ([], cell("sum", below_minus)),
+    # row 0 of the default grid has g = 0 and epsilon = 0
+    ("sweep", "uncoupled_abs_sum"): ([], cell("sum", above)),
+    ("sweep", "product_minus_sum"): ([], cell("sum", below_minus)),
+    ("collide", "reversal_distance"): ([], extra_value("recovered_trace_distance", above)),
+    ("collide", "joint_renyi2_deviation"): (
+        [],
+        extra_value("joint_renyi2_final", lambda x, tol: x["joint_renyi2_initial"] + tol + PAST),
+    ),
+    ("collide", "trajectory_deviation"): ([], extra_value("trajectory_deviation", above)),
+    ("crooks", "max_ratio_deviation"): ([], cell("max_ratio_deviation", above)),
+    ("crooks", "jarzynski_deviation"): ([], cell("jarzynski_deviation", above)),
+    ("crooks", "identity_deviation"): ([], cell("identity_deviation", above)),
+    ("jarzynski", "relative_deviation"): ([], cell("relative_deviation", above)),
+    ("heatflow", "hotter_energy_gain"): ([], cell(lambda c: "du_s" if c["hotter"] == "S" else "du_r", above)),
+    ("heatflow", "minus_clausius_lhs"): ([], cell("clausius_lhs", below_minus)),
+    # row 1 is the maximally mixed state, which the thermal check skips
+    ("damping", "minus_heat"): ([], cell("heat", below_minus, row=1)),
+    ("damping", "thermal_abs_heat"): ([], cell("heat", above)),
+}
+
+
+def test_every_invariant_has_a_fault_case():
+    pairs = {(name, inv.name) for name, experiment in experiments.EXPERIMENTS.items() for inv in experiment.invariants}
+    assert set(FAULTS) == pairs
+    assert set(SMALL) == set(experiments.EXPERIMENTS)
+
+
+@pytest.mark.parametrize("name, invariant", list(FAULTS), ids=[f"{e}-{i}" for e, i in FAULTS])
+def test_invariant_fires(capsys, monkeypatch, name, invariant):
+    args, fault = FAULTS[name, invariant]
+    argv = [name, *SMALL[name], *args]
+    experiment = experiments.EXPERIMENTS[name]
+    (tol,) = [inv.tol for inv in experiment.invariants if inv.name == invariant]
+
+    assert main(argv) == 0
+    assert f"# invariant.{invariant}.passed=true\n" in capsys.readouterr().out
+
+    def faulty(values):
+        rows, extra = experiment.run(values)
+        return fault(experiment, rows, extra, tol)
+
+    monkeypatch.setitem(experiments.EXPERIMENTS, name, dataclasses.replace(experiment, run=faulty))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert f"# invariant.{invariant}.passed=false\n" in out
+    named = [line for line in err.splitlines() if f": {invariant} = " in line]
+    assert named and all(line.startswith("arrowlab: invariant failure: ") for line in named)
+    assert all(line.endswith(f" is not <= {tol!r}") for line in named)

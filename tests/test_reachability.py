@@ -19,7 +19,13 @@ from arrowlab.cli import main
 
 # exports, and ``Class.member`` names, that no experiment reaches, kept for
 # library users on purpose
-LIBRARY_ONLY: frozenset[str] = frozenset()
+LIBRARY_ONLY: frozenset[str] = frozenset({
+    # one-state forms: the search draws and scores its random states as
+    # stacks (core.random_density_matrices, core.mutual_informations), and
+    # collide draws a random state only with --init random
+    "mutual_information",
+    "random_density_operator",
+})
 
 # small values for the parameters that set an experiment's size
 SMALL = {"trials": "2", "restarts": "2", "max-iter": "5", "collisions": "3"}

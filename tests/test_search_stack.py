@@ -1,8 +1,11 @@
-"""The search's descent probes, run as one lockstep stack per call.
+"""The search's descent probes, run as one lockstep stack per call, and
+its random inputs, drawn in stacks.
 
 Every probe of a stacked search must give the unitary, the sums and the
 convergence flag of the one-probe-at-a-time descent in ``oracles.py``, bit
-for bit, whatever else shares its stack and however the stack is chunked.
+for bit, whatever else shares its stack and however the stack is chunked;
+and the stacked draws must accept the states, or raise the error, of the
+one-draw-at-a-time loop there.
 """
 
 import itertools
@@ -243,11 +246,73 @@ def test_trial_k_searches_with_its_own_streams(monkeypatch):
     assert calls == [[[0, 1], [1, 1], [2, 1]]]
 
 
+# (seed, trials, min-mi, MAX_REJECTED_DRAWS, STACK_ENTRIES): the defaults; a
+# floor that rejects most draws, so that stacks double; a floor one trial
+# cannot pass; a cap of 4 draws per stack below the trial count
+RANDOM_DRAWS = [
+    (0, 20, 0.01, 10_000, core.STACK_ENTRIES),
+    (1, 6, 0.5, 10_000, core.STACK_ENTRIES),
+    (2, 4, 0.6, 40, core.STACK_ENTRIES),
+    (0, 1, 1.3, 50, core.STACK_ENTRIES),
+    (3, 9, 0.3, 10_000, 64),
+]
+
+
+@pytest.mark.parametrize("seed, trials, min_mi, max_rejected, entries", RANDOM_DRAWS)
+def test_stacked_draws_accept_the_one_at_a_time_states(monkeypatch, seed, trials, min_mi, max_rejected, entries):
+    monkeypatch.setattr(experiments, "MAX_REJECTED_DRAWS", max_rejected)
+    monkeypatch.setattr(experiments, "STACK_ENTRIES", entries)
+    root = RandomSource(seed)
+    expected, largest = oracles.random_states_one_at_a_time(trials, min_mi, root, max_rejected)
+    if largest is None:
+        states = experiments._random_states(trials, min_mi, arrow.TWO_QUBITS, root)
+        assert len(states) == trials
+        assert all(np.array_equal(state.matrix, rho) for state, rho in zip(states, expected, strict=True))
+        return
+    with pytest.raises(ValueError) as raised:
+        experiments._random_states(trials, min_mi, arrow.TWO_QUBITS, root)
+    assert str(raised.value) == (
+        f"no random state with mutual information above min-mi {min_mi} in {max_rejected} draws; the draws are "
+        f"full-rank random two-qubit states, and the largest mutual information drawn was {largest!r}"
+    )
+
+
+def stack_sizes(monkeypatch, trials, min_mi, seed) -> list[int]:
+    """The size of each stack of draws that a search's random inputs take."""
+    drawn = []
+    draw = experiments.random_density_matrices
+
+    def recording(dim, rank, sources):
+        drawn.append(len(sources))
+        return draw(dim, rank, sources)
+
+    monkeypatch.setattr(experiments, "random_density_matrices", recording)
+    try:
+        experiments._random_states(trials, min_mi, arrow.TWO_QUBITS, RandomSource(seed))
+    except ValueError:
+        pass
+    return drawn
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_benchmark_searches_draw_one_stack_of_one_draw_per_trial(monkeypatch, seed):
+    assert stack_sizes(monkeypatch, 2, 0.01, seed) == [2]
+
+
+def test_stacks_double_after_a_rejection(monkeypatch):
+    # every draw is rejected: 1 + 2 + 4 + 8 draws, then a stack of 16 that
+    # holds the 20th rejection
+    monkeypatch.setattr(experiments, "MAX_REJECTED_DRAWS", 20)
+    assert stack_sizes(monkeypatch, 1, 1.3, 0) == [1, 2, 4, 8, 16]
+    sizes = stack_sizes(monkeypatch, 3, 0.5, 0)
+    assert len(sizes) > 1 and sizes == [3 * 2**k for k in range(len(sizes))]
+
+
 def test_exhausted_draws_exit_1_with_one_line_before_any_search(monkeypatch, capsys):
     # trial 0 accepts its first draw; trial 1 rejects every draw it may make
     informations = iter([0.5] + [0.0] * 3)
     monkeypatch.setattr(experiments, "MAX_REJECTED_DRAWS", 3)
-    monkeypatch.setattr(experiments, "mutual_information", lambda rho, layout: next(informations))
+    monkeypatch.setattr(experiments, "mutual_informations", lambda m, spectra, layout: np.array([next(informations, 0.0) for _ in m]))
 
     def unreachable(*args):
         raise AssertionError("searched before every state was drawn")
