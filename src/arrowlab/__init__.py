@@ -10,7 +10,6 @@ from .core import (
     UnitaryOperator,
     basis_ket,
     gibbs_state,
-    mutual_information,
     pure_state,
     random_density_operator,
     renyi2_of_matrix,

@@ -196,36 +196,15 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _quoted_by_csv_writer(char: str) -> bool:
-    """Whether csv.writer quotes a field that holds ``char``."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([char, ""])
-    return buf.getvalue() != char + ",\n"
-
-
-# the characters that make csv.writer's QUOTE_MINIMAL quote a field with
-# "\n" line ends: the comma, the quote and "\n", and "\r" where this
-# Python's csv module quotes it too
-_CSV_QUOTED = tuple(char for char in ',"\n\r' if _quoted_by_csv_writer(char))
-
-
-def _csv_field(text: str) -> str:
-    """``text`` as csv.writer writes a field: quoted, with its quotes
-    doubled, when it holds one of :data:`_CSV_QUOTED`."""
-    if any(char in text for char in _CSV_QUOTED):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _column_text(column: np.ndarray) -> list[str]:
-    """The CSV fields of one column, by :func:`_format_cell`'s rules, with
-    one call over a float or an int column."""
+    """The CSV cells of one column, unquoted, by :func:`_format_cell`'s
+    rules, with one call over a float or an int column."""
     cells = column.tolist()
     if column.dtype.kind == "f":
         return list(map(float.__repr__, cells))
     if column.dtype.kind == "i":
         return list(map(int.__repr__, cells))
-    return [_csv_field(_format_cell(cell)) for cell in cells]
+    return list(map(_format_cell, cells))
 
 
 def _config_text(param: Param, value) -> str:
@@ -280,9 +259,9 @@ def serialize_csv(record: ResultRecord) -> str:
     buf.write(f"# invariant_failures={len(record.invariant_failures)}\n")
     for i, failure in enumerate(record.invariant_failures):
         buf.write(f"# failure.{i}={failure}\n")
-    header = ",".join(map(_csv_field, record.table))
-    fields = [_column_text(column) for column in record.table.values()]
-    buf.write("\n".join([header, *map(",".join, zip(*fields))]) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(record.table)
+    writer.writerows(zip(*(_column_text(column) for column in record.table.values())))
     return buf.getvalue()
 
 

@@ -552,13 +552,6 @@ def mutual_informations(m: np.ndarray, spectra: np.ndarray, layout: BipartitionL
     return s_s + s_r - spectrum_entropies(spectra)
 
 
-def mutual_information(rho: DensityOperator, layout: BipartitionLayout) -> float:
-    """I(S:R) = S(rho_S) + S(rho_R) - S(rho_SR), total correlations in nats."""
-    if rho.dim != layout.dim:
-        raise ValueError(f"state dim {rho.dim} does not match layout {layout.dim_s}x{layout.dim_r}")
-    return float(mutual_informations(rho.matrix[None], rho.spectrum[None], layout)[0])
-
-
 # ---------------------------------------------------------------------------
 # distances
 # ---------------------------------------------------------------------------

@@ -291,7 +291,7 @@ def _random_states(trials: int, min_mutual_information: float, layout: Bipartiti
     ``root.children(range(10**6 + i, 10**6 + i + m))`` and walked in order:
     the first stack holds one draw per trial, and the size doubles after a
     stack with a rejection, up to one chunk of STACK_ENTRIES entries.  Each
-    draw is scored as :func:`core.mutual_information` scores it alone.
+    draw's score has the bits it has in a stack of one.
     """
     cap = max(1, STACK_ENTRIES // layout.dim**2)
     states, drawn, size = [], 0, min(trials, cap)

@@ -166,6 +166,12 @@ def _joint_entropies(rho, dim_s, dim_r) -> tuple[float, float, float]:
     return (*_marginal_entropies(rho, dim_s, dim_r), _entropy(np.linalg.eigvalsh(rho)))
 
 
+def mutual_information(rho, dim_s, dim_r) -> float:
+    """S(rho_S) + S(rho_R) - S(rho) in nats of a joint matrix."""
+    s_s, s_r, s = _joint_entropies(rho, dim_s, dim_r)
+    return s_s + s_r - s
+
+
 def _factor_entropies(a, b) -> tuple[float, float, float]:
     """(S(a), S(b), S(a (x) b)) from the two factor spectra alone: the
     product's spectrum is every product of one eigenvalue of each, sorted."""

@@ -37,7 +37,6 @@ from arrowlab.core import (
     UnitaryOperator,
     gibbs_state,
     haar_unitaries,
-    mutual_information,
     pure_state,
     random_density_operator,
     trace_distance,
@@ -49,7 +48,7 @@ from arrowlab.fluctuation import (
     jarzynski_checks,
     random_protocols,
 )
-from oracles import PAULI_X, binary_entropy, ket
+from oracles import PAULI_X, binary_entropy, ket, mutual_information
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -105,7 +104,7 @@ def test_criterion_3_optimizer_realizes_entropy_decrease():
     while len(states) < 100:
         rho = random_density_operator(4, 4, root.child(10**6 + draws))
         draws += 1
-        if mutual_information(rho, layout) > 0.01:
+        if mutual_information(rho.matrix, layout.dim_s, layout.dim_r) > 0.01:
             states.append(rho)
     # state k searches with root.child(k)
     res = search_entropy_decreasing_unitaries(states, layout, root.children(range(100)))

@@ -31,12 +31,11 @@ from arrowlab.core import (
     evolve_states,
     haar_unitaries,
     marginal_entropies_of_stack,
-    mutual_information,
     partial_traces,
     pure_state,
     random_density_operator,
 )
-from oracles import BELL_PHI, CNOT, SWAP, binary_entropy, ket, projector, spectral_assignment_per_cell
+from oracles import BELL_PHI, CNOT, SWAP, binary_entropy, ket, mutual_information, projector, spectral_assignment_per_cell
 
 LN2 = 0.6931471805599453
 DS_S_01 = -0.1985152433458726  # -H2(0.05)
@@ -127,11 +126,11 @@ class TestNearProduct:
     def test_epsilon_zero_is_pure_product(self):
         rho = near_product_state(0.0)
         assert np.allclose(rho.matrix, projector(ket(0, 0)))
-        assert mutual_information(rho, TWO_QUBITS) == pytest.approx(0.0, abs=1e-12)
+        assert mutual_information(rho.matrix, 2, 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_epsilon_one_is_maximally_correlated(self):
         rho = near_product_state(1.0)
-        assert mutual_information(rho, TWO_QUBITS) == pytest.approx(2 * LN2, abs=1e-12)
+        assert mutual_information(rho.matrix, 2, 2) == pytest.approx(2 * LN2, abs=1e-12)
 
     def test_epsilon_out_of_range(self):
         for bad in (-0.1, 1.1):
@@ -141,11 +140,11 @@ class TestNearProduct:
     def test_mutual_information_formula_on_grid(self):
         for eps in [float(e) for e in np.arange(0.01, 0.98, 0.04)] + [0.99]:
             analytic = 2 * binary_entropy(eps / 2) - binary_entropy(eps)
-            assert mutual_information(near_product_state(eps), TWO_QUBITS) == pytest.approx(analytic, abs=1e-10)
+            assert mutual_information(near_product_state(eps).matrix, 2, 2) == pytest.approx(analytic, abs=1e-10)
 
     def test_known_point(self):
         rho = near_product_state(0.1)
-        assert mutual_information(rho, TWO_QUBITS) == pytest.approx(MI_01, abs=1e-12)
+        assert mutual_information(rho.matrix, 2, 2) == pytest.approx(MI_01, abs=1e-12)
         # the overlap <00|rho|00> = 1 - eps
         assert np.real(ket(0, 0).conj() @ rho.matrix @ ket(0, 0)) == pytest.approx(0.9, abs=1e-12)
 
@@ -168,7 +167,7 @@ class TestNearProduct:
             final = evolved(near_product_state(eps), u)
             expected = np.kron(projector(ket(0)), np.diag([1 - eps, eps]))
             assert np.allclose(final.matrix, expected, atol=1e-12)
-            assert mutual_information(final, TWO_QUBITS) <= 1e-10
+            assert mutual_information(final.matrix, 2, 2) <= 1e-10
 
     def test_decorrelator_fixes_corner_state(self):
         out = evolved(pure_state(ket(0, 0)), decorrelating_unitary())
@@ -183,13 +182,13 @@ class TestNearProduct:
 
 class TestClassicalDemo:
     def test_initial_mutual_information(self):
-        assert mutual_information(classical_correlated_state(), TWO_QUBITS) == pytest.approx(LN2, abs=1e-12)
+        assert mutual_information(classical_correlated_state().matrix, 2, 2) == pytest.approx(LN2, abs=1e-12)
 
     def test_final_state_is_mixed_times_ground(self):
         final = evolved(classical_correlated_state(), classical_decorrelating_unitary())
         expected = np.kron(np.eye(2) / 2, projector(ket(0)))
         assert np.allclose(final.matrix, expected, atol=1e-14)
-        assert mutual_information(final, TWO_QUBITS) == pytest.approx(0.0, abs=1e-12)
+        assert mutual_information(final.matrix, 2, 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_report_values(self):
         rep = classical_correlated_demo()
@@ -285,7 +284,7 @@ class TestSearch:
         rho = near_product_state(0.3)
         _, achieved, _, _ = search_one(rho, RandomSource(0), restarts=2)
         assert achieved < 0.0
-        assert achieved >= -mutual_information(rho, TWO_QUBITS) - 1e-9
+        assert achieved >= -mutual_information(rho.matrix, 2, 2) - 1e-9
 
     def test_achieved_sum_matches_recomputed_balance(self):
         rho = random_density_operator(4, 4, RandomSource(77))
@@ -311,7 +310,7 @@ class TestSearch:
         hits = 0
         for seed in range(10):
             rho = random_density_operator(4, 4, RandomSource(seed + 400))
-            if mutual_information(rho, TWO_QUBITS) <= 0.01:
+            if mutual_information(rho.matrix, 2, 2) <= 0.01:
                 continue
             _, achieved, _, _ = search_one(rho, RandomSource(seed), restarts=3)
             hits += achieved < 0.0

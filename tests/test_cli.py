@@ -22,7 +22,7 @@ from arrowlab.cli import (
     serialize_csv,
     validate_config,
 )
-from arrowlab.core import RandomSource, mutual_information, random_density_operator
+from arrowlab.core import RandomSource, mutual_informations, random_density_operator
 
 
 # at --beta 200, exp(-beta W) overflows in the work average and 0 * inf gives
@@ -326,13 +326,14 @@ class TestMainExitCodes:
         # full-rank random states rarely reach a mutual information of 1.3
         monkeypatch.setattr(experiments, "MAX_REJECTED_DRAWS", 50)
         root = RandomSource(0)
-        drawn = [mutual_information(random_density_operator(4, 4, root.child(10**6 + k)), arrow.TWO_QUBITS) for k in range(50)]
+        draws = [random_density_operator(4, 4, root.child(10**6 + k)) for k in range(50)]
+        drawn = mutual_informations(np.stack([d.matrix for d in draws]), np.stack([d.spectrum for d in draws]), arrow.TWO_QUBITS)
         assert main(["search", "--trials", "1", "--min-mi", "1.3"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
             "arrowlab: error: no random state with mutual information above min-mi 1.3 in 50 draws; "
-            f"the draws are full-rank random two-qubit states, and the largest mutual information drawn was {max(drawn)!r}\n"
+            f"the draws are full-rank random two-qubit states, and the largest mutual information drawn was {float(drawn.max())!r}\n"
         )
 
     def test_overflowing_gap_is_one_line_exit_1_without_warnings(self, capsys):

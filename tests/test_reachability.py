@@ -2,7 +2,8 @@
 
 Every function and class that ``arrowlab`` exports, and every public method
 and property of an exported class, must run when each experiment of the
-registry runs once at a small size, or be listed below as library-only; and
+registry runs once at a small size (and each choice of :data:`CHOICES` runs
+once more), or be listed below as library-only; and
 no module of the package reaches into another module's private ``_names``.
 """
 
@@ -19,13 +20,7 @@ from arrowlab.cli import main
 
 # exports, and ``Class.member`` names, that no experiment reaches, kept for
 # library users on purpose
-LIBRARY_ONLY: frozenset[str] = frozenset({
-    # one-state forms: the search draws and scores its random states as
-    # stacks (core.random_density_matrices, core.mutual_informations), and
-    # collide draws a random state only with --init random
-    "mutual_information",
-    "random_density_operator",
-})
+LIBRARY_ONLY: frozenset[str] = frozenset()
 
 # small values for the parameters that set an experiment's size
 SMALL = {"trials": "2", "restarts": "2", "max-iter": "5", "collisions": "3"}
@@ -34,6 +29,15 @@ SMALL = {"trials": "2", "restarts": "2", "max-iter": "5", "collisions": "3"}
 def small_argv(name: str) -> list[str]:
     keys = {p.key for p in experiments.EXPERIMENTS[name].params}
     return [name, *(arg for key, value in SMALL.items() if key in keys for arg in (f"--{key}", value))]
+
+
+# the choices that reach code the defaults do not, each run once more at a
+# small size
+CHOICES = [("collide", "--init", "random")]
+
+
+def walk_argvs() -> list[list[str]]:
+    return [small_argv(name) for name in experiments.EXPERIMENTS] + [[*small_argv(name), *flag] for name, *flag in CHOICES]
 
 
 def own_code(obj) -> set:
@@ -102,14 +106,15 @@ def test_every_export_is_reached_by_an_experiment(capsys):
         if event == "call":
             reached.add(frame.f_code)
 
+    argvs = walk_argvs()
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        codes = {name: main(small_argv(name)) for name in experiments.EXPERIMENTS}
+        codes = [main(argv) for argv in argvs]
     finally:
         sys.setprofile(previous)
     capsys.readouterr()
-    assert codes == dict.fromkeys(experiments.EXPERIMENTS, 0)
+    assert codes == [0] * len(argvs)
 
     exports = {name: obj for name, obj in vars(arrowlab).items() if not name.startswith("_") and not inspect.ismodule(obj)}
     assert LIBRARY_ONLY <= exports.keys()

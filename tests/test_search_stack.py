@@ -22,7 +22,6 @@ from arrowlab.core import (
     DensityOperator,
     Hamiltonian,
     RandomSource,
-    mutual_information,
     random_density_operator,
     random_hermitians,
     unitaries_from_hamiltonian,
@@ -38,7 +37,7 @@ def correlated_states(layout: BipartitionLayout) -> list[DensityOperator]:
     states = [random_density_operator(layout.dim, rank, RandomSource(7 + 31 * rank)) for rank in range(layout.dim, 0, -1)]
     if layout.dim == 4:
         states.append(DensityOperator(oracles.projector(oracles.BELL_PHI)))
-    assert all(mutual_information(rho, layout) > arrow.NON_PRODUCT_TOL for rho in states)
+    assert all(oracles.mutual_information(rho.matrix, layout.dim_s, layout.dim_r) > arrow.NON_PRODUCT_TOL for rho in states)
     return states
 
 
