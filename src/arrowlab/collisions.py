@@ -17,6 +17,12 @@ the recovery fails.  Either way each ancilla meets exactly one inverse gate,
 so it is traced out as soon as that gate has acted and the replay continues
 on a state half the size: dimensions D, D/2, ..., 4 instead of n times D.
 Both modes reduce to the system with core's partial trace.
+
+No full-size state is held twice.  Each ancilla is attached inside its
+gate, which forms rho x xi chunk by chunk and never whole, so a forward
+collision holds its output and its quarter-size input.  Each inverse gate
+traces its ancilla out inside the gate, so a reversal step writes only its
+quarter-size output next to the state it reads.
 """
 
 from __future__ import annotations
@@ -37,8 +43,9 @@ from .core import (
 
 JOINT_DIM_CAP = 2**12
 EXACT_DISTANCE_FLOOR = 1e-14
-# joint-state elements per chunk of a pair gate; keeps its temporaries near
-# 1/16 of a 9-qubit state
+# joint-state elements per chunk of a pair gate: its rows of rho x xi, its ket
+# side and its bra-side work each stay within one chunk, 256 KiB, next to
+# states of up to 256 MiB at the cap
 PAIR_GATE_CHUNK = 2**14
 
 # exchanges two qubits; also the swap coupling of the weak-coupling sweep
@@ -129,15 +136,16 @@ def run_collisions(
 def _mix_pairs(u: np.ndarray, sources, targets, work) -> None:
     """targets[a][b] = sum over (i, j) of u[a, b, i, j] sources[i][j].
 
+    ``targets`` may hold fewer than 2 x 2 entries, one for each (a, b) of u.
     Terms are added in (i, j) order, skipping zero entries of u, and each
     product c x is formed as Re(c) x + i Im(c) x with one rounding per part,
     the way np.einsum forms it; numpy's complex multiply may fuse the two
     parts and round differently.  ``work`` holds two arrays shaped like
     one target; u is unitary, so every target gets at least one term.
     """
-    for a in range(2):
-        for b in range(2):
-            target, first = targets[a][b], True
+    for a, row in enumerate(targets):
+        for b, target in enumerate(row):
+            first = True
             for i in range(2):
                 for j in range(2):
                     c = u[a, b, i, j]
@@ -154,24 +162,24 @@ def _mix_pairs(u: np.ndarray, sources, targets, work) -> None:
                     first = False
 
 
-def _apply_pair_unitary(joint: np.ndarray, u4: np.ndarray, n_qubits: int, k: int) -> np.ndarray:
-    """U rho U+ with U a two-qubit gate on qubits (0, k), 0 < k < n_qubits.
+def _ket_chunks(state: np.ndarray, u4: np.ndarray, xi: np.ndarray | None = None):
+    """The ket side U rho of a two-qubit gate on qubits (0, k), chunk by chunk.
 
-    Index a row as (a, m, b, r), with a the bit of qubit 0 and b that of
-    qubit k.  The ket side mixes only the four rows that share (m, r), so
-    the rows go through in chunks of whole such groups: the gate acts on
-    the chunk's rows, then on their columns (bra side), straight into the
-    result.  A chunk holds at most PAIR_GATE_CHUNK elements, or one group
-    where a group is larger; besides the result, a gate allocates 1.5
-    chunks of temporaries.
+    ``state`` is rho shaped (2, between, 2, after) x 2: index a row as
+    (a, m, b, r), with a the bit of qubit 0 and b that of qubit k.  Given
+    an ancilla ``xi``, rho is ``state`` x xi instead, with ``state`` shaped
+    (2, between, 1, 1) x 2 and xi the last qubit k; each chunk forms its
+    own rows of that product with np.kron's complex multiply, so the
+    product is never held whole.  The ket side mixes only the four rows
+    that share (m, r), so the rows go through in chunks of whole such
+    groups.  A chunk holds at most PAIR_GATE_CHUNK elements, or one group
+    where a group is larger.  Yields (ms, rs, ket, work) per chunk: its
+    group slices, ket[a, b, m, r, p, m', q, r'] and ``work``, room for two
+    of ket's (a, b) blocks, for the caller's bra side.  The buffers are
+    reused from chunk to chunk.
     """
-    between, after = 2 ** (k - 1), 2 ** (n_qubits - k - 1)
-    d = 2**n_qubits
-    t = joint.reshape(2, between, 2, after, 2, between, 2, after)
-    out = np.empty((d, d), dtype=complex)
-    o = out.reshape(t.shape)
-    u = u4.reshape(2, 2, 2, 2)
-    u_bra = u.conj()
+    between, after = state.shape[1], state.shape[3]
+    d = 4 * between * after
     groups = min(between * after, max(1, PAIR_GATE_CHUNK // (4 * d)))
     if groups <= after:
         rb, mb = groups, 1
@@ -182,26 +190,70 @@ def _apply_pair_unitary(joint: np.ndarray, u4: np.ndarray, n_qubits: int, k: int
     ket = np.empty((2, 2, mb, rb, 2, between, 2, after), dtype=complex)
     work = np.empty((2, mb * rb * d), dtype=complex)
     ket_work = work.reshape(2, *ket.shape[2:])
-    bra_work = work.reshape(2, 2, 2, mb, rb, between, after)
+    if xi is not None:
+        product = np.empty((2, mb, 2, rb, 2, between, 2, after), dtype=complex)
+        ancilla = xi.reshape(2, 1, 1, 1, 2, 1)
+    u = u4.reshape(2, 2, 2, 2)
     for ms, rs in chunks:
-        rows = t[:, ms, :, rs]
+        rows = state[:, ms, :, rs] if xi is None else np.multiply(state[:, ms], ancilla, out=product)
         _mix_pairs(u, [[rows[i, :, j] for j in range(2)] for i in range(2)], ket, ket_work)
+        yield ms, rs, ket, work
+
+
+def _attach_and_gate(joint: np.ndarray, xi: np.ndarray, u4: np.ndarray) -> np.ndarray:
+    """U (rho x xi) U+ with the ancilla xi attached as the last qubit, n,
+    and U a two-qubit gate on qubits (0, n).
+
+    Chunk by chunk, the gate acts on the rows of rho x xi, then on their
+    columns (bra side), straight into the result.  Besides the result, a
+    gate allocates 2.5 chunks of temporaries (see :func:`_ket_chunks`).
+    """
+    between = joint.shape[0] // 2
+    d = 4 * between
+    out = np.empty((d, d), dtype=complex)
+    o = out.reshape(2, between, 2, 1, 2, between, 2, 1)
+    u_bra = u4.reshape(2, 2, 2, 2).conj()
+    for ms, rs, ket, work in _ket_chunks(joint.reshape(2, between, 1, 1, 2, between, 1, 1), u4, xi):
         dest = o[:, ms, :, rs].transpose(0, 2, 1, 3, 4, 5, 6, 7)
+        targets = [[dest[..., c, :, e, :] for e in range(2)] for c in range(2)]
         _mix_pairs(
             u_bra,
             [[ket[..., p, :, q, :] for q in range(2)] for p in range(2)],
-            [[dest[..., c, :, e, :] for e in range(2)] for c in range(2)],
-            bra_work,
+            targets,
+            work.reshape(2, *targets[0][0].shape),
         )
     return out
 
 
-def _trace_out_qubit(joint: np.ndarray, n_qubits: int, k: int) -> np.ndarray:
-    """Partial trace over qubit k, 0 < k < n_qubits; the others keep their order."""
-    before, after = 2**k, 2 ** (n_qubits - k - 1)
-    t = joint.reshape(before, 2, after, before, 2, after)
-    d = before * after
-    return np.einsum("ikjlkm->ijlm", t).reshape(d, d)
+def _gate_and_trace(joint: np.ndarray, u4: np.ndarray, n_qubits: int, k: int) -> np.ndarray:
+    """tr_k[U rho U+] with U a two-qubit gate on qubits (0, k), 0 < k <
+    n_qubits; the other qubits keep their order.
+
+    The ket side is :func:`_ket_chunks`.  The bra side writes only the
+    blocks where qubit k's column bit equals its row bit beta, and sums
+    beta = 0, 1 straight into the D/2 x D/2 result: half the arithmetic of
+    the whole bra side, and no full-size output.  Besides the result, a
+    gate allocates 1.5 chunks of temporaries.
+    """
+    between, after = 2 ** (k - 1), 2 ** (n_qubits - k - 1)
+    d = 2**n_qubits
+    out = np.empty((d // 2, d // 2), dtype=complex)
+    o = out.reshape(2, between, after, 2, between, after)
+    u_bra = u4.reshape(2, 2, 2, 2).conj()
+    for ms, rs, ket, work in _ket_chunks(joint.reshape(2, between, 2, after, 2, between, 2, after), u4):
+        dest = o[:, ms, rs]
+        # a term and its imaginary part, then the beta = 1 sums for c = 0, 1
+        spare = work.reshape(4, *dest[:, :, :, 0].shape)
+        for beta in range(2):
+            _mix_pairs(
+                u_bra[:, beta : beta + 1],
+                [[ket[:, beta, ..., p, :, q, :] for q in range(2)] for p in range(2)],
+                [[dest[:, :, :, c] if beta == 0 else spare[2 + c]] for c in range(2)],
+                spare,
+            )
+        for c in range(2):
+            dest[:, :, :, c] += spare[2 + c]
+    return out
 
 
 def run_collisions_joint(
@@ -211,10 +263,10 @@ def run_collisions_joint(
 ) -> tuple[TrajectoryRecord, np.ndarray]:
     """Joint-mode trajectory retaining the full post-collision state.
 
-    Ancillas are attached lazily, with the system as qubit 0 and collision k
-    on qubit k + 1.  Also returns the final joint state, read-only, so
-    callers can check global-entropy conservation and reverse the
-    collisions with :func:`reverse_collisions`.
+    Each ancilla is attached inside its gate, with the system as qubit 0
+    and collision k on qubit k + 1.  Also returns the final joint state,
+    read-only, so callers can check global-entropy conservation and reverse
+    the collisions with :func:`reverse_collisions`.
     """
     if system_init.dim != 2:
         raise ValueError("system must be a qubit")
@@ -230,8 +282,7 @@ def run_collisions_joint(
     entropies = [von_neumann_entropy(system_init)]
     distances = [trace_distance(system_init, xi)]
     for k in range(spec.count):
-        joint = np.kron(joint, xi.matrix)
-        joint = _apply_pair_unitary(joint, g, k + 2, k + 1)
+        joint = _attach_and_gate(joint, xi.matrix, g)
         reduced = DensityOperator(partial_traces(joint[None], 2, 2 ** (k + 1), "S")[0])
         states.append(reduced)
         entropies.append(von_neumann_entropy(reduced))
@@ -258,7 +309,8 @@ def reverse_collisions(
     given order (default: exact reverse).  Any other order demonstrates how
     bookkeeping, not dynamics, is what makes the machine look irreversible.
     No later gate touches an ancilla once its inverse gate has acted, so it
-    is traced out right away: the replay runs at dimensions D, D/2, ..., 4.
+    is traced out inside that gate: the replay runs at dimensions D, D/2,
+    ..., 4, and ``joint_final`` is left intact for another replay.
     """
     joint = np.asarray(joint_final)
     if joint.ndim != 2 or joint.shape[0] != joint.shape[1]:
@@ -284,8 +336,7 @@ def reverse_collisions(
     held = list(range(n))
     for k in replay:
         n_qubits, qubit = len(held) + 1, held.index(k) + 1
-        joint = _apply_pair_unitary(joint, inverse, n_qubits, qubit)
-        joint = _trace_out_qubit(joint, n_qubits, qubit)
+        joint = _gate_and_trace(joint, inverse, n_qubits, qubit)
         held.remove(k)
     return DensityOperator(joint)
 

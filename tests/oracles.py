@@ -91,6 +91,14 @@ def replay_then_trace(joint, u4, order) -> np.ndarray:
     return np.trace(joint.reshape(2, d // 2, 2, d // 2), axis1=1, axis2=3)
 
 
+def trace_out_qubit(joint, n_qubits: int, k: int) -> np.ndarray:
+    """Partial trace over qubit k of a 2^n matrix as one np.einsum; the other
+    qubits keep their order."""
+    before, after = 2**k, 2 ** (n_qubits - k - 1)
+    t = joint.reshape(before, 2, after, before, 2, after)
+    return np.einsum("ikjlkm->ijlm", t).reshape(before * after, before * after)
+
+
 def pair_gate_einsum(rho, u4, n_qubits: int, k: int) -> np.ndarray:
     """U rho U+ for a two-qubit gate on qubits (0, k) as two np.einsum
     contractions, ket side then bra side: the arithmetic the chunked kernel

@@ -9,7 +9,8 @@ from arrowlab import collisions, experiments
 from arrowlab.collisions import (
     JOINT_DIM_CAP,
     ReservoirSpec,
-    _apply_pair_unitary,
+    _attach_and_gate,
+    _gate_and_trace,
     convergence_report,
     partial_swap_unitary,
     reverse_collisions,
@@ -29,7 +30,7 @@ from arrowlab.core import (
     trace_distance,
     von_neumann_entropy,
 )
-from oracles import SWAP, ket, pair_gate_einsum, pair_gate_on_qubits, replay_then_trace
+from oracles import SWAP, ket, pair_gate_einsum, pair_gate_on_qubits, replay_then_trace, trace_out_qubit
 
 H_QUBIT = Hamiltonian(np.diag([0.0, 1.0]).astype(complex))
 XI = gibbs_state(H_QUBIT, math.log(3))  # diag(0.75, 0.25)
@@ -120,14 +121,11 @@ class TestJointMode:
         # fresh uncorrelated partners make every collision a product-input
         # balance on the colliding pair
         count = 5
-        spec = ReservoirSpec(ancilla_state=XI, count=count)
         gate = partial_swap_unitary(0.5).matrix
         joint = random_density_operator(2, 2, RandomSource(3)).matrix
-        for k in range(count):
-            joint = np.kron(joint, XI.matrix)
-        n = count + 1
 
         def marginal_entropy_sum(m):
+            n = m.shape[0].bit_length() - 1
             total = 0.0
             for q in range(n):
                 left, right = 2**q, 2 ** (n - q - 1)
@@ -138,11 +136,13 @@ class TestJointMode:
                 total += float(-(lam * np.log(lam)).sum())
             return total
 
+        # each ancilla not yet attached adds its own entropy to the sum
+        ancilla = marginal_entropy_sum(XI.matrix)
         previous = marginal_entropy_sum(joint)
         for k in range(count):
-            joint = _apply_pair_unitary(joint, gate, n, k + 1)
+            joint = _attach_and_gate(joint, XI.matrix, gate)
             current = marginal_entropy_sum(joint)
-            assert current >= previous - 1e-10
+            assert current >= previous + ancilla - 1e-10
             previous = current
 
     def test_final_joint_state_is_read_only(self):
@@ -156,38 +156,71 @@ class TestJointMode:
     def test_pair_gate_matches_dense_oracle(self, n_qubits):
         d = 2**n_qubits
         rho = random_density_operator(d, d, RandomSource(n_qubits)).matrix
+        small = random_density_operator(d // 2, d // 2, RandomSource(60 + n_qubits)).matrix
+        xi = random_density_operator(2, 2, RandomSource(80 + n_qubits)).matrix
         (u4,) = haar_unitaries(4, RandomSource(100 + n_qubits))
+        g = pair_gate_on_qubits(u4, n_qubits, n_qubits - 1)
+        expected = g @ np.kron(small, xi) @ g.conj().T
+        assert np.abs(_attach_and_gate(small, xi, u4) - expected).max() <= 1e-14
         for k in range(1, n_qubits):
             g = pair_gate_on_qubits(u4, n_qubits, k)
-            expected = g @ rho @ g.conj().T
-            assert np.abs(_apply_pair_unitary(rho, u4, n_qubits, k) - expected).max() <= 1e-14
+            expected = trace_out_qubit(g @ rho @ g.conj().T, n_qubits, k)
+            assert np.abs(_gate_and_trace(rho, u4, n_qubits, k) - expected).max() <= 1e-14
 
     @pytest.mark.parametrize("n_qubits", [2, 3, 4, 5, 6, 7])
     def test_pair_gate_is_bit_identical_to_einsum_for_the_partial_swap(self, n_qubits):
         d = 2**n_qubits
         rho = random_density_operator(d, d, RandomSource(20 + n_qubits)).matrix
+        small = random_density_operator(d // 2, d // 2, RandomSource(40 + n_qubits)).matrix
         for theta in (0.3, math.pi / 4, 1.5, math.pi / 2):
             u4 = partial_swap_unitary(theta).matrix
+            for xi in (XI.matrix, random_density_operator(2, 2, RandomSource(60 + n_qubits)).matrix):
+                got = _attach_and_gate(small, xi, u4)
+                expected = pair_gate_einsum(np.kron(small, xi), u4, n_qubits, n_qubits - 1)
+                assert np.array_equal(got.view(float), expected.view(float))
             for k in range(1, n_qubits):
-                got = _apply_pair_unitary(rho, u4, n_qubits, k)
-                assert np.array_equal(got.view(float), pair_gate_einsum(rho, u4, n_qubits, k).view(float))
+                got = _gate_and_trace(rho, u4, n_qubits, k)
+                expected = trace_out_qubit(pair_gate_einsum(rho, u4, n_qubits, k), n_qubits, k)
+                assert np.array_equal(got.view(float), expected.view(float))
 
     def test_pair_gate_allocates_about_one_state(self):
+        # the result, plus a quarter of the gate's state for temporaries
         n_qubits = 9
         d = 2**n_qubits
         rho = random_density_operator(d, d, RandomSource(11)).matrix
+        small = np.ascontiguousarray(rho[: d // 2, : d // 2])
         (u4,) = haar_unitaries(4, RandomSource(12))
         tracemalloc.start()
         try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = _attach_and_gate(small, XI.matrix, u4)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            del out
+            assert peak <= 1.25 * rho.nbytes, peak / rho.nbytes
             for k in range(1, n_qubits):
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
-                out = _apply_pair_unitary(rho, u4, n_qubits, k)
+                out = _gate_and_trace(rho, u4, n_qubits, k)
                 peak = tracemalloc.get_traced_memory()[1] - before
                 del out
-                assert peak <= 1.25 * rho.nbytes, (k, peak / rho.nbytes)
+                assert peak <= 0.5 * rho.nbytes, (k, peak / rho.nbytes)
         finally:
             tracemalloc.stop()
+
+    def test_forward_peak_is_the_final_state_and_its_quarter_size_input(self):
+        # the last collision holds its output, its input and chunk
+        # temporaries; building rho x xi whole took twice the final state
+        spec = ReservoirSpec(ancilla_state=XI, count=10)
+        rho0 = random_density_operator(2, 2, RandomSource(4))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, joint_final = run_collisions_joint(rho0, spec, partial_swap_unitary(0.3))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * joint_final.nbytes, peak / joint_final.nbytes
 
     def test_cap_enforced(self):
         spec = ReservoirSpec(ancilla_state=XI, count=12)
@@ -234,15 +267,21 @@ class TestReversal:
         spec = ReservoirSpec(ancilla_state=XI, count=count)
         gate = partial_swap_unitary(0.5)
         _, joint_final = run_collisions_joint(diag_state(0.3), spec, gate)
-        calls = []
+        calls, forward = [], []
 
         def counting(joint, u4, n_qubits, k):
             calls.append(k)
-            return _apply_pair_unitary(joint, u4, n_qubits, k)
+            return _gate_and_trace(joint, u4, n_qubits, k)
 
-        monkeypatch.setattr(collisions, "_apply_pair_unitary", counting)
+        def attaching(joint, xi, u4):
+            forward.append(joint.shape)
+            return _attach_and_gate(joint, xi, u4)
+
+        monkeypatch.setattr(collisions, "_gate_and_trace", counting)
+        monkeypatch.setattr(collisions, "_attach_and_gate", attaching)
         reverse_collisions(joint_final, gate)
         assert calls == list(range(count, 0, -1))
+        assert forward == []
 
     @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
     def test_every_order_matches_full_size_replay_oracle(self, count):
@@ -263,12 +302,29 @@ class TestReversal:
 
         def recording(joint, u4, n_qubits, k):
             dims.append(joint.shape[0])
-            return _apply_pair_unitary(joint, u4, n_qubits, k)
+            return _gate_and_trace(joint, u4, n_qubits, k)
 
-        monkeypatch.setattr(collisions, "_apply_pair_unitary", recording)
+        monkeypatch.setattr(collisions, "_gate_and_trace", recording)
         recovered = reverse_collisions(joint_final, partial_swap_unitary(0.5), order=order)
         assert dims == [2**9 >> i for i in range(8)]
         assert recovered.dim == 2
+
+    def test_reversal_peak_above_the_held_state_is_a_quarter_of_it(self):
+        # the first step's quarter-size output and chunk temporaries; the
+        # full-size gate output and its trace-out took 1.25 times the state
+        spec = ReservoirSpec(ancilla_state=XI, count=10)
+        rho0 = random_density_operator(2, 2, RandomSource(4))
+        gate = partial_swap_unitary(0.3)
+        _, joint_final = run_collisions_joint(rho0, spec, gate)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            recovered = reverse_collisions(joint_final, gate)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.35 * joint_final.nbytes, peak / joint_final.nbytes
+        assert trace_distance(recovered, rho0) <= 1e-9
 
     def test_order_entries_must_be_integers(self):
         spec = ReservoirSpec(ancilla_state=XI, count=3)

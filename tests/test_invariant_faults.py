@@ -6,18 +6,26 @@ case wraps the experiment's real ``run`` and moves one row cell, or one
 the unmoved run passes the invariant, and the moved run exits 2 with the
 invariant recorded as failed and a failure line that names it.  A registry
 walk fails when a pair has no case, so a new invariant arrives with one.
+
+The two input checks fire too: a Hamiltonian decomposition, or an outcome
+distribution, moved just past its tolerance ends the run with exit 1 and
+one error line.
 """
 
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-from arrowlab import experiments
+from arrowlab import core, experiments, fluctuation
 from arrowlab.cli import main
 
 # how far past its tolerance each case moves an invariant's value
 PAST = 1e-6
+# the same for an input check, relative to its tolerance, which is far
+# smaller than PAST
+PAST_FACTOR = 1.1
 
 
 def cell(column, value, row=0):
@@ -128,3 +136,39 @@ def test_invariant_fires(capsys, monkeypatch, name, invariant):
     named = [line for line in err.splitlines() if f": {invariant} = " in line]
     assert named and all(line.startswith("arrowlab: invariant failure: ") for line in named)
     assert all(line.endswith(f" is not <= {tol!r}") for line in named)
+
+
+def input_check_fires(capsys, argv, message):
+    """The moved run exits 1, with one error line naming the check and no rows."""
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("arrowlab: error: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_hamiltonian_reconstruction_check_fires(capsys, monkeypatch):
+    argv = ["crooks", *SMALL["crooks"]]
+    assert main(argv) == 0
+    capsys.readouterr()
+    eigh = np.linalg.eigh
+    # shifting every eigenvalue by the same amount moves V diag(evals) V+
+    # away from H by that amount on the diagonal
+    shift = PAST_FACTOR * core.RECONSTRUCTION_TOL
+
+    def shifted(m):
+        evals, evecs = eigh(m)
+        return evals + shift, evecs
+
+    monkeypatch.setattr(np.linalg, "eigh", shifted)
+    input_check_fires(capsys, argv, "eigendecomposition fails to reconstruct")
+
+
+def test_distribution_sum_check_fires(capsys, monkeypatch):
+    argv = ["crooks", *SMALL["crooks"]]
+    assert main(argv) == 0
+    capsys.readouterr()
+    check = fluctuation.check_distributions
+    scale = 1.0 + PAST_FACTOR * fluctuation.DISTRIBUTION_SUM_TOL
+    monkeypatch.setattr(fluctuation, "check_distributions", lambda probs: check(probs * scale))
+    input_check_fires(capsys, argv, "outcome probabilities sum to")
