@@ -13,8 +13,6 @@ from .core import (
     pure_state,
     random_density_operator,
     renyi2_of_matrix,
-    trace_distance,
-    von_neumann_entropy,
 )
 from .arrow import (
     TWO_QUBITS,
@@ -27,7 +25,6 @@ from .arrow import (
     classical_correlated_state,
     classical_decorrelating_unitary,
     decorrelating_unitary,
-    entropy_balance,
     near_product_state,
     schrodinger_checks,
     search_entropy_decreasing_unitaries,
@@ -48,7 +45,7 @@ from .fluctuation import (
     HeatFlowReport,
     ProtocolStack,
     crooks_checks,
-    damping_heat,
+    damping_heats,
     effective_temperatures,
     heat_flow_trials,
     jarzynski_checks,

@@ -159,13 +159,15 @@ def product_balances(
     return entropy_balances(final, initial, layout), final
 
 
-def entropy_balance(rho_joint: DensityOperator, layout: BipartitionLayout, u: UnitaryOperator) -> EntropyBalanceReport:
-    """Evolve the joint state and report both local entropy changes."""
-    if rho_joint.dim != layout.dim or u.dim != layout.dim:
+def state_balances(rho: np.ndarray, spectra: np.ndarray, layout: BipartitionLayout, u: np.ndarray) -> EntropyBalanceReport:
+    """Entropy balances of a stack (n, D, D) of validated joint states,
+    correlated or not, with their spectra (n, D) as
+    :func:`core.validate_states` returns them, under a stack of validated
+    unitaries (n, D, D); nothing is validated again."""
+    if rho.shape[-1] != layout.dim or u.shape[-1] != layout.dim:
         raise ValueError("state, layout and unitary dimensions must agree")
-    rho = rho_joint.matrix[None]
-    initial = (*marginal_entropies_of_stack(rho, layout), spectrum_entropies(rho_joint.spectrum[None]))
-    return entropy_balances(evolve_states(rho, u.matrix[None]), initial, layout).trial(0)
+    initial = (*marginal_entropies_of_stack(rho, layout), spectrum_entropies(spectra))
+    return entropy_balances(evolve_states(rho, u), initial, layout)
 
 
 def schrodinger_checks(products: np.ndarray) -> list[Alignment]:
@@ -238,7 +240,8 @@ def classical_decorrelating_unitary() -> UnitaryOperator:
 
 def classical_correlated_demo() -> EntropyBalanceReport:
     """Decorrelate two classically correlated bits; the entropy sum drops by ln 2."""
-    return entropy_balance(classical_correlated_state(), TWO_QUBITS, classical_decorrelating_unitary())
+    rho, u = classical_correlated_state(), classical_decorrelating_unitary()
+    return state_balances(rho.matrix[None], rho.spectrum[None], TWO_QUBITS, u.matrix[None]).trial(0)
 
 
 # ---------------------------------------------------------------------------
@@ -587,23 +590,23 @@ def weak_coupling_sweep(
 
     At g = 0 the evolution is local and every sum vanishes; the eps = 0
     column is a product input so its sums are non-negative.
+
+    Each coupling's Hamiltonian is validated in turn, then all unitaries as
+    one stack, and every (g, eps, t) cell is balanced as one stack, each
+    state's initial entropies computed once.
     """
     if h_local_s.dim != 2 or h_local_r.dim != 2 or h_int.dim != 4:
         raise ValueError("sweep expects qubit local Hamiltonians and a 4-dim interaction")
     h_local = np.kron(h_local_s.matrix, np.eye(2)) + np.kron(np.eye(2), h_local_r.matrix)
     states = [near_product_state(eps) for eps in grid.correlation_strengths]
     times = grid.evolution_times
+    u = np.stack([unitaries_from_hamiltonian(Hamiltonian(h_local + g * h_int.matrix), times) for g in grid.coupling_strengths])
+    validate_unitaries(u.reshape(-1, 4, 4))
     matrices = np.stack([state.matrix for state in states])
     spectra = np.stack([state.spectrum for state in states])
-    # one stack per coupling, over the (eps, t) cells in grid order; each
-    # state's initial entropies are computed once and repeated over its times
-    rho = np.repeat(matrices, len(times), axis=0)
     entropies = (*marginal_entropies_of_stack(matrices, TWO_QUBITS), spectrum_entropies(spectra))
-    initial = tuple(np.repeat(e, len(times)) for e in entropies)
-    sums = np.empty((len(grid.coupling_strengths), len(states), len(times)))
-    for i, g in enumerate(grid.coupling_strengths):
-        u = unitaries_from_hamiltonian(Hamiltonian(h_local + g * h_int.matrix), times)
-        validate_unitaries(u)
-        report = entropy_balances(evolve_states(rho, np.tile(u, (len(states), 1, 1))), initial, TWO_QUBITS)
-        sums[i] = report.sum.reshape(len(states), len(times))
-    return sums
+    cells = (len(grid.coupling_strengths), len(states), len(times))
+    rho = np.broadcast_to(matrices[None, :, None], (*cells, 4, 4)).reshape(-1, 4, 4)
+    initial = tuple(np.broadcast_to(e[None, :, None], cells).ravel() for e in entropies)
+    final = evolve_states(rho, np.broadcast_to(u[:, None], (*cells, 4, 4)).reshape(-1, 4, 4))
+    return entropy_balances(final, initial, TWO_QUBITS).sum.reshape(cells)

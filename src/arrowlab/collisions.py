@@ -16,7 +16,8 @@ initial system state to machine precision.  Scramble the replay order and
 the recovery fails.  Either way each ancilla meets exactly one inverse gate,
 so it is traced out as soon as that gate has acted and the replay continues
 on a state half the size: dimensions D, D/2, ..., 4 instead of n times D.
-Both modes reduce to the system with core's partial trace.
+Both modes reduce to the system with core's partial trace and record the
+trajectory as one (n + 1, 2, 2) stack, validated by one call.
 
 No full-size state is held twice.  Each ancilla is attached inside its
 gate, which forms rho x xi chunk by chunk and never whole, so a forward
@@ -37,8 +38,9 @@ from .core import (
     DensityOperator,
     UnitaryOperator,
     partial_traces,
-    trace_distance,
-    von_neumann_entropy,
+    spectrum_entropies,
+    trace_distances,
+    validate_states,
 )
 
 JOINT_DIM_CAP = 2**12
@@ -80,19 +82,28 @@ class ReservoirSpec:
             raise ValueError("count must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
-    """Per-collision system state, entropy and distance to the incoming
-    ancilla; index 0 is the initial point."""
+    """Per-collision system state (n + 1, 2, 2), entropy (n + 1,) and
+    distance to the incoming ancilla (n + 1,); index 0 is the initial point."""
 
-    states: tuple[DensityOperator, ...]
-    entropies: tuple[float, ...]
-    distances_to_ancilla: tuple[float, ...]
+    states: np.ndarray
+    entropies: np.ndarray
+    distances_to_ancilla: np.ndarray
 
     def __post_init__(self):
         n = len(self.states)
         if n < 1 or len(self.entropies) != n or len(self.distances_to_ancilla) != n:
             raise ValueError("trajectory fields must have equal nonzero length")
+
+
+def _trajectory(system_init: DensityOperator, states: list[np.ndarray], xi: np.ndarray) -> TrajectoryRecord:
+    """The record of the states after each collision, validated by one call
+    in step order, so the first failing step raises what it raises alone;
+    entropies from those spectra, distances from one ``eigvalsh``."""
+    stack = np.stack([system_init.matrix, *states])
+    spectra = np.concatenate((system_init.spectrum[None], validate_states(stack[1:])))
+    return TrajectoryRecord(stack, spectrum_entropies(spectra), trace_distances(stack, xi))
 
 
 def run_collisions(
@@ -111,22 +122,13 @@ def run_collisions(
         raise ValueError("gate must act on two qubits")
     g = gate.matrix
     rho = system_init.matrix
-    xi = spec.ancilla_state
-    states = [system_init]
-    entropies = [von_neumann_entropy(system_init)]
-    distances = [trace_distance(system_init, xi)]
+    xi = spec.ancilla_state.matrix
+    states = []
     for _ in range(spec.count):
-        joint = g @ np.kron(rho, xi.matrix) @ g.conj().T
+        joint = g @ np.kron(rho, xi) @ g.conj().T
         rho = partial_traces(joint[None], 2, 2, "S")[0]
-        state = DensityOperator(rho)
-        states.append(state)
-        entropies.append(von_neumann_entropy(state))
-        distances.append(trace_distance(state, xi))
-    return TrajectoryRecord(
-        states=tuple(states),
-        entropies=tuple(entropies),
-        distances_to_ancilla=tuple(distances),
-    )
+        states.append(rho)
+    return _trajectory(system_init, states, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -277,32 +279,23 @@ def run_collisions_joint(
         raise ValueError(f"joint dimension {joint_dim} exceeds the cap {JOINT_DIM_CAP}")
     g = gate.matrix
     joint = system_init.matrix
-    xi = spec.ancilla_state
-    states = [system_init]
-    entropies = [von_neumann_entropy(system_init)]
-    distances = [trace_distance(system_init, xi)]
+    xi = spec.ancilla_state.matrix
+    states = []
     for k in range(spec.count):
-        joint = _attach_and_gate(joint, xi.matrix, g)
-        reduced = DensityOperator(partial_traces(joint[None], 2, 2 ** (k + 1), "S")[0])
-        states.append(reduced)
-        entropies.append(von_neumann_entropy(reduced))
-        distances.append(trace_distance(reduced, xi))
-    record = TrajectoryRecord(
-        states=tuple(states),
-        entropies=tuple(entropies),
-        distances_to_ancilla=tuple(distances),
-    )
+        joint = _attach_and_gate(joint, xi, g)
+        states.append(partial_traces(joint[None], 2, 2 ** (k + 1), "S")[0])
     joint.setflags(write=False)
-    return record, joint
+    return _trajectory(system_init, states, xi), joint
 
 
 def reverse_collisions(
     joint_final: np.ndarray,
     gate: UnitaryOperator,
     order: Sequence[int] | None = None,
-) -> DensityOperator:
+) -> np.ndarray:
     """Replay the inverse gate on the retained joint state and return the
-    recovered system state.
+    recovered system state, a 2 x 2 matrix; a unitary replay of a valid
+    state is a state, so it is not validated again.
 
     Collision k acted on qubits (0, k + 1) of ``joint_final``, the state
     :func:`run_collisions_joint` returns.  The inverse is applied in the
@@ -338,7 +331,7 @@ def reverse_collisions(
         n_qubits, qubit = len(held) + 1, held.index(k) + 1
         joint = _gate_and_trace(joint, inverse, n_qubits, qubit)
         held.remove(k)
-    return DensityOperator(joint)
+    return joint
 
 
 @dataclass(frozen=True)
@@ -357,7 +350,7 @@ def convergence_report(trajectory: TrajectoryRecord) -> ConvergenceReport:
     """
     if len(trajectory.distances_to_ancilla) < 3:
         raise ValueError("need a trajectory of length >= 3 to fit a rate")
-    distances = np.asarray(trajectory.distances_to_ancilla)
+    distances = trajectory.distances_to_ancilla
     final = float(distances[-1])
     mask = distances > EXACT_DISTANCE_FLOOR
     if mask.sum() < 2:

@@ -20,9 +20,9 @@ Conventions, fixed once for the whole package:
 
 Experiments run their trials as stacks: the validators, samplers and
 kernels with plural names act on (n, d, d) arrays, one trial per leading
-index.  The single-state functions left are their one-element case, kept
-where an experiment handles one state at a time; a one-state partial
-trace, evolution or Haar draw is the stacked kernel on a stack of one.
+index.  The single-state containers and constructors left validate library
+input at its boundary; past it, every entropy, distance, partial trace,
+evolution or Haar draw is a stacked kernel, one state a stack of one.
 Every stacked numpy call used here rounds exactly like the per-matrix call,
 so a trial's numbers do not depend on the stack it runs in.
 """
@@ -527,12 +527,6 @@ def renyi2_of_matrix(m: np.ndarray) -> float:
     return -float(np.log(np.einsum("ij,ij->", m.real, m.real) + np.einsum("ij,ij->", m.imag, m.imag)))
 
 
-def von_neumann_entropy(rho: DensityOperator) -> float:
-    """S(rho) = -tr rho ln rho in nats, with 0 ln 0 := 0, from the spectrum
-    the state was validated with."""
-    return float(spectrum_entropies(rho.spectrum[None])[0])
-
-
 def marginal_entropies_of_stack(m: np.ndarray, layout: BipartitionLayout) -> tuple[np.ndarray, np.ndarray]:
     """(S(rho_S), S(rho_R)) in nats of each joint matrix in a stack (n, D, D).
 
@@ -556,11 +550,11 @@ def mutual_informations(m: np.ndarray, spectra: np.ndarray, layout: BipartitionL
 # distances
 # ---------------------------------------------------------------------------
 
-def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Half the sum of absolute eigenvalues of rho - sigma; in [0, 1]."""
-    if rho.dim != sigma.dim:
-        raise ValueError("states must have equal dimension")
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(rho.matrix - sigma.matrix)).sum())
+def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Half the sum of absolute eigenvalues of each a_k - b_k, for two
+    stacks (n, d, d) of states or a stack and one (d, d) state; each in
+    [0, 1].  One ``eigvalsh`` decomposes every difference."""
+    return 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------

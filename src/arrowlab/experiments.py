@@ -36,6 +36,7 @@ from .core import (
     Hamiltonian,
     RandomSource,
     draw_streams,
+    gibbs_matrices,
     gibbs_state,
     haar_unitaries,
     mutual_informations,
@@ -43,7 +44,7 @@ from .core import (
     random_density_matrices,
     random_density_operator,
     renyi2_of_matrix,
-    trace_distance,
+    trace_distances,
     trial_chunks,
     validate_states,
 )
@@ -260,7 +261,8 @@ def run_balance(trials: int, dim_s: int, dim_r: int, seed: int) -> Result:
 
 def run_near_product(epsilon: float) -> Result:
     """Near-product construction plus its analytic decorrelating unitary."""
-    rep = arrow.entropy_balance(arrow.near_product_state(epsilon), arrow.TWO_QUBITS, arrow.decorrelating_unitary())
+    rho, u = arrow.near_product_state(epsilon), arrow.decorrelating_unitary()
+    rep = arrow.state_balances(rho.matrix[None], rho.spectrum[None], arrow.TWO_QUBITS, u.matrix[None]).trial(0)
     analytic = -near_product_mutual_information(epsilon)
     dev = abs(rep.sum - analytic)
     return [(epsilon, rep.ds_s, rep.ds_r, rep.sum, rep.mi_initial, rep.mi_final, analytic, dev)], {}
@@ -410,7 +412,8 @@ def run_collide(
     The extra metadata holds the fitted rate, the reversal distances, the
     joint state's Renyi-2 entropy before and after the collisions and the
     joint trajectory's largest trace distance from the reduced-mode
-    recursion; those numbers are recomputable from the same seed.
+    recursion; those numbers are recomputable from the same seed.  The
+    reversal distances, and the trajectory's, take one ``eigvalsh`` each.
     """
     h = Hamiltonian(np.diag([0.0, 1.0]).astype(complex))
     xi = gibbs_state(h, beta)
@@ -427,8 +430,14 @@ def run_collide(
     extra: dict = {}
     if mode == "joint":
         record, joint_final = collisions.run_collisions_joint(rho0, spec, gate)
-        recovered = collisions.reverse_collisions(joint_final, gate)
-        extra["recovered_trace_distance"] = trace_distance(recovered, rho0)
+        recovered = [collisions.reverse_collisions(joint_final, gate)]
+        if count >= 2:
+            order = [int(i) for i in root.child(1).generator().permutation(count)]
+            if order == list(range(count - 1, -1, -1)):
+                order = order[::-1]
+            recovered.append(collisions.reverse_collisions(joint_final, gate, order=order))
+        recovery = trace_distances(np.stack(recovered), rho0.matrix).tolist()
+        extra["recovered_trace_distance"] = recovery[0]
         # a unitary conserves every Renyi entropy; Renyi-2 is additive on the
         # product input and costs O(D^2) on the final joint state
         extra["joint_renyi2_initial"] = renyi2_of_matrix(rho0.matrix) + count * renyi2_of_matrix(xi.matrix)
@@ -436,14 +445,10 @@ def run_collide(
         # fresh ancillas make the 2x2 recursion exact, so the joint state
         # must reduce to its state after every collision
         recursion = collisions.run_collisions(rho0, spec, gate)
-        extra["trajectory_deviation"] = max(map(trace_distance, record.states, recursion.states))
+        extra["trajectory_deviation"] = trace_distances(record.states, recursion.states).max().item()
         if count >= 2:
-            order = [int(i) for i in root.child(1).generator().permutation(count)]
-            if order == list(range(count - 1, -1, -1)):
-                order = order[::-1]
-            shuffled = collisions.reverse_collisions(joint_final, gate, order=order)
             extra["shuffled_order"] = order
-            extra["shuffled_trace_distance"] = trace_distance(shuffled, rho0)
+            extra["shuffled_trace_distance"] = recovery[1]
     elif mode == "reduced":
         record = collisions.run_collisions(rho0, spec, gate)
     else:
@@ -454,7 +459,7 @@ def run_collide(
         extra["fitted_rate"] = report.rate
         extra["fit_residual"] = report.residual
         extra["exact_convergence"] = report.exact
-    rows = [(k, record.entropies[k], record.distances_to_ancilla[k]) for k in range(len(record.entropies))]
+    rows = list(zip(range(len(record.entropies)), record.entropies.tolist(), record.distances_to_ancilla.tolist()))
     return rows, extra
 
 
@@ -520,16 +525,15 @@ def run_heatflow(trials: int, seed: int) -> Result:
 
 def run_damping(trials: int, beta: float, seed: int) -> Result:
     """Relative-entropy heat of damping canonical and random states into a
-    thermal bath; row 0 is the bath's own thermal state."""
+    thermal bath; row 0 is the bath's own thermal state.  The states are
+    one stack, validated once (:func:`fluctuation.damping_heats`)."""
+    # the excited state |1><1| is the qubit Hamiltonian diag(0, 1) itself
     h = Hamiltonian(np.diag([0.0, 1.0]).astype(complex))
-    root = RandomSource(seed)
-    named = [
-        ("thermal", gibbs_state(h, beta)),
-        ("maximally-mixed", gibbs_state(h, 0.0)),
-        ("excited", pure_state([0.0, 1.0])),
-    ]
-    named += [("random", DensityOperator(m)) for m in random_density_matrices(2, 2, root.children(range(trials)))]
-    return [(k, kind, fluctuation.damping_heat(state, h, beta)) for k, (kind, state) in enumerate(named)], {}
+    states = np.concatenate(
+        (gibbs_matrices(h, [beta, 0.0]), h.matrix[None], random_density_matrices(2, 2, RandomSource(seed).children(range(trials))))
+    )
+    kinds = ["thermal", "maximally-mixed", "excited"] + ["random"] * trials
+    return list(zip(range(len(kinds)), kinds, fluctuation.damping_heats(states, h, beta).tolist())), {}
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +647,8 @@ EXPERIMENTS: dict[str, Experiment] = {
         invariants=(
             _each_row("hotter_energy_gain", HOTTER_GAIN_TOL, lambda c: np.where(c["hotter"] == "S", c["du_s"], c["du_r"])),
             _each_row("minus_clausius_lhs", BALANCE_TOL, lambda c: -c["clausius_lhs"]),
+            # the exchange commutes with h_S + h_R: what one side loses, the other gains
+            _each_row("abs_total_energy_change", HOTTER_GAIN_TOL, lambda c: np.abs(c["du_s"] + c["du_r"])),
         ),
     ),
     "damping": Experiment(

@@ -32,6 +32,9 @@ an energy-conserving exchange and returns one :class:`HeatFlowReport` of
 (n,) arrays: the entropy balance of :func:`arrow.product_balances`, each
 side's energy change and its effective temperature dU/dS.  No D x D product
 is built; the initial energies are tr(h rho) of the Gibbs factors.
+
+:func:`damping_heats` gives the heat D(rho || gamma) of each state of a
+stack damped into a Gibbs bath, from one validation of the stack.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ import numpy as np
 from .arrow import TWO_QUBITS, EntropyBalanceReport, product_balances
 from .core import (
     BipartitionLayout,
-    DensityOperator,
     Hamiltonian,
     RandomSource,
     gibbs_matrices,
@@ -51,10 +53,11 @@ from .core import (
     masked_row_sums,
     raise_first_failure,
     random_hermitians,
+    spectrum_entropies,
     unitaries_from_hamiltonian,
     validate_hamiltonians,
+    validate_states,
     validate_unitaries,
-    von_neumann_entropy,
 )
 
 CLUSTER_GAP_TOL = 1e-9
@@ -385,17 +388,20 @@ def heat_flow_trials(beta_s, beta_r, times) -> HeatFlowReport:
     return HeatFlowReport(balance=balance, du_s=du_s, du_r=du_r, t_s=t_s, t_r=t_r)
 
 
-def damping_heat(state: DensityOperator, h_final: Hamiltonian, beta: float) -> float:
-    """Heat released when the state is damped into a bath thermal on h_final:
-    the relative entropy to its Gibbs state, beta tr(rho H) + ln Z - S(rho),
-    clamped at 0.  No Gibbs weight is formed, so no large beta underflows."""
-    if state.dim != h_final.dim:
+def damping_heats(states: np.ndarray, h_final: Hamiltonian, beta: float) -> np.ndarray:
+    """Heat released when each state of a stack (n, d, d) is damped into a
+    bath thermal on h_final: the relative entropy to its Gibbs state,
+    beta tr(rho H) + ln Z - S(rho), clamped at 0.  The stack is validated
+    here, once, and S(rho) read from the spectra of that validation.  No
+    Gibbs weight is formed, so no large beta underflows."""
+    if states.shape[-1] != h_final.dim:
         raise ValueError("state and Hamiltonian dimensions must agree")
     if not (np.isfinite(beta) and beta >= 0.0):
         raise ValueError("beta must be finite and >= 0")
-    energy = float(np.real(np.einsum("ij,ji->", state.matrix, h_final.matrix)))
-    log_z = float(log_partitions(h_final.eigenvalues[None], beta)[0])
-    return max(beta * energy + log_z - von_neumann_entropy(state), 0.0)
+    spectra = validate_states(states)
+    energies = np.einsum("nij,ji->n", states, h_final.matrix).real
+    heats = beta * energies + log_partitions(h_final.eigenvalues[None], beta)[0] - spectrum_entropies(spectra)
+    return np.where(heats < 0.0, 0.0, heats)  # max(heat, 0.0), -0.0 and NaN kept
 
 
 # ---------------------------------------------------------------------------

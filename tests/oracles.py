@@ -365,6 +365,116 @@ def heatflow_rows(trials, root, from_factors=True) -> list[tuple]:
     return rows
 
 
+# ---------------------------------------------------------------------------
+# single-state references for the restacked paths
+# ---------------------------------------------------------------------------
+# The one-state forms the library used to compute collide's trajectory,
+# damping's heats, the sweep and the near-product and decorrelate reports
+# with: S(rho), the trace distance, the damping heat and the balance of a
+# correlated state, one matrix per numpy call.  The stacked paths must
+# reproduce them bit for bit.
+
+
+def von_neumann_entropy(rho) -> float:
+    """S(rho) in nats from rho's own eigvalsh, with 0 ln 0 := 0."""
+    return _entropy(np.linalg.eigvalsh(rho))
+
+
+def trace_distance(rho, sigma) -> float:
+    """Half the sum of absolute eigenvalues of rho - sigma."""
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(rho - sigma)).sum())
+
+
+def damping_heat(rho, h, beta) -> float:
+    """max(beta tr(rho H) + ln Z - S(rho), 0): the heat of damping rho into
+    a bath thermal on h."""
+    energy = float(np.real(np.einsum("ij,ji->", rho, h)))
+    return max(beta * energy + _log_partition(np.linalg.eigh(h)[0], beta) - von_neumann_entropy(rho), 0.0)
+
+
+def entropy_balance(rho, u, dim_s, dim_r) -> tuple[float, float, float, float]:
+    """(ds_s, ds_r, mi_initial, mi_final) of rho under u, the initial
+    entropies from rho's own decompositions."""
+    return _balance(u @ rho @ u.conj().T, _joint_entropies(rho, dim_s, dim_r), dim_s, dim_r)
+
+
+def collision_trajectory(rho0, xi, gate, count, joint=False) -> tuple[np.ndarray, list, list]:
+    """(states, entropies, distances to xi) of the collision machine, one
+    step and one state at a time.  Reduced mode evolves the 2 x 2 pair;
+    ``joint`` keeps the joint state and gates each attached ancilla as two
+    np.einsum contractions."""
+    states, state = [rho0], rho0
+    for k in range(count):
+        if joint:
+            state = pair_gate_einsum(np.kron(state, xi), gate, k + 2, k + 1)
+        else:
+            state = gate @ np.kron(states[-1], xi) @ gate.conj().T
+        m = len(state) // 2
+        states.append(np.einsum("ikjk->ij", state.reshape(2, m, 2, m)))
+    return np.array(states), [von_neumann_entropy(s) for s in states], [trace_distance(s, xi) for s in states]
+
+
+def damping_rows(trials, beta, root) -> list[tuple]:
+    """run_damping's rows, one state and one heat at a time."""
+    h = np.diag([0.0, 1.0]).astype(complex)
+    evals, evecs = np.linalg.eigh(h)
+
+    def gibbs(b):
+        w = np.exp(-b * (evals - evals.min()))
+        return (evecs * (w / w.sum())) @ evecs.conj().T
+
+    named = [("thermal", gibbs(beta)), ("maximally-mixed", gibbs(0.0)), ("excited", projector(ket(1)))]
+    named += [("random", _random_density(2, root.child(k))) for k in range(trials)]
+    return [(k, kind, damping_heat(rho, h, beta)) for k, (kind, rho) in enumerate(named)]
+
+
+def near_product_matrix(eps) -> np.ndarray:
+    """(1 - eps)|00><00| + eps |psi+><psi+|."""
+    return (1.0 - eps) * np.outer(ket(0, 0), ket(0, 0)) + eps * np.outer(PSI_PLUS, PSI_PLUS)
+
+
+# |00> and |11> fixed, the triplet (|01> + |10>)/sqrt(2) to |01> and the
+# singlet (|01> - |10>)/sqrt(2) to |10>
+DECORRELATOR = (
+    np.outer(ket(0, 0), ket(0, 0).conj())
+    + np.outer(ket(0, 1), PSI_PLUS.conj())
+    + np.outer(ket(1, 0), ((ket(0, 1) - ket(1, 0)) / math.sqrt(2)).conj())
+    + np.outer(ket(1, 1), ket(1, 1).conj())
+)
+
+
+def near_product_row(eps) -> tuple:
+    """run_near_product's row: the near-product state under DECORRELATOR."""
+    ds_s, ds_r, mi_initial, mi_final = entropy_balance(near_product_matrix(eps), DECORRELATOR, 2, 2)
+    total = ds_s + ds_r
+    analytic = -(2.0 * binary_entropy(eps / 2.0) - binary_entropy(eps))
+    return (eps, ds_s, ds_r, total, mi_initial, mi_final, analytic, abs(total - analytic))
+
+
+def decorrelate_row() -> tuple:
+    """run_decorrelate's row: (|00><00| + |11><11|)/2 under the controlled
+    flip that maps |11> to |10>."""
+    rho = 0.5 * np.outer(ket(0, 0), ket(0, 0)) + 0.5 * np.outer(ket(1, 1), ket(1, 1))
+    flip = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+    ds_s, ds_r, mi_initial, mi_final = entropy_balance(rho, flip, 2, 2)
+    return (ds_s, ds_r, ds_s + ds_r, mi_initial, mi_final)
+
+
+def sweep_sums(g_values, eps_values, t_values, gap_s, gap_r) -> np.ndarray:
+    """run_sweep's (n_g, n_eps, n_t) entropy sums, one Hamiltonian per
+    coupling and one unitary and one balance per cell."""
+    h_local = np.kron(np.diag([0.0, gap_s]).astype(complex), np.eye(2)) + np.kron(np.eye(2), np.diag([0.0, gap_r]).astype(complex))
+    sums = np.empty((len(g_values), len(eps_values), len(t_values)))
+    for i, g in enumerate(g_values):
+        evals, evecs = np.linalg.eigh(h_local + g * SWAP)
+        for j, eps in enumerate(eps_values):
+            for k, t in enumerate(t_values):
+                u = (evecs * np.exp(-1j * (t * evals))) @ evecs.conj().T
+                ds_s, ds_r, _, _ = entropy_balance(near_product_matrix(eps), u, 2, 2)
+                sums[i, j, k] = ds_s + ds_r
+    return sums
+
+
 def spectral_assignment_per_cell(matrix, dim_s: int, dim_r: int) -> np.ndarray:
     """The search's spectral-assignment unitary, each placement of the
     descending spectrum scored on its own: every permutation of the cells up

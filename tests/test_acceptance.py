@@ -13,12 +13,13 @@ import pytest
 from arrowlab.arrow import (
     TWO_QUBITS,
     Alignment,
+    EntropyBalanceReport,
     classical_correlated_state,
     decorrelating_unitary,
-    entropy_balance,
     near_product_state,
     schrodinger_checks,
     search_entropy_decreasing_unitaries,
+    state_balances,
 )
 from arrowlab.cli import main
 from arrowlab.collisions import (
@@ -39,7 +40,7 @@ from arrowlab.core import (
     haar_unitaries,
     pure_state,
     random_density_operator,
-    trace_distance,
+    trace_distances,
 )
 from arrowlab.fluctuation import (
     ProtocolStack,
@@ -52,6 +53,11 @@ from oracles import PAULI_X, binary_entropy, ket, mutual_information
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
+
+
+def balance(rho: DensityOperator, layout: BipartitionLayout, u: UnitaryOperator) -> EntropyBalanceReport:
+    """One state's entropy balance, through the stacked path as a stack of one."""
+    return state_balances(rho.matrix[None], rho.spectrum[None], layout, u.matrix[None]).trial(0)
 
 
 def report(index: int, name: str, ok: bool, detail: str = "") -> None:
@@ -69,7 +75,7 @@ def test_criterion_1_entropy_balance_identity():
             src = root.child(k)
             a, b = (random_density_operator(dim, dim, src.child(j)).matrix for j in (0, 1))
             u = UnitaryOperator(haar_unitaries(layout.dim, src.child(2))[0])
-            rep = entropy_balance(DensityOperator(np.kron(a, b)), layout, u)
+            rep = balance(DensityOperator(np.kron(a, b)), layout, u)
             worst_dev = max(worst_dev, abs(rep.sum - rep.mi_final))
             worst_sum = min(worst_sum, rep.sum)
             count += 1
@@ -84,11 +90,11 @@ def test_criterion_2_near_product_construction():
     u = decorrelating_unitary()
     worst_mi, worst_dev = 0.0, 0.0
     for eps in (0.01, 0.05, 0.1, 0.3):
-        rep = entropy_balance(near_product_state(eps), TWO_QUBITS, u)
+        rep = balance(near_product_state(eps), TWO_QUBITS, u)
         analytic = -(2.0 * binary_entropy(eps / 2.0) - binary_entropy(eps))
         worst_mi = max(worst_mi, rep.mi_final)
         worst_dev = max(worst_dev, abs(rep.sum - analytic))
-    rep_01 = entropy_balance(near_product_state(0.1), TWO_QUBITS, u)
+    rep_01 = balance(near_product_state(0.1), TWO_QUBITS, u)
     point_ok = abs(rep_01.sum - (-0.0719475133)) <= 1e-9
     ok = worst_mi <= 1e-10 and worst_dev <= 1e-9 and point_ok
     report(2, "near-product decorrelation matches analytic entropy drop", ok, f"max final MI={worst_mi:.2e}, max|sum-analytic|={worst_dev:.2e}")
@@ -125,7 +131,7 @@ def test_criterion_3_optimizer_realizes_entropy_decrease():
 
 
 def test_criterion_4_relative_arrow_violation():
-    rep = entropy_balance(near_product_state(0.1), TWO_QUBITS, decorrelating_unitary())
+    rep = balance(near_product_state(0.1), TWO_QUBITS, decorrelating_unitary())
     (alignment,) = schrodinger_checks(np.array([rep.schrodinger_product]))
     ok = rep.ds_s < 0.0 < rep.ds_r and alignment is Alignment.ANTI_ALIGNED
     report(4, "near-product construction yields anti-aligned local arrows", ok, f"ds_s={rep.ds_s:.6f}, ds_r={rep.ds_r:.6f}")
@@ -198,9 +204,8 @@ def test_criterion_7_collision_machine():
     rho0 = random_density_operator(2, 2, RandomSource(77))
     _, joint_final = run_collisions_joint(rho0, spec_joint, gate)
     recovered = reverse_collisions(joint_final, gate)
-    recover_dist = trace_distance(recovered, rho0)
     shuffled = reverse_collisions(joint_final, gate, order=[3, 7, 0, 5, 1, 6, 2, 4])
-    shuffled_dist = trace_distance(shuffled, rho0)
+    recover_dist, shuffled_dist = trace_distances(np.stack([recovered, shuffled]), rho0.matrix).tolist()
     ok = rate_ok and recover_dist <= 1e-9 and shuffled_dist > 0.01
     report(7, "collision machine: contraction rate, exact reversal, shuffled failure", ok, f"rate={fit.rate:.8f}, recover={recover_dist:.2e}, shuffled={shuffled_dist:.3f}")
     assert rate_ok

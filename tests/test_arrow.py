@@ -15,11 +15,11 @@ from arrowlab.arrow import (
     classical_correlated_state,
     classical_decorrelating_unitary,
     decorrelating_unitary,
-    entropy_balance,
     near_product_state,
     schrodinger_checks,
     search_entropy_decreasing_unitaries,
     spectral_assignment_unitary,
+    state_balances,
     weak_coupling_sweep,
 )
 from arrowlab.core import (
@@ -56,6 +56,11 @@ def haar_unitary(seed: int) -> UnitaryOperator:
     return UnitaryOperator(haar_unitaries(4, RandomSource(seed))[0])
 
 
+def balance(rho: DensityOperator, layout: BipartitionLayout, u: UnitaryOperator) -> EntropyBalanceReport:
+    """One state's entropy balance, through the stacked path as a stack of one."""
+    return state_balances(rho.matrix[None], rho.spectrum[None], layout, u.matrix[None]).trial(0)
+
+
 def evolved(rho: DensityOperator, u: UnitaryOperator) -> DensityOperator:
     """U rho U+ through the stacked kernel, validated as a state."""
     return DensityOperator(evolve_states(rho.matrix[None], u.matrix[None])[0])
@@ -67,7 +72,7 @@ def evolved(rho: DensityOperator, u: UnitaryOperator) -> DensityOperator:
 
 class TestEntropyBalance:
     def test_identity_on_product_input_is_all_zero(self):
-        rep = entropy_balance(random_product(0), TWO_QUBITS, IDENTITY)
+        rep = balance(random_product(0), TWO_QUBITS, IDENTITY)
         assert rep.ds_s == pytest.approx(0.0, abs=1e-12)
         assert rep.ds_r == pytest.approx(0.0, abs=1e-12)
         assert rep.sum == pytest.approx(0.0, abs=1e-12)
@@ -76,13 +81,13 @@ class TestEntropyBalance:
 
     def test_product_input_sum_equals_final_mutual_information(self):
         for seed in range(200):
-            rep = entropy_balance(random_product(seed), TWO_QUBITS, haar_unitary(seed + 10**6))
+            rep = balance(random_product(seed), TWO_QUBITS, haar_unitary(seed + 10**6))
             assert rep.product_input
             assert abs(rep.sum - rep.mi_final) <= 1e-9
             assert rep.sum >= -1e-9
 
     def test_bell_state_through_disentangler(self):
-        rep = entropy_balance(pure_state(BELL_PHI), TWO_QUBITS, UnitaryOperator(CNOT))
+        rep = balance(pure_state(BELL_PHI), TWO_QUBITS, UnitaryOperator(CNOT))
         assert rep.ds_s == pytest.approx(-LN2, abs=1e-12)
         assert rep.ds_r == pytest.approx(-LN2, abs=1e-12)
         assert rep.sum == pytest.approx(-2 * LN2, abs=1e-12)
@@ -95,8 +100,8 @@ class TestEntropyBalance:
             )
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            entropy_balance(random_product(1), BipartitionLayout(2, 3), IDENTITY)
+        with pytest.raises(ValueError, match="dimensions must agree"):
+            balance(random_product(1), BipartitionLayout(2, 3), IDENTITY)
 
     def test_five_spectra_and_no_revalidated_state(self, monkeypatch):
         rho, u = random_product(2), haar_unitary(3)
@@ -112,7 +117,7 @@ class TestEntropyBalance:
         monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, "eig"))
         monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh, "eig"))
         monkeypatch.setattr(DensityOperator, "__post_init__", counting(DensityOperator.__post_init__, "state"))
-        entropy_balance(rho, TWO_QUBITS, u)
+        balance(rho, TWO_QUBITS, u)
         # S(rho_S), S(rho_R) before and after the unitary, and S(rho) after
         # it; S(rho) before reads the spectrum rho was validated with
         assert calls == {"eig": 5, "state": 0}
@@ -174,7 +179,7 @@ class TestNearProduct:
         assert np.allclose(out.matrix, projector(ket(0, 0)), atol=1e-14)
 
     def test_balance_at_epsilon_01(self):
-        rep = entropy_balance(near_product_state(0.1), TWO_QUBITS, decorrelating_unitary())
+        rep = balance(near_product_state(0.1), TWO_QUBITS, decorrelating_unitary())
         assert rep.ds_s == pytest.approx(DS_S_01, abs=1e-10)
         assert rep.ds_r == pytest.approx(DS_R_01, abs=1e-10)
         assert rep.sum == pytest.approx(-MI_01, abs=1e-10)
@@ -203,11 +208,11 @@ class TestClassicalDemo:
 
 class TestSchrodingerCheck:
     def test_identity_evolution_is_degenerate(self):
-        rep = entropy_balance(random_product(3), TWO_QUBITS, IDENTITY)
+        rep = balance(random_product(3), TWO_QUBITS, IDENTITY)
         assert schrodinger_checks(np.array([rep.schrodinger_product])) == [Alignment.DEGENERATE]
 
     def test_near_product_decorrelation_is_anti_aligned(self):
-        rep = entropy_balance(near_product_state(0.1), TWO_QUBITS, decorrelating_unitary())
+        rep = balance(near_product_state(0.1), TWO_QUBITS, decorrelating_unitary())
         assert rep.ds_s < 0 < rep.ds_r
         assert schrodinger_checks(np.array([rep.schrodinger_product])) == [Alignment.ANTI_ALIGNED]
 
@@ -217,7 +222,7 @@ class TestSchrodingerCheck:
         counts = {a: 0 for a in Alignment}
         products = []
         for seed in range(300):
-            rep = entropy_balance(random_product(seed), TWO_QUBITS, haar_unitary(seed + 5 * 10**5))
+            rep = balance(random_product(seed), TWO_QUBITS, haar_unitary(seed + 5 * 10**5))
             products.append(rep.schrodinger_product)
             assert rep.sum >= -1e-9
         for alignment in schrodinger_checks(np.array(products)):
@@ -248,13 +253,13 @@ class TestSearch:
             (classical_correlated_state(), -LN2),
         ]:
             u = UnitaryOperator(spectral_assignment_unitary(rho, TWO_QUBITS))
-            assert entropy_balance(rho, TWO_QUBITS, u).sum == pytest.approx(target, abs=1e-12)
+            assert balance(rho, TWO_QUBITS, u).sum == pytest.approx(target, abs=1e-12)
 
     def test_single_restart_is_the_spectral_assignment(self):
         rho = random_density_operator(4, 4, RandomSource(77))
         unitary, achieved, best, probes = search_one(rho, restarts=1)
         u = UnitaryOperator(spectral_assignment_unitary(rho, TWO_QUBITS))
-        assert achieved == entropy_balance(rho, TWO_QUBITS, u).sum
+        assert achieved == balance(rho, TWO_QUBITS, u).sum
         assert np.array_equal(unitary, u.matrix)
         assert best == 0
         assert probes == ()
@@ -289,7 +294,7 @@ class TestSearch:
     def test_achieved_sum_matches_recomputed_balance(self):
         rho = random_density_operator(4, 4, RandomSource(77))
         unitary, achieved, _, _ = search_one(rho, RandomSource(2), restarts=2, max_iterations=200)
-        recomputed = entropy_balance(rho, TWO_QUBITS, UnitaryOperator(unitary))
+        recomputed = balance(rho, TWO_QUBITS, UnitaryOperator(unitary))
         assert abs(achieved - recomputed.sum) <= 1e-12
 
     def test_stacked_report_is_each_states_balance(self):
@@ -300,7 +305,7 @@ class TestSearch:
         result = search_entropy_decreasing_unitaries(states, layout, RandomSource(0).children(range(4)))
         assert 0 < np.count_nonzero(result.best_restarts) < 4
         for k, rho in enumerate(states):
-            expected = entropy_balance(rho, layout, UnitaryOperator(result.unitaries[k]))
+            expected = balance(rho, layout, UnitaryOperator(result.unitaries[k]))
             assert result.report.trial(k) == expected
             probe_sums = [probe.sums[-1] for probe in result.probes[k]]
             if result.best_restarts[k]:
@@ -422,8 +427,8 @@ class TestSweep:
         monkeypatch.setattr(arrow, "marginal_entropies_of_stack", recording)
         grid = SweepGrid((0.0, 0.5, 1.0, 2.0, 4.0), (0.0, 0.25, 0.5), (0.5, 1.0, 2.0, 4.0))
         weak_coupling_sweep(self.H_S, self.H_R, self.H_INT, grid)
-        # the three states once, then the twelve final states of each coupling
-        assert stacks == [3] + [12] * 5
+        # the three states once, then the sixty final states of every cell
+        assert stacks == [3, 60]
 
     def test_axes_follow_the_grid(self):
         grid = SweepGrid((0.0, 1.0), (0.0, 0.5), (1.0, 2.0))

@@ -625,8 +625,8 @@ class TestCollideCommand:
 
         def perturbed(joint_final, gate, order=None):
             # still a valid state, 1e-6 of the way to the maximally mixed one
-            recovered = reverse(joint_final, gate, order=order).matrix
-            return arrowlab.DensityOperator((1.0 - 1e-6) * recovered + 1e-6 * np.eye(2) / 2.0)
+            recovered = reverse(joint_final, gate, order=order)
+            return (1.0 - 1e-6) * recovered + 1e-6 * np.eye(2) / 2.0
 
         monkeypatch.setattr(collisions, "reverse_collisions", perturbed)
         assert main(argv) == 2
@@ -695,6 +695,29 @@ class TestExtremeValidParameters:
         cells = numeric_cells(out)
         assert len(rows_of_csv(out)) == 2
         assert cells and all(math.isfinite(c) for c in cells)
+
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [
+            (["damping", "--beta", "5e-324"], 13),
+            (["damping", "--beta", "800"], 13),
+            (["near-product", "--epsilon", "0"], 1),
+            (["near-product", "--epsilon", "1"], 1),
+            (["sweep", "--eps-values", "0,1", "--g-values", "0,1e3"], 16),
+            (["collide", "--mode", "reduced", "--collisions", "1"], 2),
+            (["collide", "--mode", "reduced", "--collisions", "11", "--init", "random", "--theta", "0.3"], 12),
+        ],
+        ids=["damping-beta-min", "damping-beta-800", "near-product-eps-0", "near-product-eps-1", "sweep-eps-0-1-g-1e3",
+             "collide-reduced-1", "collide-reduced-11-random"],
+    )
+    def test_stacked_paths_at_their_edges_give_finite_rows_and_pass_every_invariant(self, capsys, argv, rows):
+        code, out, err = main_outcome(capsys, argv)
+        assert (code, err) == (0, "")
+        assert len(rows_of_csv(out)) == rows + 1
+        cells = numeric_cells(out)
+        assert cells and all(math.isfinite(c) for c in cells)
+        passed = {k: v for k, v in csv_metadata(out).items() if k.startswith("invariant.") and k.endswith(".passed")}
+        assert passed and set(passed.values()) == {"true"}
 
 
 def stdout_at_threads(threads: int, *argv: str) -> str:

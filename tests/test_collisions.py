@@ -27,8 +27,8 @@ from arrowlab.core import (
     pure_state,
     random_density_operator,
     renyi2_of_matrix,
-    trace_distance,
-    von_neumann_entropy,
+    spectrum_entropies,
+    trace_distances,
 )
 from oracles import SWAP, ket, pair_gate_einsum, pair_gate_on_qubits, replay_then_trace, trace_out_qubit
 
@@ -38,6 +38,16 @@ XI = gibbs_state(H_QUBIT, math.log(3))  # diag(0.75, 0.25)
 
 def haar_unitary(dim: int, seed: int) -> UnitaryOperator:
     return UnitaryOperator(haar_unitaries(dim, RandomSource(seed))[0])
+
+
+def distance(a: np.ndarray, b: np.ndarray) -> float:
+    """The trace distance of one pair of 2 x 2 matrices, as a stack of one."""
+    return trace_distances(a[None], b[None])[0]
+
+
+def entropy(rho: DensityOperator) -> float:
+    """S(rho) of one state, from the spectrum it was validated with."""
+    return spectrum_entropies(rho.spectrum[None])[0]
 
 
 def diag_state(p0: float) -> DensityOperator:
@@ -70,13 +80,13 @@ class TestRunCollisions:
         spec = ReservoirSpec(ancilla_state=XI, count=5)
         record = run_collisions(diag_state(0.2), spec, UnitaryOperator(np.eye(4, dtype=complex)))
         for state in record.states:
-            assert np.allclose(state.matrix, np.diag([0.2, 0.8]), atol=1e-14)
+            assert np.allclose(state, np.diag([0.2, 0.8]), atol=1e-14)
 
     def test_full_swap_thermalizes_in_one_collision(self):
         spec = ReservoirSpec(ancilla_state=XI, count=3)
         record = run_collisions(pure_state(ket(1)), spec, UnitaryOperator(SWAP))
         for state in record.states[1:]:
-            assert trace_distance(state, XI) <= 1e-14
+            assert distance(state, XI.matrix) <= 1e-14
 
     def test_distance_halves_at_quarter_angle(self):
         spec = ReservoirSpec(ancilla_state=XI, count=8)
@@ -100,14 +110,14 @@ class TestJointMode:
         reduced_rec = run_collisions(rho0, spec, gate)
         joint_rec, _ = run_collisions_joint(rho0, spec, gate)
         for a, b in zip(reduced_rec.states, joint_rec.states):
-            assert trace_distance(a, b) <= 1e-12
+            assert distance(a, b) <= 1e-12
 
     def test_joint_entropy_is_conserved(self):
         spec = ReservoirSpec(ancilla_state=XI, count=6)
         rho0 = random_density_operator(2, 2, RandomSource(9))
         _, joint_final = run_collisions_joint(rho0, spec, partial_swap_unitary(0.7))
-        expected = von_neumann_entropy(rho0) + 6 * von_neumann_entropy(XI)
-        assert von_neumann_entropy(DensityOperator(joint_final)) == pytest.approx(expected, abs=1e-9)
+        expected = entropy(rho0) + 6 * entropy(XI)
+        assert entropy(DensityOperator(joint_final)) == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("count", range(1, 9))
     def test_renyi2_entropy_is_conserved_under_a_haar_gate(self, count):
@@ -235,7 +245,7 @@ class TestReversal:
         gate = UnitaryOperator(SWAP)
         _, joint_final = run_collisions_joint(rho0, spec, gate)
         recovered = reverse_collisions(joint_final, gate)
-        assert trace_distance(recovered, rho0) <= 1e-12
+        assert distance(recovered, rho0.matrix) <= 1e-12
 
     def test_eight_collisions_round_trip(self):
         spec = ReservoirSpec(ancilla_state=XI, count=8)
@@ -243,8 +253,8 @@ class TestReversal:
         gate = partial_swap_unitary(math.pi / 4)
         record, joint_final = run_collisions_joint(rho0, spec, gate)
         recovered = reverse_collisions(joint_final, gate)
-        assert trace_distance(recovered, rho0) <= 1e-9
-        assert trace_distance(record.states[-1], rho0) >= 0.1  # forward really moved
+        assert distance(recovered, rho0.matrix) <= 1e-9
+        assert distance(record.states[-1], rho0.matrix) >= 0.1  # forward really moved
 
     def test_shuffled_replay_fails_to_recover(self):
         spec = ReservoirSpec(ancilla_state=XI, count=8)
@@ -253,7 +263,7 @@ class TestReversal:
         _, joint_final = run_collisions_joint(rho0, spec, gate)
         order = [3, 7, 0, 5, 1, 6, 2, 4]
         shuffled = reverse_collisions(joint_final, gate, order=order)
-        assert trace_distance(shuffled, rho0) > 0.01
+        assert distance(shuffled, rho0.matrix) > 0.01
 
     def test_order_must_be_permutation(self):
         spec = ReservoirSpec(ancilla_state=XI, count=2)
@@ -291,7 +301,7 @@ class TestReversal:
         inverse = gate.matrix.conj().T
         for order in itertools.permutations(range(count)):
             expected = replay_then_trace(joint, inverse, order)
-            got = reverse_collisions(joint, gate, order=order).matrix
+            got = reverse_collisions(joint, gate, order=order)
             assert np.abs(got - expected).max() <= 1e-14
 
     @pytest.mark.parametrize("order", [None, [3, 7, 0, 5, 1, 6, 2, 4]], ids=["exact", "shuffled"])
@@ -307,7 +317,7 @@ class TestReversal:
         monkeypatch.setattr(collisions, "_gate_and_trace", recording)
         recovered = reverse_collisions(joint_final, partial_swap_unitary(0.5), order=order)
         assert dims == [2**9 >> i for i in range(8)]
-        assert recovered.dim == 2
+        assert recovered.shape == (2, 2)
 
     def test_reversal_peak_above_the_held_state_is_a_quarter_of_it(self):
         # the first step's quarter-size output and chunk temporaries; the
@@ -324,7 +334,7 @@ class TestReversal:
         finally:
             tracemalloc.stop()
         assert peak <= 0.35 * joint_final.nbytes, peak / joint_final.nbytes
-        assert trace_distance(recovered, rho0) <= 1e-9
+        assert distance(recovered, rho0.matrix) <= 1e-9
 
     def test_order_entries_must_be_integers(self):
         spec = ReservoirSpec(ancilla_state=XI, count=3)
@@ -356,16 +366,23 @@ class TestReversal:
     def test_joint_mode_builds_no_state_larger_than_a_qubit(self, monkeypatch):
         dims = []
         validate = DensityOperator.__post_init__
+        validate_stack = collisions.validate_states
 
         def recording(self):
             validate(self)
             dims.append(self.dim)
 
+        def recording_stack(m):
+            dims.append(m.shape[-1])
+            return validate_stack(m)
+
         monkeypatch.setattr(DensityOperator, "__post_init__", recording)
+        monkeypatch.setattr(collisions, "validate_states", recording_stack)
         _, extra = experiments.run_collide(6, math.pi / 4, math.log(3), 0, mode="joint", init="excited")
         assert extra["recovered_trace_distance"] <= 1e-9
         assert "shuffled_trace_distance" in extra
-        assert dims and max(dims) == 2
+        # the initial state and the bath's, then the two trajectories' stacks
+        assert dims == [2, 2, 2, 2]
 
 
 class TestConvergenceReport:

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrowlab.arrow import TWO_QUBITS, entropy_balance
+from arrowlab.arrow import TWO_QUBITS, state_balances
 from arrowlab.core import (
     BipartitionLayout,
     DensityOperator,
     Hamiltonian,
     RandomSource,
-    UnitaryOperator,
     evolve_states,
     gibbs_state,
     haar_unitaries,
@@ -24,7 +23,7 @@ from arrowlab.fluctuation import (
     _groups,
     _transitions,
     crooks_checks,
-    damping_heat,
+    damping_heats,
     effective_temperatures,
     heat_flow_trials,
     jarzynski_checks,
@@ -404,7 +403,7 @@ class TestEffectiveTemperatures:
 
     def test_undefined_for_identity_evolution(self):
         rho = pure_state(np.kron(ket(0), ket(1)))
-        report = entropy_balance(rho, TWO_QUBITS, UnitaryOperator(np.eye(4, dtype=complex)))
+        report = state_balances(rho.matrix[None], rho.spectrum[None], TWO_QUBITS, np.eye(4, dtype=complex)[None])
         with pytest.raises(ValueError, match="undefined"):
             effective_temperatures(report, 0.0, 0.0)
 
@@ -449,6 +448,11 @@ class TestEffectiveTemperatures:
         # joint state.  The product is neither validated nor decomposed: its
         # initial entropies come from the factor spectra
         assert calls == {"eig": 7, "state": 0}
+
+
+def damping_heat(state: DensityOperator, h: Hamiltonian, beta: float) -> float:
+    """One state's damping heat, through the stacked path as a stack of one."""
+    return damping_heats(state.matrix[None], h, beta)[0]
 
 
 class TestDampingHeat:

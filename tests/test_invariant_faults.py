@@ -103,6 +103,11 @@ FAULTS = {
     ("jarzynski", "relative_deviation"): ([], cell("relative_deviation", above)),
     ("heatflow", "hotter_energy_gain"): ([], cell(lambda c: "du_s" if c["hotter"] == "S" else "du_r", above)),
     ("heatflow", "minus_clausius_lhs"): ([], cell("clausius_lhs", below_minus)),
+    # the colder side gains what the hotter loses, and tol + PAST more
+    ("heatflow", "abs_total_energy_change"): (
+        [],
+        cell(lambda c: "du_r" if c["hotter"] == "S" else "du_s", lambda c, tol: -(c["du_s"] if c["hotter"] == "S" else c["du_r"]) + tol + PAST),
+    ),
     # row 1 is the maximally mixed state, which the thermal check skips
     ("damping", "minus_heat"): ([], cell("heat", below_minus, row=1)),
     ("damping", "thermal_abs_heat"): ([], cell("heat", above)),

@@ -3,17 +3,22 @@
 The five experiments whose trials run as stacks (balance, schrodinger,
 crooks, jarzynski, heatflow) must give the rows of the per-trial loops in
 ``oracles.py`` bit for bit, whatever the chunking, and a stacked validation
-must raise what the first failing trial raises on its own.
+must raise what the first failing trial raises on its own.  So must the
+paths restacked from single-state helpers: collide's trajectory in both
+modes and its reversal distances, damping's heats, the sweep's sums and the
+near-product and decorrelate reports, each compared as int64 bit patterns
+with the single-state forms kept in ``oracles.py``.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
-from arrowlab import arrow, core, experiments
-from arrowlab.core import BipartitionLayout, RandomSource
+from arrowlab import arrow, collisions, core, experiments, fluctuation
+from arrowlab.core import BipartitionLayout, DensityOperator, RandomSource
 
 SEEDS = range(5)
 DIMS = [(2, 2), (2, 3), (3, 3), (4, 4)]
@@ -252,3 +257,134 @@ class TestFirstFailure:
         with pytest.raises(ValueError, match="trial 1"):
             experiments._by_chunks(5, 16, run_chunk)
         assert experiments._by_chunks(1, 16, run_chunk) == [(0,)]
+
+
+# ---------------------------------------------------------------------------
+# paths restacked from single-state helpers
+# ---------------------------------------------------------------------------
+
+def bits(values) -> np.ndarray:
+    """Float values, or the real and imaginary parts of complex ones, as
+    int64 bit patterns: equal only if every bit is."""
+    a = np.asarray(values)
+    return (a.view(float) if a.dtype == complex else a.astype(float)).view(np.int64)
+
+
+def assert_same_bits(got, expected):
+    assert np.array_equal(bits(got), bits(expected))
+
+
+XI = core.gibbs_state(core.Hamiltonian(np.diag([0.0, 1.0]).astype(complex)), experiments.LN3)
+
+
+def initial_state(init: str, seed: int) -> DensityOperator:
+    if init == "excited":
+        return core.pure_state([0.0, 1.0])
+    return core.random_density_operator(2, 2, RandomSource(seed).child(0))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("theta", [math.pi / 4, 0.3, 1e-3])
+@pytest.mark.parametrize("init", ["excited", "random"])
+@pytest.mark.parametrize("mode", ["reduced", "joint"])
+def test_trajectory_matches_single_state_steps(mode, init, theta, seed):
+    count = 11 if mode == "reduced" else 6
+    rho0, gate = initial_state(init, seed), collisions.partial_swap_unitary(theta)
+    spec = collisions.ReservoirSpec(ancilla_state=XI, count=count)
+    if mode == "reduced":
+        record = collisions.run_collisions(rho0, spec, gate)
+    else:
+        record, _ = collisions.run_collisions_joint(rho0, spec, gate)
+    states, entropies, distances = oracles.collision_trajectory(rho0.matrix, XI.matrix, gate.matrix, count, joint=mode == "joint")
+    assert record.states.shape == (count + 1, 2, 2)
+    assert_same_bits(record.states, states)
+    assert_same_bits(record.entropies, entropies)
+    assert_same_bits(record.distances_to_ancilla, distances)
+
+
+@pytest.mark.parametrize("count", [1, 2, 5])
+@pytest.mark.parametrize("init", ["excited", "random"])
+def test_collide_distances_match_single_state_distances(count, init):
+    _, extra = experiments.run_collide(count, 0.3, experiments.LN3, 1, mode="joint", init=init)
+    rho0, gate = initial_state(init, 1), collisions.partial_swap_unitary(0.3)
+    spec = collisions.ReservoirSpec(ancilla_state=XI, count=count)
+    record, joint_final = collisions.run_collisions_joint(rho0, spec, gate)
+    recursion = collisions.run_collisions(rho0, spec, gate)
+    deviation = max(map(oracles.trace_distance, record.states, recursion.states))
+    assert_same_bits(extra["trajectory_deviation"], deviation)
+    recovered = collisions.reverse_collisions(joint_final, gate)
+    assert_same_bits(extra["recovered_trace_distance"], oracles.trace_distance(recovered, rho0.matrix))
+    if count >= 2:
+        shuffled = collisions.reverse_collisions(joint_final, gate, order=extra["shuffled_order"])
+        assert_same_bits(extra["shuffled_trace_distance"], oracles.trace_distance(shuffled, rho0.matrix))
+
+
+def test_trajectory_raises_what_its_first_failing_step_raises(monkeypatch):
+    rho0, gate = initial_state("random", 0), collisions.partial_swap_unitary(0.3)
+    spec = collisions.ReservoirSpec(ancilla_state=XI, count=4)
+    negative = np.diag([1.5, -0.5]).astype(complex)
+    skew = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
+    traces = collisions.partial_traces
+    for steps, message in [((skew, negative), "not Hermitian"), ((negative, skew), "negative eigenvalue")]:
+        calls = []
+
+        def bad_at_steps_2_and_3(m, dim_s, dim_r, keep, steps=steps):
+            calls.append(None)
+            return steps[len(calls) - 2][None] if len(calls) in (2, 3) else traces(m, dim_s, dim_r, keep)
+
+        monkeypatch.setattr(collisions, "partial_traces", bad_at_steps_2_and_3)
+        with pytest.raises(ValueError, match=message):
+            collisions.run_collisions(rho0, spec, gate)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("beta", [5e-324, 1.0, experiments.LN3, 800.0])
+def test_damping_heats_match_single_state_heats(beta, seed):
+    rows, _ = experiments.run_damping(12, beta, seed)
+    expected = oracles.damping_rows(12, beta, RandomSource(seed))
+    assert [row[:2] for row in rows] == [row[:2] for row in expected]
+    assert_same_bits([row[2] for row in rows], [row[2] for row in expected])
+
+
+def test_damping_validates_its_stack_once(monkeypatch):
+    calls = {"validate": 0, "state": 0}
+    validate, post_init = fluctuation.validate_states, DensityOperator.__post_init__
+
+    def counting_validate(m):
+        calls["validate"] += 1
+        return validate(m)
+
+    def counting_state(self):
+        calls["state"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(fluctuation, "validate_states", counting_validate)
+    monkeypatch.setattr(DensityOperator, "__post_init__", counting_state)
+    rows, _ = experiments.run_damping(10, 1.0, 0)
+    assert len(rows) == 13
+    assert calls == {"validate": 1, "state": 0}
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ((0.0, 0.25, 0.5, 1.0, 2.0), (0.0, 0.25, 0.5), (0.5, 1.0, 2.0, 4.0), 1.0, 1.5),
+        ((0.0, 1e3), (0.0, 1.0), (0.5, 1.0, 2.0, 4.0), 1.0, 1.5),
+        ((-3.0, 0.0, 0.5), (1.0, 0.0), (0.0, 1e3, -2.0), -0.1, 1.5),
+    ],
+    ids=["defaults", "edges", "negative"],
+)
+def test_sweep_sums_match_single_cells(grid):
+    rows, _ = experiments.run_sweep(*grid)
+    assert_same_bits([row[-1] for row in rows], oracles.sweep_sums(*grid).ravel())
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.5, 1.0])
+def test_near_product_report_matches_single_state_balance(epsilon):
+    (row,), _ = experiments.run_near_product(epsilon)
+    assert_same_bits(row, oracles.near_product_row(epsilon))
+
+
+def test_decorrelate_report_matches_single_state_balance():
+    (row,), _ = experiments.run_decorrelate()
+    assert_same_bits(row, oracles.decorrelate_row())
