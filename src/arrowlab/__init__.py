@@ -21,7 +21,6 @@ from .arrow import (
     EntropyBalanceReport,
     SweepGrid,
     UnitarySearchResult,
-    classical_correlated_demo,
     classical_correlated_state,
     classical_decorrelating_unitary,
     decorrelating_unitary,

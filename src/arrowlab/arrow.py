@@ -63,39 +63,35 @@ class Alignment(str, Enum):
     DEGENERATE = "degenerate"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntropyBalanceReport:
-    """Local entropy changes of one joint state under one global unitary,
-    or of a stack of them, with every field an (n,) array.
+    """Local entropy changes of a stack of n joint states under global
+    unitaries, every field an (n,) array; one state is a stack of one.
 
     ``sum`` is dS_S + dS_R; for product inputs it must equal the final
     mutual information (that equality is validated on construction).
     """
 
-    ds_s: float
-    ds_r: float
-    sum: float
-    mi_initial: float
-    mi_final: float
-    schrodinger_product: float
-    product_input: bool
+    ds_s: np.ndarray
+    ds_r: np.ndarray
+    sum: np.ndarray
+    mi_initial: np.ndarray
+    mi_final: np.ndarray
+    schrodinger_product: np.ndarray
+    product_input: np.ndarray
 
     def __post_init__(self):
-        gap = np.atleast_1d(np.subtract(self.sum, self.mi_final))
+        gap = self.sum - self.mi_final
         raise_first_failure((
             (
-                np.atleast_1d(np.abs(np.subtract(self.sum, np.add(self.ds_s, self.ds_r))) > BALANCE_CONSISTENCY_TOL),
+                np.abs(self.sum - (self.ds_s + self.ds_r)) > BALANCE_CONSISTENCY_TOL,
                 lambda k: "sum field is inconsistent with ds_s + ds_r",
             ),
             (
-                np.atleast_1d(self.product_input) & (np.abs(gap) > PRODUCT_INPUT_TOL),
+                self.product_input & (np.abs(gap) > PRODUCT_INPUT_TOL),
                 lambda k: f"product input but sum - final mutual information = {gap[k]:.3e}",
             ),
         ))
-
-    def trial(self, k: int) -> "EntropyBalanceReport":
-        """Trial k of a stacked report, with Python scalars as fields."""
-        return EntropyBalanceReport(**{f.name: getattr(self, f.name)[k].item() for f in fields(self)})
 
 
 def entropy_balances(
@@ -236,12 +232,6 @@ def classical_decorrelating_unitary() -> UnitaryOperator:
     u[3, 2] = 1.0  # |10> -> |11>
     u[2, 3] = 1.0  # |11> -> |10>
     return UnitaryOperator(u)
-
-
-def classical_correlated_demo() -> EntropyBalanceReport:
-    """Decorrelate two classically correlated bits; the entropy sum drops by ln 2."""
-    rho, u = classical_correlated_state(), classical_decorrelating_unitary()
-    return state_balances(rho.matrix[None], rho.spectrum[None], TWO_QUBITS, u.matrix[None]).trial(0)
 
 
 # ---------------------------------------------------------------------------

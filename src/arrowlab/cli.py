@@ -3,11 +3,14 @@
 Every subcommand is a thin adapter over one record of
 :data:`arrowlab.experiments.EXPERIMENTS`: it validates a configuration
 (defaults < config file < explicit flags), runs the experiment with all
-randomness derived from ``--seed``, checks the record's invariants on the
-rows in nats, and serializes a result record as CSV or JSON, with each
-invariant's worst value, tolerance and pass/fail in the metadata.  Metric
-rows are deterministic functions of the echoed configuration, so a rerun
-with the same flags reproduces them byte for byte.
+randomness derived from ``--seed``, picks the record's columns, in the
+record's order, from the named columns the run returns, checks the record's
+invariants on them in nats, and serializes a result record as CSV or JSON,
+with each invariant's worst value, tolerance and pass/fail in the metadata.
+Rows are built only where they are written: the JSON writer reads
+:attr:`ResultRecord.rows`, and the CSV writer zips the formatted columns.
+Metric rows are deterministic functions of the echoed configuration, so a
+rerun with the same flags reproduces them byte for byte.
 
 Exit codes: 0 success; 1 for a usage or configuration error, an input the
 library rejects, or an output path that cannot be opened or written; 2 when
@@ -165,12 +168,13 @@ def _table_in_bits(powers: dict[str, int], table: dict[str, np.ndarray]) -> dict
 
 
 def run(config: ExperimentConfig) -> tuple[int, ResultRecord]:
-    """Execute one validated configuration and check its invariants on the
-    nats columns; exit code 2 flags invariant failures."""
+    """Execute one validated configuration, keep the record's columns in
+    the record's order and check its invariants on them in nats; exit code
+    2 flags invariant failures."""
     start = time.perf_counter()
     experiment = experiments.EXPERIMENTS[config.experiment]
-    rows, extra = experiment.run(config.values)
-    table = experiments.table(experiment, rows)
+    columns, extra = experiment.run(config.values)
+    table = {name: columns[name] for name in experiment.columns}
     invariants, failures = experiments.check_invariants(experiment, table, extra, config.values)
     if config["units"] == "bits":
         table = _table_in_bits(experiment.columns, table)

@@ -2,28 +2,27 @@
 
 Each experiment is one :class:`Experiment` in :data:`EXPERIMENTS`: its
 parameters, its columns with their powers of nats, its run invariants and a
-``run`` that maps validated parameter values to ``(rows, extra)``.  Every
-``run_*`` function returns that one shape: metric rows in column order and a
-dict of extra metadata.  All randomness derives from one seed via
-RandomSource children, and rows are ordered by trial / grid index, never by
-completion time, so a rerun with the same configuration reproduces them byte
-for byte.
+``run`` that maps validated parameter values to ``(columns, extra)``.  Every
+``run_*`` function returns that one shape: column name -> 1-D array in nats,
+taken straight from the stacked kernels, and a dict of extra metadata.  A
+run may return more columns than its record lists (``schrodinger`` runs
+``balance``'s trials); the record's ``columns`` name the ones it writes and
+their order.  All randomness derives from one seed via RandomSource
+children, and rows are ordered by trial / grid index, never by completion
+time, so a rerun with the same configuration reproduces them byte for byte.
 
-Invariants are data.  The CLI transposes a run's rows once into columns,
-name -> 1-D array in nats (:func:`table`); each invariant maps the columns,
-extra and config of a run to one array of values, and
-:func:`check_invariants` tests the whole array as ``not (value <= tol)``, so
-that a NaN counts as a failure, building a row label only for a value that
-fails.  A lower bound is stated as an upper bound on the negated value
-(``-sum <= BALANCE_TOL``).
+Invariants are data.  Each invariant maps the columns, extra and config of
+a run to one array of values, and :func:`check_invariants` tests the whole
+array as ``not (value <= tol)``, so that a NaN counts as a failure, building
+a row label only for a value that fails.  A lower bound is stated as an
+upper bound on the negated value (``-sum <= BALANCE_TOL``).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -65,9 +64,6 @@ TRAJECTORY_TOL = 1e-10
 MAX_REJECTED_DRAWS = 10_000
 
 LN3 = 1.0986122886681098
-
-Row = tuple
-Result = tuple[list[Row], dict]
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +111,7 @@ class Param:
 
 
 Columns = dict[str, np.ndarray]
+Result = tuple[Columns, dict]
 
 
 @dataclass(frozen=True)
@@ -136,26 +133,14 @@ class Invariant:
 @dataclass(frozen=True)
 class Experiment:
     """One experiment: its parameters, its columns mapped to their power of
-    nats (0 for a column that is not an entropy), its invariants, and a
-    ``run`` from validated parameter values to ``(rows, extra)``."""
+    nats (0 for a column that is not an entropy) in output order, its
+    invariants, and a ``run`` from validated parameter values to
+    ``(columns, extra)``, whose columns include every one listed here."""
 
     params: tuple[Param, ...]
     columns: dict[str, int]
     run: Callable[[dict], Result]
     invariants: tuple[Invariant, ...] = ()
-
-
-def table(experiment: Experiment, rows: list[Row]) -> Columns:
-    """The rows of a run as its columns: name -> 1-D array, one entry per
-    row.  A column whose cells are all float, all int or all bool is an
-    array of that type; any other column is an object array of its cells."""
-    cells = list(zip(*rows)) or [()] * len(experiment.columns)
-    columns = {}
-    for name, column in zip(experiment.columns, cells):
-        kinds = set(map(type, column))
-        kind = kinds.pop() if len(kinds) == 1 else object
-        columns[name] = np.array(column, dtype=kind if kind in (float, int, bool) else object)
-    return columns
 
 
 def check_invariants(experiment: Experiment, columns: Columns, extra: dict, config: dict) -> tuple[dict, list[str]]:
@@ -215,23 +200,29 @@ def near_product_mutual_information(epsilon: float) -> float:
     return 2.0 * _binary_entropy(epsilon / 2.0) - _binary_entropy(epsilon)
 
 
-def _by_chunks(trials: int, entries_per_trial: int, run_chunk: Callable[[range], list[Row]]) -> list[Row]:
-    """Rows of ``run_chunk`` over consecutive chunks of the trials, each
-    chunk run as one stack (see :func:`core.trial_chunks`).
+def _by_chunks(trials: int, entries_per_trial: int, run_chunk: Callable[[range], Columns]) -> Columns:
+    """The columns of ``run_chunk`` over consecutive chunks of the trials,
+    each chunk run as one stack (see :func:`core.trial_chunks`), joined with
+    one ``np.concatenate`` per column.
 
     Trial k draws from ``root.child(k)`` whatever chunk it falls in.  When a
     chunk fails, its trials rerun one at a time, so the error raised is the
     one the first failing trial raises on its own.
     """
-    rows = []
+    chunks = []
     for chunk in trial_chunks(trials, entries_per_trial):
         try:
-            rows += run_chunk(chunk)
+            chunks.append(run_chunk(chunk))
         except ValueError:
             for k in chunk:
                 run_chunk(range(k, k + 1))
             raise
-    return rows
+    return {name: np.concatenate([columns[name] for columns in chunks]) for name in chunks[0]}
+
+
+def _report_columns(report: arrow.EntropyBalanceReport) -> Columns:
+    """A stacked balance report's fields as columns of the same names."""
+    return {f.name: getattr(report, f.name) for f in fields(report)}
 
 
 def _product_balances(layout: BipartitionLayout, sources: RandomSource) -> arrow.EntropyBalanceReport:
@@ -246,15 +237,16 @@ def _product_balances(layout: BipartitionLayout, sources: RandomSource) -> arrow
 
 
 def run_balance(trials: int, dim_s: int, dim_r: int, seed: int) -> Result:
-    """Entropy-balance identity on random product inputs under Haar unitaries."""
+    """Entropy-balance identity on random product inputs under Haar
+    unitaries, with the census of relative arrow directions: the columns of
+    both ``balance`` and ``schrodinger``, which run the same trials."""
     layout = BipartitionLayout(dim_s, dim_r)
     root = RandomSource(seed)
 
-    def run_chunk(chunk: range) -> list[Row]:
+    def run_chunk(chunk: range) -> Columns:
         rep = _product_balances(layout, root.children(chunk))
-        alignments = arrow.schrodinger_checks(rep.schrodinger_product)
-        columns = (rep.ds_s, rep.ds_r, rep.sum, rep.mi_initial, rep.mi_final, np.abs(rep.sum - rep.mi_final))
-        return [(k, *cells, a.value) for k, cells, a in zip(chunk, zip(*(c.tolist() for c in columns)), alignments)]
+        alignments = np.array([a.value for a in arrow.schrodinger_checks(rep.schrodinger_product)])
+        return {"trial": np.array(chunk), **_report_columns(rep), "balance_deviation": np.abs(rep.sum - rep.mi_final), "alignment": alignments}
 
     return _by_chunks(trials, layout.dim**2, run_chunk), {}
 
@@ -262,16 +254,18 @@ def run_balance(trials: int, dim_s: int, dim_r: int, seed: int) -> Result:
 def run_near_product(epsilon: float) -> Result:
     """Near-product construction plus its analytic decorrelating unitary."""
     rho, u = arrow.near_product_state(epsilon), arrow.decorrelating_unitary()
-    rep = arrow.state_balances(rho.matrix[None], rho.spectrum[None], arrow.TWO_QUBITS, u.matrix[None]).trial(0)
-    analytic = -near_product_mutual_information(epsilon)
-    dev = abs(rep.sum - analytic)
-    return [(epsilon, rep.ds_s, rep.ds_r, rep.sum, rep.mi_initial, rep.mi_final, analytic, dev)], {}
+    rep = arrow.state_balances(rho.matrix[None], rho.spectrum[None], arrow.TWO_QUBITS, u.matrix[None])
+    analytic = np.array([-near_product_mutual_information(epsilon)])
+    columns = {"epsilon": np.array([epsilon]), **_report_columns(rep), "analytic_sum": analytic, "sum_deviation": np.abs(rep.sum - analytic)}
+    return columns, {}
 
 
 def run_decorrelate() -> Result:
-    """Classically correlated pair mapped to an exact product state."""
-    rep = arrow.classical_correlated_demo()
-    return [(rep.ds_s, rep.ds_r, rep.sum, rep.mi_initial, rep.mi_final)], {}
+    """Classically correlated pair mapped to an exact product state; the
+    entropy sum drops by ln 2."""
+    rho, u = arrow.classical_correlated_state(), arrow.classical_decorrelating_unitary()
+    rep = arrow.state_balances(rho.matrix[None], rho.spectrum[None], arrow.TWO_QUBITS, u.matrix[None])
+    return _report_columns(rep), {}
 
 
 def _demo_state(demo: str, epsilon: float):
@@ -352,34 +346,21 @@ def run_search(
             states, layout, root.children(range(trials)).child(1), restarts, max_iterations
         )
     report = result.report
-    rows = list(zip(range(trials), report.mi_initial.tolist(), report.sum.tolist(), (report.sum < 0.0).tolist(), result.best_restarts.tolist()))
+    columns = {"trial": np.arange(trials), "mi_initial": report.mi_initial, "achieved_sum": report.sum,
+               "improved": report.sum < 0.0, "best_restart": result.best_restarts}
     probes = [probe for own in result.probes for probe in own]
     extra = {
         "probes_run": len(probes),
         "probes_converged": sum(probe.converged for probe in probes),
         "probe_steps": sum(len(probe.sums) - 1 for probe in probes),
     }
-    return rows, extra
+    return columns, extra
 
 
 def _above_feasible_bound(columns: Columns, extra: dict, config: dict) -> np.ndarray:
     if config["demo"] == "random":
         return np.empty(0)
     return columns["achieved_sum"] - _demo_state(config["demo"], config["epsilon"])[1]
-
-
-def run_schrodinger(trials: int, dim_s: int, dim_r: int, seed: int) -> Result:
-    """Census of relative arrow directions for product inputs under Haar unitaries."""
-    layout = BipartitionLayout(dim_s, dim_r)
-    root = RandomSource(seed)
-
-    def run_chunk(chunk: range) -> list[Row]:
-        rep = _product_balances(layout, root.children(chunk))
-        alignments = arrow.schrodinger_checks(rep.schrodinger_product)
-        columns = zip(rep.ds_s.tolist(), rep.ds_r.tolist(), rep.schrodinger_product.tolist(), alignments, rep.sum.tolist())
-        return [(k, ds_s, ds_r, product, a.value, total) for k, (ds_s, ds_r, product, a, total) in zip(chunk, columns)]
-
-    return _by_chunks(trials, layout.dim**2, run_chunk), {}
 
 
 def run_sweep(
@@ -394,9 +375,10 @@ def run_sweep(
     h_r = Hamiltonian(np.diag([0.0, gap_r]).astype(complex))
     h_int = Hamiltonian(collisions.SWAP)
     grid = arrow.SweepGrid(g_values, eps_values, t_values)
-    sums = arrow.weak_coupling_sweep(h_s, h_r, h_int, grid).ravel().tolist()
-    cells = itertools.product(grid.coupling_strengths, grid.correlation_strengths, grid.evolution_times)
-    return [(*cell, s) for cell, s in zip(cells, sums)], {"planned_cells": grid.size}
+    sums = arrow.weak_coupling_sweep(h_s, h_r, h_int, grid)
+    axes = np.meshgrid(grid.coupling_strengths, grid.correlation_strengths, grid.evolution_times, indexing="ij")
+    g, eps, t = (axis.ravel() for axis in axes)
+    return {"g": g, "epsilon": eps, "t": t, "sum": sums.ravel()}, {"planned_cells": grid.size}
 
 
 def run_collide(
@@ -459,8 +441,8 @@ def run_collide(
         extra["fitted_rate"] = report.rate
         extra["fit_residual"] = report.residual
         extra["exact_convergence"] = report.exact
-    rows = list(zip(range(len(record.entropies)), record.entropies.tolist(), record.distances_to_ancilla.tolist()))
-    return rows, extra
+    columns = {"step": np.arange(len(record.entropies)), "entropy": record.entropies, "distance_to_ancilla": record.distances_to_ancilla}
+    return columns, extra
 
 
 def run_crooks(trials: int, beta: float, dim_s: int, dim_r: int, seed: int) -> Result:
@@ -469,14 +451,13 @@ def run_crooks(trials: int, beta: float, dim_s: int, dim_r: int, seed: int) -> R
     layout = BipartitionLayout(dim_s, dim_r)
     root = RandomSource(seed)
 
-    def run_chunk(chunk: range) -> list[Row]:
-        rows = []
-        stack = fluctuation.random_protocols(layout, beta, root.children(chunk))
-        for k, report in zip(chunk, fluctuation.crooks_checks(stack)):
-            lhs, rhs = report.jarzynski_lhs, report.jarzynski_rhs
-            kl, avg = report.entropy_production, report.average_sigma
-            rows.append((k, report.delta_f, report.max_deviation, lhs, rhs, abs(lhs - rhs) / rhs, kl, avg, abs(kl - avg)))
-        return rows
+    def run_chunk(chunk: range) -> Columns:
+        reports = fluctuation.crooks_checks(fluctuation.random_protocols(layout, beta, root.children(chunk)))
+        delta_f, max_dev, lhs, rhs, kl, avg = np.array(
+            [(r.delta_f, r.max_deviation, r.jarzynski_lhs, r.jarzynski_rhs, r.entropy_production, r.average_sigma) for r in reports]
+        ).T
+        return {"trial": np.array(chunk), "delta_f": delta_f, "max_ratio_deviation": max_dev, "jarzynski_lhs": lhs, "jarzynski_rhs": rhs,
+                "jarzynski_deviation": np.abs(lhs - rhs) / rhs, "kl_divergence": kl, "average_sigma": avg, "identity_deviation": np.abs(kl - avg)}
 
     # the largest stacks hold a few d x d matrices per trial
     return _by_chunks(trials, layout.dim**2, run_chunk), {}
@@ -487,10 +468,9 @@ def run_jarzynski(trials: int, beta: float, dim_s: int, dim_r: int, seed: int) -
     layout = BipartitionLayout(dim_s, dim_r)
     root = RandomSource(seed)
 
-    def run_chunk(chunk: range) -> list[Row]:
-        stack = fluctuation.random_protocols(layout, beta, root.children(chunk))
-        lhs, rhs = fluctuation.jarzynski_checks(stack)
-        return [(k, lh, rh, abs(lh - rh) / rh) for k, lh, rh in zip(chunk, lhs.tolist(), rhs.tolist())]
+    def run_chunk(chunk: range) -> Columns:
+        lhs, rhs = fluctuation.jarzynski_checks(fluctuation.random_protocols(layout, beta, root.children(chunk)))
+        return {"trial": np.array(chunk), "lhs": lhs, "rhs": rhs, "relative_deviation": np.abs(lhs - rhs) / rhs}
 
     return _by_chunks(trials, layout.dim**2, run_chunk), {}
 
@@ -511,14 +491,13 @@ def run_heatflow(trials: int, seed: int) -> Result:
     non-negative."""
     root = RandomSource(seed)
 
-    def run_chunk(chunk: range) -> list[Row]:
+    def run_chunk(chunk: range) -> Columns:
         beta_s, beta_r, times = zip(*draw_streams(root.children(chunk), _heatflow_draw))
         rep = fluctuation.heat_flow_trials(beta_s, beta_r, times)
-        columns = (rep.du_s, rep.du_r, rep.balance.ds_s, rep.balance.ds_r, rep.t_s, rep.t_r, rep.balance.sum)
-        return [
-            (k, b_s, b_r, "S" if b_s < b_r else "R", *cells)
-            for k, b_s, b_r, cells in zip(chunk, beta_s, beta_r, zip(*(c.tolist() for c in columns)))
-        ]
+        beta_s, beta_r = np.array(beta_s), np.array(beta_r)
+        return {"trial": np.array(chunk), "beta_s": beta_s, "beta_r": beta_r, "hotter": np.where(beta_s < beta_r, "S", "R"),
+                "du_s": rep.du_s, "du_r": rep.du_r, "ds_s": rep.balance.ds_s, "ds_r": rep.balance.ds_r,
+                "t_s": rep.t_s, "t_r": rep.t_r, "clausius_lhs": rep.balance.sum}
 
     return _by_chunks(trials, arrow.TWO_QUBITS.dim**2, run_chunk), {}
 
@@ -532,8 +511,8 @@ def run_damping(trials: int, beta: float, seed: int) -> Result:
     states = np.concatenate(
         (gibbs_matrices(h, [beta, 0.0]), h.matrix[None], random_density_matrices(2, 2, RandomSource(seed).children(range(trials))))
     )
-    kinds = ["thermal", "maximally-mixed", "excited"] + ["random"] * trials
-    return list(zip(range(len(kinds)), kinds, fluctuation.damping_heats(states, h, beta).tolist())), {}
+    kinds = np.array(["thermal", "maximally-mixed", "excited"] + ["random"] * trials)
+    return {"trial": np.arange(len(kinds)), "kind": kinds, "heat": fluctuation.damping_heats(states, h, beta)}, {}
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +564,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     "schrodinger": Experiment(
         params=(_trials(200, "number of random product inputs"), _DIMS),
         columns={"trial": 0, "ds_s": 1, "ds_r": 1, "schrodinger_product": 2, "alignment": 0, "sum": 1},
-        run=lambda v: run_schrodinger(v["trials"], *v["dims"], v["seed"]),
+        run=lambda v: run_balance(v["trials"], *v["dims"], v["seed"]),
         invariants=(_MINUS_SUM,),
     ),
     "sweep": Experiment(

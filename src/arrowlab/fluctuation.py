@@ -332,8 +332,8 @@ def jarzynski_checks(stack: ProtocolStack) -> tuple[np.ndarray, np.ndarray]:
 def effective_temperatures(report: EntropyBalanceReport, du_s, du_r) -> tuple:
     """(T_S, T_R) with T = dU/dS per subsystem, so that the Clausius
     combination dU_S/T_S + dU_R/T_R is dS_S + dS_R, the report's ``sum``.
-    A stacked report takes (n,) arrays of energy changes and gives (n,)
-    arrays."""
+    The report's stack of n takes (n,) arrays of energy changes and gives
+    (n,) arrays."""
     if np.any((np.abs(report.ds_s) <= TEMPERATURE_DS_FLOOR) | (np.abs(report.ds_r) <= TEMPERATURE_DS_FLOOR)):
         raise ValueError("effective temperature undefined: a local entropy change vanishes")
     return du_s / report.ds_s, du_r / report.ds_r

@@ -5,9 +5,11 @@ and small hand-built matrices, never through the library paths it checks.
 """
 
 import csv
+import dataclasses
 import io
 import itertools
 import math
+import types
 
 import numpy as np
 
@@ -642,6 +644,20 @@ def _format_cell(value) -> str:
     if value is None:
         return ""
     return str(value)
+
+
+def rows(name: str, columns: dict) -> list:
+    """The columns a run of experiment ``name`` returns, as rows of
+    built-in values in the record's column order: the rows it writes."""
+    from arrowlab import experiments
+
+    return list(zip(*(columns[column].tolist() for column in experiments.EXPERIMENTS[name].columns)))
+
+
+def trial(report, k: int) -> types.SimpleNamespace:
+    """Trial k of a stacked report: its fields as built-in values, read as
+    attributes and compared field by field."""
+    return types.SimpleNamespace(**{f.name: getattr(report, f.name)[k].item() for f in dataclasses.fields(report)})
 
 
 def rows_in_bits(columns: dict, rows: list) -> list:

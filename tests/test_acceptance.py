@@ -13,7 +13,6 @@ import pytest
 from arrowlab.arrow import (
     TWO_QUBITS,
     Alignment,
-    EntropyBalanceReport,
     classical_correlated_state,
     decorrelating_unitary,
     near_product_state,
@@ -49,15 +48,16 @@ from arrowlab.fluctuation import (
     jarzynski_checks,
     random_protocols,
 )
-from oracles import PAULI_X, binary_entropy, ket, mutual_information
+from oracles import PAULI_X, binary_entropy, ket, mutual_information, trial
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
 
 
-def balance(rho: DensityOperator, layout: BipartitionLayout, u: UnitaryOperator) -> EntropyBalanceReport:
-    """One state's entropy balance, through the stacked path as a stack of one."""
-    return state_balances(rho.matrix[None], rho.spectrum[None], layout, u.matrix[None]).trial(0)
+def balance(rho: DensityOperator, layout: BipartitionLayout, u: UnitaryOperator):
+    """One state's entropy balance, through the stacked path as a stack of
+    one, with its fields as built-in values."""
+    return trial(state_balances(rho.matrix[None], rho.spectrum[None], layout, u.matrix[None]), 0)
 
 
 def report(index: int, name: str, ok: bool, detail: str = "") -> None:

@@ -11,7 +11,6 @@ from arrowlab.arrow import (
     Alignment,
     EntropyBalanceReport,
     SweepGrid,
-    classical_correlated_demo,
     classical_correlated_state,
     classical_decorrelating_unitary,
     decorrelating_unitary,
@@ -35,7 +34,7 @@ from arrowlab.core import (
     pure_state,
     random_density_operator,
 )
-from oracles import BELL_PHI, CNOT, SWAP, binary_entropy, ket, mutual_information, projector, spectral_assignment_per_cell
+from oracles import BELL_PHI, CNOT, SWAP, binary_entropy, ket, mutual_information, projector, spectral_assignment_per_cell, trial
 
 LN2 = 0.6931471805599453
 DS_S_01 = -0.1985152433458726  # -H2(0.05)
@@ -56,9 +55,10 @@ def haar_unitary(seed: int) -> UnitaryOperator:
     return UnitaryOperator(haar_unitaries(4, RandomSource(seed))[0])
 
 
-def balance(rho: DensityOperator, layout: BipartitionLayout, u: UnitaryOperator) -> EntropyBalanceReport:
-    """One state's entropy balance, through the stacked path as a stack of one."""
-    return state_balances(rho.matrix[None], rho.spectrum[None], layout, u.matrix[None]).trial(0)
+def balance(rho: DensityOperator, layout: BipartitionLayout, u: UnitaryOperator):
+    """One state's entropy balance, through the stacked path as a stack of
+    one, with its fields as built-in values."""
+    return trial(state_balances(rho.matrix[None], rho.spectrum[None], layout, u.matrix[None]), 0)
 
 
 def evolved(rho: DensityOperator, u: UnitaryOperator) -> DensityOperator:
@@ -95,9 +95,8 @@ class TestEntropyBalance:
 
     def test_report_rejects_inconsistent_sum(self):
         with pytest.raises(ValueError, match="inconsistent"):
-            EntropyBalanceReport(
-                ds_s=0.1, ds_r=0.1, sum=0.3, mi_initial=0.5, mi_final=0.5, schrodinger_product=0.01, product_input=False
-            )
+            fields = dict(ds_s=0.1, ds_r=0.1, sum=0.3, mi_initial=0.5, mi_final=0.5, schrodinger_product=0.01, product_input=False)
+            EntropyBalanceReport(**{name: np.array([value]) for name, value in fields.items()})
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimensions must agree"):
@@ -196,7 +195,7 @@ class TestClassicalDemo:
         assert mutual_information(final.matrix, 2, 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_report_values(self):
-        rep = classical_correlated_demo()
+        rep = balance(classical_correlated_state(), TWO_QUBITS, classical_decorrelating_unitary())
         assert rep.ds_s == pytest.approx(0.0, abs=1e-12)
         assert rep.ds_r == pytest.approx(-LN2, abs=1e-12)
         assert rep.sum == pytest.approx(-LN2, abs=1e-12)
@@ -306,7 +305,7 @@ class TestSearch:
         assert 0 < np.count_nonzero(result.best_restarts) < 4
         for k, rho in enumerate(states):
             expected = balance(rho, layout, UnitaryOperator(result.unitaries[k]))
-            assert result.report.trial(k) == expected
+            assert trial(result.report, k) == expected
             probe_sums = [probe.sums[-1] for probe in result.probes[k]]
             if result.best_restarts[k]:
                 assert abs(probe_sums[result.best_restarts[k] - 1] - expected.sum) <= 1e-12

@@ -497,7 +497,8 @@ class TestColumnSerialization:
     def test_csv_equals_the_per_cell_writer(self, name, units):
         config = small_config(name, units)
         experiment = experiments.EXPERIMENTS[name]
-        rows, _ = experiment.run(config.values)
+        columns, _ = experiment.run(config.values)
+        rows = oracles.rows(name, columns)
         if units == "bits":
             rows = oracles.rows_in_bits(experiment.columns, rows)
         code, record = run(config)
@@ -511,8 +512,8 @@ class TestColumnSerialization:
         kinds = iter(["plain", 'with "quotes"', "with, comma", "with\nnewline", "", "with\rreturn"])
 
         def renamed(values):
-            rows, extra = damping.run(values)
-            return [(k, next(kinds, kind), heat) for k, kind, heat in rows], extra
+            columns, extra = damping.run(values)
+            return {**columns, "kind": np.array([next(kinds, kind) for kind in columns["kind"].tolist()])}, extra
 
         monkeypatch.setitem(experiments.EXPERIMENTS, "damping", dataclasses.replace(damping, run=renamed))
         code, record = run(validate_config("damping", overrides={"trials": "3"}))
@@ -539,8 +540,8 @@ class TestColumnSerialization:
         decorrelate = experiments.EXPERIMENTS["decorrelate"]
 
         def with_extra(values):
-            rows, extra = decorrelate.run(values)
-            return rows, {**extra, "rate": math.inf, "distances": [-math.inf, 0.5, math.nan]}
+            columns, extra = decorrelate.run(values)
+            return columns, {**extra, "rate": math.inf, "distances": [-math.inf, 0.5, math.nan]}
 
         monkeypatch.setitem(experiments.EXPERIMENTS, "decorrelate", dataclasses.replace(decorrelate, run=with_extra))
         code, out = run_cli(capsys, "decorrelate", "--format", "json")

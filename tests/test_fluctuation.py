@@ -30,7 +30,7 @@ from arrowlab.fluctuation import (
     log_partitions,
     random_protocols,
 )
-from oracles import PAULI_X, ket, kl_divergence, mutual_information, projector, transition_matrix_by_pairs
+from oracles import PAULI_X, ket, kl_divergence, mutual_information, projector, rows, transition_matrix_by_pairs
 
 LN3 = 1.0986122886681098
 H_QUBIT = Hamiltonian(np.diag([0.0, 1.0]).astype(complex))
@@ -322,7 +322,7 @@ class TestTransitionMatrix:
         # projector traces, so the detailed ratio holds far inside RATIO_TOL
         from arrowlab import experiments
 
-        worst = max(row[2] for seed in range(10) for row in experiments.run_crooks(100, 1.0, *dims, seed)[0])
+        worst = max(row[2] for seed in range(10) for row in rows("crooks", experiments.run_crooks(100, 1.0, *dims, seed)[0]))
         assert worst <= 1e-12
 
 
@@ -394,9 +394,8 @@ class TestEffectiveTemperatures:
     def test_arithmetic_of_definition(self):
         from arrowlab.arrow import EntropyBalanceReport
 
-        report = EntropyBalanceReport(
-            ds_s=-0.2, ds_r=0.4, sum=0.2, mi_initial=0.3, mi_final=0.4, schrodinger_product=-0.08, product_input=False
-        )
+        fields = dict(ds_s=-0.2, ds_r=0.4, sum=0.2, mi_initial=0.3, mi_final=0.4, schrodinger_product=-0.08, product_input=False)
+        report = EntropyBalanceReport(**{name: np.array([value]) for name, value in fields.items()})
         t_s, t_r = effective_temperatures(report, du_s=-0.1, du_r=0.1)
         assert t_s == pytest.approx(0.5, abs=1e-14)
         assert t_r == pytest.approx(0.25, abs=1e-14)

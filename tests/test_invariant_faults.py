@@ -1,8 +1,8 @@
 """Every run invariant of the registry fires.
 
 For each (experiment, invariant) pair of ``experiments.EXPERIMENTS``, one
-case wraps the experiment's real ``run`` and moves one row cell, or one
-``extra`` value, just past the invariant's tolerance.  Through ``cli.main``
+case wraps the experiment's real ``run`` and moves one cell of a named
+column, or one ``extra`` value, just past the invariant's tolerance.  Through ``cli.main``
 the unmoved run passes the invariant, and the moved run exits 2 with the
 invariant recorded as failed and a failure line that names it.  A registry
 walk fails when a pair has no case, so a new invariant arrives with one.
@@ -29,15 +29,16 @@ PAST_FACTOR = 1.1
 
 
 def cell(column, value, row=0):
-    """Move row ``row``'s ``column`` cell to ``value(cells, tol)``, with
-    ``cells`` that row by column name; ``column`` may be a function of
-    ``cells``."""
+    """Move ``columns[column][row]`` to ``value(cells, tol)`` on a copy of
+    that column, with ``cells`` row ``row`` by column name; ``column`` may
+    be a function of ``cells``."""
 
-    def move(experiment, rows, extra, tol):
-        names = list(experiment.columns)
-        cells = dict(zip(names, rows[row]))
-        cells[column(cells) if callable(column) else column] = value(cells, tol)
-        return [*rows[:row], tuple(cells[name] for name in names), *rows[row + 1 :]], extra
+    def move(columns, extra, tol):
+        cells = {name: cells[row].item() for name, cells in columns.items()}
+        name = column(cells) if callable(column) else column
+        moved = columns[name].copy()
+        moved[row] = value(cells, tol)
+        return {**columns, name: moved}, extra
 
     return move
 
@@ -45,8 +46,8 @@ def cell(column, value, row=0):
 def extra_value(key, value):
     """Move ``extra[key]`` to ``value(extra, tol)``."""
 
-    def move(experiment, rows, extra, tol):
-        return rows, {**extra, key: value(extra, tol)}
+    def move(columns, extra, tol):
+        return columns, {**extra, key: value(extra, tol)}
 
     return move
 
@@ -131,8 +132,8 @@ def test_invariant_fires(capsys, monkeypatch, name, invariant):
     assert f"# invariant.{invariant}.passed=true\n" in capsys.readouterr().out
 
     def faulty(values):
-        rows, extra = experiment.run(values)
-        return fault(experiment, rows, extra, tol)
+        columns, extra = experiment.run(values)
+        return fault(columns, extra, tol)
 
     monkeypatch.setitem(experiments.EXPERIMENTS, name, dataclasses.replace(experiment, run=faulty))
     assert main(argv) == 2

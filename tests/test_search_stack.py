@@ -150,7 +150,7 @@ def test_a_states_search_does_not_depend_on_its_stack(restarts, max_iterations):
     for j, (rho, source) in enumerate(zip(states, rows(sources))):
         alone = search([rho], layout, source, restarts, max_iterations)
         assert np.array_equal(alone.unitaries[0], result.unitaries[j])
-        assert (alone.report.trial(0), alone.best_restarts[0]) == (result.report.trial(j), result.best_restarts[j])
+        assert (oracles.trial(alone.report, 0), alone.best_restarts[0]) == (oracles.trial(result.report, j), result.best_restarts[j])
         for a, b in zip(alone.probes[0], result.probes[j], strict=True):
             assert np.array_equal(a.unitary, b.unitary) and (a.sums, a.converged) == (b.sums, b.converged)
 
@@ -208,9 +208,10 @@ def test_search_rows_do_not_depend_on_the_chunk_size(monkeypatch, demo):
     # the candidates of two 4x4 probes per chunk: fifteen probes in eight chunks
     monkeypatch.setattr(core, "STACK_ENTRIES", 2 * arrow.ARMIJO_BATCH * 16)
     monkeypatch.setattr(arrow, "trial_chunks", recording)
-    rows, extra = experiments.run_search(5, 4, 300, 0.01, 3, demo, 0.1)
+    columns, extra = experiments.run_search(5, 4, 300, 0.01, 3, demo, 0.1)
     assert sizes == [[2] * 7 + [1]]
-    assert [tuple(map(repr, row)) for row in rows] == [tuple(map(repr, row)) for row in expected[0]]
+    rows, expected_rows = oracles.rows("search", columns), oracles.rows("search", expected[0])
+    assert [tuple(map(repr, row)) for row in rows] == [tuple(map(repr, row)) for row in expected_rows]
     assert extra == expected[1]
 
 

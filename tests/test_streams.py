@@ -146,7 +146,7 @@ class TestDraws:
 
     STACKED_RUNS = {
         "balance": lambda trials: experiments.run_balance(trials, 2, 2, 0),
-        "schrodinger": lambda trials: experiments.run_schrodinger(trials, 2, 3, 0),
+        "schrodinger": lambda trials: experiments.EXPERIMENTS["schrodinger"].run({"trials": trials, "dims": (2, 3), "seed": 0}),
         "crooks": lambda trials: experiments.run_crooks(trials, 1.0, 2, 2, 0),
         "jarzynski": lambda trials: experiments.run_jarzynski(trials, 1.0, 2, 2, 0),
         "heatflow": lambda trials: experiments.run_heatflow(trials, 0),

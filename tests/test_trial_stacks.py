@@ -30,6 +30,17 @@ def exact(rows):
     return [tuple(map(repr, row)) for row in rows]
 
 
+def balance(trials, dim_s, dim_r, seed):
+    """The rows of the balance record."""
+    return oracles.rows("balance", experiments.run_balance(trials, dim_s, dim_r, seed)[0])
+
+
+def schrodinger(trials, dim_s, dim_r, seed):
+    """The rows of the schrodinger record, which runs balance's trials."""
+    columns, _ = experiments.EXPERIMENTS["schrodinger"].run({"trials": trials, "dims": (dim_s, dim_r), "seed": seed})
+    return oracles.rows("schrodinger", columns)
+
+
 @pytest.fixture
 def chunk_sizes(monkeypatch):
     """The chunk lengths of each trial_chunks call the experiments make."""
@@ -47,9 +58,9 @@ def chunk_sizes(monkeypatch):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("dims", DIMS, ids=DIM_IDS)
 def test_balance_and_schrodinger_match_per_trial_loops(dims, seed):
-    rows, _ = experiments.run_balance(12, *dims, seed)
+    rows = balance(12, *dims, seed)
     assert exact(rows) == exact(oracles.balance_rows(12, *dims, RandomSource(seed)))
-    rows, _ = experiments.run_schrodinger(12, *dims, seed)
+    rows = schrodinger(12, *dims, seed)
     assert exact(rows) == exact(oracles.schrodinger_rows(12, *dims, RandomSource(seed)))
 
 
@@ -60,23 +71,23 @@ def test_crooks_and_jarzynski_match_per_trial_loops(monkeypatch, chunk_sizes, di
     # cross a chunk boundary at every dimension
     layout = BipartitionLayout(*dims)
     monkeypatch.setattr(core, "STACK_ENTRIES", 16 * layout.dim**2)
-    rows, _ = experiments.run_crooks(18, 1.0, *dims, seed)
+    rows = oracles.rows("crooks", experiments.run_crooks(18, 1.0, *dims, seed)[0])
     assert exact(rows) == exact(oracles.crooks_rows(18, 1.0, layout, RandomSource(seed)))
-    rows, _ = experiments.run_jarzynski(18, 1.0, *dims, seed)
+    rows = oracles.rows("jarzynski", experiments.run_jarzynski(18, 1.0, *dims, seed)[0])
     assert exact(rows) == exact(oracles.jarzynski_rows(18, 1.0, layout, RandomSource(seed)))
     assert chunk_sizes == [[16, 2], [16, 2]]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_heatflow_matches_per_trial_loop(seed):
-    rows, _ = experiments.run_heatflow(30, seed)
+    rows = oracles.rows("heatflow", experiments.run_heatflow(30, seed)[0])
     assert exact(rows) == exact(oracles.heatflow_rows(30, RandomSource(seed)))
 
 
 def test_balance_at_16x16_keeps_each_trial_on_its_own_stream():
     # one 256 x 256 trial per chunk: trial k still draws from root.child(k)
     assert [len(chunk) for chunk in core.trial_chunks(3, 256**2)] == [1, 1, 1]
-    rows, _ = experiments.run_balance(3, 16, 16, 7)
+    rows = balance(3, 16, 16, 7)
     assert exact(rows) == exact(oracles.balance_rows(3, 16, 16, RandomSource(7)))
 
 
@@ -102,15 +113,15 @@ PRODUCT_PATH_TOL = 1e-12
 def test_balance_rows_agree_with_the_decomposed_product(dims, seed):
     trials = 2 if dims == (16, 16) else 12
     root = RandomSource(seed)
-    rows, _ = experiments.run_balance(trials, *dims, seed)
+    rows = balance(trials, *dims, seed)
     close(rows, oracles.balance_rows(trials, *dims, root, from_factors=False), PRODUCT_PATH_TOL)
-    rows, _ = experiments.run_schrodinger(trials, *dims, seed)
+    rows = schrodinger(trials, *dims, seed)
     close(rows, oracles.schrodinger_rows(trials, *dims, root, from_factors=False), PRODUCT_PATH_TOL)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_heatflow_rows_agree_with_the_decomposed_product(seed):
-    rows, _ = experiments.run_heatflow(30, seed)
+    rows = oracles.rows("heatflow", experiments.run_heatflow(30, seed)[0])
     close(rows, oracles.heatflow_rows(30, RandomSource(seed), from_factors=False), PRODUCT_PATH_TOL)
 
 
@@ -138,18 +149,18 @@ def test_balance_at_16x16_decomposes_one_joint_state_per_trial(monkeypatch):
 @pytest.mark.parametrize(
     "run, entries",
     [
-        (lambda: experiments.run_balance(10, 2, 2, 3), 4**2),
-        (lambda: experiments.run_schrodinger(10, 2, 2, 3), 4**2),
-        (lambda: experiments.run_crooks(10, 1.0, 2, 2, 3), 4**2),
-        (lambda: experiments.run_jarzynski(10, 1.0, 2, 2, 3), 4**2),
-        (lambda: experiments.run_heatflow(10, 3), 4**2),
+        (lambda: balance(10, 2, 2, 3), 4**2),
+        (lambda: schrodinger(10, 2, 2, 3), 4**2),
+        (lambda: oracles.rows("crooks", experiments.run_crooks(10, 1.0, 2, 2, 3)[0]), 4**2),
+        (lambda: oracles.rows("jarzynski", experiments.run_jarzynski(10, 1.0, 2, 2, 3)[0]), 4**2),
+        (lambda: oracles.rows("heatflow", experiments.run_heatflow(10, 3)[0]), 4**2),
     ],
     ids=["balance", "schrodinger", "crooks", "jarzynski", "heatflow"],
 )
 def test_rows_do_not_depend_on_the_chunk_size(monkeypatch, chunk_sizes, run, entries):
-    whole, _ = run()
+    whole = run()
     monkeypatch.setattr(core, "STACK_ENTRIES", 3 * entries)
-    assert exact(run()[0]) == exact(whole)
+    assert exact(run()) == exact(whole)
     # the experiment itself sizes a trial at ``entries``
     assert chunk_sizes == [[10], [3, 3, 3, 1]]
 
@@ -193,8 +204,8 @@ def test_balance_and_schrodinger_build_no_product(monkeypatch, dims):
 
     monkeypatch.setattr(np, "kron", refused)
     trials = 1 if dims == (16, 16) else 4
-    assert len(experiments.run_balance(trials, *dims, 0)[0]) == trials
-    assert len(experiments.run_schrodinger(trials, *dims, 0)[0]) == trials
+    assert len(balance(trials, *dims, 0)) == trials
+    assert len(schrodinger(trials, *dims, 0)) == trials
 
     # heatflow takes its initial energies from the Gibbs factors; its only
     # Kronecker products embed the local Hamiltonians, h (x) I and I (x) h
@@ -204,7 +215,7 @@ def test_balance_and_schrodinger_build_no_product(monkeypatch, dims):
         return kron(a, b)
 
     monkeypatch.setattr(np, "kron", embedding_only)
-    assert len(experiments.run_heatflow(2, 0)[0]) == 2
+    assert len(oracles.rows("heatflow", experiments.run_heatflow(2, 0)[0])) == 2
 
 
 def test_chunk_sizes_cover_every_trial_once():
@@ -252,11 +263,11 @@ class TestFirstFailure:
                 raise ValueError("trial 3")
             if 1 in chunk:
                 raise ValueError("trial 1")
-            return [(k,) for k in chunk]
+            return {"trial": np.array(chunk)}
 
         with pytest.raises(ValueError, match="trial 1"):
             experiments._by_chunks(5, 16, run_chunk)
-        assert experiments._by_chunks(1, 16, run_chunk) == [(0,)]
+        assert experiments._by_chunks(1, 16, run_chunk)["trial"].tolist() == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +351,7 @@ def test_trajectory_raises_what_its_first_failing_step_raises(monkeypatch):
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("beta", [5e-324, 1.0, experiments.LN3, 800.0])
 def test_damping_heats_match_single_state_heats(beta, seed):
-    rows, _ = experiments.run_damping(12, beta, seed)
+    rows = oracles.rows("damping", experiments.run_damping(12, beta, seed)[0])
     expected = oracles.damping_rows(12, beta, RandomSource(seed))
     assert [row[:2] for row in rows] == [row[:2] for row in expected]
     assert_same_bits([row[2] for row in rows], [row[2] for row in expected])
@@ -360,7 +371,7 @@ def test_damping_validates_its_stack_once(monkeypatch):
 
     monkeypatch.setattr(fluctuation, "validate_states", counting_validate)
     monkeypatch.setattr(DensityOperator, "__post_init__", counting_state)
-    rows, _ = experiments.run_damping(10, 1.0, 0)
+    rows = oracles.rows("damping", experiments.run_damping(10, 1.0, 0)[0])
     assert len(rows) == 13
     assert calls == {"validate": 1, "state": 0}
 
@@ -375,16 +386,16 @@ def test_damping_validates_its_stack_once(monkeypatch):
     ids=["defaults", "edges", "negative"],
 )
 def test_sweep_sums_match_single_cells(grid):
-    rows, _ = experiments.run_sweep(*grid)
+    rows = oracles.rows("sweep", experiments.run_sweep(*grid)[0])
     assert_same_bits([row[-1] for row in rows], oracles.sweep_sums(*grid).ravel())
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.5, 1.0])
 def test_near_product_report_matches_single_state_balance(epsilon):
-    (row,), _ = experiments.run_near_product(epsilon)
+    (row,) = oracles.rows("near-product", experiments.run_near_product(epsilon)[0])
     assert_same_bits(row, oracles.near_product_row(epsilon))
 
 
 def test_decorrelate_report_matches_single_state_balance():
-    (row,), _ = experiments.run_decorrelate()
+    (row,) = oracles.rows("decorrelate", experiments.run_decorrelate()[0])
     assert_same_bits(row, oracles.decorrelate_row())
