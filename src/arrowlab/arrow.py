@@ -6,21 +6,22 @@ information of the final state, hence is non-negative.  This module computes
 that balance, builds the canonical correlated states whose local entropies
 can be pushed *down*, classifies the relative direction of the two local
 arrows, and searches the unitary group for entropy-decreasing evolutions of
-arbitrary correlated inputs.  The search takes n states and a source stack
-of n rows and returns one result of stacked fields.  It runs on core's
-partial trace, Hermitian draw and spectrum entropy, and its probes descend
-by Riemannian conjugate gradient (Abrudan, Eriksson & Koivunen, Signal
-Processing 89, 1704 (2009)), the probes of one call in lockstep as one stack, each Armijo
-round evaluating the next ARMIJO_BATCH step sizes of every pending probe,
-and both marginals of every point in one (n, 2, d, d) ``eigh``; the probes
-stop at the module constant PROBE_CONVERGENCE_TOL.
+arbitrary correlated inputs.  The search takes a stack (n, D, D) of
+validated states with their spectra, as ``core.validate_states`` returns
+them, and a source stack of n rows, and returns one result of stacked
+fields.  It runs on core's partial trace, Hermitian draw and spectrum
+entropy, and its probes descend by Riemannian conjugate gradient (Abrudan,
+Eriksson & Koivunen, Signal Processing 89, 1704 (2009)), the probes of one
+call in lockstep as one stack, each Armijo round evaluating the next
+ARMIJO_BATCH step sizes of every pending probe, and both marginals of every
+point in one (n, 2, d, d) ``eigh``; the probes stop at the module constant
+PROBE_CONVERGENCE_TOL.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -289,32 +290,35 @@ def _assignment_cells(dim_s: int, dim_r: int) -> list[tuple[int, ...]]:
     return [tuple(order)]
 
 
-def spectral_assignment_unitary(rho_joint: DensityOperator, layout: BipartitionLayout) -> np.ndarray:
-    """Rotate the eigenbasis of the state onto computational basis cells,
-    choosing the placement whose diagonal final state has the smallest sum of
-    marginal entropies.  The candidates are every permutation of up to 8
-    cells, and above that one staircase, a heuristic that descent probes beat
-    on random 3x3 and 2x5 states.  All are scored in one stacked pass, and a
-    later candidate wins only by more than 1e-15.  This is the answer of the
-    search."""
-    lam, v = np.linalg.eigh(rho_joint.matrix)
-    order = np.argsort(lam)[::-1]
-    lam = np.clip(lam[order], 0.0, None)
-    vecs = v[:, order]
+def spectral_assignment_unitary(rho: np.ndarray, layout: BipartitionLayout) -> np.ndarray:
+    """Rotate the eigenbasis of each state of a stack (n, D, D) onto
+    computational basis cells, choosing the placement whose diagonal final
+    state has the smallest sum of marginal entropies.  The candidates are
+    every permutation of up to 8 cells, and above that one staircase, a
+    heuristic that descent probes beat on random 3x3 and 2x5 states.  One
+    ``eigh`` and one stacked pass score them all, and within a state a later
+    candidate wins only by more than 1e-15.  These are the search's answers."""
+    lam, v = np.linalg.eigh(rho)
+    order = np.argsort(lam, axis=-1)[:, ::-1]
+    lam = np.clip(np.take_along_axis(lam, order, axis=-1), 0.0, None)
+    vecs = np.take_along_axis(v, order[:, None, :], axis=-1)
     placements = np.array(_assignment_cells(layout.dim_s, layout.dim_r))
     s_of, r_of = np.divmod(placements, layout.dim_r)
     each = np.arange(len(placements))
-    p_s = np.zeros((len(placements), layout.dim_s))
-    p_r = np.zeros((len(placements), layout.dim_r))
-    for i, weight in enumerate(lam):  # in spectrum order, as one placement adds them
-        p_s[each, s_of[:, i]] += weight
-        p_r[each, r_of[:, i]] += weight
-    best, best_val = 0, np.inf
-    for k, val in enumerate((spectrum_entropies(p_s) + spectrum_entropies(p_r)).tolist()):
-        if val < best_val - 1e-15:
-            best, best_val = k, val
-    u = np.zeros((layout.dim, layout.dim), dtype=complex)
-    u[placements[best]] = vecs.T.conj()
+    p_s = np.zeros((len(rho), len(placements), layout.dim_s))
+    p_r = np.zeros((len(rho), len(placements), layout.dim_r))
+    for i in range(layout.dim):  # in spectrum order, as one placement adds them
+        p_s[:, each, s_of[:, i]] += lam[:, i, None]
+        p_r[:, each, r_of[:, i]] += lam[:, i, None]
+    scores = spectrum_entropies(p_s.reshape(-1, layout.dim_s)) + spectrum_entropies(p_r.reshape(-1, layout.dim_r))
+    best = []
+    for row in scores.reshape(len(rho), -1).tolist():  # each state's candidates, in order
+        best.append(0)
+        for k, val in enumerate(row):
+            if val < row[best[-1]] - 1e-15:
+                best[-1] = k
+    u = np.zeros(rho.shape, dtype=complex)
+    u[np.arange(len(rho))[:, None], placements[best]] = vecs.conj().swapaxes(-1, -2)
     return u
 
 
@@ -459,14 +463,17 @@ def _descend(
 
 
 def search_entropy_decreasing_unitaries(
-    states: Sequence[DensityOperator],
+    rho: np.ndarray,
+    spectra: np.ndarray,
     layout: BipartitionLayout,
     sources: RandomSource,
     restarts: int = 4,
     max_iterations: int = 300,
 ) -> UnitarySearchResult:
-    """Minimize dS_S + dS_R over the unitary group for each of n states,
-    state j drawing from row j of the source stack ``sources``.
+    """Minimize dS_S + dS_R over the unitary group for each state of a
+    stack (n, D, D) of validated states, with their spectra (n, D) as
+    :func:`core.validate_states` returns them, state j drawing from row j of
+    the source stack ``sources``; nothing is validated again.
 
     Restart 0 is the answer: the spectral-assignment unitary, exact for
     states whose spectrum factorizes.  Restarts 1 .. restarts - 1 probe its
@@ -488,14 +495,13 @@ def search_entropy_decreasing_unitaries(
     """
     if restarts < 1 or max_iterations < 1:
         raise ValueError("restarts and max_iterations must be >= 1")
-    if len(sources) != len(states):
+    if len(sources) != len(rho):
         raise ValueError("give one source per state")
-    if any(state.dim != layout.dim for state in states):
+    if rho.shape[-1] != layout.dim:
         raise ValueError("state and layout dimensions must agree")
-    rho = np.stack([state.matrix for state in states])
-    initial = (*marginal_entropies_of_stack(rho, layout), spectrum_entropies(np.stack([state.spectrum for state in states])))
+    initial = (*marginal_entropies_of_stack(rho, layout), spectrum_entropies(spectra))
     # each state's answer, replaced below where a probe beats it
-    unitaries = np.stack([spectral_assignment_unitary(state, layout) for state in states])
+    unitaries = spectral_assignment_unitary(rho, layout)
     report = entropy_balances(evolve_states(rho, unitaries), initial, layout)
     raise_first_failure((
         *unitary_checks(unitaries),
@@ -511,16 +517,16 @@ def search_entropy_decreasing_unitaries(
         evals, evecs = validate_hamiltonians(h)
         kicks = (evecs * np.exp(-1j * (PROBE_KICK * evals))[:, None, :]) @ evecs.conj().swapaxes(-1, -2)
         validate_unitaries(kicks)
-        owners = np.repeat(np.arange(len(states)), count)
+        owners = np.repeat(np.arange(len(rho)), count)
         starts = kicks @ unitaries[owners]
         s_local0, _ = _objectives(rho, layout.dim_s, layout.dim_r)
         # a round's candidates hold ARMIJO_BATCH matrices per probe
         for chunk in trial_chunks(len(starts), ARMIJO_BATCH * layout.dim**2):
             trial = owners[chunk]
             probes += _descend(rho[trial], starts[chunk], s_local0[trial], max_iterations, layout.dim_s, layout.dim_r)
-    own = tuple(tuple(probes[j * count : (j + 1) * count]) for j in range(len(states)))
+    own = tuple(tuple(probes[j * count : (j + 1) * count]) for j in range(len(rho)))
 
-    best_restarts = np.zeros(len(states), dtype=int)
+    best_restarts = np.zeros(len(rho), dtype=int)
     for j, best_sum in enumerate(report.sum.tolist()):
         for k, probe in enumerate(own[j], start=1):
             if probe.sums[-1] < best_sum - BALANCE_CONSISTENCY_TOL:
@@ -536,7 +542,7 @@ def search_entropy_decreasing_unitaries(
         report = EntropyBalanceReport(**columns)
     short = np.count_nonzero(report.sum >= 0.0)
     if short:
-        warnings.warn(f"{NO_DECREASE_WARNING} for {short} of {len(states)} states", stacklevel=2)
+        warnings.warn(f"{NO_DECREASE_WARNING} for {short} of {len(rho)} states", stacklevel=2)
     return UnitarySearchResult(unitaries=unitaries, report=report, best_restarts=best_restarts, probes=own)
 
 

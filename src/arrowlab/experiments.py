@@ -31,7 +31,6 @@ from . import arrow, collisions, fluctuation
 from .core import (
     STACK_ENTRIES,
     BipartitionLayout,
-    DensityOperator,
     Hamiltonian,
     RandomSource,
     draw_streams,
@@ -76,6 +75,9 @@ UNIT = (0.0, 1.0)
 AT_LEAST_ONE = (1, math.inf)
 # a floor a two-qubit state can exceed: its mutual information is at most ln 4
 BELOW_LN4 = (POSITIVE[0], math.nextafter(math.log(4.0), 0.0))
+# a near-product search input passes the product check: its mutual
+# information, about eps ln 2, is arrow.NON_PRODUCT_TOL at eps = 1.44e-6
+SEARCH_EPSILON = (1e-5, 1.0)
 
 
 @dataclass(frozen=True)
@@ -268,20 +270,17 @@ def run_decorrelate() -> Result:
     return _report_columns(rep), {}
 
 
-def _demo_state(demo: str, epsilon: float):
-    """A named demo input and the analytic optimum of its entropy sum."""
-    if demo == "near-product":
-        return arrow.near_product_state(epsilon), -near_product_mutual_information(epsilon)
-    if demo == "classical":
-        return arrow.classical_correlated_state(), -math.log(2.0)
-    raise ValueError(f"unknown demo {demo!r}")
+def _demo_bound(demo: str, epsilon: float) -> float:
+    """The analytic optimum of a named demo's entropy sum."""
+    return -near_product_mutual_information(epsilon) if demo == "near-product" else -math.log(2.0)
 
 
-def _random_states(trials: int, min_mutual_information: float, layout: BipartitionLayout, root: RandomSource) -> list[DensityOperator]:
+def _random_states(trials: int, min_mutual_information: float, layout: BipartitionLayout, root: RandomSource) -> tuple[np.ndarray, np.ndarray]:
     """Trial k's random state: the first full-rank random state, in draw
     order after trial k - 1's, whose mutual information exceeds the floor,
     draw i coming from ``root.child(10**6 + i)``.  A trial that rejects
-    MAX_REJECTED_DRAWS draws raises.
+    MAX_REJECTED_DRAWS draws raises.  Returns the states (trials, D, D) and
+    their spectra, the accepted rows of the stacks that validated them.
 
     The draws are made, validated and scored in stacks
     ``root.children(range(10**6 + i, 10**6 + i + m))`` and walked in order:
@@ -290,17 +289,19 @@ def _random_states(trials: int, min_mutual_information: float, layout: Bipartiti
     draw's score has the bits it has in a stack of one.
     """
     cap = max(1, STACK_ENTRIES // layout.dim**2)
-    states, drawn, size = [], 0, min(trials, cap)
+    matrices, spectra, drawn, size = [], [], 0, min(trials, cap)
     rejected, largest = 0, -math.inf
     while True:
         m = random_density_matrices(layout.dim, layout.dim, root.children(range(10**6 + drawn, 10**6 + drawn + size)))
-        informations = mutual_informations(m, validate_states(m), layout).tolist()
+        lam = validate_states(m)
+        informations = mutual_informations(m, lam, layout).tolist()
         drawn += size
-        for candidate, information in zip(m, informations):
+        for candidate, spectrum, information in zip(m, lam, informations):
             if information > min_mutual_information:
-                states.append(DensityOperator(candidate))
-                if len(states) == trials:
-                    return states
+                matrices.append(candidate)
+                spectra.append(spectrum)
+                if len(matrices) == trials:
+                    return np.stack(matrices), np.stack(spectra)
                 rejected, largest = 0, -math.inf
                 continue
             rejected += 1
@@ -326,8 +327,8 @@ def run_search(
 ) -> Result:
     """Optimizer hunting entropy-decreasing unitaries.
 
-    demo='random' draws non-product two-qubit states; the named demos rerun
-    the analytic constructions, whose achievable sums bound the optimizer.
+    demo='random' draws non-product two-qubit states; a named demo's one
+    state, whose achievable sum bounds the optimizer, is every trial's.
     Every trial's state is drawn first, then all trials are searched in one
     call, trial k drawing its kicks from ``root.child(k).child(1)``.  The
     extra metadata counts the descent probes run and converged over all
@@ -335,15 +336,18 @@ def run_search(
     """
     layout = arrow.TWO_QUBITS
     root = RandomSource(seed)
-    if demo != "random":
-        states = [_demo_state(demo, epsilon)[0]] * trials
+    if demo == "random":
+        rho, spectra = _random_states(trials, min_mutual_information, layout, root)
+    elif demo in ("near-product", "classical"):
+        state = arrow.near_product_state(epsilon) if demo == "near-product" else arrow.classical_correlated_state()
+        rho, spectra = (np.broadcast_to(a, (trials, *a.shape)) for a in (state.matrix, state.spectrum))
     else:
-        states = _random_states(trials, min_mutual_information, layout, root)
+        raise ValueError(f"unknown demo {demo!r}")
     with warnings.catch_warnings():
         # a sum that stays >= 0 is a row (improved = false), not a warning
         warnings.filterwarnings("ignore", arrow.NO_DECREASE_WARNING, UserWarning)
         result = arrow.search_entropy_decreasing_unitaries(
-            states, layout, root.children(range(trials)).child(1), restarts, max_iterations
+            rho, spectra, layout, root.children(range(trials)).child(1), restarts, max_iterations
         )
     report = result.report
     columns = {"trial": np.arange(trials), "mi_initial": report.mi_initial, "achieved_sum": report.sum,
@@ -360,7 +364,7 @@ def run_search(
 def _above_feasible_bound(columns: Columns, extra: dict, config: dict) -> np.ndarray:
     if config["demo"] == "random":
         return np.empty(0)
-    return columns["achieved_sum"] - _demo_state(config["demo"], config["epsilon"])[1]
+    return columns["achieved_sum"] - _demo_bound(config["demo"], config["epsilon"])
 
 
 def run_sweep(
@@ -452,12 +456,11 @@ def run_crooks(trials: int, beta: float, dim_s: int, dim_r: int, seed: int) -> R
     root = RandomSource(seed)
 
     def run_chunk(chunk: range) -> Columns:
-        reports = fluctuation.crooks_checks(fluctuation.random_protocols(layout, beta, root.children(chunk)))
-        delta_f, max_dev, lhs, rhs, kl, avg = np.array(
-            [(r.delta_f, r.max_deviation, r.jarzynski_lhs, r.jarzynski_rhs, r.entropy_production, r.average_sigma) for r in reports]
-        ).T
-        return {"trial": np.array(chunk), "delta_f": delta_f, "max_ratio_deviation": max_dev, "jarzynski_lhs": lhs, "jarzynski_rhs": rhs,
-                "jarzynski_deviation": np.abs(lhs - rhs) / rhs, "kl_divergence": kl, "average_sigma": avg, "identity_deviation": np.abs(kl - avg)}
+        rep = fluctuation.crooks_checks(fluctuation.random_protocols(layout, beta, root.children(chunk)))
+        lhs, rhs, kl, avg = rep.jarzynski_lhs, rep.jarzynski_rhs, rep.entropy_production, rep.average_sigma
+        return {"trial": np.array(chunk), "delta_f": rep.delta_f, "max_ratio_deviation": rep.max_deviation,
+                "jarzynski_lhs": lhs, "jarzynski_rhs": rhs, "jarzynski_deviation": np.abs(lhs - rhs) / rhs,
+                "kl_divergence": kl, "average_sigma": avg, "identity_deviation": np.abs(kl - avg)}
 
     # the largest stacks hold a few d x d matrices per trial
     return _by_chunks(trials, layout.dim**2, run_chunk), {}
@@ -549,7 +552,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             Param("max-iter", "int", 300, "descent steps per probe", AT_LEAST_ONE),
             Param("min-mi", "float", 0.01, "mutual-information floor for random inputs", BELOW_LN4),
             Param("demo", "choice", "random", "input family", ("random", "near-product", "classical")),
-            Param("epsilon", "float", 0.1, "epsilon for demo=near-product", UNIT),
+            Param("epsilon", "float", 0.1, "epsilon for demo=near-product", SEARCH_EPSILON),
         ),
         columns={"trial": 0, "mi_initial": 1, "achieved_sum": 1, "improved": 0, "best_restart": 0},
         run=lambda v: run_search(

@@ -19,8 +19,9 @@ projector is formed on the way to a distribution.
 
 Every protocol is part of a :class:`ProtocolStack`, which
 :meth:`ProtocolStack.of` validates and :func:`random_protocols` draws; a
-single protocol is a stack of one.  :func:`crooks_checks` gives each
-protocol's distributions, detailed ratios, dF and both integral identities,
+single protocol is a stack of one.  :func:`crooks_checks` returns one
+:class:`CrooksReport`: each protocol's distributions, and its worst
+detailed ratio, dF and both integral identities as (n,) arrays;
 :func:`jarzynski_checks` the work average alone.  Measurement statistics
 alone carry no arrow of time: p_f(n, m) / w_n = tr(Q_m U P_n U+) equals
 p_b(n, m) / w'_m = tr(P_n U+ Q_m U) for the Gibbs weights w and w', and
@@ -229,32 +230,29 @@ def _groups(stack: ProtocolStack) -> list[_ProtocolGroup]:
 
 @dataclass(frozen=True, eq=False)
 class CrooksReport:
-    """Elementwise detailed-ratio check plus the derived integral identities.
+    """Detailed-ratio check and the derived integral identities of n
+    protocols, every field but the distributions an (n,) array.
 
-    ``forward`` and ``backward`` are the validated joint outcome
-    distributions p_f(n, m) and p_b(n, m) over (initial cluster, final
-    cluster) pairs, both indexed (n, m) so they compare elementwise; the
-    clusters are in ascending energy order.
+    ``forward`` and ``backward`` hold each protocol's validated joint
+    outcome distributions p_f(n, m) and p_b(n, m) over (initial cluster,
+    final cluster) pairs, both indexed (n, m) so they compare elementwise;
+    the clusters are in ascending energy order, and their count varies.
 
-    ``ratio``, ``predicted`` and ``deviation`` are NaN wherever the backward
-    probability falls below the 1e-15 floor (those pairs carry no data), and
-    ``max_deviation`` is the largest finite deviation (0 if there is none).
-    ``jarzynski_lhs`` and ``jarzynski_rhs`` are <exp(-beta W)> and
-    exp(-beta dF); ``entropy_production`` is KL(p_f || p_b), which must equal
-    ``average_sigma`` = <beta (W - dF)>.
+    ``max_deviation`` is the largest |p_f/p_b - e^sigma| / e^sigma, sigma =
+    beta (W - dF), over pairs with a backward probability above the 1e-15
+    floor (0 if there is none).  ``jarzynski_lhs`` and ``jarzynski_rhs``
+    are <exp(-beta W)> and exp(-beta dF); ``entropy_production`` is
+    KL(p_f || p_b), which must equal ``average_sigma`` = <sigma>.
     """
 
-    forward: np.ndarray
-    backward: np.ndarray
-    ratio: np.ndarray
-    predicted: np.ndarray
-    deviation: np.ndarray
-    max_deviation: float
-    delta_f: float
-    jarzynski_lhs: float
-    jarzynski_rhs: float
-    entropy_production: float
-    average_sigma: float
+    forward: tuple[np.ndarray, ...]
+    backward: tuple[np.ndarray, ...]
+    max_deviation: np.ndarray
+    delta_f: np.ndarray
+    jarzynski_lhs: np.ndarray
+    jarzynski_rhs: np.ndarray
+    entropy_production: np.ndarray
+    average_sigma: np.ndarray
 
 
 def _work_averages(pf: np.ndarray, work: np.ndarray, beta: float) -> np.ndarray:
@@ -272,14 +270,17 @@ def _entropy_productions(pf, pb, work, beta: float, delta_f: np.ndarray) -> tupl
     return masked_row_sums(terms.reshape(on.shape), on), masked_row_sums((pf * sigma).reshape(on.shape), on)
 
 
-def crooks_checks(stack: ProtocolStack) -> list[CrooksReport]:
+def crooks_checks(stack: ProtocolStack) -> CrooksReport:
     """Verify p_f/p_b = exp(beta (W - dF)) pair by pair for every protocol
-    of a stack, in stack order.
+    of a stack; return one report, in stack order, its (n,) fields filled
+    group by group.
 
     Pairs where p_f is supported but p_b is not are impossible for a finite
     temperature bath (both Gibbs states are full rank) and raise.
     """
-    reports: list[CrooksReport] = [None] * len(stack)
+    forward, backward = [None] * len(stack), [None] * len(stack)
+    names = ("max_deviation", "delta_f", "jarzynski_lhs", "jarzynski_rhs", "entropy_production", "average_sigma")
+    columns = {name: np.empty(len(stack)) for name in names}
     for group in _groups(stack):
         pf = check_distributions(group.forward())
         pb = check_distributions(group.backward())
@@ -289,30 +290,18 @@ def crooks_checks(stack: ProtocolStack) -> list[CrooksReport]:
         if np.any((pf > PROBABILITY_FLOOR) & ~supported):
             raise ValueError("forward-supported outcome pair with vanishing backward probability")
         ratio = np.divide(pf, pb, out=np.full_like(pf, np.nan), where=supported)
-        predicted = np.exp(stack.beta * (w - delta_f[:, None, None]))
-        predicted_masked = np.where(supported, predicted, np.nan)
-        deviation = np.abs(ratio - predicted_masked) / predicted_masked
+        predicted = np.where(supported, np.exp(stack.beta * (w - delta_f[:, None, None])), np.nan)
+        deviation = np.abs(ratio - predicted) / predicted
         finite = np.isfinite(deviation)
         max_deviation = np.where(finite, deviation, -np.inf).max(axis=(-2, -1))
         max_deviation[~finite.any(axis=(-2, -1))] = 0.0
-        lhs, rhs = _work_averages(pf, w, stack.beta), np.exp(-stack.beta * delta_f)
         kl, avg_sigma = _entropy_productions(pf, pb, w, stack.beta, delta_f)
-        columns = zip(max_deviation.tolist(), delta_f.tolist(), lhs.tolist(), rhs.tolist(), kl.tolist(), avg_sigma.tolist())
-        for k, (trial, (dev, df, lh, rh, kl_k, avg_k)) in enumerate(zip(group.trials.tolist(), columns)):
-            reports[trial] = CrooksReport(
-                forward=pf[k],
-                backward=pb[k],
-                ratio=ratio[k],
-                predicted=predicted_masked[k],
-                deviation=deviation[k],
-                max_deviation=dev,
-                delta_f=df,
-                jarzynski_lhs=lh,
-                jarzynski_rhs=rh,
-                entropy_production=kl_k,
-                average_sigma=avg_k,
-            )
-    return reports
+        values = (max_deviation, delta_f, _work_averages(pf, w, stack.beta), np.exp(-stack.beta * delta_f), kl, avg_sigma)
+        for column, value in zip(columns.values(), values):
+            column[group.trials] = value
+        for k, trial in enumerate(group.trials.tolist()):
+            forward[trial], backward[trial] = pf[k], pb[k]
+    return CrooksReport(forward=tuple(forward), backward=tuple(backward), **columns)
 
 
 def jarzynski_checks(stack: ProtocolStack) -> tuple[np.ndarray, np.ndarray]:

@@ -319,6 +319,39 @@ def crooks_rows(trials, beta, layout, root) -> list[tuple]:
     return rows
 
 
+def crooks_reports_one_at_a_time(stack) -> list[types.SimpleNamespace]:
+    """The Crooks check of a protocol stack as one report per protocol, in
+    stack order: the per-trial loop the stacked report replaced, with the
+    ``ratio``, ``predicted`` and ``deviation`` arrays it also kept (NaN
+    where the backward probability is below the floor)."""
+    from arrowlab import fluctuation
+
+    reports = [None] * len(stack)
+    for group in fluctuation._groups(stack):
+        pf = fluctuation.check_distributions(group.forward())
+        pb = fluctuation.check_distributions(group.backward())
+        delta_f = group.delta_f()
+        w = group.work()
+        supported = pb > PROBABILITY_FLOOR
+        if np.any((pf > PROBABILITY_FLOOR) & ~supported):
+            raise ValueError("forward-supported outcome pair with vanishing backward probability")
+        ratio = np.divide(pf, pb, out=np.full_like(pf, np.nan), where=supported)
+        predicted = np.where(supported, np.exp(stack.beta * (w - delta_f[:, None, None])), np.nan)
+        deviation = np.abs(ratio - predicted) / predicted
+        finite = np.isfinite(deviation)
+        max_deviation = np.where(finite, deviation, -np.inf).max(axis=(-2, -1))
+        max_deviation[~finite.any(axis=(-2, -1))] = 0.0
+        lhs, rhs = fluctuation._work_averages(pf, w, stack.beta), np.exp(-stack.beta * delta_f)
+        kl, avg_sigma = fluctuation._entropy_productions(pf, pb, w, stack.beta, delta_f)
+        columns = zip(max_deviation.tolist(), delta_f.tolist(), lhs.tolist(), rhs.tolist(), kl.tolist(), avg_sigma.tolist())
+        for k, (trial, (dev, df, lh, rh, kl_k, avg_k)) in enumerate(zip(group.trials.tolist(), columns)):
+            reports[trial] = types.SimpleNamespace(
+                forward=pf[k], backward=pb[k], ratio=ratio[k], predicted=predicted[k], deviation=deviation[k],
+                max_deviation=dev, delta_f=df, jarzynski_lhs=lh, jarzynski_rhs=rh, entropy_production=kl_k, average_sigma=avg_k,
+            )
+    return reports
+
+
 def jarzynski_rows(trials, beta, layout, root) -> list[tuple]:
     rows = []
     for k in range(trials):
@@ -506,6 +539,51 @@ def spectral_assignment_per_cell(matrix, dim_s: int, dim_r: int) -> np.ndarray:
     for i, cell in enumerate(best_cells):
         u[cell, :] = vecs[:, i].conj()
     return u
+
+
+def spectral_assignment_unitary(matrix, dim_s: int, dim_r: int) -> np.ndarray:
+    """The search's answer for one state, as the single-state form computed
+    it before the stacked one replaced it: one ``eigh`` of the state, then
+    every placement scored in one ``spectrum_entropies`` pass over a (P, d)
+    stack.  A later placement wins only by more than 1e-15."""
+    from arrowlab.core import spectrum_entropies
+
+    dim = dim_s * dim_r
+    lam, v = np.linalg.eigh(matrix)
+    order = np.argsort(lam)[::-1]
+    lam = np.clip(lam[order], 0.0, None)
+    vecs = v[:, order]
+    if dim <= 8:
+        placements = np.array(list(itertools.permutations(range(dim))))
+    else:
+        placements = np.array([sorted(range(dim), key=lambda i: (sum(divmod(i, dim_r)), i))])
+    s_of, r_of = np.divmod(placements, dim_r)
+    each = np.arange(len(placements))
+    p_s = np.zeros((len(placements), dim_s))
+    p_r = np.zeros((len(placements), dim_r))
+    for i, weight in enumerate(lam):
+        p_s[each, s_of[:, i]] += weight
+        p_r[each, r_of[:, i]] += weight
+    best, best_val = 0, np.inf
+    for k, val in enumerate((spectrum_entropies(p_s) + spectrum_entropies(p_r)).tolist()):
+        if val < best_val - 1e-15:
+            best, best_val = k, val
+    u = np.zeros((dim, dim), dtype=complex)
+    u[placements[best]] = vecs.T.conj()
+    return u
+
+
+def bits(a) -> np.ndarray:
+    """The float64 words of an array, complex parts included, as int64 bit
+    patterns, so that equal bits compare equal and NaN or -0.0 do not hide."""
+    a = np.asarray(a)
+    return np.ascontiguousarray(a, dtype=np.result_type(a, np.float64)).view(np.int64)
+
+
+def stacked(states) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices (n, D, D) and spectra (n, D) of validated states, the
+    stack the search takes."""
+    return np.stack([rho.matrix for rho in states]), np.stack([rho.spectrum for rho in states])
 
 
 def unit_hermitian(dim: int, src) -> np.ndarray:

@@ -48,7 +48,7 @@ from arrowlab.fluctuation import (
     jarzynski_checks,
     random_protocols,
 )
-from oracles import PAULI_X, binary_entropy, ket, mutual_information, trial
+from oracles import PAULI_X, binary_entropy, ket, mutual_information, stacked, trial
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -113,13 +113,13 @@ def test_criterion_3_optimizer_realizes_entropy_decrease():
         if mutual_information(rho.matrix, layout.dim_s, layout.dim_r) > 0.01:
             states.append(rho)
     # state k searches with root.child(k)
-    res = search_entropy_decreasing_unitaries(states, layout, root.children(range(100)))
+    res = search_entropy_decreasing_unitaries(*stacked(states), layout, root.children(range(100)))
     negatives = int(np.count_nonzero(res.report.sum < 0.0))
 
     demo_successes, demo_runs = 0, 0
     feasible_ok = True
     for rho, bound in ((near_product_state(0.1), -0.0719), (classical_correlated_state(), -LN2)):
-        res = search_entropy_decreasing_unitaries([rho] * 50, layout, root.children(range(10**7 + demo_runs, 10**7 + demo_runs + 50)))
+        res = search_entropy_decreasing_unitaries(*stacked([rho] * 50), layout, root.children(range(10**7 + demo_runs, 10**7 + demo_runs + 50)))
         demo_runs += 50
         demo_successes += int(np.count_nonzero(res.report.sum < 0.0))
         feasible_ok = feasible_ok and bool(np.all(res.report.sum <= bound + 1e-6))
@@ -145,16 +145,16 @@ def test_criterion_5_crooks_and_jarzynski():
     root = RandomSource(55)
     stack = random_protocols(TWO_QUBITS, 1.0, root.children(range(100)))
     lhs, rhs = jarzynski_checks(stack)
-    for rep in crooks_checks(stack):
-        worst_ratio = max(worst_ratio, rep.max_deviation)
-        worst_identity = max(worst_identity, abs(rep.entropy_production - rep.average_sigma))
+    rep = crooks_checks(stack)
+    worst_ratio = float(rep.max_deviation.max())
+    worst_identity = float(np.abs(rep.entropy_production - rep.average_sigma).max())
     worst_jarzynski = float(np.max(np.abs(lhs - rhs) / rhs))
 
     h = np.diag([0.0, 1.0]).astype(complex)
-    (flip_report,) = crooks_checks(ProtocolStack.of(h[None], h[None], PAULI_X[None], LN3))
-    kl_flip, sigma_flip = flip_report.entropy_production, flip_report.average_sigma
+    flip_report = crooks_checks(ProtocolStack.of(h[None], h[None], PAULI_X[None], LN3))
+    (kl_flip,), (sigma_flip,) = flip_report.entropy_production, flip_report.average_sigma
     hand_ok = (
-        abs(flip_report.ratio[0, 1] - 3.0) <= 1e-12
+        abs(flip_report.forward[0][0, 1] / flip_report.backward[0][0, 1] - 3.0) <= 1e-12
         and abs(kl_flip - 0.5 * LN3) <= 1e-12
         and abs(sigma_flip - 0.5 * LN3) <= 1e-12
     )
@@ -179,10 +179,11 @@ def test_criterion_6_measurement_symmetry():
     for beta in (1.0, 1e-3):
         stack = random_protocols(TWO_QUBITS, beta, RandomSource(66).children(range(1000)))
         w_initial, w_final = gibbs_weights(stack.evals_initial, beta), gibbs_weights(stack.evals_final, beta)
-        for k, rep in enumerate(crooks_checks(stack)):
-            assert rep.forward.shape == (4, 4)  # one level per outcome
-            forward = rep.forward / w_initial[k][:, None]
-            backward = rep.backward / w_final[k][None, :]
+        rep = crooks_checks(stack)
+        for k, (pf, pb) in enumerate(zip(rep.forward, rep.backward, strict=True)):
+            assert pf.shape == (4, 4)  # one level per outcome
+            forward = pf / w_initial[k][:, None]
+            backward = pb / w_final[k][None, :]
             worst = max(worst, float(np.abs(forward - backward).max()))
             count += 1
     ok = count == 2000 and worst <= 1e-12

@@ -34,7 +34,7 @@ from arrowlab.core import (
     pure_state,
     random_density_operator,
 )
-from oracles import BELL_PHI, CNOT, SWAP, binary_entropy, ket, mutual_information, projector, spectral_assignment_per_cell, trial
+from oracles import BELL_PHI, CNOT, SWAP, binary_entropy, ket, mutual_information, projector, spectral_assignment_per_cell, stacked, trial
 
 LN2 = 0.6931471805599453
 DS_S_01 = -0.1985152433458726  # -H2(0.05)
@@ -237,7 +237,7 @@ class TestSchrodingerCheck:
 def search_one(rho, source=RandomSource(0), restarts=4, max_iterations=300):
     """The search of one state, as scalars: (unitary, achieved sum, best
     restart, probes)."""
-    result = search_entropy_decreasing_unitaries([rho], TWO_QUBITS, source, restarts, max_iterations)
+    result = search_entropy_decreasing_unitaries(rho.matrix[None], rho.spectrum[None], TWO_QUBITS, source, restarts, max_iterations)
     return result.unitaries[0], result.report.sum[0].item(), int(result.best_restarts[0]), result.probes[0]
 
 
@@ -251,13 +251,13 @@ class TestSearch:
             (near_product_state(0.1), -MI_01),
             (classical_correlated_state(), -LN2),
         ]:
-            u = UnitaryOperator(spectral_assignment_unitary(rho, TWO_QUBITS))
+            u = UnitaryOperator(spectral_assignment_unitary(rho.matrix[None], TWO_QUBITS)[0])
             assert balance(rho, TWO_QUBITS, u).sum == pytest.approx(target, abs=1e-12)
 
     def test_single_restart_is_the_spectral_assignment(self):
         rho = random_density_operator(4, 4, RandomSource(77))
         unitary, achieved, best, probes = search_one(rho, restarts=1)
-        u = UnitaryOperator(spectral_assignment_unitary(rho, TWO_QUBITS))
+        u = UnitaryOperator(spectral_assignment_unitary(rho.matrix[None], TWO_QUBITS)[0])
         assert achieved == balance(rho, TWO_QUBITS, u).sum
         assert np.array_equal(unitary, u.matrix)
         assert best == 0
@@ -301,7 +301,7 @@ class TestSearch:
         # 3x3 the answer is a staircase placement, which probes often beat
         layout = BipartitionLayout(3, 3)
         states = [random_density_operator(9, 9, RandomSource(seed)) for seed in range(4)]
-        result = search_entropy_decreasing_unitaries(states, layout, RandomSource(0).children(range(4)))
+        result = search_entropy_decreasing_unitaries(*stacked(states), layout, RandomSource(0).children(range(4)))
         assert 0 < np.count_nonzero(result.best_restarts) < 4
         for k, rho in enumerate(states):
             expected = balance(rho, layout, UnitaryOperator(result.unitaries[k]))
@@ -331,27 +331,30 @@ class TestSearch:
 
     def test_one_warning_counts_the_states_without_decrease(self, monkeypatch):
         # the identity keeps a sum at exactly 0; the true answer lowers it
-        decreasing = near_product_state(0.1)
-        states = [decreasing, near_product_state(0.2), near_product_state(0.3)]
+        states = [near_product_state(0.1), near_product_state(0.2), near_product_state(0.3)]
         answer = arrow.spectral_assignment_unitary
-        monkeypatch.setattr(
-            arrow, "spectral_assignment_unitary", lambda rho, layout: answer(rho, layout) if rho is decreasing else np.eye(4, dtype=complex)
-        )
+
+        def first_answer_only(rho, layout):
+            u = answer(rho, layout)
+            u[1:] = np.eye(4)
+            return u
+
+        monkeypatch.setattr(arrow, "spectral_assignment_unitary", first_answer_only)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = search_entropy_decreasing_unitaries(states, TWO_QUBITS, RandomSource(0).children(range(3)), 1)
+            result = search_entropy_decreasing_unitaries(*stacked(states), TWO_QUBITS, RandomSource(0).children(range(3)), 1)
         assert (result.report.sum >= 0.0).tolist() == [False, True, True]
         assert [str(w.message) for w in caught] == [f"{arrow.NO_DECREASE_WARNING} for 2 of 3 states"]
 
     @pytest.mark.parametrize("dim_s, dim_r, states", [(2, 2, 40), (2, 3, 12), (2, 4, 2), (3, 3, 20)])
     def test_stacked_placement_scorer_matches_the_per_cell_loop(self, dim_s, dim_r, states):
         layout = BipartitionLayout(dim_s, dim_r)
-        for seed in range(states):
-            # low ranks leave cells empty, so placements tie and the first one must win
-            rank = layout.dim - seed % layout.dim
-            rho = random_density_operator(layout.dim, rank, RandomSource(seed + 3000))
-            expected = spectral_assignment_per_cell(rho.matrix, dim_s, dim_r)
-            assert np.array_equal(spectral_assignment_unitary(rho, layout), expected)
+        # low ranks leave cells empty, so placements tie and the first one must win
+        rho = np.stack(
+            [random_density_operator(layout.dim, layout.dim - seed % layout.dim, RandomSource(seed + 3000)).matrix for seed in range(states)]
+        )
+        for m, u in zip(rho, spectral_assignment_unitary(rho, layout), strict=True):
+            assert np.array_equal(u, spectral_assignment_per_cell(m, dim_s, dim_r))
 
     def test_probe_decomposes_each_marginal_once_per_evaluated_point(self, monkeypatch):
         calls = {"eig_2x2": 0, "points": 0, "balances": 0}
@@ -378,7 +381,7 @@ class TestSearch:
         monkeypatch.setattr(arrow, "_objectives", counting_rows(arrow._objectives, "points"))
         monkeypatch.setattr(arrow, "entropy_balances", counting_rows(arrow.entropy_balances, "balances"))
         # four probes share each stacked decomposition
-        res = search_entropy_decreasing_unitaries(states, TWO_QUBITS, RandomSource(2).children(range(2)), restarts=3)
+        res = search_entropy_decreasing_unitaries(*stacked(states), TWO_QUBITS, RandomSource(2).children(range(2)), restarts=3)
         # accepted steps, whose gradients read the marginals of their point
         assert all(len(probe.sums) >= 3 for own in res.probes for probe in own)
         # each state's initial marginals are decomposed once, and a balance

@@ -124,6 +124,11 @@ class TestRun:
         assert first.rows == second.rows
 
 
+# a valid configuration whose run raises in the library: at beta = 5 some
+# protocol's forward pair has a backward probability below the floor
+FAILING_RUN = ["crooks", "--beta", "5", "--trials", "50"]
+
+
 def main_outcome(capsys, argv) -> tuple:
     """(exit code, stdout, stderr) of cli.main, --help's SystemExit included."""
     try:
@@ -246,10 +251,10 @@ class TestMainExitCodes:
         assert not path.exists()
 
     def test_library_value_error_is_one_line_exit_1(self, capsys):
-        assert main(["search", "--demo", "near-product", "--epsilon", "0"]) == 1
+        assert main(FAILING_RUN) == 1
         err = capsys.readouterr().err
         assert err.startswith("arrowlab: error:")
-        assert "product" in err
+        assert "vanishing backward probability" in err
         assert err.count("\n") == 1
 
     def test_missing_output_directory_fails_before_computing(self, capsys, monkeypatch, tmp_path):
@@ -266,12 +271,12 @@ class TestMainExitCodes:
     def test_failed_run_leaves_existing_output_as_it_was(self, capsys, tmp_path):
         path = tmp_path / "out.csv"
         path.write_bytes(b"precious\n")
-        assert main(["search", "--demo", "near-product", "--epsilon", "0", "--out", str(path)]) == 1
+        assert main([*FAILING_RUN, "--out", str(path)]) == 1
         assert path.read_bytes() == b"precious\n"
 
     def test_failed_run_creates_no_output(self, capsys, tmp_path):
         path = tmp_path / "out.csv"
-        assert main(["search", "--demo", "near-product", "--epsilon", "0", "--out", str(path)]) == 1
+        assert main([*FAILING_RUN, "--out", str(path)]) == 1
         assert not path.exists()
 
     def test_successful_run_replaces_a_longer_output(self, capsys, tmp_path):
@@ -557,6 +562,26 @@ class TestSearchCommand:
         assert "# extra.probes_converged=" in out
         assert "# extra.probe_steps=" in out
         assert rows_of_csv(out)[0] == "trial,mi_initial,achieved_sum,improved,best_restart"
+
+    def test_epsilon_bound_clears_the_product_check(self):
+        # the analytic mutual information at the bound passes the search's
+        # product check, so the bound cannot drift below the crossing
+        lo, hi = experiments.SEARCH_EPSILON
+        assert hi == 1.0
+        assert experiments.near_product_mutual_information(lo) > arrow.NON_PRODUCT_TOL
+
+    def test_epsilon_at_its_bound_runs(self, capsys):
+        lo = experiments.SEARCH_EPSILON[0]
+        code, out, err = main_outcome(capsys, ["search", "--demo", "near-product", "--epsilon", repr(lo), "--trials", "1"])
+        assert (code, err) == (0, "")
+        assert len(rows_of_csv(out)) == 2
+
+    @pytest.mark.parametrize("epsilon", ["0", "1e-6", repr(math.nextafter(experiments.SEARCH_EPSILON[0], 0.0))])
+    def test_epsilon_below_its_bound_is_one_configuration_line(self, capsys, epsilon):
+        code, out, err = main_outcome(capsys, ["search", "--demo", "near-product", "--epsilon", epsilon, "--trials", "1"])
+        assert (code, out) == (1, "")
+        assert err.startswith("arrowlab: error: invalid value for 'epsilon': ")
+        assert err.count("\n") == 1
 
 
 class TestCollideCommand:

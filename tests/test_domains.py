@@ -108,6 +108,7 @@ def test_rules_state_each_domain_in_words():
     assert rules[("collide", "theta")] == "must be finite"
     assert rules[("balance", "trials")] == "must be an integer >= 1"
     assert rules[("near-product", "epsilon")] == "must be in [0.0, 1.0]"
+    assert rules[("search", "epsilon")] == "must be in [1e-05, 1.0]"
     assert rules[("collide", "collisions")] == "must be an integer in [1, 11]"
     assert rules[("balance", "dims")] == "must be AxB, each factor an integer in [2, 16]"
     assert rules[("sweep", "eps-values")] == "must be a non-empty list, each value in [0.0, 1.0]"

@@ -45,7 +45,7 @@ def kicked_starts(rho: DensityOperator, layout: BipartitionLayout, source: Rando
     """Where the search's probes start, one matrix at a time: its answer
     kicked by exp(-i PROBE_KICK H) for a unit-norm Hermitian H drawn from
     source.child(k)."""
-    answer = arrow.spectral_assignment_unitary(rho, layout)
+    answer = oracles.spectral_assignment_unitary(rho.matrix, layout.dim_s, layout.dim_r)
     starts = []
     for k in range(1, restarts):
         h = random_hermitians(layout.dim, source.child(k))[0]
@@ -56,7 +56,7 @@ def kicked_starts(rho: DensityOperator, layout: BipartitionLayout, source: Rando
 def search(states, layout, sources, restarts=4, max_iterations=300):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return arrow.search_entropy_decreasing_unitaries(states, layout, sources, restarts, max_iterations)
+        return arrow.search_entropy_decreasing_unitaries(*oracles.stacked(states), layout, sources, restarts, max_iterations)
 
 
 def rows(sources: RandomSource) -> list[RandomSource]:
@@ -77,6 +77,39 @@ def assert_probes_match_oracle(states, layout, sources, restarts, max_iterations
             assert probe.sums == sums
             assert probe.converged == converged
     return tries
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("dims", LAYOUTS, ids=LAYOUT_IDS)
+def test_stacked_answers_match_the_single_state_form(dims, seed):
+    # states of every rank, so that low ranks leave cells empty and
+    # placements tie; at 3x3 the answer is the staircase placement
+    layout = BipartitionLayout(*dims)
+    states = [random_density_operator(layout.dim, rank, RandomSource(seed).child(rank)) for rank in range(layout.dim, 0, -1)]
+    rho, _ = oracles.stacked(states)
+    expected = oracles.bits(np.stack([oracles.spectral_assignment_unitary(m, *dims) for m in rho]))
+    assert np.array_equal(oracles.bits(arrow.spectral_assignment_unitary(rho, layout)), expected)
+    result = search(states, layout, RandomSource(seed).children(range(len(states))), restarts=1)
+    assert np.array_equal(oracles.bits(result.unitaries), expected)
+
+
+@pytest.mark.parametrize("demo", ["random", "near-product"])
+def test_no_density_operator_per_search_trial(monkeypatch, capsys, demo):
+    # the random draws are validated once, as the stacks that drew them; a
+    # named demo builds its one state and broadcasts it
+    counts = []
+    post_init = DensityOperator.__post_init__
+
+    def counting(self):
+        counts[-1] += 1
+        post_init(self)
+
+    monkeypatch.setattr(DensityOperator, "__post_init__", counting)
+    for trials in (2, 20):
+        counts.append(0)
+        assert main(["search", "--demo", demo, "--trials", str(trials)]) == 0
+    capsys.readouterr()
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("max_iterations", [1, 5, 300])
@@ -166,7 +199,7 @@ def test_single_restarts_descend_nothing(monkeypatch):
     assert result.probes == ((),) * len(states)
     assert result.best_restarts.tolist() == [0] * len(states)
     for rho, unitary in zip(states, result.unitaries, strict=True):
-        assert np.array_equal(unitary, arrow.spectral_assignment_unitary(rho, layout))
+        assert np.array_equal(unitary, oracles.spectral_assignment_unitary(rho.matrix, layout.dim_s, layout.dim_r))
 
 
 def test_product_input_raises_before_any_descent(monkeypatch):
@@ -185,14 +218,14 @@ def test_one_source_per_state():
     states = correlated_states(arrow.TWO_QUBITS)[:2]
     for sources in (RandomSource(0), RandomSource(0).children(range(3))):
         with pytest.raises(ValueError, match="^give one source per state$"):
-            arrow.search_entropy_decreasing_unitaries(states, arrow.TWO_QUBITS, sources)
+            arrow.search_entropy_decreasing_unitaries(*oracles.stacked(states), arrow.TWO_QUBITS, sources)
 
 
 @pytest.mark.parametrize("restarts, max_iterations", [(0, 300), (4, 0)])
 def test_counts_are_at_least_one(restarts, max_iterations):
     states = correlated_states(arrow.TWO_QUBITS)[:1]
     with pytest.raises(ValueError, match="^restarts and max_iterations must be >= 1$"):
-        arrow.search_entropy_decreasing_unitaries(states, arrow.TWO_QUBITS, RandomSource(0), restarts, max_iterations)
+        arrow.search_entropy_decreasing_unitaries(*oracles.stacked(states), arrow.TWO_QUBITS, RandomSource(0), restarts, max_iterations)
 
 
 @pytest.mark.parametrize("demo", ["random", "near-product"])
@@ -237,9 +270,9 @@ def test_trial_k_searches_with_its_own_streams(monkeypatch):
     calls = []
     stacked = arrow.search_entropy_decreasing_unitaries
 
-    def recording(states, layout, sources, *counts):
+    def recording(rho, spectra, layout, sources, *counts):
         calls.append(sources.keys.tolist())
-        return stacked(states, layout, sources, *counts)
+        return stacked(rho, spectra, layout, sources, *counts)
 
     monkeypatch.setattr(experiments.arrow, "search_entropy_decreasing_unitaries", recording)
     experiments.run_search(3, 2, 5, 0.01, 0, "near-product", 0.1)
@@ -265,9 +298,11 @@ def test_stacked_draws_accept_the_one_at_a_time_states(monkeypatch, seed, trials
     root = RandomSource(seed)
     expected, largest = oracles.random_states_one_at_a_time(trials, min_mi, root, max_rejected)
     if largest is None:
-        states = experiments._random_states(trials, min_mi, arrow.TWO_QUBITS, root)
-        assert len(states) == trials
-        assert all(np.array_equal(state.matrix, rho) for state, rho in zip(states, expected, strict=True))
+        matrices, spectra = experiments._random_states(trials, min_mi, arrow.TWO_QUBITS, root)
+        assert matrices.shape == (trials, 4, 4) and spectra.shape == (trials, 4)
+        assert all(np.array_equal(m, rho) for m, rho in zip(matrices, expected, strict=True))
+        # each accepted state's spectrum is its own, as validating it alone gives it
+        assert all(np.array_equal(lam, DensityOperator(m).spectrum) for m, lam in zip(matrices, spectra))
         return
     with pytest.raises(ValueError) as raised:
         experiments._random_states(trials, min_mi, arrow.TWO_QUBITS, root)
