@@ -71,6 +71,8 @@ class EntropyBalanceReport:
 
     ``sum`` is dS_S + dS_R; for product inputs it must equal the final
     mutual information (that equality is validated on construction).
+    ``joint_entropy_change`` is S(rho') - S(rho), zero under a unitary up
+    to rounding, with S(rho') from the final state's own spectrum.
     """
 
     ds_s: np.ndarray
@@ -78,6 +80,7 @@ class EntropyBalanceReport:
     sum: np.ndarray
     mi_initial: np.ndarray
     mi_final: np.ndarray
+    joint_entropy_change: np.ndarray
     schrodinger_product: np.ndarray
     product_input: np.ndarray
 
@@ -108,8 +111,10 @@ def entropy_balances(
     DensityOperator's spectrum, or for a product input from its factors (see
     :func:`product_balances`).  The final entropies are computed here, S of
     the final state from its own ``eigvalsh``: that is the one independent
-    input to the product-input check sum == mi_final.  U rho U+ of a valid
-    state under a valid unitary is a state, so ``final`` is not validated.
+    input to the product-input check sum == mi_final and to the
+    conservation S(rho') = S(rho) that ``joint_entropy_change`` states.
+    U rho U+ of a valid state under a valid unitary is a state, so
+    ``final`` is not validated.
     """
     s_s0, s_r0, s0 = initial
     s_s1, s_r1 = marginal_entropies_of_stack(final, layout)
@@ -123,6 +128,7 @@ def entropy_balances(
         sum=ds_s + ds_r,
         mi_initial=mi_initial,
         mi_final=s_s1 + s_r1 - s1,
+        joint_entropy_change=s1 - s0,
         schrodinger_product=ds_s * ds_r,
         product_input=mi_initial <= PRODUCT_INPUT_TOL,
     )
@@ -296,7 +302,10 @@ def spectral_assignment_unitary(rho: np.ndarray, layout: BipartitionLayout) -> n
     state has the smallest sum of marginal entropies.  The candidates are
     every permutation of up to 8 cells, and above that one staircase, a
     heuristic that descent probes beat on random 3x3 and 2x5 states.  One
-    ``eigh`` and one stacked pass score them all, and within a state a later
+    ``eigh`` decomposes the stack, and the candidates are scored in chunks
+    of states of at most ``STACK_ENTRIES`` marginal entries each (a state
+    has P (d_S + d_R) of them for P placements, and 2x4 has 40,320
+    placements), one stacked pass per chunk.  Within a state a later
     candidate wins only by more than 1e-15.  These are the search's answers."""
     lam, v = np.linalg.eigh(rho)
     order = np.argsort(lam, axis=-1)[:, ::-1]
@@ -305,18 +314,28 @@ def spectral_assignment_unitary(rho: np.ndarray, layout: BipartitionLayout) -> n
     placements = np.array(_assignment_cells(layout.dim_s, layout.dim_r))
     s_of, r_of = np.divmod(placements, layout.dim_r)
     each = np.arange(len(placements))
-    p_s = np.zeros((len(rho), len(placements), layout.dim_s))
-    p_r = np.zeros((len(rho), len(placements), layout.dim_r))
-    for i in range(layout.dim):  # in spectrum order, as one placement adds them
-        p_s[:, each, s_of[:, i]] += lam[:, i, None]
-        p_r[:, each, r_of[:, i]] += lam[:, i, None]
-    scores = spectrum_entropies(p_s.reshape(-1, layout.dim_s)) + spectrum_entropies(p_r.reshape(-1, layout.dim_r))
     best = []
-    for row in scores.reshape(len(rho), -1).tolist():  # each state's candidates, in order
-        best.append(0)
-        for k, val in enumerate(row):
-            if val < row[best[-1]] - 1e-15:
-                best[-1] = k
+    for chunk in trial_chunks(len(rho), len(placements) * (layout.dim_s + layout.dim_r)):
+        weights = lam[chunk.start : chunk.stop]
+        p_s = np.zeros((len(chunk), len(placements), layout.dim_s))
+        p_r = np.zeros((len(chunk), len(placements), layout.dim_r))
+        for i in range(layout.dim):  # in spectrum order, as one placement adds them
+            p_s[:, each, s_of[:, i]] += weights[:, i, None]
+            p_r[:, each, r_of[:, i]] += weights[:, i, None]
+        scores = spectrum_entropies(p_s.reshape(-1, layout.dim_s)) + spectrum_entropies(p_r.reshape(-1, layout.dim_r))
+        scores = scores.reshape(len(chunk), -1)
+        # the best so far is within 1e-15 of every earlier score, so only a
+        # candidate below all of them can win: each state's scan in order
+        # visits those alone
+        below = np.ones(scores.shape, dtype=bool)
+        np.less(scores[:, 1:], np.fmin.accumulate(scores, axis=1)[:, :-1], out=below[:, 1:])
+        for row, candidates in zip(scores, below):
+            ks = np.flatnonzero(candidates).tolist()
+            k_best = 0
+            for k, val in zip(ks, row[ks].tolist()):
+                if val < row[k_best] - 1e-15:
+                    k_best = k
+            best.append(k_best)
     u = np.zeros(rho.shape, dtype=complex)
     u[np.arange(len(rho))[:, None], placements[best]] = vecs.conj().swapaxes(-1, -2)
     return u
@@ -570,8 +589,14 @@ class SweepGrid:
             raise ValueError("correlation strengths must lie in [0, 1]")
 
     @property
+    def shape(self) -> tuple[int, int, int]:
+        """(n_g, n_eps, n_t), the lengths of the three axes."""
+        return len(self.coupling_strengths), len(self.correlation_strengths), len(self.evolution_times)
+
+    @property
     def size(self) -> int:
-        return len(self.coupling_strengths) * len(self.correlation_strengths) * len(self.evolution_times)
+        n_g, n_eps, n_t = self.shape
+        return n_g * n_eps * n_t
 
 
 def weak_coupling_sweep(
@@ -579,10 +604,11 @@ def weak_coupling_sweep(
     h_local_r: Hamiltonian,
     h_int: Hamiltonian,
     grid: SweepGrid,
-) -> np.ndarray:
-    """Entropy-sum phase map of the near-product family under
-    exp(-i (H_S + H_R + g H_int) t) over the whole grid, as an
-    (n_g, n_eps, n_t) array of dS_S + dS_R indexed like the grid's axes.
+) -> EntropyBalanceReport:
+    """Entropy-balance phase map of the near-product family under
+    exp(-i (H_S + H_R + g H_int) t) over the whole grid: one stacked report
+    of the grid's cells in C order of the axes (g, eps, t), so that
+    ``report.sum.reshape(grid.shape)`` is dS_S + dS_R indexed like them.
 
     At g = 0 the evolution is local and every sum vanishes; the eps = 0
     column is a product input so its sums are non-negative.
@@ -601,8 +627,8 @@ def weak_coupling_sweep(
     matrices = np.stack([state.matrix for state in states])
     spectra = np.stack([state.spectrum for state in states])
     entropies = (*marginal_entropies_of_stack(matrices, TWO_QUBITS), spectrum_entropies(spectra))
-    cells = (len(grid.coupling_strengths), len(states), len(times))
+    cells = grid.shape
     rho = np.broadcast_to(matrices[None, :, None], (*cells, 4, 4)).reshape(-1, 4, 4)
     initial = tuple(np.broadcast_to(e[None, :, None], cells).ravel() for e in entropies)
     final = evolve_states(rho, np.broadcast_to(u[:, None], (*cells, 4, 4)).reshape(-1, 4, 4))
-    return entropy_balances(final, initial, TWO_QUBITS).sum.reshape(cells)
+    return entropy_balances(final, initial, TWO_QUBITS)

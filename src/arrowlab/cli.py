@@ -3,9 +3,9 @@
 Every subcommand is a thin adapter over one record of
 :data:`arrowlab.experiments.EXPERIMENTS`: it validates a configuration
 (defaults < config file < explicit flags), runs the experiment with all
-randomness derived from ``--seed``, picks the record's columns, in the
-record's order, from the named columns the run returns, checks the record's
-invariants on them in nats, and serializes a result record as CSV or JSON,
+randomness derived from ``--seed``, checks the record's invariants in nats
+on the named columns the run returns, picks the record's columns, in the
+record's order, from them, and serializes a result record as CSV or JSON,
 with each invariant's worst value, tolerance and pass/fail in the metadata.
 Rows are built only where they are written: the JSON writer reads
 :attr:`ResultRecord.rows`, and the CSV writer zips the formatted columns.
@@ -35,11 +35,9 @@ import numpy as np
 
 from . import __version__, experiments
 from .core import RNG_ALGORITHM
-from .experiments import Param
+from .experiments import THREAD_VARIABLES, Param
 
 SCHEMA_VERSION = 1
-# the thread counts that OpenBLAS, OpenMP and MKL read at load
-THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class ConfigError(ValueError):
@@ -168,14 +166,14 @@ def _table_in_bits(powers: dict[str, int], table: dict[str, np.ndarray]) -> dict
 
 
 def run(config: ExperimentConfig) -> tuple[int, ResultRecord]:
-    """Execute one validated configuration, keep the record's columns in
-    the record's order and check its invariants on them in nats; exit code
-    2 flags invariant failures."""
+    """Execute one validated configuration, check its invariants in nats
+    on every column the run returns and keep the record's columns in the
+    record's order; exit code 2 flags invariant failures."""
     start = time.perf_counter()
     experiment = experiments.EXPERIMENTS[config.experiment]
     columns, extra = experiment.run(config.values)
     table = {name: columns[name] for name in experiment.columns}
-    invariants, failures = experiments.check_invariants(experiment, table, extra, config.values)
+    invariants, failures = experiments.check_invariants(experiment, columns, extra, config.values)
     if config["units"] == "bits":
         table = _table_in_bits(experiment.columns, table)
     record = ResultRecord(

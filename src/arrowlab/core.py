@@ -55,7 +55,10 @@ STACK_ENTRIES = 2**16
 
 def trial_chunks(trials: int, entries_per_trial: int) -> list[range]:
     """Consecutive trial index ranges whose stacks hold at most
-    STACK_ENTRIES entries per array (at least one trial per chunk)."""
+    STACK_ENTRIES entries per array (at least one trial per chunk).  A
+    chunk's numbers do not depend on the chunks beside it, so the
+    experiments run chunks at once on the cores that a pinned BLAS leaves
+    idle, and join them in trial order."""
     size = max(1, STACK_ENTRIES // entries_per_trial)
     return [range(start, min(start + size, trials)) for start in range(0, trials, size)]
 

@@ -20,7 +20,11 @@ upper bound on the negated value (``-sum <= BALANCE_TOL``).
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass, fields
 from typing import Callable
@@ -120,7 +124,8 @@ Result = tuple[Columns, dict]
 class Invariant:
     """``values(columns, extra, config)`` returns a run's values as one 1-D
     array, each of which must satisfy ``value <= tol``; the columns arrive as
-    column name -> 1-D array of the rows' cells, in nats.  With ``where``,
+    column name -> 1-D array of the rows' cells, in nats: every column the
+    run returns, the record's own and any it does not write.  With ``where``,
     only the rows that ``where(columns)`` selects are checked, and
     ``values`` still returns one value per row.  A failing value is named by
     ``label`` formatted with its row index."""
@@ -202,24 +207,143 @@ def near_product_mutual_information(epsilon: float) -> float:
     return 2.0 * _binary_entropy(epsilon / 2.0) - _binary_entropy(epsilon)
 
 
+# the thread counts that OpenBLAS, OpenMP and MKL read at load
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _helper_count(chunks: int) -> int:
+    """How many helper threads join the calling thread on ``chunks`` chunks:
+    one per core that BLAS leaves idle, c // b - 1, capped at chunks - 1.
+
+    c is the number of usable cores and b the BLAS thread count, the
+    largest positive integer that THREAD_VARIABLES are set to; with none of
+    them set to one, BLAS takes every core (b = c) and no helper runs."""
+    if chunks < 2:
+        return 0
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    counts = []
+    for var in THREAD_VARIABLES:
+        try:
+            counts.append(int(os.environ.get(var, "")))
+        except ValueError:
+            continue
+    blas = max((n for n in counts if n > 0), default=cores)
+    return max(0, min(cores // blas - 1, chunks - 1))
+
+
+class _ChunkRun:
+    """One call's chunks, taken in order from one shared iterator by the
+    calling thread and any helpers that join it.  Each chunk runs under a
+    copy of the caller's context, so numpy's ``errstate`` holds on every
+    thread, and its result or exception is kept by chunk index.  Once a
+    chunk raises, no further chunk is taken; the chunks before it were all
+    taken already, and :meth:`wait` lets them finish."""
+
+    def __init__(self, chunks: list[range], run_chunk: Callable[[range], Columns]):
+        self._pending = iter(enumerate(chunks))
+        self._run_chunk = run_chunk
+        self._context = contextvars.copy_context()
+        self._lock = threading.Lock()
+        self._idle = threading.Condition(self._lock)
+        self._running = 0
+        self.results: list[Columns | None] = [None] * len(chunks)
+        self.failures: dict[int, BaseException] = {}
+
+    def work(self) -> None:
+        """Run chunks until none is left or one has raised."""
+        while True:
+            with self._lock:
+                taken = None if self.failures else next(self._pending, None)
+                if taken is None:
+                    return
+                self._running += 1
+            index, chunk = taken
+            try:
+                result, failure = self._context.copy().run(self._run_chunk, chunk), None
+            except BaseException as exc:  # re-raised on the calling thread
+                result, failure = None, exc
+            with self._lock:
+                self.results[index] = result
+                if failure is not None:
+                    self.failures[index] = failure
+                self._running -= 1
+                if not self._running:
+                    self._idle.notify_all()
+
+    def wait(self) -> None:
+        """Block until no chunk is running."""
+        with self._idle:
+            while self._running:
+                self._idle.wait()
+
+
+class _Helpers:
+    """Daemon threads, started as first needed and kept for the life of the
+    process, each working on one offered run at a time.  One pool serves
+    the process: a thread is started once, and idle helpers cost nothing."""
+
+    def __init__(self):
+        self._offered = threading.Condition()
+        self._runs: list[_ChunkRun] = []
+        self._threads = 0
+
+    def offer(self, run: _ChunkRun, helpers: int) -> None:
+        """Let ``helpers`` threads join ``run``; a helper still busy joins
+        when it is free, and finds nothing left once the run is done."""
+        with self._offered:
+            for _ in range(self._threads, helpers):
+                threading.Thread(target=self._serve, name="arrowlab-chunks", daemon=True).start()
+            self._threads = max(self._threads, helpers)
+            self._runs += [run] * helpers
+            self._offered.notify(helpers)
+
+    def _serve(self) -> None:
+        while True:
+            with self._offered:
+                while not self._runs:
+                    self._offered.wait()
+                run = self._runs.pop(0)
+            run.work()
+
+
+@functools.cache
+def _helpers() -> _Helpers:
+    if hasattr(os, "register_at_fork"):
+        # a forked child has none of the threads: it starts its own
+        os.register_at_fork(after_in_child=_helpers.cache_clear)
+    return _Helpers()
+
+
 def _by_chunks(trials: int, entries_per_trial: int, run_chunk: Callable[[range], Columns]) -> Columns:
     """The columns of ``run_chunk`` over consecutive chunks of the trials,
-    each chunk run as one stack (see :func:`core.trial_chunks`), joined with
-    one ``np.concatenate`` per column.
+    each chunk run as one stack (see :func:`core.trial_chunks`), joined in
+    trial order with one ``np.concatenate`` per column.
 
-    Trial k draws from ``root.child(k)`` whatever chunk it falls in.  When a
-    chunk fails, its trials rerun one at a time, so the error raised is the
-    one the first failing trial raises on its own.
+    The calling thread takes the chunks in order, and where BLAS is pinned
+    below the usable cores, :func:`_helper_count` helper threads take them
+    with it from the same iterator.  A chunk does the same arithmetic on
+    any thread, and trial k draws from ``root.child(k)`` whatever chunk it
+    falls in, so the rows do not depend on the helpers.  When a chunk fails
+    with a ``ValueError``, the first failing chunk in trial order reruns its
+    trials one at a time on the calling thread, so the error raised is the
+    one the first failing trial raises on its own; any other exception of
+    that chunk is raised as it is.
     """
-    chunks = []
-    for chunk in trial_chunks(trials, entries_per_trial):
-        try:
-            chunks.append(run_chunk(chunk))
-        except ValueError:
-            for k in chunk:
+    chunks = trial_chunks(trials, entries_per_trial)
+    run = _ChunkRun(chunks, run_chunk)
+    helpers = _helper_count(len(chunks))
+    if helpers:
+        _helpers().offer(run, helpers)
+    run.work()
+    run.wait()
+    if run.failures:
+        index = min(run.failures)
+        if isinstance(run.failures[index], ValueError):
+            for k in chunks[index]:
                 run_chunk(range(k, k + 1))
-            raise
-    return {name: np.concatenate([columns[name] for columns in chunks]) for name in chunks[0]}
+        # popped, not bound to a local: the traceback keeps this frame
+        raise run.failures.pop(index)
+    return {name: np.concatenate([columns[name] for columns in run.results]) for name in run.results[0]}
 
 
 def _report_columns(report: arrow.EntropyBalanceReport) -> Columns:
@@ -379,10 +503,11 @@ def run_sweep(
     h_r = Hamiltonian(np.diag([0.0, gap_r]).astype(complex))
     h_int = Hamiltonian(collisions.SWAP)
     grid = arrow.SweepGrid(g_values, eps_values, t_values)
-    sums = arrow.weak_coupling_sweep(h_s, h_r, h_int, grid)
+    rep = arrow.weak_coupling_sweep(h_s, h_r, h_int, grid)
     axes = np.meshgrid(grid.coupling_strengths, grid.correlation_strengths, grid.evolution_times, indexing="ij")
     g, eps, t = (axis.ravel() for axis in axes)
-    return {"g": g, "epsilon": eps, "t": t, "sum": sums.ravel()}, {"planned_cells": grid.size}
+    columns = {"g": g, "epsilon": eps, "t": t, "sum": rep.sum, "joint_entropy_change": rep.joint_entropy_change}
+    return columns, {"planned_cells": grid.size}
 
 
 def run_collide(
@@ -500,7 +625,8 @@ def run_heatflow(trials: int, seed: int) -> Result:
         beta_s, beta_r = np.array(beta_s), np.array(beta_r)
         return {"trial": np.array(chunk), "beta_s": beta_s, "beta_r": beta_r, "hotter": np.where(beta_s < beta_r, "S", "R"),
                 "du_s": rep.du_s, "du_r": rep.du_r, "ds_s": rep.balance.ds_s, "ds_r": rep.balance.ds_r,
-                "t_s": rep.t_s, "t_r": rep.t_r, "clausius_lhs": rep.balance.sum}
+                "t_s": rep.t_s, "t_r": rep.t_r, "clausius_lhs": rep.balance.sum,
+                "joint_entropy_change": rep.balance.joint_entropy_change}
 
     return _by_chunks(trials, arrow.TWO_QUBITS.dim**2, run_chunk), {}
 
@@ -525,25 +651,28 @@ def run_damping(trials: int, beta: float, seed: int) -> Result:
 _BALANCE = {"ds_s": 1, "ds_r": 1, "sum": 1, "mi_initial": 1, "mi_final": 1}
 _MINUS_SUM = _each_row("minus_sum", BALANCE_TOL, lambda c: -c["sum"])
 _MI_FINAL = _each_row("mi_final", FINAL_MI_TOL, lambda c: c["mi_final"])
+# a unitary conserves the joint entropy: S(rho') from the final state's own
+# spectrum against S(rho), read from the run's joint_entropy_change column
+_JOINT_ENTROPY = _each_row("abs_joint_entropy_change", BALANCE_TOL, lambda c: np.abs(c["joint_entropy_change"]))
 
 EXPERIMENTS: dict[str, Experiment] = {
     "balance": Experiment(
         params=(_trials(100, "number of random product inputs"), _DIMS),
         columns={"trial": 0, **_BALANCE, "balance_deviation": 1, "alignment": 0},
         run=lambda v: run_balance(v["trials"], *v["dims"], v["seed"]),
-        invariants=(_MINUS_SUM, _each_row("balance_deviation", BALANCE_TOL, lambda c: c["balance_deviation"])),
+        invariants=(_MINUS_SUM, _each_row("balance_deviation", BALANCE_TOL, lambda c: c["balance_deviation"]), _JOINT_ENTROPY),
     ),
     "near-product": Experiment(
         params=(Param("epsilon", "float", 0.1, "mixing weight of the correlated part", UNIT),),
         columns={"epsilon": 0, **_BALANCE, "analytic_sum": 1, "sum_deviation": 1},
         run=lambda v: run_near_product(v["epsilon"]),
-        invariants=(_each_row("sum_deviation", BALANCE_TOL, lambda c: c["sum_deviation"]), _MI_FINAL),
+        invariants=(_each_row("sum_deviation", BALANCE_TOL, lambda c: c["sum_deviation"]), _MI_FINAL, _JOINT_ENTROPY),
     ),
     "decorrelate": Experiment(
         params=(),
         columns=dict(_BALANCE),
         run=lambda v: run_decorrelate(),
-        invariants=(_each_row("sum_deviation", BALANCE_TOL, lambda c: np.abs(c["sum"] + math.log(2.0))), _MI_FINAL),
+        invariants=(_each_row("sum_deviation", BALANCE_TOL, lambda c: np.abs(c["sum"] + math.log(2.0))), _MI_FINAL, _JOINT_ENTROPY),
     ),
     "search": Experiment(
         params=(
@@ -568,7 +697,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         params=(_trials(200, "number of random product inputs"), _DIMS),
         columns={"trial": 0, "ds_s": 1, "ds_r": 1, "schrodinger_product": 2, "alignment": 0, "sum": 1},
         run=lambda v: run_balance(v["trials"], *v["dims"], v["seed"]),
-        invariants=(_MINUS_SUM,),
+        invariants=(_MINUS_SUM, _JOINT_ENTROPY),
     ),
     "sweep": Experiment(
         params=(
@@ -584,6 +713,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             # local evolution leaves the entropy sum at zero; a product input keeps it >= 0
             _each_row("uncoupled_abs_sum", BALANCE_TOL, lambda c: np.abs(c["sum"]), where=lambda c: c["g"] == 0.0),
             _each_row("product_minus_sum", BALANCE_TOL, lambda c: -c["sum"], where=lambda c: c["epsilon"] == 0.0),
+            _JOINT_ENTROPY,
         ),
     ),
     "collide": Experiment(
@@ -631,6 +761,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             _each_row("minus_clausius_lhs", BALANCE_TOL, lambda c: -c["clausius_lhs"]),
             # the exchange commutes with h_S + h_R: what one side loses, the other gains
             _each_row("abs_total_energy_change", HOTTER_GAIN_TOL, lambda c: np.abs(c["du_s"] + c["du_r"])),
+            _JOINT_ENTROPY,
         ),
     ),
     "damping": Experiment(

@@ -95,7 +95,7 @@ class TestEntropyBalance:
 
     def test_report_rejects_inconsistent_sum(self):
         with pytest.raises(ValueError, match="inconsistent"):
-            fields = dict(ds_s=0.1, ds_r=0.1, sum=0.3, mi_initial=0.5, mi_final=0.5, schrodinger_product=0.01, product_input=False)
+            fields = dict(ds_s=0.1, ds_r=0.1, sum=0.3, mi_initial=0.5, mi_final=0.5, joint_entropy_change=0.0, schrodinger_product=0.01, product_input=False)
             EntropyBalanceReport(**{name: np.array([value]) for name, value in fields.items()})
 
     def test_dimension_mismatch(self):
@@ -401,6 +401,10 @@ class TestSweep:
     H_R = Hamiltonian(np.diag([0.0, 1.5]).astype(complex))
     H_INT = Hamiltonian(SWAP)
 
+    def sums(self, grid):
+        """The sweep's entropy sums, indexed like the grid's axes."""
+        return weak_coupling_sweep(self.H_S, self.H_R, self.H_INT, grid).sum.reshape(grid.shape)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             SweepGrid((), (0.1,), (1.0,))
@@ -409,15 +413,15 @@ class TestSweep:
 
     def test_zero_coupling_never_moves_local_spectra(self):
         grid = SweepGrid((0.0,), (0.0, 0.3, 0.8), (0.5, 2.0))
-        assert np.abs(weak_coupling_sweep(self.H_S, self.H_R, self.H_INT, grid)).max() <= 1e-10
+        assert np.abs(self.sums(grid)).max() <= 1e-10
 
     def test_product_column_is_nonnegative(self):
         grid = SweepGrid((0.0, 0.5, 2.0), (0.0,), (0.5, 1.0, 3.0))
-        assert weak_coupling_sweep(self.H_S, self.H_R, self.H_INT, grid).min() >= -1e-9
+        assert self.sums(grid).min() >= -1e-9
 
     def test_strong_coupling_reaches_negative_cells(self):
         grid = SweepGrid((1.0, 2.0), (0.5,), (0.5, 1.0, 2.0, 4.0))
-        assert weak_coupling_sweep(self.H_S, self.H_R, self.H_INT, grid).min() < -1e-3
+        assert self.sums(grid).min() < -1e-3
 
     def test_initial_entropies_once_per_state(self, monkeypatch):
         stacks = []
@@ -434,10 +438,10 @@ class TestSweep:
 
     def test_axes_follow_the_grid(self):
         grid = SweepGrid((0.0, 1.0), (0.0, 0.5), (1.0, 2.0))
-        sums = weak_coupling_sweep(self.H_S, self.H_R, self.H_INT, grid)
+        sums = self.sums(grid)
         assert sums.shape == (2, 2, 2)
         for (i, g), (j, eps), (k, t) in itertools.product(
             *map(enumerate, (grid.coupling_strengths, grid.correlation_strengths, grid.evolution_times))
         ):
-            cell = weak_coupling_sweep(self.H_S, self.H_R, self.H_INT, SweepGrid((g,), (eps,), (t,)))
+            cell = self.sums(SweepGrid((g,), (eps,), (t,)))
             assert cell[0, 0, 0] == sums[i, j, k]

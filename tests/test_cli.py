@@ -296,9 +296,10 @@ class TestMainExitCodes:
         assert err.count("\n") == 1
 
     def test_import_loads_no_scipy(self):
-        # nor hypothesis, which only the tests use
+        # nor hypothesis, which only the tests use, nor concurrent.futures:
+        # trial chunks run on plain threads, and its import costs about 5 ms
         src = os.path.dirname(os.path.dirname(arrowlab.__file__))
-        probe = "import sys, arrowlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'hypothesis')))"
+        probe = "import sys, arrowlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'hypothesis', 'concurrent')))"
         env = {**os.environ, "PYTHONPATH": src}
         result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
         assert result.stdout.strip() == "[]"

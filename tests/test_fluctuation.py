@@ -445,7 +445,7 @@ class TestEffectiveTemperatures:
     def test_arithmetic_of_definition(self):
         from arrowlab.arrow import EntropyBalanceReport
 
-        fields = dict(ds_s=-0.2, ds_r=0.4, sum=0.2, mi_initial=0.3, mi_final=0.4, schrodinger_product=-0.08, product_input=False)
+        fields = dict(ds_s=-0.2, ds_r=0.4, sum=0.2, mi_initial=0.3, mi_final=0.4, joint_entropy_change=0.0, schrodinger_product=-0.08, product_input=False)
         report = EntropyBalanceReport(**{name: np.array([value]) for name, value in fields.items()})
         t_s, t_r = effective_temperatures(report, du_s=-0.1, du_r=0.1)
         assert t_s == pytest.approx(0.5, abs=1e-14)

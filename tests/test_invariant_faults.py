@@ -109,6 +109,9 @@ FAULTS = {
         [],
         cell(lambda c: "du_r" if c["hotter"] == "S" else "du_s", lambda c, tol: -(c["du_s"] if c["hotter"] == "S" else c["du_r"]) + tol + PAST),
     ),
+    # S(rho') - S(rho), a column the records check but do not write
+    **{(name, "abs_joint_entropy_change"): ([], cell("joint_entropy_change", above))
+       for name in ("balance", "near-product", "decorrelate", "schrodinger", "sweep", "heatflow")},
     # row 1 is the maximally mixed state, which the thermal check skips
     ("damping", "minus_heat"): ([], cell("heat", below_minus, row=1)),
     ("damping", "thermal_abs_heat"): ([], cell("heat", above)),

@@ -9,6 +9,7 @@ one-draw-at-a-time loop there.
 """
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -91,6 +92,31 @@ def test_stacked_answers_match_the_single_state_form(dims, seed):
     assert np.array_equal(oracles.bits(arrow.spectral_assignment_unitary(rho, layout)), expected)
     result = search(states, layout, RandomSource(seed).children(range(len(states))), restarts=1)
     assert np.array_equal(oracles.bits(result.unitaries), expected)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 4)], ids=["2x2", "2x3", "2x4"])
+def test_answers_scored_in_chunks_match_the_single_state_form(monkeypatch, dims):
+    # at 2x2 the 24 placements of 4 marginal entries put 6 states in a
+    # chunk, and 9 states cross a chunk boundary; at 2x3 and 2x4 each state
+    # is a chunk of its own
+    layout = BipartitionLayout(*dims)
+    monkeypatch.setattr(core, "STACK_ENTRIES", 6 * 24 * 4)
+    rho = core.random_density_matrices(layout.dim, layout.dim, RandomSource(5).children(range(9 if dims == (2, 2) else 3)))
+    expected = np.stack([oracles.spectral_assignment_unitary(m, *dims) for m in rho])
+    assert np.array_equal(oracles.bits(arrow.spectral_assignment_unitary(rho, layout)), oracles.bits(expected))
+
+
+def test_answers_at_2x4_hold_one_chunk_of_scores_at_a_time():
+    # 40,320 placements: every state's marginals at once peaked at 134 MiB
+    # for 20 states, one chunk at a time holds a few MiB
+    rho = core.random_density_matrices(8, 8, RandomSource(0).children(range(20)))
+    tracemalloc.start()
+    try:
+        arrow.spectral_assignment_unitary(rho, BipartitionLayout(2, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 @pytest.mark.parametrize("demo", ["random", "near-product"])
@@ -238,11 +264,13 @@ def test_search_rows_do_not_depend_on_the_chunk_size(monkeypatch, demo):
         sizes.append([len(chunk) for chunk in chunks])
         return chunks
 
-    # the candidates of two 4x4 probes per chunk: fifteen probes in eight chunks
+    # the candidates of two 4x4 probes per chunk: fifteen probes in eight
+    # chunks; the answers score 24 placements x 4 marginal entries per
+    # state, so each of the five states is a chunk of its own
     monkeypatch.setattr(core, "STACK_ENTRIES", 2 * arrow.ARMIJO_BATCH * 16)
     monkeypatch.setattr(arrow, "trial_chunks", recording)
     columns, extra = experiments.run_search(5, 4, 300, 0.01, 3, demo, 0.1)
-    assert sizes == [[2] * 7 + [1]]
+    assert sizes == [[1] * 5, [2] * 7 + [1]]
     rows, expected_rows = oracles.rows("search", columns), oracles.rows("search", expected[0])
     assert [tuple(map(repr, row)) for row in rows] == [tuple(map(repr, row)) for row in expected_rows]
     assert extra == expected[1]
