@@ -49,17 +49,18 @@ T = TypeVar("T")
 
 
 # Stacked arrays are cut into chunks of at most this many entries each: 2^16
-# complex128 entries are 1 MiB, one 256x256 joint state.
+# complex128 entries are 1 MiB, one 256x256 joint state.  Chunks shared with
+# helper threads may hold a few trials more (see experiments._by_chunks).
 STACK_ENTRIES = 2**16
 
 
-def trial_chunks(trials: int, entries_per_trial: int) -> list[range]:
+def trial_chunks(trials: int, entries_per_trial: int, least: int = 1) -> list[range]:
     """Consecutive trial index ranges whose stacks hold at most
-    STACK_ENTRIES entries per array (at least one trial per chunk).  A
-    chunk's numbers do not depend on the chunks beside it, so the
-    experiments run chunks at once on the cores that a pinned BLAS leaves
-    idle, and join them in trial order."""
-    size = max(1, STACK_ENTRIES // entries_per_trial)
+    STACK_ENTRIES entries per array, or ``least`` trials where that is
+    more (at least one trial per chunk).  A chunk's numbers do not depend
+    on the chunks beside it, so the experiments run chunks at once on the
+    cores that a pinned BLAS leaves idle, and join them in trial order."""
+    size = max(least, STACK_ENTRIES // entries_per_trial)
     return [range(start, min(start + size, trials)) for start in range(0, trials, size)]
 
 

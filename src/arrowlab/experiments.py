@@ -210,6 +210,12 @@ def near_product_mutual_information(epsilon: float) -> float:
 # the thread counts that OpenBLAS, OpenMP and MKL read at load
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+# numpy lets other threads run only during a gufunc loop of more than this
+# many outputs (NPY_BEGIN_THREADS_THRESHOLDED in
+# numpy/_core/include/numpy/ndarraytypes.h): the eigvalsh of a stack of n
+# D x D matrices has n*D, and so has the tau of its QR's geqrf step
+NUMPY_GIL_THRESHOLD = 500
+
 
 def _helper_count(chunks: int) -> int:
     """How many helper threads join the calling thread on ``chunks`` chunks:
@@ -314,22 +320,31 @@ def _helpers() -> _Helpers:
     return _Helpers()
 
 
-def _by_chunks(trials: int, entries_per_trial: int, run_chunk: Callable[[range], Columns]) -> Columns:
+def _by_chunks(trials: int, dim: int, run_chunk: Callable[[range], Columns]) -> Columns:
     """The columns of ``run_chunk`` over consecutive chunks of the trials,
     each chunk run as one stack (see :func:`core.trial_chunks`), joined in
-    trial order with one ``np.concatenate`` per column.
+    trial order with one ``np.concatenate`` per column.  A trial's largest
+    matrices are ``dim`` x ``dim``.
 
     The calling thread takes the chunks in order, and where BLAS is pinned
     below the usable cores, :func:`_helper_count` helper threads take them
-    with it from the same iterator.  A chunk does the same arithmetic on
-    any thread, and trial k draws from ``root.child(k)`` whatever chunk it
-    falls in, so the rows do not depend on the helpers.  When a chunk fails
-    with a ``ValueError``, the first failing chunk in trial order reruns its
-    trials one at a time on the calling thread, so the error raised is the
-    one the first failing trial raises on its own; any other exception of
-    that chunk is raised as it is.
+    with it from the same iterator.  The threads overlap only where numpy
+    releases the GIL, in loops of more than NUMPY_GIL_THRESHOLD outputs, so
+    a run shared with helpers holds at least NUMPY_GIL_THRESHOLD // dim + 1
+    trials per chunk, as long as that leaves two chunks or more; at 16x16
+    that is two trials, where a run on one thread holds one.  A chunk does
+    the same arithmetic on any thread and in any stack, and trial k draws
+    from ``root.child(k)`` whatever chunk it falls in, so the rows do not
+    depend on the helpers.  When a chunk fails with a ``ValueError``, the
+    first failing chunk in trial order reruns its trials one at a time on
+    the calling thread, so the error raised is the one the first failing
+    trial raises on its own; any other exception of that chunk is raised
+    as it is.
     """
-    chunks = trial_chunks(trials, entries_per_trial)
+    least = NUMPY_GIL_THRESHOLD // dim + 1
+    # cut at numpy's threshold where helpers can join and two chunks remain
+    shared = trials > least and _helper_count(trials) > 0
+    chunks = trial_chunks(trials, dim**2, least if shared else 1)
     run = _ChunkRun(chunks, run_chunk)
     helpers = _helper_count(len(chunks))
     if helpers:
@@ -374,7 +389,7 @@ def run_balance(trials: int, dim_s: int, dim_r: int, seed: int) -> Result:
         alignments = np.array([a.value for a in arrow.schrodinger_checks(rep.schrodinger_product)])
         return {"trial": np.array(chunk), **_report_columns(rep), "balance_deviation": np.abs(rep.sum - rep.mi_final), "alignment": alignments}
 
-    return _by_chunks(trials, layout.dim**2, run_chunk), {}
+    return _by_chunks(trials, layout.dim, run_chunk), {}
 
 
 def run_near_product(epsilon: float) -> Result:
@@ -588,7 +603,7 @@ def run_crooks(trials: int, beta: float, dim_s: int, dim_r: int, seed: int) -> R
                 "kl_divergence": kl, "average_sigma": avg, "identity_deviation": np.abs(kl - avg)}
 
     # the largest stacks hold a few d x d matrices per trial
-    return _by_chunks(trials, layout.dim**2, run_chunk), {}
+    return _by_chunks(trials, layout.dim, run_chunk), {}
 
 
 def run_jarzynski(trials: int, beta: float, dim_s: int, dim_r: int, seed: int) -> Result:
@@ -600,7 +615,7 @@ def run_jarzynski(trials: int, beta: float, dim_s: int, dim_r: int, seed: int) -
         lhs, rhs = fluctuation.jarzynski_checks(fluctuation.random_protocols(layout, beta, root.children(chunk)))
         return {"trial": np.array(chunk), "lhs": lhs, "rhs": rhs, "relative_deviation": np.abs(lhs - rhs) / rhs}
 
-    return _by_chunks(trials, layout.dim**2, run_chunk), {}
+    return _by_chunks(trials, layout.dim, run_chunk), {}
 
 
 def _heatflow_draw(g: np.random.Generator) -> tuple[float, float, float]:
@@ -626,9 +641,10 @@ def run_heatflow(trials: int, seed: int) -> Result:
         return {"trial": np.array(chunk), "beta_s": beta_s, "beta_r": beta_r, "hotter": np.where(beta_s < beta_r, "S", "R"),
                 "du_s": rep.du_s, "du_r": rep.du_r, "ds_s": rep.balance.ds_s, "ds_r": rep.balance.ds_r,
                 "t_s": rep.t_s, "t_r": rep.t_r, "clausius_lhs": rep.balance.sum,
-                "joint_entropy_change": rep.balance.joint_entropy_change}
+                "joint_entropy_change": rep.balance.joint_entropy_change,
+                "marginal_energy_deviation": rep.marginal_energy_deviation}
 
-    return _by_chunks(trials, arrow.TWO_QUBITS.dim**2, run_chunk), {}
+    return _by_chunks(trials, arrow.TWO_QUBITS.dim, run_chunk), {}
 
 
 def run_damping(trials: int, beta: float, seed: int) -> Result:
@@ -761,6 +777,10 @@ EXPERIMENTS: dict[str, Experiment] = {
             _each_row("minus_clausius_lhs", BALANCE_TOL, lambda c: -c["clausius_lhs"]),
             # the exchange commutes with h_S + h_R: what one side loses, the other gains
             _each_row("abs_total_energy_change", HOTTER_GAIN_TOL, lambda c: np.abs(c["du_s"] + c["du_r"])),
+            # tr(h rho'_S) through the partial trace against tr((h (x) 1) rho'),
+            # a column the record checks but does not write: a trace over
+            # the wrong factor reads the other side's energy
+            _each_row("marginal_energy_deviation", HOTTER_GAIN_TOL, lambda c: c["marginal_energy_deviation"]),
             _JOINT_ENTROPY,
         ),
     ),

@@ -31,8 +31,10 @@ and ``backward`` test that symmetry.
 :func:`heat_flow_trials` evolves a stack of product Gibbs qubit pairs under
 an energy-conserving exchange and returns one :class:`HeatFlowReport` of
 (n,) arrays: the entropy balance of :func:`arrow.product_balances`, each
-side's energy change and its effective temperature dU/dS.  No D x D product
-is built; the initial energies are tr(h rho) of the Gibbs factors.
+side's energy change and its effective temperature dU/dS, and the gap
+between the S energy read from the reduced final state and from the joint
+one.  No D x D product is built; the initial energies are tr(h rho) of the
+Gibbs factors.
 
 :func:`damping_heats` gives the heat D(rho || gamma) of each state of a
 stack damped into a Gibbs bath, from one validation of the stack.
@@ -52,6 +54,7 @@ from .core import (
     gibbs_matrices,
     haar_unitaries,
     masked_row_sums,
+    partial_traces,
     raise_first_failure,
     random_hermitians,
     spectrum_entropies,
@@ -339,13 +342,17 @@ EXCHANGE.setflags(write=False)
 class HeatFlowReport:
     """Energy and entropy bookkeeping of a stack of heat-flow trials, every
     field an (n,) array: the entropy balance, each side's energy change and
-    effective temperature.  The Clausius combination is ``balance.sum``."""
+    effective temperature.  The Clausius combination is ``balance.sum``.
+    ``marginal_energy_deviation`` is |tr(h rho'_S) - tr((h (x) 1) rho')|,
+    with rho'_S from :func:`core.partial_traces`: zero up to rounding only
+    where the partial trace keeps S."""
 
     balance: EntropyBalanceReport
     du_s: np.ndarray
     du_r: np.ndarray
     t_s: np.ndarray
     t_r: np.ndarray
+    marginal_energy_deviation: np.ndarray
 
 
 def heat_flow_trials(beta_s, beta_r, times) -> HeatFlowReport:
@@ -371,10 +378,12 @@ def heat_flow_trials(beta_s, beta_r, times) -> HeatFlowReport:
     def energies(h: np.ndarray, m: np.ndarray) -> np.ndarray:
         return np.einsum("ij,nji->n", h, m).real
 
-    du_s = energies(h_s, final) - energies(h_local.matrix, rho_s)
+    u_s = energies(h_s, final)
+    du_s = u_s - energies(h_local.matrix, rho_s)
     du_r = energies(h_r, final) - energies(h_local.matrix, rho_r)
     t_s, t_r = effective_temperatures(balance, du_s, du_r)
-    return HeatFlowReport(balance=balance, du_s=du_s, du_r=du_r, t_s=t_s, t_r=t_r)
+    marginal = np.abs(energies(h_local.matrix, partial_traces(final, 2, 2, "S")) - u_s)
+    return HeatFlowReport(balance=balance, du_s=du_s, du_r=du_r, t_s=t_s, t_r=t_r, marginal_energy_deviation=marginal)
 
 
 def damping_heats(states: np.ndarray, h_final: Hamiltonian, beta: float) -> np.ndarray:

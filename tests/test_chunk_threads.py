@@ -1,7 +1,9 @@
 """Trial chunks run on the cores that a pinned BLAS leaves idle.
 
 With BLAS pinned below the usable cores, ``experiments._by_chunks`` lets
-persistent helper threads take chunks beside the calling thread.  Here the
+persistent helper threads take chunks beside the calling thread, and cuts
+chunks of at least NUMPY_GIL_THRESHOLD // D + 1 trials of D x D matrices,
+so that numpy's stacked QR and eigvalsh let the threads overlap.  Here the
 rule's inputs (the thread-count variables and ``os.sched_getaffinity``) are
 set to give one or three helpers, and the rows must still be the per-trial
 loops' of ``oracles.py`` bit for bit, the first failing trial must still
@@ -13,9 +15,12 @@ import functools
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from arrowlab import core, experiments
@@ -24,6 +29,10 @@ from arrowlab.core import BipartitionLayout, RandomSource
 
 # how long a test waits for another thread before it fails
 TIMEOUT = 30
+
+# a matrix dimension whose one matrix passes NUMPY_GIL_THRESHOLD and
+# overfills STACK_ENTRIES: one trial per chunk, with helpers or without
+ONE_PER_CHUNK = 512
 
 
 def exact(rows):
@@ -93,6 +102,59 @@ def test_cores_fall_back_to_the_cpu_count(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# chunks shared with helpers pass numpy's GIL threshold
+# ---------------------------------------------------------------------------
+
+def chunk_lengths(trials, dim):
+    """The chunk lengths of one ``_by_chunks`` call over D x D trials, in
+    trial order."""
+    starts = {}
+
+    def run_chunk(chunk):
+        starts[chunk.start] = len(chunk)
+        return {"trial": np.array(chunk)}
+
+    assert experiments._by_chunks(trials, dim, run_chunk)["trial"].tolist() == list(range(trials))
+    return [starts[start] for start in sorted(starts)]
+
+
+@pytest.mark.parametrize(
+    "dims, trials, expected",
+    [
+        # two trials per chunk would leave one chunk: one trial each, as alone
+        ((16, 16), 2, [1, 1]),
+        ((16, 16), 3, [2, 1]),
+        ((16, 16), 10, [2] * 5),
+        ((15, 16), 10, [3, 3, 3, 1]),
+    ],
+    ids=["16x16-2", "16x16-3", "16x16-10", "15x16-10"],
+)
+def test_chunks_shared_with_helpers_hold_more_than_the_threshold(helpers, dims, trials, expected):
+    assert chunk_lengths(trials, dims[0] * dims[1]) == expected
+
+
+def test_chunks_on_one_thread_keep_one_256_dim_trial_each(monkeypatch):
+    pin(monkeypatch, 2)
+    assert chunk_lengths(3, 256) == [1, 1, 1]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dim_s=st.integers(2, 16), dim_r=st.integers(2, 16), trials=st.integers(1, 40))
+def test_chunk_lengths_pass_the_threshold_or_keep_todays_sizes(helpers, dim_s, dim_r, trials):
+    dim = dim_s * dim_r
+    lengths = chunk_lengths(trials, dim)
+    # the fewest trials whose stacked eigvalsh has more outputs than the threshold
+    least = -(-(experiments.NUMPY_GIL_THRESHOLD + 1) // dim)
+    if trials > least:
+        assert all(length * dim > experiments.NUMPY_GIL_THRESHOLD for length in lengths[:-1])
+    else:
+        assert lengths == [len(chunk) for chunk in core.trial_chunks(trials, dim**2)]
+    # STACK_ENTRIES, or the threshold where that takes more: at 12x12 a chunk
+    # of STACK_ENTRIES holds 3 trials, 3 x 144 outputs, and one of 4 passes
+    assert max(lengths) <= max(core.STACK_ENTRIES // dim**2, least)
+
+
+# ---------------------------------------------------------------------------
 # the helpers run chunks, and the rows do not change
 # ---------------------------------------------------------------------------
 
@@ -105,7 +167,7 @@ def test_helpers_take_chunks_while_the_caller_runs_one(helpers):
         return {"trial": np.array(chunk), "thread": np.array([threading.get_ident()])}
 
     # one trial per chunk
-    columns = experiments._by_chunks(helpers + 1, core.STACK_ENTRIES, run_chunk)
+    columns = experiments._by_chunks(helpers + 1, ONE_PER_CHUNK, run_chunk)
     assert columns["trial"].tolist() == list(range(helpers + 1))
     assert len(set(columns["thread"].tolist())) == helpers + 1
 
@@ -118,16 +180,32 @@ def test_every_chunk_runs_under_the_callers_errstate(helpers):
         return {"divide": np.array([np.geterr()["divide"]])}
 
     with np.errstate(divide="raise"):
-        columns = experiments._by_chunks(helpers + 1, core.STACK_ENTRIES, run_chunk)
+        columns = experiments._by_chunks(helpers + 1, ONE_PER_CHUNK, run_chunk)
     assert columns["divide"].tolist() == ["raise"] * (helpers + 1)
 
 
 def test_balance_and_schrodinger_at_16x16_match_per_trial_loops(helpers):
-    # one 256 x 256 trial per chunk
-    rows = oracles.rows("balance", experiments.run_balance(4, 16, 16, 7)[0])
-    assert exact(rows) == exact(oracles.balance_rows(4, 16, 16, RandomSource(7)))
-    columns, _ = experiments.EXPERIMENTS["schrodinger"].run({"trials": 3, "dims": (16, 16), "seed": 7})
-    assert exact(oracles.rows("schrodinger", columns)) == exact(oracles.schrodinger_rows(3, 16, 16, RandomSource(7)))
+    # two 256 x 256 trials per chunk, and one in the last
+    rows = oracles.rows("balance", experiments.run_balance(5, 16, 16, 7)[0])
+    assert exact(rows) == exact(oracles.balance_rows(5, 16, 16, RandomSource(7)))
+    columns, _ = experiments.EXPERIMENTS["schrodinger"].run({"trials": 5, "dims": (16, 16), "seed": 7})
+    assert exact(oracles.rows("schrodinger", columns)) == exact(oracles.schrodinger_rows(5, 16, 16, RandomSource(7)))
+
+
+def traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_balance_at_16x16_with_one_helper_allocates_two_trials_per_thread(monkeypatch):
+    pin(monkeypatch, 2, OPENBLAS_NUM_THREADS="1")
+    stacked = traced_peak(lambda: experiments.run_balance(10, 16, 16, 0))
+    per_trial = traced_peak(lambda: oracles.balance_rows(3, 16, 16, RandomSource(0)))
+    assert stacked <= 1.25 * 2 * 2 * per_trial
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -160,7 +238,8 @@ def test_many_small_chunks_on_more_threads_than_cores(monkeypatch):
     try:
         for _ in range(20):
             runs.clear()
-            columns = experiments._by_chunks(300, core.STACK_ENTRIES // 2, run_chunk)
+            # two 256 x 256 trials per chunk, shared with the helpers
+            columns = experiments._by_chunks(300, 256, run_chunk)
             assert sorted(runs) == list(range(0, 300, 2))
             assert columns["trial"].tolist() == list(range(300))
             assert columns["twice"].tolist() == list(range(0, 600, 2))
@@ -193,7 +272,7 @@ def test_first_failing_trial_names_the_error_when_a_later_chunk_fails_first(help
         return {"trial": np.array(chunk)}
 
     with pytest.raises(ValueError, match="^trial 1$"):
-        experiments._by_chunks(5, 16, run_chunk)
+        experiments._by_chunks(5, 4, run_chunk)
     assert ran[-2:] == [[0], [1]]
 
 

@@ -109,6 +109,9 @@ FAULTS = {
         [],
         cell(lambda c: "du_r" if c["hotter"] == "S" else "du_s", lambda c, tol: -(c["du_s"] if c["hotter"] == "S" else c["du_r"]) + tol + PAST),
     ),
+    # |tr(h rho'_S) - tr((h (x) 1) rho')|, a column the record checks but
+    # does not write
+    ("heatflow", "marginal_energy_deviation"): ([], cell("marginal_energy_deviation", above)),
     # S(rho') - S(rho), a column the records check but do not write
     **{(name, "abs_joint_entropy_change"): ([], cell("joint_entropy_change", above))
        for name in ("balance", "near-product", "decorrelate", "schrodinger", "sweep", "heatflow")},

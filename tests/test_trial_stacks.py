@@ -46,8 +46,8 @@ def chunk_sizes(monkeypatch):
     """The chunk lengths of each trial_chunks call the experiments make."""
     sizes = []
 
-    def recording(trials, entries_per_trial):
-        chunks = core.trial_chunks(trials, entries_per_trial)
+    def recording(trials, entries_per_trial, least=1):
+        chunks = core.trial_chunks(trials, entries_per_trial, least)
         sizes.append([len(chunk) for chunk in chunks])
         return chunks
 
@@ -266,8 +266,8 @@ class TestFirstFailure:
             return {"trial": np.array(chunk)}
 
         with pytest.raises(ValueError, match="trial 1"):
-            experiments._by_chunks(5, 16, run_chunk)
-        assert experiments._by_chunks(1, 16, run_chunk)["trial"].tolist() == [0]
+            experiments._by_chunks(5, 4, run_chunk)
+        assert experiments._by_chunks(1, 4, run_chunk)["trial"].tolist() == [0]
 
 
 # ---------------------------------------------------------------------------
