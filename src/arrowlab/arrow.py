@@ -14,7 +14,7 @@ entropy, and its probes descend by Riemannian conjugate gradient (Abrudan,
 Eriksson & Koivunen, Signal Processing 89, 1704 (2009)), the probes of one
 call in lockstep as one stack, each Armijo round evaluating the next
 ARMIJO_BATCH step sizes of every pending probe, and both marginals of every
-point in one (n, 2, d, d) ``eigh``; the probes stop at the module constant
+point in one (2, n, d, d) ``eigh``; the probes stop at the module constant
 PROBE_CONVERGENCE_TOL.
 """
 
@@ -280,6 +280,10 @@ PROBE_CONVERGENCE_TOL = 1e-12
 ARMIJO_FRACTION = 0.5
 ARMIJO_HALVINGS = 60
 ARMIJO_BATCH = 4
+# each round's step sizes as multiples of its step's first size mu: 1, 1/2,
+# 1/4, ..., ARMIJO_BATCH to a round; mu times 2^-k has the bits of mu halved
+# k times, as a probe descending alone halves it
+_ROUND_SCALES = [0.5 ** np.arange(k, min(k + ARMIJO_BATCH, ARMIJO_HALVINGS)) for k in range(0, ARMIJO_HALVINGS, ARMIJO_BATCH)]
 # marginal eigenvalues are clamped here before the log in the gradient
 LOG_FLOOR = 1e-300
 # warned, with a count, when states' best sums stay >= 0
@@ -344,25 +348,34 @@ def spectral_assignment_unitary(rho: np.ndarray, layout: BipartitionLayout) -> n
 def _objectives(finals: np.ndarray, dim_s: int, dim_r: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """S(rho_S) + S(rho_R) of each joint matrix in a stack (n, D, D), with
     0 ln 0 := 0, and the ``eigh`` of both marginals, which the gradient at an
-    accepted point reads.  The marginals are grouped by size: one (n, 2, d, d)
-    stack of rho_S and rho_R when d_S = d_R, so one ``eigh`` decomposes both
-    marginals of every point, else (n, 1, d_S, d_S) and (n, 1, d_R, d_R).
-    Each marginal's entropy is one dot product, a 1 x d by d x 1 matmul; a
-    marginal with an eigenvalue <= 0 drops those from its dot product, so
-    every marginal rounds as its matrix would on its own."""
-    marginals = [partial_traces(finals, dim_s, dim_r, keep) for keep in "SR"]
-    groups = [np.stack(marginals, axis=1)] if dim_s == dim_r else [m[:, None] for m in marginals]
+    accepted point reads.  The marginals are grouped by size, marginal
+    first: when d_S = d_R the two partial traces are written into the halves
+    of one (2, n, d, d) stack, so one ``eigh`` decomposes both marginals of
+    every point, else (1, n, d_S, d_S) and (1, n, d_R, d_R).  Each marginal's
+    entropy is one dot product, a 1 x d by d x 1 matmul, over the logs of a
+    group's eigenvalues as they are when all of them are positive.  Only
+    when some eigenvalue is <= 0 are those masked out and each such
+    marginal's dot product taken over the rest, so every marginal rounds as
+    its matrix would on its own."""
+    if dim_s == dim_r:
+        groups = [np.empty((2, len(finals), dim_s, dim_s), dtype=finals.dtype)]
+        for half, keep in zip(groups[0], "SR"):
+            partial_traces(finals, dim_s, dim_r, keep, out=half)
+    else:
+        groups = [partial_traces(finals, dim_s, dim_r, keep)[None] for keep in "SR"]
     eigensystems = [np.linalg.eigh(m) for m in groups]
     terms = []
     for p, _ in eigensystems:
-        positive = p > 0.0
-        t = (p[..., None, :] @ np.log(np.where(positive, p, 1.0))[..., :, None])[..., 0, 0]
-        for k, m in zip(*np.nonzero(~positive.all(axis=-1))):
-            q = p[k, m][positive[k, m]]
-            t[k, m] = q @ np.log(q)
+        positive = None if p.min() > 0.0 else p > 0.0
+        t = (p[..., None, :] @ np.log(p if positive is None else np.where(positive, p, 1.0))[..., :, None])[..., 0, 0]
+        if positive is not None:
+            for m, k in zip(*np.nonzero(~positive.all(axis=-1))):
+                q = p[m, k][positive[m, k]]
+                t[m, k] = q @ np.log(q)
         terms.append(t)
-    t_s, t_r = np.concatenate(terms, axis=1).T
-    return (0.0 - t_s) - t_r, eigensystems  # 0 - S - R, as a lone probe sums it, zeros' signs included
+    # rho_S is the first marginal of the first group, rho_R the last of the
+    # last; 0 - S - R, as a lone probe sums it, zeros' signs included
+    return (0.0 - terms[0][0]) - terms[-1][-1], eigensystems
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -384,19 +397,26 @@ def _descend(
 
     Probe i starts at u[i] on the state rho[i], whose local entropy sum is
     s_local0[i], and takes at most max_iterations steps.  The probes run in
-    lockstep: one gradient, one direction and one ``eigh`` of iH per step
-    for the probes still running, then rounds of Armijo tries for the probes
-    whose step is still pending.  One round evaluates the next
-    ``ARMIJO_BATCH`` step sizes mu, mu/2, mu/4, ... of every pending probe as
-    one stack, and each probe takes its first candidate that passes; every
-    candidate counts against ``ARMIJO_HALVINGS``.  The marginal eigensystems
-    of the points are kept grouped as :func:`_objectives` returns them.  A
-    probe that converges, stalls or spends its budget leaves the stack.
-    Every candidate does the arithmetic of one try of a probe descending
-    alone.
+    lockstep.  A step is one gradient, one direction and one ``eigh`` of iH
+    for the probes still running: three inner products, <C, C>, the
+    Polak-Ribiere numerator and the restart test <H, C>, which is also the
+    slope; a restarted probe's slope is its <C, C>.  Then come rounds of
+    Armijo tries for the probes whose step is still pending.  One round
+    evaluates the next ``ARMIJO_BATCH`` step sizes mu, mu/2, mu/4, ... of
+    every pending probe as one stack, the step's first mu times a row of
+    ``_ROUND_SCALES``, and each probe takes its first candidate that passes;
+    every candidate counts against ``ARMIJO_HALVINGS``.  The first round
+    tries every probe and reads the stack in place; a later round gathers
+    the probes still pending.  The accepted candidates are written into
+    their rows, marginal eigensystems included, kept grouped as
+    :func:`_objectives` returns them.  A probe that converges, stalls or
+    spends its budget leaves the stack.  Every candidate does the arithmetic
+    of one try of a probe descending alone.
     """
     dim = dim_s * dim_r
-    eye_s, eye_r = np.eye(dim_s), np.eye(dim_r)
+    # I_R and I_S, broadcast against ln rho_S and ln rho_R as np.kron would
+    eye_r = np.eye(dim_r)[None, None, :, None, :]
+    eye_s = np.eye(dim_s)[None, :, None, :, None]
     u = u.copy()  # each accepted step is written into its row
     final = evolve_states(rho, u)
     value, eigensystems = _objectives(final, dim_s, dim_r)
@@ -406,78 +426,70 @@ def _descend(
     mu = np.ones(len(u))
     steps = 0
     while live.size:
-        # ln rho_S and ln rho_R, in that order, from the grouped eigensystems
-        logs = [
-            (v * np.log(np.clip(lam, LOG_FLOOR, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
-            for lam, v in eigensystems
-        ]
-        log_s, log_r = (log[:, m] for log in logs for m in range(log.shape[1]))
+        # ln rho_S and ln rho_R from the grouped eigensystems: rho_S is the
+        # first marginal of the first group, rho_R the last of the last
+        logs = [(v * np.log(np.maximum(lam, LOG_FLOOR))[..., None, :]) @ v.conj().swapaxes(-1, -2) for lam, v in eigensystems]
         # a broadcast: np.kron gives the same bits at several times the cost
-        log_sum = (
-            log_s[:, :, None, :, None] * eye_r[None, None, :, None, :]
-            + eye_s[None, :, None, :, None] * log_r[:, None, :, None, :]
-        ).reshape(len(live), dim, dim)
+        log_sum = (logs[0][0, :, :, None, :, None] * eye_r + eye_s * logs[-1][-1, :, None, :, None, :]).reshape(len(live), dim, dim)
         c = final @ log_sum - log_sum @ final
         norm2 = _inner(c, c)  # <C, C>
         if steps:
             restart = norm2_prev == 0.0
             gamma = np.maximum(0.0, _inner(c - c_prev, c) / np.where(restart, 1.0, norm2_prev))
             h = c + gamma[:, None, None] * h_prev
-            restart |= _inner(h, c) <= 0.0
-            h[restart] = c[restart]
+            slope = _inner(h, c)  # <C, H>: _inner's products commute
+            restart |= slope <= 0.0
+            if np.count_nonzero(restart):
+                h[restart], slope[restart] = c[restart], norm2[restart]
         else:
-            h = c
-        slope = _inner(c, h)
+            h, slope = c, norm2
         lam, v = np.linalg.eigh(1j * h)  # Hermitian, and exp(-mu H) = exp(i mu lam)
         mu *= 2.0
         # a probe's accepted point replaces its row; the rows still pending
-        # keep the point their step starts from
+        # keep the point their step starts from, and their mu its first size
         decrease = np.zeros(len(live))
         pending = np.arange(len(live))
-        for tried in range(0, ARMIJO_HALVINGS, ARMIJO_BATCH):
-            count = min(ARMIJO_BATCH, ARMIJO_HALVINGS - tried)
-            # halved one at a time, as a lone probe halves its step
-            mus = np.empty((len(pending), count))
-            mus[:, 0] = mu[pending]
-            for j in range(1, count):
-                mus[:, j] = mus[:, j - 1] * 0.5
-            v_p = v[pending][:, None]
-            phases = np.exp(1j * mus[:, :, None] * lam[pending][:, None, :])
-            u_try = ((v_p * phases[..., None, :]) @ v_p.conj().swapaxes(-1, -2)) @ u[pending][:, None]
-            final_try = evolve_states(rho[pending][:, None], u_try).reshape(-1, dim, dim)
+        for scales in _ROUND_SCALES:
+            at = pending if len(pending) < len(live) else slice(None)
+            mus = mu[at][:, None] * scales
+            v_p = v[at][:, None]
+            phases = np.exp(1j * mus[:, :, None, None] * lam[at][:, None, None, :])
+            u_try = ((v_p * phases) @ v_p.conj().swapaxes(-1, -2)) @ u[at][:, None]
+            final_try = evolve_states(rho[at][:, None], u_try).reshape(-1, dim, dim)
             value_try, eigensystems_try = _objectives(final_try, dim_s, dim_r)
-            gain = value[pending][:, None] - value_try.reshape(len(pending), count)
-            ok = gain >= ARMIJO_FRACTION * mus * slope[pending][:, None]
+            gain = value[at][:, None] - value_try.reshape(len(pending), len(scales))
+            ok = gain >= ARMIJO_FRACTION * mus * slope[at][:, None]
             passed = ok.any(axis=1)
-            rows, first = np.flatnonzero(passed), ok.argmax(axis=1)[passed]
-            done, picked = pending[passed], rows * count + first  # picked: rows of the candidate stack
+            rows = passed.nonzero()[0]
+            first = ok.argmax(axis=1)[rows]
+            done, picked = pending[passed], rows * len(scales) + first  # picked: rows of the candidate stack
             mu[done], decrease[done] = mus[rows, first], gain[rows, first]
-            u[done], final[done], value[done] = u_try.reshape(-1, dim, dim)[picked], final_try[picked], value_try[picked]
+            u[done], final[done], value[done] = u_try[rows, first], final_try[picked], value_try[picked]
             for (w, x), (w_try, x_try) in zip(eigensystems, eigensystems_try):
-                w[done], x[done] = w_try[picked], x_try[picked]
-            mu[pending[~passed]] = mus[~passed, -1] * 0.5
+                w[:, done], x[:, done] = w_try[:, picked], x_try[:, picked]
             pending = pending[~passed]
             if not pending.size:
                 break
         # a probe still pending found no step that lowers the sum measurably:
-        # it is stationary up to rounding and stops where it stands
-        moved = np.ones(len(live), dtype=bool)
-        moved[pending] = False
-        for i, s in zip(np.flatnonzero(moved).tolist(), (value[moved] - s_local0[moved]).tolist()):
-            sums[live[i]].append(s)
+        # it is stationary up to rounding, stops where it stands, and its
+        # decrease stays 0, below PROBE_CONVERGENCE_TOL
+        stalled = set(pending.tolist())
+        for i, (k, s) in enumerate(zip(live.tolist(), (value - s_local0).tolist())):
+            if i not in stalled:
+                sums[k].append(s)
         steps += 1
         c_prev, h_prev, norm2_prev = c, h, norm2
-        converged = ~moved | (decrease < PROBE_CONVERGENCE_TOL)
+        converged = decrease < PROBE_CONVERGENCE_TOL
         leaving = converged | (steps == max_iterations)
-        if not leaving.any():
+        if not np.count_nonzero(leaving):
             continue
-        for i in np.flatnonzero(leaving).tolist():
+        for i in leaving.nonzero()[0].tolist():
             probes[live[i]] = DescentProbe(unitary=u[i].copy(), sums=tuple(sums[live[i]]), converged=bool(converged[i]))
         staying = ~leaving
         live, rho, u, final, value, s_local0, mu, c_prev, h_prev, norm2_prev = (
             a[staying] for a in (live, rho, u, final, value, s_local0, mu, c_prev, h_prev, norm2_prev)
         )
-        eigensystems = [(w[staying], x[staying]) for w, x in eigensystems]
+        eigensystems = [(w[:, staying], x[:, staying]) for w, x in eigensystems]
     return probes
 
 

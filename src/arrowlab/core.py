@@ -485,13 +485,14 @@ def product_spectra(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sort((a[:, :, None] * b[:, None, :]).reshape(len(a), -1), axis=-1)
 
 
-def partial_traces(m: np.ndarray, dim_s: int, dim_r: int, keep: str) -> np.ndarray:
-    """Reduced matrices of a stack (n, D, D) of joint matrices, keeping S or R."""
+def partial_traces(m: np.ndarray, dim_s: int, dim_r: int, keep: str, out: np.ndarray | None = None) -> np.ndarray:
+    """Reduced matrices of a stack (n, D, D) of joint matrices, keeping S or
+    R, written into ``out`` when it is given."""
     t = m.reshape(len(m), dim_s, dim_r, dim_s, dim_r)
     if keep == "S":
-        return np.einsum("nikjk->nij", t)
+        return np.einsum("nikjk->nij", t, out=out)
     if keep == "R":
-        return np.einsum("nkikj->nij", t)
+        return np.einsum("nkikj->nij", t, out=out)
     raise ValueError(f"keep must be 'S' or 'R', got {keep!r}")
 
 

@@ -37,7 +37,8 @@ one.  No D x D product is built; the initial energies are tr(h rho) of the
 Gibbs factors.
 
 :func:`damping_heats` gives the heat D(rho || gamma) of each state of a
-stack damped into a Gibbs bath, from one validation of the stack.
+stack damped into a Gibbs bath, clamped at 0 and before the clamp, from one
+validation of the stack.
 """
 
 from __future__ import annotations
@@ -386,12 +387,13 @@ def heat_flow_trials(beta_s, beta_r, times) -> HeatFlowReport:
     return HeatFlowReport(balance=balance, du_s=du_s, du_r=du_r, t_s=t_s, t_r=t_r, marginal_energy_deviation=marginal)
 
 
-def damping_heats(states: np.ndarray, h_final: Hamiltonian, beta: float) -> np.ndarray:
+def damping_heats(states: np.ndarray, h_final: Hamiltonian, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Heat released when each state of a stack (n, d, d) is damped into a
     bath thermal on h_final: the relative entropy to its Gibbs state,
-    beta tr(rho H) + ln Z - S(rho), clamped at 0.  The stack is validated
-    here, once, and S(rho) read from the spectra of that validation.  No
-    Gibbs weight is formed, so no large beta underflows."""
+    beta tr(rho H) + ln Z - S(rho), clamped at 0, and the same before the
+    clamp, whose sign a check can read.  The stack is validated here, once,
+    and S(rho) read from the spectra of that validation.  No Gibbs weight is
+    formed, so no large beta underflows."""
     if states.shape[-1] != h_final.dim:
         raise ValueError("state and Hamiltonian dimensions must agree")
     if not (np.isfinite(beta) and beta >= 0.0):
@@ -399,7 +401,7 @@ def damping_heats(states: np.ndarray, h_final: Hamiltonian, beta: float) -> np.n
     spectra = validate_states(states)
     energies = np.einsum("nij,ji->n", states, h_final.matrix).real
     heats = beta * energies + log_partitions(h_final.eigenvalues[None], beta)[0] - spectrum_entropies(spectra)
-    return np.where(heats < 0.0, 0.0, heats)  # max(heat, 0.0), -0.0 and NaN kept
+    return np.where(heats < 0.0, 0.0, heats), heats  # max(heat, 0.0), -0.0 and NaN kept
 
 
 # ---------------------------------------------------------------------------

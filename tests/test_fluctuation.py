@@ -502,7 +502,7 @@ class TestEffectiveTemperatures:
 
 def damping_heat(state: DensityOperator, h: Hamiltonian, beta: float) -> float:
     """One state's damping heat, through the stacked path as a stack of one."""
-    return damping_heats(state.matrix[None], h, beta)[0]
+    return damping_heats(state.matrix[None], h, beta)[0][0]
 
 
 class TestDampingHeat:

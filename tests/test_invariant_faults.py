@@ -115,9 +115,11 @@ FAULTS = {
     # S(rho') - S(rho), a column the records check but do not write
     **{(name, "abs_joint_entropy_change"): ([], cell("joint_entropy_change", above))
        for name in ("balance", "near-product", "decorrelate", "schrodinger", "sweep", "heatflow")},
-    # row 1 is the maximally mixed state, which the thermal check skips
-    ("damping", "minus_heat"): ([], cell("heat", below_minus, row=1)),
-    ("damping", "thermal_abs_heat"): ([], cell("heat", above)),
+    # the heat before its clamp at 0, a column the record checks but does
+    # not write; row 1 is the maximally mixed state, which the thermal check
+    # skips, and row 0 the thermal state, which the sign check skips
+    ("damping", "minus_heat"): ([], cell("unclamped_heat", below_minus, row=1)),
+    ("damping", "thermal_abs_heat"): ([], cell("unclamped_heat", above)),
 }
 
 

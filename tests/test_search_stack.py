@@ -189,6 +189,34 @@ def test_candidate_rounds_at_the_batch_edges(monkeypatch):
     assert mixed
 
 
+@pytest.mark.parametrize("seed, restarted", [(0, 3), (3, 4)])
+def test_lockstep_probes_match_the_oracle_where_directions_restart(monkeypatch, seed, restarted):
+    # the classical state's probes meet directions with <H, C> <= 0, which
+    # restart as H = C; the lockstep stack then takes <C, C> as the slope
+    values = []
+    inner = oracles.inner
+
+    def recording(a, b):
+        values.append(inner(a, b))
+        return values[-1]
+
+    monkeypatch.setattr(oracles, "inner", recording)
+    layout = arrow.TWO_QUBITS
+    states = [arrow.classical_correlated_state()] * 3
+    sources = RandomSource(seed).children(range(len(states)))
+    tries = assert_probes_match_oracle(states, layout, sources, 4, 300, search(states, layout, sources))
+    # a probe's first step takes one inner product, the slope; each later
+    # step five: <C', C'> twice, <C - C', C>, the restart test <H, C> and
+    # the slope
+    restarts, at = 0, 0
+    for t in tries:
+        probe = values[at : at + 1 + 5 * (len(t) - 1)]
+        restarts += sum(probe[1 + 5 * k + 3] <= 0.0 for k in range(len(t) - 1))
+        at += len(probe)
+    assert at == len(values)
+    assert restarts == restarted
+
+
 def test_rows_with_nonpositive_marginal_eigenvalues_drop_them():
     # a rank-1 or rank-2 state at 2x16 leaves its 16-dim marginal with
     # eigenvalues <= 0; a 16-term dot product with zeros in their place
@@ -401,6 +429,19 @@ def test_search_hides_only_its_own_no_decrease_warning(monkeypatch):
         warnings.simplefilter("always")
         experiments.run_search(2, 2, 1, 0.01, 0, "random", 0.1)
     assert [(w.category, str(w.message)) for w in caught] == [(RuntimeWarning, "a numerical defect")]
+
+
+@pytest.mark.parametrize("demo", ["random", "near-product"])
+def test_three_trials_print_the_first_three_rows_of_the_default_twenty(capsys, demo):
+    # the tier-1 twin of CI's console-script check: a trial's search does
+    # not depend on the stack it shares
+    def rows(argv):
+        assert main(argv) == 0
+        return [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+
+    three = rows(["search", "--demo", demo, "--trials", "3"])
+    assert len(three) == 4
+    assert three == rows(["search", "--demo", demo])[:4]
 
 
 def test_every_probe_converges_at_the_cli_defaults():

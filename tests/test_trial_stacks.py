@@ -125,7 +125,7 @@ def test_heatflow_rows_agree_with_the_decomposed_product(seed):
     close(rows, oracles.heatflow_rows(30, RandomSource(seed), from_factors=False), PRODUCT_PATH_TOL)
 
 
-def test_balance_at_16x16_decomposes_one_joint_state_per_trial(monkeypatch):
+def test_balance_at_16x16_decomposes_one_joint_state_per_trial(monkeypatch, no_helpers):
     eig_dims, states = [], []
 
     def counting(fn, record):
@@ -165,7 +165,7 @@ def test_rows_do_not_depend_on_the_chunk_size(monkeypatch, chunk_sizes, run, ent
     assert chunk_sizes == [[10], [3, 3, 3, 1]]
 
 
-def test_balance_at_16x16_allocates_no_more_than_one_trial_at_a_time():
+def test_balance_at_16x16_allocates_no_more_than_one_trial_at_a_time(no_helpers):
     def peak(run):
         tracemalloc.start()
         try:
@@ -188,7 +188,7 @@ def traced_peak(run) -> int:
         tracemalloc.stop()
 
 
-def test_balance_at_16x16_allocates_less_than_with_the_product_built():
+def test_balance_at_16x16_allocates_less_than_with_the_product_built(no_helpers):
     # the product path holds the 256 x 256 product next to the evolved state
     root = RandomSource(0)
     built = traced_peak(lambda: oracles.balance_rows(3, 16, 16, root, from_factors=False))
