@@ -21,7 +21,6 @@ upper bound on the negated value (``-sum <= BALANCE_TOL``).
 from __future__ import annotations
 
 import contextvars
-import functools
 import math
 import os
 import threading
@@ -237,89 +236,6 @@ def _helper_count(chunks: int) -> int:
     return max(0, min(cores // blas - 1, chunks - 1))
 
 
-class _ChunkRun:
-    """One call's chunks, taken in order from one shared iterator by the
-    calling thread and any helpers that join it.  Each chunk runs under a
-    copy of the caller's context, so numpy's ``errstate`` holds on every
-    thread, and its result or exception is kept by chunk index.  Once a
-    chunk raises, no further chunk is taken; the chunks before it were all
-    taken already, and :meth:`wait` lets them finish."""
-
-    def __init__(self, chunks: list[range], run_chunk: Callable[[range], Columns]):
-        self._pending = iter(enumerate(chunks))
-        self._run_chunk = run_chunk
-        self._context = contextvars.copy_context()
-        self._lock = threading.Lock()
-        self._idle = threading.Condition(self._lock)
-        self._running = 0
-        self.results: list[Columns | None] = [None] * len(chunks)
-        self.failures: dict[int, BaseException] = {}
-
-    def work(self) -> None:
-        """Run chunks until none is left or one has raised."""
-        while True:
-            with self._lock:
-                taken = None if self.failures else next(self._pending, None)
-                if taken is None:
-                    return
-                self._running += 1
-            index, chunk = taken
-            try:
-                result, failure = self._context.copy().run(self._run_chunk, chunk), None
-            except BaseException as exc:  # re-raised on the calling thread
-                result, failure = None, exc
-            with self._lock:
-                self.results[index] = result
-                if failure is not None:
-                    self.failures[index] = failure
-                self._running -= 1
-                if not self._running:
-                    self._idle.notify_all()
-
-    def wait(self) -> None:
-        """Block until no chunk is running."""
-        with self._idle:
-            while self._running:
-                self._idle.wait()
-
-
-class _Helpers:
-    """Daemon threads, started as first needed and kept for the life of the
-    process, each working on one offered run at a time.  One pool serves
-    the process: a thread is started once, and idle helpers cost nothing."""
-
-    def __init__(self):
-        self._offered = threading.Condition()
-        self._runs: list[_ChunkRun] = []
-        self._threads = 0
-
-    def offer(self, run: _ChunkRun, helpers: int) -> None:
-        """Let ``helpers`` threads join ``run``; a helper still busy joins
-        when it is free, and finds nothing left once the run is done."""
-        with self._offered:
-            for _ in range(self._threads, helpers):
-                threading.Thread(target=self._serve, name="arrowlab-chunks", daemon=True).start()
-            self._threads = max(self._threads, helpers)
-            self._runs += [run] * helpers
-            self._offered.notify(helpers)
-
-    def _serve(self) -> None:
-        while True:
-            with self._offered:
-                while not self._runs:
-                    self._offered.wait()
-                run = self._runs.pop(0)
-            run.work()
-
-
-@functools.cache
-def _helpers() -> _Helpers:
-    if hasattr(os, "register_at_fork"):
-        # a forked child has none of the threads: it starts its own
-        os.register_at_fork(after_in_child=_helpers.cache_clear)
-    return _Helpers()
-
-
 def _by_chunks(trials: int, dim: int, run_chunk: Callable[[range], Columns]) -> Columns:
     """The columns of ``run_chunk`` over consecutive chunks of the trials,
     each chunk run as one stack (see :func:`core.trial_chunks`), joined in
@@ -327,38 +243,67 @@ def _by_chunks(trials: int, dim: int, run_chunk: Callable[[range], Columns]) -> 
     matrices are ``dim`` x ``dim``.
 
     The calling thread takes the chunks in order, and where BLAS is pinned
-    below the usable cores, :func:`_helper_count` helper threads take them
-    with it from the same iterator.  The threads overlap only where numpy
-    releases the GIL, in loops of more than NUMPY_GIL_THRESHOLD outputs, so
-    a run shared with helpers holds at least NUMPY_GIL_THRESHOLD // dim + 1
-    trials per chunk, as long as that leaves two chunks or more; at 16x16
-    that is two trials, where a run on one thread holds one.  A chunk does
-    the same arithmetic on any thread and in any stack, and trial k draws
-    from ``root.child(k)`` whatever chunk it falls in, so the rows do not
-    depend on the helpers.  When a chunk fails with a ``ValueError``, the
-    first failing chunk in trial order reruns its trials one at a time on
-    the calling thread, so the error raised is the one the first failing
-    trial raises on its own; any other exception of that chunk is raised
-    as it is.
+    below the usable cores, :func:`_helper_count` helper threads, started
+    for this call and joined before it returns, take them with it from the
+    same iterator.  A helper that cannot start leaves its chunks to the
+    threads that run.  The threads overlap only where numpy releases the
+    GIL, in loops of more than NUMPY_GIL_THRESHOLD outputs, so a run shared
+    with helpers holds at least NUMPY_GIL_THRESHOLD // dim + 1 trials per
+    chunk, as long as that leaves two chunks or more; at 16x16 that is two
+    trials, where a run on one thread holds one.  Each chunk runs under a
+    copy of the caller's context, so numpy's ``errstate`` holds on every
+    thread, and its result or exception is kept by chunk index; once a
+    chunk raises, no further chunk is taken.  A chunk does the same
+    arithmetic on any thread and in any stack, and trial k draws from
+    ``root.child(k)`` whatever chunk it falls in, so the rows do not depend
+    on the helpers.  When a chunk fails with a ``ValueError``, the first
+    failing chunk in trial order reruns its trials one at a time on the
+    calling thread, so the error raised is the one the first failing trial
+    raises on its own; any other exception of that chunk is raised as it
+    is.
     """
     least = NUMPY_GIL_THRESHOLD // dim + 1
+    spare = _helper_count(trials)
     # cut at numpy's threshold where helpers can join and two chunks remain
-    shared = trials > least and _helper_count(trials) > 0
-    chunks = trial_chunks(trials, dim**2, least if shared else 1)
-    run = _ChunkRun(chunks, run_chunk)
-    helpers = _helper_count(len(chunks))
-    if helpers:
-        _helpers().offer(run, helpers)
-    run.work()
-    run.wait()
-    if run.failures:
-        index = min(run.failures)
-        if isinstance(run.failures[index], ValueError):
+    chunks = trial_chunks(trials, dim**2, least if trials > least and spare else 1)
+    pending = iter(enumerate(chunks))
+    lock = threading.Lock()
+    context = contextvars.copy_context()
+    results: list[Columns | None] = [None] * len(chunks)
+    failures: dict[int, BaseException] = {}
+
+    def work() -> None:
+        while True:
+            with lock:
+                taken = None if failures else next(pending, None)
+            if taken is None:
+                return
+            index, chunk = taken
+            try:
+                results[index] = context.copy().run(run_chunk, chunk)
+            except BaseException as exc:  # re-raised on the calling thread
+                with lock:
+                    failures[index] = exc
+
+    helpers = []
+    for _ in range(min(spare, len(chunks) - 1)):
+        helper = threading.Thread(target=work, name="arrowlab-chunks", daemon=True)
+        try:
+            helper.start()
+        except RuntimeError:  # out of threads, as under a pids limit: those running take the chunks
+            break
+        helpers.append(helper)
+    work()
+    for helper in helpers:
+        helper.join()
+    if failures:
+        index = min(failures)
+        if isinstance(failures[index], ValueError):
             for k in chunks[index]:
                 run_chunk(range(k, k + 1))
         # popped, not bound to a local: the traceback keeps this frame
-        raise run.failures.pop(index)
-    return {name: np.concatenate([columns[name] for columns in run.results]) for name in run.results[0]}
+        raise failures.pop(index)
+    return {name: np.concatenate([columns[name] for columns in results]) for name in results[0]}
 
 
 def _report_columns(report: arrow.EntropyBalanceReport) -> Columns:

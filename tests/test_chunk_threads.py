@@ -1,17 +1,17 @@
 """Trial chunks run on the cores that a pinned BLAS leaves idle.
 
-With BLAS pinned below the usable cores, ``experiments._by_chunks`` lets
-persistent helper threads take chunks beside the calling thread, and cuts
+With BLAS pinned below the usable cores, ``experiments._by_chunks`` starts
+helper threads that take chunks beside the calling thread, and cuts
 chunks of at least NUMPY_GIL_THRESHOLD // D + 1 trials of D x D matrices,
 so that numpy's stacked QR and eigvalsh let the threads overlap.  Here the
 rule's inputs (the thread-count variables and ``os.sched_getaffinity``) are
 set to give one or three helpers, and the rows must still be the per-trial
 loops' of ``oracles.py`` bit for bit, the first failing trial must still
 name the error, and an out-of-memory error on a helper must still reach
-``cli.main``.  A run of one chunk starts no thread.
+``cli.main``.  A run of one chunk starts no thread, a helper that cannot
+start leaves the rows as they are, and no helper outlives its call.
 """
 
-import functools
 import os
 import sys
 import threading
@@ -35,6 +35,11 @@ TIMEOUT = 30
 ONE_PER_CHUNK = 512
 
 
+def timeless(out):
+    """A run's output lines, without the one that holds its wall clock."""
+    return [line for line in out.splitlines() if not line.startswith("# duration_seconds")]
+
+
 def exact(rows):
     """Rows as reprs: equal only if every cell has the same type and bits."""
     return [tuple(map(repr, row)) for row in rows]
@@ -56,10 +61,9 @@ def helpers(request, monkeypatch):
     return request.param
 
 
-@pytest.fixture
-def fresh_pool(monkeypatch):
-    """A helper pool that has started no thread yet."""
-    monkeypatch.setattr(experiments, "_helpers", functools.cache(experiments._Helpers))
+def chunk_threads():
+    """The helper threads alive now."""
+    return [thread for thread in threading.enumerate() if thread.name == "arrowlab-chunks"]
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +174,7 @@ def test_helpers_take_chunks_while_the_caller_runs_one(helpers):
     columns = experiments._by_chunks(helpers + 1, ONE_PER_CHUNK, run_chunk)
     assert columns["trial"].tolist() == list(range(helpers + 1))
     assert len(set(columns["thread"].tolist())) == helpers + 1
+    assert chunk_threads() == []
 
 
 def test_every_chunk_runs_under_the_callers_errstate(helpers):
@@ -274,6 +279,7 @@ def test_first_failing_trial_names_the_error_when_a_later_chunk_fails_first(help
     with pytest.raises(ValueError, match="^trial 1$"):
         experiments._by_chunks(5, 4, run_chunk)
     assert ran[-2:] == [[0], [1]]
+    assert chunk_threads() == []
 
 
 def test_out_of_memory_on_a_helper_exits_1_and_the_next_run_succeeds(helpers, monkeypatch, capsys):
@@ -297,25 +303,48 @@ def test_out_of_memory_on_a_helper_exits_1_and_the_next_run_succeeds(helpers, mo
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert (out, err) == ("", "arrowlab: error: out of memory\n")
+    assert chunk_threads() == []
     monkeypatch.setattr(experiments, "_product_balances", product_balances)
     assert main(argv) == 0
     out = capsys.readouterr().out
     # the rows and invariant lines of the run in one chunk
-    assert [line for line in out.splitlines() if not line.startswith("# duration_seconds")] == [
-        line for line in expected.splitlines() if not line.startswith("# duration_seconds")
-    ]
+    assert timeless(out) == timeless(expected)
 
 
 # ---------------------------------------------------------------------------
 # one chunk stays on the calling thread
 # ---------------------------------------------------------------------------
 
-def test_a_run_of_one_chunk_starts_no_thread(helpers, fresh_pool, capsys):
+def test_a_run_of_one_chunk_starts_no_thread(helpers, capsys):
     before = threading.active_count()
     assert main(["balance"]) == 0
     assert threading.active_count() == before
-    # two 256 x 256 trials are two chunks: one helper starts, and stays
+    # two 256 x 256 trials are two chunks: one helper starts, and is joined
     assert main(["balance", "--dims", "16x16", "--trials", "2"]) == 0
-    assert threading.active_count() == before + 1
-    assert main(["balance", "--dims", "16x16", "--trials", "2"]) == 0
-    assert threading.active_count() == before + 1
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("trials, started", [(3, 0), (5, 1)], ids=["none-starts", "one-of-two-starts"])
+def test_helpers_that_cannot_start_leave_the_rows_as_they_are(monkeypatch, capsys, trials, started):
+    argv = ["balance", "--dims", "16x16", "--trials", str(trials)]
+    pin(monkeypatch, 2)
+    assert main(argv) == 0
+    alone = timeless(capsys.readouterr().out)
+    # three spare cores: the trials' two or three chunks want one or two
+    # helpers, and only the first ``started`` of them start
+    pin(monkeypatch, 4, OPENBLAS_NUM_THREADS="1")
+    start = threading.Thread.start
+    starts = []
+
+    def start_or_fail(thread):
+        if thread.name == "arrowlab-chunks":
+            starts.append(thread)
+            if len(starts) > started:
+                raise RuntimeError("can't start new thread")
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start_or_fail)
+    assert main(argv) == 0
+    assert len(starts) == started + 1
+    assert timeless(capsys.readouterr().out) == alone
+    assert chunk_threads() == []

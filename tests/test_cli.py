@@ -747,11 +747,18 @@ class TestExtremeValidParameters:
         assert passed and set(passed.values()) == {"true"}
 
 
-def stdout_at_threads(threads: int, *argv: str) -> str:
-    """Stdout of the CLI in a fresh process at a BLAS thread count."""
+def stdout_at_threads(threads: int, *argv: str, cores: set[int] | None = None) -> str:
+    """Stdout of the CLI in a fresh process at a BLAS thread count, on the
+    given cores (all usable ones by default)."""
     src = os.path.dirname(os.path.dirname(arrowlab.__file__))
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
-    return subprocess.run([sys.executable, "-m", "arrowlab.cli", *argv], capture_output=True, text=True, env=env, check=True).stdout
+    pinned = None if cores is None else lambda: os.sched_setaffinity(0, cores)
+    return subprocess.run(
+        [sys.executable, "-m", "arrowlab.cli", *argv], capture_output=True, text=True, env=env, check=True, preexec_fn=pinned
+    ).stdout
+
+
+USABLE_CORES = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
 
 
 def output_at_threads(threads: int, *argv: str) -> str:
@@ -773,6 +780,18 @@ class TestBlasThreadCount:
         one, two = (numeric_cells(output_at_threads(n, *argv)) for n in (1, 2))
         assert len(one) == len(two) > 0
         assert max(abs(a - b) for a, b in zip(one, two)) <= 1e-12
+
+    @pytest.mark.skipif(len(USABLE_CORES) < 2, reason="needs two usable cores")
+    def test_balance_rows_at_16x16_with_a_helper_are_those_on_one_core(self):
+        # with BLAS at one thread, two cores give one helper thread and two
+        # trials per chunk, one core none and one trial per chunk; the rows
+        # of --trials 3 are the first three of --trials 5
+        argv = ("balance", "--dims", "16x16", "--trials")
+        two = set(USABLE_CORES[:2])
+        one = rows_of_csv(stdout_at_threads(1, *argv, "5", cores={USABLE_CORES[0]}))
+        assert len(one) == 6
+        assert rows_of_csv(stdout_at_threads(1, *argv, "5", cores=two)) == one
+        assert rows_of_csv(stdout_at_threads(1, *argv, "3", cores=two)) == one[:4]
 
 
 class TestNumericsEnv:
