@@ -188,6 +188,7 @@ def schrodinger_checks(products: np.ndarray) -> list[Alignment]:
 # ---------------------------------------------------------------------------
 
 TWO_QUBITS = BipartitionLayout(2, 2)
+# the two-qubit ket |ab> = |a> (x) |b> is basis_ket(4, 2a + b)
 
 
 def near_product_state(epsilon: float) -> DensityOperator:
@@ -198,8 +199,8 @@ def near_product_state(epsilon: float) -> DensityOperator:
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-    ket00 = np.kron(basis_ket(2, 0), basis_ket(2, 0))
-    psi_plus = (np.kron(basis_ket(2, 0), basis_ket(2, 1)) + np.kron(basis_ket(2, 1), basis_ket(2, 0))) / np.sqrt(2.0)
+    ket00 = basis_ket(4, 0)
+    psi_plus = (basis_ket(4, 1) + basis_ket(4, 2)) / np.sqrt(2.0)
     m = (1.0 - epsilon) * np.outer(ket00, ket00) + epsilon * np.outer(psi_plus, psi_plus)
     return DensityOperator(m)
 
@@ -211,7 +212,7 @@ def decorrelating_unitary() -> UnitaryOperator:
     Applied to :func:`near_product_state` it produces an exact product state,
     so both correlations and the local entropy sum drop.
     """
-    ket = [np.kron(basis_ket(2, a), basis_ket(2, b)) for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    ket = [basis_ket(4, index) for index in range(4)]
     triplet = (ket[1] + ket[2]) / np.sqrt(2.0)
     singlet = (ket[1] - ket[2]) / np.sqrt(2.0)
     u = (
@@ -225,8 +226,8 @@ def decorrelating_unitary() -> UnitaryOperator:
 
 def classical_correlated_state() -> DensityOperator:
     """Equal classical mixture of |00><00| and |11><11| (mutual information ln 2)."""
-    ket00 = np.kron(basis_ket(2, 0), basis_ket(2, 0))
-    ket11 = np.kron(basis_ket(2, 1), basis_ket(2, 1))
+    ket00 = basis_ket(4, 0)
+    ket11 = basis_ket(4, 3)
     return DensityOperator(0.5 * np.outer(ket00, ket00) + 0.5 * np.outer(ket11, ket11))
 
 

@@ -188,6 +188,11 @@ def run(config: ExperimentConfig) -> tuple[int, ResultRecord]:
     return (2 if failures else 0), record
 
 
+# the characters that make csv.writer quote a cell, with "\r" quoted by
+# some Python versions and not by others
+_CSV_QUOTED = (",", '"', "\r", "\n")
+
+
 def _format_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -200,12 +205,18 @@ def _format_cell(value) -> str:
 
 def _column_text(column: np.ndarray) -> list[str]:
     """The CSV cells of one column, unquoted, by :func:`_format_cell`'s
-    rules, with one call over a float or an int column."""
+    rules, with one call over a float or an int column and none per cell
+    over a str or a bool one."""
     cells = column.tolist()
-    if column.dtype.kind == "f":
+    kind = column.dtype.kind
+    if kind == "f":
         return list(map(float.__repr__, cells))
-    if column.dtype.kind == "i":
+    if kind == "i":
         return list(map(int.__repr__, cells))
+    if kind == "U":
+        return cells
+    if kind == "b":
+        return [("false", "true")[cell] for cell in cells]
     return list(map(_format_cell, cells))
 
 
@@ -246,6 +257,15 @@ def _metadata(record: ResultRecord) -> dict:
 
 
 def serialize_csv(record: ResultRecord) -> str:
+    r"""The record as CSV: ``#`` metadata lines, then the header and the rows
+    as ``csv.writer`` writes them with a ``\n`` line terminator.
+
+    Each column is formatted once (:func:`_column_text`).  Where the table
+    has more than one column and no text cell holds a character the writer
+    may quote (``,``, ``"``, ``\r`` or ``\n``), no cell is quoted, so the
+    body is written as one join of the cells; any other table goes through
+    ``csv.writer``, whose quoting of ``\r`` differs between Python
+    versions.  (A lone empty cell is quoted: hence the two columns.)"""
     buf = io.StringIO()
     for key, value in _metadata(record).items():
         buf.write(f"# {key}={_format_cell(value)}\n")
@@ -263,7 +283,15 @@ def serialize_csv(record: ResultRecord) -> str:
         buf.write(f"# failure.{i}={failure}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(record.table)
-    writer.writerows(zip(*(_column_text(column) for column in record.table.values())))
+    texts = [_column_text(column) for column in record.table.values()]
+    text_cells = "".join(
+        cell for column, cells in zip(record.table.values(), texts) if column.dtype.kind not in "fi" for cell in cells
+    )
+    if len(texts) > 1 and not any(char in text_cells for char in _CSV_QUOTED):
+        body = "\n".join(map(",".join, zip(*texts)))
+        buf.write(f"{body}\n" if body else "")
+    else:
+        writer.writerows(zip(*texts))
     return buf.getvalue()
 
 

@@ -236,6 +236,13 @@ def _helper_count(chunks: int) -> int:
     return max(0, min(cores // blas - 1, chunks - 1))
 
 
+def _at_least_one_trial(trials: int) -> None:
+    """Reject a stacked run of fewer than one trial, which has no stack to
+    run; the CLI's trials domain starts at 1, the library's runs check."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 def _by_chunks(trials: int, dim: int, run_chunk: Callable[[range], Columns]) -> Columns:
     """The columns of ``run_chunk`` over consecutive chunks of the trials,
     each chunk run as one stack (see :func:`core.trial_chunks`), joined in
@@ -260,8 +267,9 @@ def _by_chunks(trials: int, dim: int, run_chunk: Callable[[range], Columns]) -> 
     failing chunk in trial order reruns its trials one at a time on the
     calling thread, so the error raised is the one the first failing trial
     raises on its own; any other exception of that chunk is raised as it
-    is.
+    is.  Fewer than one trial raises a ``ValueError``.
     """
+    _at_least_one_trial(trials)
     least = NUMPY_GIL_THRESHOLD // dim + 1
     spare = _helper_count(trials)
     # cut at numpy's threshold where helpers can join and two chunks remain
@@ -416,8 +424,10 @@ def run_search(
     Every trial's state is drawn first, then all trials are searched in one
     call, trial k drawing its kicks from ``root.child(k).child(1)``.  The
     extra metadata counts the descent probes run and converged over all
-    trials, and their accepted steps.
+    trials, and their accepted steps.  Fewer than one trial raises a
+    ``ValueError``.
     """
+    _at_least_one_trial(trials)
     layout = arrow.TWO_QUBITS
     root = RandomSource(seed)
     if demo == "random":

@@ -529,6 +529,61 @@ class TestColumnSerialization:
         assert serialize_csv(record) == oracles.csv_per_cell(record, rows)
         assert '\n1,"with ""quotes""",' in serialize_csv(record)
 
+    @staticmethod
+    def csv_and_writer_rows(monkeypatch, record) -> tuple[str, list]:
+        """serialize_csv(record) and the rows it handed to csv.writer."""
+        written = []
+        writer = cli.csv.writer
+
+        class Recording:
+            def __init__(self, *args, **kwargs):
+                self.writer = writer(*args, **kwargs)
+
+            def writerow(self, row):
+                written.append(list(row))
+                self.writer.writerow(row)
+
+            def writerows(self, rows):
+                for row in rows:
+                    self.writerow(row)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(cli.csv, "writer", Recording)
+            text = serialize_csv(record)
+        return text, written
+
+    @staticmethod
+    def damping_record(kinds):
+        """A damping record of its first rows, with ``kinds`` as their kind
+        column."""
+        code, record = run(validate_config("damping", overrides={"trials": "1"}))
+        assert code == 0
+        table = {name: column[: len(kinds)] for name, column in record.table.items()}
+        return dataclasses.replace(record, table={**table, "kind": np.array(kinds)})
+
+    @pytest.mark.parametrize("char", [",", '"', "\r", "\n"])
+    def test_a_text_cell_the_writer_may_quote_sends_the_table_through_it(self, monkeypatch, char):
+        record = self.damping_record(["plain", f"a{char}b", "plain"])
+        text, written = self.csv_and_writer_rows(monkeypatch, record)
+        assert text == oracles.csv_per_cell(record, record.rows)
+        assert written[0] == record.columns and len(written) == 1 + len(record.rows)
+
+    def test_an_empty_text_cell_among_other_columns_is_joined_unquoted(self, monkeypatch):
+        record = self.damping_record(["plain", "", "plain"])
+        text, written = self.csv_and_writer_rows(monkeypatch, record)
+        assert text == oracles.csv_per_cell(record, record.rows)
+        assert "\n1,," in text
+        assert written == [record.columns]
+
+    def test_a_one_column_text_table_goes_through_the_writer(self, monkeypatch):
+        # csv.writer writes a row of one empty cell as "" to keep the row
+        record = self.damping_record(["plain", "", "plain"])
+        record = dataclasses.replace(record, table={"kind": record.table["kind"]})
+        text, written = self.csv_and_writer_rows(monkeypatch, record)
+        assert text == oracles.csv_per_cell(record, record.rows)
+        assert text.endswith('kind\nplain\n""\nplain\n')
+        assert written[0] == ["kind"] and len(written) == 1 + len(record.rows)
+
     def test_json_writes_non_finite_floats_as_the_csv_text(self, capsys):
         argv = ["jarzynski", "--beta", "200", "--trials", "1"]
         with pytest.warns(RuntimeWarning, match=JARZYNSKI_OVERFLOW):

@@ -4,12 +4,18 @@ Every experiment, at a small size and at the choices that reach other
 code, returns every column its record lists as a 1-D array of one length
 and of a plain dtype, which the CLI picks in the record's order.  The
 ``schrodinger`` record runs ``balance``'s trials, so the cells the two
-records share are the same.
+records share are the same.  A stacked run asked for fewer than one trial
+raises a one-line ``ValueError`` that names the count.
 """
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import arrowlab
 from arrowlab import core, experiments
 from arrowlab.cli import run, validate_config
 
@@ -59,3 +65,35 @@ def test_schrodinger_shares_balances_trials(monkeypatch, dims, seed):
         assert code == 0 and len(record.rows) == 2
         tables.append({column: record.table[column].tobytes() for column in SHARED})
     assert tables[0] == tables[1]
+
+
+# the records whose run stacks its trials; damping's three canonical rows
+# need no trial, so damping at 0 trials writes those three
+STACKED = [name for name, e in experiments.EXPERIMENTS.items() if "trials" in {p.key for p in e.params} and name != "damping"]
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("name", [name for name in STACKED if name != "search"])
+def test_a_stacked_run_of_fewer_than_one_trial_names_the_count(name, trials):
+    values = {**small_config(name, {}).values, "trials": trials}
+    with pytest.raises(ValueError, match=f"^trials must be at least 1, got {trials}$"):
+        experiments.EXPERIMENTS[name].run(values)
+
+
+@pytest.mark.parametrize("demo", ["random", "near-product", "classical"])
+def test_a_search_of_no_trials_names_the_count(demo):
+    # in a child process with a timeout: a random search of no trials once
+    # drew stacks of no states for ever
+    values = {**small_config("search", {"demo": demo}).values, "trials": 0}
+    code = f"from arrowlab import experiments; experiments.EXPERIMENTS['search'].run({values!r})"
+    src = os.path.dirname(os.path.dirname(arrowlab.__file__))
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60
+    )
+    assert child.returncode == 1
+    assert child.stderr.splitlines()[-1] == "ValueError: trials must be at least 1, got 0"
+
+
+def test_damping_of_no_random_states_writes_the_canonical_rows():
+    columns, _ = experiments.EXPERIMENTS["damping"].run({**small_config("damping", {}).values, "trials": 0})
+    assert columns["kind"].tolist() == ["thermal", "maximally-mixed", "excited"]
