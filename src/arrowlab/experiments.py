@@ -257,7 +257,13 @@ def _by_chunks(trials: int, dim: int, run_chunk: Callable[[range], Columns]) -> 
     GIL, in loops of more than NUMPY_GIL_THRESHOLD outputs, so a run shared
     with helpers holds at least NUMPY_GIL_THRESHOLD // dim + 1 trials per
     chunk, as long as that leaves two chunks or more; at 16x16 that is two
-    trials, where a run on one thread holds one.  Each chunk runs under a
+    trials, where a run on one thread holds one.  Where the threshold, not
+    STACK_ENTRIES, sized the chunks and their count leaves r > 0 for the
+    last of the rounds that the t threads take them in, the last
+    min(r, t - r) chunks run as one chunk per trial, so that each thread
+    the last round would leave idle takes a trial: at 16x16 with one
+    helper, ten trials run as chunks of 2, 2, 2, 2, 1 and 1.  A lone trial
+    holds the GIL, so no other round is cut.  Each chunk runs under a
     copy of the caller's context, so numpy's ``errstate`` holds on every
     thread, and its result or exception is kept by chunk index; once a
     chunk raises, no further chunk is taken.  A chunk does the same
@@ -274,6 +280,13 @@ def _by_chunks(trials: int, dim: int, run_chunk: Callable[[range], Columns]) -> 
     spare = _helper_count(trials)
     # cut at numpy's threshold where helpers can join and two chunks remain
     chunks = trial_chunks(trials, dim**2, least if trials > least and spare else 1)
+    threads = 1 + min(spare, len(chunks) - 1)
+    tail = len(chunks) % threads
+    if tail and least > STACK_ENTRIES // dim**2:
+        # the threshold sized the chunks, and the last round's tail chunks
+        # leave threads - tail idle: up to that many run as single trials
+        cut = len(chunks) - min(tail, threads - tail)
+        chunks = chunks[:cut] + [range(k, k + 1) for chunk in chunks[cut:] for k in chunk]
     pending = iter(enumerate(chunks))
     lock = threading.Lock()
     context = contextvars.copy_context()
@@ -294,7 +307,7 @@ def _by_chunks(trials: int, dim: int, run_chunk: Callable[[range], Columns]) -> 
                     failures[index] = exc
 
     helpers = []
-    for _ in range(min(spare, len(chunks) - 1)):
+    for _ in range(threads - 1):
         helper = threading.Thread(target=work, name="arrowlab-chunks", daemon=True)
         try:
             helper.start()
@@ -605,7 +618,10 @@ def run_heatflow(trials: int, seed: int) -> Result:
 def run_damping(trials: int, beta: float, seed: int) -> Result:
     """Relative-entropy heat of damping canonical and random states into a
     thermal bath; row 0 is the bath's own thermal state.  The states are
-    one stack, validated once (:func:`fluctuation.damping_heats`)."""
+    one stack, validated once (:func:`fluctuation.damping_heats`).  No
+    random state leaves the three canonical rows; fewer raises."""
+    if trials < 0:
+        raise ValueError(f"trials must be at least 0, got {trials}")
     # the excited state |1><1| is the qubit Hamiltonian diag(0, 1) itself
     h = Hamiltonian(np.diag([0.0, 1.0]).astype(complex))
     states = np.concatenate(

@@ -3,7 +3,11 @@
 With BLAS pinned below the usable cores, ``experiments._by_chunks`` starts
 helper threads that take chunks beside the calling thread, and cuts
 chunks of at least NUMPY_GIL_THRESHOLD // D + 1 trials of D x D matrices,
-so that numpy's stacked QR and eigvalsh let the threads overlap.  Here the
+so that numpy's stacked QR and eigvalsh let the threads overlap.  Where
+that threshold sized the chunks and the last round of them would leave a
+thread idle, as many of its chunks run as single trials, one per idle
+thread: ten 16x16 trials with one helper run as chunks of 2, 2, 2, 2, 1
+and 1, where the fifth pair would leave the caller waiting.  Here the
 rule's inputs (the thread-count variables and ``os.sched_getaffinity``) are
 set to give one or three helpers, and the rows must still be the per-trial
 loops' of ``oracles.py`` bit for bit, the first failing trial must still
@@ -128,13 +132,36 @@ def chunk_lengths(trials, dim):
         # two trials per chunk would leave one chunk: one trial each, as alone
         ((16, 16), 2, [1, 1]),
         ((16, 16), 3, [2, 1]),
-        ((16, 16), 10, [2] * 5),
+        # five pairs in three rounds: the third round's pair runs as two singles
+        ((16, 16), 10, [2, 2, 2, 2, 1, 1]),
         ((15, 16), 10, [3, 3, 3, 1]),
+        # 16 8x8 trials per chunk under STACK_ENTRIES, more than the
+        # threshold's 8: a lone 64-dim trial holds the GIL, so the last
+        # round keeps its chunk whole
+        ((8, 8), 40, [16, 16, 8]),
     ],
-    ids=["16x16-2", "16x16-3", "16x16-10", "15x16-10"],
+    ids=["16x16-2", "16x16-3", "16x16-10", "15x16-10", "8x8-40"],
 )
 def test_chunks_shared_with_helpers_hold_more_than_the_threshold(helpers, dims, trials, expected):
     assert chunk_lengths(trials, dims[0] * dims[1]) == expected
+
+
+@pytest.mark.parametrize(
+    "helper_count, trials, expected",
+    [
+        (1, 10, [2, 2, 2, 2, 1, 1]),
+        (1, 6, [2, 2, 1, 1]),
+        # the last round's chunk holds one trial already, or no round is short
+        (1, 5, [2, 2, 1]),
+        (1, 11, [2, 2, 2, 2, 2, 1]),
+        # six chunks on four threads: two idle in the last round
+        (3, 11, [2, 2, 2, 2, 1, 1, 1]),
+        (3, 6, [2, 2, 2]),
+    ],
+)
+def test_the_last_round_cuts_as_many_chunks_into_single_trials_as_it_leaves_threads_idle(monkeypatch, helper_count, trials, expected):
+    pin(monkeypatch, helper_count + 1, OPENBLAS_NUM_THREADS="1")
+    assert chunk_lengths(trials, 256) == expected
 
 
 def test_chunks_on_one_thread_keep_one_256_dim_trial_each(monkeypatch):
@@ -149,13 +176,25 @@ def test_chunk_lengths_pass_the_threshold_or_keep_todays_sizes(helpers, dim_s, d
     lengths = chunk_lengths(trials, dim)
     # the fewest trials whose stacked eigvalsh has more outputs than the threshold
     least = -(-(experiments.NUMPY_GIL_THRESHOLD + 1) // dim)
+    # the chunks cut at the threshold, or at STACK_ENTRIES alone where they
+    # would not leave two, before the last round is cut
+    whole = [len(chunk) for chunk in core.trial_chunks(trials, dim**2, least if trials > least else 1)]
+    threads = min(helpers + 1, len(whole))
+    last_round = len(whole) % threads
+    # those chunks in order, up to the first that was cut into single trials
+    kept = next((k for k, (new, old) in enumerate(zip(lengths, whole)) if new != old), len(whole))
+    assert lengths[:kept] == whole[:kept]
+    assert lengths[kept:] == [1] * sum(whole[kept:])
     if trials > least:
-        assert all(length * dim > experiments.NUMPY_GIL_THRESHOLD for length in lengths[:-1])
-    else:
-        assert lengths == [len(chunk) for chunk in core.trial_chunks(trials, dim**2)]
+        assert all(length * dim > experiments.NUMPY_GIL_THRESHOLD for length in whole[:-1])
+    if lengths != whole:
+        # only where the threshold sized the chunks, only in a last round
+        # that leaves threads idle, and no more chunks than it leaves idle
+        assert least > core.STACK_ENTRIES // dim**2
+        assert last_round and len(whole) - kept <= min(last_round, threads - last_round)
     # STACK_ENTRIES, or the threshold where that takes more: at 12x12 a chunk
     # of STACK_ENTRIES holds 3 trials, 3 x 144 outputs, and one of 4 passes
-    assert max(lengths) <= max(core.STACK_ENTRIES // dim**2, least)
+    assert max(lengths) <= max(whole) <= max(core.STACK_ENTRIES // dim**2, least)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +216,23 @@ def test_helpers_take_chunks_while_the_caller_runs_one(helpers):
     assert chunk_threads() == []
 
 
+def test_the_last_rounds_single_trials_run_on_both_threads(monkeypatch):
+    # ten 256 x 256 trials with one helper: the two single trials each wait
+    # until the other runs, so one thread cannot take both
+    pin(monkeypatch, 2, OPENBLAS_NUM_THREADS="1")
+    barrier = threading.Barrier(2, timeout=TIMEOUT)
+
+    def run_chunk(chunk):
+        if len(chunk) == 1:
+            barrier.wait()
+        return {"trial": np.array(chunk), "thread": np.array([threading.get_ident()] * len(chunk))}
+
+    columns = experiments._by_chunks(10, 256, run_chunk)
+    assert columns["trial"].tolist() == list(range(10))
+    assert columns["thread"][8] != columns["thread"][9]
+    assert chunk_threads() == []
+
+
 def test_every_chunk_runs_under_the_callers_errstate(helpers):
     barrier = threading.Barrier(helpers + 1, timeout=TIMEOUT)
 
@@ -189,12 +245,14 @@ def test_every_chunk_runs_under_the_callers_errstate(helpers):
     assert columns["divide"].tolist() == ["raise"] * (helpers + 1)
 
 
-def test_balance_and_schrodinger_at_16x16_match_per_trial_loops(helpers):
-    # two 256 x 256 trials per chunk, and one in the last
-    rows = oracles.rows("balance", experiments.run_balance(5, 16, 16, 7)[0])
-    assert exact(rows) == exact(oracles.balance_rows(5, 16, 16, RandomSource(7)))
-    columns, _ = experiments.EXPERIMENTS["schrodinger"].run({"trials": 5, "dims": (16, 16), "seed": 7})
-    assert exact(oracles.rows("schrodinger", columns)) == exact(oracles.schrodinger_rows(5, 16, 16, RandomSource(7)))
+@pytest.mark.parametrize("trials", [5, 6])
+def test_balance_and_schrodinger_at_16x16_match_per_trial_loops(helpers, trials):
+    # two 256 x 256 trials per chunk and one in the last; at six trials with
+    # one helper, the third pair runs as two single trials
+    rows = oracles.rows("balance", experiments.run_balance(trials, 16, 16, 7)[0])
+    assert exact(rows) == exact(oracles.balance_rows(trials, 16, 16, RandomSource(7)))
+    columns, _ = experiments.EXPERIMENTS["schrodinger"].run({"trials": trials, "dims": (16, 16), "seed": 7})
+    assert exact(oracles.rows("schrodinger", columns)) == exact(oracles.schrodinger_rows(trials, 16, 16, RandomSource(7)))
 
 
 def traced_peak(run) -> int:
@@ -243,9 +301,11 @@ def test_many_small_chunks_on_more_threads_than_cores(monkeypatch):
     try:
         for _ in range(20):
             runs.clear()
-            # two 256 x 256 trials per chunk, shared with the helpers
+            # two 256 x 256 trials per chunk, shared with the helpers; 150
+            # chunks on eight threads leave two idle in the last round, so
+            # its last two pairs run as four single trials
             columns = experiments._by_chunks(300, 256, run_chunk)
-            assert sorted(runs) == list(range(0, 300, 2))
+            assert sorted(runs) == [*range(0, 296, 2), 296, 297, 298, 299]
             assert columns["trial"].tolist() == list(range(300))
             assert columns["twice"].tolist() == list(range(0, 600, 2))
     finally:

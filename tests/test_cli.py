@@ -839,13 +839,16 @@ class TestBlasThreadCount:
     @pytest.mark.skipif(len(USABLE_CORES) < 2, reason="needs two usable cores")
     def test_balance_rows_at_16x16_with_a_helper_are_those_on_one_core(self):
         # with BLAS at one thread, two cores give one helper thread and two
-        # trials per chunk, one core none and one trial per chunk; the rows
-        # of --trials 3 are the first three of --trials 5
+        # trials per chunk, one core none and one trial per chunk; at
+        # --trials 6 the third pair runs as two single trials, one per
+        # thread.  The rows of --trials 5 and 3 are the first five and three
+        # of --trials 6
         argv = ("balance", "--dims", "16x16", "--trials")
         two = set(USABLE_CORES[:2])
-        one = rows_of_csv(stdout_at_threads(1, *argv, "5", cores={USABLE_CORES[0]}))
-        assert len(one) == 6
-        assert rows_of_csv(stdout_at_threads(1, *argv, "5", cores=two)) == one
+        one = rows_of_csv(stdout_at_threads(1, *argv, "6", cores={USABLE_CORES[0]}))
+        assert len(one) == 7
+        assert rows_of_csv(stdout_at_threads(1, *argv, "6", cores=two)) == one
+        assert rows_of_csv(stdout_at_threads(1, *argv, "5", cores=two)) == one[:6]
         assert rows_of_csv(stdout_at_threads(1, *argv, "3", cores=two)) == one[:4]
 
 

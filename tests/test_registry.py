@@ -97,3 +97,9 @@ def test_a_search_of_no_trials_names_the_count(demo):
 def test_damping_of_no_random_states_writes_the_canonical_rows():
     columns, _ = experiments.EXPERIMENTS["damping"].run({**small_config("damping", {}).values, "trials": 0})
     assert columns["kind"].tolist() == ["thermal", "maximally-mixed", "excited"]
+
+
+@pytest.mark.parametrize("trials", [-1, -5])
+def test_damping_of_fewer_than_no_random_states_names_the_count(trials):
+    with pytest.raises(ValueError, match=f"^trials must be at least 0, got {trials}$"):
+        experiments.EXPERIMENTS["damping"].run({**small_config("damping", {}).values, "trials": trials})
