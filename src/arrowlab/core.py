@@ -14,9 +14,10 @@ Conventions, fixed once for the whole package:
 * randomness flows only through :class:`RandomSource`, a stack of streams:
   one seed and an (n, m) spawn-key array, a lone source being a stack of
   one.  Row k's stream is numpy's PCG64 seeded from SeedSequence with the
-  seed and key k, and the samplers derive every row's stream of a stack in
-  one pass (:func:`pcg64_states`), so every sampling routine is a
-  deterministic function of its sources.
+  seed and key k, and the samplers derive every row's state words of a
+  stack in one pass (:func:`pcg64_words`) and write them into the calling
+  thread's generator, so every sampling routine is a deterministic function
+  of its sources.
 
 Experiments run their trials as stacks: the validators, samplers and
 kernels with plural names act on (n, d, d) arrays, one trial per leading
@@ -30,8 +31,10 @@ so a trial's numbers do not depend on the stack it runs in.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import operator
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -262,7 +265,7 @@ class RandomSource:
     key.  :meth:`child` appends one index to every row's key,
     :meth:`children` gives each row one child per index, so parallel trials
     get independent, reproducible streams.  The samplers derive every row's
-    stream of a stack in one pass (:func:`pcg64_states`); :meth:`generator`
+    stream of a stack in one pass (:func:`pcg64_words`); :meth:`generator`
     builds a lone source's stream through numpy's own ``SeedSequence``.
     Every stream starts at its beginning, so sampling functions are pure
     functions of their sources.  The seed, each key entry and each child
@@ -320,13 +323,20 @@ class RandomSource:
 # tables, and the pool after the seed words depends only on the seed.
 
 _MASK32 = 2**32 - 1
-_MASK128 = 2**128 - 1
+_MASK64 = 2**64 - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
 _POOL_SIZE = 4
+# ufunc operands are 0-d arrays, not numpy scalars, which cost more per call
+_MIX_MULT_L, _MIX_MULT_R = np.array(0xCA01F9DD, dtype=np.uint32), np.array(0x4973F715, dtype=np.uint32)
+_XSHIFT = np.array(16, dtype=np.uint32)
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+# the multiplier's 64-bit limbs, the low limb's 32-bit halves, and the
+# shifts and mask of the limb arithmetic
+_MULT_HI, _MULT_LO, _MULT_LO_HIGH, _MULT_LO_LOW, _ONE, _HALF, _TOP, _LOW_HALF = (
+    np.array(value, dtype=np.uint64)
+    for value in (_PCG_MULT >> 64, _PCG_MULT & _MASK64, _PCG_MULT >> 32 & _MASK32, _PCG_MULT & _MASK32, 1, 32, 63, _MASK32)
+)
 
 
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
@@ -380,18 +390,34 @@ def _seed_pool(seed: int) -> np.ndarray:
     return pool
 
 
-def pcg64_states(sources: RandomSource) -> list[tuple[int, int]]:
-    """(state, inc) of each row's PCG64, as numpy seeds it from
-    ``SeedSequence(seed, spawn_key=key)``.  A uint32 key array is its own
-    spawn words, and the whole stack is derived at once; a key holding an
-    entry of 2^32 or more spans several words, and numpy seeds those rows
-    itself."""
+def _high_product(x: np.ndarray) -> np.ndarray:
+    """The high 64 bits of x times the multiplier's low limb, from four
+    32 x 32-bit partial products."""
+    x_low, x_high = x & _LOW_HALF, x >> _HALF
+    cross_a, cross_b = x_low * _MULT_LO_HIGH, x_high * _MULT_LO_LOW
+    middle = x_low * _MULT_LO_LOW >> _HALF
+    middle += cross_a & _LOW_HALF
+    middle += cross_b & _LOW_HALF
+    high = x_high * _MULT_LO_HIGH
+    high += cross_a >> _HALF
+    high += cross_b >> _HALF
+    high += middle >> _HALF
+    return high
+
+
+def pcg64_words(sources: RandomSource) -> np.ndarray:
+    """Each row's PCG64 state and increment, as numpy seeds them from
+    ``SeedSequence(seed, spawn_key=key)``: an (n, 4) uint64 array of 64-bit
+    limbs (state low, state high, inc low, inc high).  A uint32 key array
+    is its own spawn words, and the whole stack is derived at once, the
+    128-bit LCG step in two limbs; a key holding an entry of 2^32 or more
+    spans several words, and numpy seeds those rows itself."""
     if sources.keys.dtype != np.uint32:
-        states = []
+        words = []
         for key in sources.keys.tolist():
             pcg = np.random.PCG64(np.random.SeedSequence(sources.seed, spawn_key=key)).state["state"]
-            states.append((pcg["state"], pcg["inc"]))
-        return states
+            words.append([pcg["state"] & _MASK64, pcg["state"] >> 64, pcg["inc"] & _MASK64, pcg["inc"] >> 64])
+        return np.array(words, dtype=np.uint64).reshape(len(words), 4)
     spawn = sources.keys
     xor, mult = _spawn_hash(spawn.shape[1])
     # a spawn word's hashmix depends on its position alone, not on the pool
@@ -403,53 +429,129 @@ def pcg64_states(sources: RandomSource) -> list[tuple[int, int]]:
     for j in range(spawn.shape[1]):
         pool = pool * _MIX_MULT_L - hashed[:, j]
         pool ^= pool >> _XSHIFT
-    words = np.empty((len(spawn), 2, _POOL_SIZE), dtype=np.uint32)
-    np.bitwise_xor(pool[..., None, :], _STATE_XOR, out=words)
-    words *= _STATE_MULT
-    words ^= words >> _XSHIFT
+    hashed = np.empty((len(spawn), 2, _POOL_SIZE), dtype=np.uint32)
+    np.bitwise_xor(pool[..., None, :], _STATE_XOR, out=hashed)
+    hashed *= _STATE_MULT
+    hashed ^= hashed >> _XSHIFT
     # numpy reads the 8 words as 4 little-endian uint64; PCG64 takes each
-    # pair of those as (high, low) halves of a 128-bit seed and increment
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in words.reshape(len(spawn), 2 * _POOL_SIZE).astype("<u4", copy=False).view("<u8").tolist():
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        states.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, inc))
-    return states
+    # pair of those as (high, low) limbs of a 128-bit seed S and increment I
+    s_hi, s_lo, i_hi, i_lo = hashed.reshape(len(spawn), 2 * _POOL_SIZE).astype("<u4", copy=False).view("<u8").T
+    words = np.empty((len(spawn), 4), dtype=np.uint64)
+    state_lo, state_hi, inc_lo, inc_hi = words.T
+    # inc = 2 I + 1, then state = (S + inc) * mult + inc, mod 2^128
+    np.left_shift(i_lo, _ONE, out=inc_lo)
+    inc_lo |= _ONE
+    np.left_shift(i_hi, _ONE, out=inc_hi)
+    inc_hi |= i_lo >> _TOP
+    x_lo = s_lo + inc_lo
+    x_hi = s_hi + inc_hi
+    x_hi += x_lo < inc_lo
+    np.multiply(x_lo, _MULT_LO, out=state_lo)
+    np.add(_high_product(x_lo), x_lo * _MULT_HI, out=state_hi)
+    x_hi *= _MULT_LO
+    state_hi += x_hi
+    state_lo += inc_lo
+    state_hi += inc_hi
+    state_hi += state_lo < inc_lo
+    return words
+
+
+# PCG64's C state (numpy/random/_pcg64.pyx), at its ``ctypes.state_address``:
+# a pointer to the 128-bit state and increment, then int has_uint32 and
+# uint32 uinteger, half a 64-bit output kept for the next 32-bit draw.  The
+# 128-bit numbers are (low, high) 64-bit limbs where the compiler has
+# __uint128_t, and numpy's emulated (high, low) struct where it has not.
+_LIMB_ORDERS = ((0, 1, 2, 3), (1, 0, 3, 2))
+_PROBE_WORDS = (0x0123456789ABCDEF, 0x1122334455667788, 0x0FEDCBA987654321, 0x8877665544332211)
+_PROBE_UINTEGER = 0x9E3779B9
+
+
+def _probe_limb_order(bit_generator) -> tuple[int, ...] | None:
+    """The order of :func:`pcg64_words`' columns in PCG64's state memory,
+    read from ``bit_generator`` once set through numpy's public state
+    setter; None unless that memory is one of the two layouts.  The state
+    pointer is followed only once has_uint32 and uinteger read back."""
+    state_lo, state_hi, inc_lo, inc_hi = _PROBE_WORDS
+    bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 1, "uinteger": _PROBE_UINTEGER,
+                           "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo}}
+    address = bit_generator.ctypes.state_address
+    if (ctypes.sizeof(ctypes.c_void_p) != 8 or ctypes.c_int.from_address(address + 8).value != 1
+            or ctypes.c_uint32.from_address(address + 12).value != _PROBE_UINTEGER):
+        return None
+    memory = tuple((ctypes.c_uint64 * 4).from_address(ctypes.c_void_p.from_address(address).value))
+    return next((order for order in _LIMB_ORDERS if memory == tuple(_PROBE_WORDS[i] for i in order)), None)
 
 
 @functools.cache
-def _shared_generator() -> np.random.Generator:
-    """The one generator whose state is set to each source's in turn.  Built
-    on first use: numpy imports ``numpy.random`` lazily, and importing
-    arrowlab need not pay for it."""
-    return np.random.Generator(np.random.PCG64(0))
+def _limb_order() -> tuple[int, ...] | None:
+    """:func:`_probe_limb_order` of a PCG64 of its own, once per process,
+    before any state is written directly."""
+    return _probe_limb_order(np.random.PCG64(0))
+
+
+class _ThreadStream:
+    """One thread's Generator, set to the start of each row's stream in
+    turn.  Where the probe knows PCG64's layout, a row's four words are
+    written straight into the bit generator's state and has_uint32 is
+    zeroed; else the state goes through numpy's dict setter."""
+
+    def __init__(self):
+        self.generator = np.random.Generator(np.random.PCG64(0))
+        self.busy = False
+        self.order = _limb_order()
+        if self.order is not None:
+            address = self.generator.bit_generator.ctypes.state_address
+            state = ctypes.c_void_p.from_address(address).value
+            self.state = np.frombuffer((ctypes.c_uint64 * 4).from_address(state), dtype=np.uint64)
+            self.has_uint32 = np.frombuffer((ctypes.c_int32 * 1).from_address(address + 8), dtype=np.int32)
+
+    def rows(self, sources: RandomSource) -> Iterator[np.random.Generator]:
+        g = self.generator
+        if self.order is None:
+            pcg = {"state": 0, "inc": 0}
+            full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+            for state_lo, state_hi, inc_lo, inc_hi in pcg64_words(sources).tolist():
+                pcg["state"], pcg["inc"] = state_hi << 64 | state_lo, inc_hi << 64 | inc_lo
+                g.bit_generator.state = full
+                yield g
+            return
+        state, has_uint32 = self.state, self.has_uint32
+        for words in pcg64_words(sources)[:, self.order]:
+            state[:] = words
+            has_uint32[0] = 0
+            yield g
+
+
+_threads = threading.local()
 
 
 @contextlib.contextmanager
 def _stream_rows(sources: RandomSource) -> Iterator[Iterator[np.random.Generator]]:
     """An iterator over the rows of the stack that yields, for each row in
-    turn, one shared numpy Generator set to the start of that row's stream.
-    The bit generator's lock is held until the block exits, so concurrent
-    callers cannot interleave; the Generator must not be kept."""
-    g = _shared_generator()
-    bit_generator = g.bit_generator
-    # one state dict, refilled per row: the setter copies the values out
-    pcg = {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-
-    def rows() -> Iterator[np.random.Generator]:
-        for pcg["state"], pcg["inc"] in pcg64_states(sources):
-            bit_generator.state = full
-            yield g
-
-    with bit_generator.lock:
-        yield rows()
+    turn, the calling thread's Generator set to the start of that row's
+    stream.  The Generator is built on the thread's first stack (numpy
+    imports ``numpy.random`` lazily, and importing arrowlab need not pay for
+    it) and must not be kept.  Threads draw at the same time, each from its
+    own; a second stack on the same thread before the block exits would
+    reset the first one's stream, so it raises."""
+    stream = getattr(_threads, "stream", None)
+    if stream is None:
+        stream = _threads.stream = _ThreadStream()
+    if stream.busy:
+        raise RuntimeError("a stack's draw cannot sample another stack on the same thread; draw from RandomSource.generator() instead")
+    stream.busy = True
+    try:
+        yield stream.rows(sources)
+    finally:
+        stream.busy = False
 
 
 def draw_streams(sources: RandomSource, draw: Callable[[np.random.Generator], T]) -> list[T]:
-    """``draw(g)`` per row of the stack, with ``g`` a numpy Generator at the
-    start of that row's stream.  ``g`` is shared: ``draw`` must not keep it.
-    Its bit generator's lock is held across the stack, so concurrent callers
-    cannot interleave."""
+    """``draw(g)`` per row of the stack, with ``g`` the calling thread's
+    numpy Generator at the start of that row's stream: ``draw`` must not
+    keep it, and must not sample another stack (a RuntimeError); it may
+    draw from a lone source's :meth:`RandomSource.generator`.  Threads draw
+    their stacks at the same time, each from its own Generator."""
     with _stream_rows(sources) as rows:
         return [draw(g) for g in rows]
 
@@ -625,9 +727,10 @@ def gibbs_state(h: Hamiltonian, beta: float) -> DensityOperator:
 def gaussian_matrices(sources: RandomSource, rows: int, cols: int) -> np.ndarray:
     """Stack (n, rows, cols) of complex Gaussian matrices X + iY, one per
     row of the source stack, each drawn from the start of its row's stream:
-    all of X, then all of Y.  The streams are derived for the whole stack
-    in one pass and drawn in the one loop that :func:`draw_streams` also
-    runs."""
+    all of X, then all of Y.  The state words are derived for the whole
+    stack in one pass, and each row is one ``standard_normal`` call on the
+    calling thread's generator, set to the row's stream in the one loop
+    that :func:`draw_streams` also runs."""
     # a Generator fills only contiguous arrays: X then Y are one call into
     # each source's contiguous (2, rows, cols) slab, the same stream bits as
     # two calls, then written into the parts of one complex stack
